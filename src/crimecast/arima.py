@@ -144,9 +144,11 @@ def _ar_init(w: np.ndarray, spec: ArimaSpec) -> np.ndarray:
     return np.asarray(theta0, dtype=float)
 
 
-def _loglik(ssr: float, n_eff: int) -> float:
-    sigma2 = ssr / n_eff
-    return -0.5 * n_eff * (np.log(2.0 * np.pi * sigma2) + 1.0)
+def _gaussian_loglik(ssr: float, n: int) -> tuple[float, float]:
+    """(sigma2_ml, log-likelihood) of n Gaussian residuals whose squares sum
+    to ssr; sigma2_ml is floored at the smallest normal double."""
+    sigma2 = max(ssr / n, np.finfo(float).tiny)
+    return sigma2, -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
 
 
 def _adjusted_r2(r2: float, n: int, k_total: int) -> float:
@@ -223,8 +225,7 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
     ssr = float(e @ e)
     if ssr <= 0.0:
         raise DegenerateInputError("residuals have zero variance")
-    sigma2 = ssr / n_eff
-    log_likelihood = _loglik(ssr, n_eff)
+    sigma2, log_likelihood = _gaussian_loglik(ssr, n_eff)
 
     # One-step fitted values on the level scale: y_hat_t = y_t - e_t, compared
     # against the lag-1 naive forecast y_{t-1} (needs t >= 1).

@@ -276,9 +276,9 @@ def cmd_signals(config: PipelineConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     span = (config.fit_start, config.holdout_end)
     if not labeled:
-        header = "year,quarter,news_num,event_detected_num,hate_reported_index\n"
-        (out / "signals_national.csv").write_text(header)
-        (out / "signals_by_state.csv").write_text("year,quarter,state," + header.split(",", 2)[2])
+        empty = signals_mod.QuarterlySignals(span[0], (), (), ())
+        signals_mod.write_signals_csv(empty, out / "signals_national.csv")
+        signals_mod.write_state_signals_csv(signals_mod.StateSignals(empty, {}, 0.0), out / "signals_by_state.csv")
         print("signals: no records; wrote header-only CSVs")
         return
     resolved = _resolved_articles(config, labeled)
@@ -360,7 +360,9 @@ def _mask_after(series: TimeSeries, last: Quarter) -> TimeSeries:
     return TimeSeries(series.name, series.start, values)
 
 
-def _national_report(config: PipelineConfig) -> evaluation.ForecastReport:
+def _national_report(
+    config: PipelineConfig, labeled: list[signals_mod.ArticleRecord]
+) -> evaluation.ForecastReport:
     requested = sorted(m for m in config.models if m in NATIONAL_MODELS)
     observed, deseasonalized, decomp = _load_dependent(config)
     span_start, span_end = config.fit_start, config.holdout_end
@@ -389,7 +391,6 @@ def _national_report(config: PipelineConfig) -> evaluation.ForecastReport:
             raise UsageError(str(exc)) from exc
         series_pool = [dependent] + list(covariates.series)
         if any(m in (3, 4, 5) for m in regression_models):
-            labeled, _ = _labeled_articles(config)
             national = signals_mod.aggregate_quarterly(labeled, (span_start, span_end))
             series_pool += [national.news_series(), national.events_series(), national.index_series()]
         full = Dataset.align(series_pool)
@@ -425,7 +426,7 @@ def _national_report(config: PipelineConfig) -> evaluation.ForecastReport:
     return report
 
 
-def _panel_report(config: PipelineConfig) -> dict:
+def _panel_report(config: PipelineConfig, labeled: list[signals_mod.ArticleRecord]) -> dict:
     requested = sorted(m for m in config.models if m in PANEL_MODELS)
     panel_path = _require(config.panel, "panel")
     try:
@@ -433,27 +434,20 @@ def _panel_report(config: PipelineConfig) -> dict:
     except CrimecastError as exc:
         raise UsageError(str(exc)) from exc
 
-    labeled, _ = _labeled_articles(config)
     resolved = _resolved_articles(config, labeled)
     span = (config.fit_start, config.holdout_end)
     state_signals = signals_mod.aggregate_by_state(resolved, span)
 
-    # Join the per-state quarterly signals onto the panel observations.
-    merged_rows = []
-    for (unit, q), values in panel.observations.items():
-        row = dict(values)
-        sig = state_signals.by_state.get(unit)
-        if sig is not None and sig.start <= q <= sig.start + (len(sig) - 1):
-            i = q - sig.start
-            row["news_num"] = float(sig.news_num[i])
-            row["event_detected_num"] = float(sig.event_detected_num[i])
-            row["hate_reported_index"] = sig.hate_reported_index[i]
-        else:
-            row["news_num"] = 0.0
-            row["event_detected_num"] = 0.0
-            row["hate_reported_index"] = 0.0
-        merged_rows.append((unit, q, row))
-    panel = PanelDataset.from_rows(merged_rows)
+    # Join the per-state quarterly signals onto the panel rows; a state
+    # without signals in a quarter gets zeros.
+    by_state = state_signals.by_state.items()
+    panel = panel.with_unit_series(
+        {
+            "news_num": {state: sig.news_series() for state, sig in by_state},
+            "event_detected_num": {state: sig.events_series() for state, sig in by_state},
+            "hate_reported_index": {state: sig.index_series() for state, sig in by_state},
+        }
+    )
 
     balanced, balance_report = balance_panel(
         panel, config.panel_min_coverage, span=span, dependent=config.panel_dependent
@@ -488,7 +482,7 @@ def _panel_report(config: PipelineConfig) -> dict:
             fc = forecasts[unit]
             for h, q in enumerate(fc.quarters()):
                 preds.append(fc.point_values[h])
-                actuals.append(balanced.observations[(unit, q)][config.panel_dependent])
+                actuals.append(balanced.value(unit, q, config.panel_dependent))
         prediction_stacks[model_id] = preds
         if not actual_stack:
             actual_stack = actuals
@@ -533,11 +527,15 @@ def cmd_fit_forecast(config: PipelineConfig) -> None:
     panel_requested = [m for m in config.models if m in PANEL_MODELS]
     if not national_requested and not panel_requested:
         raise UsageError("no models requested")
+    # Articles are loaded and labeled once, for both reports.
+    labeled: list[signals_mod.ArticleRecord] = []
+    if panel_requested or any(m in (3, 4, 5) for m in national_requested):
+        labeled, _ = _labeled_articles(config)
     if national_requested:
-        report = _national_report(config)
+        report = _national_report(config, labeled)
         print(f"fit-forecast: wrote report.json with {len(report.rows)} national model rows")
     if panel_requested:
-        payload = _panel_report(config)
+        payload = _panel_report(config, labeled)
         print(f"fit-forecast: wrote panel_report.json with {len(payload['models'])} panel model rows")
 
 

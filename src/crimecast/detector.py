@@ -9,7 +9,6 @@ predicted_label already filled.
 from __future__ import annotations
 
 import json
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,13 +17,8 @@ from typing import Any, Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .exceptions import InvalidArgumentError
+from .geo import _tokenize
 from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord, relabel
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
 
 
 class Detector(Protocol):

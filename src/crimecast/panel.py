@@ -3,118 +3,120 @@ estimator, Swamy-Arora random effects, and per-unit forecasting."""
 
 from __future__ import annotations
 
-import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .arima import Forecast
+from .arima import Forecast, _gaussian_loglik
 from .exceptions import (
     CollinearityError,
     EmptyPanelError,
     InvalidArgumentError,
 )
-from .regression import Dataset, RegressionSpec, _build_design, _qr_solve
-from .series import MISSING, Quarter, TimeSeries
+from .regression import RegressionSpec, _qr_solve
+from .series import Quarter, TimeSeries, read_quarterly_csv
 
 
-@dataclass(frozen=True)
+def _window(arr: np.ndarray, lo: int, n: int, fill) -> np.ndarray:
+    """`arr[:, lo:lo + n]` along the quarter axis, `fill` where that leaves `arr`."""
+    out = np.full((arr.shape[0], n) + arr.shape[2:], fill, dtype=arr.dtype)
+    a, b = max(lo, 0), min(lo + n, arr.shape[1])
+    if a < b:
+        out[:, a - lo : b - lo] = arr[:, a:b]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class PanelDataset:
-    """Observations keyed by (unit, quarter), each a mapping of variable
-    name to value. Units may have gaps until the panel is balanced."""
+    """Observations on a units × quarters × variables grid: `values[i, t, j]`
+    is variable `names[j]` of unit `unit_names[i]` at quarter `start + t`, NaN
+    when missing (all NaN in a row that does not exist), and `present[i, t]`
+    marks the rows that exist. Units and variables are sorted; units may have
+    gaps until the panel is balanced."""
 
-    observations: Mapping[tuple[str, Quarter], Mapping[str, float]]
-
-    def __post_init__(self) -> None:
-        if not self.observations:
-            raise InvalidArgumentError("panel has no observations")
+    unit_names: tuple[str, ...]
+    start: Quarter
+    names: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+    present: np.ndarray = field(repr=False)
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, Quarter, Mapping[str, float]]]) -> "PanelDataset":
-        obs: dict[tuple[str, Quarter], dict[str, float]] = {}
-        for unit, q, values in rows:
-            key = (str(unit), q)
-            if key in obs:
+        rows = list(rows)
+        if not rows:
+            raise InvalidArgumentError("panel has no observations")
+        units = sorted({str(u) for u, _, _ in rows})
+        names = sorted({name for _, _, values in rows for name in values})
+        start = min(q for _, q, _ in rows)
+        row_of = {u: i for i, u in enumerate(units)}
+        values = np.full((len(units), max(q for _, q, _ in rows) - start + 1, len(names)), np.nan)
+        present = np.zeros(values.shape[:2], dtype=bool)
+        for unit, q, row in rows:
+            i, t = row_of[str(unit)], q - start
+            if present[i, t]:
                 raise InvalidArgumentError(f"duplicate observation for {unit} at {q}")
-            obs[key] = dict(values)
-        return cls(obs)
+            present[i, t] = True
+            values[i, t] = [row.get(name, np.nan) for name in names]
+        return cls(tuple(units), start, tuple(names), values, present)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PanelDataset":
         """Load a long `state,year,quarter,<variable>...` CSV."""
-        path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:3]] != ["state", "year", "quarter"]:
-                raise InvalidArgumentError(f"{path}: expected header 'state,year,quarter,<variables>'")
-            names = [h.strip() for h in header[3:]]
-            if not names:
-                raise InvalidArgumentError(f"{path}: no variable columns")
-            rows: list[tuple[str, Quarter, dict[str, float]]] = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    unit = row[0].strip()
-                    q = Quarter(int(row[1]), int(row[2]))
-                except (ValueError, IndexError) as exc:
-                    raise InvalidArgumentError(f"{path}:{lineno}: malformed row") from exc
-                values = {}
-                for j, name in enumerate(names):
-                    raw = row[3 + j].strip() if len(row) > 3 + j else ""
-                    values[name] = MISSING if raw == "" else float(raw)
-                rows.append((unit, q, values))
-        if not rows:
-            raise InvalidArgumentError(f"{path}: no data rows")
-        return cls.from_rows(rows)
+        names, rows = read_quarterly_csv(path, ("state", "year", "quarter"))
+        return cls.from_rows((keys[0], q, dict(zip(names, values))) for keys, q, values in rows)
 
     def units(self) -> tuple[str, ...]:
-        return tuple(sorted({u for u, _ in self.observations}))
-
-    def variables(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for values in self.observations.values():
-            names.update(values)
-        return tuple(sorted(names))
+        return self.unit_names
 
     def span(self) -> tuple[Quarter, Quarter]:
-        quarters = [q for _, q in self.observations]
-        return min(quarters), max(quarters)
+        occupied = np.flatnonzero(self.present.any(axis=0))
+        return self.start + int(occupied[0]), self.start + int(occupied[-1])
 
     def unit_quarters(self, unit: str) -> list[Quarter]:
-        return sorted(q for u, q in self.observations if u == unit)
+        return [self.start + int(t) for t in np.flatnonzero(self.present[self.unit_names.index(unit)])]
 
-    def unit_dataset(self, unit: str, variables: Iterable[str] | None = None) -> Dataset:
-        """Build the per-unit aligned dataset; the unit must be gap-free."""
-        quarters = self.unit_quarters(unit)
-        if not quarters:
-            raise InvalidArgumentError(f"panel has no unit {unit!r}")
-        for qa, qb in zip(quarters, quarters[1:]):
-            if qb != qa + 1:
-                raise InvalidArgumentError(f"unit {unit!r} has gaps; balance the panel first")
-        names = tuple(variables) if variables is not None else self.variables()
-        series = []
-        for name in names:
-            vals = [self.observations[(unit, q)].get(name, MISSING) for q in quarters]
-            series.append(TimeSeries(name, quarters[0], tuple(vals)))
-        return Dataset(tuple(series))
+    def _gather(self, terms: Sequence[tuple[str, int]], span: tuple[Quarter, Quarter]) -> np.ndarray:
+        """Units × quarters × terms over the span; term (name, k) at q is `name` at q - k."""
+        out = np.empty((len(self.unit_names), span[1] - span[0] + 1, len(terms)))
+        for j, (name, k) in enumerate(terms):
+            if name not in self.names:
+                raise InvalidArgumentError(f"panel has no variable {name!r}")
+            column = self.values[:, :, self.names.index(name)]
+            out[:, :, j] = _window(column, span[0] - k - self.start, out.shape[1], np.nan)
+        return out
+
+    def value(self, unit: str, q: Quarter, name: str) -> float:
+        """Variable `name` of `unit` at quarter `q`; NaN when missing."""
+        return float(self._gather([(name, 0)], (q, q))[self.unit_names.index(unit), 0, 0])
+
+    def with_unit_series(self, columns: Mapping[str, Mapping[str, TimeSeries]]) -> "PanelDataset":
+        """Add or replace variables: `columns[name][unit]` over that series'
+        quarters, and 0.0 in every other existing row."""
+        names = tuple(sorted(set(self.names) | set(columns)))
+        values = np.zeros(self.present.shape + (len(names),))
+        for j, name in enumerate(names):
+            if name not in columns:
+                values[:, :, j] = self.values[:, :, self.names.index(name)]
+            for i, unit in enumerate(self.unit_names):
+                if unit in columns.get(name, {}):
+                    series = columns[name][unit]
+                    lo = self.start - series.start
+                    values[i, :, j] = _window(series.to_array()[None], lo, values.shape[1], 0.0)[0]
+        values[~self.present] = np.nan
+        return PanelDataset(self.unit_names, self.start, names, values, self.present)
 
     def restricted(self, units: Iterable[str], span: tuple[Quarter, Quarter]) -> "PanelDataset":
         keep = set(units)
-        start, end = span
-        obs = {
-            (u, q): v
-            for (u, q), v in self.observations.items()
-            if u in keep and start <= q <= end
-        }
-        if not obs:
+        lo, n = span[0] - self.start, max(span[1] - span[0] + 1, 0)
+        present = _window(self.present, lo, n, False)
+        rows = [i for i, u in enumerate(self.unit_names) if u in keep and present[i].any()]
+        if not rows:
             raise EmptyPanelError("no observations left after restriction")
-        return PanelDataset(obs)
+        kept = tuple(self.unit_names[i] for i in rows)
+        return PanelDataset(kept, span[0], self.names, _window(self.values[rows], lo, n, np.nan), present[rows])
 
 
 @dataclass(frozen=True)
@@ -136,66 +138,29 @@ def balance_panel(
 
     Coverage counts quarters with an observation (with a finite dependent
     value when `dependent` is given). The report carries the retained share
-    of the dependent variable's total.
+    of the dependent variable's total (of the observation count without one).
     """
     if not 0.0 <= min_coverage <= 1.0:
         raise InvalidArgumentError("min_coverage must be in [0, 1]")
-    if span is None:
-        span = panel.span()
-    start, end = span
-    total_quarters = end - start + 1
-
-    def covered(unit: str, q: Quarter) -> bool:
-        values = panel.observations.get((unit, q))
-        if values is None:
-            return False
-        if dependent is None:
-            return True
-        v = values.get(dependent, MISSING)
-        return not math.isnan(v)
-
-    coverage: dict[str, float] = {}
-    for unit in panel.units():
-        count = sum(1 for i in range(total_quarters) if covered(unit, start + i))
-        coverage[unit] = count / total_quarters
-    retained = tuple(u for u in panel.units() if coverage[u] >= min_coverage)
-    dropped = tuple(u for u in panel.units() if coverage[u] < min_coverage)
-    if not retained:
-        raise EmptyPanelError("balancing dropped every unit")
-
+    start, end = span = span or panel.span()
+    covered = weight = _window(panel.present, start - panel.start, end - start + 1, False)
     if dependent is not None:
-        def dep_total(units: Iterable[str]) -> float:
-            total = 0.0
-            for u in units:
-                for i in range(total_quarters):
-                    values = panel.observations.get((u, start + i))
-                    if values is None:
-                        continue
-                    v = values.get(dependent, MISSING)
-                    if not math.isnan(v):
-                        total += v
-            return total
-
-        all_total = dep_total(panel.units())
-        share = dep_total(retained) / all_total if all_total != 0.0 else 1.0
-    else:
-        n_all = sum(
-            1 for (u, q) in panel.observations if start <= q <= end
-        )
-        n_kept = sum(
-            1 for (u, q) in panel.observations if u in set(retained) and start <= q <= end
-        )
-        share = n_kept / n_all if n_all else 1.0
-
-    balanced = panel.restricted(retained, span) if dropped else panel
+        dep = panel._gather([(dependent, 0)], span)[:, :, 0]
+        covered = covered & ~np.isnan(dep)
+        weight = np.where(covered, dep, 0.0)
+    shares = covered.sum(axis=1) / (end - start + 1)
+    kept = shares >= min_coverage
+    if not kept.any():
+        raise EmptyPanelError("balancing dropped every unit")
+    total = float(weight.sum())
     report = BalanceReport(
         span=span,
-        dropped=dropped,
-        retained=retained,
-        coverage=coverage,
-        retained_share=share,
+        dropped=tuple(u for u, k in zip(panel.units(), kept) if not k),
+        retained=tuple(u for u, k in zip(panel.units(), kept) if k),
+        coverage=dict(zip(panel.units(), shares.tolist())),
+        retained_share=float(weight[kept].sum()) / total if total != 0.0 else 1.0,
     )
-    return balanced, report
+    return (panel.restricted(report.retained, span) if report.dropped else panel), report
 
 
 @dataclass(frozen=True)
@@ -230,36 +195,66 @@ class PanelFit:
         return float(np.mean(list(self.unit_effects.values())))
 
 
-def _stack_unit_designs(
-    panel: PanelDataset, spec: RegressionSpec
-) -> tuple[list[str], list[np.ndarray], list[np.ndarray], list[Quarter], list[str]]:
-    """Per-unit design matrices without the intercept column."""
-    slope_spec = RegressionSpec(
-        dependent=spec.dependent,
-        terms=spec.terms,
-        include_intercept=False,
-        ar_error_order=0,
-    )
+@dataclass(frozen=True)
+class _Within:
+    """Usable rows stacked by unit, then time; the unit means; the demeaned design."""
+
+    units: tuple[str, ...]
+    names: list[str]
+    starts: list[Quarter]
+    counts: np.ndarray
+    y: np.ndarray
+    x: np.ndarray
+    y_bar: np.ndarray
+    x_bar: np.ndarray
+    y_dm: np.ndarray
+    x_dm: np.ndarray
+    sst: float  # total sum of squares of y about its grand mean
+
+    def unit_series(self, stacked: np.ndarray) -> dict[str, TimeSeries]:
+        parts = np.split(stacked, np.cumsum(self.counts)[:-1])
+        return {u: TimeSeries(f"{u}_residuals", s, tuple(p)) for u, s, p in zip(self.units, self.starts, parts)}
+
+
+def _within(panel: PanelDataset, spec: RegressionSpec) -> _Within:
+    """Stack the rows where the dependent and every lagged term are finite and
+    demean them by unit; each unit needs one gap-free run of k + 2 or more."""
     units = panel.units()
     if len(units) < 2:
         raise InvalidArgumentError("panel estimation needs at least 2 units")
-    needed = [spec.dependent] + [name for name, _ in spec.terms]
-    ys: list[np.ndarray] = []
-    xs: list[np.ndarray] = []
-    starts: list[Quarter] = []
-    names: list[str] = []
+    start = panel.start
+    yx = panel._gather(((spec.dependent, 0),) + spec.terms, (start, start + (panel.present.shape[1] - 1)))
+    usable = np.isfinite(yx).all(axis=2)
+    first, counts = usable.argmax(axis=1), usable.sum(axis=1)
     k = len(spec.terms)
-    for unit in units:
-        ds = panel.unit_dataset(unit, needed)
-        y_u, x_u, names, start_u = _build_design(ds, slope_spec)
-        if len(y_u) < k + 2:
-            raise InvalidArgumentError(
-                f"unit {unit!r} contributes {len(y_u)} usable rows, need at least {k + 2}"
-            )
-        ys.append(y_u)
-        xs.append(x_u)
-        starts.append(start_u)
-    return list(units), ys, xs, starts, names
+    for unit, row, t0, count in zip(units, usable, first, counts):
+        if not row[t0 : t0 + count].all():
+            raise InvalidArgumentError(f"unit {unit!r} has gaps in its usable rows; balance the panel first")
+        if count < k + 2:
+            raise InvalidArgumentError(f"unit {unit!r} contributes {count} usable rows, need at least {k + 2}")
+    lo, hi = first.min(), (first + counts).max()
+    yx, usable = yx[:, lo:hi], usable[:, lo:hi]
+    y_bar = np.where(usable, yx[:, :, 0], 0.0).sum(axis=1) / counts
+    x_bar = np.where(usable[:, :, None], yx[:, :, 1:], 0.0).sum(axis=1) / counts[:, None]
+    y, x = yx[:, :, 0][usable], yx[:, :, 1:][usable]
+    starts = [start + int(t) for t in first]
+    y_dm, x_dm = y - np.repeat(y_bar, counts), x - np.repeat(x_bar, counts, axis=0)
+    sst = float(np.sum((y - y.mean()) ** 2))
+    return _Within(units, list(spec.term_names()), starts, counts, y, x, y_bar, x_bar, y_dm, x_dm, sst)
+
+
+def _within_slopes(w: _Within) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Within OLS: (slopes, (X'X)^-1, residuals, sigma2_e on n - N - k dof)."""
+    beta, xtx_inv = _qr_solve(w.x_dm, w.y_dm, w.names)
+    resid = w.y_dm - w.x_dm @ beta
+    dof = len(w.y) - len(w.units) - len(w.names)
+    if dof <= 0:
+        raise InvalidArgumentError("not enough observations for within degrees of freedom")
+    return beta, xtx_inv, resid, float(resid @ resid) / dof
+
+
+def _r_squared(ssr: float, sst: float) -> float:
+    return 1.0 - ssr / sst if sst > 0.0 else float("nan")
 
 
 def fit_fixed_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
@@ -267,64 +262,32 @@ def fit_fixed_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
 
     The slope covariance uses the within degrees of freedom (n - N - k).
     """
-    units, ys, xs, starts, names = _stack_unit_designs(panel, spec)
-    k = len(names)
-    y_dm_parts, x_dm_parts = [], []
-    for y_u, x_u in zip(ys, xs):
-        y_dm_parts.append(y_u - y_u.mean())
-        x_dm_parts.append(x_u - x_u.mean(axis=0))
-    y_dm = np.concatenate(y_dm_parts)
-    x_dm = np.vstack(x_dm_parts)
-    n = len(y_dm)
+    w = _within(panel, spec)
+    n, k = w.x.shape
 
     # A regressor constant within every unit is absorbed by the effects.
-    scale = np.abs(np.vstack(xs)).max(axis=0)
-    absorbed = [names[j] for j in range(k) if np.abs(x_dm[:, j]).max() <= 1e-12 * max(scale[j], 1.0)]
+    scale = np.abs(w.x).max(axis=0)
+    absorbed = [w.names[j] for j in range(k) if np.abs(w.x_dm[:, j]).max() <= 1e-12 * max(scale[j], 1.0)]
     if absorbed:
         raise CollinearityError(absorbed, "regressors constant within units: " + ", ".join(absorbed))
 
-    beta, xtx_inv = _qr_solve(x_dm, y_dm, names)
-    resid = y_dm - x_dm @ beta
+    beta, xtx_inv, resid, sigma2_e = _within_slopes(w)
     ssr = float(resid @ resid)
-    dof = n - len(units) - k
-    if dof <= 0:
-        raise InvalidArgumentError("not enough observations for within degrees of freedom")
-    sigma2_e = ssr / dof
-    slope_cov = sigma2_e * xtx_inv
-
-    effects: dict[str, float] = {}
-    residuals: dict[str, TimeSeries] = {}
-    sst_raw = 0.0
-    y_all = np.concatenate(ys)
-    grand_mean = y_all.mean()
-    pos = 0
-    for unit, y_u, x_u, start_u in zip(units, ys, xs, starts):
-        effects[unit] = float(y_u.mean() - x_u.mean(axis=0) @ beta)
-        r_u = resid[pos : pos + len(y_u)]
-        residuals[unit] = TimeSeries(f"{unit}_residuals", start_u, tuple(r_u))
-        pos += len(y_u)
-    sst_raw = float(np.sum((y_all - grand_mean) ** 2))
-    sst_within = float(y_dm @ y_dm)
-    within_r2 = 1.0 - ssr / sst_within if sst_within > 0.0 else float("nan")
-    overall_r2 = 1.0 - ssr / sst_raw if sst_raw > 0.0 else float("nan")
-    sigma2_ml = max(ssr / n, np.finfo(float).tiny)
-    loglik = -0.5 * n * (np.log(2.0 * np.pi * sigma2_ml) + 1.0)
-
     return PanelFit(
         method="fixed",
         spec=spec,
-        slope_names=tuple(names),
+        slope_names=tuple(w.names),
         slopes=tuple(float(b) for b in beta),
-        slope_cov=slope_cov,
-        unit_effects=effects,
+        slope_cov=sigma2_e * xtx_inv,
+        unit_effects={u: float(yb - xb @ beta) for u, yb, xb in zip(w.units, w.y_bar, w.x_bar)},
         intercept=None,
         sigma2_e=sigma2_e,
         sigma2_u=None,
         theta=None,
-        within_r_squared=within_r2,
-        overall_r_squared=overall_r2,
-        log_likelihood=loglik,
-        residuals=residuals,
+        within_r_squared=_r_squared(ssr, float(w.y_dm @ w.y_dm)),
+        overall_r_squared=_r_squared(ssr, w.sst),
+        log_likelihood=_gaussian_loglik(ssr, n)[1],
+        residuals=w.unit_series(resid),
         n_obs=n,
     )
 
@@ -336,33 +299,22 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
     negative sigma2_u estimates are truncated at zero with a warning. GLS is
     carried out by quasi-demeaning with theta = 1 - sqrt(s2e/(s2e + T*s2u)).
     """
-    units, ys, xs, starts, names = _stack_unit_designs(panel, spec)
-    k = len(names)
-    t_lens = {len(y_u) for y_u in ys}
-    if len(t_lens) != 1 or len({s for s in starts}) != 1:
+    w = _within(panel, spec)
+    if len(set(w.counts.tolist())) != 1 or len(set(w.starts)) != 1:
         raise InvalidArgumentError("random effects requires a balanced panel")
-    t_len = t_lens.pop()
-    n_units = len(units)
-    n = n_units * t_len
+    t_len = int(w.counts[0])
+    n_units = len(w.units)
+    n, k = w.x.shape
 
     # Within step for sigma2_e.
-    y_dm = np.concatenate([y_u - y_u.mean() for y_u in ys])
-    x_dm = np.vstack([x_u - x_u.mean(axis=0) for x_u in xs])
-    beta_w, _ = _qr_solve(x_dm, y_dm, names)
-    resid_w = y_dm - x_dm @ beta_w
-    dof_w = n - n_units - k
-    if dof_w <= 0:
-        raise InvalidArgumentError("not enough observations for within degrees of freedom")
-    sigma2_e = float(resid_w @ resid_w) / dof_w
+    sigma2_e = _within_slopes(w)[3]
 
     # Between step for sigma2_u.
     if n_units < k + 2:
         raise InvalidArgumentError("too few units for the between regression")
-    y_bar = np.array([y_u.mean() for y_u in ys])
-    x_bar = np.vstack([x_u.mean(axis=0) for x_u in xs])
-    xb = np.column_stack([np.ones(n_units), x_bar])
-    beta_b, _ = _qr_solve(xb, y_bar, ["intercept"] + names)
-    resid_b = y_bar - xb @ beta_b
+    xb = np.column_stack([np.ones(n_units), w.x_bar])
+    beta_b, _ = _qr_solve(xb, w.y_bar, ["intercept"] + w.names)
+    resid_b = w.y_bar - xb @ beta_b
     s2_between = float(resid_b @ resid_b) / (n_units - k - 1)
     sigma2_u = s2_between - sigma2_e / t_len
     if sigma2_u < 0.0:
@@ -371,55 +323,31 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
     theta = 1.0 - np.sqrt(sigma2_e / (sigma2_e + t_len * sigma2_u))
 
     # Quasi-demeaned GLS.
-    y_star_parts, x_star_parts = [], []
-    for y_u, x_u in zip(ys, xs):
-        y_star_parts.append(y_u - theta * y_u.mean())
-        x_star_parts.append(np.column_stack([np.full(t_len, 1.0 - theta), x_u - theta * x_u.mean(axis=0)]))
-    y_star = np.concatenate(y_star_parts)
-    x_star = np.vstack(x_star_parts)
-    full_names = ["intercept"] + names
-    beta_full, xtx_inv = _qr_solve(x_star, y_star, full_names)
+    y_star = w.y - theta * np.repeat(w.y_bar, t_len)
+    x_star = np.column_stack([np.full(n, 1.0 - theta), w.x - theta * np.repeat(w.x_bar, t_len, axis=0)])
+    beta_full, xtx_inv = _qr_solve(x_star, y_star, ["intercept"] + w.names)
     resid_star = y_star - x_star @ beta_full
     ssr_star = float(resid_star @ resid_star)
-    sigma2_nu = ssr_star / (n - k - 1)
-    cov_full = sigma2_nu * xtx_inv
     intercept = float(beta_full[0])
     beta = beta_full[1:]
 
-    residuals: dict[str, TimeSeries] = {}
-    sse = 0.0
-    sst = 0.0
-    y_all = np.concatenate(ys)
-    grand_mean = y_all.mean()
-    for unit, y_u, x_u, start_u in zip(units, ys, xs, starts):
-        r_u = y_u - intercept - x_u @ beta
-        residuals[unit] = TimeSeries(f"{unit}_residuals", start_u, tuple(r_u))
-        sse += float(r_u @ r_u)
-    sst = float(np.sum((y_all - grand_mean) ** 2))
-    overall_r2 = 1.0 - sse / sst if sst > 0.0 else float("nan")
-    fitted_dm_resid = y_dm - x_dm @ beta
-    sst_within = float(y_dm @ y_dm)
-    within_r2 = (
-        1.0 - float(fitted_dm_resid @ fitted_dm_resid) / sst_within if sst_within > 0.0 else float("nan")
-    )
-    sigma2_ml = max(ssr_star / n, np.finfo(float).tiny)
-    loglik = -0.5 * n * (np.log(2.0 * np.pi * sigma2_ml) + 1.0)
-
+    resid = w.y - intercept - w.x @ beta
+    resid_dm = w.y_dm - w.x_dm @ beta
     return PanelFit(
         method="random",
         spec=spec,
-        slope_names=tuple(names),
+        slope_names=tuple(w.names),
         slopes=tuple(float(b) for b in beta),
-        slope_cov=cov_full[1:, 1:],
+        slope_cov=(ssr_star / (n - k - 1) * xtx_inv)[1:, 1:],
         unit_effects={},
         intercept=intercept,
         sigma2_e=sigma2_e,
         sigma2_u=sigma2_u,
         theta=float(theta),
-        within_r_squared=within_r2,
-        overall_r_squared=overall_r2,
-        log_likelihood=loglik,
-        residuals=residuals,
+        within_r_squared=_r_squared(float(resid_dm @ resid_dm), float(w.y_dm @ w.y_dm)),
+        overall_r_squared=_r_squared(float(resid @ resid), w.sst),
+        log_likelihood=_gaussian_loglik(ssr_star, n)[1],
+        residuals=w.unit_series(resid),
         n_obs=n,
     )
 
@@ -435,32 +363,18 @@ def forecast_panel(
     horizon = end - start + 1
     if horizon < 1:
         raise InvalidArgumentError(f"empty forecast span {start}..{end}")
-    beta = np.asarray(fit.slopes)
-    out: dict[str, Forecast] = {}
-    for unit in panel.units():
-        if fit.method == "fixed":
-            if unit in fit.unit_effects:
-                intercept = fit.unit_effects[unit]
-            else:
-                intercept = fit.average_effect()
-                warnings.warn(
-                    f"unit {unit!r} absent from training; using the average intercept",
-                    stacklevel=2,
-                )
-        else:
-            intercept = float(fit.intercept or 0.0)
-        preds: list[float] = []
-        for h in range(horizon):
-            q = start + h
-            row: list[float] = []
-            for name, lag_k in fit.spec.terms:
-                source = panel.observations.get((unit, q - lag_k))
-                value = MISSING if source is None else source.get(name, MISSING)
-                if math.isnan(value):
-                    raise InvalidArgumentError(
-                        f"missing predictor {name!r} for unit {unit!r} at {q - lag_k}"
-                    )
-                row.append(value)
-            preds.append(float(intercept + np.asarray(row) @ beta))
-        out[unit] = Forecast(start - 1, horizon, tuple(preds), "static")
-    return out
+    units = panel.units()
+    for unit in units:
+        if fit.method == "fixed" and unit not in fit.unit_effects:
+            warnings.warn(f"unit {unit!r} absent from training; using the average intercept", stacklevel=2)
+    average = fit.average_effect()
+    intercepts = np.array([fit.unit_effects.get(unit, average) for unit in units])
+    x = panel._gather(fit.spec.terms, span)
+    missing = np.argwhere(np.isnan(x))
+    if len(missing):
+        i, h, j = (int(v) for v in missing[0])
+        name, lag_k = fit.spec.terms[j]
+        raise InvalidArgumentError(f"missing predictor {name!r} for unit {units[i]!r} at {start + h - lag_k}")
+    # np.dot sums each (unit, quarter) row as one dot product, as row-by-row forecasts do.
+    preds = intercepts[:, None] + np.dot(x, np.asarray(fit.slopes))
+    return {unit: Forecast(start - 1, horizon, tuple(p), "static") for unit, p in zip(units, preds.tolist())}

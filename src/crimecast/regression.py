@@ -16,10 +16,10 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy import linalg
 
-from .arima import Forecast, _adjusted_r2
+from .arima import Forecast, _adjusted_r2, _gaussian_loglik
 from .exceptions import CollinearityError, DegenerateInputError, InvalidArgumentError
 from .reporting import format_float
-from .series import MISSING, Quarter, TimeSeries, lag
+from .series import Quarter, TimeSeries, lag, read_quarterly_csv
 from .stattests import durbin_watson
 
 _CO_TOL = 1e-8
@@ -149,42 +149,15 @@ class Dataset:
         except KeyError:
             raise InvalidArgumentError(f"dataset has no series named {name!r}") from None
 
-    def with_series(self, *extra: TimeSeries) -> "Dataset":
-        return Dataset.align(list(self.series) + list(extra))
-
     def window(self, start: Quarter, end: Quarter) -> "Dataset":
         return Dataset(tuple(ts.window(start, end) for ts in self.series))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
-        """Load a wide `year,quarter,<variable>...` CSV."""
-        path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["year", "quarter"]:
-                raise InvalidArgumentError(f"{path}: expected header 'year,quarter,<variables>'")
-            names = [h.strip() for h in header[2:]]
-            if not names:
-                raise InvalidArgumentError(f"{path}: no variable columns")
-            quarters: list[Quarter] = []
-            columns: list[list[float]] = [[] for _ in names]
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    quarters.append(Quarter(int(row[0]), int(row[1])))
-                except (ValueError, IndexError) as exc:
-                    raise InvalidArgumentError(f"{path}:{lineno}: malformed row") from exc
-                for j in range(len(names)):
-                    raw = row[2 + j].strip() if len(row) > 2 + j else ""
-                    columns[j].append(MISSING if raw == "" else float(raw))
-        if not quarters:
-            raise InvalidArgumentError(f"{path}: no data rows")
-        for qa, qb in zip(quarters, quarters[1:]):
-            if qb != qa + 1:
-                raise InvalidArgumentError(f"{path}: rows must be sorted consecutive quarters")
-        return cls(tuple(TimeSeries(n, quarters[0], tuple(col)) for n, col in zip(names, columns)))
+        """Load a wide `year,quarter,<variable>...` CSV of consecutive quarters."""
+        names, rows = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
+        columns = zip(*(values for _, _, values in rows))
+        return cls(tuple(TimeSeries(n, rows[0][1], tuple(col)) for n, col in zip(names, columns)))
 
     def to_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="") as fh:
@@ -275,10 +248,7 @@ def _gaussian_fit_stats(y: np.ndarray, resid: np.ndarray, k_total: int) -> tuple
     n = len(resid)
     ssr = float(resid @ resid)
     sst = float(np.sum((y - y.mean()) ** 2))
-    sigma2 = ssr / n
-    if sigma2 <= 0.0:
-        sigma2 = np.finfo(float).tiny
-    loglik = -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
+    sigma2, loglik = _gaussian_loglik(ssr, n)
     if sst > 0.0:
         r2 = 1.0 - ssr / sst
     else:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -22,10 +21,6 @@ from .reporting import format_float
 MISSING = float("nan")
 
 _RECONSTRUCTION_TOL = 1e-6
-
-
-def is_missing(value: float) -> bool:
-    return math.isnan(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -67,14 +62,6 @@ class Quarter:
 
     def __str__(self) -> str:
         return f"{self.year}Q{self.quarter}"
-
-
-def quarter_range(start: Quarter, end: Quarter) -> Iterator[Quarter]:
-    """Yield quarters from start to end inclusive."""
-    if end < start:
-        raise InvalidArgumentError(f"empty quarter range {start}..{end}")
-    for i in range(end - start + 1):
-        yield start + i
 
 
 @dataclass(frozen=True)
@@ -148,12 +135,6 @@ class TimeSeries:
         if j < i:
             raise InvalidArgumentError(f"empty window {start}..{end}")
         return TimeSeries(self.name, start, self.values[i : j + 1])
-
-    def with_name(self, name: str) -> "TimeSeries":
-        return TimeSeries(name, self.start, self.values)
-
-    def overlaps(self, other: "TimeSeries") -> bool:
-        return self.start <= other.end and other.start <= self.end
 
 
 @dataclass(frozen=True)
@@ -309,35 +290,66 @@ def deseasonalize(series: TimeSeries, decomp: DecompositionResult) -> TimeSeries
     return TimeSeries(series.name + "_noseasonnal", series.start, tuple(y - seasonal.to_array()))
 
 
+def _parse_cell(raw: str, path: Path, lineno: int) -> float:
+    """An empty cell is missing; any other must be a finite float."""
+    try:
+        value = float(raw)
+    except ValueError:
+        if raw.strip() == "":
+            return MISSING
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{path}:{lineno}: not a finite number: {raw.strip()!r}")
+    return value
+
+
+def read_quarterly_csv(
+    path: str | Path, keys: tuple[str, ...], consecutive: bool = False
+) -> tuple[list[str], list[tuple[list[str], Quarter, list[float]]]]:
+    """Read a CSV whose header is `keys` (ending in year, quarter) and then
+    one or more value columns. Returns the value column names and, per
+    non-blank row, (the key cells before year, the quarter, the values). The
+    cells a short row lacks are missing. With `consecutive`, rows must be
+    sorted consecutive quarters."""
+    path = Path(path)
+    n_keys = len(keys)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        names = header[n_keys:]
+        if header[:n_keys] != list(keys) or not names:
+            raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                q = Quarter(int(row[n_keys - 2]), int(row[n_keys - 1]))
+            except (ValueError, IndexError) as exc:
+                raise InvalidArgumentError(f"{path}:{lineno}: malformed row") from exc
+            values = [_parse_cell(c, path, lineno) for c in row[n_keys : n_keys + len(names)]]
+            values += [MISSING] * (len(names) - len(values))
+            rows.append(([c.strip() for c in row[: n_keys - 2]], q, values))
+    if not rows:
+        raise InvalidArgumentError(f"{path}: no data rows")
+    if consecutive:
+        for (_, qa, _), (_, qb, _) in zip(rows, rows[1:]):
+            if qb != qa + 1:
+                raise InvalidArgumentError(f"{path}: rows must be sorted consecutive quarters ({qa} -> {qb})")
+    return names, rows
+
+
 def load_series_csv(path: str | Path, name: str | None = None) -> TimeSeries:
     """Load a `year,quarter,value` CSV; empty value fields mark missing edges.
 
     Rows must be sorted and cover consecutive quarters.
     """
     path = Path(path)
-    rows: list[tuple[Quarter, float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["year", "quarter", "value"]:
-            raise InvalidArgumentError(f"{path}: expected header 'year,quarter,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                q = Quarter(int(row[0]), int(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise InvalidArgumentError(f"{path}:{lineno}: malformed row {row!r}") from exc
-            raw = row[2].strip() if len(row) > 2 else ""
-            value = MISSING if raw == "" else float(raw)
-            rows.append((q, value))
-    if not rows:
-        raise InvalidArgumentError(f"{path}: no data rows")
-    for (qa, _), (qb, _) in zip(rows, rows[1:]):
-        if qb != qa + 1:
-            raise InvalidArgumentError(f"{path}: rows must be sorted consecutive quarters ({qa} -> {qb})")
+    names, rows = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
+    if names[0] != "value":
+        raise InvalidArgumentError(f"{path}: expected header 'year,quarter,value'")
     series_name = name if name is not None else path.stem
-    return TimeSeries(series_name, rows[0][0], tuple(v for _, v in rows))
+    return TimeSeries(series_name, rows[0][1], tuple(values[0] for _, _, values in rows))
 
 
 def write_series_csv(series: TimeSeries, path: str | Path) -> None:

@@ -11,13 +11,13 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .exceptions import InvalidArgumentError
+from .geo import UNKNOWN_STATE
 from .reporting import format_float
 from .series import Quarter, TimeSeries
 
 LABEL_POSITIVE = "hate_crime"
 LABEL_NEGATIVE = "not_hate_crime"
 LABELS = (LABEL_POSITIVE, LABEL_NEGATIVE)
-UNKNOWN_STATE = "UNKNOWN"
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
                     predicted_label=raw.get("predicted_label"),
                     state=raw.get("state"),
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: bad record ({exc})") from exc
             if record.id in seen:
                 raise InvalidArgumentError(f"{path}:{lineno}: duplicate article id {record.id!r}")

@@ -45,6 +45,41 @@ class TestConfig:
         assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "9") == EXIT_INPUT_ERROR
 
 
+class TestMalformedInput:
+    """A malformed number or JSON line exits 2 and names `path:line`. `main`
+    runs in process, so an exception escaping it fails the test."""
+
+    @pytest.mark.parametrize(
+        "flag, name, lineno, bad",
+        [
+            ("--fbi-series", "fbi.csv", 5, "abc"),
+            ("--fbi-series", "fbi.csv", 20, "inf"),
+            ("--covariates", "covariates.csv", 7, "1e400"),
+            ("--panel", "panel.csv", 3, "abc"),
+            ("--panel", "panel.csv", 30, "nan"),
+            ("--articles", "articles.jsonl", 4, "[1, 2]"),
+            ("--articles", "articles.jsonl", 9, '"text"'),
+        ],
+    )
+    def test_corrupt_cell_exits_2_naming_path_line(self, tmp_path, capsys, flag, name, lineno, bad):
+        lines = (FIXTURES / name).read_text().splitlines()
+        if name.endswith(".jsonl"):
+            lines[lineno - 1] = bad
+        else:
+            cells = lines[lineno - 1].split(",")
+            cells[-1] = bad
+            lines[lineno - 1] = ",".join(cells)
+        corrupt = tmp_path / name
+        corrupt.write_text("\n".join(lines) + "\n")
+        code = run(
+            "fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "1,2,3,4,5,6,7", flag, str(corrupt)
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"{corrupt.resolve()}:{lineno}: " in err
+        assert "Traceback" not in err
+
+
 class TestDetect:
     def test_precomputed_passthrough(self, tmp_path):
         assert run("detect", "--output-dir", str(tmp_path)) == EXIT_OK
@@ -94,8 +129,13 @@ class TestSignals:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert run("signals", "--output-dir", str(tmp_path / "out"), "--articles", str(empty)) == EXIT_OK
-        national = (tmp_path / "out" / "signals_national.csv").read_text()
-        assert national.strip() == "year,quarter,news_num,event_detected_num,hate_reported_index"
+        out = tmp_path / "out"
+        assert (out / "signals_national.csv").read_bytes() == (
+            b"year,quarter,news_num,event_detected_num,hate_reported_index\r\n"
+        )
+        assert (out / "signals_by_state.csv").read_bytes() == (
+            b"year,quarter,state,news_num,event_detected_num,hate_reported_index\r\n"
+        )
 
     def test_bundled_gazetteer_fallback(self, tmp_path):
         raw = json.loads(CONFIG.read_text())

@@ -37,10 +37,10 @@ def lsdv_oracle(panel: PanelDataset, spec: RegressionSpec) -> np.ndarray:
     ys, xs, dummies = [], [], []
     for i, unit in enumerate(units):
         quarters = panel.unit_quarters(unit)
-        y_u = np.array([panel.observations[(unit, q)][spec.dependent] for q in quarters])
+        y_u = np.array([panel.value(unit, q, spec.dependent) for q in quarters])
         x_u = np.column_stack(
             [
-                np.array([panel.observations[(unit, q - k)][name] for q in quarters[k:]])
+                np.array([panel.value(unit, q - k, name) for q in quarters[k:]])
                 for name, k in spec.terms
             ]
         )
@@ -160,8 +160,8 @@ class TestRandomEffects:
         ys, xs = [], []
         for unit in panel.units():
             for q in panel.unit_quarters(unit):
-                ys.append(panel.observations[(unit, q)]["y"])
-                xs.append(panel.observations[(unit, q)]["x"])
+                ys.append(panel.value(unit, q, "y"))
+                xs.append(panel.value(unit, q, "x"))
         X = np.column_stack([np.ones(len(ys)), xs])
         pooled = np.linalg.lstsq(X, np.asarray(ys), rcond=None)[0]
         assert abs(fit.slope("x") - pooled[1]) < 0.05
@@ -186,9 +186,34 @@ class TestRandomEffects:
 
     def test_unbalanced_rejected(self):
         panel = simulate_panel(seed=2, n_units=3, periods=10)
-        rows = [(u, q, dict(v)) for (u, q), v in panel.observations.items() if not (u == "U00" and q == Q0)]
+        rows = [
+            (u, q, {"y": panel.value(u, q, "y"), "x": panel.value(u, q, "x")})
+            for u in panel.units()
+            for q in panel.unit_quarters(u)
+            if not (u == "U00" and q == Q0)
+        ]
         with pytest.raises(InvalidArgumentError):
             fit_random_effects(PanelDataset.from_rows(rows), SPEC_X)
+
+    def test_matches_explicit_gls(self):
+        """GLS with Omega = s2e*I + s2u*J_T per unit, at the fit's own variance
+        components, gives the quasi-demeaned slopes and intercept."""
+        panel = simulate_panel(seed=31, n_units=9, periods=14, noise=1.0, sigma_u=1.5)
+        spec = RegressionSpec("y", (("x", 0), ("x", 1)))
+        fit = fit_random_effects(panel, spec)
+        assert fit.sigma2_u > 0.0
+        t_len = 13
+        omega_inv = np.linalg.inv(fit.sigma2_e * np.eye(t_len) + fit.sigma2_u * np.ones((t_len, t_len)))
+        xtx, xty = np.zeros((3, 3)), np.zeros(3)
+        for unit in panel.units():
+            quarters = panel.unit_quarters(unit)[1:]
+            y_u = np.array([panel.value(unit, q, "y") for q in quarters])
+            x_u = np.array([[1.0] + [panel.value(unit, q - k, name) for name, k in spec.terms] for q in quarters])
+            xtx += x_u.T @ omega_inv @ x_u
+            xty += x_u.T @ omega_inv @ y_u
+        gls = np.linalg.solve(xtx, xty)
+        assert abs(gls[0] - fit.intercept) < 1e-8
+        np.testing.assert_allclose(fit.slopes, gls[1:], rtol=0.0, atol=1e-8)
 
     def test_hausman_exogenous_rarely_rejects(self):
         rejections = 0
@@ -203,6 +228,23 @@ class TestRandomEffects:
         assert rejections <= 4
 
 
+class TestRowOrder:
+    def test_shuffled_rows_give_identical_fits(self):
+        panel = simulate_panel(seed=41, n_units=6, periods=15, noise=1.0)
+        rows = [
+            (u, q, {"y": panel.value(u, q, "y"), "x": panel.value(u, q, "x")})
+            for u in panel.units()
+            for q in panel.unit_quarters(u)
+        ]
+        order = np.random.default_rng(0).permutation(len(rows))
+        shuffled = PanelDataset.from_rows([rows[i] for i in order])
+        spec = RegressionSpec("y", (("x", 0), ("x", 1)))
+        for fit in (fit_fixed_effects, fit_random_effects):
+            a, b = fit(panel, spec), fit(shuffled, spec)
+            assert a == b
+            np.testing.assert_array_equal(a.slope_cov, b.slope_cov)
+
+
 class TestForecastPanel:
     def test_noiseless_recovery(self):
         panel = simulate_panel(seed=5, noise=0.0, periods=24)
@@ -210,7 +252,7 @@ class TestForecastPanel:
         fit = fit_fixed_effects(train, SPEC_X)
         forecasts = forecast_panel(fit, panel, (Q0 + 20, Q0 + 23))
         for unit, fc in forecasts.items():
-            actual = [panel.observations[(unit, Q0 + 20 + h)]["y"] for h in range(4)]
+            actual = [panel.value(unit, Q0 + 20 + h, "y") for h in range(4)]
             np.testing.assert_allclose(fc.point_values, actual, atol=1e-8)
 
     def test_unknown_unit_gets_average_effect(self):
@@ -221,7 +263,7 @@ class TestForecastPanel:
             forecasts = forecast_panel(fit, panel, (Q0 + 4, Q0 + 5))
         unseen = tuple(panel.units())[3]
         avg = float(np.mean(list(fit.unit_effects.values())))
-        x_val = panel.observations[(unseen, Q0 + 4)]["x"]
+        x_val = panel.value(unseen, Q0 + 4, "x")
         expected = avg + fit.slope("x") * x_val
         assert forecasts[unseen].point_values[0] == pytest.approx(expected, abs=1e-10)
 
@@ -245,6 +287,6 @@ class TestWithinAlgebra:
         fit = fit_fixed_effects(panel, SPEC_X)
         for unit in panel.units():
             quarters = panel.unit_quarters(unit)
-            y_mean = float(np.mean([panel.observations[(unit, q)]["y"] for q in quarters]))
-            x_mean = float(np.mean([panel.observations[(unit, q)]["x"] for q in quarters]))
+            y_mean = float(np.mean([panel.value(unit, q, "y") for q in quarters]))
+            x_mean = float(np.mean([panel.value(unit, q, "x") for q in quarters]))
             assert fit.unit_effects[unit] + fit.slope("x") * x_mean == pytest.approx(y_mean, abs=1e-10)
