@@ -27,6 +27,8 @@ _MAX_ITER = 500
 # zero, so the tie-break rule needs a band; 6 units is past the
 # "considerably less support" threshold of the AIC-difference literature.
 _AIC_TIE_TOL = 6.0
+# Largest p or q that `select_orders` searches.
+MAX_GRID_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -293,8 +295,8 @@ def select_orders(series: TimeSeries, max_p: int, max_q: int) -> ArimaSpec:
     of the minimum count as ties and are resolved toward smaller p+q, then
     smaller p.
     """
-    if not 0 <= max_p <= 5 or not 0 <= max_q <= 5:
-        raise InvalidArgumentError("max_p and max_q must be in 0..5")
+    if not 0 <= max_p <= MAX_GRID_ORDER or not 0 <= max_q <= MAX_GRID_ORDER:
+        raise InvalidArgumentError(f"max_p and max_q must be in 0..{MAX_GRID_ORDER}")
     if max_p == 0 and max_q == 0:
         return ArimaSpec(0, 0, 0, include_constant=True)
 

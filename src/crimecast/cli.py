@@ -3,6 +3,8 @@
 Subcommands: detect, signals, decompose, diagnose, fit-forecast,
 evaluate-detector. Configuration comes from a single JSON file with a few
 flag overrides; every command is deterministic given the config and seed.
+Each command runs the stages it needs, in order: load → label → resolve →
+aggregate → fit → report. The statistics live in the library modules.
 Exit codes: 0 success, 1 model/estimation failure, 2 input/config error.
 """
 
@@ -11,20 +13,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 from . import detector as detector_mod
 from . import evaluation, geo, signals as signals_mod, stattests
-from .arima import ArimaSpec, fit_arima, fit_summary, forecast_arima, select_orders, suggest_orders_acf
-from .evaluation import ModelEntry, compare_models
+from .arima import MAX_GRID_ORDER, ArimaSpec, fit_arima, fit_summary, forecast_arima, select_orders, suggest_orders_acf
+from .evaluation import ForecastReport, ModelEntry, compare_models
 from .exceptions import CrimecastError
 from .panel import PanelDataset, balance_panel, fit_fixed_effects, fit_random_effects, forecast_panel
-from .regression import Dataset, build_model_spec, fit_ols, forecast_regression
+from .regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
 from .reporting import write_json
 from .series import (
     MISSING,
+    DecompositionResult,
     Quarter,
     TimeSeries,
     decompose_additive,
@@ -40,7 +43,12 @@ EXIT_MODEL_ERROR = 1
 EXIT_INPUT_ERROR = 2
 
 NATIONAL_MODELS = (1, 2, 3, 4, 5)
+EVENT_MODELS = (3, 4, 5)
 PANEL_MODELS = (6, 7)
+# Model 1 readings of `arima_order` other than an explicit [p, d, q]; "auto"
+# searches (p, q) with d = 1.
+ARIMA_READINGS = {"drift": (0, 1, 0), "ar1": (1, 0, 0), "auto": None}
+DIAGNOSE_LAGS = 10
 
 
 class UsageError(CrimecastError):
@@ -49,7 +57,10 @@ class UsageError(CrimecastError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    output_dir: Path
+    """The pipeline settings; a default here is the value of an absent or
+    null config key."""
+
+    output_dir: Path = Path("out")
     seed: int = 0
     articles: Path | None = None
     gazetteer: Path | None = None
@@ -60,7 +71,7 @@ class PipelineConfig:
     fit_end: Quarter = Quarter(2018, 4)
     holdout_start: Quarter = Quarter(2019, 1)
     holdout_end: Quarter = Quarter(2019, 4)
-    models: tuple[int, ...] = (1, 2, 3, 4, 5)
+    models: tuple[int, ...] = NATIONAL_MODELS
     arima_order: str | tuple[int, int, int] = "drift"
     arima_max_p: int = 2
     arima_max_q: int = 2
@@ -73,29 +84,85 @@ class PipelineConfig:
     # Optional [variable, lag] lists replacing the default Model 2/4 terms.
     panel_terms_model6: tuple[tuple[str, int], ...] | None = None
     panel_terms_model7: tuple[tuple[str, int], ...] | None = None
-    diagnose_lags: int = 10
 
     def __post_init__(self) -> None:
         if self.holdout_start <= self.fit_end:
             raise UsageError("holdout range must start after the fit range ends")
         if self.fit_end < self.fit_start or self.holdout_end < self.holdout_start:
             raise UsageError("fit and holdout ranges must be nonempty")
-        unknown = [m for m in self.models if m not in NATIONAL_MODELS + PANEL_MODELS]
-        if unknown:
-            raise UsageError(f"unknown model ids {unknown}; expected 1..7")
-        if self.detector_source not in ("precomputed", "baseline"):
-            raise UsageError("detector source must be 'precomputed' or 'baseline'")
 
 
-def _parse_quarter(value: str) -> Quarter:
-    try:
-        return Quarter.parse(value)
-    except CrimecastError as exc:
-        raise UsageError(str(exc)) from exc
+# ------------------------------------------------------------------ config
+# One converter per config key. A converter raises ValueError or TypeError on
+# a bad value; `Path` marks a path, resolved against the config's directory.
+
+
+def _quarter(value) -> Quarter:
+    return Quarter.parse(str(value))
+
+
+def _models(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        value = value.replace(",", " ").split()
+    models = tuple(int(m) for m in value)
+    unknown = [m for m in models if m not in NATIONAL_MODELS + PANEL_MODELS]
+    if unknown:
+        raise ValueError(f"unknown model ids {unknown}; expected 1..7")
+    return models
+
+
+def _arima_order(value) -> str | tuple[int, int, int]:
+    if isinstance(value, str) and value in ARIMA_READINGS:
+        return value
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError("must be 'drift', 'ar1', 'auto' or [p, d, q]")
+    order = tuple(int(v) for v in value)
+    ArimaSpec(*order)
+    return order
+
+
+def _grid_bound(value) -> int:
+    bound = int(value)
+    if not 0 <= bound <= MAX_GRID_ORDER:
+        raise ValueError(f"must be in 0..{MAX_GRID_ORDER}")
+    return bound
+
+
+def _detector_source(value) -> str:
+    if value not in ("precomputed", "baseline"):
+        raise ValueError("must be 'precomputed' or 'baseline'")
+    return value
+
+
+def _terms(value) -> tuple[tuple[str, int], ...]:
+    terms = tuple((str(name), int(k)) for name, k in value)
+    RegressionSpec("", terms)
+    return terms
+
+
+_CONVERTERS = {
+    **dict.fromkeys(
+        ("output_dir", "articles", "gazetteer", "covariates", "fbi_series", "panel", "detector_model", "detector_train"),
+        Path,
+    ),
+    **dict.fromkeys(("fit_start", "fit_end", "holdout_start", "holdout_end"), _quarter),
+    "seed": int,
+    "models": _models,
+    "arima_order": _arima_order,
+    "arima_max_p": _grid_bound,
+    "arima_max_q": _grid_bound,
+    "detector_source": _detector_source,
+    "decomposition_period": int,
+    "panel_dependent": str,
+    "panel_min_coverage": float,
+    "panel_terms_model6": _terms,
+    "panel_terms_model7": _terms,
+}
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Read the JSON config; relative paths resolve against the config file."""
+    """Read the JSON config; relative paths resolve against the config file.
+    An unknown key or a bad value is a UsageError naming the key."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -103,252 +170,99 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-    base = path.parent
-
-    def path_of(key: str) -> Path | None:
-        value = raw.get(key)
-        return None if value is None else (base / str(value)).resolve()
-
-    def quarter_of(key: str, default: Quarter) -> Quarter:
-        value = raw.get(key)
-        return default if value is None else _parse_quarter(str(value))
-
-    models_raw = raw.get("models", list(NATIONAL_MODELS))
-    if isinstance(models_raw, str):
-        models_raw = [m for m in models_raw.replace(",", " ").split() if m]
-    try:
-        models = tuple(int(m) for m in models_raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"models must be a list of integers, got {models_raw!r}") from exc
-
-    def terms_of(key: str) -> tuple[tuple[str, int], ...] | None:
-        value = raw.get(key)
-        if value is None:
-            return None
+    if not isinstance(raw, dict):
+        raise UsageError(f"config {path} must be a JSON object")
+    raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    unknown = sorted(set(raw) - set(_CONVERTERS))
+    if unknown:
+        raise UsageError(f"config {path}: unknown key {', '.join(map(repr, unknown))}")
+    values = {}
+    for field in fields(PipelineConfig):
+        value = field.default if raw.get(field.name) is None else raw[field.name]
+        convert = _CONVERTERS[field.name]
         try:
-            return tuple((str(name), int(k)) for name, k in value)
+            if value is not None:
+                value = (path.parent / str(value)).resolve() if convert is Path else convert(value)
         except (TypeError, ValueError) as exc:
-            raise UsageError(f"{key} must be a list of [variable, lag] pairs") from exc
-
-    order_raw = raw.get("arima_order", "drift")
-    if isinstance(order_raw, (list, tuple)):
-        if len(order_raw) != 3:
-            raise UsageError("arima_order list must be [p, d, q]")
-        order: str | tuple[int, int, int] = tuple(int(v) for v in order_raw)
-    else:
-        order = str(order_raw)
-        if order not in ("drift", "ar1", "auto"):
-            raise UsageError("arima_order must be 'drift', 'ar1', 'auto', or [p, d, q]")
-
-    output_dir = raw.get("output_dir", "out")
-    try:
-        return PipelineConfig(
-            output_dir=(base / str(output_dir)).resolve(),
-            seed=int(raw.get("seed", 0)),
-            articles=path_of("articles"),
-            gazetteer=path_of("gazetteer"),
-            covariates=path_of("covariates"),
-            fbi_series=path_of("fbi_series"),
-            panel=path_of("panel"),
-            fit_start=quarter_of("fit_start", Quarter(2007, 1)),
-            fit_end=quarter_of("fit_end", Quarter(2018, 4)),
-            holdout_start=quarter_of("holdout_start", Quarter(2019, 1)),
-            holdout_end=quarter_of("holdout_end", Quarter(2019, 4)),
-            models=models,
-            arima_order=order,
-            arima_max_p=int(raw.get("arima_max_p", 2)),
-            arima_max_q=int(raw.get("arima_max_q", 2)),
-            detector_source=str(raw.get("detector_source", "precomputed")),
-            detector_model=path_of("detector_model"),
-            detector_train=path_of("detector_train"),
-            decomposition_period=int(raw.get("decomposition_period", 4)),
-            panel_dependent=str(raw.get("panel_dependent", "fbi_num")),
-            panel_min_coverage=float(raw.get("panel_min_coverage", 1.0)),
-            panel_terms_model6=terms_of("panel_terms_model6"),
-            panel_terms_model7=terms_of("panel_terms_model7"),
-            diagnose_lags=int(raw.get("diagnose_lags", 10)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad config value: {exc}") from exc
+            raise UsageError(f"config key {field.name!r}: {exc}") from exc
+        values[field.name] = value
+    return PipelineConfig(**values)
 
 
-def _require(path: Path | None, what: str) -> Path:
+# ------------------------------------------------------------------ stages
+
+
+def _load(loader, path: Path | None, what: str, **kwargs):
+    """`loader(path)` for a required input file; input problems exit 2."""
     if path is None:
         raise UsageError(f"config is missing the {what} path")
     if not path.exists():
         raise UsageError(f"{what} file not found: {path}")
-    return path
-
-
-def _load_articles(config: PipelineConfig) -> list[signals_mod.ArticleRecord]:
-    path = _require(config.articles, "articles")
     try:
-        return signals_mod.load_articles(path)
-    except CrimecastError as exc:
+        return loader(path, **kwargs)
+    except (CrimecastError, OSError) as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _labeled_articles(config: PipelineConfig) -> tuple[list[signals_mod.ArticleRecord], dict[str, float]]:
-    """Articles with predicted labels, from the configured detector source."""
-    records = _load_articles(config)
-    if config.detector_source == "precomputed":
-        missing = [r.id for r in records if r.predicted_label is None]
-        if missing:
-            raise UsageError(
-                f"precomputed labels requested but {len(missing)} records lack predicted_label "
-                f"(first: {missing[0]!r})"
-            )
-        return records, {}
-    model_path = config.detector_model
-    if model_path is None:
-        raise UsageError("detector source 'baseline' needs a detector_model path")
-    if not model_path.exists():
-        if config.detector_train is None:
-            raise UsageError(f"detector model not found: {model_path}")
-        train_path = _require(config.detector_train, "detector training corpus")
-        try:
-            corpus = signals_mod.load_articles(train_path)
-        except CrimecastError as exc:
-            raise UsageError(str(exc)) from exc
+def _detector(config: PipelineConfig) -> detector_mod.BaselineModel:
+    """The baseline detector, trained and saved first when its model file is
+    missing and a training corpus is configured."""
+    path = config.detector_model
+    if path is not None and not path.exists() and config.detector_train is not None:
+        corpus = _load(signals_mod.load_articles, config.detector_train, "detector training corpus")
         model = detector_mod.train_baseline(corpus, seed=config.seed)
-        model.to_json(model_path)
-    else:
-        model = detector_mod.BaselineModel.from_json(model_path)
-    labeled, scores = detector_mod.classify_corpus(model, records)
-    return labeled, scores
+        model.to_json(path)
+        return model
+    return _load(detector_mod.BaselineModel.from_json, path, "detector model")
 
 
-def _resolved_articles(
-    config: PipelineConfig, records: list[signals_mod.ArticleRecord]
-) -> list[signals_mod.ArticleRecord]:
+def _labeled(config: PipelineConfig) -> list[signals_mod.ArticleRecord]:
+    """Load the articles and label them from the configured detector source."""
+    records = _load(signals_mod.load_articles, config.articles, "articles")
+    if config.detector_source == "baseline":
+        return detector_mod.classify_corpus(_detector(config), records)[0]
+    missing = [r.id for r in records if r.predicted_label is None]
+    if missing:
+        raise UsageError(
+            f"precomputed labels requested but {len(missing)} records lack predicted_label (first: {missing[0]!r})"
+        )
+    return records
+
+
+def _resolved(config: PipelineConfig, records: list[signals_mod.ArticleRecord]) -> list[signals_mod.ArticleRecord]:
     """Fill in missing state fields through the gazetteer (the bundled
     mini-gazetteer when none is configured)."""
     if all(r.state is not None for r in records):
         return records
-    if config.gazetteer is None:
-        path = geo.bundled_gazetteer_path()
-    else:
-        path = _require(config.gazetteer, "gazetteer")
-    try:
-        gaz = geo.load_gazetteer(path)
-    except CrimecastError as exc:
-        raise UsageError(str(exc)) from exc
-    out = []
-    for record in records:
-        if record.state is not None:
-            out.append(record)
-        else:
-            resolution = geo.resolve_state(record.text(), gaz)
-            out.append(signals_mod.with_state(record, resolution.state))
-    return out
+    gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
+    return [
+        r if r.state is not None else signals_mod.with_state(r, geo.resolve_state(r.text(), gaz).state)
+        for r in records
+    ]
 
 
-def _test_dict(result: stattests.TestResult) -> dict:
-    return {
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "dof_or_lags": result.dof_or_lags,
-        "detail": result.detail,
-    }
+def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:
+    return config.fit_start, config.holdout_end
 
 
-def cmd_detect(config: PipelineConfig) -> None:
-    labeled, scores = _labeled_articles(config)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    signals_mod.write_articles(labeled, out / "articles_labeled.jsonl")
-    positives = sum(1 for r in labeled if r.predicted_label == signals_mod.LABEL_POSITIVE)
-    summary = {
-        "source": config.detector_source,
-        "total": len(labeled),
-        "hate_crime": positives,
-        "not_hate_crime": len(labeled) - positives,
-    }
-    write_json(summary, out / "detection_summary.json")
-    print(f"detect: labeled {len(labeled)} articles ({positives} hate_crime)")
-
-
-def cmd_signals(config: PipelineConfig) -> None:
-    labeled, _ = _labeled_articles(config)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    span = (config.fit_start, config.holdout_end)
-    if not labeled:
-        empty = signals_mod.QuarterlySignals(span[0], (), (), ())
-        signals_mod.write_signals_csv(empty, out / "signals_national.csv")
-        signals_mod.write_state_signals_csv(signals_mod.StateSignals(empty, {}, 0.0), out / "signals_by_state.csv")
-        print("signals: no records; wrote header-only CSVs")
-        return
-    resolved = _resolved_articles(config, labeled)
-    state_signals = signals_mod.aggregate_by_state(resolved, span)
-    signals_mod.write_signals_csv(state_signals.national, out / "signals_national.csv")
-    signals_mod.write_state_signals_csv(state_signals, out / "signals_by_state.csv")
-    print(
-        f"signals: {len(state_signals.by_state)} states, "
-        f"unknown share {state_signals.unknown_share:.4f}"
-    )
-
-
-def _load_dependent(config: PipelineConfig) -> tuple[TimeSeries, TimeSeries, object]:
+def _national_series(config: PipelineConfig) -> tuple[TimeSeries, TimeSeries, DecompositionResult]:
     """Load the national series and return (observed, deseasonalized, decomposition)."""
-    fbi_path = _require(config.fbi_series, "fbi_series")
-    try:
-        observed = load_series_csv(fbi_path, name="fbi_num")
-    except CrimecastError as exc:
-        raise UsageError(str(exc)) from exc
+    observed = _load(load_series_csv, config.fbi_series, "fbi_series", name="fbi_num")
     decomp = decompose_additive(observed, config.decomposition_period)
-    deseasonalized = deseasonalize(observed, decomp)
-    return observed, deseasonalized, decomp
+    return observed, deseasonalize(observed, decomp), decomp
 
 
-def cmd_decompose(config: PipelineConfig) -> None:
-    observed, deseasonalized, decomp = _load_dependent(config)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_series_csv(observed, out / "fbi_quarterly.csv")
-    write_decomposition_csv(observed, decomp, out / "decomposition.csv")
-    write_series_csv(deseasonalized, out / "fbi_num_noseasonnal.csv")
-    print(f"decompose: period {config.decomposition_period}, {len(observed)} quarters")
-
-
-def cmd_diagnose(config: PipelineConfig) -> None:
-    observed, deseasonalized, decomp = _load_dependent(config)
-    differenced = difference(deseasonalized, 1)
-    irregular = decomp.irregular
-    irregular_core = irregular.window(irregular.defined_start, irregular.defined_end)
-    max_lag = max(min(config.diagnose_lags, len(observed) - 12), 0)
-    lags = min(config.diagnose_lags, len(irregular_core) - 2)
-    suggestion = suggest_orders_acf(differenced, config.arima_max_p, config.arima_max_q)
-    model1 = fit_arima(deseasonalized, _model1_spec(config, deseasonalized))
-    payload = {
-        "adf": {
-            "fbi_num": _test_dict(stattests.adf_test(observed, max_lag, "constant")),
-            "fbi_num_noseasonnal": _test_dict(stattests.adf_test(deseasonalized, max_lag, "constant")),
-            "d_fbi_num_noseasonnal": _test_dict(stattests.adf_test(differenced, max_lag, "constant")),
-        },
-        "ljung_box_irregular": _test_dict(stattests.ljung_box(irregular_core, lags)),
-        "acf_pacf_order_suggestion": {"p": suggestion[0], "q": suggestion[1]},
-        "model1_residual_durbin_watson": stattests.durbin_watson(model1.residuals.values),
-    }
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(payload, out / "diagnostics.json")
-    print("diagnose: wrote diagnostics.json")
+def _write_decomposition(config: PipelineConfig, observed: TimeSeries, decomp: DecompositionResult) -> None:
+    write_series_csv(observed, config.output_dir / "fbi_quarterly.csv")
+    write_decomposition_csv(observed, decomp, config.output_dir / "decomposition.csv")
 
 
 def _model1_spec(config: PipelineConfig, fit_series: TimeSeries) -> ArimaSpec:
-    order = config.arima_order
-    if order == "drift":
-        return ArimaSpec(0, 1, 0, include_constant=True)
-    if order == "ar1":
-        return ArimaSpec(1, 0, 0, include_constant=True)
-    if order == "auto":
+    order = ARIMA_READINGS.get(config.arima_order, config.arima_order)
+    if order is None:  # "auto"
         selected = select_orders(difference(fit_series, 1), config.arima_max_p, config.arima_max_q)
-        return ArimaSpec(selected.p, 1, selected.q, include_constant=True)
-    p, d, q = order  # explicit [p, d, q]
-    return ArimaSpec(p, d, q, include_constant=True)
+        order = (selected.p, 1, selected.q)
+    return ArimaSpec(*order, include_constant=True)
 
 
 def _mask_after(series: TimeSeries, last: Quarter) -> TimeSeries:
@@ -356,88 +270,70 @@ def _mask_after(series: TimeSeries, last: Quarter) -> TimeSeries:
     cut = last - series.start + 1
     if cut >= len(series):
         return series
-    values = series.values[:cut] + (MISSING,) * (len(series) - cut)
-    return TimeSeries(series.name, series.start, values)
+    return TimeSeries(series.name, series.start, series.values[:cut] + (MISSING,) * (len(series) - cut))
+
+
+def _regression_data(
+    config: PipelineConfig, dependent: TimeSeries, national: signals_mod.QuarterlySignals | None
+) -> tuple[Dataset, Dataset]:
+    """The fit-range dataset and the forecast dataset (the dependent masked
+    after the fit range) of the covariates, plus the national signals."""
+    covariates = _load(Dataset.from_csv, config.covariates, "covariates")
+    pool = [dependent, *covariates.series]
+    if national is not None:
+        pool += [national.news_series(), national.events_series(), national.index_series()]
+    full = Dataset.align(pool)
+    span = _span(config)
+    if full.start > span[0] or full.end < span[1]:
+        raise UsageError(f"covariates cover {full.start}..{full.end}, need {span[0]}..{span[1]}")
+    full = full.window(*span)
+    masked = Dataset(tuple(_mask_after(ts, config.fit_end) if ts.name == dependent.name else ts for ts in full.series))
+    return full.window(config.fit_start, config.fit_end), masked
 
 
 def _national_report(
-    config: PipelineConfig, labeled: list[signals_mod.ArticleRecord]
-) -> evaluation.ForecastReport:
-    requested = sorted(m for m in config.models if m in NATIONAL_MODELS)
-    observed, deseasonalized, decomp = _load_dependent(config)
-    span_start, span_end = config.fit_start, config.holdout_end
-    if deseasonalized.start > span_start or deseasonalized.end < span_end:
+    config: PipelineConfig, model_ids: list[int], national: signals_mod.QuarterlySignals | None
+) -> ForecastReport:
+    observed, deseasonalized, decomp = _national_series(config)
+    span = _span(config)
+    if deseasonalized.start > span[0] or deseasonalized.end < span[1]:
         raise UsageError(
-            f"fbi series covers {deseasonalized.start}..{deseasonalized.end}, "
-            f"need {span_start}..{span_end}"
+            f"fbi series covers {deseasonalized.start}..{deseasonalized.end}, need {span[0]}..{span[1]}"
         )
-    dependent = deseasonalized.window(span_start, span_end)
+    _write_decomposition(config, observed, decomp)
+    dependent = deseasonalized.window(*span)
     fit_series = dependent.window(config.fit_start, config.fit_end)
     actual = dependent.window(config.holdout_start, config.holdout_end)
-    horizon = len(actual)
-
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_series_csv(observed, out / "fbi_quarterly.csv")
-    write_decomposition_csv(observed, decomp, out / "decomposition.csv")
 
     entries: list[ModelEntry] = []
-    regression_models = [m for m in requested if m >= 2]
-    if regression_models:
-        cov_path = _require(config.covariates, "covariates")
-        try:
-            covariates = Dataset.from_csv(cov_path)
-        except CrimecastError as exc:
-            raise UsageError(str(exc)) from exc
-        series_pool = [dependent] + list(covariates.series)
-        if any(m in (3, 4, 5) for m in regression_models):
-            national = signals_mod.aggregate_quarterly(labeled, (span_start, span_end))
-            series_pool += [national.news_series(), national.events_series(), national.index_series()]
-        full = Dataset.align(series_pool)
-        if full.start > span_start or full.end < span_end:
-            raise UsageError(
-                f"covariates cover {full.start}..{full.end}, need {span_start}..{span_end}"
-            )
-        full = full.window(span_start, span_end)
-        fit_data = full.window(config.fit_start, config.fit_end)
-        forecast_data = Dataset(
-            tuple(
-                _mask_after(ts, config.fit_end) if ts.name == dependent.name else ts
-                for ts in full.series
-            )
-        )
-
-    for model_id in requested:
-        if model_id == 1:
-            spec = _model1_spec(config, fit_series)
-            fit = fit_arima(fit_series, spec)
-            write_json(fit_summary(fit), out / "arima_model1.json")
-            forecast = forecast_arima(fit, fit_series, horizon, mode="dynamic")
-            entries.append(ModelEntry("Model 1", fit.adj_r_squared, fit.log_likelihood, forecast))
-        else:
-            spec = build_model_spec(model_id)
-            fit = fit_ols(fit_data, spec)
+    if 1 in model_ids:
+        fit = fit_arima(fit_series, _model1_spec(config, fit_series))
+        write_json(fit_summary(fit), config.output_dir / "arima_model1.json")
+        forecast = forecast_arima(fit, fit_series, len(actual), mode="dynamic")
+        entries.append(ModelEntry("Model 1", fit.adj_r_squared, fit.log_likelihood, forecast))
+    regression_ids = [m for m in model_ids if m != 1]
+    if regression_ids:
+        fit_data, forecast_data = _regression_data(config, dependent, national)
+        for model_id in regression_ids:
+            fit = fit_ols(fit_data, build_model_spec(model_id))
             forecast = forecast_regression(fit, forecast_data, (config.holdout_start, config.holdout_end))
             entries.append(ModelEntry(f"Model {model_id}", fit.adj_r_squared, fit.log_likelihood, forecast))
 
     report = compare_models(entries, actual)
-    report.write_json(out / "report.json")
-    report.write_long_csv(out / "predictions_long.csv")
+    report.write_json(config.output_dir / "report.json")
+    report.write_long_csv(config.output_dir / "predictions_long.csv")
     return report
 
 
-def _panel_report(config: PipelineConfig, labeled: list[signals_mod.ArticleRecord]) -> dict:
-    requested = sorted(m for m in config.models if m in PANEL_MODELS)
-    panel_path = _require(config.panel, "panel")
-    try:
-        panel = PanelDataset.from_csv(panel_path)
-    except CrimecastError as exc:
-        raise UsageError(str(exc)) from exc
+def _panel_spec(config: PipelineConfig, model_id: int) -> RegressionSpec:
+    """Model 6/7: the Model 2/4 terms, or the configured override, on the panel dependent."""
+    spec = replace(build_model_spec(2 if model_id == 6 else 4), dependent=config.panel_dependent)
+    override = config.panel_terms_model6 if model_id == 6 else config.panel_terms_model7
+    return spec if override is None else replace(spec, terms=override)
 
-    resolved = _resolved_articles(config, labeled)
-    span = (config.fit_start, config.holdout_end)
-    state_signals = signals_mod.aggregate_by_state(resolved, span)
 
+def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: signals_mod.StateSignals) -> dict:
+    panel = _load(PanelDataset.from_csv, config.panel, "panel")
     # Join the per-state quarterly signals onto the panel rows; a state
     # without signals in a quarter gets zeros.
     by_state = state_signals.by_state.items()
@@ -448,99 +344,127 @@ def _panel_report(config: PipelineConfig, labeled: list[signals_mod.ArticleRecor
             "hate_reported_index": {state: sig.index_series() for state, sig in by_state},
         }
     )
-
-    balanced, balance_report = balance_panel(
-        panel, config.panel_min_coverage, span=span, dependent=config.panel_dependent
+    balanced, balance = balance_panel(
+        panel, config.panel_min_coverage, span=_span(config), dependent=config.panel_dependent
     )
     fit_panel = balanced.restricted(balanced.units(), (config.fit_start, config.fit_end))
-    holdout_span = (config.holdout_start, config.holdout_end)
+    # Each model's predictions are stacked unit by unit (units in order), over
+    # the holdout quarters, against the same stack of actual values.
+    holdout = [config.holdout_start + h for h in range(config.holdout_end - config.holdout_start + 1)]
+    actual = [balanced.value(unit, q, config.panel_dependent) for unit in balanced.units() for q in holdout]
 
-    model_rows = []
-    hausman_results = {}
-    prediction_stacks: dict[int, list[float]] = {}
-    actual_stack: list[float] = []
-    for model_id in requested:
-        spec = replace(build_model_spec(2 if model_id == 6 else 4), dependent=config.panel_dependent)
-        override = config.panel_terms_model6 if model_id == 6 else config.panel_terms_model7
-        if override is not None:
-            spec = replace(spec, terms=override)
+    rows: list[evaluation.ModelRow] = []
+    hausman = {}
+    for model_id in model_ids:
+        name = f"Model {model_id}"
+        spec = _panel_spec(config, model_id)
         fe = fit_fixed_effects(fit_panel, spec)
         try:
-            re = fit_random_effects(fit_panel, spec)
-            hausman = stattests.hausman_test(
-                fe.slopes, fe.slope_cov, re.slopes, re.slope_cov
-            )
-            hausman_results[model_id] = _test_dict(hausman) | {
-                "decision": "fixed" if hausman.p_value < 0.05 else "random"
-            }
+            hausman[name] = evaluation.hausman_decision(fe, fit_random_effects(fit_panel, spec))
         except CrimecastError as exc:
-            hausman_results[model_id] = {"error": str(exc)}
-        forecasts = forecast_panel(fe, balanced, holdout_span)
-        preds: list[float] = []
-        actuals: list[float] = []
-        for unit in balanced.units():
-            fc = forecasts[unit]
-            for h, q in enumerate(fc.quarters()):
-                preds.append(fc.point_values[h])
-                actuals.append(balanced.value(unit, q, config.panel_dependent))
-        prediction_stacks[model_id] = preds
-        if not actual_stack:
-            actual_stack = actuals
-        model_rows.append(
-            {
-                "Models": f"Model {model_id}",
-                "R-Squared": fe.overall_r_squared,
-                "Log Likelihood": fe.log_likelihood,
-                "RMSE": evaluation.rmse(actuals, preds),
-                "MAPE": evaluation.mape(actuals, preds),
-            }
-        )
+            hausman[name] = {"error": str(exc)}
+        forecasts = forecast_panel(fe, balanced, (holdout[0], holdout[-1]))
+        predicted = [p for unit in balanced.units() for p in forecasts[unit].point_values]
+        rows.append(evaluation.score_model(name, fe.overall_r_squared, fe.log_likelihood, actual, predicted))
 
-    payload: dict = {
+    payload = {
         "holdout": {"start": str(config.holdout_start), "end": str(config.holdout_end)},
         "balance": {
-            "dropped": list(balance_report.dropped),
-            "retained_units": len(balance_report.retained),
-            "retained_share": balance_report.retained_share,
+            "dropped": list(balance.dropped),
+            "retained_units": len(balance.retained),
+            "retained_share": balance.retained_share,
         },
         "unknown_state_share": state_signals.unknown_share,
-        "models": model_rows,
-        "hausman": {f"Model {mid}": hausman_results[mid] for mid in requested},
+        "models": [row.to_dict() for row in rows],
+        "hausman": hausman,
     }
-    if len(requested) == 2:
-        a, b = (prediction_stacks[m] for m in requested)
-        payload["levene"] = _test_dict(stattests.levene_test(a, b))
-        payload["paired_t"] = _test_dict(stattests.paired_t_test(a, b))
-        payload["means"] = {
-            "actual": sum(actual_stack) / len(actual_stack),
-            f"Model {requested[0]}": sum(a) / len(a),
-            f"Model {requested[1]}": sum(b) / len(b),
-        }
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(payload, out / "panel_report.json")
+    if len(rows) == 2:
+        payload |= evaluation.compare_predictions(*rows, actual)
+    write_json(payload, config.output_dir / "panel_report.json")
     return payload
 
 
+# ------------------------------------------------------------------ commands
+
+
+def cmd_detect(config: PipelineConfig) -> None:
+    labeled = _labeled(config)
+    signals_mod.write_articles(labeled, config.output_dir / "articles_labeled.jsonl")
+    positives = sum(1 for r in labeled if r.predicted_label == signals_mod.LABEL_POSITIVE)
+    summary = {
+        "source": config.detector_source,
+        "total": len(labeled),
+        "hate_crime": positives,
+        "not_hate_crime": len(labeled) - positives,
+    }
+    write_json(summary, config.output_dir / "detection_summary.json")
+    print(f"detect: labeled {len(labeled)} articles ({positives} hate_crime)")
+
+
+def cmd_signals(config: PipelineConfig) -> None:
+    labeled = _labeled(config)
+    span = _span(config)
+    if labeled:
+        state_signals = signals_mod.aggregate_by_state(_resolved(config, labeled), span)
+    else:
+        state_signals = signals_mod.StateSignals(signals_mod.QuarterlySignals(span[0], (), (), ()), {}, 0.0)
+    signals_mod.write_signals_csv(state_signals.national, config.output_dir / "signals_national.csv")
+    signals_mod.write_state_signals_csv(state_signals, config.output_dir / "signals_by_state.csv")
+    if not labeled:
+        print("signals: no records; wrote header-only CSVs")
+    else:
+        print(f"signals: {len(state_signals.by_state)} states, unknown share {state_signals.unknown_share:.4f}")
+
+
+def cmd_decompose(config: PipelineConfig) -> None:
+    observed, deseasonalized, decomp = _national_series(config)
+    _write_decomposition(config, observed, decomp)
+    write_series_csv(deseasonalized, config.output_dir / "fbi_num_noseasonnal.csv")
+    print(f"decompose: period {config.decomposition_period}, {len(observed)} quarters")
+
+
+def cmd_diagnose(config: PipelineConfig) -> None:
+    observed, deseasonalized, decomp = _national_series(config)
+    differenced = difference(deseasonalized, 1)
+    irregular = decomp.irregular.window(decomp.irregular.defined_start, decomp.irregular.defined_end)
+    max_lag = max(min(DIAGNOSE_LAGS, len(observed) - 12), 0)
+    p, q = suggest_orders_acf(differenced, config.arima_max_p, config.arima_max_q)
+    model1 = fit_arima(deseasonalized, _model1_spec(config, deseasonalized))
+    adf_inputs = {"fbi_num": observed, "fbi_num_noseasonnal": deseasonalized, "d_fbi_num_noseasonnal": differenced}
+    payload = {
+        "adf": {name: asdict(stattests.adf_test(s, max_lag, "constant")) for name, s in adf_inputs.items()},
+        "ljung_box_irregular": asdict(stattests.ljung_box(irregular, min(DIAGNOSE_LAGS, len(irregular) - 2))),
+        "acf_pacf_order_suggestion": {"p": p, "q": q},
+        "model1_residual_durbin_watson": stattests.durbin_watson(model1.residuals.values),
+    }
+    write_json(payload, config.output_dir / "diagnostics.json")
+    print("diagnose: wrote diagnostics.json")
+
+
 def cmd_fit_forecast(config: PipelineConfig) -> None:
-    national_requested = [m for m in config.models if m in NATIONAL_MODELS]
-    panel_requested = [m for m in config.models if m in PANEL_MODELS]
-    if not national_requested and not panel_requested:
+    if not config.models:
         raise UsageError("no models requested")
-    # Articles are loaded and labeled once, for both reports.
-    labeled: list[signals_mod.ArticleRecord] = []
-    if panel_requested or any(m in (3, 4, 5) for m in national_requested):
-        labeled, _ = _labeled_articles(config)
-    if national_requested:
-        report = _national_report(config, labeled)
+    national_ids = sorted(m for m in config.models if m in NATIONAL_MODELS)
+    panel_ids = sorted(m for m in config.models if m in PANEL_MODELS)
+    # Each stage runs once for both reports: the articles are labeled and
+    # aggregated once, and the national signals of the event models are the
+    # national part of the per-state aggregate when panel models run.
+    event_models = any(m in EVENT_MODELS for m in national_ids)
+    labeled = _labeled(config) if panel_ids or event_models else []
+    state_signals = signals_mod.aggregate_by_state(_resolved(config, labeled), _span(config)) if panel_ids else None
+    national = None
+    if event_models:
+        national = state_signals.national if state_signals else signals_mod.aggregate_quarterly(labeled, _span(config))
+    if national_ids:
+        report = _national_report(config, national_ids, national)
         print(f"fit-forecast: wrote report.json with {len(report.rows)} national model rows")
-    if panel_requested:
-        payload = _panel_report(config, labeled)
+    if panel_ids:
+        payload = _panel_report(config, panel_ids, state_signals)
         print(f"fit-forecast: wrote panel_report.json with {len(payload['models'])} panel model rows")
 
 
 def cmd_evaluate_detector(config: PipelineConfig) -> None:
-    records = _load_articles(config)
+    records = _load(signals_mod.load_articles, config.articles, "articles")
     gold = [r for r in records if r.gold_label is not None]
     if not gold:
         raise UsageError("no records carry gold labels")
@@ -548,20 +472,8 @@ def cmd_evaluate_detector(config: PipelineConfig) -> None:
     if missing:
         raise UsageError(f"{len(missing)} gold-labeled records lack predictions (first: {missing[0]!r})")
     metrics = detector_mod.evaluate(gold, gold)
-    payload = {
-        "Precision": metrics.precision,
-        "Recall": metrics.recall,
-        "F1": metrics.f1,
-        "counts": {
-            "tp": metrics.counts.tp,
-            "fp": metrics.counts.fp,
-            "tn": metrics.counts.tn,
-            "fn": metrics.counts.fn,
-        },
-    }
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(payload, out / "detector_metrics.json")
+    payload = {"Precision": metrics.precision, "Recall": metrics.recall, "F1": metrics.f1, "counts": asdict(metrics.counts)}
+    write_json(payload, config.output_dir / "detector_metrics.json")
     print(f"evaluate-detector: P={metrics.precision:.4f} R={metrics.recall:.4f} F1={metrics.f1:.4f}")
 
 
@@ -573,6 +485,9 @@ _COMMANDS = {
     "fit-forecast": cmd_fit_forecast,
     "evaluate-detector": cmd_evaluate_detector,
 }
+# Input paths that a flag can override; they resolve against the working
+# directory, where config-file paths resolve against the config's directory.
+_PATH_FLAGS = ("articles", "fbi_series", "covariates", "panel", "gazetteer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -587,34 +502,20 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--output-dir", default=None, help="override the output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--models", default=None, help="comma-separated model ids, e.g. 1,2,4")
-        cmd.add_argument("--articles", default=None)
-        cmd.add_argument("--fbi-series", dest="fbi_series", default=None)
-        cmd.add_argument("--covariates", default=None)
-        cmd.add_argument("--panel", default=None)
-        cmd.add_argument("--gazetteer", default=None)
+        for key in _PATH_FLAGS:
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    def absolute(value: str | None) -> str | None:
-        # Flag paths resolve against the working directory, config-file paths
-        # against the config's own directory.
-        return None if value is None else str(Path(value).resolve())
-
-    overrides = {
-        "output_dir": absolute(args.output_dir),
-        "seed": args.seed,
-        "models": args.models,
-        "articles": absolute(args.articles),
-        "fbi_series": absolute(args.fbi_series),
-        "covariates": absolute(args.covariates),
-        "panel": absolute(args.panel),
-        "gazetteer": absolute(args.gazetteer),
-    }
+    overrides = {"seed": args.seed, "models": args.models}
+    for key in ("output_dir", *_PATH_FLAGS):
+        value = getattr(args, key)
+        overrides[key] = None if value is None else str(Path(value).resolve())
     try:
         config = load_config(args.config, overrides)
+        config.output_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,20 +1,25 @@
-"""Forecast accuracy metrics and the multi-model comparison report."""
+"""Forecast accuracy metrics, the multi-model comparison report, and the
+statistics of the panel report: the Hausman decision and the comparison of
+two models' stacked predictions."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import reporting, stattests
 from .arima import Forecast
 from .exceptions import InvalidArgumentError
-from . import reporting
+from .panel import PanelFit
 from .series import TimeSeries
 
-REPORT_COLUMNS = ("R-Squared", "Log Likelihood", "RMSE", "MAPE")
+# The column spelling of every model row in report.json and panel_report.json.
+REPORT_COLUMNS = ("Models", "R-Squared", "Log Likelihood", "RMSE", "MAPE")
+HAUSMAN_LEVEL = 0.05
 
 
 def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -50,12 +55,24 @@ class ModelEntry:
 
 @dataclass(frozen=True)
 class ModelRow:
+    """One model's report row: its fit statistics, holdout errors and predictions."""
+
     name: str
-    adj_r_squared: float
+    r_squared: float
     log_likelihood: float
     rmse: float
     mape: float
     predictions: tuple[float, ...]
+
+    def to_dict(self) -> dict:
+        return dict(zip(REPORT_COLUMNS, (self.name, self.r_squared, self.log_likelihood, self.rmse, self.mape)))
+
+
+def score_model(
+    name: str, r_squared: float, log_likelihood: float, actual: Sequence[float], predicted: Sequence[float]
+) -> ModelRow:
+    """The report row of a model whose holdout predictions are `predicted`."""
+    return ModelRow(name, r_squared, log_likelihood, rmse(actual, predicted), mape(actual, predicted), tuple(predicted))
 
 
 @dataclass(frozen=True)
@@ -71,18 +88,7 @@ class ForecastReport:
             "end": str(self.actual.end),
             "actual": list(self.actual.values),
         }
-        models = []
-        for row in self.rows:
-            models.append(
-                {
-                    "Models": row.name,
-                    "R-Squared": row.adj_r_squared,
-                    "Log Likelihood": row.log_likelihood,
-                    "RMSE": row.rmse,
-                    "MAPE": row.mape,
-                }
-            )
-        return {"holdout": holdout, "models": models}
+        return {"holdout": holdout, "models": [row.to_dict() for row in self.rows]}
 
     def write_json(self, path: str | Path) -> None:
         reporting.write_json(self.to_dict(), path)
@@ -113,14 +119,26 @@ def compare_models(entries: Sequence[ModelEntry], actual: TimeSeries) -> Forecas
             raise InvalidArgumentError(
                 f"model {entry.name!r} forecast range does not match the holdout"
             )
-        rows.append(
-            ModelRow(
-                name=entry.name,
-                adj_r_squared=entry.adj_r_squared,
-                log_likelihood=entry.log_likelihood,
-                rmse=rmse(actual.values, fc.point_values),
-                mape=mape(actual.values, fc.point_values),
-                predictions=fc.point_values,
-            )
-        )
+        rows.append(score_model(entry.name, entry.adj_r_squared, entry.log_likelihood, actual.values, fc.point_values))
     return ForecastReport(rows=tuple(rows), actual=actual)
+
+
+def hausman_decision(fe: PanelFit, re: PanelFit) -> dict:
+    """The Hausman test of fixed against random effects, with the estimator
+    it favours at the 5% level."""
+    result = stattests.hausman_test(fe.slopes, fe.slope_cov, re.slopes, re.slope_cov)
+    return asdict(result) | {"decision": "fixed" if result.p_value < HAUSMAN_LEVEL else "random"}
+
+
+def compare_predictions(a: ModelRow, b: ModelRow, actual: Sequence[float]) -> dict:
+    """Levene and paired t tests between two models' stacked holdout
+    predictions, and the mean of each stack and of the actual values."""
+    return {
+        "levene": asdict(stattests.levene_test(a.predictions, b.predictions)),
+        "paired_t": asdict(stattests.paired_t_test(a.predictions, b.predictions)),
+        "means": {
+            "actual": sum(actual) / len(actual),
+            a.name: sum(a.predictions) / len(a.predictions),
+            b.name: sum(b.predictions) / len(b.predictions),
+        },
+    }

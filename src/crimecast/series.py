@@ -309,8 +309,9 @@ def read_quarterly_csv(
     """Read a CSV whose header is `keys` (ending in year, quarter) and then
     one or more value columns. Returns the value column names and, per
     non-blank row, (the key cells before year, the quarter, the values). The
-    cells a short row lacks are missing. With `consecutive`, rows must be
-    sorted consecutive quarters."""
+    cells a short row lacks are missing. A row that repeats the key cells
+    and quarter of an earlier row is rejected. With `consecutive`, rows must
+    be sorted consecutive quarters."""
     path = Path(path)
     n_keys = len(keys)
     with path.open(newline="") as fh:
@@ -320,6 +321,7 @@ def read_quarterly_csv(
         if header[:n_keys] != list(keys) or not names:
             raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
         rows = []
+        seen = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -327,9 +329,14 @@ def read_quarterly_csv(
                 q = Quarter(int(row[n_keys - 2]), int(row[n_keys - 1]))
             except (ValueError, IndexError) as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: malformed row") from exc
+            cells = [c.strip() for c in row[: n_keys - 2]]
+            key = (*cells, q)
+            if key in seen:
+                raise InvalidArgumentError(f"{path}:{lineno}: duplicate observation for {' '.join(map(str, key))}")
+            seen.add(key)
             values = [_parse_cell(c, path, lineno) for c in row[n_keys : n_keys + len(names)]]
             values += [MISSING] * (len(names) - len(values))
-            rows.append(([c.strip() for c in row[: n_keys - 2]], q, values))
+            rows.append((cells, q, values))
     if not rows:
         raise InvalidArgumentError(f"{path}: no data rows")
     if consecutive:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from crimecast.cli import EXIT_INPUT_ERROR, EXIT_OK, load_config, main
+from crimecast.cli import EXIT_INPUT_ERROR, EXIT_OK, UsageError, load_config, main
 from crimecast.signals import load_articles
 
 from conftest import FIXTURES, GOLDEN
@@ -13,6 +13,15 @@ CONFIG = FIXTURES / "config.json"
 
 def run(command, *extra):
     return main([command, "--config", str(CONFIG), *extra])
+
+
+def absolute_config(**changes):
+    """The fixture config with absolute input paths, updated by `changes`."""
+    raw = json.loads(CONFIG.read_text())
+    for key in ("articles", "gazetteer", "covariates", "fbi_series", "panel", "detector_train"):
+        raw[key] = str((FIXTURES / raw[key]).resolve())
+    raw.update(changes)
+    return raw
 
 
 class TestConfig:
@@ -25,8 +34,28 @@ class TestConfig:
         bad["holdout_start"] = "2018Q4"
         path = tmp_path / "c.json"
         path.write_text(json.dumps(bad))
-        with pytest.raises(Exception):
+        with pytest.raises(UsageError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            (absolute_config(arima_order=[1, "a", 0]), "'arima_order'"),
+            ([absolute_config()], "must be a JSON object"),
+            (absolute_config(arima_order=[-1, 1, 0]), "'arima_order'"),
+            (absolute_config(arima_order="auto", arima_max_p=9), "'arima_max_p'"),
+            (absolute_config(holdout_strat="2019Q1"), "'holdout_strat'"),
+        ],
+        ids=["non-integer-order", "list-root", "negative-order", "grid-bound-above-5", "unknown-key"],
+    )
+    def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, raw, named):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        code = main(["fit-forecast", "--config", str(path), "--output-dir", str(tmp_path / "out"), "--models", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert named in err
+        assert "Traceback" not in err
 
     def test_missing_file_exits_2(self, tmp_path):
         raw = json.loads(CONFIG.read_text())
@@ -78,6 +107,15 @@ class TestMalformedInput:
         assert code == EXIT_INPUT_ERROR
         assert f"{corrupt.resolve()}:{lineno}: " in err
         assert "Traceback" not in err
+
+    def test_repeated_panel_row_names_path_line(self, tmp_path, capsys):
+        lines = (FIXTURES / "panel.csv").read_text().splitlines()
+        repeated = tmp_path / "panel.csv"
+        repeated.write_text("\n".join(lines + [lines[1]]) + "\n")
+        code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "6,7", "--panel", str(repeated))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"{repeated.resolve()}:{len(lines) + 1}: duplicate observation for CA 2007Q1" in err
 
 
 class TestDetect:

@@ -1,5 +1,7 @@
 import csv
 import math
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crimecast.arima import Forecast
-from crimecast.evaluation import ModelEntry, compare_models, mape, rmse
+from crimecast.evaluation import (
+    ModelEntry,
+    compare_models,
+    compare_predictions,
+    hausman_decision,
+    mape,
+    rmse,
+    score_model,
+)
 from crimecast.exceptions import InvalidArgumentError
 from crimecast.series import Quarter, TimeSeries
+from crimecast.stattests import levene_test, paired_t_test
 
 
 
@@ -109,3 +120,35 @@ class TestCompareModels:
         actual = TimeSeries("y", Quarter(2019, 1), (10.0,))
         with pytest.raises(InvalidArgumentError):
             compare_models([], actual)
+
+
+class TestPanelStatistics:
+    def test_row_spelling(self):
+        row = score_model("Model 6", 0.5, -10.0, [10.0, 20.0], [11.0, 19.0])
+        assert row.to_dict() == {
+            "Models": "Model 6",
+            "R-Squared": 0.5,
+            "Log Likelihood": -10.0,
+            "RMSE": pytest.approx(1.0),
+            "MAPE": pytest.approx(7.5),
+        }
+        assert row.predictions == (11.0, 19.0)
+
+    def test_compare_predictions(self):
+        actual = [10.0, 20.0, 30.0, 40.0]
+        a = score_model("Model 6", 0.5, -10.0, actual, [11.0, 19.0, 33.0, 38.0])
+        b = score_model("Model 7", 0.6, -9.0, actual, [10.5, 20.5, 29.0, 41.0])
+        payload = compare_predictions(a, b, actual)
+        assert list(payload) == ["levene", "paired_t", "means"]
+        assert payload["levene"] == asdict(levene_test(a.predictions, b.predictions))
+        assert payload["paired_t"] == asdict(paired_t_test(a.predictions, b.predictions))
+        assert payload["means"] == {"actual": 25.0, "Model 6": 25.25, "Model 7": 25.25}
+
+    @pytest.mark.parametrize("gap, decision", [(5.0, "fixed"), (0.1, "random")])
+    def test_hausman_decision_at_5_percent(self, gap, decision):
+        fe = SimpleNamespace(slopes=(1.0 + gap, 2.0), slope_cov=2.0 * np.eye(2))
+        re = SimpleNamespace(slopes=(1.0, 2.0), slope_cov=np.eye(2))
+        result = hausman_decision(fe, re)
+        assert result["statistic"] == pytest.approx(gap**2)
+        assert result["dof_or_lags"] == 2
+        assert result["decision"] == decision

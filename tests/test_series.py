@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,4 +265,10 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("year,quarter,value\n2007,1,1.0\n2007,3,3.0\n")
         with pytest.raises(InvalidArgumentError):
+            load_series_csv(path)
+
+    def test_repeated_quarter_names_path_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("year,quarter,value\n2007,1,1.0\n2007,2,2.0\n2007,2,2.0\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:4: duplicate observation for 2007Q2")):
             load_series_csv(path)
