@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
 
 from .exceptions import DegenerateInputError, InvalidArgumentError
 from .series import Quarter, TimeSeries, acf, pacf
@@ -90,6 +89,8 @@ def _css_residuals(w: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> n
     for i in range(1, p + 1):
         rhs = rhs - ar[i - 1] * w[p - i : len(w) - i]
     if len(ma):
+        from scipy import signal  # deferred: cold start; MA fits only
+
         return signal.lfilter([1.0], np.concatenate(([1.0], ma)), rhs)
     return rhs
 
@@ -204,6 +205,8 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
             if not np.isfinite(ssr_) or ssr_ <= 0.0:
                 return 1e300
             return 0.5 * n_eff * np.log(ssr_ / n_eff)
+
+        from scipy import optimize  # deferred: cold start; MA fits only
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

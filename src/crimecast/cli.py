@@ -97,6 +97,14 @@ class PipelineConfig:
 # a bad value; `Path` marks a path, resolved against the config's directory.
 
 
+def _int(value) -> int:
+    """An int, an integral float or an integer string; a bool or a fraction
+    is an error rather than a silent truncation."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _quarter(value) -> Quarter:
     return Quarter.parse(str(value))
 
@@ -104,7 +112,7 @@ def _quarter(value) -> Quarter:
 def _models(value) -> tuple[int, ...]:
     if isinstance(value, str):
         value = value.replace(",", " ").split()
-    models = tuple(int(m) for m in value)
+    models = tuple(_int(m) for m in value)
     unknown = [m for m in models if m not in NATIONAL_MODELS + PANEL_MODELS]
     if unknown:
         raise ValueError(f"unknown model ids {unknown}; expected 1..7")
@@ -116,13 +124,13 @@ def _arima_order(value) -> str | tuple[int, int, int]:
         return value
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ValueError("must be 'drift', 'ar1', 'auto' or [p, d, q]")
-    order = tuple(int(v) for v in value)
+    order = tuple(_int(v) for v in value)
     ArimaSpec(*order)
     return order
 
 
 def _grid_bound(value) -> int:
-    bound = int(value)
+    bound = _int(value)
     if not 0 <= bound <= MAX_GRID_ORDER:
         raise ValueError(f"must be in 0..{MAX_GRID_ORDER}")
     return bound
@@ -135,7 +143,7 @@ def _detector_source(value) -> str:
 
 
 def _terms(value) -> tuple[tuple[str, int], ...]:
-    terms = tuple((str(name), int(k)) for name, k in value)
+    terms = tuple((str(name), _int(k)) for name, k in value)
     RegressionSpec("", terms)
     return terms
 
@@ -146,13 +154,13 @@ _CONVERTERS = {
         Path,
     ),
     **dict.fromkeys(("fit_start", "fit_end", "holdout_start", "holdout_end"), _quarter),
-    "seed": int,
+    "seed": _int,
     "models": _models,
     "arima_order": _arima_order,
     "arima_max_p": _grid_bound,
     "arima_max_q": _grid_bound,
     "detector_source": _detector_source,
-    "decomposition_period": int,
+    "decomposition_period": _int,
     "panel_dependent": str,
     "panel_min_coverage": float,
     "panel_terms_model6": _terms,
@@ -507,6 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_output_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"seed": args.seed, "models": args.models}
@@ -515,7 +530,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides[key] = None if value is None else str(Path(value).resolve())
     try:
         config = load_config(args.config, overrides)
-        config.output_dir.mkdir(parents=True, exist_ok=True)
+        _make_output_dir(config.output_dir)
         _COMMANDS[args.command](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

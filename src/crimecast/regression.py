@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import linalg
 
 from .arima import Forecast, _adjusted_r2, _gaussian_loglik
 from .exceptions import CollinearityError, DegenerateInputError, InvalidArgumentError
@@ -236,6 +235,8 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, names: list[str]) -> tuple[np.ndarra
     bad = [j for j in range(k) if diag[j] <= tol]
     if bad:
         raise CollinearityError([names[j] for j in bad])
+    from scipy import linalg  # deferred: cold start
+
     beta_scaled = linalg.solve_triangular(r, q.T @ y)
     beta = beta_scaled / norms
     r_inv = linalg.solve_triangular(r, np.eye(k))

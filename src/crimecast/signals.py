@@ -3,6 +3,7 @@ series, nationally and per state."""
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import json
 import warnings
@@ -236,8 +237,6 @@ def aggregate_by_state(
 
 
 def write_signals_csv(signals: QuarterlySignals, path: str | Path) -> None:
-    import csv
-
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["year", "quarter", "news_num", "event_detected_num", "hate_reported_index"])
@@ -248,8 +247,6 @@ def write_signals_csv(signals: QuarterlySignals, path: str | Path) -> None:
 
 
 def write_state_signals_csv(state_signals: StateSignals, path: str | Path) -> None:
-    import csv
-
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["year", "quarter", "state", "news_num", "event_detected_num", "hate_reported_index"])

@@ -1,8 +1,12 @@
 """Hypothesis tests and diagnostics: ADF, Ljung-Box, Durbin-Watson, Hausman,
 Levene, paired t, and Cohen's kappa.
 
-All functions are pure; p-values come from scipy's distribution CDFs while
-the test statistics themselves are computed here.
+All functions are pure. The test statistics are computed here; the p-values
+come from the survival functions in `scipy.special` (`chdtrc`, `fdtrc`,
+`stdtr`), the ufuncs behind `scipy.stats`' `chi2`, `f` and `t`. scipy is
+imported inside the function that first calls it (cold start): importing
+this module loads numpy only, as do the `detect`, `signals`, `decompose` and
+`evaluate-detector` commands.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .exceptions import DegenerateInputError, InvalidArgumentError
 from .series import TimeSeries, acf
@@ -192,7 +195,9 @@ def ljung_box(series: TimeSeries, lags: int) -> TestResult:
     for k in range(1, lags + 1):
         q += r[k] ** 2 / (n - k)
     q *= n * (n + 2)
-    p = float(stats.chi2.sf(q, lags))
+    from scipy import special  # deferred: cold start
+
+    p = float(special.chdtrc(lags, q))
     return TestResult(statistic=float(q), p_value=p, dof_or_lags=lags, detail=f"chi2({lags})")
 
 
@@ -238,7 +243,11 @@ def hausman_test(
         rank = int(np.linalg.matrix_rank(v))
         h = float(d @ np.linalg.pinv(v) @ d)
         detail = f"chi2({k}); variance difference not positive definite, pseudo-inverse used (rank {rank})"
-    p = float(stats.chi2.sf(h, k))
+    from scipy import special  # deferred: cold start
+
+    # The pseudo-inverse can give a small negative H; its p-value is 1, as
+    # for any statistic at or below the chi-square support (chdtrc is NaN).
+    p = float(special.chdtrc(k, max(h, 0.0)))
     return TestResult(statistic=h, p_value=p, dof_or_lags=k, detail=detail)
 
 
@@ -260,7 +269,9 @@ def levene_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     if den == 0.0:
         raise DegenerateInputError("zero within-group spread in both groups")
     w = num / den
-    p = float(stats.f.sf(w, 1, dof))
+    from scipy import special  # deferred: cold start
+
+    p = float(special.fdtrc(1, dof, w))
     return TestResult(float(w), p, dof, detail=f"F(1,{dof}), mean-centered")
 
 
@@ -278,7 +289,9 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     if sd == 0.0:
         raise DegenerateInputError("differences have zero variance")
     t = float(d.mean() / (sd / np.sqrt(n)))
-    p = float(2.0 * stats.t.sf(abs(t), n - 1))
+    from scipy import special  # deferred: cold start
+
+    p = float(2.0 * special.stdtr(n - 1, -abs(t)))
     return TestResult(t, p, n - 1, detail=f"t({n - 1}), two-sided")
 
 

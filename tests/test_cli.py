@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crimecast
 from crimecast.cli import EXIT_INPUT_ERROR, EXIT_OK, UsageError, load_config, main
 from crimecast.signals import load_articles
 
@@ -45,8 +50,24 @@ class TestConfig:
             (absolute_config(arima_order=[-1, 1, 0]), "'arima_order'"),
             (absolute_config(arima_order="auto", arima_max_p=9), "'arima_max_p'"),
             (absolute_config(holdout_strat="2019Q1"), "'holdout_strat'"),
+            (absolute_config(seed=1.5), "'seed'"),
+            (absolute_config(decomposition_period=True), "'decomposition_period'"),
+            (absolute_config(arima_order=[1.7, 1, 0]), "'arima_order'"),
+            (absolute_config(arima_order="auto", arima_max_q=1.5), "'arima_max_q'"),
+            (absolute_config(panel_terms_model6=[["news_num", 0.5]]), "'panel_terms_model6'"),
         ],
-        ids=["non-integer-order", "list-root", "negative-order", "grid-bound-above-5", "unknown-key"],
+        ids=[
+            "non-integer-order",
+            "list-root",
+            "negative-order",
+            "grid-bound-above-5",
+            "unknown-key",
+            "fractional-seed",
+            "bool-period",
+            "fractional-order",
+            "fractional-grid-bound",
+            "fractional-term-lag",
+        ],
     )
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, raw, named):
         path = tmp_path / "c.json"
@@ -116,6 +137,16 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT_ERROR
         assert f"{repeated.resolve()}:{len(lines) + 1}: duplicate observation for CA 2007Q1" in err
+
+
+    def test_output_dir_naming_a_file_exits_2(self, tmp_path, capsys):
+        occupied = tmp_path / "out"
+        occupied.write_text("")
+        code = run("decompose", "--output-dir", str(occupied))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: cannot create output directory {occupied.resolve()}" in err
+        assert "Traceback" not in err
 
 
 class TestDetect:
@@ -305,3 +336,40 @@ class TestOtherCommands:
         assert (tmp_path / "detector_metrics.json").read_bytes() == (GOLDEN / "detector_metrics.json").read_bytes()
         payload = json.loads((tmp_path / "detector_metrics.json").read_text())
         assert set(payload) == {"Precision", "Recall", "F1", "counts"}
+
+
+# Runs in a fresh interpreter: prints, after each step, the scipy modules
+# loaded so far as one JSON line.
+_SCIPY_PROBE = """
+import json, sys
+def loaded():
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+import crimecast.cli
+loaded()
+config, out = sys.argv[1:]
+assert crimecast.cli.main(["decompose", "--config", config, "--output-dir", out]) == 0
+loaded()
+assert crimecast.cli.main(["fit-forecast", "--config", config, "--output-dir", out, "--models", "1,2,3,4,5,6,7"]) == 0
+loaded()
+"""
+
+
+def test_commands_import_only_the_scipy_they_call(tmp_path):
+    """Importing the CLI loads no scipy, `decompose` calls none, and the
+    fixture `fit-forecast` of all seven models (drift: no MA term, so no BFGS
+    and no MA filter) loads neither scipy.stats, scipy.signal nor
+    scipy.optimize."""
+    env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(CONFIG), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    steps = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    after_import, after_decompose, after_fit = steps
+    assert after_import == []
+    assert after_decompose == []
+    assert not {"scipy.stats", "scipy.signal", "scipy.optimize"} & set(after_fit)

@@ -208,6 +208,52 @@ class TestPairedT:
             paired_t_test([1.0, 2.0], [1.0])
 
 
+class TestPValueParity:
+    """Each p-value equals scipy.stats' survival function at the test's own
+    statistic, bit for bit, over statistics from 0 to very large."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    @pytest.mark.parametrize("h", [0.0, 1e-9, 0.5, 3.0, 40.0, 1e3, 1e12])
+    def test_hausman(self, h, k):
+        result = hausman_test(np.full(k, np.sqrt(h / k)), 2.0 * np.eye(k), np.zeros(k), np.eye(k))
+        assert result.p_value == scipy.stats.chi2.sf(result.statistic, k)
+
+    def test_hausman_negative_statistic_has_p_one(self):
+        result = hausman_test([1.0, 0.0], np.diag([1.0, 0.0]), [0.0, 0.0], np.diag([2.0, 0.0]))
+        assert result.statistic == -1.0
+        assert result.p_value == 1.0 == scipy.stats.chi2.sf(-1.0, 2)
+
+    def test_ljung_box_zero_statistic(self):
+        result = ljung_box(series([1.0, 0.0, -1.0, 0.0]), 1)
+        assert result.statistic == 0.0
+        assert result.p_value == 1.0 == scipy.stats.chi2.sf(0.0, 1)
+
+    @pytest.mark.parametrize("lags", [1, 4, 10])
+    @pytest.mark.parametrize("n", [12, 60, 400])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
+    def test_ljung_box(self, alpha, n, lags):
+        result = ljung_box(series(ar1(alpha, n, seed=n + lags)), lags)
+        assert result.p_value == scipy.stats.chi2.sf(result.statistic, lags)
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (5, 9), (30, 30), (200, 150)])
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 1e6])
+    def test_levene(self, rng, sizes, scale):
+        result = levene_test(rng.normal(size=sizes[0]), scale * rng.normal(size=sizes[1]))
+        assert result.p_value == scipy.stats.f.sf(result.statistic, 1, result.dof_or_lags)
+
+    def test_paired_t_zero_statistic(self):
+        result = paired_t_test([1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0])
+        assert result.statistic == 0.0
+        assert result.p_value == 1.0 == 2.0 * scipy.stats.t.sf(0.0, 3)
+
+    @pytest.mark.parametrize("n", [2, 5, 40, 1000])
+    @pytest.mark.parametrize("shift", [0.1, 1.0, 1e6])
+    def test_paired_t(self, rng, n, shift):
+        b = rng.normal(size=n)
+        result = paired_t_test(b + shift + rng.normal(size=n), b)
+        assert result.p_value == 2.0 * scipy.stats.t.sf(abs(result.statistic), n - 1)
+
+
 class TestKappa:
     def test_perfect_agreement(self):
         assert cohens_kappa(["a", "b", "a"], ["a", "b", "a"]) == 1.0
