@@ -339,21 +339,6 @@ def _integrate_step(tails: list[float], w_value: float) -> float:
     return tails[0]
 
 
-def one_step_predictions(fit: ArimaFit, series: TimeSeries) -> TimeSeries:
-    """In-sample one-step-ahead predictions of `series` on the level scale."""
-    spec = fit.spec
-    y = series.to_array()
-    if np.isnan(y).any():
-        raise InvalidArgumentError("series has missing values")
-    w = np.diff(y, n=spec.d) if spec.d else y
-    if len(w) <= spec.p:
-        raise InvalidArgumentError("series too short for the fitted orders")
-    e = _css_residuals(w, fit.constant, np.asarray(fit.ar_coeffs), np.asarray(fit.ma_coeffs))
-    offset = spec.d + spec.p
-    preds = y[offset:] - e
-    return TimeSeries(series.name + "_fitted", series.start + offset, tuple(preds))
-
-
 def forecast_arima(
     fit: ArimaFit,
     history: TimeSeries,

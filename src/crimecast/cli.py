@@ -273,21 +273,13 @@ def _model1_spec(config: PipelineConfig, fit_series: TimeSeries) -> ArimaSpec:
     return ArimaSpec(*order, include_constant=True)
 
 
-def _mask_after(series: TimeSeries, last: Quarter) -> TimeSeries:
-    """Replace values after `last` with missing markers (trailing edge)."""
-    cut = last - series.start + 1
-    if cut >= len(series):
-        return series
-    return TimeSeries(series.name, series.start, series.values[:cut] + (MISSING,) * (len(series) - cut))
-
-
 def _regression_data(
     config: PipelineConfig, dependent: TimeSeries, national: signals_mod.QuarterlySignals | None
 ) -> tuple[Dataset, Dataset]:
     """The fit-range dataset and the forecast dataset (the dependent masked
     after the fit range) of the covariates, plus the national signals."""
     covariates = _load(Dataset.from_csv, config.covariates, "covariates")
-    pool = [dependent, *covariates.series]
+    pool = [dependent, *(covariates[name] for name in covariates.names)]
     if national is not None:
         pool += [national.news_series(), national.events_series(), national.index_series()]
     full = Dataset.align(pool)
@@ -295,8 +287,9 @@ def _regression_data(
     if full.start > span[0] or full.end < span[1]:
         raise UsageError(f"covariates cover {full.start}..{full.end}, need {span[0]}..{span[1]}")
     full = full.window(*span)
-    masked = Dataset(tuple(_mask_after(ts, config.fit_end) if ts.name == dependent.name else ts for ts in full.series))
-    return full.window(config.fit_start, config.fit_end), masked
+    fit_data = full.window(config.fit_start, config.fit_end)
+    full.values[0, config.fit_end - span[0] + 1 :, full.names.index(dependent.name)] = MISSING
+    return fit_data, full
 
 
 def _national_report(
@@ -317,6 +310,9 @@ def _national_report(
     if 1 in model_ids:
         fit = fit_arima(fit_series, _model1_spec(config, fit_series))
         write_json(fit_summary(fit), config.output_dir / "arima_model1.json")
+        if not fit.converged:
+            order = f"({fit.spec.p},{fit.spec.d},{fit.spec.q})"
+            raise CrimecastError(f"the Model 1 ARIMA{order} fit did not converge; see arima_model1.json")
         forecast = forecast_arima(fit, fit_series, len(actual), mode="dynamic")
         entries.append(ModelEntry("Model 1", fit.adj_r_squared, fit.log_likelihood, forecast))
     regression_ids = [m for m in model_ids if m != 1]

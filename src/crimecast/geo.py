@@ -10,7 +10,6 @@ match are suppressed, and the survivors are ranked by priority class
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -77,8 +76,8 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     """Load `name <TAB> state_code <TAB> priority` rows.
 
     Duplicate names keep the higher-priority entry (first wins on equal
-    priority); malformed rows and unknown state codes are reported with their
-    line numbers and skipped.
+    priority). A malformed row or an unknown state code is an error naming
+    `path:line`.
     """
     path = Path(path)
     try:
@@ -92,25 +91,20 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            warnings.warn(f"{path}:{lineno}: malformed row (expected 3 tab-separated fields)", stacklevel=2)
-            continue
+            raise InvalidArgumentError(f"{path}:{lineno}: malformed row (expected 3 tab-separated fields)")
         name, state, raw_priority = (p.strip() for p in parts)
         tokens = tuple(_tokenize(name))
         if not tokens:
-            warnings.warn(f"{path}:{lineno}: empty name", stacklevel=2)
-            continue
+            raise InvalidArgumentError(f"{path}:{lineno}: empty name")
         state = state.upper()
         if state not in US_STATE_CODES:
-            warnings.warn(f"{path}:{lineno}: unknown state code {state!r}", stacklevel=2)
-            continue
+            raise InvalidArgumentError(f"{path}:{lineno}: unknown state code {state!r}")
         try:
             priority = int(raw_priority)
         except ValueError:
-            warnings.warn(f"{path}:{lineno}: priority must be an integer", stacklevel=2)
-            continue
+            raise InvalidArgumentError(f"{path}:{lineno}: priority must be an integer") from None
         if priority not in (PRIORITY_INSTITUTE, PRIORITY_CITY, PRIORITY_STATE_NAME):
-            warnings.warn(f"{path}:{lineno}: priority must be 1, 2, or 3", stacklevel=2)
-            continue
+            raise InvalidArgumentError(f"{path}:{lineno}: priority must be 1, 2, or 3")
         existing = entries.get(tokens)
         if existing is None or priority > existing.priority:
             entries[tokens] = GazetteerEntry(name=name, state=state, priority=priority)

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -17,106 +16,7 @@ from .exceptions import (
     InvalidArgumentError,
 )
 from .regression import RegressionSpec, _qr_solve
-from .series import Quarter, TimeSeries, read_quarterly_csv
-
-
-def _window(arr: np.ndarray, lo: int, n: int, fill) -> np.ndarray:
-    """`arr[:, lo:lo + n]` along the quarter axis, `fill` where that leaves `arr`."""
-    out = np.full((arr.shape[0], n) + arr.shape[2:], fill, dtype=arr.dtype)
-    a, b = max(lo, 0), min(lo + n, arr.shape[1])
-    if a < b:
-        out[:, a - lo : b - lo] = arr[:, a:b]
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class PanelDataset:
-    """Observations on a units × quarters × variables grid: `values[i, t, j]`
-    is variable `names[j]` of unit `unit_names[i]` at quarter `start + t`, NaN
-    when missing (all NaN in a row that does not exist), and `present[i, t]`
-    marks the rows that exist. Units and variables are sorted; units may have
-    gaps until the panel is balanced."""
-
-    unit_names: tuple[str, ...]
-    start: Quarter
-    names: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-    present: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, Quarter, Mapping[str, float]]]) -> "PanelDataset":
-        rows = list(rows)
-        if not rows:
-            raise InvalidArgumentError("panel has no observations")
-        units = sorted({str(u) for u, _, _ in rows})
-        names = sorted({name for _, _, values in rows for name in values})
-        start = min(q for _, q, _ in rows)
-        row_of = {u: i for i, u in enumerate(units)}
-        values = np.full((len(units), max(q for _, q, _ in rows) - start + 1, len(names)), np.nan)
-        present = np.zeros(values.shape[:2], dtype=bool)
-        for unit, q, row in rows:
-            i, t = row_of[str(unit)], q - start
-            if present[i, t]:
-                raise InvalidArgumentError(f"duplicate observation for {unit} at {q}")
-            present[i, t] = True
-            values[i, t] = [row.get(name, np.nan) for name in names]
-        return cls(tuple(units), start, tuple(names), values, present)
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "PanelDataset":
-        """Load a long `state,year,quarter,<variable>...` CSV."""
-        names, rows = read_quarterly_csv(path, ("state", "year", "quarter"))
-        return cls.from_rows((keys[0], q, dict(zip(names, values))) for keys, q, values in rows)
-
-    def units(self) -> tuple[str, ...]:
-        return self.unit_names
-
-    def span(self) -> tuple[Quarter, Quarter]:
-        occupied = np.flatnonzero(self.present.any(axis=0))
-        return self.start + int(occupied[0]), self.start + int(occupied[-1])
-
-    def unit_quarters(self, unit: str) -> list[Quarter]:
-        return [self.start + int(t) for t in np.flatnonzero(self.present[self.unit_names.index(unit)])]
-
-    def _gather(self, terms: Sequence[tuple[str, int]], span: tuple[Quarter, Quarter]) -> np.ndarray:
-        """Units × quarters × terms over the span; term (name, k) at q is `name` at q - k."""
-        out = np.empty((len(self.unit_names), span[1] - span[0] + 1, len(terms)))
-        for j, (name, k) in enumerate(terms):
-            if name not in self.names:
-                raise InvalidArgumentError(f"panel has no variable {name!r}")
-            column = self.values[:, :, self.names.index(name)]
-            out[:, :, j] = _window(column, span[0] - k - self.start, out.shape[1], np.nan)
-        return out
-
-    def value(self, unit: str, q: Quarter, name: str) -> float:
-        """Variable `name` of `unit` at quarter `q`; NaN when missing."""
-        return float(self._gather([(name, 0)], (q, q))[self.unit_names.index(unit), 0, 0])
-
-    def with_unit_series(self, columns: Mapping[str, Mapping[str, TimeSeries]]) -> "PanelDataset":
-        """Add or replace variables: `columns[name][unit]` over that series'
-        quarters, and 0.0 in every other existing row."""
-        names = tuple(sorted(set(self.names) | set(columns)))
-        values = np.zeros(self.present.shape + (len(names),))
-        for j, name in enumerate(names):
-            if name not in columns:
-                values[:, :, j] = self.values[:, :, self.names.index(name)]
-            for i, unit in enumerate(self.unit_names):
-                if unit in columns.get(name, {}):
-                    series = columns[name][unit]
-                    lo = self.start - series.start
-                    values[i, :, j] = _window(series.to_array()[None], lo, values.shape[1], 0.0)[0]
-        values[~self.present] = np.nan
-        return PanelDataset(self.unit_names, self.start, names, values, self.present)
-
-    def restricted(self, units: Iterable[str], span: tuple[Quarter, Quarter]) -> "PanelDataset":
-        keep = set(units)
-        lo, n = span[0] - self.start, max(span[1] - span[0] + 1, 0)
-        present = _window(self.present, lo, n, False)
-        rows = [i for i, u in enumerate(self.unit_names) if u in keep and present[i].any()]
-        if not rows:
-            raise EmptyPanelError("no observations left after restriction")
-        kept = tuple(self.unit_names[i] for i in rows)
-        return PanelDataset(kept, span[0], self.names, _window(self.values[rows], lo, n, np.nan), present[rows])
+from .series import PanelDataset, Quarter, TimeSeries, _window
 
 
 @dataclass(frozen=True)
@@ -222,14 +122,9 @@ def _within(panel: PanelDataset, spec: RegressionSpec) -> _Within:
     units = panel.units()
     if len(units) < 2:
         raise InvalidArgumentError("panel estimation needs at least 2 units")
-    start = panel.start
-    yx = panel._gather(((spec.dependent, 0),) + spec.terms, (start, start + (panel.present.shape[1] - 1)))
-    usable = np.isfinite(yx).all(axis=2)
-    first, counts = usable.argmax(axis=1), usable.sum(axis=1)
+    yx, usable, first, counts = panel.usable_rows(spec.dependent, spec.terms)
     k = len(spec.terms)
-    for unit, row, t0, count in zip(units, usable, first, counts):
-        if not row[t0 : t0 + count].all():
-            raise InvalidArgumentError(f"unit {unit!r} has gaps in its usable rows; balance the panel first")
+    for unit, count in zip(units, counts):
         if count < k + 2:
             raise InvalidArgumentError(f"unit {unit!r} contributes {count} usable rows, need at least {k + 2}")
     lo, hi = first.min(), (first + counts).max()
@@ -237,7 +132,7 @@ def _within(panel: PanelDataset, spec: RegressionSpec) -> _Within:
     y_bar = np.where(usable, yx[:, :, 0], 0.0).sum(axis=1) / counts
     x_bar = np.where(usable[:, :, None], yx[:, :, 1:], 0.0).sum(axis=1) / counts[:, None]
     y, x = yx[:, :, 0][usable], yx[:, :, 1:][usable]
-    starts = [start + int(t) for t in first]
+    starts = [panel.start + int(t) for t in first]
     y_dm, x_dm = y - np.repeat(y_bar, counts), x - np.repeat(x_bar, counts, axis=0)
     sst = float(np.sum((y - y.mean()) ** 2))
     return _Within(units, list(spec.term_names()), starts, counts, y, x, y_bar, x_bar, y_dm, x_dm, sst)
@@ -369,12 +264,5 @@ def forecast_panel(
             warnings.warn(f"unit {unit!r} absent from training; using the average intercept", stacklevel=2)
     average = fit.average_effect()
     intercepts = np.array([fit.unit_effects.get(unit, average) for unit in units])
-    x = panel._gather(fit.spec.terms, span)
-    missing = np.argwhere(np.isnan(x))
-    if len(missing):
-        i, h, j = (int(v) for v in missing[0])
-        name, lag_k = fit.spec.terms[j]
-        raise InvalidArgumentError(f"missing predictor {name!r} for unit {units[i]!r} at {start + h - lag_k}")
-    # np.dot sums each (unit, quarter) row as one dot product, as row-by-row forecasts do.
-    preds = intercepts[:, None] + np.dot(x, np.asarray(fit.slopes))
+    preds = intercepts[:, None] + panel.predict(fit.spec.terms, fit.slopes, span)
     return {unit: Forecast(start - 1, horizon, tuple(p), "static") for unit, p in zip(units, preds.tolist())}

@@ -8,17 +8,16 @@ AR(1) errors (iterated Cochrane-Orcutt).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .arima import Forecast, _adjusted_r2, _gaussian_loglik
 from .exceptions import CollinearityError, DegenerateInputError, InvalidArgumentError
-from .reporting import format_float
-from .series import Quarter, TimeSeries, lag, read_quarterly_csv
+from .series import PanelDataset, Quarter, TimeSeries, read_quarterly_csv
 from .stattests import durbin_watson
 
 _CO_TOL = 1e-8
@@ -68,10 +67,6 @@ class RegressionSpec:
         if len(set(self.terms)) != len(self.terms):
             raise InvalidArgumentError("duplicate (variable, lag) terms")
 
-    @property
-    def n_coefficients(self) -> int:
-        return len(self.terms) + int(self.include_intercept)
-
     def term_names(self) -> tuple[str, ...]:
         return tuple(f"{n}(-{k})" if k else n for n, k in self.terms)
 
@@ -94,27 +89,9 @@ def build_model_spec(model_id: int) -> RegressionSpec:
     )
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Named series aligned on a common quarterly frame."""
-
-    series: tuple[TimeSeries, ...]
-    _by_name: Mapping[str, TimeSeries] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "series", tuple(self.series))
-        if not self.series:
-            raise InvalidArgumentError("dataset needs at least one series")
-        start = self.series[0].start
-        n = len(self.series[0])
-        by_name: dict[str, TimeSeries] = {}
-        for ts in self.series:
-            if ts.start != start or len(ts) != n:
-                raise InvalidArgumentError(f"series {ts.name!r} is not aligned to the dataset frame")
-            if ts.name in by_name:
-                raise InvalidArgumentError(f"duplicate series name {ts.name!r}")
-            by_name[ts.name] = ts
-        object.__setattr__(self, "_by_name", by_name)
+class Dataset(PanelDataset):
+    """The national frame: named quarterly series as the one unit of a
+    PanelDataset, every quarter of the frame present."""
 
     @classmethod
     def align(cls, series: Iterable[TimeSeries]) -> "Dataset":
@@ -122,51 +99,33 @@ class Dataset:
         items = list(series)
         if not items:
             raise InvalidArgumentError("dataset needs at least one series")
-        start = max(ts.start for ts in items)
-        end = min(ts.end for ts in items)
+        start, end = max(ts.start for ts in items), min(ts.end for ts in items)
         if end < start:
             raise InvalidArgumentError("series frames do not overlap")
-        return cls(tuple(ts.window(start, end) for ts in items))
-
-    @property
-    def start(self) -> Quarter:
-        return self.series[0].start
-
-    @property
-    def end(self) -> Quarter:
-        return self.series[0].end
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(ts.name for ts in self.series)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        names = tuple(ts.name for ts in items)
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise InvalidArgumentError(f"duplicate series name {repeated[0]!r}")
+        values = np.column_stack([ts.values[start - ts.start : end - ts.start + 1] for ts in items])
+        return cls(("national",), start, names, values[None], np.ones((1, len(values)), dtype=bool))
 
     def __getitem__(self, name: str) -> TimeSeries:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise InvalidArgumentError(f"dataset has no series named {name!r}") from None
+        return TimeSeries(name, self.start, tuple(self._gather([(name, 0)], (self.start, self.end))[0, :, 0]))
 
     def window(self, start: Quarter, end: Quarter) -> "Dataset":
-        return Dataset(tuple(ts.window(start, end) for ts in self.series))
+        """The quarters start..end, which must lie inside the frame."""
+        if not self.start <= start <= end <= self.end:
+            raise InvalidArgumentError(f"window {start}..{end} is not inside {self.start}..{self.end}")
+        lo, hi = start - self.start, end - self.start + 1
+        return Dataset(self.unit_names, start, self.names, self.values[:, lo:hi].copy(), self.present[:, lo:hi])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
-        """Load a wide `year,quarter,<variable>...` CSV of consecutive quarters."""
+        """Load a wide `year,quarter,<variable>...` CSV of consecutive quarters;
+        a column with an interior gap is rejected."""
         names, rows = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
         columns = zip(*(values for _, _, values in rows))
-        return cls(tuple(TimeSeries(n, rows[0][1], tuple(col)) for n, col in zip(names, columns)))
-
-    def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["year", "quarter"] + list(self.names()))
-            for i, q in enumerate(self.series[0].quarters()):
-                row: list = [q.year, q.quarter]
-                for ts in self.series:
-                    row.append(format_float(ts.values[i], nan=""))
-                writer.writerow(row)
+        return cls.align(TimeSeries(n, rows[0][1], col) for n, col in zip(names, columns))
 
 
 @dataclass(frozen=True)
@@ -191,28 +150,16 @@ class RegressionFit:
 
 
 def _build_design(dataset: Dataset, spec: RegressionSpec) -> tuple[np.ndarray, np.ndarray, list[str], Quarter]:
-    """Assemble (y, X, column names, first used quarter), dropping rows with
-    any missing value as a block."""
-    y_series = dataset[spec.dependent]
-    cols = [y_series.to_array()]
-    names: list[str] = []
-    for name, k in spec.terms:
-        cols.append(lag(dataset[name], k).to_array())
-        names.append(f"{name}(-{k})" if k else name)
-    mat = np.column_stack(cols)
-    finite = np.all(np.isfinite(mat), axis=1)
-    if not finite.any():
-        raise InvalidArgumentError("no usable rows after removing missing values")
-    idx = np.flatnonzero(finite)
-    if not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
-        raise InvalidArgumentError("usable rows are not contiguous")
-    mat = mat[finite]
-    y = mat[:, 0]
-    X = mat[:, 1:]
+    """Assemble (y, X, column names, first used quarter) from the one
+    gap-free run of rows where the dependent and every lagged term are finite."""
+    yx, _, first, counts = dataset.usable_rows(spec.dependent, spec.terms)
+    mat = yx[0, first[0] : first[0] + counts[0]]
+    y, X = mat[:, 0], mat[:, 1:]
+    names = list(spec.term_names())
     if spec.include_intercept:
         X = np.column_stack([np.ones(len(y)), X])
         names = ["intercept"] + names
-    return y, X, names, dataset.start + int(idx[0])
+    return y, X, names, dataset.start + int(first[0])
 
 
 def _qr_solve(X: np.ndarray, y: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -332,17 +279,6 @@ def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
     )
 
 
-def _predictor_row(fit: RegressionFit, dataset: Dataset, q: Quarter) -> np.ndarray:
-    values: list[float] = [1.0] if fit.spec.include_intercept else []
-    for name, k in fit.spec.terms:
-        source = dataset[name]
-        needed = q - k
-        if not source.has_value_at(needed):
-            raise InvalidArgumentError(f"missing predictor {name!r} at {needed} (needed for {q})")
-        values.append(source.value_at(needed))
-    return np.asarray(values)
-
-
 def forecast_regression(fit: RegressionFit, dataset: Dataset, span: tuple[Quarter, Quarter]) -> Forecast:
     """Linear prediction per quarter over the inclusive span.
 
@@ -354,24 +290,22 @@ def forecast_regression(fit: RegressionFit, dataset: Dataset, span: tuple[Quarte
     horizon = end - start + 1
     if horizon < 1:
         raise InvalidArgumentError(f"empty forecast span {start}..{end}")
-    beta = np.asarray(fit.coefficients)
-
+    spec = fit.spec
     if fit.rho is None:
-        preds = [float(_predictor_row(fit, dataset, start + h) @ beta) for h in range(horizon)]
-        return Forecast(start - 1, horizon, tuple(preds), "static")
+        preds = dataset.predict(spec.terms, fit.coefficients, span, spec.include_intercept)[0]
+        return Forecast(start - 1, horizon, tuple(preds.tolist()), "static")
 
-    dependent = dataset[fit.spec.dependent]
-    walk_start = fit.residuals.start - 1  # first structural residual quarter
+    walk = (fit.residuals.start - 1, end)  # from the first structural residual quarter
+    cores = dataset.predict(spec.terms, fit.coefficients, walk, spec.include_intercept)[0].tolist()
+    observed = dataset._gather([(spec.dependent, 0)], walk)[0, :, 0].tolist()
     e_prev: float | None = None
     preds: list[float] = []
     propagated = False
-    for i in range(end - walk_start + 1):
-        q = walk_start + i
-        core = float(_predictor_row(fit, dataset, q) @ beta)
-        if q >= start:
+    for i, (core, y) in enumerate(zip(cores, observed)):
+        if walk[0] + i >= start:
             preds.append(core + (fit.rho * e_prev if e_prev is not None else 0.0))
-        if dependent.has_value_at(q):
-            e_prev = dependent.value_at(q) - core
+        if not math.isnan(y):
+            e_prev = y - core
         else:
             propagated = True
             e_prev = fit.rho * e_prev if e_prev is not None else None

@@ -1,7 +1,9 @@
 """Quarterly time series: index arithmetic, lag/difference algebra,
-autocorrelation functions, and classical additive decomposition.
+autocorrelation functions, classical additive decomposition, the one
+quarterly CSV reader, and the columnar units × quarters × variables frame
+that the national regressions and the state panel share.
 
-Missing values are represented as NaN and may only appear as leading or
+Missing values are NaN. In a TimeSeries they may only appear as leading or
 trailing runs; interior gaps are rejected when a series is constructed.
 """
 
@@ -9,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, InvalidArgumentError
+from .exceptions import DegenerateInputError, EmptyPanelError, InvalidArgumentError
 from .reporting import format_float
 
 MISSING = float("nan")
@@ -383,3 +386,143 @@ def write_decomposition_csv(series: TimeSeries, decomp: DecompositionResult, pat
                     format_float(decomp.irregular.values[i], nan=""),
                 ]
             )
+
+
+def _window(arr: np.ndarray, lo: int, n: int, fill) -> np.ndarray:
+    """`arr[:, lo:lo + n]` along the quarter axis, `fill` where that leaves `arr`."""
+    out = np.full((arr.shape[0], n) + arr.shape[2:], fill, dtype=arr.dtype)
+    a, b = max(lo, 0), min(lo + n, arr.shape[1])
+    if a < b:
+        out[:, a - lo : b - lo] = arr[:, a:b]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PanelDataset:
+    """Observations on a units × quarters × variables grid: `values[i, t, j]`
+    is variable `names[j]` of unit `unit_names[i]` at quarter `start + t`, NaN
+    when missing (all NaN in a row that does not exist), and `present[i, t]`
+    marks the rows that exist. The state panel sorts its units and
+    variables, and its units may have gaps until it is balanced; the
+    national frame (`regression.Dataset`) is its one-unit case."""
+
+    unit_names: tuple[str, ...]
+    start: Quarter
+    names: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+    present: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, Quarter, Mapping[str, float]]]) -> "PanelDataset":
+        rows = list(rows)
+        if not rows:
+            raise InvalidArgumentError("panel has no observations")
+        units = sorted({str(u) for u, _, _ in rows})
+        names = sorted({name for _, _, values in rows for name in values})
+        start = min(q for _, q, _ in rows)
+        row_of = {u: i for i, u in enumerate(units)}
+        values = np.full((len(units), max(q for _, q, _ in rows) - start + 1, len(names)), np.nan)
+        present = np.zeros(values.shape[:2], dtype=bool)
+        for unit, q, row in rows:
+            i, t = row_of[str(unit)], q - start
+            if present[i, t]:
+                raise InvalidArgumentError(f"duplicate observation for {unit} at {q}")
+            present[i, t] = True
+            values[i, t] = [row.get(name, np.nan) for name in names]
+        return cls(tuple(units), start, tuple(names), values, present)
+
+    @classmethod
+    def from_csv(cls, path: str | Path) -> "PanelDataset":
+        """Load a long `state,year,quarter,<variable>...` CSV."""
+        names, rows = read_quarterly_csv(path, ("state", "year", "quarter"))
+        return cls.from_rows((keys[0], q, dict(zip(names, values))) for keys, q, values in rows)
+
+    @property
+    def end(self) -> Quarter:
+        """The last quarter of the frame."""
+        return self.start + (self.present.shape[1] - 1)
+
+    def units(self) -> tuple[str, ...]:
+        return self.unit_names
+
+    def span(self) -> tuple[Quarter, Quarter]:
+        occupied = np.flatnonzero(self.present.any(axis=0))
+        return self.start + int(occupied[0]), self.start + int(occupied[-1])
+
+    def _gather(self, terms: Sequence[tuple[str, int]], span: tuple[Quarter, Quarter]) -> np.ndarray:
+        """Units × quarters × terms over the span; term (name, k) at q is `name` at q - k."""
+        out = np.empty((len(self.unit_names), span[1] - span[0] + 1, len(terms)))
+        for j, (name, k) in enumerate(terms):
+            if name not in self.names:
+                raise InvalidArgumentError(f"dataset has no variable {name!r}")
+            column = self.values[:, :, self.names.index(name)]
+            out[:, :, j] = _window(column, span[0] - k - self.start, out.shape[1], np.nan)
+        return out
+
+    def usable_rows(
+        self, dependent: str, terms: Sequence[tuple[str, int]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The dependent and the lagged terms over the frame (units × quarters
+        × (1 + terms)), the usable rows (every value finite), and each unit's
+        first usable quarter index and usable-row count. Each unit's usable
+        rows must form one gap-free run."""
+        yx = self._gather(((dependent, 0), *terms), (self.start, self.end))
+        usable = np.isfinite(yx).all(axis=2)
+        first, counts = usable.argmax(axis=1), usable.sum(axis=1)
+        t = np.arange(usable.shape[1])
+        run = (t >= first[:, None]) & (t < (first + counts)[:, None])
+        for unit, whole in zip(self.unit_names, (run == usable).all(axis=1)):
+            if not whole:
+                raise InvalidArgumentError(f"unit {unit!r} has gaps in its usable rows")
+        return yx, usable, first, counts
+
+    def predict(
+        self,
+        terms: Sequence[tuple[str, int]],
+        coefficients: Sequence[float],
+        span: tuple[Quarter, Quarter],
+        intercept: bool = False,
+    ) -> np.ndarray:
+        """Units × quarters of the lagged terms (after a column of ones with
+        `intercept`) times the coefficients over the span. A missing
+        predictor is an error naming the term, the unit and the quarter."""
+        x = self._gather(terms, span)
+        missing = np.argwhere(np.isnan(x))
+        if len(missing):
+            i, h, j = (int(v) for v in missing[0])
+            name, k = terms[j]
+            raise InvalidArgumentError(f"missing predictor {name!r} for unit {self.unit_names[i]!r} at {span[0] + h - k}")
+        if intercept:
+            x = np.concatenate([np.ones(x.shape[:2] + (1,)), x], axis=2)
+        # np.dot sums each (unit, quarter) row as one dot product, as row-by-row forecasts do.
+        return np.dot(x, np.asarray(coefficients))
+
+    def value(self, unit: str, q: Quarter, name: str) -> float:
+        """Variable `name` of `unit` at quarter `q`; NaN when missing."""
+        return float(self._gather([(name, 0)], (q, q))[self.unit_names.index(unit), 0, 0])
+
+    def with_unit_series(self, columns: Mapping[str, Mapping[str, TimeSeries]]) -> "PanelDataset":
+        """Add or replace variables: `columns[name][unit]` over that series'
+        quarters, and 0.0 in every other existing row."""
+        names = tuple(sorted(set(self.names) | set(columns)))
+        values = np.zeros(self.present.shape + (len(names),))
+        for j, name in enumerate(names):
+            if name not in columns:
+                values[:, :, j] = self.values[:, :, self.names.index(name)]
+            for i, unit in enumerate(self.unit_names):
+                if unit in columns.get(name, {}):
+                    series = columns[name][unit]
+                    lo = self.start - series.start
+                    values[i, :, j] = _window(series.to_array()[None], lo, values.shape[1], 0.0)[0]
+        values[~self.present] = np.nan
+        return PanelDataset(self.unit_names, self.start, names, values, self.present)
+
+    def restricted(self, units: Iterable[str], span: tuple[Quarter, Quarter]) -> "PanelDataset":
+        keep = set(units)
+        lo, n = span[0] - self.start, max(span[1] - span[0] + 1, 0)
+        present = _window(self.present, lo, n, False)
+        rows = [i for i, u in enumerate(self.unit_names) if u in keep and present[i].any()]
+        if not rows:
+            raise EmptyPanelError("no observations left after restriction")
+        kept = tuple(self.unit_names[i] for i in rows)
+        return PanelDataset(kept, span[0], self.names, _window(self.values[rows], lo, n, np.nan), present[rows])

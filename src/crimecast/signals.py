@@ -157,17 +157,16 @@ class QuarterlySignals:
         return TimeSeries(self._prefix() + "hate_reported_index", self.start, self.hate_reported_index)
 
 
-def _bucket(records: Sequence[ArticleRecord]) -> dict[Quarter, tuple[int, int]]:
-    counts: dict[Quarter, list[int]] = {}
+def _bucket(records: Sequence[ArticleRecord]) -> dict[tuple[str | None, Quarter], list[int]]:
+    """[news, events] per (state, quarter), in one pass over the records."""
+    counts: dict[tuple[str | None, Quarter], list[int]] = {}
     for record in records:
         if record.predicted_label is None:
             raise InvalidArgumentError(f"article {record.id!r} has no predicted_label")
-        q = record.quarter()
-        cell = counts.setdefault(q, [0, 0])
+        cell = counts.setdefault((record.state, record.quarter()), [0, 0])
         cell[0] += 1
-        if record.predicted_label == LABEL_POSITIVE:
-            cell[1] += 1
-    return {q: (news, events) for q, (news, events) in counts.items()}
+        cell[1] += record.predicted_label == LABEL_POSITIVE
+    return counts
 
 
 def _signals_from_buckets(
@@ -187,6 +186,22 @@ def _signals_from_buckets(
     return QuarterlySignals(start, tuple(news), tuple(events), tuple(index), state=state)
 
 
+def _national(
+    cells: Mapping[tuple[str | None, Quarter], list[int]], span: tuple[Quarter, Quarter] | None
+) -> QuarterlySignals:
+    """The (state, quarter) counts summed over the states, over the span (by
+    default from the first to the last quarter with records)."""
+    buckets: dict[Quarter, tuple[int, int]] = {}
+    for (_, q), (news, events) in cells.items():
+        n, e = buckets.get(q, (0, 0))
+        buckets[q] = (n + news, e + events)
+    if span is None:
+        if not buckets:
+            raise InvalidArgumentError("no records and no explicit span to aggregate over")
+        span = (min(buckets), max(buckets))
+    return _signals_from_buckets(buckets, span)
+
+
 def aggregate_quarterly(
     records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None = None
 ) -> QuarterlySignals:
@@ -195,12 +210,7 @@ def aggregate_quarterly(
     Every record must carry a predicted_label; quarters without records show
     zero counts. Records outside an explicit span are ignored.
     """
-    buckets = _bucket(records)
-    if span is None:
-        if not buckets:
-            raise InvalidArgumentError("no records and no explicit span to aggregate over")
-        span = (min(buckets), max(buckets))
-    return _signals_from_buckets(buckets, span)
+    return _national(_bucket(records), span)
 
 
 @dataclass(frozen=True)
@@ -218,20 +228,19 @@ class StateSignals:
 def aggregate_by_state(
     records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None = None
 ) -> StateSignals:
-    """Aggregate per (state, quarter); records must carry a resolved state."""
+    """Aggregate per (state, quarter); records must carry a resolved state.
+    The records are counted once; the national series sums the states."""
     for record in records:
         if record.state is None:
             raise InvalidArgumentError(f"article {record.id!r} has no resolved state")
-    national = aggregate_quarterly(records, span)
+    cells = _bucket(records)
+    national = _national(cells, span)
     frame = (national.start, national.start + (len(national) - 1))
-    states = sorted({r.state for r in records if r.state != UNKNOWN_STATE})
-    by_state = {
-        state: _signals_from_buckets(
-            _bucket([r for r in records if r.state == state]), frame, state=state
-        )
-        for state in states
-    }
-    unknown = sum(1 for r in records if r.state == UNKNOWN_STATE)
+    per_state: dict[str | None, dict[Quarter, list[int]]] = {}
+    for (state, q), cell in cells.items():
+        per_state.setdefault(state, {})[q] = cell
+    unknown = sum(n for n, _ in per_state.pop(UNKNOWN_STATE, {}).values())
+    by_state = {state: _signals_from_buckets(per_state[state], frame, state=state) for state in sorted(per_state)}
     share = unknown / len(records) if records else 0.0
     return StateSignals(national=national, by_state=by_state, unknown_share=share)
 

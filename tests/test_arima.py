@@ -9,7 +9,6 @@ from crimecast.arima import (
     Forecast,
     fit_arima,
     forecast_arima,
-    one_step_predictions,
     select_orders,
 )
 from crimecast.exceptions import InvalidArgumentError
@@ -131,10 +130,14 @@ class TestForecast:
         y = np.cumsum(ar1(0.4, 250, seed=13, c=0.5))
         ts = series(y)
         fit = fit_arima(ts, ArimaSpec(1, 1, 1, True))
-        preds = one_step_predictions(fit, ts)
-        offset = preds.start - ts.start
-        errors = ts.to_array()[offset:] - preds.to_array()
-        np.testing.assert_allclose(errors, fit.residuals.to_array(), atol=1e-9)
+        # One-step forecasts from each growing prefix; the shortest prefix
+        # that seeds the recursion (d + p + 1 = 3 values) predicts the second
+        # residual's quarter.
+        first = fit.residuals.start + 1
+        preds = [forecast_arima(fit, ts.window(ts.start, q - 1), 1, "dynamic").point_values[0]
+                 for q in (first + h for h in range(ts.end - first + 1))]
+        errors = ts.to_array()[first - ts.start :] - np.asarray(preds)
+        np.testing.assert_allclose(errors, fit.residuals.to_array()[1:], atol=1e-9)
 
     def test_dynamic_converges_to_process_mean(self):
         y = ar1(0.7, 3000, seed=44, c=1.5)

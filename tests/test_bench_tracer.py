@@ -1,11 +1,16 @@
 """The benchmark's tracer wraps crimecast functions by name; a refactor that
-renames or moves one of them would break `bench/run.py --trace 1`."""
+renames or moves one of them, or stops calling it, would break
+`bench/run.py --trace 1`."""
 
 import importlib
 import importlib.util
+import json
+import time
 from pathlib import Path
 
 import pytest
+
+from conftest import FIXTURES
 
 TRACER = Path(__file__).parents[1] / "bench" / "tracer.py"
 
@@ -26,3 +31,37 @@ def test_target_resolves(module_name, attr):
         assert method in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+def test_hooks_fill_the_layer_metrics_of_a_fixture_run(tmp_path):
+    """The wrappers `Tracer.install()` puts in place see the calls of a real
+    run: a fixture `signals` with the baseline detector and a `fit-forecast`
+    of all seven models fill the layer metrics, and no span ends in error."""
+    import crimecast.cli as cli
+
+    tracing = load_tracer()
+    raw = json.loads((FIXTURES / "config.json").read_text())
+    for key in ("articles", "gazetteer", "covariates", "fbi_series", "panel", "detector_train"):
+        raw[key] = str((FIXTURES / raw[key]).resolve())
+    precomputed, baseline = tmp_path / "precomputed.json", tmp_path / "baseline.json"
+    precomputed.write_text(json.dumps(raw))
+    baseline.write_text(json.dumps(raw | {"detector_source": "baseline", "detector_model": str(tmp_path / "model.json")}))
+    runs = (
+        ("signals", baseline),
+        ("fit-forecast", precomputed, "--models", "1,2,3,4,5,6,7"),
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    start = time.perf_counter()
+    try:
+        for command, config, *extra in runs:
+            with tracer.span("cli.main"):
+                assert cli.main([command, "--config", str(config), "--output-dir", str(tmp_path / command), *extra]) == 0
+    finally:
+        tracer.uninstall()
+    counts = {key: value for (_, key), value in tracer.counts.items()}
+    metrics = tracing.layer_metrics(tracer.spans, counts, time.perf_counter() - start)
+    assert metrics["regression.dataset.s"] > 0.0
+    assert metrics["panel.load.s"] > 0.0
+    assert metrics["detector.records_classified"] > 0
+    assert {name: value for name, value in metrics.items() if name.endswith(".errors") and value} == {}

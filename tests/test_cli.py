@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import crimecast
-from crimecast.cli import EXIT_INPUT_ERROR, EXIT_OK, UsageError, load_config, main
+from crimecast.cli import EXIT_INPUT_ERROR, EXIT_MODEL_ERROR, EXIT_OK, UsageError, load_config, main
 from crimecast.signals import load_articles
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GAZETTEER, GOLDEN
 
 CONFIG = FIXTURES / "config.json"
 
@@ -138,6 +138,30 @@ class TestMalformedInput:
         assert code == EXIT_INPUT_ERROR
         assert f"{repeated.resolve()}:{len(lines) + 1}: duplicate observation for CA 2007Q1" in err
 
+
+    @pytest.mark.parametrize("row", ["Atlantis\tZZ\t2", "Atlantis\tCA"], ids=["unknown-state", "two-fields"])
+    def test_malformed_gazetteer_row_exits_2_naming_path_line(self, tmp_path, capsys, row):
+        lines = GAZETTEER.read_text().splitlines() + [row]
+        corrupt = tmp_path / "gazetteer.tsv"
+        corrupt.write_text("\n".join(lines) + "\n")
+        code = run("signals", "--output-dir", str(tmp_path / "out"), "--gazetteer", str(corrupt))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {corrupt.resolve()}:{len(lines)}: " in err
+        assert "Traceback" not in err
+
+    def test_covariate_interior_gap_exits_2(self, tmp_path, capsys):
+        lines = (FIXTURES / "covariates.csv").read_text().splitlines()
+        cells = lines[10].split(",")
+        cells[-1] = ""
+        lines[10] = ",".join(cells)
+        gappy = tmp_path / "covariates.csv"
+        gappy.write_text("\n".join(lines) + "\n")
+        code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "2", "--covariates", str(gappy))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert "interior missing values" in err
+        assert "Traceback" not in err
 
     def test_output_dir_naming_a_file_exits_2(self, tmp_path, capsys):
         occupied = tmp_path / "out"
@@ -315,6 +339,19 @@ class TestModel1Readings:
         assert main(["fit-forecast", "--config", str(path), "--output-dir", str(out), "--models", "1"]) == EXIT_OK
         summary = json.loads((out / "arima_model1.json").read_text())
         assert summary["order"][1] == 1
+
+
+    def test_unconverged_model1_exits_1_without_report(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(absolute_config(arima_order=[5, 2, 5])))
+        out = tmp_path / "out"
+        code = main(["fit-forecast", "--config", str(path), "--output-dir", str(out), "--models", "1,2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_MODEL_ERROR
+        assert "model error: the Model 1 ARIMA(5,2,5) fit did not converge" in err
+        assert "Traceback" not in err
+        assert json.loads((out / "arima_model1.json").read_text())["converged"] is False
+        assert not (out / "report.json").exists() and not (out / "predictions_long.csv").exists()
 
 
 class TestOtherCommands:

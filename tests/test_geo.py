@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from crimecast.exceptions import InvalidArgumentError
@@ -27,23 +29,36 @@ class TestLoad:
 
     def test_unknown_state_code_rejected_with_line(self, tmp_path):
         path = write_gazetteer(tmp_path, [("Sacramento", "CA", 2), ("Atlantis", "XX", 2)])
-        with pytest.warns(UserWarning, match=":2"):
-            gaz = load_gazetteer(path)
-        assert len(gaz) == 1
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(path))}:2: unknown state code 'XX'$"):
+            load_gazetteer(path)
 
     def test_malformed_row_reported(self, tmp_path):
         path = tmp_path / "gaz.tsv"
         path.write_text("Sacramento\tCA\t2\nnot-enough-fields\n")
-        with pytest.warns(UserWarning, match="malformed"):
-            gaz = load_gazetteer(path)
-        assert len(gaz) == 1
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(path))}:2: malformed row"):
+            load_gazetteer(path)
 
     def test_zero_valid_rows(self, tmp_path):
         path = tmp_path / "gaz.tsv"
-        path.write_text("bad row\n")
-        with pytest.warns(UserWarning):
-            with pytest.raises(InvalidArgumentError):
-                load_gazetteer(path)
+        path.write_text("# name\tstate\tpriority\n\n")
+        with pytest.raises(InvalidArgumentError, match="no valid rows"):
+            load_gazetteer(path)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("Reno\tNV", "malformed row"),
+            ("Reno\tNV\t2\textra", "malformed row"),
+            ("--\tNV\t2", "empty name"),
+            ("Reno\tNV\thigh", "priority must be an integer"),
+            ("Reno\tNV\t7", "priority must be 1, 2, or 3"),
+        ],
+    )
+    def test_every_malformed_row_names_path_line(self, tmp_path, row, problem):
+        path = tmp_path / "gaz.tsv"
+        path.write_text(f"Sacramento\tCA\t2\n# comment\n{row}\nTexas\tTX\t3\n")
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(path))}:3: {problem}"):
+            load_gazetteer(path)
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(InvalidArgumentError):

@@ -31,12 +31,17 @@ def simulate_panel(seed, n_units=10, periods=20, slope=2.0, noise=0.1, sigma_u=1
     return PanelDataset.from_rows(rows)
 
 
+def present_quarters(panel: PanelDataset, unit: str) -> list:
+    """The quarters with an observation of `unit`, read from the row mask."""
+    return [panel.start + int(t) for t in np.flatnonzero(panel.present[panel.units().index(unit)])]
+
+
 def lsdv_oracle(panel: PanelDataset, spec: RegressionSpec) -> np.ndarray:
     """Dummy-variable OLS: slopes from a design with explicit unit dummies."""
     units = panel.units()
     ys, xs, dummies = [], [], []
     for i, unit in enumerate(units):
-        quarters = panel.unit_quarters(unit)
+        quarters = present_quarters(panel, unit)
         y_u = np.array([panel.value(unit, q, spec.dependent) for q in quarters])
         x_u = np.column_stack(
             [
@@ -159,7 +164,7 @@ class TestRandomEffects:
         # pooled OLS oracle
         ys, xs = [], []
         for unit in panel.units():
-            for q in panel.unit_quarters(unit):
+            for q in present_quarters(panel, unit):
                 ys.append(panel.value(unit, q, "y"))
                 xs.append(panel.value(unit, q, "x"))
         X = np.column_stack([np.ones(len(ys)), xs])
@@ -189,7 +194,7 @@ class TestRandomEffects:
         rows = [
             (u, q, {"y": panel.value(u, q, "y"), "x": panel.value(u, q, "x")})
             for u in panel.units()
-            for q in panel.unit_quarters(u)
+            for q in present_quarters(panel, u)
             if not (u == "U00" and q == Q0)
         ]
         with pytest.raises(InvalidArgumentError):
@@ -206,7 +211,7 @@ class TestRandomEffects:
         omega_inv = np.linalg.inv(fit.sigma2_e * np.eye(t_len) + fit.sigma2_u * np.ones((t_len, t_len)))
         xtx, xty = np.zeros((3, 3)), np.zeros(3)
         for unit in panel.units():
-            quarters = panel.unit_quarters(unit)[1:]
+            quarters = present_quarters(panel, unit)[1:]
             y_u = np.array([panel.value(unit, q, "y") for q in quarters])
             x_u = np.array([[1.0] + [panel.value(unit, q - k, name) for name, k in spec.terms] for q in quarters])
             xtx += x_u.T @ omega_inv @ x_u
@@ -234,7 +239,7 @@ class TestRowOrder:
         rows = [
             (u, q, {"y": panel.value(u, q, "y"), "x": panel.value(u, q, "x")})
             for u in panel.units()
-            for q in panel.unit_quarters(u)
+            for q in present_quarters(panel, u)
         ]
         order = np.random.default_rng(0).permutation(len(rows))
         shuffled = PanelDataset.from_rows([rows[i] for i in order])
@@ -286,7 +291,7 @@ class TestWithinAlgebra:
         panel = simulate_panel(seed=22, n_units=5, periods=12, noise=0.3)
         fit = fit_fixed_effects(panel, SPEC_X)
         for unit in panel.units():
-            quarters = panel.unit_quarters(unit)
+            quarters = present_quarters(panel, unit)
             y_mean = float(np.mean([panel.value(unit, q, "y") for q in quarters]))
             x_mean = float(np.mean([panel.value(unit, q, "x") for q in quarters]))
             assert fit.unit_effects[unit] + fit.slope("x") * x_mean == pytest.approx(y_mean, abs=1e-10)
