@@ -22,7 +22,7 @@ from .series import (
     lag,
     pacf,
 )
-from .signals import ArticleRecord, QuarterlySignals, aggregate_by_state, aggregate_quarterly, hate_reported_index
+from .signals import ArticleRecord, StateSignals, aggregate_by_state, aggregate_quarterly, hate_reported_index
 from .stattests import (
     TestResult,
     adf_test,
@@ -53,9 +53,9 @@ __all__ = [
     "PanelDataset",
     "PanelFit",
     "Quarter",
-    "QuarterlySignals",
     "RegressionFit",
     "RegressionSpec",
+    "StateSignals",
     "TestResult",
     "TimeSeries",
     "acf",

@@ -274,15 +274,14 @@ def _model1_spec(config: PipelineConfig, fit_series: TimeSeries) -> ArimaSpec:
 
 
 def _regression_data(
-    config: PipelineConfig, dependent: TimeSeries, national: signals_mod.QuarterlySignals | None
+    config: PipelineConfig, dependent: TimeSeries, national: PanelDataset | None
 ) -> tuple[Dataset, Dataset]:
     """The fit-range dataset and the forecast dataset (the dependent masked
     after the fit range) of the covariates, plus the national signals."""
     covariates = _load(Dataset.from_csv, config.covariates, "covariates")
-    pool = [dependent, *(covariates[name] for name in covariates.names)]
+    full = Dataset.align([dependent, *(covariates[name] for name in covariates.names)])
     if national is not None:
-        pool += [national.news_series(), national.events_series(), national.index_series()]
-    full = Dataset.align(pool)
+        full = full.joined(national)
     span = _span(config)
     if full.start > span[0] or full.end < span[1]:
         raise UsageError(f"covariates cover {full.start}..{full.end}, need {span[0]}..{span[1]}")
@@ -293,7 +292,7 @@ def _regression_data(
 
 
 def _national_report(
-    config: PipelineConfig, model_ids: list[int], national: signals_mod.QuarterlySignals | None
+    config: PipelineConfig, model_ids: list[int], national: PanelDataset | None
 ) -> ForecastReport:
     observed, deseasonalized, decomp = _national_series(config)
     span = _span(config)
@@ -337,17 +336,8 @@ def _panel_spec(config: PipelineConfig, model_id: int) -> RegressionSpec:
 
 
 def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: signals_mod.StateSignals) -> dict:
-    panel = _load(PanelDataset.from_csv, config.panel, "panel")
-    # Join the per-state quarterly signals onto the panel rows; a state
-    # without signals in a quarter gets zeros.
-    by_state = state_signals.by_state.items()
-    panel = panel.with_unit_series(
-        {
-            "news_num": {state: sig.news_series() for state, sig in by_state},
-            "event_detected_num": {state: sig.events_series() for state, sig in by_state},
-            "hate_reported_index": {state: sig.index_series() for state, sig in by_state},
-        }
-    )
+    # A panel state without signals in a quarter gets zeros.
+    panel = _load(PanelDataset.from_csv, config.panel, "panel").joined(state_signals.by_state)
     balanced, balance = balance_panel(
         panel, config.panel_min_coverage, span=_span(config), dependent=config.panel_dependent
     )
@@ -407,17 +397,13 @@ def cmd_detect(config: PipelineConfig) -> None:
 
 def cmd_signals(config: PipelineConfig) -> None:
     labeled = _labeled(config)
-    span = _span(config)
-    if labeled:
-        state_signals = signals_mod.aggregate_by_state(_resolved(config, labeled), span)
-    else:
-        state_signals = signals_mod.StateSignals(signals_mod.QuarterlySignals(span[0], (), (), ()), {}, 0.0)
-    signals_mod.write_signals_csv(state_signals.national, config.output_dir / "signals_national.csv")
-    signals_mod.write_state_signals_csv(state_signals, config.output_dir / "signals_by_state.csv")
+    signals = signals_mod.aggregate_by_state(_resolved(config, labeled), _span(config))
+    signals_mod.write_signals_csv(signals.national, config.output_dir / "signals_national.csv")
+    signals_mod.write_state_signals_csv(signals, config.output_dir / "signals_by_state.csv")
     if not labeled:
         print("signals: no records; wrote header-only CSVs")
     else:
-        print(f"signals: {len(state_signals.by_state)} states, unknown share {state_signals.unknown_share:.4f}")
+        print(f"signals: {len(signals.by_state.unit_names)} states, unknown share {signals.unknown_share:.4f}")
 
 
 def cmd_decompose(config: PipelineConfig) -> None:
@@ -440,6 +426,7 @@ def cmd_diagnose(config: PipelineConfig) -> None:
         "ljung_box_irregular": asdict(stattests.ljung_box(irregular, min(DIAGNOSE_LAGS, len(irregular) - 2))),
         "acf_pacf_order_suggestion": {"p": p, "q": q},
         "model1_residual_durbin_watson": stattests.durbin_watson(model1.residuals.values),
+        "model1_converged": model1.converged,
     }
     write_json(payload, config.output_dir / "diagnostics.json")
     print("diagnose: wrote diagnostics.json")

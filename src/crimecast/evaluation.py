@@ -125,9 +125,12 @@ def compare_models(entries: Sequence[ModelEntry], actual: TimeSeries) -> Forecas
 
 def hausman_decision(fe: PanelFit, re: PanelFit) -> dict:
     """The Hausman test of fixed against random effects, with the estimator
-    it favours at the 5% level."""
+    it favours at the 5% level and the random-effects variance components
+    (a truncated sigma2_u makes random effects pooled OLS)."""
     result = stattests.hausman_test(fe.slopes, fe.slope_cov, re.slopes, re.slope_cov)
-    return asdict(result) | {"decision": "fixed" if result.p_value < HAUSMAN_LEVEL else "random"}
+    decision = "fixed" if result.p_value < HAUSMAN_LEVEL else "random"
+    variance = {"sigma2_u": re.sigma2_u, "theta": re.theta, "sigma2_u_truncated": re.sigma2_u_truncated}
+    return asdict(result) | {"decision": decision} | variance
 
 
 def compare_predictions(a: ModelRow, b: ModelRow, actual: Sequence[float]) -> dict:

@@ -82,6 +82,7 @@ class PanelFit:
     log_likelihood: float
     residuals: Mapping[str, TimeSeries]
     n_obs: int
+    sigma2_u_truncated: bool = False  # random effects: a negative sigma2_u estimate was set to 0
 
     def slope(self, name: str) -> float:
         try:
@@ -212,7 +213,8 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
     resid_b = w.y_bar - xb @ beta_b
     s2_between = float(resid_b @ resid_b) / (n_units - k - 1)
     sigma2_u = s2_between - sigma2_e / t_len
-    if sigma2_u < 0.0:
+    truncated = sigma2_u < 0.0
+    if truncated:
         warnings.warn("negative sigma2_u estimate truncated at zero", stacklevel=2)
         sigma2_u = 0.0
     theta = 1.0 - np.sqrt(sigma2_e / (sigma2_e + t_len * sigma2_u))
@@ -244,6 +246,7 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
         log_likelihood=_gaussian_loglik(ssr_star, n)[1],
         residuals=w.unit_series(resid),
         n_obs=n,
+        sigma2_u_truncated=truncated,
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .arima import Forecast, _adjusted_r2, _gaussian_loglik
 from .exceptions import CollinearityError, DegenerateInputError, InvalidArgumentError
-from .series import PanelDataset, Quarter, TimeSeries, read_quarterly_csv
+from .series import NATIONAL, PanelDataset, Quarter, TimeSeries, read_quarterly_csv
 from .stattests import durbin_watson
 
 _CO_TOL = 1e-8
@@ -107,7 +107,7 @@ class Dataset(PanelDataset):
         if repeated:
             raise InvalidArgumentError(f"duplicate series name {repeated[0]!r}")
         values = np.column_stack([ts.values[start - ts.start : end - ts.start + 1] for ts in items])
-        return cls(("national",), start, names, values[None], np.ones((1, len(values)), dtype=bool))
+        return cls((NATIONAL,), start, names, values[None], np.ones((1, len(values)), dtype=bool))
 
     def __getitem__(self, name: str) -> TimeSeries:
         return TimeSeries(name, self.start, tuple(self._gather([(name, 0)], (self.start, self.end))[0, :, 0]))

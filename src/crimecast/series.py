@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -22,6 +22,8 @@ from .exceptions import DegenerateInputError, EmptyPanelError, InvalidArgumentEr
 from .reporting import format_float
 
 MISSING = float("nan")
+# The one unit of a national frame; a national signal frame joins onto it.
+NATIONAL = "national"
 
 _RECONSTRUCTION_TOL = 1e-6
 
@@ -501,21 +503,23 @@ class PanelDataset:
         """Variable `name` of `unit` at quarter `q`; NaN when missing."""
         return float(self._gather([(name, 0)], (q, q))[self.unit_names.index(unit), 0, 0])
 
-    def with_unit_series(self, columns: Mapping[str, Mapping[str, TimeSeries]]) -> "PanelDataset":
-        """Add or replace variables: `columns[name][unit]` over that series'
-        quarters, and 0.0 in every other existing row."""
-        names = tuple(sorted(set(self.names) | set(columns)))
+    def joined(self, other: "PanelDataset") -> "PanelDataset":
+        """Add or replace `other`'s variables (the variables sorted): its value
+        in each existing row of a unit and quarter that `other` has, and 0.0
+        in every other existing row."""
+        names = tuple(sorted(set(self.names) | set(other.names)))
         values = np.zeros(self.present.shape + (len(names),))
         for j, name in enumerate(names):
-            if name not in columns:
+            if name not in other.names:
                 values[:, :, j] = self.values[:, :, self.names.index(name)]
-            for i, unit in enumerate(self.unit_names):
-                if unit in columns.get(name, {}):
-                    series = columns[name][unit]
-                    lo = self.start - series.start
-                    values[i, :, j] = _window(series.to_array()[None], lo, values.shape[1], 0.0)[0]
+        cols = [names.index(name) for name in other.names]
+        covered = np.where(other.present[:, :, None], other.values, 0.0)
+        columns = _window(covered, self.start - other.start, values.shape[1], 0.0)
+        for i, unit in enumerate(self.unit_names):
+            if unit in other.unit_names:
+                values[i][:, cols] = columns[other.unit_names.index(unit)]
         values[~self.present] = np.nan
-        return PanelDataset(self.unit_names, self.start, names, values, self.present)
+        return replace(self, names=names, values=values)
 
     def restricted(self, units: Iterable[str], span: tuple[Quarter, Quarter]) -> "PanelDataset":
         keep = set(units)

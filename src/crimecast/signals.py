@@ -9,16 +9,20 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .exceptions import InvalidArgumentError
 from .geo import UNKNOWN_STATE
 from .reporting import format_float
-from .series import Quarter, TimeSeries
+from .series import NATIONAL, PanelDataset, Quarter
 
 LABEL_POSITIVE = "hate_crime"
 LABEL_NEGATIVE = "not_hate_crime"
 LABELS = (LABEL_POSITIVE, LABEL_NEGATIVE)
+# The variables of a signal frame, in the column order of the signal CSVs.
+SIGNALS = ("news_num", "event_detected_num", "hate_reported_index")
 
 
 @dataclass(frozen=True)
@@ -115,113 +119,70 @@ def hate_reported_index(event_detected_num: int, news_num: int) -> float:
     return event_detected_num / news_num
 
 
-@dataclass(frozen=True)
-class QuarterlySignals:
-    """Per-quarter counts and the derived reporting-intensity index."""
-
-    start: Quarter
-    news_num: tuple[int, ...]
-    event_detected_num: tuple[int, ...]
-    hate_reported_index: tuple[float, ...]
-    state: str | None = None
-
-    def __post_init__(self) -> None:
-        n = len(self.news_num)
-        if len(self.event_detected_num) != n or len(self.hate_reported_index) != n:
-            raise InvalidArgumentError("signal columns must have equal length")
-        for news, events, idx in zip(self.news_num, self.event_detected_num, self.hate_reported_index):
-            if events > news or news < 0 or events < 0:
-                raise InvalidArgumentError("need 0 <= event_detected_num <= news_num")
-            expected = events / news if news else 0.0
-            if abs(idx - expected) > 1e-12:
-                raise InvalidArgumentError("hate_reported_index inconsistent with counts")
-
-    def __len__(self) -> int:
-        return len(self.news_num)
-
-    def quarters(self) -> list[Quarter]:
-        return [self.start + i for i in range(len(self))]
-
-    def _prefix(self) -> str:
-        return f"{self.state}_" if self.state else ""
-
-    def news_series(self) -> TimeSeries:
-        return TimeSeries(self._prefix() + "news_num", self.start, tuple(float(v) for v in self.news_num))
-
-    def events_series(self) -> TimeSeries:
-        return TimeSeries(
-            self._prefix() + "event_detected_num", self.start, tuple(float(v) for v in self.event_detected_num)
-        )
-
-    def index_series(self) -> TimeSeries:
-        return TimeSeries(self._prefix() + "hate_reported_index", self.start, self.hate_reported_index)
-
-
-def _bucket(records: Sequence[ArticleRecord]) -> dict[tuple[str | None, Quarter], list[int]]:
-    """[news, events] per (state, quarter), in one pass over the records."""
-    counts: dict[tuple[str | None, Quarter], list[int]] = {}
+def _count(records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None) -> tuple[list, Quarter, np.ndarray]:
+    """The sorted states, the first quarter and the news and event counts
+    (states × quarters × 2) over the span (by default the first to the last
+    quarter with records), in one pass; a state outside the span keeps a row."""
+    cells: dict[tuple[str | None, int], list[int]] = {}
     for record in records:
         if record.predicted_label is None:
             raise InvalidArgumentError(f"article {record.id!r} has no predicted_label")
-        cell = counts.setdefault((record.state, record.quarter()), [0, 0])
+        d = record.date
+        cell = cells.setdefault((record.state, d.year * 4 + (d.month - 1) // 3), [0, 0])
         cell[0] += 1
         cell[1] += record.predicted_label == LABEL_POSITIVE
-    return counts
+    if span is not None:
+        lo, hi = (q.year * 4 + q.quarter - 1 for q in span)
+    elif cells:
+        lo, hi = min(t for _, t in cells), max(t for _, t in cells)
+    else:
+        raise InvalidArgumentError("no records and no explicit span to aggregate over")
+    states = sorted({state for state, _ in cells}, key=str)
+    row = {state: i for i, state in enumerate(states)}
+    counts = np.zeros((len(states), max(hi - lo + 1, 0), 2))
+    for (state, t), cell in cells.items():
+        if lo <= t <= hi:
+            counts[row[state], t - lo] = cell
+    return states, Quarter(lo // 4, lo % 4 + 1), counts
 
 
-def _signals_from_buckets(
-    buckets: Mapping[Quarter, tuple[int, int]],
-    span: tuple[Quarter, Quarter],
-    state: str | None = None,
-) -> QuarterlySignals:
-    start, end = span
-    news: list[int] = []
-    events: list[int] = []
-    index: list[float] = []
-    for i in range(end - start + 1):
-        n, e = buckets.get(start + i, (0, 0))
-        news.append(n)
-        events.append(e)
-        index.append(e / n if n else 0.0)
-    return QuarterlySignals(start, tuple(news), tuple(events), tuple(index), state=state)
+def _frame(units: Sequence[str], start: Quarter, counts: np.ndarray) -> PanelDataset:
+    """The signal frame of news and event counts (units × quarters × 2), every
+    row present; hate_reported_index is events / news, 0.0 where news is 0."""
+    news, events = counts[:, :, 0], counts[:, :, 1]
+    index = np.divide(events, news, out=np.zeros(news.shape), where=news > 0)
+    values = np.stack([news, events, index], axis=2)
+    return PanelDataset(tuple(units), start, SIGNALS, values, np.ones(news.shape, bool))
 
 
-def _national(
-    cells: Mapping[tuple[str | None, Quarter], list[int]], span: tuple[Quarter, Quarter] | None
-) -> QuarterlySignals:
-    """The (state, quarter) counts summed over the states, over the span (by
-    default from the first to the last quarter with records)."""
-    buckets: dict[Quarter, tuple[int, int]] = {}
-    for (_, q), (news, events) in cells.items():
-        n, e = buckets.get(q, (0, 0))
-        buckets[q] = (n + news, e + events)
-    if span is None:
-        if not buckets:
-            raise InvalidArgumentError("no records and no explicit span to aggregate over")
-        span = (min(buckets), max(buckets))
-    return _signals_from_buckets(buckets, span)
+def _summed(states: Sequence[str | None], start: Quarter, counts: np.ndarray) -> PanelDataset:
+    """The national frame: the counts summed over the states, without a unit
+    when there are no states (no records)."""
+    if not states:
+        return _frame((), start, counts)
+    return _frame((NATIONAL,), start, counts.sum(axis=0, keepdims=True))
 
 
 def aggregate_quarterly(
     records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None = None
-) -> QuarterlySignals:
-    """Count articles and detected events per quarter over the span.
+) -> PanelDataset:
+    """The national signal frame (unit NATIONAL): articles, detected events
+    and their ratio per quarter over the span.
 
     Every record must carry a predicted_label; quarters without records show
     zero counts. Records outside an explicit span are ignored.
     """
-    return _national(_bucket(records), span)
+    return _summed(*_count(records, span))
 
 
 @dataclass(frozen=True)
 class StateSignals:
-    """National signals plus one series per resolved state.
+    """The national and the per-state signal frame, over the same quarters.
+    UNKNOWN-state records count toward the national totals and the unknown
+    share only, records outside the span toward the share only."""
 
-    UNKNOWN-state records count toward the national totals only.
-    """
-
-    national: QuarterlySignals
-    by_state: Mapping[str, QuarterlySignals]
+    national: PanelDataset
+    by_state: PanelDataset
     unknown_share: float
 
 
@@ -229,42 +190,33 @@ def aggregate_by_state(
     records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None = None
 ) -> StateSignals:
     """Aggregate per (state, quarter); records must carry a resolved state.
-    The records are counted once; the national series sums the states."""
+    The records are counted once; the national frame sums the states."""
+    unknown = 0
     for record in records:
         if record.state is None:
             raise InvalidArgumentError(f"article {record.id!r} has no resolved state")
-    cells = _bucket(records)
-    national = _national(cells, span)
-    frame = (national.start, national.start + (len(national) - 1))
-    per_state: dict[str | None, dict[Quarter, list[int]]] = {}
-    for (state, q), cell in cells.items():
-        per_state.setdefault(state, {})[q] = cell
-    unknown = sum(n for n, _ in per_state.pop(UNKNOWN_STATE, {}).values())
-    by_state = {state: _signals_from_buckets(per_state[state], frame, state=state) for state in sorted(per_state)}
-    share = unknown / len(records) if records else 0.0
-    return StateSignals(national=national, by_state=by_state, unknown_share=share)
+        unknown += record.state == UNKNOWN_STATE
+    states, start, counts = _count(records, span)
+    known = [i for i, state in enumerate(states) if state != UNKNOWN_STATE]
+    by_state = _frame([states[i] for i in known], start, counts[known])
+    return StateSignals(_summed(states, start, counts), by_state, unknown / len(records) if records else 0.0)
 
 
-def write_signals_csv(signals: QuarterlySignals, path: str | Path) -> None:
+def write_signals_csv(frame: PanelDataset, path: str | Path, state_column: bool = False) -> None:
+    """One CSV row per unit and quarter of a signal frame, counts as integers;
+    with `state_column` the unit is written in a `state` column."""
+    quarters = [frame.start + t for t in range(frame.values.shape[1])]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["year", "quarter", "news_num", "event_detected_num", "hate_reported_index"])
-        for q, n, e, idx in zip(
-            signals.quarters(), signals.news_num, signals.event_detected_num, signals.hate_reported_index
-        ):
-            writer.writerow([q.year, q.quarter, n, e, format_float(idx)])
+        writer.writerow(["year", "quarter", *(["state"] if state_column else []), *SIGNALS])
+        for unit, rows in zip(frame.unit_names, frame.values.tolist()):
+            keys = [unit] if state_column else []
+            for q, (news, events, index) in zip(quarters, rows):
+                writer.writerow([q.year, q.quarter, *keys, int(news), int(events), format_float(index)])
 
 
 def write_state_signals_csv(state_signals: StateSignals, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "quarter", "state", "news_num", "event_detected_num", "hate_reported_index"])
-        for state in sorted(state_signals.by_state):
-            signals = state_signals.by_state[state]
-            for q, n, e, idx in zip(
-                signals.quarters(), signals.news_num, signals.event_detected_num, signals.hate_reported_index
-            ):
-                writer.writerow([q.year, q.quarter, state, n, e, format_float(idx)])
+    write_signals_csv(state_signals.by_state, path, state_column=True)
 
 
 def relabel(record: ArticleRecord, predicted_label: str) -> ArticleRecord:

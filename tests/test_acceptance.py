@@ -278,9 +278,13 @@ def test_criterion_12_index_arithmetic_and_reconciliation():
             resolved.append(with_state(record, resolution.state))
         out = aggregate_by_state(resolved)
         unknown = [r for r in resolved if r.state == "UNKNOWN"]
-        for i, q in enumerate(out.national.quarters()):
-            state_sum = sum(sig.news_num[i] for sig in out.by_state.values())
+        state_news = out.by_state.values[:, :, out.by_state.names.index("news_num")]
+        state_index = out.by_state.values[:, :, out.by_state.names.index("hate_reported_index")]
+        national_news = out.national.values[0, :, out.national.names.index("news_num")]
+        for i in range(len(national_news)):
+            q = out.national.start + i
+            state_sum = sum(state_news[:, i])
             unknown_count = sum(1 for r in unknown if Quarter.from_date(r.date) == q)
-            assert state_sum + unknown_count == out.national.news_num[i]
-            for sig in out.by_state.values():
-                assert 0.0 <= sig.hate_reported_index[i] <= 1.0
+            assert state_sum + unknown_count == national_news[i]
+            for index in state_index[:, i]:
+                assert 0.0 <= index <= 1.0

@@ -363,6 +363,14 @@ class TestOtherCommands:
         assert payload["adf"]["fbi_num"]["p_value"] > 0.05
         assert payload["adf"]["d_fbi_num_noseasonnal"]["p_value"] < 0.05
         assert 0.0 <= payload["model1_residual_durbin_watson"] <= 4.0
+        assert payload["model1_converged"] is True
+
+    def test_diagnose_flags_an_unconverged_model1(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(absolute_config(arima_order=[5, 2, 5])))
+        assert main(["diagnose", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+        payload = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert payload["model1_converged"] is False
 
     def test_decompose_outputs(self, tmp_path):
         assert run("decompose", "--output-dir", str(tmp_path)) == EXIT_OK
@@ -384,18 +392,19 @@ def loaded():
 import crimecast.cli
 loaded()
 config, out = sys.argv[1:]
-assert crimecast.cli.main(["decompose", "--config", config, "--output-dir", out]) == 0
-loaded()
+for command in ("detect", "signals", "evaluate-detector", "decompose"):
+    assert crimecast.cli.main([command, "--config", config, "--output-dir", out]) == 0
+    loaded()
 assert crimecast.cli.main(["fit-forecast", "--config", config, "--output-dir", out, "--models", "1,2,3,4,5,6,7"]) == 0
 loaded()
 """
 
 
 def test_commands_import_only_the_scipy_they_call(tmp_path):
-    """Importing the CLI loads no scipy, `decompose` calls none, and the
-    fixture `fit-forecast` of all seven models (drift: no MA term, so no BFGS
-    and no MA filter) loads neither scipy.stats, scipy.signal nor
-    scipy.optimize."""
+    """Importing the CLI loads no scipy, `detect`, `signals`,
+    `evaluate-detector` and `decompose` call none, and the fixture
+    `fit-forecast` of all seven models (drift: no MA term, so no BFGS and no
+    MA filter) loads neither scipy.stats, scipy.signal nor scipy.optimize."""
     env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(CONFIG), str(tmp_path)],
@@ -406,7 +415,6 @@ def test_commands_import_only_the_scipy_they_call(tmp_path):
         timeout=120,
     )
     steps = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
-    after_import, after_decompose, after_fit = steps
-    assert after_import == []
-    assert after_decompose == []
+    *before_fit, after_fit = steps
+    assert before_fit == [[]] * 5
     assert not {"scipy.stats", "scipy.signal", "scipy.optimize"} & set(after_fit)

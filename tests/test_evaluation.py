@@ -147,8 +147,9 @@ class TestPanelStatistics:
     @pytest.mark.parametrize("gap, decision", [(5.0, "fixed"), (0.1, "random")])
     def test_hausman_decision_at_5_percent(self, gap, decision):
         fe = SimpleNamespace(slopes=(1.0 + gap, 2.0), slope_cov=2.0 * np.eye(2))
-        re = SimpleNamespace(slopes=(1.0, 2.0), slope_cov=np.eye(2))
+        re = SimpleNamespace(slopes=(1.0, 2.0), slope_cov=np.eye(2), sigma2_u=0.5, theta=0.25, sigma2_u_truncated=False)
         result = hausman_decision(fe, re)
         assert result["statistic"] == pytest.approx(gap**2)
         assert result["dof_or_lags"] == 2
         assert result["decision"] == decision
+        assert (result["sigma2_u"], result["theta"], result["sigma2_u_truncated"]) == (0.5, 0.25, False)

@@ -188,6 +188,7 @@ class TestRandomEffects:
         with pytest.warns(UserWarning, match="sigma2_u"):
             fit = fit_random_effects(panel, SPEC_X)
         assert fit.sigma2_u == 0.0
+        assert fit.sigma2_u_truncated is True
 
     def test_unbalanced_rejected(self):
         panel = simulate_panel(seed=2, n_units=3, periods=10)
@@ -207,6 +208,7 @@ class TestRandomEffects:
         spec = RegressionSpec("y", (("x", 0), ("x", 1)))
         fit = fit_random_effects(panel, spec)
         assert fit.sigma2_u > 0.0
+        assert fit.sigma2_u_truncated is False
         t_len = 13
         omega_inv = np.linalg.inv(fit.sigma2_e * np.eye(t_len) + fit.sigma2_u * np.ones((t_len, t_len)))
         xtx, xty = np.zeros((3, 3)), np.zeros(3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from crimecast.exceptions import DegenerateInputError, InvalidArgumentError
 from crimecast.series import (
+    PanelDataset,
     Quarter,
     TimeSeries,
     acf,
@@ -272,3 +273,28 @@ class TestCsv:
         path.write_text("year,quarter,value\n2007,1,1.0\n2007,2,2.0\n2007,2,2.0\n")
         with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:4: duplicate observation for 2007Q2")):
             load_series_csv(path)
+
+
+class TestPanelJoin:
+    def test_join_fills_zeros_ignores_extra_units_and_keeps_absent_rows(self):
+        # NY has no row at Q0 + 1; the signals cover CA at Q0 + 2..Q0 + 3 only
+        # and carry a unit, TX, that the panel lacks.
+        panel = PanelDataset.from_rows(
+            [("CA", Q0 + t, {"y": 1.0 + t}) for t in range(3)] + [("NY", Q0 + t, {"y": 4.0 + t}) for t in (0, 2)]
+        )
+        signals = PanelDataset.from_rows(
+            [("CA", Q0 + 2, {"s": 8.0}), ("CA", Q0 + 3, {"s": 9.0}), ("TX", Q0 + 1, {"s": 5.0})]
+        )
+        joined = panel.joined(signals)
+        assert (joined.unit_names, joined.start, joined.names) == (("CA", "NY"), Q0, ("s", "y"))
+        np.testing.assert_array_equal(joined.present, panel.present)
+        value = lambda unit, t, name: joined.value(unit, Q0 + t, name)  # noqa: E731
+        assert [value("CA", t, "s") for t in range(3)] == [0.0, 0.0, 8.0]
+        assert [value("CA", t, "y") for t in range(3)] == [1.0, 2.0, 3.0]
+        assert value("NY", 0, "s") == value("NY", 2, "s") == 0.0
+        assert math.isnan(value("NY", 1, "s")) and math.isnan(value("NY", 1, "y"))
+
+    def test_join_replaces_a_variable_of_the_same_name(self):
+        panel = PanelDataset.from_rows([("CA", Q0, {"s": 1.0, "y": 2.0})])
+        joined = panel.joined(PanelDataset.from_rows([("CA", Q0, {"s": 3.0})]))
+        assert (joined.value("CA", Q0, "s"), joined.value("CA", Q0, "y")) == (3.0, 2.0)
