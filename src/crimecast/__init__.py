@@ -1,7 +1,7 @@
 """Quarterly crime-trend forecasting with news-derived event signals."""
 
-from .arima import ArimaFit, ArimaSpec, Forecast, fit_arima, forecast_arima, select_orders
-from .evaluation import ForecastReport, ModelEntry, compare_models, mape, rmse
+from .arima import ArimaFit, ArimaSpec, fit_arima, forecast_arima, select_orders
+from .evaluation import ForecastReport, ModelRow, compare_models, mape, rmse, score_model
 from .exceptions import (
     CollinearityError,
     CrimecastError,
@@ -22,7 +22,7 @@ from .series import (
     lag,
     pacf,
 )
-from .signals import ArticleRecord, StateSignals, aggregate_by_state, aggregate_quarterly, hate_reported_index
+from .signals import ArticleRecord, StateSignals, aggregate_by_state, aggregate_quarterly
 from .stattests import (
     TestResult,
     adf_test,
@@ -46,10 +46,9 @@ __all__ = [
     "DecompositionResult",
     "DegenerateInputError",
     "EmptyPanelError",
-    "Forecast",
     "ForecastReport",
     "InvalidArgumentError",
-    "ModelEntry",
+    "ModelRow",
     "PanelDataset",
     "PanelFit",
     "Quarter",
@@ -77,7 +76,6 @@ __all__ = [
     "forecast_arima",
     "forecast_panel",
     "forecast_regression",
-    "hate_reported_index",
     "hausman_test",
     "lag",
     "levene_test",
@@ -86,5 +84,6 @@ __all__ = [
     "pacf",
     "paired_t_test",
     "rmse",
+    "score_model",
     "select_orders",
 ]

@@ -1,5 +1,5 @@
 """ARIMA(p,d,q) estimation by conditional sum of squares, AIC order
-selection, and static/dynamic forecasting.
+selection, and dynamic forecasting.
 
 Estimation conditions on the first p observations of the differenced series
 with pre-sample innovations set to zero, and maximizes the concentrated
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInputError, InvalidArgumentError
-from .series import Quarter, TimeSeries, acf, pacf
+from .series import TimeSeries, acf, pacf
 
 logger = logging.getLogger(__name__)
 
@@ -63,25 +63,6 @@ class ArimaFit:
     converged: bool
 
 
-@dataclass(frozen=True)
-class Forecast:
-    """Point forecasts for the `horizon` quarters following `origin`."""
-
-    origin: Quarter
-    horizon: int
-    point_values: tuple[float, ...]
-    mode: str
-
-    def __post_init__(self) -> None:
-        if self.horizon < 1 or len(self.point_values) != self.horizon:
-            raise InvalidArgumentError("horizon must equal the number of point values and be >= 1")
-        if self.mode not in ("static", "dynamic"):
-            raise InvalidArgumentError(f"mode must be 'static' or 'dynamic', got {self.mode!r}")
-
-    def quarters(self) -> list[Quarter]:
-        return [self.origin + (h + 1) for h in range(self.horizon)]
-
-
 def _css_residuals(w: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> np.ndarray:
     """Innovations e_t for t = p..n-1 with zero pre-sample innovations."""
     p = len(ar)
@@ -127,24 +108,22 @@ def _reflect_ma(ma: np.ndarray) -> np.ndarray:
     return np.real(poly[1:])
 
 
+def _ar_lstsq(w: np.ndarray, spec: ArimaSpec, burn: int) -> np.ndarray:
+    """Least-squares [constant,] AR coefficients of w[burn:] on its p lags."""
+    n = len(w)
+    cols = [np.ones(n - burn)] if spec.include_constant else []
+    cols += [w[burn - i : n - i] for i in range(1, spec.p + 1)]
+    beta, *_ = np.linalg.lstsq(np.column_stack(cols), w[burn:], rcond=None)
+    return beta
+
+
 def _ar_init(w: np.ndarray, spec: ArimaSpec) -> np.ndarray:
     """Least-squares AR start values; MA terms start at zero."""
-    theta0: list[float] = []
     if spec.p:
-        cols = [np.ones(len(w) - spec.p)] if spec.include_constant else []
-        for i in range(1, spec.p + 1):
-            cols.append(w[spec.p - i : len(w) - i])
-        X = np.column_stack(cols)
-        beta, *_ = np.linalg.lstsq(X, w[spec.p :], rcond=None)
-        if spec.include_constant:
-            theta0.append(float(beta[0]))
-            theta0.extend(float(b) for b in beta[1:])
-        else:
-            theta0.extend(float(b) for b in beta)
-    elif spec.include_constant:
-        theta0.append(float(w.mean()))
-    theta0.extend([0.0] * spec.q)
-    return np.asarray(theta0, dtype=float)
+        head = _ar_lstsq(w, spec, spec.p)
+    else:
+        head = [w.mean()] if spec.include_constant else []
+    return np.concatenate([head, np.zeros(spec.q)])
 
 
 def _gaussian_loglik(ssr: float, n: int) -> tuple[float, float]:
@@ -188,11 +167,7 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
     elif spec.q == 0:
         # Pure AR: the conditional sum of squares is exactly linear least
         # squares on the lagged values, so the LS solution is the optimum.
-        cols = [np.ones(n - burn)] if spec.include_constant else []
-        for i in range(1, spec.p + 1):
-            cols.append(w[burn - i : n - i])
-        beta, *_ = np.linalg.lstsq(np.column_stack(cols), w[burn:], rcond=None)
-        c, ar, ma = _unpack(beta, spec)
+        c, ar, ma = _unpack(_ar_lstsq(w, spec, burn), spec)
         if not _ar_stationary(ar):
             converged = False
     else:
@@ -339,24 +314,14 @@ def _integrate_step(tails: list[float], w_value: float) -> float:
     return tails[0]
 
 
-def forecast_arima(
-    fit: ArimaFit,
-    history: TimeSeries,
-    horizon: int,
-    mode: str = "dynamic",
-    actuals: TimeSeries | None = None,
-) -> Forecast:
-    """Forecast `horizon` quarters past the end of `history`.
+def forecast_arima(fit: ArimaFit, history: TimeSeries, horizon: int) -> np.ndarray:
+    """The `horizon` dynamic forecasts past the end of `history`.
 
-    Dynamic mode feeds predictions back as lagged values with future
-    innovations at zero; static mode repeats one-step-ahead forecasts using
-    the observed values supplied in `actuals` (which must cover the forecast
-    range). Differences are integrated back to the level scale.
+    Predictions feed back as lagged values with future innovations at zero;
+    differences are integrated back to the level scale.
     """
     if horizon < 1:
         raise InvalidArgumentError(f"horizon must be >= 1, got {horizon}")
-    if mode not in ("static", "dynamic"):
-        raise InvalidArgumentError(f"mode must be 'static' or 'dynamic', got {mode!r}")
     spec = fit.spec
     y = history.to_array()
     if np.isnan(y).any():
@@ -365,21 +330,6 @@ def forecast_arima(
         raise InvalidArgumentError("history too short to seed the forecast recursion")
     ar = np.asarray(fit.ar_coeffs)
     ma = np.asarray(fit.ma_coeffs)
-    origin = history.end
-
-    if mode == "static":
-        if actuals is None:
-            raise InvalidArgumentError("static mode requires the observed values over the forecast range")
-        needed = [origin + (h + 1) for h in range(horizon)]
-        for q in needed:
-            if not actuals.has_value_at(q):
-                raise InvalidArgumentError(f"static mode missing observed value at {q}")
-        ext = np.concatenate([y, [actuals.value_at(q) for q in needed]])
-        w_ext = np.diff(ext, n=spec.d) if spec.d else ext
-        e = _css_residuals(w_ext, fit.constant, ar, ma)
-        offset = spec.d + spec.p
-        preds = ext[len(y) :] - e[len(y) - offset :]
-        return Forecast(origin, horizon, tuple(float(v) for v in preds), "static")
 
     w = np.diff(y, n=spec.d) if spec.d else y
     e_hist = _css_residuals(w, fit.constant, ar, ma)
@@ -396,8 +346,5 @@ def forecast_arima(
             wt += ma[j - 1] * e_ext[t - j]
         w_ext.append(wt)
         e_ext.append(0.0)
-        if spec.d:
-            preds.append(_integrate_step(tails, wt))
-        else:
-            preds.append(float(wt))
-    return Forecast(origin, horizon, tuple(preds), "dynamic")
+        preds.append(_integrate_step(tails, wt) if spec.d else wt)
+    return np.array(preds, dtype=float)

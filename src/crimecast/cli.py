@@ -17,10 +17,12 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import detector as detector_mod
 from . import evaluation, geo, signals as signals_mod, stattests
 from .arima import MAX_GRID_ORDER, ArimaSpec, fit_arima, fit_summary, forecast_arima, select_orders, suggest_orders_acf
-from .evaluation import ForecastReport, ModelEntry, compare_models
+from .evaluation import ForecastReport, compare_models, score_model
 from .exceptions import CrimecastError
 from .panel import PanelDataset, balance_panel, fit_fixed_effects, fit_random_effects, forecast_panel
 from .regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
@@ -305,24 +307,24 @@ def _national_report(
     fit_series = dependent.window(config.fit_start, config.fit_end)
     actual = dependent.window(config.holdout_start, config.holdout_end)
 
-    entries: list[ModelEntry] = []
+    rows: list[evaluation.ModelRow] = []
     if 1 in model_ids:
         fit = fit_arima(fit_series, _model1_spec(config, fit_series))
         write_json(fit_summary(fit), config.output_dir / "arima_model1.json")
         if not fit.converged:
             order = f"({fit.spec.p},{fit.spec.d},{fit.spec.q})"
             raise CrimecastError(f"the Model 1 ARIMA{order} fit did not converge; see arima_model1.json")
-        forecast = forecast_arima(fit, fit_series, len(actual), mode="dynamic")
-        entries.append(ModelEntry("Model 1", fit.adj_r_squared, fit.log_likelihood, forecast))
+        predicted = forecast_arima(fit, fit_series, len(actual))
+        rows.append(score_model("Model 1", fit.adj_r_squared, fit.log_likelihood, actual.values, predicted))
     regression_ids = [m for m in model_ids if m != 1]
     if regression_ids:
         fit_data, forecast_data = _regression_data(config, dependent, national)
         for model_id in regression_ids:
             fit = fit_ols(fit_data, build_model_spec(model_id))
-            forecast = forecast_regression(fit, forecast_data, (config.holdout_start, config.holdout_end))
-            entries.append(ModelEntry(f"Model {model_id}", fit.adj_r_squared, fit.log_likelihood, forecast))
+            predicted = forecast_regression(fit, forecast_data, (config.holdout_start, config.holdout_end))
+            rows.append(score_model(f"Model {model_id}", fit.adj_r_squared, fit.log_likelihood, actual.values, predicted))
 
-    report = compare_models(entries, actual)
+    report = compare_models(rows, actual)
     report.write_json(config.output_dir / "report.json")
     report.write_long_csv(config.output_dir / "predictions_long.csv")
     return report
@@ -341,11 +343,19 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
     balanced, balance = balance_panel(
         panel, config.panel_min_coverage, span=_span(config), dependent=config.panel_dependent
     )
-    fit_panel = balanced.restricted(balanced.units(), (config.fit_start, config.fit_end))
+    fit_panel = balanced.restricted(balanced.unit_names, (config.fit_start, config.fit_end))
     # Each model's predictions are stacked unit by unit (units in order), over
     # the holdout quarters, against the same stack of actual values.
-    holdout = [config.holdout_start + h for h in range(config.holdout_end - config.holdout_start + 1)]
-    actual = [balanced.value(unit, q, config.panel_dependent) for unit in balanced.units() for q in holdout]
+    holdout = (config.holdout_start, config.holdout_end)
+    actuals = balanced._gather([(config.panel_dependent, 0)], holdout)[:, :, 0]
+    missing = np.argwhere(np.isnan(actuals))
+    if len(missing):
+        i, h = (int(v) for v in missing[0])
+        raise UsageError(
+            f"panel has no {config.panel_dependent!r} value for state {balanced.unit_names[i]!r}"
+            f" at holdout quarter {holdout[0] + h}"
+        )
+    actual = actuals.ravel().tolist()
 
     rows: list[evaluation.ModelRow] = []
     hausman = {}
@@ -357,9 +367,8 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
             hausman[name] = evaluation.hausman_decision(fe, fit_random_effects(fit_panel, spec))
         except CrimecastError as exc:
             hausman[name] = {"error": str(exc)}
-        forecasts = forecast_panel(fe, balanced, (holdout[0], holdout[-1]))
-        predicted = [p for unit in balanced.units() for p in forecasts[unit].point_values]
-        rows.append(evaluation.score_model(name, fe.overall_r_squared, fe.log_likelihood, actual, predicted))
+        predicted = forecast_panel(fe, balanced, holdout).ravel().tolist()
+        rows.append(score_model(name, fe.overall_r_squared, fe.log_likelihood, actual, predicted))
 
     payload = {
         "holdout": {"start": str(config.holdout_start), "end": str(config.holdout_end)},

@@ -12,7 +12,6 @@ from typing import Sequence
 import numpy as np
 
 from . import reporting, stattests
-from .arima import Forecast
 from .exceptions import InvalidArgumentError
 from .panel import PanelFit
 from .series import TimeSeries
@@ -44,16 +43,6 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class ModelEntry:
-    """One fitted model's holdout forecast and its fit statistics."""
-
-    name: str
-    adj_r_squared: float
-    log_likelihood: float
-    forecast: Forecast
-
-
-@dataclass(frozen=True)
 class ModelRow:
     """One model's report row: its fit statistics, holdout errors and predictions."""
 
@@ -71,8 +60,10 @@ class ModelRow:
 def score_model(
     name: str, r_squared: float, log_likelihood: float, actual: Sequence[float], predicted: Sequence[float]
 ) -> ModelRow:
-    """The report row of a model whose holdout predictions are `predicted`."""
-    return ModelRow(name, r_squared, log_likelihood, rmse(actual, predicted), mape(actual, predicted), tuple(predicted))
+    """The report row of a model whose holdout predictions are `predicted`;
+    both reports score every model here."""
+    predicted = tuple(map(float, predicted))
+    return ModelRow(name, r_squared, log_likelihood, rmse(actual, predicted), mape(actual, predicted), predicted)
 
 
 @dataclass(frozen=True)
@@ -106,20 +97,10 @@ class ForecastReport:
                     )
 
 
-def compare_models(entries: Sequence[ModelEntry], actual: TimeSeries) -> ForecastReport:
-    """Score every model on the identical holdout range, in input order."""
-    if not entries:
+def compare_models(rows: Sequence[ModelRow], actual: TimeSeries) -> ForecastReport:
+    """The report of the models scored on the holdout `actual`, in input order."""
+    if not rows:
         raise InvalidArgumentError("need at least one model to compare")
-    horizon = len(actual)
-    expected_start = actual.start
-    rows = []
-    for entry in entries:
-        fc = entry.forecast
-        if fc.horizon != horizon or fc.origin + 1 != expected_start:
-            raise InvalidArgumentError(
-                f"model {entry.name!r} forecast range does not match the holdout"
-            )
-        rows.append(score_model(entry.name, entry.adj_r_squared, entry.log_likelihood, actual.values, fc.point_values))
     return ForecastReport(rows=tuple(rows), actual=actual)
 
 

@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arima import Forecast, _gaussian_loglik
+from .arima import _gaussian_loglik
 from .exceptions import (
     CollinearityError,
     EmptyPanelError,
@@ -55,9 +55,9 @@ def balance_panel(
     total = float(weight.sum())
     report = BalanceReport(
         span=span,
-        dropped=tuple(u for u, k in zip(panel.units(), kept) if not k),
-        retained=tuple(u for u, k in zip(panel.units(), kept) if k),
-        coverage=dict(zip(panel.units(), shares.tolist())),
+        dropped=tuple(u for u, k in zip(panel.unit_names, kept) if not k),
+        retained=tuple(u for u, k in zip(panel.unit_names, kept) if k),
+        coverage=dict(zip(panel.unit_names, shares.tolist())),
         retained_share=float(weight[kept].sum()) / total if total != 0.0 else 1.0,
     )
     return (panel.restricted(report.retained, span) if report.dropped else panel), report
@@ -120,7 +120,7 @@ class _Within:
 def _within(panel: PanelDataset, spec: RegressionSpec) -> _Within:
     """Stack the rows where the dependent and every lagged term are finite and
     demean them by unit; each unit needs one gap-free run of k + 2 or more."""
-    units = panel.units()
+    units = panel.unit_names
     if len(units) < 2:
         raise InvalidArgumentError("panel estimation needs at least 2 units")
     yx, usable, first, counts = panel.usable_rows(spec.dependent, spec.terms)
@@ -250,22 +250,19 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
     )
 
 
-def forecast_panel(
-    fit: PanelFit, panel: PanelDataset, span: tuple[Quarter, Quarter]
-) -> dict[str, Forecast]:
-    """Per-unit forecasts: unit intercept plus the common slopes.
+def forecast_panel(fit: PanelFit, panel: PanelDataset, span: tuple[Quarter, Quarter]) -> np.ndarray:
+    """Units × quarters forecasts over the span, rows in `panel.unit_names`:
+    each unit's intercept plus the common slopes.
 
     Units absent from training receive the average intercept with a warning.
     """
     start, end = span
-    horizon = end - start + 1
-    if horizon < 1:
+    if end < start:
         raise InvalidArgumentError(f"empty forecast span {start}..{end}")
-    units = panel.units()
+    units = panel.unit_names
     for unit in units:
         if fit.method == "fixed" and unit not in fit.unit_effects:
             warnings.warn(f"unit {unit!r} absent from training; using the average intercept", stacklevel=2)
     average = fit.average_effect()
     intercepts = np.array([fit.unit_effects.get(unit, average) for unit in units])
-    preds = intercepts[:, None] + panel.predict(fit.spec.terms, fit.slopes, span)
-    return {unit: Forecast(start - 1, horizon, tuple(p), "static") for unit, p in zip(units, preds.tolist())}
+    return intercepts[:, None] + panel.predict(fit.spec.terms, fit.slopes, span)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arima import Forecast, _adjusted_r2, _gaussian_loglik
+from .arima import _adjusted_r2, _gaussian_loglik
 from .exceptions import CollinearityError, DegenerateInputError, InvalidArgumentError
 from .series import NATIONAL, PanelDataset, Quarter, TimeSeries, read_quarterly_csv
 from .stattests import durbin_watson
@@ -279,34 +279,31 @@ def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
     )
 
 
-def forecast_regression(fit: RegressionFit, dataset: Dataset, span: tuple[Quarter, Quarter]) -> Forecast:
-    """Linear prediction per quarter over the inclusive span.
+def forecast_regression(fit: RegressionFit, dataset: Dataset, span: tuple[Quarter, Quarter]) -> np.ndarray:
+    """Linear predictions for each quarter of the inclusive span.
 
     With AR(1) errors the prediction adds rho * (previous structural
     residual), using actual residuals where the dependent is observed and
     propagating rho-discounted ones beyond.
     """
     start, end = span
-    horizon = end - start + 1
-    if horizon < 1:
+    if end < start:
         raise InvalidArgumentError(f"empty forecast span {start}..{end}")
     spec = fit.spec
     if fit.rho is None:
-        preds = dataset.predict(spec.terms, fit.coefficients, span, spec.include_intercept)[0]
-        return Forecast(start - 1, horizon, tuple(preds.tolist()), "static")
+        return dataset.predict(spec.terms, fit.coefficients, span, spec.include_intercept)[0]
 
-    walk = (fit.residuals.start - 1, end)  # from the first structural residual quarter
+    # From the first structural residual quarter, or from the span if it starts earlier.
+    walk = (min(fit.residuals.start - 1, start), end)
     cores = dataset.predict(spec.terms, fit.coefficients, walk, spec.include_intercept)[0].tolist()
     observed = dataset._gather([(spec.dependent, 0)], walk)[0, :, 0].tolist()
     e_prev: float | None = None
     preds: list[float] = []
-    propagated = False
     for i, (core, y) in enumerate(zip(cores, observed)):
         if walk[0] + i >= start:
             preds.append(core + (fit.rho * e_prev if e_prev is not None else 0.0))
         if not math.isnan(y):
             e_prev = y - core
         else:
-            propagated = True
             e_prev = fit.rho * e_prev if e_prev is not None else None
-    return Forecast(start - 1, horizon, tuple(preds), "dynamic" if propagated else "static")
+    return np.array(preds)

@@ -112,13 +112,6 @@ class TimeSeries:
             raise InvalidArgumentError(f"{q} is outside the frame of series {self.name!r}")
         return pos
 
-    def value_at(self, q: Quarter) -> float:
-        return self.values[self.index_of(q)]
-
-    def has_value_at(self, q: Quarter) -> bool:
-        pos = q - self.start
-        return 0 <= pos < len(self.values) and not math.isnan(self.values[pos])
-
     @property
     def defined_start(self) -> Quarter:
         for i, v in enumerate(self.values):
@@ -443,9 +436,6 @@ class PanelDataset:
     def end(self) -> Quarter:
         """The last quarter of the frame."""
         return self.start + (self.present.shape[1] - 1)
-
-    def units(self) -> tuple[str, ...]:
-        return self.unit_names
 
     def span(self) -> tuple[Quarter, Quarter]:
         occupied = np.flatnonzero(self.present.any(axis=0))

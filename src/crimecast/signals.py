@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -103,20 +102,6 @@ def write_articles(records: Iterable[ArticleRecord], path: str | Path) -> None:
             if r.state is not None:
                 payload["state"] = r.state
             fh.write(json.dumps(payload, sort_keys=False) + "\n")
-
-
-def hate_reported_index(event_detected_num: int, news_num: int) -> float:
-    """Share of articles flagged as hate-crime events in a quarter."""
-    if event_detected_num < 0 or news_num < 0:
-        raise InvalidArgumentError("counts must be >= 0")
-    if event_detected_num > news_num:
-        raise InvalidArgumentError(
-            f"event_detected_num {event_detected_num} exceeds news_num {news_num}"
-        )
-    if news_num == 0:
-        warnings.warn("news_num is 0; hate_reported_index set to 0", stacklevel=2)
-        return 0.0
-    return event_detected_num / news_num
 
 
 def _count(records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None) -> tuple[list, Quarter, np.ndarray]:

@@ -5,13 +5,13 @@ lines. Every numeric check is against an oracle, a simulation, or a stated
 tolerance; report layouts are pinned by golden files.
 """
 
+import datetime as dt
 import json
 import time
 import warnings
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from crimecast.arima import ArimaSpec, fit_arima, select_orders
 from crimecast.cli import EXIT_OK, main
@@ -20,7 +20,7 @@ from crimecast.geo import load_gazetteer, resolve_state
 from crimecast.panel import fit_fixed_effects, fit_random_effects
 from crimecast.regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
 from crimecast.series import Quarter, TimeSeries, decompose_additive, difference
-from crimecast.signals import aggregate_by_state, hate_reported_index, load_articles
+from crimecast.signals import ArticleRecord, aggregate_by_state, aggregate_quarterly, load_articles
 from crimecast.stattests import adf_test, cohens_kappa, durbin_watson, hausman_test, ljung_box
 
 from conftest import FIXTURES, GAZETTEER, GOLDEN, Q0, series
@@ -223,8 +223,7 @@ def test_criterion_09_event_factor_benefit():
             scores = {}
             for model_id in (2, 4):
                 fit = fit_ols(train, build_model_spec(model_id))
-                fc = forecast_regression(fit, data, holdout_span)
-                scores[model_id] = rmse(actual, fc.point_values)
+                scores[model_id] = rmse(actual, forecast_regression(fit, data, holdout_span))
             wins += scores[4] < scores[2]
         assert wins >= 90, f"Model 4 analog won only {wins}/100 replications"
 
@@ -264,10 +263,20 @@ def test_criterion_11_state_resolution_kappa():
 
 def test_criterion_12_index_arithmetic_and_reconciliation():
     with criterion(12, "index examples exact; state/national counts reconcile on every fixture"):
-        assert hate_reported_index(50, 1000) == 0.05
-        assert hate_reported_index(7, 7) == 1.0
-        with pytest.warns(UserWarning):
-            assert hate_reported_index(0, 0) == 0.0
+        def index(counts):
+            """hate_reported_index per quarter of 2010, `(events, news)` records in each."""
+            records = [
+                ArticleRecord(f"{q}-{i}", dt.date(2010, 3 * q + 1, 1), "t", "b",
+                              predicted_label="hate_crime" if i < events else "not_hate_crime")
+                for q, (events, news) in enumerate(counts)
+                for i in range(news)
+            ]
+            frame = aggregate_quarterly(records, (Quarter(2010, 1), Quarter(2010, len(counts))))
+            return frame.values[0, :, frame.names.index("hate_reported_index")].tolist()
+
+        assert index([(50, 1000)]) == [0.05]
+        assert index([(7, 7)]) == [1.0]
+        assert index([(1, 2), (0, 0), (1, 1)])[1] == 0.0
         records = load_articles(FIXTURES / "articles.jsonl")
         gaz = load_gazetteer(GAZETTEER)
         resolved = []

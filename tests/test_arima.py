@@ -6,13 +6,12 @@ import pytest
 from crimecast.arima import (
     ArimaFit,
     ArimaSpec,
-    Forecast,
     fit_arima,
     forecast_arima,
     select_orders,
 )
 from crimecast.exceptions import InvalidArgumentError
-from crimecast.series import Quarter, TimeSeries, difference
+from crimecast.series import TimeSeries, difference
 
 from conftest import Q0, ar1, series
 
@@ -101,30 +100,14 @@ class TestForecast:
             TimeSeries("r", Q0, (0.0, 0.0)), True,
         )
         history = series([96.0, 98.0, 100.0])
-        fc = forecast_arima(fit, history, 3, "dynamic")
-        assert fc.point_values == (102.0, 104.0, 106.0)
-        assert fc.origin == history.end
+        assert forecast_arima(fit, history, 3).tolist() == [102.0, 104.0, 106.0]
 
     def test_ar1_hand_recursion(self):
         fit = ArimaFit(
             ArimaSpec(1, 0, 0, False), 0.0, (0.5,), (), 1.0, 0.0, 0.0,
             TimeSeries("r", Q0, (0.0, 0.0)), True,
         )
-        fc = forecast_arima(fit, series([1.0, 2.0, 8.0]), 3, "dynamic")
-        assert fc.point_values == (4.0, 2.0, 1.0)
-
-    def test_static_equals_one_step_loop(self):
-        y = ar1(0.6, 200, seed=8, c=1.0)
-        full = series(y)
-        train = full.window(Q0, Q0 + 149)
-        actuals = TimeSeries("x", Q0 + 150, full.values[150:])
-        fit = fit_arima(train, ArimaSpec(1, 0, 1, True))
-        static = forecast_arima(fit, train, 50, "static", actuals=actuals)
-        singles = []
-        for h in range(50):
-            hist = full.window(Q0, Q0 + 149 + h)
-            singles.append(forecast_arima(fit, hist, 1, "dynamic").point_values[0])
-        np.testing.assert_allclose(static.point_values, singles, atol=1e-9)
+        assert forecast_arima(fit, series([1.0, 2.0, 8.0]), 3).tolist() == [4.0, 2.0, 1.0]
 
     def test_training_one_step_errors_equal_residuals(self):
         y = np.cumsum(ar1(0.4, 250, seed=13, c=0.5))
@@ -134,7 +117,7 @@ class TestForecast:
         # that seeds the recursion (d + p + 1 = 3 values) predicts the second
         # residual's quarter.
         first = fit.residuals.start + 1
-        preds = [forecast_arima(fit, ts.window(ts.start, q - 1), 1, "dynamic").point_values[0]
+        preds = [forecast_arima(fit, ts.window(ts.start, q - 1), 1)[0]
                  for q in (first + h for h in range(ts.end - first + 1))]
         errors = ts.to_array()[first - ts.start :] - np.asarray(preds)
         np.testing.assert_allclose(errors, fit.residuals.to_array()[1:], atol=1e-9)
@@ -142,19 +125,11 @@ class TestForecast:
     def test_dynamic_converges_to_process_mean(self):
         y = ar1(0.7, 3000, seed=44, c=1.5)
         fit = fit_arima(series(y), ArimaSpec(1, 0, 0, True))
-        fc = forecast_arima(fit, series(y), 200, "dynamic")
+        fc = forecast_arima(fit, series(y), 200)
         mean = fit.constant / (1.0 - sum(fit.ar_coeffs))
-        gaps = np.abs(np.asarray(fc.point_values) - mean)
+        gaps = np.abs(fc - mean)
         assert gaps[-1] < 1e-6
         assert np.all(gaps[1:] <= gaps[:-1] + 1e-12)
-
-    def test_static_requires_actuals(self):
-        fit = ArimaFit(
-            ArimaSpec(0, 1, 0, True), 2.0, (), (), 1.0, 0.0, 0.0,
-            TimeSeries("r", Q0, (0.0, 0.0)), True,
-        )
-        with pytest.raises(InvalidArgumentError):
-            forecast_arima(fit, series([1.0, 2.0, 3.0]), 2, "static")
 
     def test_zero_horizon_rejected(self):
         fit = ArimaFit(
@@ -162,11 +137,7 @@ class TestForecast:
             TimeSeries("r", Q0, (0.0, 0.0)), True,
         )
         with pytest.raises(InvalidArgumentError):
-            forecast_arima(fit, series([1.0, 2.0]), 0, "dynamic")
-
-    def test_forecast_quarters(self):
-        fc = Forecast(Quarter(2018, 4), 2, (1.0, 2.0), "dynamic")
-        assert fc.quarters() == [Quarter(2019, 1), Quarter(2019, 2)]
+            forecast_arima(fit, series([1.0, 2.0]), 0)
 
 
 class TestSelectOrders:

@@ -163,6 +163,25 @@ class TestMalformedInput:
         assert "interior missing values" in err
         assert "Traceback" not in err
 
+    def test_retained_state_without_holdout_actual_exits_2(self, tmp_path, capsys):
+        # Coverage 0.9 keeps CA with one empty fbi_num; in the holdout it
+        # would score every model against NaN.
+        lines = (FIXTURES / "panel.csv").read_text().splitlines()
+        row = lines.index(next(line for line in lines if line.startswith("CA,2019,4,")))
+        cells = lines[row].split(",")
+        cells[3] = ""
+        lines[row] = ",".join(cells)
+        (tmp_path / "panel.csv").write_text("\n".join(lines) + "\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(absolute_config(panel=str(tmp_path / "panel.csv"), panel_min_coverage=0.9)))
+        out = tmp_path / "out"
+        code = main(["fit-forecast", "--config", str(config), "--output-dir", str(out), "--models", "6,7"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert "error: panel has no 'fbi_num' value for state 'CA' at holdout quarter 2019Q4" in err
+        assert "Traceback" not in err
+        assert not (out / "panel_report.json").exists()
+
     def test_output_dir_naming_a_file_exits_2(self, tmp_path, capsys):
         occupied = tmp_path / "out"
         occupied.write_text("")

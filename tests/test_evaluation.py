@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crimecast.arima import Forecast
 from crimecast.evaluation import (
-    ModelEntry,
     compare_models,
     compare_predictions,
     hausman_decision,
@@ -68,15 +66,14 @@ class TestMape:
         assert mape(a, p) != pytest.approx(mape(a + 100.0, p + 100.0))
 
 
-def entry(name, values, origin=Quarter(2018, 4), r2=0.5, ll=-100.0):
-    fc = Forecast(origin, len(values), tuple(values), "dynamic")
-    return ModelEntry(name, r2, ll, fc)
+def entry(name, values, actual, r2=0.5, ll=-100.0):
+    return score_model(name, r2, ll, actual.values, values)
 
 
 class TestCompareModels:
     def test_single_perfect_model(self):
         actual = TimeSeries("y", Quarter(2019, 1), (10.0, 11.0, 12.0, 13.0))
-        report = compare_models([entry("Model 1", [10.0, 11.0, 12.0, 13.0])], actual)
+        report = compare_models([entry("Model 1", [10.0, 11.0, 12.0, 13.0], actual)], actual)
         assert report.rows[0].rmse == 0.0
         assert report.rows[0].mape == 0.0
 
@@ -86,27 +83,28 @@ class TestCompareModels:
         base = actual_values + rng.normal(0, 0.5, 4)
         noisy = base + rng.normal(0, 5.0, 4)
         report = compare_models(
-            [entry("clean", base), entry("noisy", noisy)], actual
+            [entry("clean", base, actual), entry("noisy", noisy, actual)], actual
         )
         assert report.rows[1].rmse >= report.rows[0].rmse
 
     def test_row_count_and_column_order(self, tmp_path):
         actual = TimeSeries("y", Quarter(2019, 1), (10.0, 11.0))
-        entries = [entry(f"Model {k}", [10.0, 11.0], origin=Quarter(2018, 4)) for k in (1, 2, 3)]
+        entries = [entry(f"Model {k}", [10.0, 11.0], actual) for k in (1, 2, 3)]
         report = compare_models(entries, actual)
         payload = report.to_dict()
         assert len(payload["models"]) == 3
         assert list(payload["models"][0]) == ["Models", "R-Squared", "Log Likelihood", "RMSE", "MAPE"]
 
     def test_misaligned_holdout_rejected(self):
+        # Predictions for three quarters against a two-quarter holdout.
         actual = TimeSeries("y", Quarter(2019, 1), (10.0, 11.0))
         with pytest.raises(InvalidArgumentError):
-            compare_models([entry("m", [10.0, 11.0], origin=Quarter(2018, 3))], actual)
+            compare_models([entry("m", [10.0, 11.0, 12.0], actual)], actual)
 
     def test_long_csv_shape(self, tmp_path):
         actual = TimeSeries("y", Quarter(2019, 1), (10.0, 11.0))
         report = compare_models(
-            [entry("Model 1", [9.0, 12.0]), entry("Model 2", [10.5, 10.5])], actual
+            [entry("Model 1", [9.0, 12.0], actual), entry("Model 2", [10.5, 10.5], actual)], actual
         )
         path = tmp_path / "long.csv"
         report.write_long_csv(path)

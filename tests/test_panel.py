@@ -33,12 +33,12 @@ def simulate_panel(seed, n_units=10, periods=20, slope=2.0, noise=0.1, sigma_u=1
 
 def present_quarters(panel: PanelDataset, unit: str) -> list:
     """The quarters with an observation of `unit`, read from the row mask."""
-    return [panel.start + int(t) for t in np.flatnonzero(panel.present[panel.units().index(unit)])]
+    return [panel.start + int(t) for t in np.flatnonzero(panel.present[panel.unit_names.index(unit)])]
 
 
 def lsdv_oracle(panel: PanelDataset, spec: RegressionSpec) -> np.ndarray:
     """Dummy-variable OLS: slopes from a design with explicit unit dummies."""
-    units = panel.units()
+    units = panel.unit_names
     ys, xs, dummies = [], [], []
     for i, unit in enumerate(units):
         quarters = present_quarters(panel, unit)
@@ -83,7 +83,7 @@ class TestBalance:
     def test_zero_coverage_identity(self):
         panel = self.make_gappy_panel()
         balanced, report = balance_panel(panel, 0.0)
-        assert balanced.units() == panel.units()
+        assert balanced.unit_names == panel.unit_names
         assert report.dropped == ()
 
     def test_single_complete_unit(self):
@@ -97,7 +97,7 @@ class TestBalance:
         panel = self.make_gappy_panel()
         once, _ = balance_panel(panel, 1.0)
         twice, report = balance_panel(once, 1.0)
-        assert twice.units() == once.units()
+        assert twice.unit_names == once.unit_names
         assert report.dropped == ()
 
     def test_all_dropped(self):
@@ -163,7 +163,7 @@ class TestRandomEffects:
         assert fit.theta < 0.35
         # pooled OLS oracle
         ys, xs = [], []
-        for unit in panel.units():
+        for unit in panel.unit_names:
             for q in present_quarters(panel, unit):
                 ys.append(panel.value(unit, q, "y"))
                 xs.append(panel.value(unit, q, "x"))
@@ -194,7 +194,7 @@ class TestRandomEffects:
         panel = simulate_panel(seed=2, n_units=3, periods=10)
         rows = [
             (u, q, {"y": panel.value(u, q, "y"), "x": panel.value(u, q, "x")})
-            for u in panel.units()
+            for u in panel.unit_names
             for q in present_quarters(panel, u)
             if not (u == "U00" and q == Q0)
         ]
@@ -212,7 +212,7 @@ class TestRandomEffects:
         t_len = 13
         omega_inv = np.linalg.inv(fit.sigma2_e * np.eye(t_len) + fit.sigma2_u * np.ones((t_len, t_len)))
         xtx, xty = np.zeros((3, 3)), np.zeros(3)
-        for unit in panel.units():
+        for unit in panel.unit_names:
             quarters = present_quarters(panel, unit)[1:]
             y_u = np.array([panel.value(unit, q, "y") for q in quarters])
             x_u = np.array([[1.0] + [panel.value(unit, q - k, name) for name, k in spec.terms] for q in quarters])
@@ -240,7 +240,7 @@ class TestRowOrder:
         panel = simulate_panel(seed=41, n_units=6, periods=15, noise=1.0)
         rows = [
             (u, q, {"y": panel.value(u, q, "y"), "x": panel.value(u, q, "x")})
-            for u in panel.units()
+            for u in panel.unit_names
             for q in present_quarters(panel, u)
         ]
         order = np.random.default_rng(0).permutation(len(rows))
@@ -255,24 +255,25 @@ class TestRowOrder:
 class TestForecastPanel:
     def test_noiseless_recovery(self):
         panel = simulate_panel(seed=5, noise=0.0, periods=24)
-        train = panel.restricted(panel.units(), (Q0, Q0 + 19))
+        train = panel.restricted(panel.unit_names, (Q0, Q0 + 19))
         fit = fit_fixed_effects(train, SPEC_X)
         forecasts = forecast_panel(fit, panel, (Q0 + 20, Q0 + 23))
-        for unit, fc in forecasts.items():
+        assert forecasts.shape == (len(panel.unit_names), 4)
+        for unit, fc in zip(panel.unit_names, forecasts):
             actual = [panel.value(unit, Q0 + 20 + h, "y") for h in range(4)]
-            np.testing.assert_allclose(fc.point_values, actual, atol=1e-8)
+            np.testing.assert_allclose(fc, actual, atol=1e-8)
 
     def test_unknown_unit_gets_average_effect(self):
         panel = simulate_panel(seed=6, n_units=4, periods=12)
-        train = panel.restricted(tuple(panel.units())[:3], (Q0, Q0 + 11))
+        train = panel.restricted(panel.unit_names[:3], (Q0, Q0 + 11))
         fit = fit_fixed_effects(train, SPEC_X)
         with pytest.warns(UserWarning, match="average intercept"):
             forecasts = forecast_panel(fit, panel, (Q0 + 4, Q0 + 5))
-        unseen = tuple(panel.units())[3]
+        unseen = panel.unit_names[3]
         avg = float(np.mean(list(fit.unit_effects.values())))
         x_val = panel.value(unseen, Q0 + 4, "x")
         expected = avg + fit.slope("x") * x_val
-        assert forecasts[unseen].point_values[0] == pytest.approx(expected, abs=1e-10)
+        assert forecasts[3, 0] == pytest.approx(expected, abs=1e-10)
 
     def test_missing_predictor_names_unit_and_quarter(self):
         panel = simulate_panel(seed=9, n_units=3, periods=10)
@@ -292,7 +293,7 @@ class TestWithinAlgebra:
     def test_unit_effects_reconstruct_unit_means(self):
         panel = simulate_panel(seed=22, n_units=5, periods=12, noise=0.3)
         fit = fit_fixed_effects(panel, SPEC_X)
-        for unit in panel.units():
+        for unit in panel.unit_names:
             quarters = present_quarters(panel, unit)
             y_mean = float(np.mean([panel.value(unit, q, "y") for q in quarters]))
             x_mean = float(np.mean([panel.value(unit, q, "x") for q in quarters]))

@@ -208,7 +208,7 @@ class TestForecastRegression:
         ds = Dataset.align([TimeSeries("y", Q0, tuple([7.0] * 20))])
         fit = fit_ols(ds, RegressionSpec("y", ()))
         fc = forecast_regression(fit, ds, (Q0 + 10, Q0 + 13))
-        assert fc.point_values == pytest.approx([7.0] * 4, abs=1e-9)
+        assert fc == pytest.approx([7.0] * 4, abs=1e-9)
 
     def test_exact_line_extended(self):
         n, horizon = 16, 4
@@ -222,7 +222,7 @@ class TestForecastRegression:
         )
         fit = fit_ols(full.window(Q0, Q0 + n - 1), RegressionSpec("y", (("x", 0),)))
         fc = forecast_regression(fit, full, (Q0 + n, Q0 + n + horizon - 1))
-        np.testing.assert_allclose(fc.point_values, y[n:], atol=1e-9)
+        np.testing.assert_allclose(fc, y[n:], atol=1e-9)
 
     def test_missing_predictor_named(self, rng):
         n = 20
@@ -262,8 +262,7 @@ class TestForecastRegression:
         for h in range(horizon):
             expected.append(b0 + b1 * x[n + h] + fit.rho * e_prev)
             e_prev = fit.rho * e_prev
-        np.testing.assert_allclose(fc.point_values, expected, atol=1e-9)
-        assert fc.mode == "dynamic"
+        np.testing.assert_allclose(fc, expected, atol=1e-9)
 
     def test_ar1_error_uses_observed_residuals_when_available(self):
         rng = np.random.default_rng(9)
@@ -279,11 +278,29 @@ class TestForecastRegression:
         spec = RegressionSpec("y", (("x", 0),), ar_error_order=1)
         fit = fit_ols(full.window(Q0, Q0 + n - 1), spec)
         fc = forecast_regression(fit, full, (Q0 + n, Q0 + n + horizon - 1))
-        assert fc.mode == "static"
         b0, b1 = fit.coefficients
         e_hand = y - (b0 + b1 * x)
         expected = [b0 + b1 * x[n + h] + fit.rho * e_hand[n + h - 1] for h in range(horizon)]
-        np.testing.assert_allclose(fc.point_values, expected, atol=1e-9)
+        np.testing.assert_allclose(fc, expected, atol=1e-9)
+
+    def test_ar1_error_span_before_the_first_residual(self):
+        # The dependent starts two quarters after x, so the fit's first
+        # residual is at Q0 + 3. A span from Q0 still gets one prediction per
+        # quarter: no residual term before the first observed one, then rho
+        # times the observed residual.
+        rng = np.random.default_rng(10)
+        n = 24
+        x = rng.normal(size=n)
+        y = 1.0 + 2.0 * x + rng.normal(0, 0.2, n)
+        y[:2] = np.nan
+        full = Dataset.align([TimeSeries("y", Q0, tuple(y)), TimeSeries("x", Q0, tuple(x))])
+        fit = fit_ols(full, RegressionSpec("y", (("x", 0),), ar_error_order=1))
+        assert fit.residuals.start == Q0 + 3
+        fc = forecast_regression(fit, full, (Q0, Q0 + 4))
+        b0, b1 = fit.coefficients
+        core = b0 + b1 * x
+        expected = list(core[:3]) + [core[h] + fit.rho * (y[h - 1] - core[h - 1]) for h in (3, 4)]
+        np.testing.assert_allclose(fc, expected, atol=1e-9)
 
 
 class TestDatasetIO:

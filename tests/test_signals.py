@@ -12,7 +12,6 @@ from crimecast.signals import (
     ArticleRecord,
     aggregate_by_state,
     aggregate_quarterly,
-    hate_reported_index,
     load_articles,
     write_articles,
 )
@@ -46,30 +45,30 @@ def rec(i, year=2010, month=2, label="not_hate_crime", state=None):
     )
 
 
+def index_of_counts(events, news):
+    """hate_reported_index of one quarter holding `news` records, `events` of them hate_crime."""
+    records = [rec(i, label="hate_crime" if i < events else "not_hate_crime") for i in range(news)]
+    return column(aggregate_quarterly(records), "hate_reported_index")[0]
+
+
 class TestIndex:
     def test_basic_ratio(self):
-        assert hate_reported_index(50, 1000) == 0.05
+        assert index_of_counts(50, 1000) == 0.05
 
-    def test_zero_news_warns(self):
-        with pytest.warns(UserWarning):
-            assert hate_reported_index(0, 0) == 0.0
+    def test_quarter_without_news_is_zero(self):
+        records = [rec(0, month=2), rec(1, month=8, label="hate_crime")]
+        signals = aggregate_quarterly(records)
+        assert column(signals, "news_num") == (1, 0, 1)
+        assert column(signals, "hate_reported_index") == (0.0, 0.0, 1.0)
 
     def test_boundary_one(self):
-        assert hate_reported_index(7, 7) == 1.0
-
-    def test_event_exceeding_news_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            hate_reported_index(3, 2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            hate_reported_index(-1, 5)
+        assert index_of_counts(7, 7) == 1.0
 
     @given(st.integers(0, 100), st.integers(0, 100))
     @settings(max_examples=50)
     def test_in_unit_interval(self, e, n):
         if e <= n and n > 0:
-            assert 0.0 <= hate_reported_index(e, n) <= 1.0
+            assert 0.0 <= index_of_counts(e, n) <= 1.0
 
 
 class TestAggregateQuarterly:
