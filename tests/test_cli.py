@@ -278,8 +278,8 @@ class TestSignals:
 class TestFitForecast:
     def test_national_report_golden(self, tmp_path):
         assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "1,2,3,4,5") == EXIT_OK
-        assert (tmp_path / "report.json").read_bytes() == (GOLDEN / "report.json").read_bytes()
-        assert (tmp_path / "predictions_long.csv").read_bytes() == (GOLDEN / "predictions_long.csv").read_bytes()
+        for name in ("report.json", "predictions_long.csv", "arima_model1.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_five_row_report_shape(self, tmp_path):
         assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "1,2,3,4,5") == EXIT_OK
@@ -376,6 +376,7 @@ class TestModel1Readings:
 class TestOtherCommands:
     def test_diagnose_outputs(self, tmp_path):
         assert run("diagnose", "--output-dir", str(tmp_path)) == EXIT_OK
+        assert (tmp_path / "diagnostics.json").read_bytes() == (GOLDEN / "diagnostics.json").read_bytes()
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert set(payload["adf"]) == {"fbi_num", "fbi_num_noseasonnal", "d_fbi_num_noseasonnal"}
         assert payload["ljung_box_irregular"]["p_value"] <= 1.0
