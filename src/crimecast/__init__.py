@@ -19,7 +19,6 @@ from .series import (
     decompose_additive,
     deseasonalize,
     difference,
-    lag,
     pacf,
 )
 from .signals import ArticleRecord, StateSignals, aggregate_by_state, aggregate_quarterly
@@ -77,7 +76,6 @@ __all__ = [
     "forecast_panel",
     "forecast_regression",
     "hausman_test",
-    "lag",
     "levene_test",
     "ljung_box",
     "mape",

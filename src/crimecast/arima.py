@@ -32,22 +32,21 @@ MAX_GRID_ORDER = 5
 
 @dataclass(frozen=True)
 class ArimaSpec:
-    """Model orders: AR(p), d-fold differencing, MA(q), optional constant."""
+    """Model orders: AR(p), d-fold differencing, MA(q). The equation of the
+    differenced series always has a constant (the drift when d = 1), so a
+    model has p + q + 1 parameters."""
 
     p: int
     d: int
     q: int
-    include_constant: bool = True
 
     def __post_init__(self) -> None:
         if min(self.p, self.d, self.q) < 0:
             raise InvalidArgumentError("orders p, d, q must be >= 0")
-        if self.p + self.q + int(self.include_constant) < 1 and self.d < 1:
-            raise InvalidArgumentError("model has no parameters and no differencing")
 
     @property
     def n_params(self) -> int:
-        return self.p + self.q + int(self.include_constant)
+        return self.p + self.q + 1
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,9 @@ def _css_residuals(w: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> n
 
 
 def _unpack(theta: np.ndarray, spec: ArimaSpec) -> tuple[float, np.ndarray, np.ndarray]:
-    i = 0
-    c = 0.0
-    if spec.include_constant:
-        c = float(theta[0])
-        i = 1
-    ar = np.asarray(theta[i : i + spec.p], dtype=float)
-    ma = np.asarray(theta[i + spec.p : i + spec.p + spec.q], dtype=float)
-    return c, ar, ma
+    ar = np.asarray(theta[1 : 1 + spec.p], dtype=float)
+    ma = np.asarray(theta[1 + spec.p : 1 + spec.p + spec.q], dtype=float)
+    return float(theta[0]), ar, ma
 
 
 def _ar_stationary(ar: np.ndarray) -> bool:
@@ -109,20 +103,16 @@ def _reflect_ma(ma: np.ndarray) -> np.ndarray:
 
 
 def _ar_lstsq(w: np.ndarray, spec: ArimaSpec, burn: int) -> np.ndarray:
-    """Least-squares [constant,] AR coefficients of w[burn:] on its p lags."""
+    """Least-squares constant and AR coefficients of w[burn:] on its p lags."""
     n = len(w)
-    cols = [np.ones(n - burn)] if spec.include_constant else []
-    cols += [w[burn - i : n - i] for i in range(1, spec.p + 1)]
+    cols = [np.ones(n - burn)] + [w[burn - i : n - i] for i in range(1, spec.p + 1)]
     beta, *_ = np.linalg.lstsq(np.column_stack(cols), w[burn:], rcond=None)
     return beta
 
 
 def _ar_init(w: np.ndarray, spec: ArimaSpec) -> np.ndarray:
     """Least-squares AR start values; MA terms start at zero."""
-    if spec.p:
-        head = _ar_lstsq(w, spec, spec.p)
-    else:
-        head = [w.mean()] if spec.include_constant else []
+    head = _ar_lstsq(w, spec, spec.p) if spec.p else [w.mean()]
     return np.concatenate([head, np.zeros(spec.q)])
 
 
@@ -161,7 +151,7 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
 
     converged = True
     if spec.p == 0 and spec.q == 0:
-        c = float(w[burn:].mean()) if spec.include_constant else 0.0
+        c = float(w[burn:].mean())
         ar = np.empty(0)
         ma = np.empty(0)
     elif spec.q == 0:
@@ -239,7 +229,7 @@ def fit_summary(fit: ArimaFit) -> dict:
     likelihood, adjusted R^2, convergence)."""
     return {
         "order": [fit.spec.p, fit.spec.d, fit.spec.q],
-        "include_constant": fit.spec.include_constant,
+        "include_constant": True,  # every ArimaSpec has a constant
         "constant": fit.constant,
         "ar_coeffs": list(fit.ar_coeffs),
         "ma_coeffs": list(fit.ma_coeffs),
@@ -276,12 +266,12 @@ def select_orders(series: TimeSeries, max_p: int, max_q: int) -> ArimaSpec:
     if not 0 <= max_p <= MAX_GRID_ORDER or not 0 <= max_q <= MAX_GRID_ORDER:
         raise InvalidArgumentError(f"max_p and max_q must be in 0..{MAX_GRID_ORDER}")
     if max_p == 0 and max_q == 0:
-        return ArimaSpec(0, 0, 0, include_constant=True)
+        return ArimaSpec(0, 0, 0)
 
     scored: list[tuple[float, int, int]] = []
     for p in range(max_p + 1):
         for q in range(max_q + 1):
-            spec = ArimaSpec(p, 0, q, include_constant=True)
+            spec = ArimaSpec(p, 0, q)
             try:
                 fit = fit_arima(series, spec, _burn=max_p)
             except (InvalidArgumentError, DegenerateInputError):
@@ -302,7 +292,7 @@ def select_orders(series: TimeSeries, max_p: int, max_q: int) -> ArimaSpec:
         q_sel,
         heuristic,
     )
-    return ArimaSpec(p_sel, 0, q_sel, include_constant=True)
+    return ArimaSpec(p_sel, 0, q_sel)
 
 
 def _integrate_step(tails: list[float], w_value: float) -> float:

@@ -23,7 +23,7 @@ from . import detector as detector_mod
 from . import evaluation, geo, signals as signals_mod, stattests
 from .arima import MAX_GRID_ORDER, ArimaSpec, fit_arima, fit_summary, forecast_arima, select_orders, suggest_orders_acf
 from .evaluation import ForecastReport, compare_models, score_model
-from .exceptions import CrimecastError
+from .exceptions import CrimecastError, InvalidArgumentError
 from .panel import PanelDataset, balance_panel, fit_fixed_effects, fit_random_effects, forecast_panel
 from .regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
 from .reporting import write_json
@@ -131,6 +131,20 @@ def _arima_order(value) -> str | tuple[int, int, int]:
     return order
 
 
+def _period(value) -> int:
+    period = _int(value)
+    if period < 2:
+        raise ValueError(f"must be at least 2, got {period}")
+    return period
+
+
+def _share(value) -> float:
+    share = float(value)
+    if not 0.0 <= share <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {value!r}")
+    return share
+
+
 def _grid_bound(value) -> int:
     bound = _int(value)
     if not 0 <= bound <= MAX_GRID_ORDER:
@@ -162,9 +176,9 @@ _CONVERTERS = {
     "arima_max_p": _grid_bound,
     "arima_max_q": _grid_bound,
     "detector_source": _detector_source,
-    "decomposition_period": _int,
+    "decomposition_period": _period,
     "panel_dependent": str,
-    "panel_min_coverage": float,
+    "panel_min_coverage": _share,
     "panel_terms_model6": _terms,
     "panel_terms_model7": _terms,
 }
@@ -246,7 +260,7 @@ def _resolved(config: PipelineConfig, records: list[signals_mod.ArticleRecord]) 
         return records
     gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
     return [
-        r if r.state is not None else signals_mod.with_state(r, geo.resolve_state(r.text(), gaz).state)
+        r if r.state is not None else replace(r, state=geo.resolve_state(r.text(), gaz).state)
         for r in records
     ]
 
@@ -255,10 +269,24 @@ def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:
     return config.fit_start, config.holdout_end
 
 
+def _check_predictors(data: PanelDataset, terms, span: tuple[Quarter, Quarter], path: Path) -> None:
+    """A blank predictor cell of the forecast span in `path` is an input error."""
+    try:
+        data.predictors(terms, span)
+    except InvalidArgumentError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 def _national_series(config: PipelineConfig) -> tuple[TimeSeries, TimeSeries, DecompositionResult]:
     """Load the national series and return (observed, deseasonalized, decomposition)."""
     observed = _load(load_series_csv, config.fbi_series, "fbi_series", name="fbi_num")
-    decomp = decompose_additive(observed, config.decomposition_period)
+    period = config.decomposition_period
+    if len(observed) < 2 * period:
+        raise UsageError(
+            f"config key 'decomposition_period': {period} needs at least {2 * period} quarters,"
+            f" {config.fbi_series} has {len(observed)}"
+        )
+    decomp = decompose_additive(observed, period)
     return observed, deseasonalize(observed, decomp), decomp
 
 
@@ -272,7 +300,7 @@ def _model1_spec(config: PipelineConfig, fit_series: TimeSeries) -> ArimaSpec:
     if order is None:  # "auto"
         selected = select_orders(difference(fit_series, 1), config.arima_max_p, config.arima_max_q)
         order = (selected.p, 1, selected.q)
-    return ArimaSpec(*order, include_constant=True)
+    return ArimaSpec(*order)
 
 
 def _regression_data(
@@ -305,7 +333,14 @@ def _national_report(
     _write_decomposition(config, observed, decomp)
     dependent = deseasonalized.window(*span)
     fit_series = dependent.window(config.fit_start, config.fit_end)
-    actual = dependent.window(config.holdout_start, config.holdout_end)
+    holdout = (config.holdout_start, config.holdout_end)
+    actual = dependent.window(*holdout)
+
+    regression_ids = [m for m in model_ids if m != 1]
+    if regression_ids:
+        fit_data, forecast_data = _regression_data(config, dependent, national)
+        for model_id in regression_ids:
+            _check_predictors(forecast_data, build_model_spec(model_id).terms, holdout, config.covariates)
 
     rows: list[evaluation.ModelRow] = []
     if 1 in model_ids:
@@ -316,13 +351,10 @@ def _national_report(
             raise CrimecastError(f"the Model 1 ARIMA{order} fit did not converge; see arima_model1.json")
         predicted = forecast_arima(fit, fit_series, len(actual))
         rows.append(score_model("Model 1", fit.adj_r_squared, fit.log_likelihood, actual.values, predicted))
-    regression_ids = [m for m in model_ids if m != 1]
-    if regression_ids:
-        fit_data, forecast_data = _regression_data(config, dependent, national)
-        for model_id in regression_ids:
-            fit = fit_ols(fit_data, build_model_spec(model_id))
-            predicted = forecast_regression(fit, forecast_data, (config.holdout_start, config.holdout_end))
-            rows.append(score_model(f"Model {model_id}", fit.adj_r_squared, fit.log_likelihood, actual.values, predicted))
+    for model_id in regression_ids:
+        fit = fit_ols(fit_data, build_model_spec(model_id))
+        predicted = forecast_regression(fit, forecast_data, holdout)
+        rows.append(score_model(f"Model {model_id}", fit.adj_r_squared, fit.log_likelihood, actual.values, predicted))
 
     report = compare_models(rows, actual)
     report.write_json(config.output_dir / "report.json")
@@ -340,6 +372,12 @@ def _panel_spec(config: PipelineConfig, model_id: int) -> RegressionSpec:
 def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: signals_mod.StateSignals) -> dict:
     # A panel state without signals in a quarter gets zeros.
     panel = _load(PanelDataset.from_csv, config.panel, "panel").joined(state_signals.by_state)
+    specs = {model_id: _panel_spec(config, model_id) for model_id in model_ids}
+    variables = [("panel_dependent", config.panel_dependent)]
+    variables += [(f"panel_terms_model{m}", name) for m, spec in specs.items() for name, _ in spec.terms]
+    for key, name in variables:
+        if name not in panel.names:
+            raise UsageError(f"config key {key!r}: {config.panel} has no variable {name!r}")
     balanced, balance = balance_panel(
         panel, config.panel_min_coverage, span=_span(config), dependent=config.panel_dependent
     )
@@ -356,12 +394,13 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
             f" at holdout quarter {holdout[0] + h}"
         )
     actual = actuals.ravel().tolist()
+    for spec in specs.values():
+        _check_predictors(balanced, spec.terms, holdout, config.panel)
 
     rows: list[evaluation.ModelRow] = []
     hausman = {}
-    for model_id in model_ids:
+    for model_id, spec in specs.items():
         name = f"Model {model_id}"
-        spec = _panel_spec(config, model_id)
         fe = fit_fixed_effects(fit_panel, spec)
         try:
             hausman[name] = evaluation.hausman_decision(fe, fit_random_effects(fit_panel, spec))
@@ -431,7 +470,7 @@ def cmd_diagnose(config: PipelineConfig) -> None:
     model1 = fit_arima(deseasonalized, _model1_spec(config, deseasonalized))
     adf_inputs = {"fbi_num": observed, "fbi_num_noseasonnal": deseasonalized, "d_fbi_num_noseasonnal": differenced}
     payload = {
-        "adf": {name: asdict(stattests.adf_test(s, max_lag, "constant")) for name, s in adf_inputs.items()},
+        "adf": {name: asdict(stattests.adf_test(s, max_lag)) for name, s in adf_inputs.items()},
         "ljung_box_irregular": asdict(stattests.ljung_box(irregular, min(DIAGNOSE_LAGS, len(irregular) - 2))),
         "acf_pacf_order_suggestion": {"p": p, "q": q},
         "model1_residual_durbin_watson": stattests.durbin_watson(model1.residuals.values),

@@ -1,28 +1,29 @@
-"""Pluggable article-level event detection behind a stable interface.
+"""Article-level event detection: the baseline classifier and its metrics.
 
-The bundled baseline is a logistic bag-of-words classifier trained by fixed
-full-batch gradient descent so the end-to-end pipeline runs without any
-external model; detectors built elsewhere plug in by supplying records with
-predicted_label already filled.
+The baseline is a logistic bag-of-words classifier trained by fixed
+full-batch gradient descent, so the end-to-end pipeline runs without any
+external model. Labels from a detector built elsewhere enter the pipeline as
+the predicted_label field of the article records.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import InvalidArgumentError
 from .geo import _tokenize
-from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord, relabel
+from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord
 
-
-class Detector(Protocol):
-    def classify(self, record: ArticleRecord) -> tuple[str, float]: ...
+# Training settings of the baseline, recorded in the model's metadata.
+_LEARNING_RATE = 0.1
+_EPOCHS = 100
+_MIN_TOKEN_COUNT = 2  # occurrences in the training split that keep a token
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,10 @@ def train_baseline(
     corpus: Sequence[ArticleRecord],
     split: tuple = (0.7, 0.1, 0.2),
     seed: int = 0,
-    learning_rate: float = 0.1,
-    epochs: int = 100,
-    min_token_count: int = 2,
 ) -> BaselineModel:
     """Train the logistic bag-of-words baseline.
 
-    Tokens are lowercased and kept when they occur at least min_token_count
+    Tokens are lowercased and kept when they occur at least _MIN_TOKEN_COUNT
     times in the training split; optimization is full-batch gradient descent,
     so the run is reproducible bit for bit given the seed (which only drives
     the split shuffle). The decision threshold maximizes F1 on the validation
@@ -171,7 +169,7 @@ def train_baseline(
     for record in train:
         for token in _tokenize(record.text()):
             counts[token] = counts.get(token, 0) + 1
-    tokens = sorted(t for t, c in counts.items() if c >= min_token_count)
+    tokens = sorted(t for t, c in counts.items() if c >= _MIN_TOKEN_COUNT)
     if not tokens:
         raise InvalidArgumentError("no tokens survive the frequency cutoff")
     index = {t: j for j, t in enumerate(tokens)}
@@ -181,11 +179,11 @@ def train_baseline(
     w = np.zeros(len(tokens))
     b = 0.0
     n = len(train)
-    for _ in range(epochs):
+    for _ in range(_EPOCHS):
         z = X @ w + b
         err = 1.0 / (1.0 + np.exp(-z)) - y
-        w -= learning_rate * (X.T @ err) / n
-        b -= learning_rate * float(err.mean())
+        w -= _LEARNING_RATE * (X.T @ err) / n
+        b -= _LEARNING_RATE * float(err.mean())
 
     if validation:
         Xv = _count_matrix(validation, index)
@@ -204,9 +202,9 @@ def train_baseline(
 
     metadata = {
         "seed": seed,
-        "epochs": epochs,
-        "learning_rate": learning_rate,
-        "min_token_count": min_token_count,
+        "epochs": _EPOCHS,
+        "learning_rate": _LEARNING_RATE,
+        "min_token_count": _MIN_TOKEN_COUNT,
         "split_sizes": [len(train), len(validation), len(test)],
         "validation_f1": validation_f1,
     }
@@ -219,14 +217,14 @@ def train_baseline(
 
 
 def classify_corpus(
-    model: Detector, records: Sequence[ArticleRecord]
+    model: BaselineModel, records: Sequence[ArticleRecord]
 ) -> tuple[list[ArticleRecord], dict[str, float]]:
     """Label every record; scores are returned for threshold audits."""
     labeled: list[ArticleRecord] = []
     scores: dict[str, float] = {}
     for record in records:
         label, score = model.classify(record)
-        labeled.append(relabel(record, label))
+        labeled.append(replace(record, predicted_label=label))
         scores[record.id] = score
     return labeled, scores
 

@@ -16,7 +16,7 @@ from .exceptions import (
     InvalidArgumentError,
 )
 from .regression import RegressionSpec, _qr_solve
-from .series import PanelDataset, Quarter, TimeSeries, _window
+from .series import PanelDataset, Quarter, TimeSeries
 
 
 @dataclass(frozen=True)
@@ -29,26 +29,21 @@ class BalanceReport:
 
 
 def balance_panel(
-    panel: PanelDataset,
-    min_coverage: float = 1.0,
-    span: tuple[Quarter, Quarter] | None = None,
-    dependent: str | None = None,
+    panel: PanelDataset, min_coverage: float, span: tuple[Quarter, Quarter], dependent: str
 ) -> tuple[PanelDataset, BalanceReport]:
-    """Drop units whose coverage over the modeling span is below min_coverage.
+    """Drop units whose coverage of the modeling span is below min_coverage;
+    when any unit is dropped, the panel is also restricted to the span.
 
-    Coverage counts quarters with an observation (with a finite dependent
-    value when `dependent` is given). The report carries the retained share
-    of the dependent variable's total (of the observation count without one).
+    Coverage counts the quarters of the span with a finite `dependent` value
+    (a missing row has none). The report carries the retained units' share
+    of the dependent's total over the span.
     """
     if not 0.0 <= min_coverage <= 1.0:
         raise InvalidArgumentError("min_coverage must be in [0, 1]")
-    start, end = span = span or panel.span()
-    covered = weight = _window(panel.present, start - panel.start, end - start + 1, False)
-    if dependent is not None:
-        dep = panel._gather([(dependent, 0)], span)[:, :, 0]
-        covered = covered & ~np.isnan(dep)
-        weight = np.where(covered, dep, 0.0)
-    shares = covered.sum(axis=1) / (end - start + 1)
+    dep = panel._gather([(dependent, 0)], span)[:, :, 0]
+    covered = ~np.isnan(dep)
+    weight = np.where(covered, dep, 0.0)
+    shares = covered.sum(axis=1) / dep.shape[1]
     kept = shares >= min_coverage
     if not kept.any():
         raise EmptyPanelError("balancing dropped every unit")

@@ -49,12 +49,12 @@ _INDEX_TERM: tuple[tuple[str, int], ...] = (("hate_reported_index", 0),)
 
 @dataclass(frozen=True)
 class RegressionSpec:
-    """Declarative regression: dependent, (variable, lag) terms, intercept,
-    and optional AR(1) error structure."""
+    """Declarative regression: dependent, (variable, lag) terms and optional
+    AR(1) error structure. The national fits add an intercept; the panel fits
+    take the unit effects instead."""
 
     dependent: str
     terms: tuple[tuple[str, int], ...]
-    include_intercept: bool = True
     ar_error_order: int = 0
 
     def __post_init__(self) -> None:
@@ -81,12 +81,7 @@ def build_model_spec(model_id: int) -> RegressionSpec:
         terms = _MODEL2_TERMS + _EVENT_TERMS + _INDEX_TERM
     else:
         raise InvalidArgumentError(f"unknown model id {model_id}; expected 2, 3, 4, or 5")
-    return RegressionSpec(
-        dependent=DEPENDENT_NAME,
-        terms=terms,
-        include_intercept=True,
-        ar_error_order=1 if model_id == 5 else 0,
-    )
+    return RegressionSpec(dependent=DEPENDENT_NAME, terms=terms, ar_error_order=1 if model_id == 5 else 0)
 
 
 class Dataset(PanelDataset):
@@ -151,15 +146,13 @@ class RegressionFit:
 
 def _build_design(dataset: Dataset, spec: RegressionSpec) -> tuple[np.ndarray, np.ndarray, list[str], Quarter]:
     """Assemble (y, X, column names, first used quarter) from the one
-    gap-free run of rows where the dependent and every lagged term are finite."""
+    gap-free run of rows where the dependent and every lagged term are finite;
+    X starts with the intercept column."""
     yx, _, first, counts = dataset.usable_rows(spec.dependent, spec.terms)
     mat = yx[0, first[0] : first[0] + counts[0]]
-    y, X = mat[:, 0], mat[:, 1:]
-    names = list(spec.term_names())
-    if spec.include_intercept:
-        X = np.column_stack([np.ones(len(y)), X])
-        names = ["intercept"] + names
-    return y, X, names, dataset.start + int(first[0])
+    y = mat[:, 0]
+    X = np.column_stack([np.ones(len(y)), mat[:, 1:]])
+    return y, X, ["intercept", *spec.term_names()], dataset.start + int(first[0])
 
 
 def _qr_solve(X: np.ndarray, y: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -218,62 +211,43 @@ def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
 
     beta, xtx_inv = _qr_solve(X, y, names)
     resid = y - X @ beta
-
-    if spec.ar_error_order == 0:
-        ssr = float(resid @ resid)
-        s2 = ssr / (n - k)
-        std_errors = tuple(float(v) for v in np.sqrt(np.clip(s2 * np.diag(xtx_inv), 0.0, None)))
-        sigma2, loglik, adj_r2 = _gaussian_fit_stats(y, resid, k)
-        dw = durbin_watson(resid) if ssr > 0.0 else float("nan")
-        residual_series = TimeSeries(spec.dependent + "_residuals", start_used, tuple(resid))
-        return RegressionFit(
-            spec=spec,
-            coef_names=tuple(names),
-            coefficients=tuple(float(b) for b in beta),
-            std_errors=std_errors,
-            residuals=residual_series,
-            sigma2=sigma2,
-            log_likelihood=loglik,
-            adj_r_squared=adj_r2,
-            durbin_watson=dw,
-            n_used=n,
-            rho=None,
-        )
-
-    # Cochrane-Orcutt: transform out the AR(1) error, refit, iterate rho.
-    rho = 0.0
-    for _ in range(_CO_MAX_ITER):
-        den = float(resid[:-1] @ resid[:-1])
-        if den == 0.0:
-            raise DegenerateInputError("residuals vanish; AR(1) error estimation is degenerate")
-        rho_new = float(resid[1:] @ resid[:-1]) / den
-        y_star = y[1:] - rho_new * y[:-1]
-        x_star = X[1:] - rho_new * X[:-1]
-        beta, xtx_inv = _qr_solve(x_star, y_star, names)
-        resid = y - X @ beta
-        if abs(rho_new - rho) < _CO_TOL:
+    rho = None
+    if spec.ar_error_order == 1:
+        # Cochrane-Orcutt: transform out the AR(1) error, refit, iterate rho.
+        rho = 0.0
+        for _ in range(_CO_MAX_ITER):
+            den = float(resid[:-1] @ resid[:-1])
+            if den == 0.0:
+                raise DegenerateInputError("residuals vanish; AR(1) error estimation is degenerate")
+            rho_new = float(resid[1:] @ resid[:-1]) / den
+            y_star = y[1:] - rho_new * y[:-1]
+            x_star = X[1:] - rho_new * X[:-1]
+            beta, xtx_inv = _qr_solve(x_star, y_star, names)
+            resid = y - X @ beta
+            if abs(rho_new - rho) < _CO_TOL:
+                rho = rho_new
+                break
             rho = rho_new
-            break
-        rho = rho_new
 
-    innovations = resid[1:] - rho * resid[:-1]
-    n_inno = len(innovations)
-    ssr_inno = float(innovations @ innovations)
-    s2 = ssr_inno / max(n_inno - k, 1)
-    std_errors = tuple(float(v) for v in np.sqrt(np.clip(s2 * np.diag(xtx_inv), 0.0, None)))
-    sigma2, loglik, adj_r2 = _gaussian_fit_stats(y[1:], innovations, k + 1)
-    dw = durbin_watson(innovations) if ssr_inno > 0.0 else float("nan")
-    residual_series = TimeSeries(spec.dependent + "_innovations", start_used + 1, tuple(innovations))
+    # With AR(1) errors the statistics are those of the innovations, which
+    # start one quarter later, and rho counts as one more parameter.
+    if rho is None:
+        e, y_e, k_total, first, name = resid, y, k, start_used, "_residuals"
+    else:
+        e, y_e, k_total, first, name = resid[1:] - rho * resid[:-1], y[1:], k + 1, start_used + 1, "_innovations"
+    ssr = float(e @ e)
+    s2 = ssr / (len(e) - k)
+    sigma2, loglik, adj_r2 = _gaussian_fit_stats(y_e, e, k_total)
     return RegressionFit(
         spec=spec,
         coef_names=tuple(names),
         coefficients=tuple(float(b) for b in beta),
-        std_errors=std_errors,
-        residuals=residual_series,
+        std_errors=tuple(float(v) for v in np.sqrt(np.clip(s2 * np.diag(xtx_inv), 0.0, None))),
+        residuals=TimeSeries(spec.dependent + name, first, tuple(e)),
         sigma2=sigma2,
         log_likelihood=loglik,
         adj_r_squared=adj_r2,
-        durbin_watson=dw,
+        durbin_watson=durbin_watson(e) if ssr > 0.0 else float("nan"),
         n_used=n,
         rho=rho,
     )
@@ -291,11 +265,11 @@ def forecast_regression(fit: RegressionFit, dataset: Dataset, span: tuple[Quarte
         raise InvalidArgumentError(f"empty forecast span {start}..{end}")
     spec = fit.spec
     if fit.rho is None:
-        return dataset.predict(spec.terms, fit.coefficients, span, spec.include_intercept)[0]
+        return dataset.predict(spec.terms, fit.coefficients, span, intercept=True)[0]
 
     # From the first structural residual quarter, or from the span if it starts earlier.
     walk = (min(fit.residuals.start - 1, start), end)
-    cores = dataset.predict(spec.terms, fit.coefficients, walk, spec.include_intercept)[0].tolist()
+    cores = dataset.predict(spec.terms, fit.coefficients, walk, intercept=True)[0].tolist()
     observed = dataset._gather([(spec.dependent, 0)], walk)[0, :, 0].tolist()
     e_prev: float | None = None
     preds: list[float] = []

@@ -1,4 +1,4 @@
-"""Quarterly time series: index arithmetic, lag/difference algebra,
+"""Quarterly time series: index arithmetic, differencing,
 autocorrelation functions, classical additive decomposition, the one
 quarterly CSV reader, and the columnar units × quarters × variables frame
 that the national regressions and the state panel share.
@@ -161,22 +161,6 @@ def difference(series: TimeSeries, order: int) -> TimeSeries:
         )
     vals = np.diff(series.to_array(), n=order)
     return TimeSeries("d" * order + "_" + series.name, series.start + order, tuple(vals))
-
-
-def lag(series: TimeSeries, k: int) -> TimeSeries:
-    """Shift the series so position t holds the value at t-k.
-
-    The frame is preserved: the first k positions become missing, so the
-    defined range starts k quarters later. Lag 0 is the identity.
-    """
-    if k < 0:
-        raise InvalidArgumentError(f"lag must be >= 0, got {k}")
-    if k == 0:
-        return series
-    if k >= len(series):
-        raise InvalidArgumentError(f"lag {k} must be smaller than series length {len(series)}")
-    vals = (MISSING,) * k + series.values[: len(series) - k]
-    return TimeSeries(f"{series.name}(-{k})", series.start, vals)
 
 
 def _defined_values(series: TimeSeries) -> np.ndarray:
@@ -437,10 +421,6 @@ class PanelDataset:
         """The last quarter of the frame."""
         return self.start + (self.present.shape[1] - 1)
 
-    def span(self) -> tuple[Quarter, Quarter]:
-        occupied = np.flatnonzero(self.present.any(axis=0))
-        return self.start + int(occupied[0]), self.start + int(occupied[-1])
-
     def _gather(self, terms: Sequence[tuple[str, int]], span: tuple[Quarter, Quarter]) -> np.ndarray:
         """Units × quarters × terms over the span; term (name, k) at q is `name` at q - k."""
         out = np.empty((len(self.unit_names), span[1] - span[0] + 1, len(terms)))
@@ -468,6 +448,17 @@ class PanelDataset:
                 raise InvalidArgumentError(f"unit {unit!r} has gaps in its usable rows")
         return yx, usable, first, counts
 
+    def predictors(self, terms: Sequence[tuple[str, int]], span: tuple[Quarter, Quarter]) -> np.ndarray:
+        """Units × quarters × terms of the lagged terms over the span. A
+        missing predictor is an error naming the term, the unit and the quarter."""
+        x = self._gather(terms, span)
+        missing = np.argwhere(np.isnan(x))
+        if len(missing):
+            i, h, j = (int(v) for v in missing[0])
+            name, k = terms[j]
+            raise InvalidArgumentError(f"missing predictor {name!r} for unit {self.unit_names[i]!r} at {span[0] + h - k}")
+        return x
+
     def predict(
         self,
         terms: Sequence[tuple[str, int]],
@@ -475,23 +466,13 @@ class PanelDataset:
         span: tuple[Quarter, Quarter],
         intercept: bool = False,
     ) -> np.ndarray:
-        """Units × quarters of the lagged terms (after a column of ones with
-        `intercept`) times the coefficients over the span. A missing
-        predictor is an error naming the term, the unit and the quarter."""
-        x = self._gather(terms, span)
-        missing = np.argwhere(np.isnan(x))
-        if len(missing):
-            i, h, j = (int(v) for v in missing[0])
-            name, k = terms[j]
-            raise InvalidArgumentError(f"missing predictor {name!r} for unit {self.unit_names[i]!r} at {span[0] + h - k}")
+        """Units × quarters of the lagged `predictors` (after a column of ones
+        with `intercept`) times the coefficients over the span."""
+        x = self.predictors(terms, span)
         if intercept:
             x = np.concatenate([np.ones(x.shape[:2] + (1,)), x], axis=2)
         # np.dot sums each (unit, quarter) row as one dot product, as row-by-row forecasts do.
         return np.dot(x, np.asarray(coefficients))
-
-    def value(self, unit: str, q: Quarter, name: str) -> float:
-        """Variable `name` of `unit` at quarter `q`; NaN when missing."""
-        return float(self._gather([(name, 0)], (q, q))[self.unit_names.index(unit), 0, 0])
 
     def joined(self, other: "PanelDataset") -> "PanelDataset":
         """Add or replace `other`'s variables (the variables sorted): its value

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,9 +45,6 @@ class ArticleRecord:
             value = getattr(self, attr)
             if value is not None and value not in LABELS:
                 raise InvalidArgumentError(f"article {self.id}: {attr} must be one of {LABELS}")
-
-    def quarter(self) -> Quarter:
-        return Quarter.from_date(self.date)
 
     def text(self) -> str:
         return f"{self.title}\n{self.body}"
@@ -202,11 +199,3 @@ def write_signals_csv(frame: PanelDataset, path: str | Path, state_column: bool 
 
 def write_state_signals_csv(state_signals: StateSignals, path: str | Path) -> None:
     write_signals_csv(state_signals.by_state, path, state_column=True)
-
-
-def relabel(record: ArticleRecord, predicted_label: str) -> ArticleRecord:
-    return replace(record, predicted_label=predicted_label)
-
-
-def with_state(record: ArticleRecord, state: str) -> ArticleRecord:
-    return replace(record, state=state)

@@ -40,42 +40,20 @@ class TestResult:
 
 
 # Finite-sample Dickey-Fuller critical values (Fuller 1976; Banerjee et al.
-# 1993) for the t-ratio on the lagged level. Rows are sample sizes, columns
-# are the cumulative probabilities in _ADF_PROBS.
+# 1993) of the t-ratio on the lagged level, regression with a constant. Rows
+# are sample sizes, columns the cumulative probabilities in _ADF_PROBS.
 _ADF_PROBS = np.array([0.01, 0.025, 0.05, 0.10, 0.90, 0.95, 0.975, 0.99])
 _ADF_NS = np.array([25, 50, 100, 250, 500, 100000])
-_ADF_TABLES = {
-    "none": np.array(
-        [
-            [-2.66, -2.26, -1.95, -1.60, 0.92, 1.33, 1.70, 2.16],
-            [-2.62, -2.25, -1.95, -1.61, 0.91, 1.31, 1.66, 2.08],
-            [-2.60, -2.24, -1.95, -1.61, 0.90, 1.29, 1.64, 2.03],
-            [-2.58, -2.23, -1.95, -1.62, 0.89, 1.29, 1.63, 2.01],
-            [-2.58, -2.23, -1.95, -1.62, 0.89, 1.28, 1.62, 2.00],
-            [-2.58, -2.23, -1.95, -1.62, 0.89, 1.28, 1.62, 2.00],
-        ]
-    ),
-    "constant": np.array(
-        [
-            [-3.75, -3.33, -3.00, -2.63, -0.37, 0.00, 0.34, 0.72],
-            [-3.58, -3.22, -2.93, -2.60, -0.40, -0.03, 0.29, 0.66],
-            [-3.51, -3.17, -2.89, -2.58, -0.42, -0.05, 0.26, 0.63],
-            [-3.46, -3.14, -2.88, -2.57, -0.42, -0.06, 0.24, 0.62],
-            [-3.44, -3.13, -2.87, -2.57, -0.43, -0.07, 0.24, 0.61],
-            [-3.43, -3.12, -2.86, -2.57, -0.44, -0.07, 0.23, 0.60],
-        ]
-    ),
-    "constant_trend": np.array(
-        [
-            [-4.38, -3.95, -3.60, -3.24, -1.14, -0.80, -0.50, -0.15],
-            [-4.15, -3.80, -3.50, -3.18, -1.19, -0.87, -0.58, -0.24],
-            [-4.04, -3.73, -3.45, -3.15, -1.22, -0.90, -0.62, -0.28],
-            [-3.99, -3.69, -3.43, -3.13, -1.23, -0.92, -0.64, -0.31],
-            [-3.98, -3.68, -3.42, -3.13, -1.24, -0.93, -0.65, -0.32],
-            [-3.96, -3.66, -3.41, -3.12, -1.25, -0.94, -0.66, -0.33],
-        ]
-    ),
-}
+_ADF_TABLE = np.array(
+    [
+        [-3.75, -3.33, -3.00, -2.63, -0.37, 0.00, 0.34, 0.72],
+        [-3.58, -3.22, -2.93, -2.60, -0.40, -0.03, 0.29, 0.66],
+        [-3.51, -3.17, -2.89, -2.58, -0.42, -0.05, 0.26, 0.63],
+        [-3.46, -3.14, -2.88, -2.57, -0.42, -0.06, 0.24, 0.62],
+        [-3.44, -3.13, -2.87, -2.57, -0.43, -0.07, 0.24, 0.61],
+        [-3.43, -3.12, -2.86, -2.57, -0.44, -0.07, 0.23, 0.60],
+    ]
+)
 
 
 def _ols_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -85,23 +63,22 @@ def _ols_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
     return beta, resid, float(resid @ resid)
 
 
-def _adf_pvalue(stat: float, nobs: int, deterministic: str) -> tuple[float, str]:
-    """Interpolate the DF table for the given deterministic case.
+def _adf_pvalue(stat: float, nobs: int) -> tuple[float, str]:
+    """Interpolate the DF table.
 
     Critical values are first interpolated across the sample-size rows, then
     the p-value is interpolated linearly across the tabulated probabilities
     and clamped to [0.01, 0.99].
     """
-    table = _ADF_TABLES[deterministic]
     n = float(np.clip(nobs, _ADF_NS[0], _ADF_NS[-1]))
     hi = int(np.searchsorted(_ADF_NS, n))
     if _ADF_NS[hi] == n:
-        crit = table[hi]
+        crit = _ADF_TABLE[hi]
         rows = f"n={_ADF_NS[hi]}"
     else:
         lo = hi - 1
         w = (n - _ADF_NS[lo]) / (_ADF_NS[hi] - _ADF_NS[lo])
-        crit = (1 - w) * table[lo] + w * table[hi]
+        crit = (1 - w) * _ADF_TABLE[lo] + w * _ADF_TABLE[hi]
         rows = f"n={_ADF_NS[lo]},{_ADF_NS[hi]}"
     if stat <= crit[0]:
         return float(_ADF_PROBS[0]), rows + "; p clamped at lower table bound"
@@ -111,18 +88,14 @@ def _adf_pvalue(stat: float, nobs: int, deterministic: str) -> tuple[float, str]
     return p, rows
 
 
-def adf_test(series: TimeSeries, max_lag: int, deterministic: str = "constant") -> TestResult:
-    """Augmented Dickey-Fuller unit-root test.
+def adf_test(series: TimeSeries, max_lag: int) -> TestResult:
+    """Augmented Dickey-Fuller unit-root test with a constant.
 
-    Regresses the first difference on the lagged level, lagged differences
-    (count chosen by minimum AIC up to max_lag on a common sample), and the
-    chosen deterministic terms. The statistic is the t-ratio on the lagged
-    level; its p-value is interpolated from the embedded finite-sample tables.
+    Regresses the first difference on a constant, the lagged level and
+    lagged differences (count chosen by minimum AIC up to max_lag on a common
+    sample). The statistic is the t-ratio on the lagged level; its p-value is
+    interpolated from the embedded finite-sample table of the constant case.
     """
-    if deterministic not in _ADF_TABLES:
-        raise InvalidArgumentError(
-            f"deterministic must be one of {sorted(_ADF_TABLES)}, got {deterministic!r}"
-        )
     if max_lag < 0:
         raise InvalidArgumentError("max_lag must be >= 0")
     y = series.to_array()
@@ -138,19 +111,10 @@ def adf_test(series: TimeSeries, max_lag: int, deterministic: str = "constant") 
     dy = np.diff(y)
 
     def build(j: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-        # Rows are t = offset..len(dy)-1 in difference coordinates.
-        rows = len(dy) - offset
-        cols: list[np.ndarray] = []
-        if deterministic in ("constant", "constant_trend"):
-            cols.append(np.ones(rows))
-        if deterministic == "constant_trend":
-            cols.append(np.arange(offset, len(dy), dtype=float))
-        cols.append(y[offset : len(y) - 1])
-        for i in range(1, j + 1):
-            cols.append(dy[offset - i : len(dy) - i])
-        return np.column_stack(cols), dy[offset:]
-
-    level_col = {"none": 0, "constant": 1, "constant_trend": 2}[deterministic]
+        # Rows are t = offset..len(dy)-1 in difference coordinates; the
+        # columns are the constant, the lagged level and j lagged differences.
+        lags = [dy[offset - i : len(dy) - i] for i in range(1, j + 1)]
+        return np.column_stack([np.ones(len(dy) - offset), y[offset : len(y) - 1], *lags]), dy[offset:]
 
     # Lag selection by AIC on the common sample (all candidates start at max_lag).
     best_j, best_aic = 0, np.inf
@@ -172,14 +136,14 @@ def adf_test(series: TimeSeries, max_lag: int, deterministic: str = "constant") 
     else:
         s2 = ssr / (nr - k)
         xtx_inv = np.linalg.pinv(X.T @ X)
-        se = float(np.sqrt(max(s2 * xtx_inv[level_col, level_col], 0.0)))
+        se = float(np.sqrt(max(s2 * xtx_inv[1, 1], 0.0)))
         if se == 0.0 or not np.isfinite(se):
             stat = 0.0
             degenerate = "; degenerate regression (zero standard error)"
         else:
-            stat = float(beta[level_col] / se)
-    p, rows = _adf_pvalue(stat, nr, deterministic)
-    detail = f"deterministic={deterministic}; lags={best_j}; table rows {rows}{degenerate}"
+            stat = float(beta[1] / se)
+    p, rows = _adf_pvalue(stat, nr)
+    detail = f"deterministic=constant; lags={best_j}; table rows {rows}{degenerate}"
     return TestResult(statistic=stat, p_value=p, dof_or_lags=best_j, detail=detail)
 
 

@@ -12,6 +12,11 @@ GAZETTEER = Path(__file__).parents[1] / "src" / "crimecast" / "data" / "gazettee
 Q0 = Quarter(2007, 1)
 
 
+def cell(panel, unit: str, q: Quarter, name: str) -> float:
+    """Variable `name` of `unit` at quarter `q`, read from the panel's values."""
+    return float(panel.values[panel.unit_names.index(unit), q - panel.start, panel.names.index(name)])
+
+
 def series(values, name="x", start=Q0) -> TimeSeries:
     return TimeSeries(name, start, tuple(float(v) for v in values))
 

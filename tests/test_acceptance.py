@@ -10,6 +10,7 @@ import json
 import time
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -87,18 +88,18 @@ def test_criterion_03_arima_recovery():
         ar = np.zeros(2200)
         for t in range(1, 2200):
             ar[t] = 0.5 * ar[t - 1] + e[t]
-        fit_ar = fit_arima(series(ar[200:]), ArimaSpec(1, 0, 0, True))
+        fit_ar = fit_arima(series(ar[200:]), ArimaSpec(1, 0, 0))
         assert fit_ar.converged
         assert abs(fit_ar.ar_coeffs[0] - 0.5) < 0.1
 
         e2 = rng.normal(0.0, 1.0, 4001)
         ma = e2[1:] + 0.4 * e2[:-1]
-        fit_ma = fit_arima(series(ma), ArimaSpec(0, 0, 1, True))
+        fit_ma = fit_arima(series(ma), ArimaSpec(0, 0, 1))
         assert fit_ma.converged
         assert abs(fit_ma.ma_coeffs[0] - 0.4) < 0.1
 
         walk = np.cumsum(rng.normal(2.0, 5.0, 300))
-        fit_rw = fit_arima(series(walk), ArimaSpec(0, 1, 0, True))
+        fit_rw = fit_arima(series(walk), ArimaSpec(0, 1, 0))
         assert abs(fit_rw.constant - np.diff(walk).mean()) < 1e-12
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"runtime {elapsed:.2f}s"
@@ -135,8 +136,8 @@ def test_criterion_06_diagnostics_sanity():
         rng = np.random.default_rng(7)
         iid = rng.normal(0.0, 1.0, 500)
         walk = np.cumsum(rng.normal(0.0, 1.0, 500))
-        assert adf_test(series(iid), 8, "constant").p_value < 0.05
-        assert adf_test(series(walk), 8, "constant").p_value > 0.10
+        assert adf_test(series(iid), 8).p_value < 0.05
+        assert adf_test(series(walk), 8).p_value > 0.10
         residuals = np.random.default_rng(11).normal(0.0, 1.0, 500)
         assert 1.7 <= durbin_watson(residuals) <= 2.3
         white = np.random.default_rng(5).normal(0.0, 1.0, 1000)
@@ -280,11 +281,9 @@ def test_criterion_12_index_arithmetic_and_reconciliation():
         records = load_articles(FIXTURES / "articles.jsonl")
         gaz = load_gazetteer(GAZETTEER)
         resolved = []
-        from crimecast.signals import with_state
-
         for record in records:
             resolution = resolve_state(record.text(), gaz)
-            resolved.append(with_state(record, resolution.state))
+            resolved.append(replace(record, state=resolution.state))
         out = aggregate_by_state(resolved)
         unknown = [r for r in resolved if r.state == "UNKNOWN"]
         state_news = out.by_state.values[:, :, out.by_state.names.index("news_num")]

@@ -27,42 +27,38 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError):
             ArimaSpec(-1, 0, 0)
 
-    def test_empty_model_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            ArimaSpec(0, 0, 0, include_constant=False)
-
     def test_pure_random_walk_allowed(self):
-        ArimaSpec(0, 1, 0, include_constant=False)
+        ArimaSpec(0, 1, 0)
 
 
 class TestFit:
     def test_random_walk_with_drift_closed_form(self, rng):
         y = np.cumsum(rng.normal(2.0, 1.0, 200))
-        fit = fit_arima(series(y), ArimaSpec(0, 1, 0, True))
+        fit = fit_arima(series(y), ArimaSpec(0, 1, 0))
         assert fit.constant == pytest.approx(np.diff(y).mean(), abs=1e-12)
         assert fit.converged
 
     def test_white_noise_constant_model(self, rng):
         w = rng.normal(3.0, 2.0, 500)
-        fit = fit_arima(series(w), ArimaSpec(0, 0, 0, True))
+        fit = fit_arima(series(w), ArimaSpec(0, 0, 0))
         assert fit.constant == pytest.approx(w.mean(), abs=1e-9)
         assert fit.sigma2 == pytest.approx(w.var(), abs=1e-9)
 
     def test_ar1_recovery(self):
         y = ar1(0.5, 2000, seed=101)
-        fit = fit_arima(series(y), ArimaSpec(1, 0, 0, True))
+        fit = fit_arima(series(y), ArimaSpec(1, 0, 0))
         assert fit.converged
         assert abs(fit.ar_coeffs[0] - 0.5) < 0.1
 
     def test_ma1_recovery(self):
         y = ma1(0.4, 4000, seed=202)
-        fit = fit_arima(series(y), ArimaSpec(0, 0, 1, True))
+        fit = fit_arima(series(y), ArimaSpec(0, 0, 1))
         assert fit.converged
         assert abs(fit.ma_coeffs[0] - 0.4) < 0.1
 
     def test_loglik_matches_gaussian_density(self):
         y = ar1(0.6, 300, seed=5)
-        fit = fit_arima(series(y), ArimaSpec(1, 0, 1, True))
+        fit = fit_arima(series(y), ArimaSpec(1, 0, 1))
         ll = sum(
             -0.5 * (math.log(2 * math.pi * fit.sigma2) + r * r / fit.sigma2)
             for r in fit.residuals.values
@@ -71,32 +67,32 @@ class TestFit:
 
     def test_residual_frame(self):
         y = ar1(0.5, 100, seed=3)
-        fit = fit_arima(series(np.cumsum(y)), ArimaSpec(1, 1, 0, True))
+        fit = fit_arima(series(np.cumsum(y)), ArimaSpec(1, 1, 0))
         # d=1 and p=1 consume the first two level positions.
         assert fit.residuals.start == Q0 + 2
         assert len(fit.residuals) == 98
 
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
-            fit_arima(series([1.0, 2.0, 3.0, 4.0]), ArimaSpec(1, 0, 1, True))
+            fit_arima(series([1.0, 2.0, 3.0, 4.0]), ArimaSpec(1, 0, 1))
 
     def test_missing_values_rejected(self):
         ts = TimeSeries("x", Q0, (float("nan"), 1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         with pytest.raises(InvalidArgumentError):
-            fit_arima(ts, ArimaSpec(0, 0, 0, True))
+            fit_arima(ts, ArimaSpec(0, 0, 0))
 
     def test_ma_reflected_into_invertible_region(self):
         # theta = 2.5 would be the non-invertible optimum; the fit must land
         # on the invertible mirror 1/2.5 = 0.4 side.
         y = ma1(2.5, 3000, seed=77)
-        fit = fit_arima(series(y), ArimaSpec(0, 0, 1, True))
+        fit = fit_arima(series(y), ArimaSpec(0, 0, 1))
         assert abs(fit.ma_coeffs[0]) <= 1.0
 
 
 class TestForecast:
     def test_drift_forecast(self):
         fit = ArimaFit(
-            ArimaSpec(0, 1, 0, True), 2.0, (), (), 1.0, 0.0, 0.0,
+            ArimaSpec(0, 1, 0), 2.0, (), (), 1.0, 0.0, 0.0,
             TimeSeries("r", Q0, (0.0, 0.0)), True,
         )
         history = series([96.0, 98.0, 100.0])
@@ -104,7 +100,7 @@ class TestForecast:
 
     def test_ar1_hand_recursion(self):
         fit = ArimaFit(
-            ArimaSpec(1, 0, 0, False), 0.0, (0.5,), (), 1.0, 0.0, 0.0,
+            ArimaSpec(1, 0, 0), 0.0, (0.5,), (), 1.0, 0.0, 0.0,
             TimeSeries("r", Q0, (0.0, 0.0)), True,
         )
         assert forecast_arima(fit, series([1.0, 2.0, 8.0]), 3).tolist() == [4.0, 2.0, 1.0]
@@ -112,7 +108,7 @@ class TestForecast:
     def test_training_one_step_errors_equal_residuals(self):
         y = np.cumsum(ar1(0.4, 250, seed=13, c=0.5))
         ts = series(y)
-        fit = fit_arima(ts, ArimaSpec(1, 1, 1, True))
+        fit = fit_arima(ts, ArimaSpec(1, 1, 1))
         # One-step forecasts from each growing prefix; the shortest prefix
         # that seeds the recursion (d + p + 1 = 3 values) predicts the second
         # residual's quarter.
@@ -124,7 +120,7 @@ class TestForecast:
 
     def test_dynamic_converges_to_process_mean(self):
         y = ar1(0.7, 3000, seed=44, c=1.5)
-        fit = fit_arima(series(y), ArimaSpec(1, 0, 0, True))
+        fit = fit_arima(series(y), ArimaSpec(1, 0, 0))
         fc = forecast_arima(fit, series(y), 200)
         mean = fit.constant / (1.0 - sum(fit.ar_coeffs))
         gaps = np.abs(fc - mean)
@@ -133,7 +129,7 @@ class TestForecast:
 
     def test_zero_horizon_rejected(self):
         fit = ArimaFit(
-            ArimaSpec(0, 1, 0, True), 2.0, (), (), 1.0, 0.0, 0.0,
+            ArimaSpec(0, 1, 0), 2.0, (), (), 1.0, 0.0, 0.0,
             TimeSeries("r", Q0, (0.0, 0.0)), True,
         )
         with pytest.raises(InvalidArgumentError):

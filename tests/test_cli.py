@@ -55,6 +55,10 @@ class TestConfig:
             (absolute_config(arima_order=[1.7, 1, 0]), "'arima_order'"),
             (absolute_config(arima_order="auto", arima_max_q=1.5), "'arima_max_q'"),
             (absolute_config(panel_terms_model6=[["news_num", 0.5]]), "'panel_terms_model6'"),
+            (absolute_config(decomposition_period=1), "'decomposition_period'"),
+            (absolute_config(panel_min_coverage=1.5), "'panel_min_coverage'"),
+            (absolute_config(panel_min_coverage="nan"), "'panel_min_coverage'"),
+            (absolute_config(decomposition_period=40), "'decomposition_period'"),
         ],
         ids=[
             "non-integer-order",
@@ -67,6 +71,10 @@ class TestConfig:
             "fractional-order",
             "fractional-grid-bound",
             "fractional-term-lag",
+            "period-below-2",
+            "coverage-above-1",
+            "coverage-nan",
+            "period-longer-than-series",
         ],
     )
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, raw, named):
@@ -77,6 +85,21 @@ class TestConfig:
         assert code == EXIT_INPUT_ERROR
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "changes, key",
+        [({"panel_dependent": "nosuch"}, "panel_dependent"), ({"panel_terms_model6": [["nosuch", 1]]}, "panel_terms_model6")],
+        ids=["dependent", "term"],
+    )
+    def test_variable_missing_from_panel_exits_2_naming_key(self, tmp_path, capsys, changes, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(absolute_config(**changes)))
+        out = tmp_path / "out"
+        code = main(["fit-forecast", "--config", str(path), "--output-dir", str(out), "--models", "6"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: config key '{key}': {(FIXTURES / 'panel.csv').resolve()} has no variable 'nosuch'" in err
+        assert not (out / "panel_report.json").exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         raw = json.loads(CONFIG.read_text())
@@ -181,6 +204,28 @@ class TestMalformedInput:
         assert "error: panel has no 'fbi_num' value for state 'CA' at holdout quarter 2019Q4" in err
         assert "Traceback" not in err
         assert not (out / "panel_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, row_start, models, unit, report",
+        [("panel.csv", "CA,2019,4,", "6", "CA", "panel_report.json"), ("covariates.csv", "2019,4,", "2", "national", "report.json")],
+        ids=["panel", "covariates"],
+    )
+    def test_blank_holdout_predictor_exits_2_naming_file(self, tmp_path, capsys, name, row_start, models, unit, report):
+        lines = (FIXTURES / name).read_text().splitlines()
+        column = lines[0].split(",").index("population")
+        row = next(i for i, line in enumerate(lines) if line.startswith(row_start))
+        cells = lines[row].split(",")
+        cells[column] = ""
+        lines[row] = ",".join(cells)
+        blank = tmp_path / name
+        blank.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = run("fit-forecast", "--output-dir", str(out), "--models", models, "--" + name[:-4], str(blank))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {blank.resolve()}: missing predictor 'population' for unit '{unit}' at 2019Q4" in err
+        assert "Traceback" not in err
+        assert not (out / report).exists()
 
     def test_output_dir_naming_a_file_exits_2(self, tmp_path, capsys):
         occupied = tmp_path / "out"

@@ -14,7 +14,7 @@ from crimecast.panel import (
 from crimecast.regression import RegressionSpec
 from crimecast.stattests import hausman_test
 
-from conftest import Q0
+from conftest import Q0, cell
 
 SPEC_X = RegressionSpec("y", (("x", 0),))
 
@@ -42,10 +42,10 @@ def lsdv_oracle(panel: PanelDataset, spec: RegressionSpec) -> np.ndarray:
     ys, xs, dummies = [], [], []
     for i, unit in enumerate(units):
         quarters = present_quarters(panel, unit)
-        y_u = np.array([panel.value(unit, q, spec.dependent) for q in quarters])
+        y_u = np.array([cell(panel, unit, q, spec.dependent) for q in quarters])
         x_u = np.column_stack(
             [
-                np.array([panel.value(unit, q - k, name) for q in quarters[k:]])
+                np.array([cell(panel, unit, q - k, name) for q in quarters[k:]])
                 for name, k in spec.terms
             ]
         )
@@ -75,28 +75,28 @@ class TestBalance:
 
     def test_drops_incomplete_units(self):
         panel = self.make_gappy_panel()
-        balanced, report = balance_panel(panel, 1.0, dependent="fbi_num")
+        balanced, report = balance_panel(panel, 1.0, (panel.start, panel.end), "fbi_num")
         assert len(report.retained) == 47
         assert len(report.dropped) == 4
         assert 0.9 < report.retained_share < 1.0
 
     def test_zero_coverage_identity(self):
         panel = self.make_gappy_panel()
-        balanced, report = balance_panel(panel, 0.0)
+        balanced, report = balance_panel(panel, 0.0, (panel.start, panel.end), "fbi_num")
         assert balanced.unit_names == panel.unit_names
         assert report.dropped == ()
 
     def test_single_complete_unit(self):
         rows = [("CA", Q0 + t, {"fbi_num": 1.0}) for t in range(8)]
         panel = PanelDataset.from_rows(rows)
-        balanced, report = balance_panel(panel, 1.0, dependent="fbi_num")
+        balanced, report = balance_panel(panel, 1.0, (panel.start, panel.end), "fbi_num")
         assert report.retained == ("CA",)
         assert report.retained_share == 1.0
 
     def test_idempotent(self):
         panel = self.make_gappy_panel()
-        once, _ = balance_panel(panel, 1.0)
-        twice, report = balance_panel(once, 1.0)
+        once, _ = balance_panel(panel, 1.0, (panel.start, panel.end), "fbi_num")
+        twice, report = balance_panel(once, 1.0, (once.start, once.end), "fbi_num")
         assert twice.unit_names == once.unit_names
         assert report.dropped == ()
 
@@ -105,7 +105,7 @@ class TestBalance:
                 ("NY", Q0 + 1, {"y": 1.0})]
         panel = PanelDataset.from_rows(rows)
         with pytest.raises(EmptyPanelError):
-            balance_panel(panel, 1.0)
+            balance_panel(panel, 1.0, (panel.start, panel.end), "y")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -165,8 +165,8 @@ class TestRandomEffects:
         ys, xs = [], []
         for unit in panel.unit_names:
             for q in present_quarters(panel, unit):
-                ys.append(panel.value(unit, q, "y"))
-                xs.append(panel.value(unit, q, "x"))
+                ys.append(cell(panel, unit, q, "y"))
+                xs.append(cell(panel, unit, q, "x"))
         X = np.column_stack([np.ones(len(ys)), xs])
         pooled = np.linalg.lstsq(X, np.asarray(ys), rcond=None)[0]
         assert abs(fit.slope("x") - pooled[1]) < 0.05
@@ -193,7 +193,7 @@ class TestRandomEffects:
     def test_unbalanced_rejected(self):
         panel = simulate_panel(seed=2, n_units=3, periods=10)
         rows = [
-            (u, q, {"y": panel.value(u, q, "y"), "x": panel.value(u, q, "x")})
+            (u, q, {"y": cell(panel, u, q, "y"), "x": cell(panel, u, q, "x")})
             for u in panel.unit_names
             for q in present_quarters(panel, u)
             if not (u == "U00" and q == Q0)
@@ -214,8 +214,8 @@ class TestRandomEffects:
         xtx, xty = np.zeros((3, 3)), np.zeros(3)
         for unit in panel.unit_names:
             quarters = present_quarters(panel, unit)[1:]
-            y_u = np.array([panel.value(unit, q, "y") for q in quarters])
-            x_u = np.array([[1.0] + [panel.value(unit, q - k, name) for name, k in spec.terms] for q in quarters])
+            y_u = np.array([cell(panel, unit, q, "y") for q in quarters])
+            x_u = np.array([[1.0] + [cell(panel, unit, q - k, name) for name, k in spec.terms] for q in quarters])
             xtx += x_u.T @ omega_inv @ x_u
             xty += x_u.T @ omega_inv @ y_u
         gls = np.linalg.solve(xtx, xty)
@@ -239,7 +239,7 @@ class TestRowOrder:
     def test_shuffled_rows_give_identical_fits(self):
         panel = simulate_panel(seed=41, n_units=6, periods=15, noise=1.0)
         rows = [
-            (u, q, {"y": panel.value(u, q, "y"), "x": panel.value(u, q, "x")})
+            (u, q, {"y": cell(panel, u, q, "y"), "x": cell(panel, u, q, "x")})
             for u in panel.unit_names
             for q in present_quarters(panel, u)
         ]
@@ -260,7 +260,7 @@ class TestForecastPanel:
         forecasts = forecast_panel(fit, panel, (Q0 + 20, Q0 + 23))
         assert forecasts.shape == (len(panel.unit_names), 4)
         for unit, fc in zip(panel.unit_names, forecasts):
-            actual = [panel.value(unit, Q0 + 20 + h, "y") for h in range(4)]
+            actual = [cell(panel, unit, Q0 + 20 + h, "y") for h in range(4)]
             np.testing.assert_allclose(fc, actual, atol=1e-8)
 
     def test_unknown_unit_gets_average_effect(self):
@@ -271,7 +271,7 @@ class TestForecastPanel:
             forecasts = forecast_panel(fit, panel, (Q0 + 4, Q0 + 5))
         unseen = panel.unit_names[3]
         avg = float(np.mean(list(fit.unit_effects.values())))
-        x_val = panel.value(unseen, Q0 + 4, "x")
+        x_val = cell(panel, unseen, Q0 + 4, "x")
         expected = avg + fit.slope("x") * x_val
         assert forecasts[3, 0] == pytest.approx(expected, abs=1e-10)
 
@@ -295,6 +295,6 @@ class TestWithinAlgebra:
         fit = fit_fixed_effects(panel, SPEC_X)
         for unit in panel.unit_names:
             quarters = present_quarters(panel, unit)
-            y_mean = float(np.mean([panel.value(unit, q, "y") for q in quarters]))
-            x_mean = float(np.mean([panel.value(unit, q, "x") for q in quarters]))
+            y_mean = float(np.mean([cell(panel, unit, q, "y") for q in quarters]))
+            x_mean = float(np.mean([cell(panel, unit, q, "x") for q in quarters]))
             assert fit.unit_effects[unit] + fit.slope("x") * x_mean == pytest.approx(y_mean, abs=1e-10)

@@ -45,11 +45,11 @@ def dataset_from_matrix(y: np.ndarray, X: np.ndarray, start=Q0) -> tuple[Dataset
 class TestModelSpecs:
     def test_model2_coefficient_count(self):
         spec = build_model_spec(2)
-        assert len(spec.terms) + spec.include_intercept == 12
+        assert len(spec.terms) + 1 == 12  # and the intercept
 
     def test_model4_coefficient_count(self):
         spec = build_model_spec(4)
-        assert len(spec.terms) + spec.include_intercept == 15
+        assert len(spec.terms) + 1 == 15  # and the intercept
 
     def test_model3_adds_exactly_event_terms(self):
         extra = set(build_model_spec(3).terms) - set(build_model_spec(2).terms)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from crimecast.exceptions import DegenerateInputError, InvalidArgumentError
@@ -15,13 +15,12 @@ from crimecast.series import (
     decompose_additive,
     deseasonalize,
     difference,
-    lag,
     load_series_csv,
     pacf,
     write_series_csv,
 )
 
-from conftest import Q0, ar1, series
+from conftest import Q0, ar1, cell, series
 
 
 class TestQuarter:
@@ -66,42 +65,6 @@ class TestDifferenceLag:
     def test_difference_too_short(self):
         with pytest.raises(InvalidArgumentError):
             difference(series([1, 2]), 2)
-
-    def test_lag_identity(self):
-        ts = series([1, 2, 3])
-        assert lag(ts, 0) is ts
-
-    def test_lag_shift_with_missing_head(self):
-        out = lag(series([1, 2, 3, 4]), 1)
-        assert math.isnan(out.values[0])
-        assert out.values[1:] == (1.0, 2.0, 3.0)
-        assert out.start == Q0
-        assert out.defined_start == Q0 + 1
-
-    def test_lag_too_long(self):
-        with pytest.raises(InvalidArgumentError):
-            lag(series([1, 2, 3]), 3)
-
-    def test_lag_difference_commute(self, rng):
-        ts = series(rng.normal(size=10))
-        for k in (1, 2, 3):
-            a = difference(lag(ts, k), 1).to_array()
-            b = lag(difference(ts, 1), k).to_array()
-            mask = ~(np.isnan(a) | np.isnan(b))
-            assert mask.sum() == 10 - 1 - k
-            np.testing.assert_allclose(a[mask], b[mask], atol=1e-12)
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=30),
-        st.integers(1, 3),
-    )
-    @settings(max_examples=50)
-    def test_lag_difference_commute_property(self, values, k):
-        ts = series(values)
-        a = difference(lag(ts, k), 1).to_array()
-        b = lag(difference(ts, 1), k).to_array()
-        mask = ~(np.isnan(a) | np.isnan(b))
-        np.testing.assert_allclose(a[mask], b[mask], atol=1e-9)
 
 
 class TestMissingDiscipline:
@@ -288,7 +251,7 @@ class TestPanelJoin:
         joined = panel.joined(signals)
         assert (joined.unit_names, joined.start, joined.names) == (("CA", "NY"), Q0, ("s", "y"))
         np.testing.assert_array_equal(joined.present, panel.present)
-        value = lambda unit, t, name: joined.value(unit, Q0 + t, name)  # noqa: E731
+        value = lambda unit, t, name: cell(joined, unit, Q0 + t, name)  # noqa: E731
         assert [value("CA", t, "s") for t in range(3)] == [0.0, 0.0, 8.0]
         assert [value("CA", t, "y") for t in range(3)] == [1.0, 2.0, 3.0]
         assert value("NY", 0, "s") == value("NY", 2, "s") == 0.0
@@ -297,4 +260,4 @@ class TestPanelJoin:
     def test_join_replaces_a_variable_of_the_same_name(self):
         panel = PanelDataset.from_rows([("CA", Q0, {"s": 1.0, "y": 2.0})])
         joined = panel.joined(PanelDataset.from_rows([("CA", Q0, {"s": 3.0})]))
-        assert (joined.value("CA", Q0, "s"), joined.value("CA", Q0, "y")) == (3.0, 2.0)
+        assert (cell(joined, "CA", Q0, "s"), cell(joined, "CA", Q0, "y")) == (3.0, 2.0)

@@ -239,6 +239,3 @@ class TestArticleIO:
         with pytest.raises(InvalidArgumentError):
             ArticleRecord(id="a", date=dt.date(2010, 1, 1), title="", body="", gold_label="maybe")
 
-    def test_record_quarter(self):
-        r = ArticleRecord(id="a", date=dt.date(2012, 7, 1), title="", body="")
-        assert r.quarter() == Quarter(2012, 3)

@@ -23,39 +23,32 @@ from conftest import ar1, series
 class TestAdf:
     def test_random_walk_keeps_unit_root(self):
         rw = np.cumsum(np.random.default_rng(7).normal(0, 1, 500))
-        result = adf_test(series(rw), 8, "constant")
+        result = adf_test(series(rw), 8)
         assert result.p_value > 0.10
 
     def test_iid_rejects_unit_root(self):
         iid = np.random.default_rng(7).normal(0, 1, 500)
-        result = adf_test(series(iid), 8, "constant")
+        result = adf_test(series(iid), 8)
         assert result.p_value < 0.05
 
     def test_exact_ramp_finite(self):
-        result = adf_test(series(np.arange(1.0, 61.0)), 4, "constant_trend")
+        result = adf_test(series(np.arange(1.0, 61.0)), 4)
         assert np.isfinite(result.statistic)
         assert 0.0 <= result.p_value <= 1.0
 
     def test_detail_names_table_rows(self):
         iid = np.random.default_rng(1).normal(0, 1, 120)
-        result = adf_test(series(iid), 4, "constant")
+        result = adf_test(series(iid), 4)
         assert "table rows" in result.detail
         assert result.dof_or_lags <= 4
 
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
-            adf_test(series(np.arange(10.0)), 8, "constant")
+            adf_test(series(np.arange(10.0)), 8)
 
     def test_constant_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            adf_test(series([2.0] * 40), 2, "constant")
-
-    def test_deterministic_cases_differ(self):
-        rw = np.cumsum(np.random.default_rng(3).normal(0, 1, 300))
-        r_none = adf_test(series(rw), 4, "none")
-        r_c = adf_test(series(rw), 4, "constant")
-        r_ct = adf_test(series(rw), 4, "constant_trend")
-        assert len({r_none.statistic, r_c.statistic, r_ct.statistic}) == 3
+            adf_test(series([2.0] * 40), 2)
 
 
 class TestLjungBox:
