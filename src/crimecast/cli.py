@@ -269,7 +269,7 @@ def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:
     return config.fit_start, config.holdout_end
 
 
-def _check_predictors(data: PanelDataset, terms, span: tuple[Quarter, Quarter], path: Path) -> None:
+def _check_predictors(data: PanelDataset, terms, span, path: Path) -> None:
     """A blank predictor cell of the forecast span in `path` is an input error."""
     try:
         data.predictors(terms, span)
