@@ -17,8 +17,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import detector as detector_mod
 from . import evaluation, geo, signals as signals_mod, stattests
 from .arima import MAX_GRID_ORDER, ArimaSpec, fit_arima, fit_summary, forecast_arima, select_orders, suggest_orders_acf
@@ -29,6 +27,7 @@ from .regression import Dataset, RegressionSpec, build_model_spec, fit_ols, fore
 from .reporting import write_json
 from .series import (
     MISSING,
+    SEASONAL_PERIOD,
     DecompositionResult,
     Quarter,
     TimeSeries,
@@ -47,6 +46,7 @@ EXIT_INPUT_ERROR = 2
 NATIONAL_MODELS = (1, 2, 3, 4, 5)
 EVENT_MODELS = (3, 4, 5)
 PANEL_MODELS = (6, 7)
+PANEL_DEPENDENT = "fbi_num"
 # Model 1 readings of `arima_order` other than an explicit [p, d, q]; "auto"
 # searches (p, q) with d = 1.
 ARIMA_READINGS = {"drift": (0, 1, 0), "ar1": (1, 0, 0), "auto": None}
@@ -80,12 +80,6 @@ class PipelineConfig:
     detector_source: str = "precomputed"
     detector_model: Path | None = None
     detector_train: Path | None = None
-    decomposition_period: int = 4
-    panel_dependent: str = "fbi_num"
-    panel_min_coverage: float = 1.0
-    # Optional [variable, lag] lists replacing the default Model 2/4 terms.
-    panel_terms_model6: tuple[tuple[str, int], ...] | None = None
-    panel_terms_model7: tuple[tuple[str, int], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.holdout_start <= self.fit_end:
@@ -131,20 +125,6 @@ def _arima_order(value) -> str | tuple[int, int, int]:
     return order
 
 
-def _period(value) -> int:
-    period = _int(value)
-    if period < 2:
-        raise ValueError(f"must be at least 2, got {period}")
-    return period
-
-
-def _share(value) -> float:
-    share = float(value)
-    if not 0.0 <= share <= 1.0:
-        raise ValueError(f"must be in [0, 1], got {value!r}")
-    return share
-
-
 def _grid_bound(value) -> int:
     bound = _int(value)
     if not 0 <= bound <= MAX_GRID_ORDER:
@@ -156,12 +136,6 @@ def _detector_source(value) -> str:
     if value not in ("precomputed", "baseline"):
         raise ValueError("must be 'precomputed' or 'baseline'")
     return value
-
-
-def _terms(value) -> tuple[tuple[str, int], ...]:
-    terms = tuple((str(name), _int(k)) for name, k in value)
-    RegressionSpec("", terms)
-    return terms
 
 
 _CONVERTERS = {
@@ -176,11 +150,6 @@ _CONVERTERS = {
     "arima_max_p": _grid_bound,
     "arima_max_q": _grid_bound,
     "detector_source": _detector_source,
-    "decomposition_period": _period,
-    "panel_dependent": str,
-    "panel_min_coverage": _share,
-    "panel_terms_model6": _terms,
-    "panel_terms_model7": _terms,
 }
 
 
@@ -270,7 +239,7 @@ def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:
 
 
 def _check_predictors(data: PanelDataset, terms, span, path: Path) -> None:
-    """A blank predictor cell of the forecast span in `path` is an input error."""
+    """A blank predictor cell of the span in `path` is an input error."""
     try:
         data.predictors(terms, span)
     except InvalidArgumentError as exc:
@@ -278,15 +247,13 @@ def _check_predictors(data: PanelDataset, terms, span, path: Path) -> None:
 
 
 def _national_series(config: PipelineConfig) -> tuple[TimeSeries, TimeSeries, DecompositionResult]:
-    """Load the national series and return (observed, deseasonalized, decomposition)."""
+    """Load the national series and return (observed, deseasonalized,
+    decomposition). A gap or a short series in the file is an input error."""
     observed = _load(load_series_csv, config.fbi_series, "fbi_series", name="fbi_num")
-    period = config.decomposition_period
-    if len(observed) < 2 * period:
-        raise UsageError(
-            f"config key 'decomposition_period': {period} needs at least {2 * period} quarters,"
-            f" {config.fbi_series} has {len(observed)}"
-        )
-    decomp = decompose_additive(observed, period)
+    try:
+        decomp = decompose_additive(observed)
+    except InvalidArgumentError as exc:
+        raise UsageError(f"{config.fbi_series}: {exc}") from exc
     return observed, deseasonalize(observed, decomp), decomp
 
 
@@ -362,40 +329,28 @@ def _national_report(
     return report
 
 
-def _panel_spec(config: PipelineConfig, model_id: int) -> RegressionSpec:
-    """Model 6/7: the Model 2/4 terms, or the configured override, on the panel dependent."""
-    spec = replace(build_model_spec(2 if model_id == 6 else 4), dependent=config.panel_dependent)
-    override = config.panel_terms_model6 if model_id == 6 else config.panel_terms_model7
-    return spec if override is None else replace(spec, terms=override)
+def _panel_spec(model_id: int) -> RegressionSpec:
+    """Model 6/7: the Model 2/4 terms on the panel dependent."""
+    return replace(build_model_spec(2 if model_id == 6 else 4), dependent=PANEL_DEPENDENT)
 
 
 def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: signals_mod.StateSignals) -> dict:
     # A panel state without signals in a quarter gets zeros.
     panel = _load(PanelDataset.from_csv, config.panel, "panel").joined(state_signals.by_state)
-    specs = {model_id: _panel_spec(config, model_id) for model_id in model_ids}
-    variables = [("panel_dependent", config.panel_dependent)]
-    variables += [(f"panel_terms_model{m}", name) for m, spec in specs.items() for name, _ in spec.terms]
-    for key, name in variables:
+    specs = {model_id: _panel_spec(model_id) for model_id in model_ids}
+    for name in [PANEL_DEPENDENT, *(name for spec in specs.values() for name, _ in spec.terms)]:
         if name not in panel.names:
-            raise UsageError(f"config key {key!r}: {config.panel} has no variable {name!r}")
-    balanced, balance = balance_panel(
-        panel, config.panel_min_coverage, span=_span(config), dependent=config.panel_dependent
-    )
+            raise UsageError(f"{config.panel} has no variable {name!r}")
+    # Every retained state has the dependent at each quarter of the span.
+    balanced, balance = balance_panel(panel, _span(config), PANEL_DEPENDENT)
     fit_panel = balanced.restricted(balanced.unit_names, (config.fit_start, config.fit_end))
+    # Every term has lag 0 or 1, and the fit uses the rows from fit_start + 1.
+    for spec in specs.values():
+        _check_predictors(balanced, spec.terms, (config.fit_start + 1, config.holdout_end), config.panel)
     # Each model's predictions are stacked unit by unit (units in order), over
     # the holdout quarters, against the same stack of actual values.
     holdout = (config.holdout_start, config.holdout_end)
-    actuals = balanced._gather([(config.panel_dependent, 0)], holdout)[:, :, 0]
-    missing = np.argwhere(np.isnan(actuals))
-    if len(missing):
-        i, h = (int(v) for v in missing[0])
-        raise UsageError(
-            f"panel has no {config.panel_dependent!r} value for state {balanced.unit_names[i]!r}"
-            f" at holdout quarter {holdout[0] + h}"
-        )
-    actual = actuals.ravel().tolist()
-    for spec in specs.values():
-        _check_predictors(balanced, spec.terms, holdout, config.panel)
+    actual = balanced._gather([(PANEL_DEPENDENT, 0)], holdout)[:, :, 0].ravel().tolist()
 
     rows: list[evaluation.ModelRow] = []
     hausman = {}
@@ -458,7 +413,7 @@ def cmd_decompose(config: PipelineConfig) -> None:
     observed, deseasonalized, decomp = _national_series(config)
     _write_decomposition(config, observed, decomp)
     write_series_csv(deseasonalized, config.output_dir / "fbi_num_noseasonnal.csv")
-    print(f"decompose: period {config.decomposition_period}, {len(observed)} quarters")
+    print(f"decompose: period {SEASONAL_PERIOD}, {len(observed)} quarters")
 
 
 def cmd_diagnose(config: PipelineConfig) -> None:

@@ -33,10 +33,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class DetectionMetrics:

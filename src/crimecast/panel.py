@@ -21,41 +21,30 @@ from .series import PanelDataset, Quarter, TimeSeries
 
 @dataclass(frozen=True)
 class BalanceReport:
-    span: tuple[Quarter, Quarter]
     dropped: tuple[str, ...]
     retained: tuple[str, ...]
-    coverage: Mapping[str, float]
     retained_share: float
 
 
 def balance_panel(
-    panel: PanelDataset, min_coverage: float, span: tuple[Quarter, Quarter], dependent: str
+    panel: PanelDataset, span: tuple[Quarter, Quarter], dependent: str
 ) -> tuple[PanelDataset, BalanceReport]:
-    """Drop units whose coverage of the modeling span is below min_coverage;
-    when any unit is dropped, the panel is also restricted to the span.
-
-    Coverage counts the quarters of the span with a finite `dependent` value
-    (a missing row has none). The report carries the retained units' share
-    of the dependent's total over the span.
+    """Keep the units whose `dependent` is finite at every quarter of the
+    span (a missing row has none), restricted to the span. The report
+    carries the retained units' share of the dependent's total over the span.
     """
-    if not 0.0 <= min_coverage <= 1.0:
-        raise InvalidArgumentError("min_coverage must be in [0, 1]")
     dep = panel._gather([(dependent, 0)], span)[:, :, 0]
-    covered = ~np.isnan(dep)
-    weight = np.where(covered, dep, 0.0)
-    shares = covered.sum(axis=1) / dep.shape[1]
-    kept = shares >= min_coverage
+    kept = ~np.isnan(dep).any(axis=1)
     if not kept.any():
         raise EmptyPanelError("balancing dropped every unit")
+    weight = np.nan_to_num(dep)
     total = float(weight.sum())
     report = BalanceReport(
-        span=span,
         dropped=tuple(u for u, k in zip(panel.unit_names, kept) if not k),
         retained=tuple(u for u, k in zip(panel.unit_names, kept) if k),
-        coverage=dict(zip(panel.unit_names, shares.tolist())),
         retained_share=float(weight[kept].sum()) / total if total != 0.0 else 1.0,
     )
-    return (panel.restricted(report.retained, span) if report.dropped else panel), report
+    return panel.restricted(report.retained, span), report
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,6 @@ class PanelFit:
     sigma2_e: float
     sigma2_u: float | None
     theta: float | None
-    within_r_squared: float
     overall_r_squared: float
     log_likelihood: float
     residuals: Mapping[str, TimeSeries]
@@ -175,7 +163,6 @@ def fit_fixed_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
         sigma2_e=sigma2_e,
         sigma2_u=None,
         theta=None,
-        within_r_squared=_r_squared(ssr, float(w.y_dm @ w.y_dm)),
         overall_r_squared=_r_squared(ssr, w.sst),
         log_likelihood=_gaussian_loglik(ssr, n)[1],
         residuals=w.unit_series(resid),
@@ -224,7 +211,6 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
     beta = beta_full[1:]
 
     resid = w.y - intercept - w.x @ beta
-    resid_dm = w.y_dm - w.x_dm @ beta
     return PanelFit(
         method="random",
         spec=spec,
@@ -236,7 +222,6 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
         sigma2_e=sigma2_e,
         sigma2_u=sigma2_u,
         theta=float(theta),
-        within_r_squared=_r_squared(float(resid_dm @ resid_dm), float(w.y_dm @ w.y_dm)),
         overall_r_squared=_r_squared(float(resid @ resid), w.sst),
         log_likelihood=_gaussian_loglik(ssr_star, n)[1],
         residuals=w.unit_series(resid),

@@ -26,6 +26,7 @@ MISSING = float("nan")
 NATIONAL = "national"
 
 _RECONSTRUCTION_TOL = 1e-6
+SEASONAL_PERIOD = 4  # quarters per year
 
 
 @dataclass(frozen=True, order=True)
@@ -142,7 +143,6 @@ class DecompositionResult:
     trend: TimeSeries
     seasonal: TimeSeries
     irregular: TimeSeries
-    period: int
 
 
 def difference(series: TimeSeries, order: int) -> TimeSeries:
@@ -212,16 +212,16 @@ def pacf(series: TimeSeries, max_lag: int) -> np.ndarray:
     return out
 
 
-def decompose_additive(series: TimeSeries, period: int) -> DecompositionResult:
-    """Classical moving-average decomposition into trend, seasonal, irregular.
+def decompose_additive(series: TimeSeries) -> DecompositionResult:
+    """Classical moving-average decomposition into trend, seasonal, irregular
+    over the year of SEASONAL_PERIOD quarters.
 
-    Even periods use the centred 2xMA convention (half weights at the window
-    ends); the trend and irregular components are missing at the first and
-    last period//2 positions. The seasonal component is the re-centred mean of
-    the detrended series per phase, tiled over the full range.
+    The trend is the centred 2x4 moving average (half weights at the window
+    ends), missing at the first and last two positions, as is the irregular
+    component. The seasonal component is the re-centred mean of the
+    detrended series per quarter, tiled over the full range.
     """
-    if period < 2:
-        raise InvalidArgumentError(f"period must be >= 2, got {period}")
+    period = SEASONAL_PERIOD
     y = _defined_values(series)
     n = len(y)
     if n < 2 * period:
@@ -229,10 +229,7 @@ def decompose_additive(series: TimeSeries, period: int) -> DecompositionResult:
             f"series length {n} must be at least 2*period = {2 * period}"
         )
 
-    if period % 2 == 0:
-        filt = np.array([0.5] + [1.0] * (period - 1) + [0.5]) / period
-    else:
-        filt = np.full(period, 1.0 / period)
+    filt = np.array([0.5] + [1.0] * (period - 1) + [0.5]) / period
     half = period // 2
     core = np.convolve(y, filt, mode="valid")
     trend = np.full(n, MISSING)
@@ -251,7 +248,6 @@ def decompose_additive(series: TimeSeries, period: int) -> DecompositionResult:
         trend=TimeSeries(series.name + "_trend", series.start, tuple(trend)),
         seasonal=TimeSeries(series.name + "_seasonal", series.start, tuple(seasonal)),
         irregular=TimeSeries(series.name + "_irregular", series.start, tuple(irregular)),
-        period=period,
     )
 
 

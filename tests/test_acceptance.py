@@ -121,7 +121,7 @@ def test_criterion_05_decomposition_recovery():
         ramp = np.arange(1.0, 49.0)
         pattern = np.tile([2.0, 0.0, -1.0, -1.0], 12)
         ts = series(ramp + pattern)
-        dec = decompose_additive(ts, 4)
+        dec = decompose_additive(ts)
         trend = dec.trend.to_array()
         defined = ~np.isnan(trend)
         assert np.max(np.abs(trend[defined] - ramp[defined])) < 1e-9

@@ -1,14 +1,16 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import crimecast
-from crimecast.cli import EXIT_INPUT_ERROR, EXIT_MODEL_ERROR, EXIT_OK, UsageError, load_config, main
+from crimecast.cli import EXIT_INPUT_ERROR, EXIT_MODEL_ERROR, EXIT_OK, PipelineConfig, UsageError, load_config, main
 from crimecast.signals import load_articles
 
 from conftest import FIXTURES, GAZETTEER, GOLDEN
@@ -27,6 +29,16 @@ def absolute_config(**changes):
         raw[key] = str((FIXTURES / raw[key]).resolve())
     raw.update(changes)
     return raw
+
+
+# Keys of earlier configs, each with a value it used to accept.
+REMOVED_KEYS = {
+    "decomposition_period": 4,
+    "panel_dependent": "fbi_num",
+    "panel_min_coverage": 1.0,
+    "panel_terms_model6": [["population", 0]],
+    "panel_terms_model7": [["population", 0]],
+}
 
 
 class TestConfig:
@@ -51,14 +63,8 @@ class TestConfig:
             (absolute_config(arima_order="auto", arima_max_p=9), "'arima_max_p'"),
             (absolute_config(holdout_strat="2019Q1"), "'holdout_strat'"),
             (absolute_config(seed=1.5), "'seed'"),
-            (absolute_config(decomposition_period=True), "'decomposition_period'"),
             (absolute_config(arima_order=[1.7, 1, 0]), "'arima_order'"),
             (absolute_config(arima_order="auto", arima_max_q=1.5), "'arima_max_q'"),
-            (absolute_config(panel_terms_model6=[["news_num", 0.5]]), "'panel_terms_model6'"),
-            (absolute_config(decomposition_period=1), "'decomposition_period'"),
-            (absolute_config(panel_min_coverage=1.5), "'panel_min_coverage'"),
-            (absolute_config(panel_min_coverage="nan"), "'panel_min_coverage'"),
-            (absolute_config(decomposition_period=40), "'decomposition_period'"),
         ],
         ids=[
             "non-integer-order",
@@ -67,14 +73,8 @@ class TestConfig:
             "grid-bound-above-5",
             "unknown-key",
             "fractional-seed",
-            "bool-period",
             "fractional-order",
             "fractional-grid-bound",
-            "fractional-term-lag",
-            "period-below-2",
-            "coverage-above-1",
-            "coverage-nan",
-            "period-longer-than-series",
         ],
     )
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, raw, named):
@@ -86,20 +86,32 @@ class TestConfig:
         assert named in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "changes, key",
-        [({"panel_dependent": "nosuch"}, "panel_dependent"), ({"panel_terms_model6": [["nosuch", 1]]}, "panel_terms_model6")],
-        ids=["dependent", "term"],
-    )
-    def test_variable_missing_from_panel_exits_2_naming_key(self, tmp_path, capsys, changes, key):
+    @pytest.mark.parametrize("key, value", REMOVED_KEYS.items(), ids=list(REMOVED_KEYS))
+    def test_removed_key_exits_2_as_unknown(self, tmp_path, capsys, key, value):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(absolute_config(**changes)))
+        path.write_text(json.dumps(absolute_config(**{key: value})))
+        code = main(["decompose", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: config {path}: unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable", ["fbi_num", "population"], ids=["dependent", "term"])
+    def test_variable_missing_from_panel_exits_2_naming_key(self, tmp_path, capsys, variable):
+        rows = list(csv.reader((FIXTURES / "panel.csv").read_text().splitlines()))
+        column = rows[0].index(variable)
+        without = tmp_path / "panel.csv"
+        without.write_text("".join(",".join(r[:column] + r[column + 1 :]) + "\n" for r in rows))
         out = tmp_path / "out"
-        code = main(["fit-forecast", "--config", str(path), "--output-dir", str(out), "--models", "6"])
+        code = run("fit-forecast", "--output-dir", str(out), "--models", "6", "--panel", str(without))
         err = capsys.readouterr().err
         assert code == EXIT_INPUT_ERROR
-        assert f"error: config key '{key}': {(FIXTURES / 'panel.csv').resolve()} has no variable 'nosuch'" in err
+        assert f"error: {without.resolve()} has no variable {variable!r}" in err
         assert not (out / "panel_report.json").exists()
+
+    def test_readme_config_block_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        keys = re.findall(r'"(\w+)":', re.sub(r"//.*", "", block))
+        assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))
 
     def test_missing_file_exits_2(self, tmp_path):
         raw = json.loads(CONFIG.read_text())
@@ -186,31 +198,35 @@ class TestMalformedInput:
         assert "interior missing values" in err
         assert "Traceback" not in err
 
-    def test_retained_state_without_holdout_actual_exits_2(self, tmp_path, capsys):
-        # Coverage 0.9 keeps CA with one empty fbi_num; in the holdout it
-        # would score every model against NaN.
+    def test_retained_state_without_holdout_actual_exits_2(self, tmp_path):
+        # A state without an fbi_num value in the holdout has no actual to
+        # score against, so balancing drops it and the others are fitted.
         lines = (FIXTURES / "panel.csv").read_text().splitlines()
         row = lines.index(next(line for line in lines if line.startswith("CA,2019,4,")))
         cells = lines[row].split(",")
         cells[3] = ""
         lines[row] = ",".join(cells)
-        (tmp_path / "panel.csv").write_text("\n".join(lines) + "\n")
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps(absolute_config(panel=str(tmp_path / "panel.csv"), panel_min_coverage=0.9)))
+        blank = tmp_path / "panel.csv"
+        blank.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
-        code = main(["fit-forecast", "--config", str(config), "--output-dir", str(out), "--models", "6,7"])
-        err = capsys.readouterr().err
-        assert code == EXIT_INPUT_ERROR
-        assert "error: panel has no 'fbi_num' value for state 'CA' at holdout quarter 2019Q4" in err
-        assert "Traceback" not in err
-        assert not (out / "panel_report.json").exists()
+        assert run("fit-forecast", "--output-dir", str(out), "--models", "6,7", "--panel", str(blank)) == EXIT_OK
+        payload = json.loads((out / "panel_report.json").read_text())
+        assert payload["balance"]["dropped"] == ["CA"]
+        golden = json.loads((GOLDEN / "panel_report.json").read_text())
+        assert payload["balance"]["retained_units"] == golden["balance"]["retained_units"] - 1
 
     @pytest.mark.parametrize(
-        "name, row_start, models, unit, report",
-        [("panel.csv", "CA,2019,4,", "6", "CA", "panel_report.json"), ("covariates.csv", "2019,4,", "2", "national", "report.json")],
-        ids=["panel", "covariates"],
+        "name, row_start, models, unit, quarter, report",
+        [
+            ("panel.csv", "CA,2019,4,", "6", "CA", "2019Q4", "panel_report.json"),
+            ("covariates.csv", "2019,4,", "2", "national", "2019Q4", "report.json"),
+            ("panel.csv", "CA,2012,2,", "6", "CA", "2012Q2", "panel_report.json"),
+        ],
+        ids=["panel", "covariates", "panel-fit-range"],
     )
-    def test_blank_holdout_predictor_exits_2_naming_file(self, tmp_path, capsys, name, row_start, models, unit, report):
+    def test_blank_holdout_predictor_exits_2_naming_file(
+        self, tmp_path, capsys, name, row_start, models, unit, quarter, report
+    ):
         lines = (FIXTURES / name).read_text().splitlines()
         column = lines[0].split(",").index("population")
         row = next(i for i, line in enumerate(lines) if line.startswith(row_start))
@@ -223,9 +239,20 @@ class TestMalformedInput:
         code = run("fit-forecast", "--output-dir", str(out), "--models", models, "--" + name[:-4], str(blank))
         err = capsys.readouterr().err
         assert code == EXIT_INPUT_ERROR
-        assert f"error: {blank.resolve()}: missing predictor 'population' for unit '{unit}' at 2019Q4" in err
+        assert f"error: {blank.resolve()}: missing predictor 'population' for unit '{unit}' at {quarter}" in err
         assert "Traceback" not in err
         assert not (out / report).exists()
+
+    @pytest.mark.parametrize("row", [1, -1], ids=["first", "last"])
+    def test_blank_fbi_edge_exits_2_naming_file(self, tmp_path, capsys, row):
+        lines = (FIXTURES / "fbi.csv").read_text().splitlines()
+        lines[row] = lines[row].rsplit(",", 1)[0] + ","
+        blank = tmp_path / "fbi.csv"
+        blank.write_text("\n".join(lines) + "\n")
+        code = run("decompose", "--output-dir", str(tmp_path / "out"), "--fbi-series", str(blank))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {blank.resolve()}: series 'fbi_num' has missing values" in err
 
     def test_output_dir_naming_a_file_exits_2(self, tmp_path, capsys):
         occupied = tmp_path / "out"
@@ -336,19 +363,6 @@ class TestFitForecast:
     def test_panel_report_golden(self, tmp_path):
         assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "6,7") == EXIT_OK
         assert (tmp_path / "panel_report.json").read_bytes() == (GOLDEN / "panel_report.json").read_bytes()
-
-    def test_panel_terms_override(self, tmp_path):
-        raw = json.loads(CONFIG.read_text())
-        raw["gazetteer"] = str((FIXTURES / "../../src/crimecast/data/gazetteer.tsv").resolve())
-        for key in ("articles", "covariates", "fbi_series", "panel", "detector_train"):
-            raw[key] = str((FIXTURES / raw[key]).resolve())
-        raw["panel_terms_model7"] = [["aggravated_assault_rate", 1], ["hate_reported_index", 0]]
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "out"
-        assert main(["fit-forecast", "--config", str(path), "--output-dir", str(out), "--models", "7"]) == EXIT_OK
-        payload = json.loads((out / "panel_report.json").read_text())
-        assert payload["hausman"]["Model 7"]["dof_or_lags"] == 2
 
     def test_panel_report_contents(self, tmp_path):
         assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "6,7") == EXIT_OK

@@ -75,28 +75,22 @@ class TestBalance:
 
     def test_drops_incomplete_units(self):
         panel = self.make_gappy_panel()
-        balanced, report = balance_panel(panel, 1.0, (panel.start, panel.end), "fbi_num")
+        balanced, report = balance_panel(panel, (panel.start, panel.end), "fbi_num")
         assert len(report.retained) == 47
         assert len(report.dropped) == 4
         assert 0.9 < report.retained_share < 1.0
 
-    def test_zero_coverage_identity(self):
-        panel = self.make_gappy_panel()
-        balanced, report = balance_panel(panel, 0.0, (panel.start, panel.end), "fbi_num")
-        assert balanced.unit_names == panel.unit_names
-        assert report.dropped == ()
-
     def test_single_complete_unit(self):
         rows = [("CA", Q0 + t, {"fbi_num": 1.0}) for t in range(8)]
         panel = PanelDataset.from_rows(rows)
-        balanced, report = balance_panel(panel, 1.0, (panel.start, panel.end), "fbi_num")
+        balanced, report = balance_panel(panel, (panel.start, panel.end), "fbi_num")
         assert report.retained == ("CA",)
         assert report.retained_share == 1.0
 
     def test_idempotent(self):
         panel = self.make_gappy_panel()
-        once, _ = balance_panel(panel, 1.0, (panel.start, panel.end), "fbi_num")
-        twice, report = balance_panel(once, 1.0, (once.start, once.end), "fbi_num")
+        once, _ = balance_panel(panel, (panel.start, panel.end), "fbi_num")
+        twice, report = balance_panel(once, (once.start, once.end), "fbi_num")
         assert twice.unit_names == once.unit_names
         assert report.dropped == ()
 
@@ -105,7 +99,7 @@ class TestBalance:
                 ("NY", Q0 + 1, {"y": 1.0})]
         panel = PanelDataset.from_rows(rows)
         with pytest.raises(EmptyPanelError):
-            balance_panel(panel, 1.0, (panel.start, panel.end), "y")
+            balance_panel(panel, (panel.start, panel.end), "y")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(InvalidArgumentError):

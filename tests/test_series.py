@@ -118,7 +118,7 @@ class TestDecomposition:
     def test_pure_seasonal(self):
         pattern = [1.0, -1.0, 2.0, -2.0]
         ts = series(np.tile(pattern, 5))
-        dec = decompose_additive(ts, 4)
+        dec = decompose_additive(ts)
         s = dec.seasonal.to_array()
         np.testing.assert_allclose(s[:4], pattern, atol=1e-9)
         t = dec.trend.to_array()
@@ -129,7 +129,7 @@ class TestDecomposition:
 
     def test_linear_ramp_no_seasonality(self):
         ts = series(np.arange(1.0, 21.0))
-        dec = decompose_additive(ts, 4)
+        dec = decompose_additive(ts)
         np.testing.assert_allclose(dec.seasonal.to_array(), 0.0, atol=1e-9)
         t = dec.trend.to_array()
         defined = ~np.isnan(t)
@@ -141,7 +141,7 @@ class TestDecomposition:
         ramp = np.arange(1.0, 41.0)
         pattern = np.tile([2.0, 0.0, -1.0, -1.0], 10)
         ts = series(ramp + pattern)
-        dec = decompose_additive(ts, 4)
+        dec = decompose_additive(ts)
         defined = ~np.isnan(dec.trend.to_array())
         np.testing.assert_allclose(dec.trend.to_array()[defined], ramp[defined], atol=1e-9)
         np.testing.assert_allclose(dec.seasonal.to_array()[:4], [2, 0, -1, -1], atol=1e-9)
@@ -149,34 +149,25 @@ class TestDecomposition:
 
     def test_reconstruction_identity(self, rng):
         ts = series(rng.normal(10, 3, size=37))
-        dec = decompose_additive(ts, 4)
+        dec = decompose_additive(ts)
         recon = dec.trend.to_array() + dec.seasonal.to_array() + dec.irregular.to_array()
         defined = ~np.isnan(recon)
         np.testing.assert_allclose(recon[defined], ts.to_array()[defined], atol=1e-9)
 
     def test_seasonal_zero_sum(self, rng):
         ts = series(rng.normal(0, 5, size=31))
-        dec = decompose_additive(ts, 4)
+        dec = decompose_additive(ts)
         assert abs(sum(dec.seasonal.values[:4])) < 1e-9
-
-    def test_odd_period(self, rng):
-        ts = series(rng.normal(size=15))
-        dec = decompose_additive(ts, 3)
-        t = dec.trend.to_array()
-        assert np.isnan(t[0]) and np.isnan(t[-1]) and not np.isnan(t[1])
-        recon = t + dec.seasonal.to_array() + dec.irregular.to_array()
-        defined = ~np.isnan(recon)
-        np.testing.assert_allclose(recon[defined], ts.to_array()[defined], atol=1e-9)
 
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
-            decompose_additive(series(np.arange(7.0)), 4)
+            decompose_additive(series(np.arange(7.0)))
 
 
 class TestDeseasonalize:
     def test_zero_seasonal_identity(self, rng):
         ts = series(np.arange(1.0, 21.0))
-        dec = decompose_additive(ts, 4)
+        dec = decompose_additive(ts)
         out = deseasonalize(ts, dec)
         np.testing.assert_allclose(out.to_array(), ts.to_array(), atol=1e-9)
         assert out.name == "x_noseasonnal"
@@ -184,27 +175,27 @@ class TestDeseasonalize:
     def test_ramp_plus_seasonal(self):
         ramp = np.arange(1.0, 41.0)
         ts = series(ramp + np.tile([2.0, 0.0, -1.0, -1.0], 10))
-        out = deseasonalize(ts, decompose_additive(ts, 4))
+        out = deseasonalize(ts, decompose_additive(ts))
         np.testing.assert_allclose(out.to_array(), ramp, atol=1e-9)
 
     def test_idempotence_at_tolerance(self, rng):
         values = np.arange(40.0) + np.tile([3.0, -1.0, 0.5, -2.5], 10) + rng.normal(0, 0.2, 40)
         ts = series(values)
-        out = deseasonalize(ts, decompose_additive(ts, 4))
-        dec2 = decompose_additive(out, 4)
+        out = deseasonalize(ts, decompose_additive(ts))
+        dec2 = decompose_additive(out)
         assert np.nanmax(np.abs(dec2.seasonal.to_array())) < 1e-6
 
     def test_noiseless_idempotence(self):
         values = np.arange(40.0) + np.tile([3.0, -1.0, 0.5, -2.5], 10)
         ts = series(values)
-        out = deseasonalize(ts, decompose_additive(ts, 4))
-        dec2 = decompose_additive(out, 4)
+        out = deseasonalize(ts, decompose_additive(ts))
+        dec2 = decompose_additive(out)
         assert np.nanmax(np.abs(dec2.seasonal.to_array())) < 1e-6
 
     def test_misaligned_rejected(self, rng):
         ts = series(rng.normal(size=20))
         other = series(rng.normal(size=20), name="y")
-        dec = decompose_additive(other, 4)
+        dec = decompose_additive(other)
         with pytest.raises(InvalidArgumentError):
             deseasonalize(ts, dec)
 
