@@ -21,7 +21,7 @@ from . import detector as detector_mod
 from . import evaluation, geo, signals as signals_mod, stattests
 from .arima import MAX_GRID_ORDER, ArimaSpec, fit_arima, fit_summary, forecast_arima, select_orders, suggest_orders_acf
 from .evaluation import ForecastReport, compare_models, score_model
-from .exceptions import CrimecastError, InvalidArgumentError
+from .exceptions import CrimecastError, InvalidArgumentError, decode_utf8
 from .panel import PanelDataset, balance_panel, fit_fixed_effects, fit_random_effects, forecast_panel
 from .regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
 from .reporting import write_json
@@ -158,9 +158,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     An unknown key or a bad value is a UsageError naming the key."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(decode_utf8(path.read_bytes(), path))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except InvalidArgumentError as exc:
+        raise UsageError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -228,10 +230,15 @@ def _resolved(config: PipelineConfig, records: list[signals_mod.ArticleRecord]) 
     if all(r.state is not None for r in records):
         return records
     gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
-    return [
-        r if r.state is not None else replace(r, state=geo.resolve_state(r.text(), gaz).state)
-        for r in records
-    ]
+    resolved = []
+    for record in records:
+        if record.state is None:
+            try:
+                record = record.updated(state=geo.resolve_state(record.text(), gaz).state)
+            except InvalidArgumentError as exc:
+                raise UsageError(f"{config.articles}: article {record.id!r}: {exc}") from exc
+        resolved.append(record)
+    return resolved
 
 
 def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:

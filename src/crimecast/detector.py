@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, decode_utf8
 from .geo import _tokenize
 from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord
 
@@ -80,16 +80,25 @@ class BaselineModel:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "BaselineModel":
+        """Read a model that `to_json` wrote; a file that is not such a model
+        is an InvalidArgumentError naming it."""
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = json.loads(decode_utf8(Path(path).read_bytes(), path))
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidArgumentError(f"cannot read model file {path}: {exc}") from exc
-        return cls(
-            vocabulary=dict(payload["vocabulary"]),
-            bias=float(payload["bias"]),
-            threshold=float(payload["threshold"]),
-            metadata=dict(payload.get("metadata", {})),
-        )
+        if not isinstance(payload, dict):
+            raise InvalidArgumentError(f"model file {path} must hold a JSON object")
+        try:
+            return cls(
+                vocabulary=dict(payload["vocabulary"]),
+                bias=float(payload["bias"]),
+                threshold=float(payload["threshold"]),
+                metadata=dict(payload.get("metadata", {})),
+            )
+        except KeyError as exc:
+            raise InvalidArgumentError(f"model file {path} lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"model file {path}: {exc}") from exc
 
 
 def _split_records(
@@ -220,7 +229,7 @@ def classify_corpus(
     scores: dict[str, float] = {}
     for record in records:
         label, score = model.classify(record)
-        labeled.append(replace(record, predicted_label=label))
+        labeled.append(record.updated(predicted_label=label))
         scores[record.id] = score
     return labeled, scores
 

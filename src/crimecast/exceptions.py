@@ -1,7 +1,9 @@
-"""Shared exception types for validation and numeric failure modes."""
+"""Shared exception types for validation and numeric failure modes, and the
+UTF-8 decoding that turns an undecodable input file into an input error."""
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Iterable
 
 
@@ -29,3 +31,13 @@ class CollinearityError(CrimecastError, ValueError):
 
 class EmptyPanelError(CrimecastError, ValueError):
     """Balancing removed every unit from the panel."""
+
+
+def decode_utf8(data: bytes, path: str | Path, first_line: int = 1) -> str:
+    """`data`, read from `path` starting at line `first_line`, as UTF-8 text.
+    Bytes that are not UTF-8 raise InvalidArgumentError naming `path:line`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first_line + data.count(b"\n", 0, exc.start)
+        raise InvalidArgumentError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None

@@ -5,6 +5,8 @@ Matching is whole-token: gazetteer names are tokenized, the article text is
 scanned for n-gram occurrences, matches contained in a longer overlapping
 match are suppressed, and the survivors are ranked by priority class
 (state name > city > institute), then name length, then earliest position.
+The scan goes through a first-token index: a text position is probed only
+when its token starts some name, and only at the lengths of those names.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, decode_utf8
 
 UNKNOWN_STATE = "UNKNOWN"
 
@@ -53,7 +55,9 @@ class Gazetteer:
     """Normalized place/institute names mapped to state codes."""
 
     entries: Mapping[tuple[str, ...], GazetteerEntry]
-    max_tokens: int
+    # The first token of each name -> the ascending token counts of the
+    # names that start with it.
+    lengths: Mapping[str, tuple[int, ...]]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -81,11 +85,10 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        lines = decode_utf8(path.read_bytes(), path).splitlines()
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read gazetteer {path}: {exc}") from exc
     entries: dict[tuple[str, ...], GazetteerEntry] = {}
-    max_tokens = 1
     for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -108,10 +111,12 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
         existing = entries.get(tokens)
         if existing is None or priority > existing.priority:
             entries[tokens] = GazetteerEntry(name=name, state=state, priority=priority)
-        max_tokens = max(max_tokens, len(tokens))
     if not entries:
         raise InvalidArgumentError(f"gazetteer {path} has no valid rows")
-    return Gazetteer(entries=entries, max_tokens=max_tokens)
+    lengths: dict[str, set[int]] = {}
+    for tokens in entries:
+        lengths.setdefault(tokens[0], set()).add(len(tokens))
+    return Gazetteer(entries=entries, lengths={token: tuple(sorted(n)) for token, n in lengths.items()})
 
 
 def resolve_state(text: str, gazetteer: Gazetteer) -> Resolution:
@@ -119,12 +124,19 @@ def resolve_state(text: str, gazetteer: Gazetteer) -> Resolution:
     if not text or not text.strip():
         raise InvalidArgumentError("text must be nonempty")
     tokens = _tokenize(text)
+    n_tokens = len(tokens)
+    entries, lengths = gazetteer.entries, gazetteer.lengths
     candidates: list[tuple[int, int, GazetteerEntry]] = []
-    for start in range(len(tokens)):
-        for length in range(1, min(gazetteer.max_tokens, len(tokens) - start) + 1):
-            entry = gazetteer.entries.get(tuple(tokens[start : start + length]))
+    for start, token in enumerate(tokens):
+        for length in lengths.get(token, ()):
+            end = start + length
+            # Past the text's end the slice would come back short and could
+            # match a shorter name under the wrong span.
+            if end > n_tokens:
+                break
+            entry = entries.get(tuple(tokens[start:end]))
             if entry is not None:
-                candidates.append((start, start + length, entry))
+                candidates.append((start, end, entry))
     if not candidates:
         return Resolution(UNKNOWN_STATE, "", 0.0)
 

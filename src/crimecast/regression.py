@@ -120,7 +120,10 @@ class Dataset(PanelDataset):
         a column with an interior gap is rejected."""
         names, rows = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
         columns = zip(*(values for _, _, values in rows))
-        return cls.align(TimeSeries(n, rows[0][1], col) for n, col in zip(names, columns))
+        try:
+            return cls.align(TimeSeries(n, rows[0][1], col) for n, col in zip(names, columns))
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

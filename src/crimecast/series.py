@@ -10,6 +10,7 @@ trailing runs; interior gaps are rejected when a series is constructed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -18,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, EmptyPanelError, InvalidArgumentError
+from .exceptions import DegenerateInputError, EmptyPanelError, InvalidArgumentError, decode_utf8
 from .reporting import format_float
 
 MISSING = float("nan")
@@ -284,15 +285,15 @@ def _parse_cell(raw: str, path: Path, lineno: int) -> float:
 def read_quarterly_csv(
     path: str | Path, keys: tuple[str, ...], consecutive: bool = False
 ) -> tuple[list[str], list[tuple[list[str], Quarter, list[float]]]]:
-    """Read a CSV whose header is `keys` (ending in year, quarter) and then
-    one or more value columns. Returns the value column names and, per
+    """Read a UTF-8 CSV whose header is `keys` (ending in year, quarter) and
+    then one or more value columns. Returns the value column names and, per
     non-blank row, (the key cells before year, the quarter, the values). The
     cells a short row lacks are missing. A row that repeats the key cells
     and quarter of an earlier row is rejected. With `consecutive`, rows must
     be sorted consecutive quarters."""
     path = Path(path)
     n_keys = len(keys)
-    with path.open(newline="") as fh:
+    with io.StringIO(decode_utf8(path.read_bytes(), path), newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         names = header[n_keys:]
@@ -334,7 +335,10 @@ def load_series_csv(path: str | Path, name: str | None = None) -> TimeSeries:
     if names[0] != "value":
         raise InvalidArgumentError(f"{path}: expected header 'year,quarter,value'")
     series_name = name if name is not None else path.stem
-    return TimeSeries(series_name, rows[0][1], tuple(values[0] for _, _, values in rows))
+    try:
+        return TimeSeries(series_name, rows[0][1], tuple(values[0] for _, _, values in rows))
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
 def write_series_csv(series: TimeSeries, path: str | Path) -> None:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, decode_utf8
 from .geo import UNKNOWN_STATE
 from .reporting import format_float
 from .series import NATIONAL, PanelDataset, Quarter
@@ -41,27 +41,42 @@ class ArticleRecord:
             raise InvalidArgumentError("article id must be nonempty")
         if not isinstance(self.date, dt.date):
             raise InvalidArgumentError(f"article {self.id}: date must be a datetime.date")
-        for attr in ("gold_label", "predicted_label"):
-            value = getattr(self, attr)
-            if value is not None and value not in LABELS:
-                raise InvalidArgumentError(f"article {self.id}: {attr} must be one of {LABELS}")
+        if self.gold_label is not None and self.gold_label not in LABELS:
+            raise InvalidArgumentError(f"article {self.id}: gold_label must be one of {LABELS}")
+        if self.predicted_label is not None and self.predicted_label not in LABELS:
+            raise InvalidArgumentError(f"article {self.id}: predicted_label must be one of {LABELS}")
 
     def text(self) -> str:
         return f"{self.title}\n{self.body}"
 
+    def updated(self, predicted_label: str | None = None, state: str | None = None) -> "ArticleRecord":
+        """A copy with the given predicted_label and state (None keeps this
+        record's), validated by the constructor; about half the cost of
+        `dataclasses.replace` per record."""
+        return ArticleRecord(
+            self.id,
+            self.date,
+            self.title,
+            self.body,
+            self.gold_label,
+            self.predicted_label if predicted_label is None else predicted_label,
+            self.state if state is None else state,
+        )
+
 
 def load_articles(path: str | Path) -> list[ArticleRecord]:
-    """Read a JSON-lines corpus, rejecting duplicate ids."""
+    """Read a JSON-lines UTF-8 corpus, rejecting duplicate ids."""
     path = Path(path)
     records: list[ArticleRecord] = []
     seen: set[str] = set()
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    decode = json.JSONDecoder().decode
+    with path.open("rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
+            line = decode_utf8(data, path, lineno).strip()
             if not line:
                 continue
             try:
-                raw = json.loads(line)
+                raw = decode(line)
             except json.JSONDecodeError as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON") from exc
             try:

@@ -126,6 +126,12 @@ class TestConfig:
         path.write_text("{not json")
         assert main(["detect", "--config", str(path)]) == EXIT_INPUT_ERROR
 
+    def test_non_utf8_config_exits_2_naming_path_line(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{\n  "seed": "\xff"\n}\n')
+        assert main(["detect", "--config", str(path)]) == EXIT_INPUT_ERROR
+        assert f"error: {path}:2: not UTF-8 text" in capsys.readouterr().err
+
     def test_unknown_model_id_exits_2(self, tmp_path):
         assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "9") == EXIT_INPUT_ERROR
 
@@ -195,8 +201,68 @@ class TestMalformedInput:
         code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "2", "--covariates", str(gappy))
         err = capsys.readouterr().err
         assert code == EXIT_INPUT_ERROR
-        assert "interior missing values" in err
+        assert f"error: {gappy.resolve()}: series 'uner_quar' has interior missing values" in err
         assert "Traceback" not in err
+
+    def test_fbi_interior_gap_exits_2_naming_file(self, tmp_path, capsys):
+        lines = (FIXTURES / "fbi.csv").read_text().splitlines()
+        lines[10] = lines[10].rsplit(",", 1)[0] + ","
+        gappy = tmp_path / "fbi.csv"
+        gappy.write_text("\n".join(lines) + "\n")
+        code = run("decompose", "--output-dir", str(tmp_path / "out"), "--fbi-series", str(gappy))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {gappy.resolve()}: series 'fbi_num' has interior missing values" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag, name, lineno",
+        [
+            ("signals", "--articles", "articles.jsonl", 3),
+            ("signals", "--gazetteer", "gazetteer.tsv", 5),
+            ("decompose", "--fbi-series", "fbi.csv", 7),
+        ],
+        ids=["articles", "gazetteer", "fbi"],
+    )
+    def test_non_utf8_input_exits_2_naming_path_line(self, tmp_path, capsys, command, flag, name, lineno):
+        source = GAZETTEER if name == "gazetteer.tsv" else FIXTURES / name
+        lines = source.read_bytes().splitlines()
+        lines[lineno - 1] = lines[lineno - 1][:4] + b"\xff" + lines[lineno - 1][4:]
+        corrupt = tmp_path / name
+        corrupt.write_bytes(b"\n".join(lines) + b"\n")
+        code = run(command, "--output-dir", str(tmp_path / "out"), flag, str(corrupt))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {corrupt.resolve()}:{lineno}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [({"bias": 0.0, "threshold": 0.5}, "lacks the key 'vocabulary'"), ([1, 2], "must hold a JSON object")],
+        ids=["no-vocabulary", "json-array"],
+    )
+    def test_malformed_detector_model_exits_2_naming_file(self, tmp_path, capsys, payload, problem):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(absolute_config(detector_source="baseline", detector_model=str(model))))
+        code = main(["detect", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: model file {model} {problem}" in err
+        assert "Traceback" not in err
+
+    def test_article_without_text_exits_2_naming_file_and_id(self, tmp_path, capsys):
+        articles = tmp_path / "articles.jsonl"
+        articles.write_text(
+            (FIXTURES / "articles.jsonl").read_text()
+            + json.dumps({"id": "blank", "date": "2010-01-01", "title": "", "body": "", "predicted_label": "hate_crime"})
+            + "\n"
+        )
+        code = run("signals", "--output-dir", str(tmp_path / "out"), "--articles", str(articles))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {articles.resolve()}: article 'blank': text must be nonempty" in err
 
     def test_retained_state_without_holdout_actual_exits_2(self, tmp_path):
         # A state without an fbi_num value in the holdout has no actual to

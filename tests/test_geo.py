@@ -1,9 +1,11 @@
 import re
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from crimecast.exceptions import InvalidArgumentError
-from crimecast.geo import load_gazetteer, resolve_state
+from crimecast.geo import UNKNOWN_STATE, Resolution, _tokenize, load_gazetteer, resolve_state
 from crimecast.signals import load_articles
 from crimecast.stattests import cohens_kappa
 
@@ -63,6 +65,12 @@ class TestLoad:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             load_gazetteer(tmp_path / "missing.tsv")
+
+    def test_first_token_index(self, tmp_path):
+        gaz = load_gazetteer(
+            write_gazetteer(tmp_path, [("Kansas City", "MO", 2), ("Kansas", "KS", 3), ("New York City", "NY", 2)])
+        )
+        assert gaz.lengths == {"kansas": (1, 2), "new": (3,)}
 
 
 class TestResolve:
@@ -153,3 +161,58 @@ class TestBundledGazetteer:
         gold = [r.state for r in records]
         predicted = [resolve_state(r.text(), gaz).state for r in records]
         assert cohens_kappa(gold, predicted) >= 0.75
+
+
+def scan_all_positions(text, gazetteer):
+    """The reference resolver: probes every token position at every length
+    up to the longest name, then ranks as resolve_state does."""
+    if not text or not text.strip():
+        raise InvalidArgumentError("text must be nonempty")
+    tokens = _tokenize(text)
+    longest = max(len(name) for name in gazetteer.entries)
+    candidates = []
+    for start in range(len(tokens)):
+        for length in range(1, min(longest, len(tokens) - start) + 1):
+            entry = gazetteer.entries.get(tuple(tokens[start : start + length]))
+            if entry is not None:
+                candidates.append((start, start + length, entry))
+    if not candidates:
+        return Resolution(UNKNOWN_STATE, "", 0.0)
+    candidates.sort(key=lambda c: (-(c[1] - c[0]), -c[2].priority, c[0]))
+    kept = []
+    for cand in candidates:
+        if any(cand[0] < other[1] and other[0] < cand[1] for other in kept):
+            continue
+        kept.append(cand)
+    kept.sort(key=lambda c: (-c[2].priority, -(c[1] - c[0]), -len(c[2].name), c[0]))
+    entry = kept[0][2]
+    return Resolution(entry.state, entry.name, float(entry.priority))
+
+
+BUNDLED = load_gazetteer(GAZETTEER)
+NAMES = sorted(entry.name for entry in BUNDLED.entries.values())
+# First tokens of multi-token names ("kansas" of "Kansas City"), which end a
+# text in some examples: there a longer name would run past the last token.
+PREFIXES = sorted({tokens[0] for tokens in BUNDLED.entries if len(tokens) > 1})
+FILLER = ["in", "the", "near", "of", "city", "county", "north", "new", "police", "reported", "state"]
+PUNCTUATION = [",", ".", "-", "'s", "!", "(", ")"]
+WORDS = st.sampled_from(NAMES + PREFIXES + FILLER + PUNCTUATION)
+
+
+class TestFirstTokenIndex:
+    """resolve_state probes only the positions and lengths the first-token
+    index names; the reference probes them all."""
+
+    @pytest.mark.parametrize("name", ["articles.jsonl", "articles_annotated_500.jsonl"])
+    def test_matches_reference_on_fixture_articles(self, name):
+        for record in load_articles(FIXTURES / name):
+            assert resolve_state(record.text(), BUNDLED) == scan_all_positions(record.text(), BUNDLED)
+
+    @seed(20261018)
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(WORDS, min_size=1, max_size=12), st.sampled_from(PREFIXES))
+    @example(["Colorado", "police", "reported", "an", "attack", "in"], "kansas")
+    @example(["a", "rally", "in"], "kansas")
+    def test_matches_reference_on_generated_texts(self, words, last):
+        for text in (" ".join(words), " ".join([*words, last])):
+            assert resolve_state(text, BUNDLED) == scan_all_positions(text, BUNDLED)
