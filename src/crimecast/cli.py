@@ -348,8 +348,11 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
     for name in [PANEL_DEPENDENT, *(name for spec in specs.values() for name, _ in spec.terms)]:
         if name not in panel.names:
             raise UsageError(f"{config.panel} has no variable {name!r}")
+    span = _span(config)
+    if panel.start > span[0] or panel.end < span[1]:
+        raise UsageError(f"{config.panel}: panel covers {panel.start}..{panel.end}, need {span[0]}..{span[1]}")
     # Every retained state has the dependent at each quarter of the span.
-    balanced, balance = balance_panel(panel, _span(config), PANEL_DEPENDENT)
+    balanced, balance = balance_panel(panel, span, PANEL_DEPENDENT)
     fit_panel = balanced.restricted(balanced.unit_names, (config.fit_start, config.fit_end))
     # Every term has lag 0 or 1, and the fit uses the rows from fit_start + 1.
     for spec in specs.values():

@@ -10,13 +10,9 @@ from typing import Mapping
 import numpy as np
 
 from .arima import _gaussian_loglik
-from .exceptions import (
-    CollinearityError,
-    EmptyPanelError,
-    InvalidArgumentError,
-)
+from .exceptions import CollinearityError, EmptyPanelError, InvalidArgumentError
 from .regression import RegressionSpec, _qr_solve
-from .series import PanelDataset, Quarter, TimeSeries
+from .series import PanelDataset, Quarter
 
 
 @dataclass(frozen=True)
@@ -63,20 +59,7 @@ class PanelFit:
     theta: float | None
     overall_r_squared: float
     log_likelihood: float
-    residuals: Mapping[str, TimeSeries]
-    n_obs: int
     sigma2_u_truncated: bool = False  # random effects: a negative sigma2_u estimate was set to 0
-
-    def slope(self, name: str) -> float:
-        try:
-            return self.slopes[self.slope_names.index(name)]
-        except ValueError:
-            raise InvalidArgumentError(f"no slope named {name!r}") from None
-
-    def average_effect(self) -> float:
-        if self.method == "random":
-            return float(self.intercept or 0.0)
-        return float(np.mean(list(self.unit_effects.values())))
 
 
 @dataclass(frozen=True)
@@ -85,7 +68,7 @@ class _Within:
 
     units: tuple[str, ...]
     names: list[str]
-    starts: list[Quarter]
+    first: np.ndarray  # each unit's first usable quarter index
     counts: np.ndarray
     y: np.ndarray
     x: np.ndarray
@@ -94,10 +77,6 @@ class _Within:
     y_dm: np.ndarray
     x_dm: np.ndarray
     sst: float  # total sum of squares of y about its grand mean
-
-    def unit_series(self, stacked: np.ndarray) -> dict[str, TimeSeries]:
-        parts = np.split(stacked, np.cumsum(self.counts)[:-1])
-        return {u: TimeSeries(f"{u}_residuals", s, tuple(p)) for u, s, p in zip(self.units, self.starts, parts)}
 
 
 def _within(panel: PanelDataset, spec: RegressionSpec) -> _Within:
@@ -116,10 +95,9 @@ def _within(panel: PanelDataset, spec: RegressionSpec) -> _Within:
     y_bar = np.where(usable, yx[:, :, 0], 0.0).sum(axis=1) / counts
     x_bar = np.where(usable[:, :, None], yx[:, :, 1:], 0.0).sum(axis=1) / counts[:, None]
     y, x = yx[:, :, 0][usable], yx[:, :, 1:][usable]
-    starts = [panel.start + int(t) for t in first]
     y_dm, x_dm = y - np.repeat(y_bar, counts), x - np.repeat(x_bar, counts, axis=0)
     sst = float(np.sum((y - y.mean()) ** 2))
-    return _Within(units, list(spec.term_names()), starts, counts, y, x, y_bar, x_bar, y_dm, x_dm, sst)
+    return _Within(units, list(spec.term_names()), first, counts, y, x, y_bar, x_bar, y_dm, x_dm, sst)
 
 
 def _within_slopes(w: _Within) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -165,8 +143,6 @@ def fit_fixed_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
         theta=None,
         overall_r_squared=_r_squared(ssr, w.sst),
         log_likelihood=_gaussian_loglik(ssr, n)[1],
-        residuals=w.unit_series(resid),
-        n_obs=n,
     )
 
 
@@ -178,7 +154,7 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
     carried out by quasi-demeaning with theta = 1 - sqrt(s2e/(s2e + T*s2u)).
     """
     w = _within(panel, spec)
-    if len(set(w.counts.tolist())) != 1 or len(set(w.starts)) != 1:
+    if len(set(w.counts.tolist())) != 1 or len(set(w.first.tolist())) != 1:
         raise InvalidArgumentError("random effects requires a balanced panel")
     t_len = int(w.counts[0])
     n_units = len(w.units)
@@ -224,25 +200,21 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
         theta=float(theta),
         overall_r_squared=_r_squared(float(resid @ resid), w.sst),
         log_likelihood=_gaussian_loglik(ssr_star, n)[1],
-        residuals=w.unit_series(resid),
-        n_obs=n,
         sigma2_u_truncated=truncated,
     )
 
 
 def forecast_panel(fit: PanelFit, panel: PanelDataset, span: tuple[Quarter, Quarter]) -> np.ndarray:
     """Units × quarters forecasts over the span, rows in `panel.unit_names`:
-    each unit's intercept plus the common slopes.
-
-    Units absent from training receive the average intercept with a warning.
+    each unit's intercept (the fixed effect, or the random-effects
+    intercept) plus the common slopes. A unit that a fixed-effects fit
+    lacks is an error naming it.
     """
     start, end = span
     if end < start:
         raise InvalidArgumentError(f"empty forecast span {start}..{end}")
-    units = panel.unit_names
-    for unit in units:
+    for unit in panel.unit_names:
         if fit.method == "fixed" and unit not in fit.unit_effects:
-            warnings.warn(f"unit {unit!r} absent from training; using the average intercept", stacklevel=2)
-    average = fit.average_effect()
-    intercepts = np.array([fit.unit_effects.get(unit, average) for unit in units])
+            raise InvalidArgumentError(f"unit {unit!r} is absent from the fixed-effects fit")
+    intercepts = np.array([fit.unit_effects.get(unit, fit.intercept) for unit in panel.unit_names])
     return intercepts[:, None] + panel.predict(fit.spec.terms, fit.slopes, span)

@@ -118,10 +118,9 @@ class Dataset(PanelDataset):
     def from_csv(cls, path: str | Path) -> "Dataset":
         """Load a wide `year,quarter,<variable>...` CSV of consecutive quarters;
         a column with an interior gap is rejected."""
-        names, rows = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
-        columns = zip(*(values for _, _, values in rows))
+        names, _, index, values, _ = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
         try:
-            return cls.align(TimeSeries(n, rows[0][1], col) for n, col in zip(names, columns))
+            return cls.align(TimeSeries(n, Quarter.from_index(index[0]), tuple(c)) for n, c in zip(names, values.T))
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"{path}: {exc}") from exc
 

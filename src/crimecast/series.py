@@ -1,6 +1,6 @@
-"""Quarterly time series: index arithmetic, differencing,
-autocorrelation functions, classical additive decomposition, the one
-quarterly CSV reader, and the columnar units × quarters × variables frame
+"""Quarterly time series: index arithmetic, differencing, autocorrelation
+functions, classical additive decomposition, the one quarterly CSV reader,
+which returns columns, and the columnar units × quarters × variables frame
 that the national regressions and the state panel share.
 
 Missing values are NaN. In a TimeSeries they may only appear as leading or
@@ -13,7 +13,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -55,12 +54,12 @@ class Quarter:
             raise InvalidArgumentError(f"cannot parse quarter label {text!r}") from exc
 
     @classmethod
-    def from_date(cls, d: date) -> "Quarter":
-        return cls(d.year, (d.month - 1) // 3 + 1)
+    def from_index(cls, index: int) -> "Quarter":
+        """The quarter whose index `year*4 + quarter - 1` is `index`."""
+        return cls(int(index) // 4, int(index) % 4 + 1)
 
     def __add__(self, n: int) -> "Quarter":
-        idx = self.year * 4 + (self.quarter - 1) + n
-        return Quarter(idx // 4, idx % 4 + 1)
+        return Quarter.from_index(self.year * 4 + (self.quarter - 1) + n)
 
     def __sub__(self, other: "Quarter | int"):
         if isinstance(other, Quarter):
@@ -269,28 +268,23 @@ def deseasonalize(series: TimeSeries, decomp: DecompositionResult) -> TimeSeries
     return TimeSeries(series.name + "_noseasonnal", series.start, tuple(y - seasonal.to_array()))
 
 
-def _parse_cell(raw: str, path: Path, lineno: int) -> float:
-    """An empty cell is missing; any other must be a finite float."""
-    try:
-        value = float(raw)
-    except ValueError:
-        if raw.strip() == "":
-            return MISSING
-        value = math.nan
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"{path}:{lineno}: not a finite number: {raw.strip()!r}")
-    return value
+def _check_unique(codes: np.ndarray, message) -> None:
+    """Reject the first row whose code an earlier row has, with `message(row)`."""
+    repeated = np.setdiff1d(np.arange(len(codes)), np.unique(codes, return_index=True)[1])
+    if len(repeated):
+        raise InvalidArgumentError(message(int(repeated[0])))
 
 
 def read_quarterly_csv(
     path: str | Path, keys: tuple[str, ...], consecutive: bool = False
-) -> tuple[list[str], list[tuple[list[str], Quarter, list[float]]]]:
+) -> tuple[list[str], list[list[str]], np.ndarray, np.ndarray, list[int]]:
     """Read a UTF-8 CSV whose header is `keys` (ending in year, quarter) and
-    then one or more value columns. Returns the value column names and, per
-    non-blank row, (the key cells before year, the quarter, the values). The
-    cells a short row lacks are missing. A row that repeats the key cells
-    and quarter of an earlier row is rejected. With `consecutive`, rows must
-    be sorted consecutive quarters."""
+    then one or more value columns. Returns columns over the non-blank rows:
+    the value column names, the cells of each key before year, the quarter
+    indices, the values (rows × names; NaN where a cell is blank or a short
+    row lacks it, any other cell must be a finite number) and the line
+    numbers. With `consecutive`, rows must be sorted consecutive quarters,
+    none repeated."""
     path = Path(path)
     n_keys = len(keys)
     with io.StringIO(decode_utf8(path.read_bytes(), path), newline="") as fh:
@@ -299,30 +293,42 @@ def read_quarterly_csv(
         names = header[n_keys:]
         if header[:n_keys] != list(keys) or not names:
             raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
-        rows = []
-        seen = set()
+        rows, index, lines = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            row += [""] * (len(header) - len(row))
             try:
-                q = Quarter(int(row[n_keys - 2]), int(row[n_keys - 1]))
-            except (ValueError, IndexError) as exc:
-                raise InvalidArgumentError(f"{path}:{lineno}: malformed row") from exc
-            cells = [c.strip() for c in row[: n_keys - 2]]
-            key = (*cells, q)
-            if key in seen:
-                raise InvalidArgumentError(f"{path}:{lineno}: duplicate observation for {' '.join(map(str, key))}")
-            seen.add(key)
-            values = [_parse_cell(c, path, lineno) for c in row[n_keys : n_keys + len(names)]]
-            values += [MISSING] * (len(names) - len(values))
-            rows.append((cells, q, values))
+                year, quarter = int(row[n_keys - 2]), int(row[n_keys - 1])
+            except ValueError:
+                quarter = 0
+            if not 1 <= quarter <= 4:
+                raise InvalidArgumentError(f"{path}:{lineno}: malformed row")
+            rows.append(row)
+            index.append(year * 4 + quarter - 1)
+            lines.append(lineno)
     if not rows:
         raise InvalidArgumentError(f"{path}: no data rows")
+    index = np.array(index)
+    try:
+        values = np.array([[c if c.strip() else "nan" for c in row[n_keys : len(header)]] for row in rows], dtype=float)
+    except ValueError:  # a cell is not a number: the loop below names the first one
+        values = np.full((len(rows), len(names)), np.inf)
+    for r, j in np.argwhere(~np.isfinite(values)).tolist():
+        raw = rows[r][n_keys + j].strip()
+        try:
+            finite = not raw or math.isfinite(float(raw))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise InvalidArgumentError(f"{path}:{lines[r]}: not a finite number: {raw!r}")
     if consecutive:
-        for (_, qa, _), (_, qb, _) in zip(rows, rows[1:]):
-            if qb != qa + 1:
-                raise InvalidArgumentError(f"{path}: rows must be sorted consecutive quarters ({qa} -> {qb})")
-    return names, rows
+        _check_unique(index, lambda r: f"{path}:{lines[r]}: duplicate observation for {Quarter.from_index(index[r])}")
+        breaks = np.flatnonzero(np.diff(index) != 1)
+        if len(breaks):
+            a, b = (Quarter.from_index(i) for i in index[breaks[0] : breaks[0] + 2])
+            raise InvalidArgumentError(f"{path}: rows must be sorted consecutive quarters ({a} -> {b})")
+    return names, [[row[k].strip() for row in rows] for k in range(n_keys - 2)], index, values, lines
 
 
 def load_series_csv(path: str | Path, name: str | None = None) -> TimeSeries:
@@ -331,12 +337,12 @@ def load_series_csv(path: str | Path, name: str | None = None) -> TimeSeries:
     Rows must be sorted and cover consecutive quarters.
     """
     path = Path(path)
-    names, rows = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
+    names, _, index, values, _ = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
     if names[0] != "value":
         raise InvalidArgumentError(f"{path}: expected header 'year,quarter,value'")
     series_name = name if name is not None else path.stem
     try:
-        return TimeSeries(series_name, rows[0][1], tuple(values[0] for _, _, values in rows))
+        return TimeSeries(series_name, Quarter.from_index(index[0]), tuple(values[:, 0]))
     except InvalidArgumentError as exc:
         raise InvalidArgumentError(f"{path}: {exc}") from exc
 
@@ -392,29 +398,45 @@ class PanelDataset:
     present: np.ndarray = field(repr=False)
 
     @classmethod
+    def _scatter(
+        cls, units: Sequence[str], index: np.ndarray, names: Sequence[str], values: np.ndarray, where=lambda r: ""
+    ) -> "PanelDataset":
+        """The frame of rows given as columns: units, quarter indices and values
+        (rows × names; of a repeated name the last column counts), the units
+        and variables sorted. A repeated unit and quarter is an error that
+        `where(r)` prefixes for row r."""
+        unit_names, unit = np.unique(np.asarray(units, dtype=str), return_inverse=True)
+        column = {name: j for j, name in enumerate(names)}
+        names = sorted(column)
+        t = index - index.min()
+        shape = (len(unit_names), int(t.max()) + 1)
+        _check_unique(
+            unit * shape[1] + t,
+            lambda r: f"{where(r)}duplicate observation for {units[r]} {Quarter.from_index(index[r])}",
+        )
+        frame = np.full(shape + (len(names),), np.nan)
+        frame[unit, t] = values[:, [column[name] for name in names]]
+        present = np.zeros(shape, dtype=bool)
+        present[unit, t] = True
+        return cls(tuple(unit_names.tolist()), Quarter.from_index(index.min()), tuple(names), frame, present)
+
+    @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, Quarter, Mapping[str, float]]]) -> "PanelDataset":
+        """The frame of (unit, quarter, {variable: value}) rows; NaN where a row lacks a variable."""
         rows = list(rows)
         if not rows:
             raise InvalidArgumentError("panel has no observations")
-        units = sorted({str(u) for u, _, _ in rows})
         names = sorted({name for _, _, values in rows for name in values})
-        start = min(q for _, q, _ in rows)
-        row_of = {u: i for i, u in enumerate(units)}
-        values = np.full((len(units), max(q for _, q, _ in rows) - start + 1, len(names)), np.nan)
-        present = np.zeros(values.shape[:2], dtype=bool)
-        for unit, q, row in rows:
-            i, t = row_of[str(unit)], q - start
-            if present[i, t]:
-                raise InvalidArgumentError(f"duplicate observation for {unit} at {q}")
-            present[i, t] = True
-            values[i, t] = [row.get(name, np.nan) for name in names]
-        return cls(tuple(units), start, tuple(names), values, present)
+        values = np.array([[values.get(name, np.nan) for name in names] for _, _, values in rows], dtype=float)
+        index = np.array([q.year * 4 + q.quarter - 1 for _, q, _ in rows])
+        return cls._scatter([str(unit) for unit, _, _ in rows], index, names, values)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PanelDataset":
-        """Load a long `state,year,quarter,<variable>...` CSV."""
-        names, rows = read_quarterly_csv(path, ("state", "year", "quarter"))
-        return cls.from_rows((keys[0], q, dict(zip(names, values))) for keys, q, values in rows)
+        """Load a long `state,year,quarter,<variable>...` CSV: the reader's
+        columns in one scatter; a repeated state and quarter names `path:line`."""
+        names, (states,), index, values, lines = read_quarterly_csv(path, ("state", "year", "quarter"))
+        return cls._scatter(states, index, names, values, lambda r: f"{path}:{lines[r]}: ")
 
     @property
     def end(self) -> Quarter:

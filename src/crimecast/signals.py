@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import InvalidArgumentError, decode_utf8
-from .geo import UNKNOWN_STATE
+from .geo import UNKNOWN_STATE, US_STATE_CODES
 from .reporting import format_float
 from .series import NATIONAL, PanelDataset, Quarter
 
@@ -65,7 +65,8 @@ class ArticleRecord:
 
 
 def load_articles(path: str | Path) -> list[ArticleRecord]:
-    """Read a JSON-lines UTF-8 corpus, rejecting duplicate ids."""
+    """Read a JSON-lines UTF-8 corpus, rejecting duplicate ids and a `state`
+    that is not null, a state code or UNKNOWN."""
     path = Path(path)
     records: list[ArticleRecord] = []
     seen: set[str] = set()
@@ -89,6 +90,8 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
                     predicted_label=raw.get("predicted_label"),
                     state=raw.get("state"),
                 )
+                if record.state not in (None, UNKNOWN_STATE) and record.state not in US_STATE_CODES:
+                    raise ValueError(f"state must be a state code or {UNKNOWN_STATE!r}, got {record.state!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: bad record ({exc})") from exc
             if record.id in seen:

@@ -292,7 +292,7 @@ def test_criterion_12_index_arithmetic_and_reconciliation():
         for i in range(len(national_news)):
             q = out.national.start + i
             state_sum = sum(state_news[:, i])
-            unknown_count = sum(1 for r in unknown if Quarter.from_date(r.date) == q)
+            unknown_count = sum(1 for r in unknown if Quarter(r.date.year, (r.date.month - 1) // 3 + 1) == q)
             assert state_sum + unknown_count == national_news[i]
             for index in state_index[:, i]:
                 assert 0.0 <= index <= 1.0

@@ -264,6 +264,32 @@ class TestMalformedInput:
         assert code == EXIT_INPUT_ERROR
         assert f"error: {articles.resolve()}: article 'blank': text must be nonempty" in err
 
+    @pytest.mark.parametrize("state", ["ZZ", 5, "ca"])
+    def test_article_with_bad_state_exits_2_naming_path_line(self, tmp_path, capsys, state):
+        lines = (FIXTURES / "articles.jsonl").read_text().splitlines()
+        record = {"id": "bad-state", "date": "2010-01-01", "title": "t", "body": "b", "predicted_label": "hate_crime"}
+        articles = tmp_path / "articles.jsonl"
+        articles.write_text("\n".join(lines + [json.dumps(record | {"state": state})]) + "\n")
+        out = tmp_path / "out"
+        code = run("fit-forecast", "--output-dir", str(out), "--models", "1,2,3,4,5,6,7", "--articles", str(articles))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {articles.resolve()}:{len(lines) + 1}: bad record (state must be " in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("fit_start", "2006Q1"), ("holdout_end", "2020Q1")], ids=["before", "after"]
+    )
+    def test_panel_not_covering_the_span_exits_2(self, tmp_path, capsys, key, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(absolute_config(**{key: value})))
+        code = main(["fit-forecast", "--config", str(config), "--output-dir", str(tmp_path / "out"), "--models", "6,7"])
+        err = capsys.readouterr().err
+        span = ("2006Q1", "2019Q4") if key == "fit_start" else ("2007Q1", "2020Q1")
+        panel = (FIXTURES / "panel.csv").resolve()
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {panel}: panel covers 2007Q1..2019Q4, need {span[0]}..{span[1]}" in err
+
     def test_retained_state_without_holdout_actual_exits_2(self, tmp_path):
         # A state without an fbi_num value in the holdout has no actual to
         # score against, so balancing drops it and the others are fitted.

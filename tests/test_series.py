@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crimecast.exceptions import DegenerateInputError, InvalidArgumentError
+from crimecast.regression import Dataset
 from crimecast.series import (
     PanelDataset,
     Quarter,
@@ -20,7 +22,7 @@ from crimecast.series import (
     write_series_csv,
 )
 
-from conftest import Q0, ar1, cell, series
+from conftest import FIXTURES, Q0, ar1, cell, series
 
 
 class TestQuarter:
@@ -227,6 +229,79 @@ class TestCsv:
         path.write_text("year,quarter,value\n2007,1,1.0\n2007,2,2.0\n2007,2,2.0\n")
         with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:4: duplicate observation for 2007Q2")):
             load_series_csv(path)
+
+
+SERIES_HEAD = "year,quarter,value\n"
+WIDE_HEAD = "year,quarter,a,b\n"
+LONG_HEAD = "state,year,quarter,a,b\n"
+CONSECUTIVE = "{path}: rows must be sorted consecutive quarters (2007Q1 -> 2007Q3)"
+
+
+class TestReaderMessages:
+    """Each file has one fault; the message is pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            (load_series_csv, "year,qtr,value\n2007,1,1.0\n", "{path}: expected header 'year,quarter,<variables>'"),
+            (load_series_csv, "year,quarter,v\n2007,1,1.0\n", "{path}: expected header 'year,quarter,value'"),
+            (load_series_csv, SERIES_HEAD + "2007,1,1.0\n20x7,2,2.0\n", "{path}:3: malformed row"),
+            (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,5,2.0\n", "{path}:3: malformed row"),
+            (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007\n", "{path}:3: malformed row"),
+            (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,2,inf\n", "{path}:3: not a finite number: 'inf'"),
+            (load_series_csv, SERIES_HEAD + "2007,1,abc\n2007,2,2.0\n", "{path}:2: not a finite number: 'abc'"),
+            (load_series_csv, SERIES_HEAD.encode() + b"2007,1,1.0\n2007,2,\xff\n", "{path}:3: not UTF-8 text (invalid start byte)"),
+            (load_series_csv, SERIES_HEAD + "\n\n", "{path}: no data rows"),
+            (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,3,3.0\n", CONSECUTIVE),
+            (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,2,2.0\n2007,1,1.0\n", "{path}:4: duplicate observation for 2007Q1"),
+            # A copy of the last row moved up: the rows stop being consecutive before the repeat.
+            (load_series_csv, SERIES_HEAD + "2007,1,1\n2007,3,3\n2007,2,2\n2007,3,3\n", "{path}:5: duplicate observation for 2007Q3"),
+            (Dataset.from_csv, "year,quarter\n2007,1\n", "{path}: expected header 'year,quarter,<variables>'"),
+            (Dataset.from_csv, WIDE_HEAD + "2007,1,1.0,2.0\n2007,2,2.0\n2007,x,1,1\n", "{path}:4: malformed row"),
+            (Dataset.from_csv, WIDE_HEAD + "2007,1,1.0,2.0\n2007,2,2.0,nan\n", "{path}:3: not a finite number: 'nan'"),
+            (Dataset.from_csv, WIDE_HEAD + "2007,1,1.0, 1e400 \n", "{path}:2: not a finite number: '1e400'"),
+            (Dataset.from_csv, WIDE_HEAD.encode() + b"2007,1,\xc3,2.0\n", "{path}:2: not UTF-8 text (invalid continuation byte)"),
+            (Dataset.from_csv, WIDE_HEAD, "{path}: no data rows"),
+            (Dataset.from_csv, WIDE_HEAD + "2007,1,1,2\n2007,3,1,2\n", CONSECUTIVE),
+            (Dataset.from_csv, WIDE_HEAD + "2007,1,1,2\n2007,1,1,2\n2007,2,1,2\n", "{path}:3: duplicate observation for 2007Q1"),
+            (PanelDataset.from_csv, "state,year,a\nCA,2007,1\n", "{path}: expected header 'state,year,quarter,<variables>'"),
+            (PanelDataset.from_csv, LONG_HEAD + "CA,2007,1,1,2\nCA,2007,0,1,2\n", "{path}:3: malformed row"),
+            (PanelDataset.from_csv, LONG_HEAD + "CA,2007,1,1,2\nNY,,1,1,2\n", "{path}:3: malformed row"),
+            (PanelDataset.from_csv, LONG_HEAD + "CA,2007,1,1,2\nCA,2007,2,-inf,2\n", "{path}:3: not a finite number: '-inf'"),
+            (PanelDataset.from_csv, LONG_HEAD.encode() + b"CA,2007,1,1,2\nN\xffY,2007,1,1,2\n", "{path}:3: not UTF-8 text (invalid start byte)"),
+            (PanelDataset.from_csv, LONG_HEAD + "\n", "{path}: no data rows"),
+            (PanelDataset.from_csv, LONG_HEAD + "CA,2007,1,1,2\nNY,2007,1,1,2\nCA,2007,1,1,2\n", "{path}:4: duplicate observation for CA 2007Q1"),
+        ],
+    )
+    def test_one_fault_message(self, tmp_path, loader, text, message):
+        path = tmp_path / "in.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(InvalidArgumentError) as info:
+            loader(path)
+        assert str(info.value) == message.format(path=path)
+
+    def test_panel_csv_matches_a_dictreader_oracle(self):
+        """Every cell of the fixture panel against a row-by-row read of the file."""
+        path = FIXTURES / "panel.csv"
+        panel = PanelDataset.from_csv(path)
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        units = sorted({row["state"] for row in rows})
+        names = sorted(set(rows[0]) - {"state", "year", "quarter"})
+        quarters = [Quarter(int(row["year"]), int(row["quarter"])) for row in rows]
+        assert (panel.unit_names, panel.names) == (tuple(units), tuple(names))
+        assert (panel.start, panel.end) == (min(quarters), max(quarters))
+        values = np.full((len(units), max(quarters) - min(quarters) + 1, len(names)), np.nan)
+        present = np.zeros(values.shape[:2], dtype=bool)
+        for row, q in zip(rows, quarters):
+            i, t = units.index(row["state"]), q - min(quarters)
+            present[i, t] = True
+            values[i, t] = [float(row[name]) if row[name].strip() else np.nan for name in names]
+        np.testing.assert_array_equal(panel.present, present)
+        np.testing.assert_array_equal(panel.values, values)
 
 
 class TestPanelJoin:

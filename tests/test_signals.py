@@ -102,9 +102,9 @@ class TestAggregateQuarterly:
                 )
             )
         signals = aggregate_quarterly(records)
-        news_tally = Counter(Quarter.from_date(r.date) for r in records)
+        news_tally = Counter(Quarter(r.date.year, (r.date.month - 1) // 3 + 1) for r in records)
         event_tally = Counter(
-            Quarter.from_date(r.date) for r in records if r.predicted_label == "hate_crime"
+            Quarter(r.date.year, (r.date.month - 1) // 3 + 1) for r in records if r.predicted_label == "hate_crime"
         )
         for i, q in enumerate(quarters(signals)):
             assert column(signals, "news_num")[i] == news_tally.get(q, 0)
@@ -189,7 +189,7 @@ class TestAggregateByState:
         unknown = [r for r in records if r.state == "UNKNOWN"]
         for i, q in enumerate(quarters(out.national)):
             state_sum = sum(column(out.by_state, "news_num", state)[i] for state in out.by_state.unit_names)
-            unknown_count = sum(1 for r in unknown if Quarter.from_date(r.date) == q)
+            unknown_count = sum(1 for r in unknown if Quarter(r.date.year, (r.date.month - 1) // 3 + 1) == q)
             assert state_sum + unknown_count == column(out.national, "news_num")[i]
 
     def test_groupby_oracle(self, rng):
@@ -204,7 +204,7 @@ class TestAggregateByState:
             for i in range(500)
         ]
         out = aggregate_by_state(records)
-        tally = Counter((r.state, Quarter.from_date(r.date)) for r in records)
+        tally = Counter((r.state, Quarter(r.date.year, (r.date.month - 1) // 3 + 1)) for r in records)
         for state in out.by_state.unit_names:
             for i, q in enumerate(quarters(out.by_state)):
                 assert column(out.by_state, "news_num", state)[i] == tally.get((state, q), 0)
