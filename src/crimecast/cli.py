@@ -211,25 +211,35 @@ def _detector(config: PipelineConfig) -> detector_mod.BaselineModel:
     return _load(detector_mod.BaselineModel.from_json, path, "detector model")
 
 
-def _labeled(config: PipelineConfig) -> list[signals_mod.ArticleRecord]:
-    """Load the articles and label them from the configured detector source."""
+def _labeled(config: PipelineConfig, resolve: bool = False) -> list[signals_mod.ArticleRecord]:
+    """Load the articles and label them from the configured detector source;
+    with `resolve`, fill in missing state fields through the gazetteer (the
+    bundled mini-gazetteer when none is configured). The baseline detector
+    resolves from the tokens it scores."""
     records = _load(signals_mod.load_articles, config.articles, "articles")
     if config.detector_source == "baseline":
-        return detector_mod.classify_corpus(_detector(config), records)[0]
-    missing = [r.id for r in records if r.predicted_label is None]
-    if missing:
-        raise UsageError(
-            f"precomputed labels requested but {len(missing)} records lack predicted_label (first: {missing[0]!r})"
-        )
-    return records
+        model = _detector(config)
+    else:
+        missing = [r.id for r in records if r.predicted_label is None]
+        if missing:
+            raise UsageError(
+                f"precomputed labels requested but {len(missing)} records lack predicted_label (first: {missing[0]!r})"
+            )
+    gaz = None
+    if resolve and any(r.state is None for r in records):
+        gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
+    if config.detector_source != "baseline":
+        return records if gaz is None else _resolved(config, records, gaz)
+    try:
+        return detector_mod.classify_corpus(model, records, gaz)[0]
+    except InvalidArgumentError as exc:
+        raise UsageError(f"{config.articles}: {exc}") from exc
 
 
-def _resolved(config: PipelineConfig, records: list[signals_mod.ArticleRecord]) -> list[signals_mod.ArticleRecord]:
-    """Fill in missing state fields through the gazetteer (the bundled
-    mini-gazetteer when none is configured)."""
-    if all(r.state is not None for r in records):
-        return records
-    gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
+def _resolved(
+    config: PipelineConfig, records: list[signals_mod.ArticleRecord], gaz: geo.Gazetteer
+) -> list[signals_mod.ArticleRecord]:
+    """Fill in missing state fields one record at a time."""
     resolved = []
     for record in records:
         if record.state is None:
@@ -409,8 +419,8 @@ def cmd_detect(config: PipelineConfig) -> None:
 
 
 def cmd_signals(config: PipelineConfig) -> None:
-    labeled = _labeled(config)
-    signals = signals_mod.aggregate_by_state(_resolved(config, labeled), _span(config))
+    labeled = _labeled(config, resolve=True)
+    signals = signals_mod.aggregate_by_state(labeled, _span(config))
     signals_mod.write_signals_csv(signals.national, config.output_dir / "signals_national.csv")
     signals_mod.write_state_signals_csv(signals, config.output_dir / "signals_by_state.csv")
     if not labeled:
@@ -454,8 +464,8 @@ def cmd_fit_forecast(config: PipelineConfig) -> None:
     # aggregated once, and the national signals of the event models are the
     # national part of the per-state aggregate when panel models run.
     event_models = any(m in EVENT_MODELS for m in national_ids)
-    labeled = _labeled(config) if panel_ids or event_models else []
-    state_signals = signals_mod.aggregate_by_state(_resolved(config, labeled), _span(config)) if panel_ids else None
+    labeled = _labeled(config, resolve=bool(panel_ids)) if panel_ids or event_models else []
+    state_signals = signals_mod.aggregate_by_state(labeled, _span(config)) if panel_ids else None
     national = None
     if event_models:
         national = state_signals.national if state_signals else signals_mod.aggregate_quarterly(labeled, _span(config))

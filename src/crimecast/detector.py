@@ -17,7 +17,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import InvalidArgumentError, decode_utf8
-from .geo import _tokenize
+from .geo import Gazetteer, _tokenize, resolve_tokens, tokenize_texts
 from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord
 
 # Training settings of the baseline, recorded in the model's metadata.
@@ -59,11 +59,16 @@ class BaselineModel:
         if not all(np.isfinite(w) for w in self.vocabulary.values()):
             raise InvalidArgumentError("vocabulary weights must be finite")
 
-    def score(self, record: ArticleRecord) -> float:
+    def logit(self, tokens: Iterable[str]) -> float:
+        """The bias plus each token's weight, added left to right."""
         z = self.bias
-        for token in _tokenize(record.text()):
-            z += self.vocabulary.get(token, 0.0)
-        return float(1.0 / (1.0 + np.exp(-z)))
+        weight = self.vocabulary.get
+        for token in tokens:
+            z += weight(token, 0.0)
+        return z
+
+    def score(self, record: ArticleRecord) -> float:
+        return float(1.0 / (1.0 + np.exp(-self.logit(_tokenize(record.text())))))
 
     def classify(self, record: ArticleRecord) -> tuple[str, float]:
         s = self.score(record)
@@ -222,16 +227,31 @@ def train_baseline(
 
 
 def classify_corpus(
-    model: BaselineModel, records: Sequence[ArticleRecord]
+    model: BaselineModel, records: Sequence[ArticleRecord], gazetteer: Gazetteer | None = None
 ) -> tuple[list[ArticleRecord], dict[str, float]]:
-    """Label every record; scores are returned for threshold audits."""
-    labeled: list[ArticleRecord] = []
-    scores: dict[str, float] = {}
-    for record in records:
-        label, score = model.classify(record)
-        labeled.append(record.updated(predicted_label=label))
-        scores[record.id] = score
-    return labeled, scores
+    """Label every record; scores are returned for threshold audits.
+
+    With a gazetteer, each record without a state also gets the state
+    resolved from the tokens it is scored on; a blank such record is an
+    InvalidArgumentError naming its id. Each text is tokenized once.
+    """
+    logits = np.empty(len(records))
+    states: list[str | None] = []
+    for i, (record, tokens) in enumerate(zip(records, tokenize_texts(r.text() for r in records))):
+        logits[i] = model.logit(tokens)
+        state = None
+        if gazetteer is not None and record.state is None:
+            if not tokens and not record.text().strip():
+                raise InvalidArgumentError(f"article {record.id!r}: text must be nonempty")
+            state = resolve_tokens(tokens, gazetteer)
+        states.append(state)
+    scores = (1.0 / (1.0 + np.exp(-logits))).tolist()
+    threshold = model.threshold
+    labeled = [
+        record.updated(LABEL_POSITIVE if score >= threshold else LABEL_NEGATIVE, state)
+        for record, score, state in zip(records, scores, states)
+    ]
+    return labeled, {record.id: score for record, score in zip(records, scores)}
 
 
 def _as_label_map(source, attr: str) -> dict[str, str]:

@@ -7,15 +7,20 @@ match are suppressed, and the survivors are ranked by priority class
 (state name > city > institute), then name length, then earliest position.
 The scan goes through a first-token index: a text position is probed only
 when its token starts some name, and only at the lengths of those names.
+
+A token is a maximal run of [a-z0-9] in the lowercased text. Texts are
+tokenized a chunk at a time (`tokenize_texts`), so that the detector and the
+resolver share one tokenization per article without holding a whole
+corpus's tokens.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .exceptions import InvalidArgumentError, decode_utf8
 
@@ -36,11 +41,30 @@ PRIORITY_STATE_NAME = 3
 PRIORITY_CITY = 2
 PRIORITY_INSTITUTE = 1
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Lowercased text encoded as ASCII (any other character becomes "?") maps
+# every byte but [a-z0-9] and NUL to a space; NUL separates the texts of a
+# chunk. Lowercasing first keeps the two non-ASCII letters that lowercase to
+# ASCII: U+212A (Kelvin sign) becomes "k", U+0130 "i" plus a combining dot.
+_TOKEN_BYTES = bytes(b if b == 0 or 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
+_CHUNK = 4096  # texts per tokenize_texts chunk
 
 
 def _tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    return next(tokenize_texts((text,)))
+
+
+def tokenize_texts(texts: Iterable[str]) -> Iterator[list[str]]:
+    """The tokens of each text, in order; the texts are tokenized _CHUNK at a
+    time, NUL-joined, so that each chunk is lowercased, encoded and
+    translated in one call each."""
+    it = iter(texts)
+    while chunk := list(islice(it, _CHUNK)):
+        joined = "\0".join(chunk)
+        if joined.count("\0") >= len(chunk):  # a text holds a NUL of its own
+            joined = "\0".join(text.replace("\0", " ") for text in chunk)
+        folded = joined.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii")
+        for text in folded.split("\0"):
+            yield text.split()
 
 
 @dataclass(frozen=True)
@@ -119,11 +143,8 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     return Gazetteer(entries=entries, lengths={token: tuple(sorted(n)) for token, n in lengths.items()})
 
 
-def resolve_state(text: str, gazetteer: Gazetteer) -> Resolution:
-    """Resolve the state for an article text, or UNKNOWN when nothing matches."""
-    if not text or not text.strip():
-        raise InvalidArgumentError("text must be nonempty")
-    tokens = _tokenize(text)
+def _best_entry(tokens: list[str], gazetteer: Gazetteer) -> GazetteerEntry | None:
+    """The winning gazetteer entry among the names in `tokens`, or None."""
     n_tokens = len(tokens)
     entries, lengths = gazetteer.entries, gazetteer.lengths
     candidates: list[tuple[int, int, GazetteerEntry]] = []
@@ -138,7 +159,10 @@ def resolve_state(text: str, gazetteer: Gazetteer) -> Resolution:
             if entry is not None:
                 candidates.append((start, end, entry))
     if not candidates:
-        return Resolution(UNKNOWN_STATE, "", 0.0)
+        return None
+    first = candidates[0][2]
+    if all(c[2] is first for c in candidates):  # one name, however often
+        return first
 
     # Longest match wins on overlap, so "Kansas City" suppresses "Kansas".
     candidates.sort(key=lambda c: (-(c[1] - c[0]), -c[2].priority, c[0]))
@@ -149,5 +173,20 @@ def resolve_state(text: str, gazetteer: Gazetteer) -> Resolution:
         kept.append(cand)
 
     kept.sort(key=lambda c: (-c[2].priority, -(c[1] - c[0]), -len(c[2].name), c[0]))
-    start, end, entry = kept[0]
+    return kept[0][2]
+
+
+def resolve_tokens(tokens: list[str], gazetteer: Gazetteer) -> str:
+    """The state code for a tokenized text, or UNKNOWN when nothing matches."""
+    entry = _best_entry(tokens, gazetteer)
+    return UNKNOWN_STATE if entry is None else entry.state
+
+
+def resolve_state(text: str, gazetteer: Gazetteer) -> Resolution:
+    """Resolve the state for an article text, or UNKNOWN when nothing matches."""
+    if not text or not text.strip():
+        raise InvalidArgumentError("text must be nonempty")
+    entry = _best_entry(_tokenize(text), gazetteer)
+    if entry is None:
+        return Resolution(UNKNOWN_STATE, "", 0.0)
     return Resolution(entry.state, entry.name, float(entry.priority))

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .arima import _adjusted_r2, _gaussian_loglik
-from .exceptions import CollinearityError, DegenerateInputError, InvalidArgumentError
+from .exceptions import CollinearityError, CrimecastError, DegenerateInputError, InvalidArgumentError
 from .series import NATIONAL, PanelDataset, Quarter, TimeSeries, read_quarterly_csv
 from .stattests import durbin_watson
 
@@ -203,8 +203,9 @@ def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
     """Least-squares estimation via pivoted QR (no explicit normal equations).
 
     With ar_error_order=1, estimates regression with AR(1) errors by iterated
-    feasible GLS (Cochrane-Orcutt), iterating rho to 1e-8 or 50 rounds; the
-    stored residuals are then the AR(1) innovations.
+    feasible GLS (Cochrane-Orcutt), iterating rho to 1e-8; the stored
+    residuals are then the AR(1) innovations. A rho still moving after 50
+    rounds, or one with |rho| >= 1, is a CrimecastError.
     """
     y, X, names, start_used = _build_design(dataset, spec)
     n, k = X.shape
@@ -230,6 +231,12 @@ def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
                 rho = rho_new
                 break
             rho = rho_new
+        else:
+            raise CrimecastError(
+                f"the AR(1)-error fit did not converge in {_CO_MAX_ITER} Cochrane-Orcutt rounds (rho {rho:.6g})"
+            )
+        if abs(rho) >= 1.0:
+            raise CrimecastError(f"the AR(1)-error fit ended at rho {rho:.6g}, outside (-1, 1)")
 
     # With AR(1) errors the statistics are those of the innovations, which
     # start one quarter later, and rho counts as one more parameter.

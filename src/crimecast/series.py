@@ -281,10 +281,10 @@ def read_quarterly_csv(
     """Read a UTF-8 CSV whose header is `keys` (ending in year, quarter) and
     then one or more value columns. Returns columns over the non-blank rows:
     the value column names, the cells of each key before year, the quarter
-    indices, the values (rows × names; NaN where a cell is blank or a short
-    row lacks it, any other cell must be a finite number) and the line
-    numbers. With `consecutive`, rows must be sorted consecutive quarters,
-    none repeated."""
+    indices (the year in 1..9999, the quarter in 1..4), the values (rows ×
+    names; NaN where a cell is blank or a short row lacks it, any other cell
+    must be a finite number) and the line each row starts on. With
+    `consecutive`, rows must be sorted consecutive quarters, none repeated."""
     path = Path(path)
     n_keys = len(keys)
     with io.StringIO(decode_utf8(path.read_bytes(), path), newline="") as fh:
@@ -294,15 +294,19 @@ def read_quarterly_csv(
         if header[:n_keys] != list(keys) or not names:
             raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
         rows, index, lines = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        # A record starts on the line after the one the previous record
+        # ended on; a quoted cell may hold a newline.
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             row += [""] * (len(header) - len(row))
             try:
                 year, quarter = int(row[n_keys - 2]), int(row[n_keys - 1])
             except ValueError:
-                quarter = 0
-            if not 1 <= quarter <= 4:
+                year = quarter = 0
+            if not (1 <= year <= 9999 and 1 <= quarter <= 4):
                 raise InvalidArgumentError(f"{path}:{lineno}: malformed row")
             rows.append(row)
             index.append(year * 4 + quarter - 1)

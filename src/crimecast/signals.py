@@ -102,21 +102,20 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
 
 
 def write_articles(records: Iterable[ArticleRecord], path: str | Path) -> None:
+    """One JSON object per line, as `json.dumps` writes it: the same string
+    encoder and separators, without building a dict per record."""
+    enc = json.encoder.encode_basestring_ascii
     with Path(path).open("w") as fh:
         for r in records:
-            payload = {
-                "id": r.id,
-                "date": r.date.isoformat(),
-                "title": r.title,
-                "body": r.body,
-            }
+            line = f'{{"id": {enc(r.id)}, "date": "{r.date.isoformat()}", '
+            line += f'"title": {enc(r.title)}, "body": {enc(r.body)}'
             if r.gold_label is not None:
-                payload["gold_label"] = r.gold_label
+                line += f', "gold_label": {enc(r.gold_label)}'
             if r.predicted_label is not None:
-                payload["predicted_label"] = r.predicted_label
+                line += f', "predicted_label": {enc(r.predicted_label)}'
             if r.state is not None:
-                payload["state"] = r.state
-            fh.write(json.dumps(payload, sort_keys=False) + "\n")
+                line += f', "state": {enc(r.state)}'
+            fh.write(line + "}\n")
 
 
 def _count(records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None) -> tuple[list, Quarter, np.ndarray]:

@@ -4,12 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import crimecast
+from crimecast import geo, regression
 from crimecast.cli import EXIT_INPUT_ERROR, EXIT_MODEL_ERROR, EXIT_OK, PipelineConfig, UsageError, load_config, main
 from crimecast.signals import load_articles
 
@@ -264,6 +266,48 @@ class TestMalformedInput:
         assert code == EXIT_INPUT_ERROR
         assert f"error: {articles.resolve()}: article 'blank': text must be nonempty" in err
 
+    def test_article_without_text_exits_2_on_the_baseline_path(self, tmp_path, capsys):
+        articles = tmp_path / "articles.jsonl"
+        articles.write_text(
+            (FIXTURES / "articles.jsonl").read_text()
+            + json.dumps({"id": "blank", "date": "2010-01-01", "title": " ", "body": ""})
+            + "\n"
+        )
+        config = tmp_path / "c.json"
+        baseline = absolute_config(detector_source="baseline", detector_model=str(tmp_path / "m.json"))
+        config.write_text(json.dumps(baseline))
+        code = main(["signals", "--config", str(config), "--output-dir", str(tmp_path), "--articles", str(articles)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {articles.resolve()}: article 'blank': text must be nonempty" in err
+
+    def test_huge_panel_year_exits_2_naming_path_line(self, tmp_path, capsys):
+        lines = (FIXTURES / "panel.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "99999999999999999999"
+        lines[3] = ",".join(cells)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join(lines) + "\n")
+        code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "6,7", "--panel", str(panel))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {panel.resolve()}:4: malformed row" in err
+        assert "Traceback" not in err
+
+    def test_line_after_a_quoted_newline_is_named_by_its_physical_line(self, tmp_path, capsys):
+        lines = (FIXTURES / "panel.csv").read_text().splitlines()
+        state, rest = lines[1].split(",", 1)
+        lines[1] = f'"{state}\n",{rest}'
+        cells = lines[5].split(",")
+        cells[-1] = "abc"
+        lines[5] = ",".join(cells)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join(lines) + "\n")
+        code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "6,7", "--panel", str(panel))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"error: {panel.resolve()}:7: not a finite number: 'abc'" in err
+
     @pytest.mark.parametrize("state", ["ZZ", 5, "ca"])
     def test_article_with_bad_state_exits_2_naming_path_line(self, tmp_path, capsys, state):
         lines = (FIXTURES / "articles.jsonl").read_text().splitlines()
@@ -439,6 +483,32 @@ class TestSignals:
             assert by_state.get(key, 0) <= total
 
 
+    def test_baseline_signals_tokenizes_each_article_once(self, tmp_path, monkeypatch):
+        config = tmp_path / "c.json"
+        baseline = absolute_config(detector_source="baseline", detector_model=str(tmp_path / "m.json"))
+        config.write_text(json.dumps(baseline))
+        argv = ["--config", str(config), "--output-dir", str(tmp_path / "out")]
+        assert main(["detect", *argv]) == EXIT_OK  # trains the model
+        # Every tokenization, `geo._tokenize` included, goes through
+        # `tokenize_texts`; count the texts fed to it, wherever it is bound.
+        seen = Counter()
+        tokenize_texts = geo.tokenize_texts
+
+        def counted(texts):
+            def feed():
+                for text in texts:
+                    seen[text] += 1
+                    yield text
+
+            return tokenize_texts(feed())
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("crimecast.")]:
+            if getattr(module, "tokenize_texts", None) is tokenize_texts:
+                monkeypatch.setattr(module, "tokenize_texts", counted)
+        assert main(["signals", *argv]) == EXIT_OK
+        texts = Counter(r.text() for r in load_articles(FIXTURES / "articles.jsonl"))
+        assert {text: seen[text] for text in texts} == texts
+
 class TestFitForecast:
     def test_national_report_golden(self, tmp_path):
         assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "1,2,3,4,5") == EXIT_OK
@@ -479,6 +549,16 @@ class TestFitForecast:
         assert header == "year,quarter,observed,trend,seasonal,irregular"
         with (tmp_path / "fbi_quarterly.csv").open() as fh:
             assert fh.readline().strip() == "year,quarter,value"
+
+    def test_unconverged_model5_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(regression, "_CO_MAX_ITER", 2)
+        out = tmp_path / "out"
+        code = run("fit-forecast", "--output-dir", str(out), "--models", "1,5")
+        err = capsys.readouterr().err
+        assert code == EXIT_MODEL_ERROR
+        assert "model error: the AR(1)-error fit did not converge in 2 Cochrane-Orcutt rounds" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
 
 
 class TestModel1Readings:

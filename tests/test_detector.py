@@ -1,7 +1,10 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from crimecast.detector import (
     BaselineModel,
@@ -10,7 +13,10 @@ from crimecast.detector import (
     train_baseline,
 )
 from crimecast.exceptions import InvalidArgumentError
-from crimecast.signals import ArticleRecord
+from crimecast.geo import load_gazetteer, resolve_state
+from crimecast.signals import ArticleRecord, load_articles
+
+from conftest import FIXTURES, GAZETTEER
 
 FILL = ["the", "a", "report", "city", "local", "community", "police", "street",
         "meeting", "group", "member", "public", "area", "years", "officials"]
@@ -182,6 +188,71 @@ class TestEvaluate:
     def test_id_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             evaluate({"a": "hate_crime"}, {"b": "hate_crime"})
+
+
+BUNDLED = load_gazetteer(GAZETTEER)
+
+
+def fixture_model():
+    """The baseline trained on the fixture, with its threshold moved to the
+    median fixture score so that both labels occur."""
+    model = train_baseline(load_articles(FIXTURES / "train_articles.jsonl"), seed=0)
+    scores = [model.score(r) for r in load_articles(FIXTURES / "articles.jsonl")]
+    return BaselineModel(model.vocabulary, model.bias, float(np.median(scores)), model.metadata)
+
+
+MODEL = fixture_model()
+
+
+def assert_fused_pass_is_per_record(records):
+    """classify_corpus with a gazetteer equals `score` and `resolve_state`
+    applied to each record."""
+    labeled, scores = classify_corpus(MODEL, records, BUNDLED)
+    assert [r.id for r in labeled] == [r.id for r in records]
+    for record, out in zip(records, labeled):
+        score = MODEL.score(record)
+        assert scores[record.id] == score
+        assert out.predicted_label == ("hate_crime" if score >= MODEL.threshold else "not_hate_crime")
+        state = record.state if record.state is not None else resolve_state(record.text(), BUNDLED).state
+        assert out == record.updated(out.predicted_label, state)
+
+
+WORDS = st.sampled_from(
+    sorted(entry.name for entry in BUNDLED.entries.values())[::7]
+    + sorted(MODEL.vocabulary)[::3]
+    + [",", ".", "!", "\n"]
+)
+STATES = st.sampled_from([None, None, None, "CA", "UNKNOWN"])
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("name", ["articles.jsonl", "articles_annotated_500.jsonl"])
+    def test_fixture_articles(self, name):
+        # The annotated articles carry states; dropped, they are resolved.
+        records = [dataclasses.replace(r, state=None) for r in load_articles(FIXTURES / name)]
+        assert_fused_pass_is_per_record(records)
+
+    def test_fixture_model_gives_both_labels(self):
+        labeled, _ = classify_corpus(MODEL, load_articles(FIXTURES / "articles.jsonl"))
+        assert {r.predicted_label for r in labeled} == {"hate_crime", "not_hate_crime"}
+
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.lists(WORDS, min_size=1, max_size=10), STATES), max_size=12))
+    def test_generated_records(self, rows):
+        records = [
+            ArticleRecord(f"g{i}", dt.date(2010, 1, 1), words[0], " ".join(words[1:]), state=state)
+            for i, (words, state) in enumerate(rows)
+        ]
+        assert_fused_pass_is_per_record(records)
+
+    def test_blank_record_without_state_rejected_with_id(self):
+        records = [rec(0, "in Sacramento"), rec(1, " \t")]
+        with pytest.raises(InvalidArgumentError, match="^article 'a0001': text must be nonempty$"):
+            classify_corpus(MODEL, records, BUNDLED)
+        # Without a gazetteer, or with a state, a blank record is only scored.
+        assert len(classify_corpus(MODEL, records)[0]) == 2
+        assert classify_corpus(MODEL, [rec(1, " ").updated(state="CA")], BUNDLED)[0][0].state == "CA"
 
 
 class TestModelFile:

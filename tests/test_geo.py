@@ -4,8 +4,17 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from crimecast import geo
 from crimecast.exceptions import InvalidArgumentError
-from crimecast.geo import UNKNOWN_STATE, Resolution, _tokenize, load_gazetteer, resolve_state
+from crimecast.geo import (
+    UNKNOWN_STATE,
+    Resolution,
+    _tokenize,
+    load_gazetteer,
+    resolve_state,
+    resolve_tokens,
+    tokenize_texts,
+)
 from crimecast.signals import load_articles
 from crimecast.stattests import cohens_kappa
 
@@ -216,3 +225,43 @@ class TestFirstTokenIndex:
     def test_matches_reference_on_generated_texts(self, words, last):
         for text in (" ".join(words), " ".join([*words, last])):
             assert resolve_state(text, BUNDLED) == scan_all_positions(text, BUNDLED)
+
+
+def regex_tokens(text):
+    """The tokenizer rule as a regular expression: the oracle."""
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+# Letters around the edge cases of the rule: non-ASCII letters, the two that
+# lowercase to ASCII (U+0130 to "i" plus a combining dot, U+212A to "k"),
+# NUL, the other ASCII separators and whitespace.
+TOKENIZER_TEXTS = st.text(
+    st.one_of(
+        st.sampled_from(list("aZk9 ,-'\t\n\r\x00\x0b\x1c\u0130\u212aéßΣ\u00a0\ud800")),
+        st.characters(),
+    ),
+    max_size=40,
+)
+
+
+class TestTokenizer:
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TOKENIZER_TEXTS, max_size=8))
+    @example(["", "\x00", "a\x00b", ""])
+    @example(["\u0130stanbul \u212aansas", "\r\nKC\rMO"])
+    def test_matches_the_regex(self, texts):
+        expected = [regex_tokens(text) for text in texts]
+        assert list(tokenize_texts(texts)) == expected
+        assert [_tokenize(text) for text in texts] == expected
+
+    def test_chunk_boundaries(self):
+        n = 2 * geo._CHUNK + 3
+        texts = [f"Text {i}: Kansas City\x00{i % 7}" if i % 5 else "" for i in range(n)]
+        tokens = list(tokenize_texts(iter(texts)))
+        assert tokens == [regex_tokens(text) for text in texts]
+
+    def test_resolve_tokens_is_resolve_state(self):
+        for record in load_articles(FIXTURES / "articles.jsonl"):
+            text = record.text()
+            assert resolve_tokens(_tokenize(text), BUNDLED) == resolve_state(text, BUNDLED).state

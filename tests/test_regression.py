@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crimecast.exceptions import CollinearityError, InvalidArgumentError
+from crimecast.exceptions import CollinearityError, CrimecastError, InvalidArgumentError
 from crimecast.regression import (
     Dataset,
     RegressionSpec,
@@ -202,6 +202,19 @@ class TestAr1Errors:
         oracle = np.linalg.lstsq(Xs, ys, rcond=None)[0]
         assert np.max(np.abs(oracle - np.asarray(fit.coefficients))) < 1e-6
 
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (1.02, r"^the AR\(1\)-error fit did not converge in 50 Cochrane-Orcutt rounds \(rho 1\.02\d*\)$"),
+            (1.05, r"^the AR\(1\)-error fit ended at rho 1\.05\d*, outside \(-1, 1\)$"),
+        ],
+        ids=["still-moving", "explosive"],
+    )
+    def test_unconverged_or_explosive_rho_rejected(self, rho, message):
+        ds, spec = self.make_fixture(rho=rho)
+        with pytest.raises(CrimecastError, match=message):
+            fit_ols(ds, spec)
 
 class TestForecastRegression:
     def test_intercept_only_prediction(self):

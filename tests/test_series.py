@@ -283,6 +283,26 @@ class TestReaderMessages:
             loader(path)
         assert str(info.value) == message.format(path=path)
 
+    @pytest.mark.parametrize("loader", [load_series_csv, PanelDataset.from_csv])
+    @pytest.mark.parametrize("year", ["99999999999999999999", "10000", "0", "-2007"])
+    def test_year_outside_1_to_9999_is_malformed(self, tmp_path, loader, year):
+        path = tmp_path / "in.csv"
+        if loader is load_series_csv:
+            path.write_text(SERIES_HEAD + f"2007,1,1.0\n{year},2,2.0\n")
+        else:
+            path.write_text(LONG_HEAD + f"CA,2007,1,1,2\nCA,{year},2,1,2\n")
+        with pytest.raises(InvalidArgumentError) as info:
+            loader(path)
+        assert str(info.value) == f"{path}:3: malformed row"
+
+    def test_rows_are_numbered_by_the_line_they_start_on(self, tmp_path):
+        # The quoted state of line 2 ends on line 3; line 4 is blank.
+        path = tmp_path / "in.csv"
+        path.write_text(LONG_HEAD + '"CA\n",2007,1,1,2\n\nNY,2007,1,1,2\nNY,2007,2,abc,2\n')
+        with pytest.raises(InvalidArgumentError) as info:
+            PanelDataset.from_csv(path)
+        assert str(info.value) == f"{path}:6: not a finite number: 'abc'"
+
     def test_panel_csv_matches_a_dictreader_oracle(self):
         """Every cell of the fixture panel against a row-by-row read of the file."""
         path = FIXTURES / "panel.csv"

@@ -1,9 +1,10 @@
 import datetime as dt
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from crimecast.exceptions import InvalidArgumentError
@@ -227,6 +228,35 @@ class TestArticleIO:
         write_articles(records, path)
         back = load_articles(path)
         assert back == records
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(st.characters(), max_size=12),
+                st.dates(),
+                st.text(st.characters(blacklist_categories=()), max_size=30),
+                st.text(st.characters(blacklist_categories=()), max_size=60),
+                st.sampled_from([None, "hate_crime", "not_hate_crime"]),
+                st.sampled_from([None, "hate_crime", "not_hate_crime"]),
+                st.sampled_from([None, "CA", "UNKNOWN"]),
+            ),
+            max_size=8,
+        )
+    )
+    def test_lines_equal_json_dumps(self, tmp_path_factory, rows):
+        records = [ArticleRecord(f"{i}{key}", *rest) for i, (key, *rest) in enumerate(rows)]
+        path = tmp_path_factory.mktemp("articles") / "a.jsonl"
+        write_articles(records, path)
+        expected = []
+        for r in records:
+            payload = {"id": r.id, "date": r.date.isoformat(), "title": r.title, "body": r.body}
+            for key in ("gold_label", "predicted_label", "state"):
+                if getattr(r, key) is not None:
+                    payload[key] = getattr(r, key)
+            expected.append(json.dumps(payload) + "\n")
+        assert path.read_text() == "".join(expected)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
