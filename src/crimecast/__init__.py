@@ -21,7 +21,7 @@ from .series import (
     difference,
     pacf,
 )
-from .signals import ArticleRecord, StateSignals, aggregate_by_state, aggregate_quarterly
+from .signals import ArticleRecord, Corpus, StateSignals, aggregate_by_state, aggregate_quarterly
 from .stattests import (
     TestResult,
     adf_test,
@@ -40,6 +40,7 @@ __all__ = [
     "ArimaSpec",
     "ArticleRecord",
     "CollinearityError",
+    "Corpus",
     "CrimecastError",
     "Dataset",
     "DecompositionResult",

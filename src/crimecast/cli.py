@@ -211,44 +211,39 @@ def _detector(config: PipelineConfig) -> detector_mod.BaselineModel:
     return _load(detector_mod.BaselineModel.from_json, path, "detector model")
 
 
-def _labeled(config: PipelineConfig, resolve: bool = False) -> list[signals_mod.ArticleRecord]:
+def _labeled(config: PipelineConfig, resolve: bool = False) -> signals_mod.Corpus:
     """Load the articles and label them from the configured detector source;
     with `resolve`, fill in missing state fields through the gazetteer (the
     bundled mini-gazetteer when none is configured). The baseline detector
     resolves from the tokens it scores."""
-    records = _load(signals_mod.load_articles, config.articles, "articles")
+    corpus = _load(signals_mod.load_articles, config.articles, "articles")
     if config.detector_source == "baseline":
         model = _detector(config)
-    else:
-        missing = [r.id for r in records if r.predicted_label is None]
-        if missing:
-            raise UsageError(
-                f"precomputed labels requested but {len(missing)} records lack predicted_label (first: {missing[0]!r})"
-            )
+    elif None in corpus.predicted:
+        missing = corpus.predicted.count(None)
+        first = corpus.ids[corpus.predicted.index(None)]
+        raise UsageError(f"precomputed labels requested but {missing} records lack predicted_label (first: {first!r})")
     gaz = None
-    if resolve and any(r.state is None for r in records):
+    if resolve and None in corpus.states:
         gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
     if config.detector_source != "baseline":
-        return records if gaz is None else _resolved(config, records, gaz)
+        return corpus if gaz is None else _resolved(config, corpus, gaz)
     try:
-        return detector_mod.classify_corpus(model, records, gaz)[0]
+        return detector_mod.classify_corpus(model, corpus, gaz)[0]
     except InvalidArgumentError as exc:
         raise UsageError(f"{config.articles}: {exc}") from exc
 
 
-def _resolved(
-    config: PipelineConfig, records: list[signals_mod.ArticleRecord], gaz: geo.Gazetteer
-) -> list[signals_mod.ArticleRecord]:
-    """Fill in missing state fields one record at a time."""
-    resolved = []
-    for record in records:
-        if record.state is None:
+def _resolved(config: PipelineConfig, corpus: signals_mod.Corpus, gaz: geo.Gazetteer) -> signals_mod.Corpus:
+    """Fill in missing state fields one article at a time."""
+    states = list(corpus.states)
+    for i, (text, state) in enumerate(zip(corpus.texts(), corpus.states)):
+        if state is None:
             try:
-                record = record.updated(state=geo.resolve_state(record.text(), gaz).state)
+                states[i] = geo.resolve_state(text, gaz).state
             except InvalidArgumentError as exc:
-                raise UsageError(f"{config.articles}: article {record.id!r}: {exc}") from exc
-        resolved.append(record)
-    return resolved
+                raise UsageError(f"{config.articles}: article {corpus.ids[i]!r}: {exc}") from exc
+    return replace(corpus, states=states)
 
 
 def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:
@@ -407,7 +402,7 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
 def cmd_detect(config: PipelineConfig) -> None:
     labeled = _labeled(config)
     signals_mod.write_articles(labeled, config.output_dir / "articles_labeled.jsonl")
-    positives = sum(1 for r in labeled if r.predicted_label == signals_mod.LABEL_POSITIVE)
+    positives = labeled.predicted.count(signals_mod.LABEL_POSITIVE)
     summary = {
         "source": config.detector_source,
         "total": len(labeled),
@@ -464,7 +459,7 @@ def cmd_fit_forecast(config: PipelineConfig) -> None:
     # aggregated once, and the national signals of the event models are the
     # national part of the per-state aggregate when panel models run.
     event_models = any(m in EVENT_MODELS for m in national_ids)
-    labeled = _labeled(config, resolve=bool(panel_ids)) if panel_ids or event_models else []
+    labeled = _labeled(config, resolve=bool(panel_ids)) if panel_ids or event_models else None
     state_signals = signals_mod.aggregate_by_state(labeled, _span(config)) if panel_ids else None
     national = None
     if event_models:
@@ -478,14 +473,14 @@ def cmd_fit_forecast(config: PipelineConfig) -> None:
 
 
 def cmd_evaluate_detector(config: PipelineConfig) -> None:
-    records = _load(signals_mod.load_articles, config.articles, "articles")
-    gold = [r for r in records if r.gold_label is not None]
+    corpus = _load(signals_mod.load_articles, config.articles, "articles")
+    gold = [i for i, label in enumerate(corpus.gold) if label is not None]
     if not gold:
         raise UsageError("no records carry gold labels")
-    missing = [r.id for r in gold if r.predicted_label is None]
+    missing = [corpus.ids[i] for i in gold if corpus.predicted[i] is None]
     if missing:
         raise UsageError(f"{len(missing)} gold-labeled records lack predictions (first: {missing[0]!r})")
-    metrics = detector_mod.evaluate(gold, gold)
+    metrics = detector_mod.evaluate([corpus.predicted[i] for i in gold], [corpus.gold[i] for i in gold])
     payload = {"Precision": metrics.precision, "Recall": metrics.recall, "F1": metrics.f1, "counts": asdict(metrics.counts)}
     write_json(payload, config.output_dir / "detector_metrics.json")
     print(f"evaluate-detector: P={metrics.precision:.4f} R={metrics.recall:.4f} F1={metrics.f1:.4f}")

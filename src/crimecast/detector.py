@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .exceptions import InvalidArgumentError, decode_utf8
 from .geo import Gazetteer, _tokenize, resolve_tokens, tokenize_texts
-from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord
+from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord, Corpus
 
 # Training settings of the baseline, recorded in the model's metadata.
 _LEARNING_RATE = 0.1
@@ -106,38 +107,22 @@ class BaselineModel:
             raise InvalidArgumentError(f"model file {path}: {exc}") from exc
 
 
-def _split_records(
-    records: Sequence[ArticleRecord],
-    split: tuple[float, float, float] | tuple[Iterable[str], Iterable[str], Iterable[str]],
-    seed: int,
-) -> tuple[list[ArticleRecord], list[ArticleRecord], list[ArticleRecord]]:
-    if all(isinstance(part, (int, float)) for part in split):
-        fracs = tuple(float(f) for f in split)
-        if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-            raise InvalidArgumentError("split fractions must be nonnegative and sum to 1")
-        order = np.random.default_rng(seed).permutation(len(records))
-        n_train = int(round(fracs[0] * len(records)))
-        n_val = int(round(fracs[1] * len(records)))
-        train_idx = order[:n_train]
-        val_idx = order[n_train : n_train + n_val]
-        test_idx = order[n_train + n_val :]
-        return (
-            [records[i] for i in train_idx],
-            [records[i] for i in val_idx],
-            [records[i] for i in test_idx],
-        )
-    id_sets = [set(part) for part in split]
-    by_id = {r.id: r for r in records}
-    missing = (id_sets[0] | id_sets[1] | id_sets[2]) - set(by_id)
-    if missing:
-        raise InvalidArgumentError(f"split references unknown ids: {sorted(missing)[:5]}")
-    return tuple([by_id[i] for i in sorted(ids)] for ids in id_sets)  # type: ignore[return-value]
+def _split(n: int, split: tuple[float, float, float], seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions 0..n-1 shuffled by the seed and cut into the train,
+    validation and test fractions."""
+    fracs = tuple(float(f) for f in split)
+    if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
+        raise InvalidArgumentError("split fractions must be nonnegative and sum to 1")
+    order = np.random.default_rng(seed).permutation(n)
+    n_train = int(round(fracs[0] * n))
+    n_val = int(round(fracs[1] * n))
+    return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
 
 
-def _count_matrix(records: Sequence[ArticleRecord], index: Mapping[str, int]) -> np.ndarray:
-    X = np.zeros((len(records), len(index)))
-    for row, record in enumerate(records):
-        for token in _tokenize(record.text()):
+def _count_matrix(texts: Sequence[str], index: Mapping[str, int]) -> np.ndarray:
+    X = np.zeros((len(texts), len(index)))
+    for row, text in enumerate(texts):
+        for token in _tokenize(text):
             col = index.get(token)
             if col is not None:
                 X[row, col] += 1.0
@@ -152,12 +137,9 @@ def _f1_at(scores: np.ndarray, gold: np.ndarray, threshold: float) -> float:
     return 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
 
 
-def train_baseline(
-    corpus: Sequence[ArticleRecord],
-    split: tuple = (0.7, 0.1, 0.2),
-    seed: int = 0,
-) -> BaselineModel:
-    """Train the logistic bag-of-words baseline.
+def train_baseline(corpus: Corpus, split: tuple[float, float, float] = (0.7, 0.1, 0.2), seed: int = 0) -> BaselineModel:
+    """Train the logistic bag-of-words baseline on the articles with a gold
+    label, split into train, validation and test by `split` fractions.
 
     Tokens are lowercased and kept when they occur at least _MIN_TOKEN_COUNT
     times in the training split; optimization is full-batch gradient descent,
@@ -165,27 +147,28 @@ def train_baseline(
     the split shuffle). The decision threshold maximizes F1 on the validation
     split.
     """
-    labeled = [r for r in corpus if r.gold_label is not None]
+    gold = corpus.gold
+    labeled = [i for i, label in enumerate(gold) if label is not None]
     if len(labeled) < 50:
         raise InvalidArgumentError(f"need at least 50 labeled records, got {len(labeled)}")
-    classes = {r.gold_label for r in labeled}
-    if len(classes) < 2:
+    if len({gold[i] for i in labeled}) < 2:
         raise InvalidArgumentError("corpus must contain both classes")
-    train, validation, test = _split_records(labeled, split, seed)
+    train, validation, test = ([labeled[j] for j in part] for part in _split(len(labeled), split, seed))
     if not train:
         raise InvalidArgumentError("training split is empty")
+    texts = list(corpus.texts())
 
     counts: dict[str, int] = {}
-    for record in train:
-        for token in _tokenize(record.text()):
+    for i in train:
+        for token in _tokenize(texts[i]):
             counts[token] = counts.get(token, 0) + 1
     tokens = sorted(t for t, c in counts.items() if c >= _MIN_TOKEN_COUNT)
     if not tokens:
         raise InvalidArgumentError("no tokens survive the frequency cutoff")
     index = {t: j for j, t in enumerate(tokens)}
 
-    X = _count_matrix(train, index)
-    y = np.array([1.0 if r.gold_label == LABEL_POSITIVE else 0.0 for r in train])
+    X = _count_matrix([texts[i] for i in train], index)
+    y = np.array([1.0 if gold[i] == LABEL_POSITIVE else 0.0 for i in train])
     w = np.zeros(len(tokens))
     b = 0.0
     n = len(train)
@@ -196,8 +179,8 @@ def train_baseline(
         b -= _LEARNING_RATE * float(err.mean())
 
     if validation:
-        Xv = _count_matrix(validation, index)
-        yv = np.array([1.0 if r.gold_label == LABEL_POSITIVE else 0.0 for r in validation])
+        Xv = _count_matrix([texts[i] for i in validation], index)
+        yv = np.array([1.0 if gold[i] == LABEL_POSITIVE else 0.0 for i in validation])
         sv = 1.0 / (1.0 + np.exp(-(Xv @ w + b)))
         candidates = sorted(set(float(s) for s in sv))
         best_t, best_f1 = 0.5, -1.0
@@ -227,68 +210,37 @@ def train_baseline(
 
 
 def classify_corpus(
-    model: BaselineModel, records: Sequence[ArticleRecord], gazetteer: Gazetteer | None = None
-) -> tuple[list[ArticleRecord], dict[str, float]]:
-    """Label every record; scores are returned for threshold audits.
+    model: BaselineModel, corpus: Corpus, gazetteer: Gazetteer | None = None
+) -> tuple[Corpus, np.ndarray]:
+    """The corpus with every article labeled, and the scores (aligned with
+    the corpus) for threshold audits.
 
-    With a gazetteer, each record without a state also gets the state
-    resolved from the tokens it is scored on; a blank such record is an
+    With a gazetteer, each article without a state also gets the state
+    resolved from the tokens it is scored on; a blank such article is an
     InvalidArgumentError naming its id. Each text is tokenized once.
     """
-    logits = np.empty(len(records))
-    states: list[str | None] = []
-    for i, (record, tokens) in enumerate(zip(records, tokenize_texts(r.text() for r in records))):
+    logits = np.empty(len(corpus))
+    states = list(corpus.states)
+    for i, tokens in enumerate(tokenize_texts(corpus.texts())):
         logits[i] = model.logit(tokens)
-        state = None
-        if gazetteer is not None and record.state is None:
-            if not tokens and not record.text().strip():
-                raise InvalidArgumentError(f"article {record.id!r}: text must be nonempty")
-            state = resolve_tokens(tokens, gazetteer)
-        states.append(state)
-    scores = (1.0 / (1.0 + np.exp(-logits))).tolist()
+        if gazetteer is not None and states[i] is None:
+            if not tokens and not (corpus.titles[i].strip() or corpus.bodies[i].strip()):
+                raise InvalidArgumentError(f"article {corpus.ids[i]!r}: text must be nonempty")
+            states[i] = resolve_tokens(tokens, gazetteer)
+    scores = 1.0 / (1.0 + np.exp(-logits))
     threshold = model.threshold
-    labeled = [
-        record.updated(LABEL_POSITIVE if score >= threshold else LABEL_NEGATIVE, state)
-        for record, score, state in zip(records, scores, states)
-    ]
-    return labeled, {record.id: score for record, score in zip(records, scores)}
+    labels = [LABEL_POSITIVE if score >= threshold else LABEL_NEGATIVE for score in scores.tolist()]
+    return replace(corpus, predicted=labels, states=states), scores
 
 
-def _as_label_map(source, attr: str) -> dict[str, str]:
-    if isinstance(source, Mapping):
-        return {str(k): str(v) for k, v in source.items()}
-    out: dict[str, str] = {}
-    for record in source:
-        label = getattr(record, attr)
-        if label is None:
-            raise InvalidArgumentError(f"article {record.id!r} has no {attr}")
-        out[record.id] = label
-    return out
-
-
-def evaluate(predictions, gold) -> DetectionMetrics:
-    """Precision, recall, and F1 of predictions against gold labels.
-
-    Inputs may be record sequences (using predicted_label / gold_label) or
-    id->label mappings; the id sets must match exactly. Zero-denominator
-    metrics are reported as 0 with a warning.
-    """
-    pred_map = _as_label_map(predictions, "predicted_label")
-    gold_map = _as_label_map(gold, "gold_label")
-    if set(pred_map) != set(gold_map):
-        missing = set(gold_map) ^ set(pred_map)
-        raise InvalidArgumentError(f"prediction/gold id mismatch ({len(missing)} ids differ)")
-    tp = fp = tn = fn = 0
-    for rid, predicted in pred_map.items():
-        actual = gold_map[rid]
-        if predicted == LABEL_POSITIVE and actual == LABEL_POSITIVE:
-            tp += 1
-        elif predicted == LABEL_POSITIVE:
-            fp += 1
-        elif actual == LABEL_POSITIVE:
-            fn += 1
-        else:
-            tn += 1
+def evaluate(predicted: Sequence[str], gold: Sequence[str]) -> DetectionMetrics:
+    """Precision, recall, and F1 of predicted labels against the gold labels
+    at the same positions. Zero-denominator metrics are reported as 0 with a
+    warning."""
+    if len(predicted) != len(gold):
+        raise InvalidArgumentError(f"{len(predicted)} predicted labels for {len(gold)} gold labels")
+    pairs = Counter(zip((p == LABEL_POSITIVE for p in predicted), (g == LABEL_POSITIVE for g in gold)))
+    tp, fp, fn, tn = pairs[True, True], pairs[True, False], pairs[False, True], pairs[False, False]
 
     def safe_ratio(num: int, den: int, name: str) -> float:
         if den == 0:

@@ -1,14 +1,15 @@
-"""Aggregate dated, classified article records into quarterly predictor
-series, nationally and per state."""
+"""Read and write article corpora as columns, and aggregate dated,
+classified articles into quarterly predictor series, nationally and per
+state."""
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,9 +25,22 @@ LABELS = (LABEL_POSITIVE, LABEL_NEGATIVE)
 SIGNALS = ("news_num", "event_detected_num", "hate_reported_index")
 
 
+def _check(id: str, date: dt.date, gold_label, predicted_label) -> None:
+    """The checks an article record makes on its fields."""
+    if not id:
+        raise InvalidArgumentError("article id must be nonempty")
+    if not isinstance(date, dt.date):
+        raise InvalidArgumentError(f"article {id}: date must be a datetime.date")
+    if gold_label is not None and gold_label not in LABELS:
+        raise InvalidArgumentError(f"article {id}: gold_label must be one of {LABELS}")
+    if predicted_label is not None and predicted_label not in LABELS:
+        raise InvalidArgumentError(f"article {id}: predicted_label must be one of {LABELS}")
+
+
 @dataclass(frozen=True)
 class ArticleRecord:
-    """One news item with optional gold label, prediction, and state."""
+    """One news item with optional gold label, prediction, and state: a row
+    of a `Corpus`."""
 
     id: str
     date: dt.date
@@ -37,38 +51,56 @@ class ArticleRecord:
     state: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise InvalidArgumentError("article id must be nonempty")
-        if not isinstance(self.date, dt.date):
-            raise InvalidArgumentError(f"article {self.id}: date must be a datetime.date")
-        if self.gold_label is not None and self.gold_label not in LABELS:
-            raise InvalidArgumentError(f"article {self.id}: gold_label must be one of {LABELS}")
-        if self.predicted_label is not None and self.predicted_label not in LABELS:
-            raise InvalidArgumentError(f"article {self.id}: predicted_label must be one of {LABELS}")
+        _check(self.id, self.date, self.gold_label, self.predicted_label)
 
     def text(self) -> str:
         return f"{self.title}\n{self.body}"
 
-    def updated(self, predicted_label: str | None = None, state: str | None = None) -> "ArticleRecord":
-        """A copy with the given predicted_label and state (None keeps this
-        record's), validated by the constructor; about half the cost of
-        `dataclasses.replace` per record."""
-        return ArticleRecord(
-            self.id,
-            self.date,
-            self.title,
-            self.body,
-            self.gold_label,
-            self.predicted_label if predicted_label is None else predicted_label,
-            self.state if state is None else state,
-        )
+
+@dataclass(frozen=True)
+class Corpus:
+    """Articles as equal-length columns, one entry per article in file order;
+    indexing and iteration give `ArticleRecord` rows."""
+
+    ids: list[str]
+    dates: list[dt.date]
+    titles: list[str]
+    bodies: list[str]
+    gold: list[str | None]
+    predicted: list[str | None]
+    states: list[str | None]
+
+    def __post_init__(self) -> None:
+        if len({len(column) for column in self.columns()}) > 1:
+            raise InvalidArgumentError("corpus columns must have equal lengths")
+
+    @classmethod
+    def of(cls, records: Sequence[ArticleRecord]) -> "Corpus":
+        return cls(*([getattr(r, f.name) for r in records] for f in fields(ArticleRecord)))
+
+    def columns(self) -> tuple[list, ...]:
+        return self.ids, self.dates, self.titles, self.bodies, self.gold, self.predicted, self.states
+
+    def texts(self) -> Iterator[str]:
+        """Each article's text, as `ArticleRecord.text` gives it."""
+        return (f"{title}\n{body}" for title, body in zip(self.titles, self.bodies))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[ArticleRecord]:
+        return map(ArticleRecord, *self.columns())
+
+    def __getitem__(self, i: int) -> ArticleRecord:
+        return ArticleRecord(*(column[i] for column in self.columns()))
 
 
-def load_articles(path: str | Path) -> list[ArticleRecord]:
+def load_articles(path: str | Path) -> Corpus:
     """Read a JSON-lines UTF-8 corpus, rejecting duplicate ids and a `state`
     that is not null, a state code or UNKNOWN."""
     path = Path(path)
-    records: list[ArticleRecord] = []
+    columns: tuple[list, ...] = tuple([] for _ in fields(Corpus))
+    ids, dates, titles, bodies, gold, predicted, states = columns
     seen: set[str] = set()
     decode = json.JSONDecoder().decode
     with path.open("rb") as fh:
@@ -81,68 +113,69 @@ def load_articles(path: str | Path) -> list[ArticleRecord]:
             except json.JSONDecodeError as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON") from exc
             try:
-                record = ArticleRecord(
-                    id=str(raw["id"]),
-                    date=dt.date.fromisoformat(raw["date"]),
-                    title=str(raw.get("title", "")),
-                    body=str(raw.get("body", "")),
-                    gold_label=raw.get("gold_label"),
-                    predicted_label=raw.get("predicted_label"),
-                    state=raw.get("state"),
-                )
-                if record.state not in (None, UNKNOWN_STATE) and record.state not in US_STATE_CODES:
-                    raise ValueError(f"state must be a state code or {UNKNOWN_STATE!r}, got {record.state!r}")
+                rid = str(raw["id"])
+                date = dt.date.fromisoformat(raw["date"])
+                title, body = str(raw.get("title", "")), str(raw.get("body", ""))
+                labels = raw.get("gold_label"), raw.get("predicted_label")
+                _check(rid, date, *labels)
+                state = raw.get("state")
+                if state not in (None, UNKNOWN_STATE) and state not in US_STATE_CODES:
+                    raise ValueError(f"state must be a state code or {UNKNOWN_STATE!r}, got {state!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: bad record ({exc})") from exc
-            if record.id in seen:
-                raise InvalidArgumentError(f"{path}:{lineno}: duplicate article id {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
-    return records
+            if rid in seen:
+                raise InvalidArgumentError(f"{path}:{lineno}: duplicate article id {rid!r}")
+            seen.add(rid)
+            ids.append(rid)
+            dates.append(date)
+            titles.append(title)
+            bodies.append(body)
+            gold.append(labels[0])
+            predicted.append(labels[1])
+            states.append(state)
+    return Corpus(*columns)
 
 
-def write_articles(records: Iterable[ArticleRecord], path: str | Path) -> None:
+def write_articles(corpus: Corpus, path: str | Path) -> None:
     """One JSON object per line, as `json.dumps` writes it: the same string
-    encoder and separators, without building a dict per record."""
+    encoder and separators, without building a dict per article."""
     enc = json.encoder.encode_basestring_ascii
     with Path(path).open("w") as fh:
-        for r in records:
-            line = f'{{"id": {enc(r.id)}, "date": "{r.date.isoformat()}", '
-            line += f'"title": {enc(r.title)}, "body": {enc(r.body)}'
-            if r.gold_label is not None:
-                line += f', "gold_label": {enc(r.gold_label)}'
-            if r.predicted_label is not None:
-                line += f', "predicted_label": {enc(r.predicted_label)}'
-            if r.state is not None:
-                line += f', "state": {enc(r.state)}'
+        for rid, date, title, body, gold, predicted, state in zip(*corpus.columns()):
+            line = f'{{"id": {enc(rid)}, "date": "{date.isoformat()}", "title": {enc(title)}, "body": {enc(body)}'
+            if gold is not None:
+                line += f', "gold_label": {enc(gold)}'
+            if predicted is not None:
+                line += f', "predicted_label": {enc(predicted)}'
+            if state is not None:
+                line += f', "state": {enc(state)}'
             fh.write(line + "}\n")
 
 
-def _count(records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None) -> tuple[list, Quarter, np.ndarray]:
+def _count(corpus: Corpus, span: tuple[Quarter, Quarter] | None) -> tuple[list, Quarter, np.ndarray]:
     """The sorted states, the first quarter and the news and event counts
     (states × quarters × 2) over the span (by default the first to the last
-    quarter with records), in one pass; a state outside the span keeps a row."""
-    cells: dict[tuple[str | None, int], list[int]] = {}
-    for record in records:
-        if record.predicted_label is None:
-            raise InvalidArgumentError(f"article {record.id!r} has no predicted_label")
-        d = record.date
-        cell = cells.setdefault((record.state, d.year * 4 + (d.month - 1) // 3), [0, 0])
-        cell[0] += 1
-        cell[1] += record.predicted_label == LABEL_POSITIVE
+    quarter with articles), in one bincount; a state outside the span keeps
+    a row."""
+    if None in corpus.predicted:
+        raise InvalidArgumentError(f"article {corpus.ids[corpus.predicted.index(None)]!r} has no predicted_label")
+    t = np.array([d.year * 4 + (d.month - 1) // 3 for d in corpus.dates], dtype=np.intp)
     if span is not None:
         lo, hi = (q.year * 4 + q.quarter - 1 for q in span)
-    elif cells:
-        lo, hi = min(t for _, t in cells), max(t for _, t in cells)
+    elif len(t):
+        lo, hi = int(t.min()), int(t.max())
     else:
         raise InvalidArgumentError("no records and no explicit span to aggregate over")
-    states = sorted({state for state, _ in cells}, key=str)
+    states = sorted(set(corpus.states), key=str)
     row = {state: i for i, state in enumerate(states)}
-    counts = np.zeros((len(states), max(hi - lo + 1, 0), 2))
-    for (state, t), cell in cells.items():
-        if lo <= t <= hi:
-            counts[row[state], t - lo] = cell
-    return states, Quarter(lo // 4, lo % 4 + 1), counts
+    rows = np.array([row[state] for state in corpus.states], dtype=np.intp)
+    width = max(hi - lo + 1, 0)
+    kept = (t >= lo) & (t <= hi)
+    cells = rows[kept] * width + (t[kept] - lo)
+    events = (np.array(corpus.predicted) == LABEL_POSITIVE)[kept]
+    size = len(states) * width
+    counts = np.stack([np.bincount(cells, minlength=size), np.bincount(cells, events, minlength=size)], axis=1)
+    return states, Quarter(lo // 4, lo % 4 + 1), counts.astype(float).reshape(len(states), width, 2)
 
 
 def _frame(units: Sequence[str], start: Quarter, counts: np.ndarray) -> PanelDataset:
@@ -162,16 +195,14 @@ def _summed(states: Sequence[str | None], start: Quarter, counts: np.ndarray) ->
     return _frame((NATIONAL,), start, counts.sum(axis=0, keepdims=True))
 
 
-def aggregate_quarterly(
-    records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None = None
-) -> PanelDataset:
+def aggregate_quarterly(corpus: Corpus, span: tuple[Quarter, Quarter] | None = None) -> PanelDataset:
     """The national signal frame (unit NATIONAL): articles, detected events
     and their ratio per quarter over the span.
 
-    Every record must carry a predicted_label; quarters without records show
-    zero counts. Records outside an explicit span are ignored.
+    Every article must carry a predicted_label; quarters without articles
+    show zero counts. Articles outside an explicit span are ignored.
     """
-    return _summed(*_count(records, span))
+    return _summed(*_count(corpus, span))
 
 
 @dataclass(frozen=True)
@@ -185,20 +216,16 @@ class StateSignals:
     unknown_share: float
 
 
-def aggregate_by_state(
-    records: Sequence[ArticleRecord], span: tuple[Quarter, Quarter] | None = None
-) -> StateSignals:
-    """Aggregate per (state, quarter); records must carry a resolved state.
-    The records are counted once; the national frame sums the states."""
-    unknown = 0
-    for record in records:
-        if record.state is None:
-            raise InvalidArgumentError(f"article {record.id!r} has no resolved state")
-        unknown += record.state == UNKNOWN_STATE
-    states, start, counts = _count(records, span)
+def aggregate_by_state(corpus: Corpus, span: tuple[Quarter, Quarter] | None = None) -> StateSignals:
+    """Aggregate per (state, quarter); articles must carry a resolved state.
+    The articles are counted once; the national frame sums the states."""
+    if None in corpus.states:
+        raise InvalidArgumentError(f"article {corpus.ids[corpus.states.index(None)]!r} has no resolved state")
+    states, start, counts = _count(corpus, span)
     known = [i for i, state in enumerate(states) if state != UNKNOWN_STATE]
     by_state = _frame([states[i] for i in known], start, counts[known])
-    return StateSignals(_summed(states, start, counts), by_state, unknown / len(records) if records else 0.0)
+    unknown_share = corpus.states.count(UNKNOWN_STATE) / len(corpus) if len(corpus) else 0.0
+    return StateSignals(_summed(states, start, counts), by_state, unknown_share)
 
 
 def write_signals_csv(frame: PanelDataset, path: str | Path, state_column: bool = False) -> None:

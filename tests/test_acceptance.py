@@ -21,7 +21,7 @@ from crimecast.geo import load_gazetteer, resolve_state
 from crimecast.panel import fit_fixed_effects, fit_random_effects
 from crimecast.regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
 from crimecast.series import Quarter, TimeSeries, decompose_additive, difference
-from crimecast.signals import ArticleRecord, aggregate_by_state, aggregate_quarterly, load_articles
+from crimecast.signals import ArticleRecord, Corpus, aggregate_by_state, aggregate_quarterly, load_articles
 from crimecast.stattests import adf_test, cohens_kappa, durbin_watson, hausman_test, ljung_box
 
 from conftest import FIXTURES, GAZETTEER, GOLDEN, Q0, series
@@ -272,7 +272,7 @@ def test_criterion_12_index_arithmetic_and_reconciliation():
                 for q, (events, news) in enumerate(counts)
                 for i in range(news)
             ]
-            frame = aggregate_quarterly(records, (Quarter(2010, 1), Quarter(2010, len(counts))))
+            frame = aggregate_quarterly(Corpus.of(records), (Quarter(2010, 1), Quarter(2010, len(counts))))
             return frame.values[0, :, frame.names.index("hate_reported_index")].tolist()
 
         assert index([(50, 1000)]) == [0.05]
@@ -284,7 +284,7 @@ def test_criterion_12_index_arithmetic_and_reconciliation():
         for record in records:
             resolution = resolve_state(record.text(), gaz)
             resolved.append(replace(record, state=resolution.state))
-        out = aggregate_by_state(resolved)
+        out = aggregate_by_state(Corpus.of(resolved))
         unknown = [r for r in resolved if r.state == "UNKNOWN"]
         state_news = out.by_state.values[:, :, out.by_state.names.index("news_num")]
         state_index = out.by_state.values[:, :, out.by_state.names.index("hate_reported_index")]

@@ -321,6 +321,42 @@ class TestMalformedInput:
         assert f"error: {articles.resolve()}:{len(lines) + 1}: bad record (state must be " in err
         assert not (out / "report.json").exists()
 
+    # Each corpus: the lines after two good articles, the line the message
+    # names and the message after `path:line: `. A blank line is counted.
+    ARTICLE = '{"id": "%s", "date": "2010-01-01", "title": "t", "body": "b", "predicted_label": "hate_crime"}'
+    LOADER_FAULTS = {
+        "two-objects": ([ARTICLE % "x" + " " + ARTICLE % "y"], 3, "invalid JSON"),
+        "array": (["[1]"], 3, "bad record (list indices must be integers or slices, not str)"),
+        "string": (['"x"'], 3, "bad record (string indices must be integers, not 'str')"),
+        "null": (["null"], 3, "bad record ('NoneType' object is not subscriptable)"),
+        "repeated-id": ([ARTICLE % "x", ARTICLE % "a1"], 4, "duplicate article id 'a1'"),
+        "blank-lines": (["   ", "\t", "", "[1]"], 6, "bad record (list indices must be integers or slices, not str)"),
+        "state-int": ([ARTICLE[:-1] % "x" + ', "state": 5}'], 3,
+                      "bad record (state must be a state code or 'UNKNOWN', got 5)"),
+        "state-zz": ([ARTICLE[:-1] % "x" + ', "state": "ZZ"}'], 3,
+                     "bad record (state must be a state code or 'UNKNOWN', got 'ZZ')"),
+        "gold-label": ([ARTICLE[:-1] % "x" + ', "gold_label": "maybe"}'], 3,
+                       "bad record (article x: gold_label must be one of ('hate_crime', 'not_hate_crime'))"),
+        "no-date": (['{"id": "x"}'], 3, "bad record ('date')"),
+        "empty-id": (['{"id": "", "date": "2010-01-01"}'], 3, "bad record (article id must be nonempty)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LOADER_FAULTS))
+    def test_article_loader_message_is_exact(self, tmp_path, capsys, case):
+        lines, lineno, message = self.LOADER_FAULTS[case]
+        articles = tmp_path / "articles.jsonl"
+        articles.write_text("\n".join([self.ARTICLE % "a1", self.ARTICLE % "a2", *lines]) + "\n")
+        code = run("detect", "--output-dir", str(tmp_path / "out"), "--articles", str(articles))
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {articles.resolve()}:{lineno}: {message}\n"
+
+    def test_article_loader_non_utf8_message_is_exact(self, tmp_path, capsys):
+        articles = tmp_path / "articles.jsonl"
+        articles.write_bytes(b"\n".join([(self.ARTICLE % "a1").encode(), b"", b'{"id": "\xff"}']) + b"\n")
+        code = run("detect", "--output-dir", str(tmp_path / "out"), "--articles", str(articles))
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {articles.resolve()}:3: not UTF-8 text (invalid start byte)\n"
+
     @pytest.mark.parametrize(
         "key, value", [("fit_start", "2006Q1"), ("holdout_end", "2020Q1")], ids=["before", "after"]
     )
@@ -400,6 +436,28 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
 
+def test_corpus_commands_build_no_article_records(tmp_path, monkeypatch):
+    """The corpus stages read and write columns: no command builds an
+    `ArticleRecord` row, on the baseline or the precomputed path."""
+    built = []
+    monkeypatch.setattr(crimecast.signals.ArticleRecord, "__post_init__", lambda record: built.append(record.id))
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(absolute_config(detector_source="baseline", detector_model=str(tmp_path / "m.json"))))
+    labeled = tmp_path / "detect" / "articles_labeled.jsonl"
+    # The baseline labels no fixture article hate_crime, so its Model 3 fit
+    # fails (exit 1) after the articles are labeled and aggregated.
+    for code, command, config, *extra in (
+        (EXIT_OK, "detect", baseline),
+        (EXIT_OK, "signals", baseline),
+        (EXIT_OK, "signals", CONFIG, "--gazetteer", str(GAZETTEER)),
+        (EXIT_OK, "evaluate-detector", CONFIG, "--articles", str(labeled)),
+        (EXIT_OK, "fit-forecast", CONFIG, "--models", "1,2,3,4,5,6,7"),
+        (EXIT_MODEL_ERROR, "fit-forecast", baseline, "--models", "3,6"),
+    ):
+        assert main([command, "--config", str(config), "--output-dir", str(tmp_path / command), *extra]) == code
+    assert built == []
+
+
 class TestDetect:
     def test_precomputed_passthrough(self, tmp_path):
         assert run("detect", "--output-dir", str(tmp_path)) == EXIT_OK
@@ -410,7 +468,7 @@ class TestDetect:
         assert summary["total"] == len(original)
 
     def test_missing_labels_rejected(self, tmp_path):
-        records = load_articles(FIXTURES / "articles.jsonl")[:5]
+        records = list(load_articles(FIXTURES / "articles.jsonl"))[:5]
         stripped = tmp_path / "unlabeled.jsonl"
         with stripped.open("w") as fh:
             for r in records:

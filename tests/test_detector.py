@@ -14,7 +14,7 @@ from crimecast.detector import (
 )
 from crimecast.exceptions import InvalidArgumentError
 from crimecast.geo import load_gazetteer, resolve_state
-from crimecast.signals import ArticleRecord, load_articles
+from crimecast.signals import ArticleRecord, Corpus, load_articles
 
 from conftest import FIXTURES, GAZETTEER
 
@@ -43,7 +43,7 @@ def separable_corpus(n=200, seed=0):
         words += list(rng.choice(POS if positive else NEG, size=3))
         rng.shuffle(words)
         records.append(rec(i, " ".join(words), "hate_crime" if positive else "not_hate_crime"))
-    return records
+    return Corpus.of(records)
 
 
 def shuffled_corpus(n=600, base_rate=0.8, seed=3):
@@ -51,20 +51,17 @@ def shuffled_corpus(n=600, base_rate=0.8, seed=3):
     n_pos = int(base_rate * n)
     labels = ["hate_crime"] * n_pos + ["not_hate_crime"] * (n - n_pos)
     rng.shuffle(labels)
-    return [rec(i, " ".join(rng.choice(FILL, size=12)), labels[i]) for i in range(n)]
+    return Corpus.of([rec(i, " ".join(rng.choice(FILL, size=12)), labels[i]) for i in range(n)])
 
 
 class TestTraining:
     def test_separable_corpus_training_f1_is_one(self):
         corpus = separable_corpus()
-        train_ids = {r.id for r in corpus[:140]}
-        val_ids = {r.id for r in corpus[140:170]}
-        test_ids = {r.id for r in corpus[170:]}
-        model = train_baseline(corpus, split=(train_ids, val_ids, test_ids), seed=1)
-        train_records = [r for r in corpus if r.id in train_ids]
-        labeled, _ = classify_corpus(model, train_records)
-        metrics = evaluate(labeled, train_records)
-        assert metrics.f1 == 1.0
+        # The whole corpus is the training split.
+        model = train_baseline(corpus, split=(1.0, 0.0, 0.0), seed=1)
+        assert model.metadata["split_sizes"] == [200, 0, 0]
+        labeled, _ = classify_corpus(model, corpus)
+        assert evaluate(labeled.predicted, corpus.gold).f1 == 1.0
 
     def test_label_shuffled_chance_level(self):
         # Chance-level oracle: an uninformative detector tuned for F1 sits at
@@ -82,7 +79,7 @@ class TestTraining:
         assert m1.threshold == m2.threshold
 
     def test_single_class_rejected(self):
-        corpus = [rec(i, "some text here", "hate_crime") for i in range(80)]
+        corpus = Corpus.of([rec(i, "some text here", "hate_crime") for i in range(80)])
         with pytest.raises(InvalidArgumentError):
             train_baseline(corpus)
 
@@ -94,20 +91,19 @@ class TestTraining:
     def test_frequency_cutoff_drops_rare_tokens(self):
         corpus = separable_corpus(n=100, seed=9)
         rare = rec(999, "zyzzyx " + corpus[0].body, "hate_crime")
-        model = train_baseline(corpus + [rare], split=({r.id for r in corpus + [rare]}, set(), set()), seed=0)
+        model = train_baseline(Corpus.of([*corpus, rare]), split=(1.0, 0.0, 0.0), seed=0)
         assert "zyzzyx" not in model.vocabulary
 
 
 class TestClassification:
     def test_empty_corpus(self):
         model = train_baseline(separable_corpus(), seed=1)
-        labeled, scores = classify_corpus(model, [])
-        assert labeled == [] and scores == {}
+        labeled, scores = classify_corpus(model, Corpus.of([]))
+        assert labeled == Corpus.of([]) and scores.shape == (0,)
 
     def test_training_positive_classified_positive(self):
         corpus = separable_corpus(seed=2)
-        ids = {r.id for r in corpus}
-        model = train_baseline(corpus, split=(ids, set(), set()), seed=2)
+        model = train_baseline(corpus, split=(1.0, 0.0, 0.0), seed=2)
         positive = corpus[0]
         label, score = model.classify(positive)
         assert label == "hate_crime"
@@ -117,16 +113,16 @@ class TestClassification:
         corpus = separable_corpus(seed=4)
         model = train_baseline(corpus, seed=4)
         batch, batch_scores = classify_corpus(model, corpus)
-        for record, labeled in zip(corpus, batch):
+        for i, (record, labeled) in enumerate(zip(corpus, batch)):
             label, score = model.classify(record)
             assert labeled.predicted_label == label
-            assert batch_scores[record.id] == score
+            assert batch_scores[i] == score
 
     def test_order_invariance(self):
         corpus = separable_corpus(seed=6)
         model = train_baseline(corpus, seed=6)
         forward, _ = classify_corpus(model, corpus)
-        backward, _ = classify_corpus(model, corpus[::-1])
+        backward, _ = classify_corpus(model, Corpus.of(list(corpus)[::-1]))
         assert {r.id: r.predicted_label for r in forward} == {
             r.id: r.predicted_label for r in backward
         }
@@ -135,11 +131,11 @@ class TestClassification:
         corpus = separable_corpus(seed=8)
         model = train_baseline(corpus, seed=8)
         _, scores = classify_corpus(model, corpus)
-        values = sorted(scores.values())
+        values = sorted(scores.tolist())
         recalls = []
-        gold_pos = {r.id for r in corpus if r.gold_label == "hate_crime"}
+        gold_pos = {i for i, label in enumerate(corpus.gold) if label == "hate_crime"}
         for threshold in values:
-            predicted_pos = {rid for rid, s in scores.items() if s >= threshold}
+            predicted_pos = {i for i, s in enumerate(scores) if s >= threshold}
             recalls.append(len(predicted_pos & gold_pos) / len(gold_pos))
         assert all(b <= a for a, b in zip(recalls, recalls[1:]))
 
@@ -152,15 +148,13 @@ class TestEvaluate:
         assert f1 == pytest.approx(0.8243, abs=5e-4)
 
     def test_all_correct(self):
-        gold = {"a": "hate_crime", "b": "not_hate_crime"}
+        gold = ["hate_crime", "not_hate_crime"]
         m = evaluate(gold, gold)
         assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
 
     def test_hand_counts(self):
-        pred = {"1": "hate_crime", "2": "hate_crime", "3": "not_hate_crime",
-                "4": "not_hate_crime", "5": "not_hate_crime"}
-        gold = {"1": "hate_crime", "2": "not_hate_crime", "3": "hate_crime",
-                "4": "hate_crime", "5": "hate_crime"}
+        pred = ["hate_crime", "hate_crime", "not_hate_crime", "not_hate_crime", "not_hate_crime"]
+        gold = ["hate_crime", "not_hate_crime", "hate_crime", "hate_crime", "hate_crime"]
         m = evaluate(pred, gold)
         assert m.counts.tp == 1 and m.counts.fp == 1 and m.counts.fn == 3
         assert m.precision == 0.5
@@ -169,9 +163,8 @@ class TestEvaluate:
 
     def test_f1_forms_agree(self, rng):
         for _ in range(20):
-            ids = [f"i{k}" for k in range(40)]
-            pred = {i: "hate_crime" if rng.random() < 0.5 else "not_hate_crime" for i in ids}
-            gold = {i: "hate_crime" if rng.random() < 0.5 else "not_hate_crime" for i in ids}
+            pred = ["hate_crime" if rng.random() < 0.5 else "not_hate_crime" for _ in range(40)]
+            gold = ["hate_crime" if rng.random() < 0.5 else "not_hate_crime" for _ in range(40)]
             m = evaluate(pred, gold)
             if m.precision + m.recall > 0:
                 harmonic = 2 * m.precision * m.recall / (m.precision + m.recall)
@@ -179,15 +172,15 @@ class TestEvaluate:
             assert min(m.precision, m.recall) - 1e-12 <= m.f1 <= max(m.precision, m.recall) + 1e-12
 
     def test_zero_denominator_warns(self):
-        pred = {"a": "not_hate_crime"}
-        gold = {"a": "not_hate_crime"}
+        pred = ["not_hate_crime"]
+        gold = ["not_hate_crime"]
         with pytest.warns(UserWarning):
             m = evaluate(pred, gold)
         assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
 
-    def test_id_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            evaluate({"a": "hate_crime"}, {"b": "hate_crime"})
+    def test_length_mismatch(self):
+        with pytest.raises(InvalidArgumentError, match="^1 predicted labels for 2 gold labels$"):
+            evaluate(["hate_crime"], ["hate_crime", "hate_crime"])
 
 
 BUNDLED = load_gazetteer(GAZETTEER)
@@ -207,14 +200,14 @@ MODEL = fixture_model()
 def assert_fused_pass_is_per_record(records):
     """classify_corpus with a gazetteer equals `score` and `resolve_state`
     applied to each record."""
-    labeled, scores = classify_corpus(MODEL, records, BUNDLED)
-    assert [r.id for r in labeled] == [r.id for r in records]
-    for record, out in zip(records, labeled):
+    labeled, scores = classify_corpus(MODEL, Corpus.of(records), BUNDLED)
+    assert labeled.ids == [r.id for r in records]
+    for i, (record, out) in enumerate(zip(records, labeled)):
         score = MODEL.score(record)
-        assert scores[record.id] == score
+        assert scores[i] == score
         assert out.predicted_label == ("hate_crime" if score >= MODEL.threshold else "not_hate_crime")
         state = record.state if record.state is not None else resolve_state(record.text(), BUNDLED).state
-        assert out == record.updated(out.predicted_label, state)
+        assert out == dataclasses.replace(record, predicted_label=out.predicted_label, state=state)
 
 
 WORDS = st.sampled_from(
@@ -247,12 +240,13 @@ class TestFusedPass:
         assert_fused_pass_is_per_record(records)
 
     def test_blank_record_without_state_rejected_with_id(self):
-        records = [rec(0, "in Sacramento"), rec(1, " \t")]
+        records = Corpus.of([rec(0, "in Sacramento"), rec(1, " \t")])
         with pytest.raises(InvalidArgumentError, match="^article 'a0001': text must be nonempty$"):
             classify_corpus(MODEL, records, BUNDLED)
         # Without a gazetteer, or with a state, a blank record is only scored.
         assert len(classify_corpus(MODEL, records)[0]) == 2
-        assert classify_corpus(MODEL, [rec(1, " ").updated(state="CA")], BUNDLED)[0][0].state == "CA"
+        blank_in_ca = Corpus.of([dataclasses.replace(rec(1, " "), state="CA")])
+        assert classify_corpus(MODEL, blank_in_ca, BUNDLED)[0].states == ["CA"]
 
 
 class TestModelFile:
