@@ -6,6 +6,7 @@ import pytest
 from crimecast.arima import (
     ArimaFit,
     ArimaSpec,
+    _css_objective,
     fit_arima,
     forecast_arima,
     select_orders,
@@ -87,6 +88,51 @@ class TestFit:
         y = ma1(2.5, 3000, seed=77)
         fit = fit_arima(series(y), ArimaSpec(0, 0, 1))
         assert abs(fit.ma_coeffs[0]) <= 1.0
+
+
+class TestCssGradient:
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(1, 4))
+    def test_matches_central_differences(self, p, q):
+        # Independent oracle: the exact gradient against central differences
+        # of the objective value, at seeded random points with burn > p.
+        rng = np.random.default_rng(100 * p + q)
+        for _ in range(5):
+            w = 0.3 * np.cumsum(rng.normal(size=60)) + rng.normal(size=60)
+            burn = p + int(rng.integers(1, 4))
+            objective = _css_objective(w, ArimaSpec(p, 0, q), burn)
+            theta = np.concatenate(
+                ([rng.normal()], rng.uniform(-0.3, 0.3, p), rng.uniform(-0.6, 0.6, q))
+            )
+            _, grad = objective(theta)
+            numeric = np.empty_like(theta)
+            for i in range(len(theta)):
+                step = np.zeros_like(theta)
+                step[i] = 1e-6 * max(1.0, abs(theta[i]))
+                numeric[i] = (objective(theta + step)[0] - objective(theta - step)[0]) / (2 * step[i])
+            scale = np.max(np.abs(numeric))
+            assert np.max(np.abs(grad - numeric)) <= 1e-6 * scale
+
+    def test_bfgs_uses_the_exact_gradient(self, monkeypatch):
+        # A finite-difference gradient costs one extra objective call per
+        # parameter; with the exact one BFGS makes about one call per iteration.
+        from scipy import optimize
+
+        minimize = optimize.minimize
+        calls = []
+
+        def spy(fun, x0, *args, **kwargs):
+            res = minimize(fun, x0, *args, **kwargs)
+            calls.append((kwargs.get("jac"), res))
+            return res
+
+        monkeypatch.setattr(optimize, "minimize", spy)
+        y = 1400.0 + np.cumsum(np.random.default_rng(0).normal(8.0, 60.0, 48))
+        select_orders(difference(series(y), 1), 2, 2)
+        assert len(calls) == 6  # the (p, q) candidates with q >= 1
+        for jac, res in calls:
+            assert jac is True or callable(jac)
+            assert res.nfev <= 4 * (res.nit + 1), (res.nfev, res.nit)
 
 
 class TestForecast:
