@@ -214,8 +214,8 @@ def _detector(config: PipelineConfig) -> detector_mod.BaselineModel:
 def _labeled(config: PipelineConfig, resolve: bool = False) -> signals_mod.Corpus:
     """Load the articles and label them from the configured detector source;
     with `resolve`, fill in missing state fields through the gazetteer (the
-    bundled mini-gazetteer when none is configured). The baseline detector
-    resolves from the tokens it scores."""
+    bundled mini-gazetteer when none is configured). Either source resolves
+    from one token pass, the baseline detector from the tokens it scores."""
     corpus = _load(signals_mod.load_articles, config.articles, "articles")
     if config.detector_source == "baseline":
         model = _detector(config)
@@ -226,28 +226,24 @@ def _labeled(config: PipelineConfig, resolve: bool = False) -> signals_mod.Corpu
     gaz = None
     if resolve and None in corpus.states:
         gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
-    if config.detector_source != "baseline":
-        return corpus if gaz is None else _resolved(config, corpus, gaz)
     try:
-        return detector_mod.classify_corpus(model, corpus, gaz)[0]
+        if config.detector_source == "baseline":
+            return detector_mod.classify_corpus(model, corpus, gaz)[0]
+        if gaz is None:
+            return corpus
+        return replace(corpus, states=[state for _, state in geo.corpus_tokens(corpus, gaz)])
     except InvalidArgumentError as exc:
         raise UsageError(f"{config.articles}: {exc}") from exc
 
 
-def _resolved(config: PipelineConfig, corpus: signals_mod.Corpus, gaz: geo.Gazetteer) -> signals_mod.Corpus:
-    """Fill in missing state fields one article at a time."""
-    states = list(corpus.states)
-    for i, (text, state) in enumerate(zip(corpus.texts(), corpus.states)):
-        if state is None:
-            try:
-                states[i] = geo.resolve_state(text, gaz).state
-            except InvalidArgumentError as exc:
-                raise UsageError(f"{config.articles}: article {corpus.ids[i]!r}: {exc}") from exc
-    return replace(corpus, states=states)
-
-
 def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:
     return config.fit_start, config.holdout_end
+
+
+def _check_span(path: Path, covers: str, data, span: tuple[Quarter, Quarter]) -> None:
+    """Input data in `path` that does not cover the span is an input error."""
+    if data.start > span[0] or data.end < span[1]:
+        raise UsageError(f"{path}: {covers} {data.start}..{data.end}, need {span[0]}..{span[1]}")
 
 
 def _check_predictors(data: PanelDataset, terms, span, path: Path) -> None:
@@ -292,8 +288,7 @@ def _regression_data(
     if national is not None:
         full = full.joined(national)
     span = _span(config)
-    if full.start > span[0] or full.end < span[1]:
-        raise UsageError(f"covariates cover {full.start}..{full.end}, need {span[0]}..{span[1]}")
+    _check_span(config.covariates, "covariates cover", full, span)
     full = full.window(*span)
     fit_data = full.window(config.fit_start, config.fit_end)
     full.values[0, config.fit_end - span[0] + 1 :, full.names.index(dependent.name)] = MISSING
@@ -305,10 +300,7 @@ def _national_report(
 ) -> ForecastReport:
     observed, deseasonalized, decomp = _national_series(config)
     span = _span(config)
-    if deseasonalized.start > span[0] or deseasonalized.end < span[1]:
-        raise UsageError(
-            f"fbi series covers {deseasonalized.start}..{deseasonalized.end}, need {span[0]}..{span[1]}"
-        )
+    _check_span(config.fbi_series, "fbi series covers", deseasonalized, span)
     _write_decomposition(config, observed, decomp)
     dependent = deseasonalized.window(*span)
     fit_series = dependent.window(config.fit_start, config.fit_end)
@@ -354,10 +346,12 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
         if name not in panel.names:
             raise UsageError(f"{config.panel} has no variable {name!r}")
     span = _span(config)
-    if panel.start > span[0] or panel.end < span[1]:
-        raise UsageError(f"{config.panel}: panel covers {panel.start}..{panel.end}, need {span[0]}..{span[1]}")
+    _check_span(config.panel, "panel covers", panel, span)
     # Every retained state has the dependent at each quarter of the span.
     balanced, balance = balance_panel(panel, span, PANEL_DEPENDENT)
+    if len(balanced.unit_names) < 2:
+        kept = len(balanced.unit_names)
+        raise UsageError(f"{config.panel}: panel models need 2 states with {PANEL_DEPENDENT} over the span, got {kept}")
     fit_panel = balanced.restricted(balanced.unit_names, (config.fit_start, config.fit_end))
     # Every term has lag 0 or 1, and the fit uses the rows from fit_start + 1.
     for spec in specs.values():
@@ -365,7 +359,7 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
     # Each model's predictions are stacked unit by unit (units in order), over
     # the holdout quarters, against the same stack of actual values.
     holdout = (config.holdout_start, config.holdout_end)
-    actual = balanced._gather([(PANEL_DEPENDENT, 0)], holdout)[:, :, 0].ravel().tolist()
+    actual = balanced.predictors([(PANEL_DEPENDENT, 0)], holdout)[:, :, 0].ravel().tolist()
 
     rows: list[evaluation.ModelRow] = []
     hausman = {}

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import InvalidArgumentError, decode_utf8
-from .geo import Gazetteer, _tokenize, resolve_tokens, tokenize_texts
+from .geo import Gazetteer, _tokenize, corpus_tokens, tokenize_texts
 from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord, Corpus
 
 # Training settings of the baseline, recorded in the model's metadata.
@@ -119,56 +119,60 @@ def _split(n: int, split: tuple[float, float, float], seed: int) -> tuple[np.nda
     return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
 
 
-def _count_matrix(texts: Sequence[str], index: Mapping[str, int]) -> np.ndarray:
-    X = np.zeros((len(texts), len(index)))
-    for row, text in enumerate(texts):
-        for token in _tokenize(text):
+def _count_matrix(token_lists: Sequence[list[str]], index: Mapping[str, int]) -> np.ndarray:
+    X = np.zeros((len(token_lists), len(index)))
+    for row, tokens in enumerate(token_lists):
+        for token in tokens:
             col = index.get(token)
             if col is not None:
                 X[row, col] += 1.0
     return X
 
 
-def _f1_at(scores: np.ndarray, gold: np.ndarray, threshold: float) -> float:
-    pred = scores >= threshold
-    tp = int(np.sum(pred & (gold == 1)))
-    fp = int(np.sum(pred & (gold == 0)))
-    fn = int(np.sum(~pred & (gold == 1)))
-    return 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
+def _best_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
+    """The lowest score whose `scores >= threshold` rule has the highest F1
+    against the 0/1 `gold`, and that F1, from one sorted scan."""
+    candidates = np.unique(scores)
+    n_pos = int(np.sum(gold == 1))
+    # Articles at or above each candidate: positives (tp) and negatives (fp).
+    tp = n_pos - np.searchsorted(np.sort(scores[gold == 1]), candidates)
+    fp = len(scores) - n_pos - np.searchsorted(np.sort(scores[gold == 0]), candidates)
+    # Each candidate is a score, so tp + fp >= 1 and no denominator is 0.
+    f1 = 2 * tp / (2 * tp + fp + (n_pos - tp))
+    best = int(np.argmax(f1))  # the first, so the lowest, of equal maxima
+    return float(candidates[best]), float(f1[best])
 
 
 def train_baseline(corpus: Corpus, split: tuple[float, float, float] = (0.7, 0.1, 0.2), seed: int = 0) -> BaselineModel:
     """Train the logistic bag-of-words baseline on the articles with a gold
     label, split into train, validation and test by `split` fractions.
 
-    Tokens are lowercased and kept when they occur at least _MIN_TOKEN_COUNT
-    times in the training split; optimization is full-batch gradient descent,
-    so the run is reproducible bit for bit given the seed (which only drives
-    the split shuffle). The decision threshold maximizes F1 on the validation
-    split.
+    Each labeled text is tokenized once. Tokens are kept when they occur at
+    least _MIN_TOKEN_COUNT times in the training split; optimization is
+    full-batch gradient descent, so the run is reproducible bit for bit given
+    the seed (which only drives the split shuffle). The decision threshold
+    maximizes F1 on the validation split.
     """
-    gold = corpus.gold
-    labeled = [i for i, label in enumerate(gold) if label is not None]
-    if len(labeled) < 50:
-        raise InvalidArgumentError(f"need at least 50 labeled records, got {len(labeled)}")
-    if len({gold[i] for i in labeled}) < 2:
+    gold = [label for label in corpus.gold if label is not None]
+    if len(gold) < 50:
+        raise InvalidArgumentError(f"need at least 50 labeled records, got {len(gold)}")
+    if len(set(gold)) < 2:
         raise InvalidArgumentError("corpus must contain both classes")
-    train, validation, test = ([labeled[j] for j in part] for part in _split(len(labeled), split, seed))
-    if not train:
+    train, validation, test = _split(len(gold), split, seed)
+    if not len(train):
         raise InvalidArgumentError("training split is empty")
-    texts = list(corpus.texts())
+    texts = (text for text, label in zip(corpus.texts(), corpus.gold) if label is not None)
+    token_lists = list(tokenize_texts(texts))
+    y_all = np.array([1.0 if label == LABEL_POSITIVE else 0.0 for label in gold])
 
-    counts: dict[str, int] = {}
-    for i in train:
-        for token in _tokenize(texts[i]):
-            counts[token] = counts.get(token, 0) + 1
+    counts = Counter(token for j in train for token in token_lists[j])
     tokens = sorted(t for t, c in counts.items() if c >= _MIN_TOKEN_COUNT)
     if not tokens:
         raise InvalidArgumentError("no tokens survive the frequency cutoff")
     index = {t: j for j, t in enumerate(tokens)}
 
-    X = _count_matrix([texts[i] for i in train], index)
-    y = np.array([1.0 if gold[i] == LABEL_POSITIVE else 0.0 for i in train])
+    X = _count_matrix([token_lists[j] for j in train], index)
+    y = y_all[train]
     w = np.zeros(len(tokens))
     b = 0.0
     n = len(train)
@@ -178,18 +182,11 @@ def train_baseline(corpus: Corpus, split: tuple[float, float, float] = (0.7, 0.1
         w -= _LEARNING_RATE * (X.T @ err) / n
         b -= _LEARNING_RATE * float(err.mean())
 
-    if validation:
-        Xv = _count_matrix([texts[i] for i in validation], index)
-        yv = np.array([1.0 if gold[i] == LABEL_POSITIVE else 0.0 for i in validation])
+    if len(validation):
+        Xv = _count_matrix([token_lists[j] for j in validation], index)
         sv = 1.0 / (1.0 + np.exp(-(Xv @ w + b)))
-        candidates = sorted(set(float(s) for s in sv))
-        best_t, best_f1 = 0.5, -1.0
-        for t in candidates:
-            f1 = _f1_at(sv, yv, t)
-            if f1 > best_f1:
-                best_t, best_f1 = t, f1
+        best_t, validation_f1 = _best_threshold(sv, y_all[validation])
         threshold = min(max(best_t, 1e-9), 1.0 - 1e-9)
-        validation_f1 = best_f1
     else:
         threshold, validation_f1 = 0.5, None
 
@@ -216,17 +213,14 @@ def classify_corpus(
     the corpus) for threshold audits.
 
     With a gazetteer, each article without a state also gets the state
-    resolved from the tokens it is scored on; a blank such article is an
-    InvalidArgumentError naming its id. Each text is tokenized once.
+    resolved from the tokens it is scored on (`geo.corpus_tokens`). Each text
+    is tokenized once.
     """
     logits = np.empty(len(corpus))
-    states = list(corpus.states)
-    for i, tokens in enumerate(tokenize_texts(corpus.texts())):
+    states = []
+    for i, (tokens, state) in enumerate(corpus_tokens(corpus, gazetteer)):
         logits[i] = model.logit(tokens)
-        if gazetteer is not None and states[i] is None:
-            if not tokens and not (corpus.titles[i].strip() or corpus.bodies[i].strip()):
-                raise InvalidArgumentError(f"article {corpus.ids[i]!r}: text must be nonempty")
-            states[i] = resolve_tokens(tokens, gazetteer)
+        states.append(state)
     scores = 1.0 / (1.0 + np.exp(-logits))
     threshold = model.threshold
     labels = [LABEL_POSITIVE if score >= threshold else LABEL_NEGATIVE for score in scores.tolist()]

@@ -4,7 +4,6 @@ two models' stacked predictions."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -86,15 +85,13 @@ class ForecastReport:
 
     def write_long_csv(self, path: str | Path) -> None:
         """Long-format `year,quarter,model,predicted,actual` rows for plotting."""
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["year", "quarter", "model", "predicted", "actual"])
-            quarters = self.actual.quarters()
-            for row in self.rows:
-                for q, pred, act in zip(quarters, row.predictions, self.actual.values):
-                    writer.writerow(
-                        [q.year, q.quarter, row.name, reporting.format_float(pred), reporting.format_float(act)]
-                    )
+        quarters = self.actual.quarters()
+        rows = (
+            (q.year, q.quarter, row.name, pred, act)
+            for row in self.rows
+            for q, pred, act in zip(quarters, row.predictions, self.actual.values)
+        )
+        reporting.write_csv(("year", "quarter", "model", "predicted", "actual"), rows, path)
 
 
 def compare_models(rows: Sequence[ModelRow], actual: TimeSeries) -> ForecastReport:

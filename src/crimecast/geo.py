@@ -9,9 +9,9 @@ The scan goes through a first-token index: a text position is probed only
 when its token starts some name, and only at the lengths of those names.
 
 A token is a maximal run of [a-z0-9] in the lowercased text. Texts are
-tokenized a chunk at a time (`tokenize_texts`), so that the detector and the
-resolver share one tokenization per article without holding a whole
-corpus's tokens.
+tokenized a chunk at a time (`tokenize_texts`), and `corpus_tokens` gives
+each article's tokens with its state, so that the detector and the resolver
+share one tokenization per article without holding a whole corpus's tokens.
 """
 
 from __future__ import annotations
@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .exceptions import InvalidArgumentError, decode_utf8
+
+if TYPE_CHECKING:
+    from .signals import Corpus
 
 UNKNOWN_STATE = "UNKNOWN"
 
@@ -180,6 +183,20 @@ def resolve_tokens(tokens: list[str], gazetteer: Gazetteer) -> str:
     """The state code for a tokenized text, or UNKNOWN when nothing matches."""
     entry = _best_entry(tokens, gazetteer)
     return UNKNOWN_STATE if entry is None else entry.state
+
+
+def corpus_tokens(corpus: Corpus, gazetteer: Gazetteer | None) -> Iterator[tuple[list[str], str | None]]:
+    """Each article's tokens and state, in corpus order, from one chunked
+    token pass. With a gazetteer, an article without a state gets the state
+    resolved from its tokens; a blank such article is an InvalidArgumentError
+    naming its id."""
+    for i, tokens in enumerate(tokenize_texts(corpus.texts())):
+        state = corpus.states[i]
+        if state is None and gazetteer is not None:
+            if not tokens and not (corpus.titles[i].strip() or corpus.bodies[i].strip()):
+                raise InvalidArgumentError(f"article {corpus.ids[i]!r}: text must be nonempty")
+            state = resolve_tokens(tokens, gazetteer)
+        yield tokens, state
 
 
 def resolve_state(text: str, gazetteer: Gazetteer) -> Resolution:

@@ -16,9 +16,11 @@ full precision so that `detect` reads back the exact weights.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from pathlib import Path
+from typing import Iterable, Sequence
 
 SIGNIFICANT_DIGITS = 10
 
@@ -50,3 +52,12 @@ def write_json(payload, path: str | Path) -> None:
     """Write `payload` as indented JSON with every float at 10 significant
     digits; a finite float is spelled as `format_float` spells it."""
     Path(path).write_text(json.dumps(_rounded(payload), indent=2) + "\n")
+
+
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str | Path, nan: str = "nan") -> None:
+    """Write the header and rows as CSV with CRLF line ends; every float is
+    spelled by `format_float`, with `nan` for NaN."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format_float(v, nan) if isinstance(v, float) else v for v in row] for row in rows)

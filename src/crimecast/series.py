@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import DegenerateInputError, EmptyPanelError, InvalidArgumentError, decode_utf8
-from .reporting import format_float
+from .reporting import write_csv
 
 MISSING = float("nan")
 # The one unit of a national frame; a national signal frame joins onto it.
@@ -352,29 +352,15 @@ def load_series_csv(path: str | Path, name: str | None = None) -> TimeSeries:
 
 
 def write_series_csv(series: TimeSeries, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "quarter", "value"])
-        for q, v in zip(series.quarters(), series.values):
-            writer.writerow([q.year, q.quarter, format_float(v, nan="")])
+    rows = ((q.year, q.quarter, v) for q, v in zip(series.quarters(), series.values))
+    write_csv(("year", "quarter", "value"), rows, path, nan="")
 
 
 def write_decomposition_csv(series: TimeSeries, decomp: DecompositionResult, path: str | Path) -> None:
     """Export `year,quarter,observed,trend,seasonal,irregular` rows."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "quarter", "observed", "trend", "seasonal", "irregular"])
-        for i, q in enumerate(series.quarters()):
-            writer.writerow(
-                [
-                    q.year,
-                    q.quarter,
-                    format_float(series.values[i], nan=""),
-                    format_float(decomp.trend.values[i], nan=""),
-                    format_float(decomp.seasonal.values[i], nan=""),
-                    format_float(decomp.irregular.values[i], nan=""),
-                ]
-            )
+    columns = (series.values, decomp.trend.values, decomp.seasonal.values, decomp.irregular.values)
+    rows = ((q.year, q.quarter, *values) for q, *values in zip(series.quarters(), *columns))
+    write_csv(("year", "quarter", "observed", "trend", "seasonal", "irregular"), rows, path, nan="")
 
 
 def _window(arr: np.ndarray, lo: int, n: int, fill) -> np.ndarray:

@@ -4,7 +4,6 @@ state."""
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 from dataclasses import dataclass, fields
@@ -15,7 +14,7 @@ import numpy as np
 
 from .exceptions import InvalidArgumentError, decode_utf8
 from .geo import UNKNOWN_STATE, US_STATE_CODES
-from .reporting import format_float
+from .reporting import write_csv
 from .series import NATIONAL, PanelDataset, Quarter
 
 LABEL_POSITIVE = "hate_crime"
@@ -232,13 +231,12 @@ def write_signals_csv(frame: PanelDataset, path: str | Path, state_column: bool 
     """One CSV row per unit and quarter of a signal frame, counts as integers;
     with `state_column` the unit is written in a `state` column."""
     quarters = [frame.start + t for t in range(frame.values.shape[1])]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "quarter", *(["state"] if state_column else []), *SIGNALS])
-        for unit, rows in zip(frame.unit_names, frame.values.tolist()):
-            keys = [unit] if state_column else []
-            for q, (news, events, index) in zip(quarters, rows):
-                writer.writerow([q.year, q.quarter, *keys, int(news), int(events), format_float(index)])
+    rows = (
+        (q.year, q.quarter, *([unit] if state_column else []), int(news), int(events), index)
+        for unit, values in zip(frame.unit_names, frame.values.tolist())
+        for q, (news, events, index) in zip(quarters, values)
+    )
+    write_csv(("year", "quarter", *(["state"] if state_column else []), *SIGNALS), rows, path)
 
 
 def write_state_signals_csv(state_signals: StateSignals, path: str | Path) -> None:

@@ -1,8 +1,11 @@
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crimecast import geo
 from crimecast.series import Quarter, TimeSeries
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -34,3 +37,24 @@ def ar1(alpha: float, n: int, seed: int, c: float = 0.0, sigma: float = 1.0) -> 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def tokenized(monkeypatch) -> Counter:
+    """How often each text is fed to `geo.tokenize_texts`, wherever a
+    crimecast module binds it; `geo._tokenize` goes through it too."""
+    seen = Counter()
+    tokenize_texts = geo.tokenize_texts
+
+    def counted(texts):
+        def feed():
+            for text in texts:
+                seen[text] += 1
+                yield text
+
+        return tokenize_texts(feed())
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("crimecast.") and getattr(module, "tokenize_texts", None) is tokenize_texts:
+            monkeypatch.setattr(module, "tokenize_texts", counted)
+    return seen

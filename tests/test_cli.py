@@ -358,17 +358,40 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: {articles.resolve()}:3: not UTF-8 text (invalid start byte)\n"
 
     @pytest.mark.parametrize(
-        "key, value", [("fit_start", "2006Q1"), ("holdout_end", "2020Q1")], ids=["before", "after"]
+        "span, models, name, covers",
+        [
+            (("2006Q1", "2019Q4"), "6,7", "panel.csv", "panel covers 2007Q1..2019Q4"),
+            (("2007Q1", "2020Q1"), "6,7", "panel.csv", "panel covers 2007Q1..2019Q4"),
+            (("2007Q1", "2019Q4"), "2", "covariates.csv", "covariates cover 2007Q1..2016Q3"),
+            (("2007Q1", "2019Q4"), "2", "fbi.csv", "fbi series covers 2007Q1..2016Q3"),
+        ],
+        ids=["before", "after", "covariates", "fbi"],
     )
-    def test_panel_not_covering_the_span_exits_2(self, tmp_path, capsys, key, value):
+    def test_panel_not_covering_the_span_exits_2(self, tmp_path, capsys, span, models, name, covers):
+        """The span reaches past the panel, or a national input is cut after
+        2016Q3: the message names the file that falls short."""
+        path = (FIXTURES / name).resolve()
+        if name != "panel.csv":
+            lines = path.read_text().splitlines()
+            path = tmp_path / name
+            cut = ("2016,4,", "2017,", "2018,", "2019,")
+            path.write_text("\n".join(line for line in lines if not line.startswith(cut)) + "\n")
+        key = {"panel.csv": "panel", "covariates.csv": "covariates", "fbi.csv": "fbi_series"}[name]
         config = tmp_path / "c.json"
-        config.write_text(json.dumps(absolute_config(**{key: value})))
-        code = main(["fit-forecast", "--config", str(config), "--output-dir", str(tmp_path / "out"), "--models", "6,7"])
+        config.write_text(json.dumps(absolute_config(fit_start=span[0], holdout_end=span[1], **{key: str(path)})))
+        code = main(["fit-forecast", "--config", str(config), "--output-dir", str(tmp_path / "out"), "--models", models])
         err = capsys.readouterr().err
-        span = ("2006Q1", "2019Q4") if key == "fit_start" else ("2007Q1", "2020Q1")
-        panel = (FIXTURES / "panel.csv").resolve()
         assert code == EXIT_INPUT_ERROR
-        assert f"error: {panel}: panel covers 2007Q1..2019Q4, need {span[0]}..{span[1]}" in err
+        assert f"error: {path}: {covers}, need {span[0]}..{span[1]}" in err
+
+    def test_one_state_panel_exits_2_naming_file(self, tmp_path, capsys):
+        lines = (FIXTURES / "panel.csv").read_text().splitlines()
+        one_state = tmp_path / "panel.csv"
+        one_state.write_text("\n".join([lines[0], *(line for line in lines if line.startswith("CA,"))]) + "\n")
+        code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "6,7", "--panel", str(one_state))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert err == f"error: {one_state.resolve()}: panel models need 2 states with fbi_num over the span, got 1\n"
 
     def test_retained_state_without_holdout_actual_exits_2(self, tmp_path):
         # A state without an fbi_num value in the holdout has no actual to
@@ -541,31 +564,28 @@ class TestSignals:
             assert by_state.get(key, 0) <= total
 
 
-    def test_baseline_signals_tokenizes_each_article_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("source", ["precomputed", "baseline"])
+    def test_signals_tokenizes_each_article_once(self, tmp_path, monkeypatch, tokenized, source):
         config = tmp_path / "c.json"
-        baseline = absolute_config(detector_source="baseline", detector_model=str(tmp_path / "m.json"))
-        config.write_text(json.dumps(baseline))
+        config.write_text(json.dumps(absolute_config(detector_source=source, detector_model=str(tmp_path / "m.json"))))
         argv = ["--config", str(config), "--output-dir", str(tmp_path / "out")]
-        assert main(["detect", *argv]) == EXIT_OK  # trains the model
-        # Every tokenization, `geo._tokenize` included, goes through
-        # `tokenize_texts`; count the texts fed to it, wherever it is bound.
-        seen = Counter()
-        tokenize_texts = geo.tokenize_texts
+        if source == "baseline":
+            assert main(["detect", *argv]) == EXIT_OK  # trains the model
+        tokenized.clear()
+        # Each fixture article lacks a state, so each is resolved, and from
+        # the chunked pass: the one-text resolver must not run.
+        resolve_state = geo.resolve_state
 
-        def counted(texts):
-            def feed():
-                for text in texts:
-                    seen[text] += 1
-                    yield text
-
-            return tokenize_texts(feed())
+        def one_at_a_time(text, gazetteer):
+            raise AssertionError("geo.resolve_state called")
 
         for module in [m for name, m in sys.modules.items() if name.startswith("crimecast.")]:
-            if getattr(module, "tokenize_texts", None) is tokenize_texts:
-                monkeypatch.setattr(module, "tokenize_texts", counted)
+            if getattr(module, "resolve_state", None) is resolve_state:
+                monkeypatch.setattr(module, "resolve_state", one_at_a_time)
         assert main(["signals", *argv]) == EXIT_OK
         texts = Counter(r.text() for r in load_articles(FIXTURES / "articles.jsonl"))
-        assert {text: seen[text] for text in texts} == texts
+        assert {text: tokenized[text] for text in texts} == texts
+
 
 class TestFitForecast:
     def test_national_report_golden(self, tmp_path):

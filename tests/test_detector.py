@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from crimecast.detector import (
     BaselineModel,
+    _best_threshold,
     classify_corpus,
     evaluate,
     train_baseline,
@@ -93,6 +95,38 @@ class TestTraining:
         rare = rec(999, "zyzzyx " + corpus[0].body, "hate_crime")
         model = train_baseline(Corpus.of([*corpus, rare]), split=(1.0, 0.0, 0.0), seed=0)
         assert "zyzzyx" not in model.vocabulary
+
+
+    def test_each_labeled_text_is_tokenized_once(self, tokenized):
+        unlabeled = [rec(500 + i, f"unlabeled text {i}") for i in range(5)]
+        corpus = Corpus.of([*separable_corpus(n=120, seed=11), *unlabeled])
+        train_baseline(corpus, seed=11)
+        assert tokenized == Counter(text for text, label in zip(corpus.texts(), corpus.gold) if label is not None)
+
+
+def brute_force_threshold(scores, gold):
+    """The F1-optimal threshold by rescanning the scores at each candidate in
+    ascending order; a later candidate must beat the F1 strictly."""
+    best_t, best_f1 = None, -1.0
+    for t in sorted(set(scores.tolist())):
+        pred = scores >= t
+        tp = int(np.sum(pred & (gold == 1)))
+        fp = int(np.sum(pred & (gold == 0)))
+        fn = int(np.sum(~pred & (gold == 1)))
+        f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
+        if f1 > best_f1:
+            best_t, best_f1 = t, f1
+    return best_t, best_f1
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_threshold_scan_matches_brute_force(case):
+    rng = np.random.default_rng(case)
+    n = int(rng.integers(1, 60))
+    # Scores on a coarse grid tie often; every fifth case has one class only.
+    scores = rng.integers(1, 12, size=n) / 12.0 if case % 2 else rng.random(n)
+    gold = np.full(n, float(case % 10 == 5)) if case % 5 == 0 else (rng.random(n) < 0.4).astype(float)
+    assert _best_threshold(scores, gold) == brute_force_threshold(scores, gold)
 
 
 class TestClassification:
