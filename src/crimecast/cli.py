@@ -21,12 +21,11 @@ from . import detector as detector_mod
 from . import evaluation, geo, signals as signals_mod, stattests
 from .arima import MAX_GRID_ORDER, ArimaSpec, fit_arima, fit_summary, forecast_arima, select_orders, suggest_orders_acf
 from .evaluation import ForecastReport, compare_models, score_model
-from .exceptions import CrimecastError, InvalidArgumentError, decode_utf8
+from .exceptions import CrimecastError, EmptyPanelError, InvalidArgumentError, decode_utf8
 from .panel import PanelDataset, balance_panel, fit_fixed_effects, fit_random_effects, forecast_panel
 from .regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
 from .reporting import write_json
 from .series import (
-    MISSING,
     SEASONAL_PERIOD,
     DecompositionResult,
     Quarter,
@@ -112,7 +111,17 @@ def _models(value) -> tuple[int, ...]:
     unknown = [m for m in models if m not in NATIONAL_MODELS + PANEL_MODELS]
     if unknown:
         raise ValueError(f"unknown model ids {unknown}; expected 1..7")
+    repeated = [m for i, m in enumerate(models) if m in models[:i]]
+    if repeated:
+        raise ValueError(f"repeated model id {repeated[0]}")
     return models
+
+
+def _seed(value) -> int:
+    seed = _int(value)
+    if seed < 0:
+        raise ValueError(f"must be nonnegative, got {seed}")
+    return seed
 
 
 def _arima_order(value) -> str | tuple[int, int, int]:
@@ -144,7 +153,7 @@ _CONVERTERS = {
         Path,
     ),
     **dict.fromkeys(("fit_start", "fit_end", "holdout_start", "holdout_end"), _quarter),
-    "seed": _int,
+    "seed": _seed,
     "models": _models,
     "arima_order": _arima_order,
     "arima_max_p": _grid_bound,
@@ -273,7 +282,7 @@ def _write_decomposition(config: PipelineConfig, observed: TimeSeries, decomp: D
 def _model1_spec(config: PipelineConfig, fit_series: TimeSeries) -> ArimaSpec:
     order = ARIMA_READINGS.get(config.arima_order, config.arima_order)
     if order is None:  # "auto"
-        selected = select_orders(difference(fit_series, 1), config.arima_max_p, config.arima_max_q)
+        selected = select_orders(difference(fit_series), config.arima_max_p, config.arima_max_q)
         order = (selected.p, 1, selected.q)
     return ArimaSpec(*order)
 
@@ -281,18 +290,15 @@ def _model1_spec(config: PipelineConfig, fit_series: TimeSeries) -> ArimaSpec:
 def _regression_data(
     config: PipelineConfig, dependent: TimeSeries, national: PanelDataset | None
 ) -> tuple[Dataset, Dataset]:
-    """The fit-range dataset and the forecast dataset (the dependent masked
-    after the fit range) of the covariates, plus the national signals."""
+    """The span's dataset of the covariates, the dependent (which replaces a
+    covariate of its name) and the national signals, and its fit-range window."""
     covariates = _load(Dataset.from_csv, config.covariates, "covariates")
-    full = Dataset.align([dependent, *(covariates[name] for name in covariates.names)])
+    span = _span(config)
+    _check_span(config.covariates, "covariates cover", covariates, span)
+    full = covariates.window(*span).joined(Dataset.align([dependent]))
     if national is not None:
         full = full.joined(national)
-    span = _span(config)
-    _check_span(config.covariates, "covariates cover", full, span)
-    full = full.window(*span)
-    fit_data = full.window(config.fit_start, config.fit_end)
-    full.values[0, config.fit_end - span[0] + 1 :, full.names.index(dependent.name)] = MISSING
-    return fit_data, full
+    return full.window(config.fit_start, config.fit_end), full
 
 
 def _national_report(
@@ -348,9 +354,12 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
     span = _span(config)
     _check_span(config.panel, "panel covers", panel, span)
     # Every retained state has the dependent at each quarter of the span.
-    balanced, balance = balance_panel(panel, span, PANEL_DEPENDENT)
-    if len(balanced.unit_names) < 2:
+    try:
+        balanced, balance = balance_panel(panel, span, PANEL_DEPENDENT)
         kept = len(balanced.unit_names)
+    except EmptyPanelError:
+        kept = 0
+    if kept < 2:
         raise UsageError(f"{config.panel}: panel models need 2 states with {PANEL_DEPENDENT} over the span, got {kept}")
     fit_panel = balanced.restricted(balanced.unit_names, (config.fit_start, config.fit_end))
     # Every term has lag 0 or 1, and the fit uses the rows from fit_start + 1.
@@ -427,7 +436,7 @@ def cmd_decompose(config: PipelineConfig) -> None:
 
 def cmd_diagnose(config: PipelineConfig) -> None:
     observed, deseasonalized, decomp = _national_series(config)
-    differenced = difference(deseasonalized, 1)
+    differenced = difference(deseasonalized)
     irregular = decomp.irregular.window(decomp.irregular.defined_start, decomp.irregular.defined_end)
     max_lag = max(min(DIAGNOSE_LAGS, len(observed) - 12), 0)
     p, q = suggest_orders_acf(differenced, config.arima_max_p, config.arima_max_q)

@@ -24,6 +24,7 @@ from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord, Corpus
 # Training settings of the baseline, recorded in the model's metadata.
 _LEARNING_RATE = 0.1
 _EPOCHS = 100
+_SPLIT = (0.7, 0.1, 0.2)  # train, validation and test fractions of the labeled articles
 _MIN_TOKEN_COUNT = 2  # occurrences in the training split that keep a token
 
 
@@ -71,10 +72,6 @@ class BaselineModel:
     def score(self, record: ArticleRecord) -> float:
         return float(1.0 / (1.0 + np.exp(-self.logit(_tokenize(record.text())))))
 
-    def classify(self, record: ArticleRecord) -> tuple[str, float]:
-        s = self.score(record)
-        return (LABEL_POSITIVE if s >= self.threshold else LABEL_NEGATIVE), s
-
     def to_json(self, path: str | Path) -> None:
         payload = {
             "vocabulary": {t: self.vocabulary[t] for t in sorted(self.vocabulary)},
@@ -107,15 +104,12 @@ class BaselineModel:
             raise InvalidArgumentError(f"model file {path}: {exc}") from exc
 
 
-def _split(n: int, split: tuple[float, float, float], seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions 0..n-1 shuffled by the seed and cut into the train,
-    validation and test fractions."""
-    fracs = tuple(float(f) for f in split)
-    if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-        raise InvalidArgumentError("split fractions must be nonnegative and sum to 1")
+def _split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions 0..n-1 shuffled by the seed and cut into the _SPLIT
+    fractions: train, validation and test."""
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(fracs[0] * n))
-    n_val = int(round(fracs[1] * n))
+    n_train = int(round(_SPLIT[0] * n))
+    n_val = int(round(_SPLIT[1] * n))
     return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
 
 
@@ -143,9 +137,10 @@ def _best_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]
     return float(candidates[best]), float(f1[best])
 
 
-def train_baseline(corpus: Corpus, split: tuple[float, float, float] = (0.7, 0.1, 0.2), seed: int = 0) -> BaselineModel:
+def train_baseline(corpus: Corpus, seed: int = 0) -> BaselineModel:
     """Train the logistic bag-of-words baseline on the articles with a gold
-    label, split into train, validation and test by `split` fractions.
+    label, split into train, validation and test by the _SPLIT fractions
+    (at least 50 labeled articles, so no split is empty).
 
     Each labeled text is tokenized once. Tokens are kept when they occur at
     least _MIN_TOKEN_COUNT times in the training split; optimization is
@@ -158,9 +153,7 @@ def train_baseline(corpus: Corpus, split: tuple[float, float, float] = (0.7, 0.1
         raise InvalidArgumentError(f"need at least 50 labeled records, got {len(gold)}")
     if len(set(gold)) < 2:
         raise InvalidArgumentError("corpus must contain both classes")
-    train, validation, test = _split(len(gold), split, seed)
-    if not len(train):
-        raise InvalidArgumentError("training split is empty")
+    train, validation, test = _split(len(gold), seed)
     texts = (text for text, label in zip(corpus.texts(), corpus.gold) if label is not None)
     token_lists = list(tokenize_texts(texts))
     y_all = np.array([1.0 if label == LABEL_POSITIVE else 0.0 for label in gold])
@@ -182,13 +175,10 @@ def train_baseline(corpus: Corpus, split: tuple[float, float, float] = (0.7, 0.1
         w -= _LEARNING_RATE * (X.T @ err) / n
         b -= _LEARNING_RATE * float(err.mean())
 
-    if len(validation):
-        Xv = _count_matrix([token_lists[j] for j in validation], index)
-        sv = 1.0 / (1.0 + np.exp(-(Xv @ w + b)))
-        best_t, validation_f1 = _best_threshold(sv, y_all[validation])
-        threshold = min(max(best_t, 1e-9), 1.0 - 1e-9)
-    else:
-        threshold, validation_f1 = 0.5, None
+    Xv = _count_matrix([token_lists[j] for j in validation], index)
+    sv = 1.0 / (1.0 + np.exp(-(Xv @ w + b)))
+    best_t, validation_f1 = _best_threshold(sv, y_all[validation])
+    threshold = min(max(best_t, 1e-9), 1.0 - 1e-9)
 
     metadata = {
         "seed": seed,

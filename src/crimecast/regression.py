@@ -8,7 +8,6 @@ AR(1) errors (iterated Cochrane-Orcutt).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -112,7 +111,7 @@ class Dataset(PanelDataset):
         if not self.start <= start <= end <= self.end:
             raise InvalidArgumentError(f"window {start}..{end} is not inside {self.start}..{self.end}")
         lo, hi = start - self.start, end - self.start + 1
-        return Dataset(self.unit_names, start, self.names, self.values[:, lo:hi].copy(), self.present[:, lo:hi])
+        return Dataset(self.unit_names, start, self.names, self.values[:, lo:hi], self.present[:, lo:hi])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
@@ -138,12 +137,6 @@ class RegressionFit:
     durbin_watson: float
     n_used: int
     rho: float | None = None
-
-    def coefficient(self, name: str) -> float:
-        try:
-            return self.coefficients[self.coef_names.index(name)]
-        except ValueError:
-            raise InvalidArgumentError(f"no coefficient named {name!r}") from None
 
 
 def _build_design(dataset: Dataset, spec: RegressionSpec) -> tuple[np.ndarray, np.ndarray, list[str], Quarter]:
@@ -265,9 +258,10 @@ def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
 def forecast_regression(fit: RegressionFit, dataset: Dataset, span: tuple[Quarter, Quarter]) -> np.ndarray:
     """Linear predictions for each quarter of the inclusive span.
 
-    With AR(1) errors the prediction adds rho * (previous structural
-    residual), using actual residuals where the dependent is observed and
-    propagating rho-discounted ones beyond.
+    With AR(1) errors the forecast is dynamic from the fit's last quarter T:
+    the structural residual at T, read from the dataset, is multiplied by rho
+    once per later quarter and added to that quarter's prediction. The span
+    must then start after T.
     """
     start, end = span
     if end < start:
@@ -276,17 +270,13 @@ def forecast_regression(fit: RegressionFit, dataset: Dataset, span: tuple[Quarte
     if fit.rho is None:
         return dataset.predict(spec.terms, fit.coefficients, span, intercept=True)[0]
 
-    # From the first structural residual quarter, or from the span if it starts earlier.
-    walk = (min(fit.residuals.start - 1, start), end)
-    cores = dataset.predict(spec.terms, fit.coefficients, walk, intercept=True)[0].tolist()
-    observed = dataset._gather([(spec.dependent, 0)], walk)[0, :, 0].tolist()
-    e_prev: float | None = None
-    preds: list[float] = []
-    for i, (core, y) in enumerate(zip(cores, observed)):
-        if walk[0] + i >= start:
-            preds.append(core + (fit.rho * e_prev if e_prev is not None else 0.0))
-        if not math.isnan(y):
-            e_prev = y - core
-        else:
-            e_prev = fit.rho * e_prev if e_prev is not None else None
-    return np.array(preds)
+    last = fit.residuals.end
+    if start <= last:
+        raise InvalidArgumentError(f"an AR(1)-error forecast must start after the fit's last quarter {last}, not {start}")
+    cores = dataset.predict(spec.terms, fit.coefficients, (last, end), intercept=True)[0].tolist()
+    e = float(dataset.predictors([(spec.dependent, 0)], (last, last))[0, 0, 0]) - cores[0]
+    preds = []
+    for core in cores[1:]:
+        e = fit.rho * e
+        preds.append(core + e)
+    return np.array(preds[start - last - 1 :])

@@ -145,22 +145,11 @@ class DecompositionResult:
     irregular: TimeSeries
 
 
-def difference(series: TimeSeries, order: int) -> TimeSeries:
-    """Apply the forward difference operator `order` times.
-
-    The result is `order` positions shorter and starts `order` quarters later;
-    order 0 returns the input unchanged.
-    """
-    if order < 0:
-        raise InvalidArgumentError(f"difference order must be >= 0, got {order}")
-    if order == 0:
-        return series
-    if len(series) <= order:
-        raise InvalidArgumentError(
-            f"series length {len(series)} must exceed difference order {order}"
-        )
-    vals = np.diff(series.to_array(), n=order)
-    return TimeSeries("d" * order + "_" + series.name, series.start + order, tuple(vals))
+def difference(series: TimeSeries) -> TimeSeries:
+    """The first difference: one position shorter, starting one quarter later."""
+    if len(series) < 2:
+        raise InvalidArgumentError(f"series length {len(series)} must exceed 1 to difference")
+    return TimeSeries("d_" + series.name, series.start + 1, tuple(np.diff(series.to_array())))
 
 
 def _defined_values(series: TimeSeries) -> np.ndarray:
@@ -386,6 +375,11 @@ class PanelDataset:
     names: tuple[str, ...]
     values: np.ndarray = field(repr=False)
     present: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        # Frames share arrays (a window is a view), so no frame writes into them.
+        self.values.flags.writeable = False
+        self.present.flags.writeable = False
 
     @classmethod
     def _scatter(

@@ -128,7 +128,7 @@ class TestCssGradient:
 
         monkeypatch.setattr(optimize, "minimize", spy)
         y = 1400.0 + np.cumsum(np.random.default_rng(0).normal(8.0, 60.0, 48))
-        select_orders(difference(series(y), 1), 2, 2)
+        select_orders(difference(series(y)), 2, 2)
         assert len(calls) == 6  # the (p, q) candidates with q >= 1
         for jac, res in calls:
             assert jac is True or callable(jac)
@@ -211,6 +211,6 @@ class TestSelectOrders:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             y = 1400.0 + np.cumsum(rng.normal(8.0, 60.0, 48))
-            spec = select_orders(difference(series(y), 1), 2, 2)
+            spec = select_orders(difference(series(y)), 2, 2)
             hits += (spec.p, spec.q) == (0, 0)
         assert hits >= 18

@@ -67,6 +67,7 @@ class TestConfig:
             (absolute_config(seed=1.5), "'seed'"),
             (absolute_config(arima_order=[1.7, 1, 0]), "'arima_order'"),
             (absolute_config(arima_order="auto", arima_max_q=1.5), "'arima_max_q'"),
+            (absolute_config(seed=-1), "'seed'"),
         ],
         ids=[
             "non-integer-order",
@@ -77,6 +78,7 @@ class TestConfig:
             "fractional-seed",
             "fractional-order",
             "fractional-grid-bound",
+            "negative-seed",
         ],
     )
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, raw, named):
@@ -136,6 +138,11 @@ class TestConfig:
 
     def test_unknown_model_id_exits_2(self, tmp_path):
         assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "9") == EXIT_INPUT_ERROR
+
+    def test_repeated_model_id_exits_2(self, tmp_path, capsys):
+        assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "2,2,4,6,6") == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: config key 'models': repeated model id 2\n"
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestMalformedInput:
@@ -384,14 +391,25 @@ class TestMalformedInput:
         assert code == EXIT_INPUT_ERROR
         assert f"error: {path}: {covers}, need {span[0]}..{span[1]}" in err
 
-    def test_one_state_panel_exits_2_naming_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kept", [1, 0], ids=["one-state", "no-state"])
+    def test_panel_with_under_2_balanced_states_exits_2_naming_file(self, tmp_path, capsys, kept):
+        """One state in the file, or none with fbi_num at 2010Q1."""
         lines = (FIXTURES / "panel.csv").read_text().splitlines()
-        one_state = tmp_path / "panel.csv"
-        one_state.write_text("\n".join([lines[0], *(line for line in lines if line.startswith("CA,"))]) + "\n")
-        code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "6,7", "--panel", str(one_state))
+        if kept:
+            lines = [lines[0], *(line for line in lines if line.startswith("CA,"))]
+        else:
+            column = lines[0].split(",").index("fbi_num")
+            for row, line in enumerate(lines):
+                cells = line.split(",")
+                if cells[1:3] == ["2010", "1"]:
+                    cells[column] = ""
+                    lines[row] = ",".join(cells)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join(lines) + "\n")
+        code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "6,7", "--panel", str(panel))
         err = capsys.readouterr().err
         assert code == EXIT_INPUT_ERROR
-        assert err == f"error: {one_state.resolve()}: panel models need 2 states with fbi_num over the span, got 1\n"
+        assert err == f"error: {panel.resolve()}: panel models need 2 states with fbi_num over the span, got {kept}\n"
 
     def test_retained_state_without_holdout_actual_exits_2(self, tmp_path):
         # A state without an fbi_num value in the holdout has no actual to

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crimecast.detector import (
     BaselineModel,
     _best_threshold,
+    _split,
     classify_corpus,
     evaluate,
     train_baseline,
@@ -57,13 +58,15 @@ def shuffled_corpus(n=600, base_rate=0.8, seed=3):
 
 
 class TestTraining:
-    def test_separable_corpus_training_f1_is_one(self):
+    def test_separable_corpus_is_separated(self):
+        # Every positive scores above every negative, and the threshold
+        # tuned on the validation split separates that split.
         corpus = separable_corpus()
-        # The whole corpus is the training split.
-        model = train_baseline(corpus, split=(1.0, 0.0, 0.0), seed=1)
-        assert model.metadata["split_sizes"] == [200, 0, 0]
-        labeled, _ = classify_corpus(model, corpus)
-        assert evaluate(labeled.predicted, corpus.gold).f1 == 1.0
+        model = train_baseline(corpus, seed=1)
+        _, scores = classify_corpus(model, corpus)
+        positive = np.array(corpus.gold) == "hate_crime"
+        assert scores[positive].min() > scores[~positive].max()
+        assert model.metadata["validation_f1"] == 1.0
 
     def test_label_shuffled_chance_level(self):
         # Chance-level oracle: an uninformative detector tuned for F1 sits at
@@ -91,10 +94,15 @@ class TestTraining:
             train_baseline(corpus)
 
     def test_frequency_cutoff_drops_rare_tokens(self):
-        corpus = separable_corpus(n=100, seed=9)
-        rare = rec(999, "zyzzyx " + corpus[0].body, "hate_crime")
-        model = train_baseline(Corpus.of([*corpus, rare]), split=(1.0, 0.0, 0.0), seed=0)
+        # "zyzzyx" is in two articles, one of them in the training split;
+        # "quux" is in two training articles.
+        records = list(separable_corpus(n=100, seed=9))
+        train, validation, _ = _split(len(records), 0)
+        for i, token in ((train[0], "zyzzyx"), (validation[0], "zyzzyx"), (train[1], "quux"), (train[2], "quux")):
+            records[i] = rec(i, f"{token} {records[i].body}", records[i].gold_label)
+        model = train_baseline(Corpus.of(records), seed=0)
         assert "zyzzyx" not in model.vocabulary
+        assert "quux" in model.vocabulary
 
 
     def test_each_labeled_text_is_tokenized_once(self, tokenized):
@@ -137,19 +145,18 @@ class TestClassification:
 
     def test_training_positive_classified_positive(self):
         corpus = separable_corpus(seed=2)
-        model = train_baseline(corpus, split=(1.0, 0.0, 0.0), seed=2)
-        positive = corpus[0]
-        label, score = model.classify(positive)
-        assert label == "hate_crime"
-        assert score >= model.threshold
+        model = train_baseline(corpus, seed=2)
+        train, _, _ = _split(len(corpus), 2)
+        positive = corpus[int(next(i for i in train if corpus.gold[i] == "hate_crime"))]
+        assert model.score(positive) >= model.threshold
 
     def test_batch_equals_record_by_record(self):
         corpus = separable_corpus(seed=4)
         model = train_baseline(corpus, seed=4)
         batch, batch_scores = classify_corpus(model, corpus)
         for i, (record, labeled) in enumerate(zip(corpus, batch)):
-            label, score = model.classify(record)
-            assert labeled.predicted_label == label
+            score = model.score(record)
+            assert labeled.predicted_label == ("hate_crime" if score >= model.threshold else "not_hate_crime")
             assert batch_scores[i] == score
 
     def test_order_invariance(self):

@@ -277,43 +277,36 @@ class TestForecastRegression:
             e_prev = fit.rho * e_prev
         np.testing.assert_allclose(fc, expected, atol=1e-9)
 
-    def test_ar1_error_uses_observed_residuals_when_available(self):
+    def test_ar1_error_forecast_ignores_the_holdout_dependent(self):
+        # The forecast runs from the fit's last quarter on the fitted values:
+        # the same whether the frame holds the holdout's actual values or NaN.
         rng = np.random.default_rng(9)
         n, horizon = 24, 4
         x = rng.normal(size=n + horizon)
         y = 1.0 + 2.0 * x + rng.normal(0, 0.2, n + horizon)
-        full = Dataset.align(
-            [
-                TimeSeries("y", Q0, tuple(y)),
-                TimeSeries("x", Q0, tuple(x)),
-            ]
+        observed, masked = (
+            Dataset.align([TimeSeries("y", Q0, tuple(ys)), TimeSeries("x", Q0, tuple(x))])
+            for ys in (y, [*y[:n], *[float("nan")] * horizon])
         )
-        spec = RegressionSpec("y", (("x", 0),), ar_error_order=1)
-        fit = fit_ols(full.window(Q0, Q0 + n - 1), spec)
-        fc = forecast_regression(fit, full, (Q0 + n, Q0 + n + horizon - 1))
-        b0, b1 = fit.coefficients
-        e_hand = y - (b0 + b1 * x)
-        expected = [b0 + b1 * x[n + h] + fit.rho * e_hand[n + h - 1] for h in range(horizon)]
-        np.testing.assert_allclose(fc, expected, atol=1e-9)
+        fit = fit_ols(observed.window(Q0, Q0 + n - 1), RegressionSpec("y", (("x", 0),), ar_error_order=1))
+        span = (Q0 + n, Q0 + n + horizon - 1)
+        fc = forecast_regression(fit, observed, span)
+        np.testing.assert_array_equal(fc, forecast_regression(fit, masked, span))
+        # A later start gives the tail of the same forecast.
+        np.testing.assert_array_equal(forecast_regression(fit, masked, (Q0 + n + 2, span[1])), fc[2:])
 
-    def test_ar1_error_span_before_the_first_residual(self):
-        # The dependent starts two quarters after x, so the fit's first
-        # residual is at Q0 + 3. A span from Q0 still gets one prediction per
-        # quarter: no residual term before the first observed one, then rho
-        # times the observed residual.
+    def test_ar1_error_span_must_start_after_the_fit(self):
         rng = np.random.default_rng(10)
         n = 24
         x = rng.normal(size=n)
         y = 1.0 + 2.0 * x + rng.normal(0, 0.2, n)
-        y[:2] = np.nan
         full = Dataset.align([TimeSeries("y", Q0, tuple(y)), TimeSeries("x", Q0, tuple(x))])
-        fit = fit_ols(full, RegressionSpec("y", (("x", 0),), ar_error_order=1))
-        assert fit.residuals.start == Q0 + 3
-        fc = forecast_regression(fit, full, (Q0, Q0 + 4))
-        b0, b1 = fit.coefficients
-        core = b0 + b1 * x
-        expected = list(core[:3]) + [core[h] + fit.rho * (y[h - 1] - core[h - 1]) for h in (3, 4)]
-        np.testing.assert_allclose(fc, expected, atol=1e-9)
+        last = Q0 + n - 5
+        fit = fit_ols(full.window(Q0, last), RegressionSpec("y", (("x", 0),), ar_error_order=1))
+        assert fit.residuals.end == last
+        for start in (Q0, last):
+            with pytest.raises(InvalidArgumentError, match=f"after the fit's last quarter {last}, not {start}$"):
+                forecast_regression(fit, full, (start, Q0 + n - 1))
 
 
 class TestDatasetIO:

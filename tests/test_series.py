@@ -49,24 +49,16 @@ class TestQuarter:
 
 class TestDifferenceLag:
     def test_difference_order_1(self):
-        assert difference(series([1, 3, 6, 10]), 1).values == (2.0, 3.0, 4.0)
+        out = difference(series([1, 3, 6, 10]))
+        assert out.values == (2.0, 3.0, 4.0)
+        assert (out.name, out.start) == ("d_x", Q0 + 1)
 
     def test_difference_constant(self):
-        assert difference(series([5, 5, 5]), 1).values == (0.0, 0.0)
-
-    def test_difference_squares_order_2(self):
-        # Hand-applied double difference of squares: [3,5,7,9] -> [2,2,2].
-        out = difference(series([1, 4, 9, 16, 25]), 2)
-        assert out.values == (2.0, 2.0, 2.0)
-        assert out.start == Q0 + 2
-
-    def test_difference_order_0_identity(self):
-        ts = series([1, 2, 3])
-        assert difference(ts, 0) is ts
+        assert difference(series([5, 5, 5])).values == (0.0, 0.0)
 
     def test_difference_too_short(self):
         with pytest.raises(InvalidArgumentError):
-            difference(series([1, 2]), 2)
+            difference(series([1]))
 
 
 class TestMissingDiscipline:
@@ -347,3 +339,14 @@ class TestPanelJoin:
         panel = PanelDataset.from_rows([("CA", Q0, {"s": 1.0, "y": 2.0})])
         joined = panel.joined(PanelDataset.from_rows([("CA", Q0, {"s": 3.0})]))
         assert (cell(joined, "CA", Q0, "s"), cell(joined, "CA", Q0, "y")) == (3.0, 2.0)
+
+
+def test_frame_arrays_are_read_only():
+    # A window is a view of its frame's arrays, so no frame may write into them.
+    frame = Dataset.align([TimeSeries("y", Q0, (1.0, 2.0, 3.0))])
+    panel = PanelDataset.from_rows([("CA", Q0, {"y": 1.0})])
+    for data in (frame, frame.window(Q0 + 1, Q0 + 2), panel, panel.joined(panel)):
+        with pytest.raises(ValueError, match="read-only"):
+            data.values[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            data.present[0, 0] = False
