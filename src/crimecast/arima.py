@@ -2,17 +2,32 @@
 selection, and dynamic forecasting.
 
 Estimation conditions on the first p observations of the differenced series
-with pre-sample innovations set to zero, and maximizes the concentrated
-Gaussian likelihood with BFGS from a least-squares AR initialization. BFGS
-takes the exact CSS gradient, from one MA filter pass over the stacked
-Jacobian rows (Box, Jenkins & Reinsel, *Time Series Analysis*, ch. 7).
+with pre-sample innovations set to zero. A pure AR model is then linear
+least squares. With MA terms the conditional sum of squares (CSS) is a
+nonlinear least-squares problem, fitted as Box and Jenkins fit it
+(*Time Series Analysis*, ch. 7) by Marquardt's damped Gauss-Newton method
+(Marquardt 1963, *SIAM J. Appl. Math.* 11:431-441), from least-squares AR
+start values. The residual Jacobian comes from one MA filter pass over the
+stacked derivative rows.
+
+The solver moves in unconstrained coordinates u. Each u_k maps to a partial
+autocorrelation r_k = tanh(u_k) in (-1, 1), and the Durbin-Levinson
+recursion maps r to the coefficients of a stationary AR polynomial (Monahan
+1984, *Biometrika* 71:403-404; Jones 1980, *Technometrics* 22:389-395). The
+AR coefficients are this transform of u_ar and the MA coefficients minus
+the transform of u_ma, so every iterate is stationary and invertible.
+
+A CSS optimum on the unit circle drives some |r_k| towards 1. Once one
+reaches 1 - 1e-4 the fit stops there, on the boundary. An MA boundary fit
+is reported as converged with `ma_boundary` set; an AR boundary fit, a unit
+root in a model fitted as stationary, has not converged. `select_orders`
+drops both kinds of candidates.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
-from collections.abc import Callable
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +37,12 @@ from .series import TimeSeries, acf, pacf
 
 logger = logging.getLogger(__name__)
 
-_GRAD_TOL = 1e-8
-_MAX_ITER = 500
+# Solver steps (each a linear solve and a residual pass) before a fit gives up.
+_MAX_ITER = 100
+# A taken step that lowers the SSR by less than this share of it ends a fit.
+_SSR_RTOL = 1e-12
+# A fit whose partial autocorrelation reaches this size is on the boundary.
+_BOUNDARY = 1.0 - 1e-4
 # Candidates within this AIC distance of the minimum are treated as tied and
 # resolved toward the more parsimonious order. Exact AIC ties have measure
 # zero, so the tie-break rule needs a band; 6 units is past the
@@ -63,6 +82,20 @@ class ArimaFit:
     adj_r_squared: float
     residuals: TimeSeries
     converged: bool
+    ma_boundary: bool = False  # the MA polynomial stopped on the unit circle
+
+
+def _ma_filter(ma: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """theta(B)^-1 x along the last axis, with zero pre-sample values: forward
+    substitution in the unit lower-triangular banded system theta(B) e = x."""
+    from scipy.linalg import lapack  # deferred: cold start; MA fits only
+
+    m = x.shape[-1]
+    band = np.zeros((len(ma) + 1, m))  # row j holds theta_j; row 0 is unread
+    for j, theta in enumerate(ma, start=1):
+        band[j, : m - j] = theta
+    e, _ = lapack.dtbtrs(band, np.atleast_2d(x).T, uplo="L", diag="U")
+    return e.T.reshape(x.shape)
 
 
 def _css_residuals(w: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> np.ndarray:
@@ -71,11 +104,7 @@ def _css_residuals(w: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> n
     rhs = w[p:] - c
     for i in range(1, p + 1):
         rhs = rhs - ar[i - 1] * w[p - i : len(w) - i]
-    if len(ma):
-        from scipy import signal  # deferred: cold start; MA fits only
-
-        return signal.lfilter([1.0], np.concatenate(([1.0], ma)), rhs)
-    return rhs
+    return _ma_filter(ma, rhs) if len(ma) else rhs
 
 
 def _unpack(theta: np.ndarray, spec: ArimaSpec) -> tuple[float, np.ndarray, np.ndarray]:
@@ -84,46 +113,152 @@ def _unpack(theta: np.ndarray, spec: ArimaSpec) -> tuple[float, np.ndarray, np.n
     return float(theta[0]), ar, ma
 
 
-def _css_objective(
-    w: np.ndarray, spec: ArimaSpec, burn: int
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """The concentrated CSS objective f = n_eff/2 * log(SSR/n_eff) of
-    theta = (c, ar, ma), as a callable that returns (f, grad f).
+def _pacf_transform(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients phi of the stationary polynomial 1 - sum phi_k z^k
+    whose partial autocorrelations are r = tanh(u), and d phi / d u.
 
-    The residual equation theta(B) e_t = w_t - c - sum phi_i w_{t-i} gives
-    de/dc = -theta(B)^-1 1, de/dphi_i = -theta(B)^-1 w_{t-i} and
-    de/dtheta_j = -theta(B)^-1 e_{t-j}, the filtered -e shifted by j, all
-    with zero pre-sample values. The p + 2 rows are filtered in one call, and
-    grad f = n_eff * J'e / SSR over the residuals the SSR sums.
+    Durbin-Levinson: phi^(k) = (phi^(k-1) - r_k reversed(phi^(k-1)), r_k),
+    differentiated along the way (Monahan 1984). The orders are small, so
+    the recursion runs on Python floats, which beat numpy at this size.
     """
-    from scipy import signal  # deferred: cold start; MA fits only
+    phi: list[float] = []
+    dphi: list[list[float]] = []  # dphi[j][i] = d phi_j / d u_i
+    for i, x in enumerate(u):
+        r = math.tanh(x)
+        dr = 1.0 - r * r
+        rev = phi[::-1]
+        dphi = [
+            [a - r * b for a, b in zip(row, mirror)] + [-back * dr]
+            for row, mirror, back in zip(dphi, dphi[::-1], rev)
+        ] + [[0.0] * i + [dr]]
+        phi = [a - r * b for a, b in zip(phi, rev)] + [r]
+    k = len(phi)
+    return np.array(phi), np.array(dphi).reshape(k, k)
 
-    p, q = spec.p, spec.q
-    m = len(w) - p
-    n_eff = len(w) - burn
-    lo = burn - p  # first residual inside the likelihood
-    # Rows 0..p are fixed per fit; row p + 1 receives -e at each call.
-    rows = np.empty((p + 2, m))
-    rows[0] = -1.0
-    for i in range(1, p + 1):
-        rows[i] = -w[p - i : p - i + m]
 
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        c, ar, ma = _unpack(theta, spec)
-        e = _css_residuals(w, c, ar, ma)
-        ssr = float(e[lo:] @ e[lo:])
-        if not np.isfinite(ssr) or ssr <= 0.0:
-            return 1e300, np.zeros(p + q + 1)
-        rows[-1] = -e
-        jac = signal.lfilter([1.0], np.concatenate(([1.0], ma)), rows, axis=1)
-        grad = np.empty(p + q + 1)
-        grad[: p + 1] = jac[: p + 1, lo:] @ e[lo:]
+def _pacf_inverse(phi: np.ndarray) -> np.ndarray | None:
+    """The u of `_pacf_transform` that gives phi, by the step-down recursion;
+    None when a partial autocorrelation is not inside the boundary."""
+    phi = np.array(phi, dtype=float)
+    r = np.empty(len(phi))
+    for i in range(len(phi) - 1, -1, -1):
+        r[i] = phi[i]
+        if not abs(r[i]) < _BOUNDARY:
+            return None
+        phi[:i] = (phi[:i] + r[i] * phi[:i][::-1]) / (1.0 - r[i] * r[i])
+    return np.arctanh(r)
+
+
+class _CssProblem:
+    """The CSS residuals of x = (c, u_ar, u_ma), where the AR coefficients are
+    `_pacf_transform(u_ar)` and the MA ones minus `_pacf_transform(u_ma)`, and
+    their Jacobian. The SSR sums the residuals from index `lo` (t = burn)."""
+
+    def __init__(self, w: np.ndarray, spec: ArimaSpec, burn: int) -> None:
+        p = spec.p
+        self.w, self.spec = w, spec
+        self.lo = burn - p  # first residual inside the SSR
+        m = len(w) - p
+        # Rows 0..p are fixed per fit; row p + 1 receives -e at each call.
+        self.rows = np.empty((p + 2, m))
+        self.rows[0] = -1.0
+        for i in range(1, p + 1):
+            self.rows[i] = -w[p - i : p - i + m]
+
+    def coefficients(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        p = self.spec.p
+        return float(x[0]), _pacf_transform(x[1 : 1 + p])[0], -_pacf_transform(x[1 + p :])[0]
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        return _css_residuals(self.w, *self.coefficients(x))
+
+    def jacobian(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """d e[lo:] / dx as a (p + q + 1) x n_eff array, at x with residuals e.
+
+        theta(B) e_t = w_t - c - sum phi_i w_{t-i} gives de/dc = -theta(B)^-1 1,
+        de/dphi_i = -theta(B)^-1 w_{t-i} and de/dtheta_j = -theta(B)^-1 e_{t-j},
+        the filtered -e shifted by j, all with zero pre-sample values; one
+        filter call covers the p + 2 rows. The chain rule through
+        `_pacf_transform` takes the phi and theta rows to u.
+        """
+        p, q = self.spec.p, self.spec.q
+        dar = _pacf_transform(x[1 : 1 + p])[1]
+        ma, dma = _pacf_transform(x[1 + p :])
+        self.rows[-1] = -e
+        filtered = _ma_filter(-ma, self.rows)
+        m = len(e)
+        n_eff = m - self.lo
+        shifted = np.zeros((q, n_eff))
         for j in range(1, q + 1):
-            start = max(lo, j)  # the row shifted by j is zero before index j
-            grad[p + j] = jac[-1, start - j : m - j] @ e[start:]
-        return 0.5 * n_eff * np.log(ssr / n_eff), (n_eff / ssr) * grad
+            start = max(self.lo, j)  # the row shifted by j is zero before index j
+            shifted[j - 1, start - self.lo :] = filtered[-1, start - j : m - j]
+        jac = np.empty((1 + p + q, n_eff))
+        jac[0] = filtered[0, self.lo :]
+        jac[1 : 1 + p] = dar.T @ filtered[1 : 1 + p, self.lo :]
+        jac[1 + p :] = -dma.T @ shifted
+        return jac
 
-    return objective
+
+def _css_lm(w: np.ndarray, spec: ArimaSpec, burn: int) -> tuple[float, np.ndarray, np.ndarray, bool, bool]:
+    """Minimize the CSS by Marquardt's damped Gauss-Newton method over
+    x = (c, u_ar, u_ma); returns (c, ar, ma, converged, ma_boundary).
+
+    Each step solves (J J' + lam diag(J J')) dx = -J e. A step that lowers
+    the SSR is taken and lam shrinks by the gain ratio; one that does not is
+    refused and lam grows (Madsen, Nielsen & Tingleff 2004, sec. 3.2). The
+    fit converges when a taken step lowers the SSR by less than _SSR_RTOL of
+    it, or when a refused step's predicted decrease is below that: no descent
+    step is left. It stops on the boundary when a partial autocorrelation
+    reaches _BOUNDARY in size; an AR boundary fit has not converged.
+    """
+    p = spec.p
+    # Least-squares AR start values, projected to zero AR when they are not
+    # stationary; the MA terms start at zero.
+    head = _ar_lstsq(w, spec, p) if p else np.array([w.mean()])
+    u_ar = _pacf_inverse(head[1:])
+    if u_ar is None:
+        head, u_ar = np.array([w.mean()]), np.zeros(p)
+    problem = _CssProblem(w, spec, burn)
+    lo = problem.lo
+    x = np.concatenate([head[:1], u_ar, np.zeros(spec.q)])
+    e = problem.residuals(x)
+    ssr = float(e[lo:] @ e[lo:])
+    converged = False
+    lam, nu = 1e-3, 2.0
+    jac = problem.jacobian(x, e)
+    for _ in range(_MAX_ITER):
+        a = jac @ jac.T
+        g = jac @ e[lo:]
+        scale = np.diag(a).copy()
+        a += np.diag(lam * scale)
+        try:
+            step = np.linalg.solve(a, -g)
+        except np.linalg.LinAlgError:
+            break
+        predicted = float(lam * (step * scale) @ step - step @ g)
+        trial = x + step
+        e_trial = problem.residuals(trial)
+        ssr_trial = float(e_trial[lo:] @ e_trial[lo:])
+        if not ssr_trial < ssr:
+            if predicted <= _SSR_RTOL * ssr:
+                converged = True
+                break
+            lam *= nu
+            nu *= 2.0
+            continue
+        decrease = ssr - ssr_trial
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * decrease / predicted - 1.0) ** 3)
+        nu = 2.0
+        small = decrease < _SSR_RTOL * ssr
+        x, e, ssr = trial, e_trial, ssr_trial
+        if small or np.any(np.abs(np.tanh(x[1:])) >= _BOUNDARY):
+            converged = True
+            break
+        jac = problem.jacobian(x, e)
+    c, ar, ma = problem.coefficients(x)
+    r = np.abs(np.tanh(x[1:]))
+    ma_boundary = bool(np.any(r[p:] >= _BOUNDARY))
+    return c, ar, ma, converged and not np.any(r[:p] >= _BOUNDARY), ma_boundary
 
 
 def _ar_stationary(ar: np.ndarray) -> bool:
@@ -133,32 +268,12 @@ def _ar_stationary(ar: np.ndarray) -> bool:
     return bool(np.all(np.abs(roots) > 1.0))
 
 
-def _reflect_ma(ma: np.ndarray) -> np.ndarray:
-    """Reflect MA roots inside the unit circle to their invertible mirrors."""
-    if len(ma) == 0:
-        return ma
-    roots = np.roots(np.concatenate(([1.0], ma))[::-1])
-    if np.all(np.abs(roots) >= 1.0):
-        return ma
-    fixed = np.where(np.abs(roots) < 1.0, 1.0 / np.conj(roots), roots)
-    poly = np.array([1.0])
-    for r in fixed:
-        poly = np.convolve(poly, np.array([1.0, -1.0 / r]))
-    return np.real(poly[1:])
-
-
 def _ar_lstsq(w: np.ndarray, spec: ArimaSpec, burn: int) -> np.ndarray:
     """Least-squares constant and AR coefficients of w[burn:] on its p lags."""
     n = len(w)
     cols = [np.ones(n - burn)] + [w[burn - i : n - i] for i in range(1, spec.p + 1)]
     beta, *_ = np.linalg.lstsq(np.column_stack(cols), w[burn:], rcond=None)
     return beta
-
-
-def _ar_init(w: np.ndarray, spec: ArimaSpec) -> np.ndarray:
-    """Least-squares AR start values; MA terms start at zero."""
-    head = _ar_lstsq(w, spec, spec.p) if spec.p else [w.mean()]
-    return np.concatenate([head, np.zeros(spec.q)])
 
 
 def _gaussian_loglik(ssr: float, n: int) -> tuple[float, float]:
@@ -180,7 +295,8 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
     Reports the Gaussian log-likelihood, sigma^2 = SSR/n_eff, and an adjusted
     R^2 of the one-step fitted values on the undifferenced scale measured
     against the lag-1 naive forecast. Non-convergence is reported through the
-    `converged` flag, never silently.
+    `converged` flag, never silently, and a fit that stopped with an MA root
+    on the unit circle through `ma_boundary`.
     """
     y = series.to_array()
     if np.isnan(y).any():
@@ -194,7 +310,7 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
     burn = spec.p if _burn is None else max(_burn, spec.p)
     n_eff = n - burn
 
-    converged = True
+    converged, ma_boundary = True, False
     if spec.p == 0 and spec.q == 0:
         c = float(w[burn:].mean())
         ar = np.empty(0)
@@ -206,26 +322,7 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
         if not _ar_stationary(ar):
             converged = False
     else:
-        from scipy import optimize  # deferred: cold start; MA fits only
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = optimize.minimize(
-                _css_objective(w, spec, burn),
-                _ar_init(w, spec),
-                method="BFGS",
-                jac=True,
-                options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITER},
-            )
-        c, ar, ma = _unpack(res.x, spec)
-        grad_tol = 1e-4 * max(1.0, abs(float(res.fun)))
-        grad_ok = np.isfinite(res.jac).all() and float(np.max(np.abs(res.jac))) < grad_tol
-        converged = bool(np.isfinite(res.x).all() and (res.success or grad_ok))
-        reflected = _reflect_ma(ma)
-        if not np.allclose(reflected, ma):
-            ma = reflected
-        if not _ar_stationary(ar):
-            converged = False
+        c, ar, ma, converged, ma_boundary = _css_lm(w, spec, burn)
 
     e = _css_residuals(w, c, ar, ma)[burn - spec.p :]
     ssr = float(e @ e)
@@ -257,6 +354,7 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
         adj_r_squared=adj_r2,
         residuals=residuals,
         converged=converged,
+        ma_boundary=ma_boundary,
     )
 
 
@@ -274,6 +372,7 @@ def fit_summary(fit: ArimaFit) -> dict:
         "adj_r_squared": fit.adj_r_squared,
         "n_residuals": len(fit.residuals),
         "converged": fit.converged,
+        "ma_boundary": fit.ma_boundary,
     }
 
 
@@ -295,9 +394,11 @@ def select_orders(series: TimeSeries, max_p: int, max_q: int) -> ArimaSpec:
     """Grid-search (p, q) on a stationary series by AIC = -2 loglik + 2(p+q+1).
 
     All candidates are conditioned on the same initial max_p observations so
-    their likelihoods are comparable. Candidates within a small AIC distance
-    of the minimum count as ties and are resolved toward smaller p+q, then
-    smaller p.
+    their likelihoods are comparable. Unconverged candidates and those whose
+    MA polynomial stopped on the unit circle are dropped: a boundary fit's
+    CSS is not a likelihood optimum, and its AIC undercuts the interior fits.
+    Candidates within a small AIC distance of the minimum count as ties and
+    are resolved toward smaller p+q, then smaller p.
     """
     if not 0 <= max_p <= MAX_GRID_ORDER or not 0 <= max_q <= MAX_GRID_ORDER:
         raise InvalidArgumentError(f"max_p and max_q must be in 0..{MAX_GRID_ORDER}")
@@ -305,6 +406,7 @@ def select_orders(series: TimeSeries, max_p: int, max_q: int) -> ArimaSpec:
         return ArimaSpec(0, 0, 0)
 
     scored: list[tuple[float, int, int]] = []
+    unconverged = boundary = 0
     for p in range(max_p + 1):
         for q in range(max_q + 1):
             spec = ArimaSpec(p, 0, q)
@@ -313,9 +415,12 @@ def select_orders(series: TimeSeries, max_p: int, max_q: int) -> ArimaSpec:
             except (InvalidArgumentError, DegenerateInputError):
                 continue
             if not fit.converged:
-                continue
-            aic = -2.0 * fit.log_likelihood + 2.0 * (p + q + 1)
-            scored.append((aic, p, q))
+                unconverged += 1
+            elif fit.ma_boundary:
+                boundary += 1
+            else:
+                aic = -2.0 * fit.log_likelihood + 2.0 * (p + q + 1)
+                scored.append((aic, p, q))
     if not scored:
         raise DegenerateInputError("no candidate order could be estimated")
     best_aic = min(a for a, _, _ in scored)
@@ -323,9 +428,12 @@ def select_orders(series: TimeSeries, max_p: int, max_q: int) -> ArimaSpec:
     _, p_sel, q_sel = min(tied)
     heuristic = suggest_orders_acf(series, max_p, max_q)
     logger.info(
-        "order selection: AIC grid chose (%d,%d); ACF/PACF cutoff heuristic suggests %s",
+        "order selection: AIC grid chose (%d,%d) after dropping %d MA boundary and %d unconverged "
+        "candidates; ACF/PACF cutoff heuristic suggests %s",
         p_sel,
         q_sel,
+        boundary,
+        unconverged,
         heuristic,
     )
     return ArimaSpec(p_sel, 0, q_sel)

@@ -448,6 +448,7 @@ def cmd_diagnose(config: PipelineConfig) -> None:
         "acf_pacf_order_suggestion": {"p": p, "q": q},
         "model1_residual_durbin_watson": stattests.durbin_watson(model1.residuals.values),
         "model1_converged": model1.converged,
+        "model1_ma_boundary": model1.ma_boundary,
     }
     write_json(payload, config.output_dir / "diagnostics.json")
     print("diagnose: wrote diagnostics.json")

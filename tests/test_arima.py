@@ -1,12 +1,24 @@
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crimecast
 from crimecast.arima import (
+    MAX_GRID_ORDER,
     ArimaFit,
     ArimaSpec,
-    _css_objective,
+    _BOUNDARY,
+    _CssProblem,
+    _pacf_inverse,
+    _pacf_transform,
     fit_arima,
     forecast_arima,
     select_orders,
@@ -83,56 +95,116 @@ class TestFit:
             fit_arima(ts, ArimaSpec(0, 0, 0))
 
     def test_ma_reflected_into_invertible_region(self):
-        # theta = 2.5 would be the non-invertible optimum; the fit must land
-        # on the invertible mirror 1/2.5 = 0.4 side.
+        # theta = 2.5 is not invertible; the fit, which only visits invertible
+        # MA polynomials, lands near its invertible mirror 1/2.5 = 0.4.
         y = ma1(2.5, 3000, seed=77)
         fit = fit_arima(series(y), ArimaSpec(0, 0, 1))
-        assert abs(fit.ma_coeffs[0]) <= 1.0
+        assert fit.converged and not fit.ma_boundary
+        assert abs(fit.ma_coeffs[0] - 0.4) < 0.1
 
 
-class TestCssGradient:
+class TestCssJacobian:
     @pytest.mark.parametrize("p", range(4))
     @pytest.mark.parametrize("q", range(1, 4))
     def test_matches_central_differences(self, p, q):
-        # Independent oracle: the exact gradient against central differences
-        # of the objective value, at seeded random points with burn > p.
+        # Independent oracle: the exact residual Jacobian in the solver's
+        # coordinates x = (c, u_ar, u_ma) against central differences of the
+        # residuals, at seeded random points with burn > p.
         rng = np.random.default_rng(100 * p + q)
         for _ in range(5):
             w = 0.3 * np.cumsum(rng.normal(size=60)) + rng.normal(size=60)
             burn = p + int(rng.integers(1, 4))
-            objective = _css_objective(w, ArimaSpec(p, 0, q), burn)
-            theta = np.concatenate(
-                ([rng.normal()], rng.uniform(-0.3, 0.3, p), rng.uniform(-0.6, 0.6, q))
-            )
-            _, grad = objective(theta)
-            numeric = np.empty_like(theta)
-            for i in range(len(theta)):
-                step = np.zeros_like(theta)
-                step[i] = 1e-6 * max(1.0, abs(theta[i]))
-                numeric[i] = (objective(theta + step)[0] - objective(theta - step)[0]) / (2 * step[i])
+            problem = _CssProblem(w, ArimaSpec(p, 0, q), burn)
+            x = np.concatenate(([rng.normal()], rng.uniform(-1.5, 1.5, p + q)))
+            jac = problem.jacobian(x, problem.residuals(x))
+            numeric = np.empty_like(jac)
+            for i in range(len(x)):
+                step = np.zeros_like(x)
+                step[i] = 1e-6 * max(1.0, abs(x[i]))
+                diff = problem.residuals(x + step) - problem.residuals(x - step)
+                numeric[i] = diff[problem.lo :] / (2 * step[i])
             scale = np.max(np.abs(numeric))
-            assert np.max(np.abs(grad - numeric)) <= 1e-6 * scale
+            assert np.max(np.abs(jac - numeric)) <= 1e-6 * scale
 
-    def test_bfgs_uses_the_exact_gradient(self, monkeypatch):
-        # A finite-difference gradient costs one extra objective call per
-        # parameter; with the exact one BFGS makes about one call per iteration.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=MAX_GRID_ORDER))
+    def test_transform_is_stationary(self, u):
+        # The roots of 1 - sum phi_k z^k lie outside the unit circle when
+        # those of z^p - sum phi_k z^(p-k), their reciprocals, lie inside.
+        # np.roots resolves a modulus of 1 - 1e-6 only roughly, so u stays
+        # where |r_k| = |tanh(u_k)| <= 0.995.
+        phi, _ = _pacf_transform(np.array(u))
+        assert np.all(np.abs(np.roots(np.concatenate(([1.0], -phi)))) < 1.0)
+        np.testing.assert_allclose(_pacf_transform(_pacf_inverse(phi))[0], phi, rtol=0.0, atol=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=MAX_GRID_ORDER))
+    def test_inverse_undoes_transform(self, u):
+        # The step-down divides by 1 - r_k^2 at each order, so u itself comes
+        # back to 1e-8 only while no r_k is close to +-1 (here |r_k| <= 0.965).
+        phi, _ = _pacf_transform(np.array(u))
+        np.testing.assert_allclose(_pacf_inverse(phi), u, rtol=0.0, atol=1e-8)
+
+    def test_inverse_refuses_a_boundary_polynomial(self):
+        assert _pacf_inverse(np.array([1.0])) is None
+        assert _pacf_inverse(np.array([0.0, -_BOUNDARY])) is None
+
+    @pytest.mark.parametrize("order,ar,ma", [((1, 1), [0.6], [0.3]), ((0, 2), [], [0.5, -0.3])])
+    def test_no_lower_ssr_from_nelder_mead(self, order, ar, ma):
+        # Independent oracle: Nelder-Mead on the CSS of (c, phi, theta), from
+        # random stationary and invertible starts, with its own residual
+        # recursion, finds no lower SSR than the fit.
         from scipy import optimize
 
-        minimize = optimize.minimize
-        calls = []
+        p, q = order
+        rng = np.random.default_rng(31 + p)
+        e = rng.normal(0.0, 1.0, 400)
+        y = np.zeros(400)
+        for t in range(2, 400):
+            y[t] = 2.0 + sum(a * y[t - 1 - i] for i, a in enumerate(ar)) + e[t]
+            y[t] += sum(m * e[t - 1 - j] for j, m in enumerate(ma))
+        y = y[200:]
+        fit = fit_arima(series(y), ArimaSpec(p, 0, q))
+        assert fit.converged and not fit.ma_boundary
+        ssr_fit = float(np.square(fit.residuals.to_array()).sum())
 
-        def spy(fun, x0, *args, **kwargs):
-            res = minimize(fun, x0, *args, **kwargs)
-            calls.append((kwargs.get("jac"), res))
-            return res
+        def inside(coeffs):
+            roots = np.roots(np.concatenate(([1.0], coeffs))[::-1]) if len(coeffs) else []
+            return bool(np.all(np.abs(roots) > 1.0))
 
-        monkeypatch.setattr(optimize, "minimize", spy)
-        y = 1400.0 + np.cumsum(np.random.default_rng(0).normal(8.0, 60.0, 48))
-        select_orders(difference(series(y)), 2, 2)
-        assert len(calls) == 6  # the (p, q) candidates with q >= 1
-        for jac, res in calls:
-            assert jac is True or callable(jac)
-            assert res.nfev <= 4 * (res.nit + 1), (res.nfev, res.nit)
+        def ssr(theta):
+            c, phi, th = theta[0], theta[1 : 1 + p], theta[1 + p :]
+            if not inside(-phi) or not inside(th):
+                return np.inf
+            resid = [0.0] * q
+            for t in range(p, len(y)):
+                value = y[t] - c - sum(phi[i] * y[t - 1 - i] for i in range(p))
+                resid.append(value - sum(th[j] * resid[-1 - j] for j in range(q)))
+            return float(np.square(resid[q:]).sum())
+
+        for _ in range(5):
+            while True:
+                start = np.concatenate(([y.mean() + rng.normal()], rng.uniform(-0.9, 0.9, p + q)))
+                if np.isfinite(ssr(start)):
+                    break
+            res = optimize.minimize(ssr, start, method="Nelder-Mead",
+                                    options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000})
+            assert res.fun >= ssr_fit * (1.0 - 1e-8), (res.fun, ssr_fit)
+
+    def test_order_search_leaves_scipy_optimize_unloaded(self):
+        src = Path(crimecast.__file__).parents[1]
+        code = (
+            "import sys; import numpy as np\n"
+            "from crimecast.arima import select_orders\n"
+            "from crimecast.series import Quarter, TimeSeries\n"
+            "w = np.random.default_rng(0).normal(8.0, 60.0, 48)\n"
+            "select_orders(TimeSeries('d', Quarter(2007, 1), tuple(w)), 2, 2)\n"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.signal') if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              check=True, timeout=120)
+        assert done.stdout.splitlines() == ["['scipy.linalg']"]
 
 
 class TestForecast:
@@ -205,6 +277,18 @@ class TestSelectOrders:
     def test_grid_bound(self):
         with pytest.raises(InvalidArgumentError):
             select_orders(series(np.arange(50.0)), 6, 0)
+
+    def test_boundary_candidates_dropped_and_counted(self, caplog):
+        # On this differenced walk the (1,1), (1,2), (2,1) and (2,2) fits stop
+        # with an MA root on the unit circle, where their CSS AIC undercuts
+        # every interior fit; kept, they would move the choice off (0,0).
+        y = 1400.0 + np.cumsum(np.random.default_rng(2).normal(8.0, 60.0, 48))
+        w = difference(series(y))
+        assert [fit_arima(w, ArimaSpec(p, 0, q), _burn=2).ma_boundary for p, q in ((1, 1), (2, 2))] == [True, True]
+        with caplog.at_level(logging.INFO, logger="crimecast.arima"):
+            spec = select_orders(w, 2, 2)
+        assert (spec.p, spec.q) == (0, 0)
+        assert "after dropping 4 MA boundary and 0 unconverged candidates" in caplog.text
 
     def test_differenced_drift_walk_mostly_zero(self):
         hits = 0

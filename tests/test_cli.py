@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import crimecast
-from crimecast import geo, regression
+from crimecast import arima, geo, regression
 from crimecast.cli import EXIT_INPUT_ERROR, EXIT_MODEL_ERROR, EXIT_OK, PipelineConfig, UsageError, load_config, main
 from crimecast.signals import load_articles
 
@@ -687,7 +687,23 @@ class TestModel1Readings:
         assert summary["order"][1] == 1
 
 
-    def test_unconverged_model1_exits_1_without_report(self, tmp_path, capsys):
+    def test_boundary_model1_is_reported_not_failed(self, tmp_path, capsys):
+        # The CSS optimum of the fixture's ARIMA(1,1,1) has its MA root on the
+        # unit circle: the fit stops there and says so.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(absolute_config(arima_order=[1, 1, 1])))
+        out = tmp_path / "out"
+        code = main(["fit-forecast", "--config", str(path), "--output-dir", str(out), "--models", "1,2"])
+        assert code == EXIT_OK, capsys.readouterr().err
+        summary = json.loads((out / "arima_model1.json").read_text())
+        assert summary["converged"] is True and summary["ma_boundary"] is True
+        assert summary["ma_coeffs"][0] == pytest.approx(-1.0, abs=1e-3)
+        assert main(["diagnose", "--config", str(path), "--output-dir", str(out)]) == EXIT_OK
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert payload["model1_converged"] is True and payload["model1_ma_boundary"] is True
+
+    def test_unconverged_model1_exits_1_without_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(arima, "_MAX_ITER", 2)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(absolute_config(arima_order=[5, 2, 5])))
         out = tmp_path / "out"
@@ -711,8 +727,10 @@ class TestOtherCommands:
         assert payload["adf"]["d_fbi_num_noseasonnal"]["p_value"] < 0.05
         assert 0.0 <= payload["model1_residual_durbin_watson"] <= 4.0
         assert payload["model1_converged"] is True
+        assert payload["model1_ma_boundary"] is False
 
-    def test_diagnose_flags_an_unconverged_model1(self, tmp_path):
+    def test_diagnose_flags_an_unconverged_model1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(arima, "_MAX_ITER", 2)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(absolute_config(arima_order=[5, 2, 5])))
         assert main(["diagnose", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
@@ -750,8 +768,8 @@ loaded()
 def test_commands_import_only_the_scipy_they_call(tmp_path):
     """Importing the CLI loads no scipy, `detect`, `signals`,
     `evaluate-detector` and `decompose` call none, and the fixture
-    `fit-forecast` of all seven models (drift: no MA term, so no BFGS and no
-    MA filter) loads neither scipy.stats, scipy.signal nor scipy.optimize."""
+    `fit-forecast` of all seven models (drift: no MA term, so no CSS solver
+    and no MA filter) loads neither scipy.stats, scipy.signal nor scipy.optimize."""
     env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(CONFIG), str(tmp_path)],
