@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import detector as detector_mod
 from . import evaluation, geo, signals as signals_mod, stattests
@@ -220,29 +221,44 @@ def _detector(config: PipelineConfig) -> detector_mod.BaselineModel:
     return _load(detector_mod.BaselineModel.from_json, path, "detector model")
 
 
-def _labeled(config: PipelineConfig, resolve: bool = False) -> signals_mod.Corpus:
-    """Load the articles and label them from the configured detector source;
-    with `resolve`, fill in missing state fields through the gazetteer (the
-    bundled mini-gazetteer when none is configured). Either source resolves
-    from one token pass, the baseline detector from the tokens it scores."""
-    corpus = _load(signals_mod.load_articles, config.articles, "articles")
-    if config.detector_source == "baseline":
-        model = _detector(config)
-    elif None in corpus.predicted:
-        missing = corpus.predicted.count(None)
-        first = corpus.ids[corpus.predicted.index(None)]
-        raise UsageError(f"precomputed labels requested but {missing} records lack predicted_label (first: {first!r})")
-    gaz = None
-    if resolve and None in corpus.states:
-        gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
+def _articles(chunks: Iterator[signals_mod.Corpus]) -> Iterator[signals_mod.Corpus]:
+    """`read_articles` chunks; a fault in the file is a UsageError when its chunk is read."""
     try:
-        if config.detector_source == "baseline":
-            return detector_mod.classify_corpus(model, corpus, gaz)[0]
-        if gaz is None:
-            return corpus
-        return replace(corpus, states=[state for _, state in geo.corpus_tokens(corpus, gaz)])
-    except InvalidArgumentError as exc:
-        raise UsageError(f"{config.articles}: {exc}") from exc
+        yield from chunks
+    except (CrimecastError, OSError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _labeled(config: PipelineConfig, resolve: bool = False) -> Iterator[signals_mod.Corpus]:
+    """The articles a chunk at a time, labeled from the configured source;
+    with `resolve`, missing states come from the gazetteer (by default the
+    bundled one). The baseline model is ready before the file is read; a
+    fault of this stage (missing labels, the gazetteer, a blank text, in
+    that order) is held until the file has been read without a fault."""
+    chunks = _articles(_load(signals_mod.read_articles, config.articles, "articles"))
+    model = _detector(config) if config.detector_source == "baseline" else None
+    missing, first, gaz, fault = 0, None, None, None
+    for chunk in chunks:
+        if model is None and None in chunk.predicted:
+            missing += chunk.predicted.count(None)
+            first = first or chunk.ids[chunk.predicted.index(None)]
+        if missing or fault:
+            continue
+        try:
+            if resolve and gaz is None and None in chunk.states:
+                gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
+            if model is not None:
+                chunk = detector_mod.classify_corpus(model, chunk, gaz)[0]
+            elif gaz is not None:
+                chunk = replace(chunk, states=[state for _, state in geo.corpus_tokens(chunk, gaz)])
+        except CrimecastError as exc:  # the gazetteer's UsageError, or a blank text
+            fault = exc if isinstance(exc, UsageError) else UsageError(f"{config.articles}: {exc}")
+        else:
+            yield chunk
+    if missing:
+        raise UsageError(f"precomputed labels requested but {missing} records lack predicted_label (first: {first!r})")
+    if fault:
+        raise fault
 
 
 def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:
@@ -403,25 +419,31 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
 
 
 def cmd_detect(config: PipelineConfig) -> None:
-    labeled = _labeled(config)
-    signals_mod.write_articles(labeled, config.output_dir / "articles_labeled.jsonl")
-    positives = labeled.predicted.count(signals_mod.LABEL_POSITIVE)
+    partial = config.output_dir / f".articles_labeled.jsonl.{os.getpid()}.tmp"
+    total = positives = 0
+    try:
+        with partial.open("w") as fh:
+            for chunk in _labeled(config):
+                signals_mod.write_articles(chunk, fh)
+                total, positives = total + len(chunk), positives + chunk.predicted.count(signals_mod.LABEL_POSITIVE)
+        os.replace(partial, config.output_dir / "articles_labeled.jsonl")
+    finally:
+        partial.unlink(missing_ok=True)
     summary = {
         "source": config.detector_source,
-        "total": len(labeled),
+        "total": total,
         "hate_crime": positives,
-        "not_hate_crime": len(labeled) - positives,
+        "not_hate_crime": total - positives,
     }
     write_json(summary, config.output_dir / "detection_summary.json")
-    print(f"detect: labeled {len(labeled)} articles ({positives} hate_crime)")
+    print(f"detect: labeled {total} articles ({positives} hate_crime)")
 
 
 def cmd_signals(config: PipelineConfig) -> None:
-    labeled = _labeled(config, resolve=True)
-    signals = signals_mod.aggregate_by_state(labeled, _span(config))
+    signals = signals_mod.aggregate_by_state(_labeled(config, resolve=True), _span(config))
     signals_mod.write_signals_csv(signals.national, config.output_dir / "signals_national.csv")
     signals_mod.write_state_signals_csv(signals, config.output_dir / "signals_by_state.csv")
-    if not labeled:
+    if not signals.national.unit_names:
         print("signals: no records; wrote header-only CSVs")
     else:
         print(f"signals: {len(signals.by_state.unit_names)} states, unknown share {signals.unknown_share:.4f}")
@@ -477,14 +499,18 @@ def cmd_fit_forecast(config: PipelineConfig) -> None:
 
 
 def cmd_evaluate_detector(config: PipelineConfig) -> None:
-    corpus = _load(signals_mod.load_articles, config.articles, "articles")
-    gold = [i for i, label in enumerate(corpus.gold) if label is not None]
-    if not gold:
+    labels = (None, *signals_mod.LABELS)
+    gold, predicted, first = bytearray(), bytearray(), None
+    for chunk in _articles(_load(signals_mod.read_articles, config.articles, "articles")):
+        gold += bytes(map(labels.index, chunk.gold))
+        predicted += bytes(map(labels.index, chunk.predicted))
+        first = first or next((i for i, g, p in zip(chunk.ids, chunk.gold, chunk.predicted) if g and not p), None)
+    if not any(gold):
         raise UsageError("no records carry gold labels")
-    missing = [corpus.ids[i] for i in gold if corpus.predicted[i] is None]
-    if missing:
-        raise UsageError(f"{len(missing)} gold-labeled records lack predictions (first: {missing[0]!r})")
-    metrics = detector_mod.evaluate([corpus.predicted[i] for i in gold], [corpus.gold[i] for i in gold])
+    if first is not None:
+        missing = sum(1 for g, p in zip(gold, predicted) if g and not p)
+        raise UsageError(f"{missing} gold-labeled records lack predictions (first: {first!r})")
+    metrics = detector_mod.evaluate([labels[p] for g, p in zip(gold, predicted) if g], [labels[g] for g in gold if g])
     payload = {"Precision": metrics.precision, "Recall": metrics.recall, "F1": metrics.f1, "counts": asdict(metrics.counts)}
     write_json(payload, config.output_dir / "detector_metrics.json")
     print(f"evaluate-detector: P={metrics.precision:.4f} R={metrics.recall:.4f} F1={metrics.f1:.4f}")

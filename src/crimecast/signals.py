@@ -1,17 +1,21 @@
 """Read and write article corpora as columns, and aggregate dated,
 classified articles into quarterly predictor series, nationally and per
-state."""
+state. A corpus is read, and can be aggregated, a chunk of at most
+`geo._CHUNK` articles at a time, so that no caller need hold its text."""
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from . import geo
 from .exceptions import InvalidArgumentError, decode_utf8
 from .geo import UNKNOWN_STATE, US_STATE_CODES
 from .reporting import write_csv
@@ -59,7 +63,7 @@ class ArticleRecord:
 @dataclass(frozen=True)
 class Corpus:
     """Articles as equal-length columns, one entry per article in file order;
-    indexing and iteration give `ArticleRecord` rows."""
+    iteration gives `ArticleRecord` rows."""
 
     ids: list[str]
     dates: list[dt.date]
@@ -90,13 +94,10 @@ class Corpus:
     def __iter__(self) -> Iterator[ArticleRecord]:
         return map(ArticleRecord, *self.columns())
 
-    def __getitem__(self, i: int) -> ArticleRecord:
-        return ArticleRecord(*(column[i] for column in self.columns()))
-
-
-def load_articles(path: str | Path) -> Corpus:
-    """Read a JSON-lines UTF-8 corpus, rejecting duplicate ids and a `state`
-    that is not null, a state code or UNKNOWN."""
+def read_articles(path: str | Path) -> Iterator[Corpus]:
+    """A JSON-lines UTF-8 corpus in file order, in chunks of at most
+    `geo._CHUNK` articles. A duplicate id (of any chunk), a `state` not null,
+    a state code or UNKNOWN, or another bad line raises naming `path:line`."""
     path = Path(path)
     columns: tuple[list, ...] = tuple([] for _ in fields(Corpus))
     ids, dates, titles, bodies, gold, predicted, states = columns
@@ -132,14 +133,26 @@ def load_articles(path: str | Path) -> Corpus:
             gold.append(labels[0])
             predicted.append(labels[1])
             states.append(state)
-    return Corpus(*columns)
+            if len(ids) == geo._CHUNK:
+                yield Corpus(*columns)
+                columns = tuple([] for _ in fields(Corpus))
+                ids, dates, titles, bodies, gold, predicted, states = columns
+    if ids:
+        yield Corpus(*columns)
 
 
-def write_articles(corpus: Corpus, path: str | Path) -> None:
+def load_articles(path: str | Path) -> Corpus:
+    """The whole corpus, the chunks of `read_articles` joined."""
+    chunks = [chunk.columns() for chunk in read_articles(path)] or [tuple([] for _ in fields(Corpus))]
+    return Corpus(*(list(chain.from_iterable(parts)) for parts in zip(*chunks)))
+
+
+def write_articles(corpus: Corpus, path: str | Path | TextIO) -> None:
     """One JSON object per line, as `json.dumps` writes it: the same string
-    encoder and separators, without building a dict per article."""
+    encoder and separators, without building a dict per article. `path` may
+    be a text file open for writing, to which the lines are appended."""
     enc = json.encoder.encode_basestring_ascii
-    with Path(path).open("w") as fh:
+    with Path(path).open("w") if isinstance(path, (str, Path)) else nullcontext(path) as fh:
         for rid, date, title, body, gold, predicted, state in zip(*corpus.columns()):
             line = f'{{"id": {enc(rid)}, "date": "{date.isoformat()}", "title": {enc(title)}, "body": {enc(body)}'
             if gold is not None:
@@ -151,30 +164,41 @@ def write_articles(corpus: Corpus, path: str | Path) -> None:
             fh.write(line + "}\n")
 
 
-def _count(corpus: Corpus, span: tuple[Quarter, Quarter] | None) -> tuple[list, Quarter, np.ndarray]:
-    """The sorted states, the first quarter and the news and event counts
-    (states × quarters × 2) over the span (by default the first to the last
-    quarter with articles), in one bincount; a state outside the span keeps
-    a row."""
-    if None in corpus.predicted:
-        raise InvalidArgumentError(f"article {corpus.ids[corpus.predicted.index(None)]!r} has no predicted_label")
-    t = np.array([d.year * 4 + (d.month - 1) // 3 for d in corpus.dates], dtype=np.intp)
+def _count(articles: Corpus | Iterable[Corpus], span: tuple[Quarter, Quarter] | None, resolved: bool = False) -> tuple:
+    """The sorted states, the first quarter, the news and event counts
+    (states × quarters × 2) over the span (by default the quarters with
+    articles) and the UNKNOWN share, from one bincount of the int32 quarter
+    and state-code columns and positive flags each chunk is folded into; a
+    state outside the span keeps a row. Each article needs a predicted_label
+    and, when `resolved`, a state."""
+    code: dict[str | None, int] = {}
+    parts = [(np.zeros(0, np.int32),) * 2 + (np.zeros(0, bool),)]
+    for chunk in [articles] if isinstance(articles, Corpus) else articles:
+        if resolved and None in chunk.states:
+            raise InvalidArgumentError(f"article {chunk.ids[chunk.states.index(None)]!r} has no resolved state")
+        if None in chunk.predicted:
+            raise InvalidArgumentError(f"article {chunk.ids[chunk.predicted.index(None)]!r} has no predicted_label")
+        parts.append((
+            np.array([d.year * 4 + (d.month - 1) // 3 for d in chunk.dates], dtype=np.int32),
+            np.array([code.setdefault(state, len(code)) for state in chunk.states], dtype=np.int32),
+            np.array([label == LABEL_POSITIVE for label in chunk.predicted], dtype=bool),
+        ))
+    t, codes, positive = (np.concatenate(column) for column in zip(*parts))
     if span is not None:
         lo, hi = (q.year * 4 + q.quarter - 1 for q in span)
     elif len(t):
         lo, hi = int(t.min()), int(t.max())
     else:
         raise InvalidArgumentError("no records and no explicit span to aggregate over")
-    states = sorted(set(corpus.states), key=str)
-    row = {state: i for i, state in enumerate(states)}
-    rows = np.array([row[state] for state in corpus.states], dtype=np.intp)
+    states = sorted(code, key=str)
+    rank = np.array([states.index(state) for state in code], dtype=np.intp)
     width = max(hi - lo + 1, 0)
     kept = (t >= lo) & (t <= hi)
-    cells = rows[kept] * width + (t[kept] - lo)
-    events = (np.array(corpus.predicted) == LABEL_POSITIVE)[kept]
+    cells = rank[codes[kept]] * width + (t[kept] - lo)
     size = len(states) * width
-    counts = np.stack([np.bincount(cells, minlength=size), np.bincount(cells, events, minlength=size)], axis=1)
-    return states, Quarter(lo // 4, lo % 4 + 1), counts.astype(float).reshape(len(states), width, 2)
+    counts = np.stack([np.bincount(cells, minlength=size), np.bincount(cells, positive[kept], minlength=size)], axis=1)
+    unknown = np.count_nonzero(codes == code[UNKNOWN_STATE]) / len(t) if UNKNOWN_STATE in code else 0.0
+    return states, Quarter(lo // 4, lo % 4 + 1), counts.astype(float).reshape(len(states), width, 2), unknown
 
 
 def _frame(units: Sequence[str], start: Quarter, counts: np.ndarray) -> PanelDataset:
@@ -194,14 +218,14 @@ def _summed(states: Sequence[str | None], start: Quarter, counts: np.ndarray) ->
     return _frame((NATIONAL,), start, counts.sum(axis=0, keepdims=True))
 
 
-def aggregate_quarterly(corpus: Corpus, span: tuple[Quarter, Quarter] | None = None) -> PanelDataset:
+def aggregate_quarterly(corpus: Corpus | Iterable[Corpus], span: tuple[Quarter, Quarter] | None = None) -> PanelDataset:
     """The national signal frame (unit NATIONAL): articles, detected events
-    and their ratio per quarter over the span.
+    and their ratio per quarter over the span, from a corpus or its chunks.
 
     Every article must carry a predicted_label; quarters without articles
     show zero counts. Articles outside an explicit span are ignored.
     """
-    return _summed(*_count(corpus, span))
+    return _summed(*_count(corpus, span)[:3])
 
 
 @dataclass(frozen=True)
@@ -215,15 +239,13 @@ class StateSignals:
     unknown_share: float
 
 
-def aggregate_by_state(corpus: Corpus, span: tuple[Quarter, Quarter] | None = None) -> StateSignals:
-    """Aggregate per (state, quarter); articles must carry a resolved state.
-    The articles are counted once; the national frame sums the states."""
-    if None in corpus.states:
-        raise InvalidArgumentError(f"article {corpus.ids[corpus.states.index(None)]!r} has no resolved state")
-    states, start, counts = _count(corpus, span)
+def aggregate_by_state(corpus: Corpus | Iterable[Corpus], span: tuple[Quarter, Quarter] | None = None) -> StateSignals:
+    """Aggregate a corpus or its chunks per (state, quarter); articles must
+    carry a resolved state. The articles are counted once; the national
+    frame sums the states."""
+    states, start, counts, unknown_share = _count(corpus, span, resolved=True)
     known = [i for i, state in enumerate(states) if state != UNKNOWN_STATE]
     by_state = _frame([states[i] for i in known], start, counts[known])
-    unknown_share = corpus.states.count(UNKNOWN_STATE) / len(corpus) if len(corpus) else 0.0
     return StateSignals(_summed(states, start, counts), by_state, unknown_share)
 
 

@@ -63,14 +63,15 @@ def test_hooks_fill_the_layer_metrics_of_a_fixture_run(tmp_path):
     metrics = tracing.layer_metrics(tracer.spans, counts, time.perf_counter() - start)
     assert metrics["regression.dataset.s"] > 0.0
     assert metrics["panel.load.s"] > 0.0
-    # `signals` loads the training corpus (to train the missing model) and
-    # the articles, and classifies the articles; `fit-forecast` loads the
-    # articles once more. The hooks count `len()` of each load and of the
-    # labeled corpus.
+    # `signals` loads the training corpus whole (to train the missing model)
+    # and classifies the articles chunk by chunk as it reads them;
+    # `fit-forecast` reads the articles the same way, so neither reaches
+    # `load_articles` for them. The hooks count `len()` of each load and of
+    # each labeled chunk.
     def articles(key):
         return sum(1 for line in Path(raw[key]).read_text().splitlines() if line.strip())
 
-    assert metrics["signals.load_articles.calls"] == 3
-    assert metrics["signals.records_loaded"] == 2 * articles("articles") + articles("detector_train")
+    assert metrics["signals.load_articles.calls"] == 1
+    assert metrics["signals.records_loaded"] == articles("detector_train")
     assert metrics["detector.records_classified"] == articles("articles") > 0
     assert {name: value for name, value in metrics.items() if name.endswith(".errors") and value} == {}

@@ -538,6 +538,106 @@ class TestDetect:
         assert all(r.predicted_label is not None for r in labeled)
 
 
+@pytest.fixture
+def chunks_of_3(monkeypatch):
+    """Articles are read, labeled and counted three at a time, so the
+    fixture corpus crosses 631 chunk boundaries."""
+    monkeypatch.setattr(geo, "_CHUNK", 3)
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.usefixtures("chunks_of_3")
+class TestChunkedPass:
+    ARTICLE = TestMalformedInput.ARTICLE
+    UNLABELED = '{"id": "%s", "date": "2010-01-01", "title": "t", "body": "b"}'
+
+    def test_outputs_match_the_goldens(self, tmp_path):
+        goldens = {
+            ("signals",): ("signals_national.csv", "signals_by_state.csv"),
+            ("fit-forecast", "--models", "1,2,3,4,5"): ("report.json", "predictions_long.csv"),
+            ("fit-forecast", "--models", "6,7"): ("panel_report.json",),
+            ("evaluate-detector",): ("detector_metrics.json",),
+        }
+        for i, ((command, *extra), names) in enumerate(goldens.items()):
+            out = tmp_path / str(i)
+            assert run(command, "--output-dir", str(out), *extra) == EXIT_OK
+            for name in names:
+                assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_baseline_labels_match_one_chunk(self, tmp_path, monkeypatch):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(absolute_config(detector_source="baseline", detector_model=str(tmp_path / "m.json"))))
+        assert main(["detect", "--config", str(config), "--output-dir", str(tmp_path / "3")]) == EXIT_OK
+        monkeypatch.setattr(geo, "_CHUNK", 4096)
+        assert main(["detect", "--config", str(config), "--output-dir", str(tmp_path / "4096")]) == EXIT_OK
+        for name in ("articles_labeled.jsonl", "detection_summary.json"):
+            assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "4096" / name).read_bytes()
+
+    def test_duplicate_id_across_a_chunk_boundary_names_the_later_line(self, tmp_path, capsys):
+        articles = write_lines(tmp_path / "a.jsonl", [self.ARTICLE % f"a{i}" for i in range(1, 5)] + [self.ARTICLE % "a2"])
+        assert run("detect", "--output-dir", str(tmp_path / "out"), "--articles", str(articles)) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {articles.resolve()}:5: duplicate article id 'a2'\n"
+
+    def test_file_fault_in_the_last_chunk_wins_over_a_blank_text_in_the_first(self, tmp_path, capsys):
+        blank = json.dumps({"id": "blank", "date": "2010-01-01", "title": "", "body": "", "predicted_label": "hate_crime"})
+        lines = [blank] + [self.ARTICLE % f"a{i}" for i in range(1, 6)]
+        articles = write_lines(tmp_path / "a.jsonl", lines)
+        assert run("signals", "--output-dir", str(tmp_path / "out"), "--articles", str(articles)) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {articles.resolve()}: article 'blank': text must be nonempty\n"
+        write_lines(articles, lines + ["{"])
+        assert run("signals", "--output-dir", str(tmp_path / "out"), "--articles", str(articles)) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {articles.resolve()}:7: invalid JSON\n"
+
+    def test_missing_labels_are_counted_over_every_chunk(self, tmp_path, capsys):
+        ids = ["a1", "x1", "a2", "a3", "a4", "x2", "x3"]
+        articles = write_lines(tmp_path / "a.jsonl", [(self.UNLABELED if i[0] == "x" else self.ARTICLE) % i for i in ids])
+        assert run("signals", "--output-dir", str(tmp_path / "out"), "--articles", str(articles)) == EXIT_INPUT_ERROR
+        message = "precomputed labels requested but 3 records lack predicted_label (first: 'x1')"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_missing_predictions_are_counted_over_every_chunk(self, tmp_path, capsys):
+        gold = '{"id": "%s", "date": "2010-01-01", "title": "t", "body": "b", "gold_label": "hate_crime"}'
+        lines = [self.ARTICLE % "a1", self.ARTICLE[:-1] % "a2" + ', "gold_label": "hate_crime"}', gold % "g1"]
+        articles = write_lines(tmp_path / "a.jsonl", lines + [self.UNLABELED % f"u{i}" for i in range(3)] + [gold % "g2"])
+        code = run("evaluate-detector", "--output-dir", str(tmp_path / "out"), "--articles", str(articles))
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: 2 gold-labeled records lack predictions (first: 'g1')\n"
+
+    def test_detect_writes_its_output_whole_or_not_at_all(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        articles = write_lines(tmp_path / "a.jsonl", [self.ARTICLE % f"a{i}" for i in range(1, 5)] + ["{"])
+        assert run("detect", "--output-dir", str(out), "--articles", str(articles)) == EXIT_INPUT_ERROR
+        assert list(out.iterdir()) == []
+        assert run("detect", "--output-dir", str(out)) == EXIT_OK
+        labeled = (out / "articles_labeled.jsonl").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == ["articles_labeled.jsonl", "detection_summary.json"]
+        assert run("detect", "--output-dir", str(out), "--articles", str(articles)) == EXIT_INPUT_ERROR
+        assert sorted(p.name for p in out.iterdir()) == ["articles_labeled.jsonl", "detection_summary.json"]
+        assert (out / "articles_labeled.jsonl").read_bytes() == labeled
+
+
+def test_baseline_model_is_ready_before_the_articles_are_read(tmp_path, capsys):
+    """The baseline model loads, or trains and is saved, before the article
+    file is read: a missing model is written even when the file then fails,
+    and a model fault wins over a fault in the file."""
+    articles = write_lines(tmp_path / "a.jsonl", [TestMalformedInput.ARTICLE % "a1", "{"])
+    model = tmp_path / "model.json"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(absolute_config(detector_source="baseline", detector_model=str(model))))
+    argv = ["detect", "--config", str(config), "--output-dir", str(tmp_path / "out"), "--articles", str(articles)]
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {articles.resolve()}:2: invalid JSON\n"
+    assert model.exists()
+    model.write_text("[1, 2]")
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: model file {model} must hold a JSON object\n"
+
+
 class TestSignals:
     def test_golden_csvs(self, tmp_path):
         assert run("signals", "--output-dir", str(tmp_path)) == EXIT_OK
@@ -783,3 +883,48 @@ def test_commands_import_only_the_scipy_they_call(tmp_path):
     *before_fit, after_fit = steps
     assert before_fit == [[]] * 5
     assert not {"scipy.stats", "scipy.signal", "scipy.optimize"} & set(after_fit)
+
+
+# Runs `signals` in a fresh interpreter and prints its exit code and the
+# process's own peak RSS in kB. That is VmHWM, the high-water mark of the
+# memory map the interpreter runs in: `ru_maxrss` would also count the RSS
+# that the parent (here the test process) had when it started the child.
+_RSS_PROBE = """
+import re, sys
+import crimecast.cli
+code = crimecast.cli.main(["signals", *sys.argv[1:]])
+with open("/proc/self/status") as fh:
+    print(code, re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_signals_peak_memory_barely_grows_with_the_corpus(tmp_path):
+    """`signals` holds the text of one chunk at a time: from 4,000 to 40,000
+    articles its peak RSS grows by at most 0.25 MB per 1,000 articles. A
+    corpus held whole grows it by about 0.55 MB per 1,000 on these articles,
+    the id set of the duplicate check alone by about 0.15."""
+    env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
+    cities = ("Los Angeles", "Houston", "Buffalo", "Miami", "Chicago", "Seattle", "Atlanta")
+    peak_mb = {}
+    for n in (4_000, 40_000):
+        articles = tmp_path / f"{n}.jsonl"
+        with articles.open("w") as fh:
+            for i in range(n):
+                city = cities[i % len(cities)]
+                record = {
+                    "id": f"art{i:06d}",
+                    "date": f"{2007 + i % 13}-{1 + i % 12:02d}-15",
+                    "title": f"Report from {city}",
+                    "body": f"Police investigated a reported bias incident near {city} after witnesses described slurs.",
+                    "predicted_label": "hate_crime" if i % 5 == 0 else "not_hate_crime",
+                }
+                fh.write(json.dumps(record) + "\n")
+        argv = ["--config", str(CONFIG), "--output-dir", str(tmp_path / str(n)), "--articles", str(articles)]
+        proc = subprocess.run(
+            [sys.executable, "-c", _RSS_PROBE, *argv], capture_output=True, text=True, env=env, check=True, timeout=120
+        )
+        code, kb = proc.stdout.split()[-2:]
+        assert code == "0"
+        peak_mb[n] = int(kb) / 1024
+    assert (peak_mb[40_000] - peak_mb[4_000]) / 36 <= 0.25, peak_mb

@@ -147,7 +147,7 @@ class TestClassification:
         corpus = separable_corpus(seed=2)
         model = train_baseline(corpus, seed=2)
         train, _, _ = _split(len(corpus), 2)
-        positive = corpus[int(next(i for i in train if corpus.gold[i] == "hate_crime"))]
+        positive = list(corpus)[int(next(i for i in train if corpus.gold[i] == "hate_crime"))]
         assert model.score(positive) >= model.threshold
 
     def test_batch_equals_record_by_record(self):

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from crimecast import geo
 from crimecast.exceptions import InvalidArgumentError
 from crimecast.series import Quarter
 from crimecast.signals import (
@@ -15,6 +17,7 @@ from crimecast.signals import (
     aggregate_by_state,
     aggregate_quarterly,
     load_articles,
+    read_articles,
     write_articles,
 )
 
@@ -213,6 +216,11 @@ class TestAggregateByState:
             [ArticleRecord(f"r{i}", d, "t", "b", predicted_label=label, state=state) for i, (d, label, state) in enumerate(rows)]
         )
         out = aggregate_by_state(corpus, span)
+        # The same articles as a stream of chunks of 3 give the same frames.
+        chunks = (Corpus(*(column[i : i + 3] for column in corpus.columns())) for i in range(0, len(corpus), 3))
+        chunked = aggregate_by_state(chunks, span)
+        assert same_frame(chunked.national, out.national) and same_frame(chunked.by_state, out.by_state)
+        assert chunked.unknown_share == out.unknown_share
         cell = [(state, Quarter(d.year, (d.month - 1) // 3 + 1)) for d, _, state in rows]
         news = Counter(cell)
         events = Counter(c for c, (_, label, _) in zip(cell, rows) if label == "hate_crime")
@@ -310,6 +318,24 @@ class TestArticleIO:
         for name in ("ids", "dates", "titles", "bodies", "gold", "predicted", "states"):
             assert getattr(back, name) == getattr(corpus, name), name
         assert list(back) == list(corpus)
+
+    def test_chunks_of_at_most_chunk_articles(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(geo, "_CHUNK", 3)
+        records = [rec(i) for i in range(7)]
+        path = tmp_path / "a.jsonl"
+        write_articles(Corpus.of(records), path)
+        path.write_text(path.read_text().replace("\n", "\n\n", 2))  # blank lines do not count
+        assert [chunk.ids for chunk in read_articles(path)] == [["r0", "r1", "r2"], ["r3", "r4", "r5"], ["r6"]]
+        assert list(load_articles(path)) == records
+
+    def test_duplicate_id_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(geo, "_CHUNK", 3)
+        path = tmp_path / "dup.jsonl"
+        write_articles(Corpus.of([rec(i) for i in range(4)] + [rec(1)]), path)
+        chunks = read_articles(path)
+        assert next(chunks).ids == ["r0", "r1", "r2"]
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(path))}:5: duplicate article id 'r1'$"):
+            next(chunks)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
