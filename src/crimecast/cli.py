@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -553,22 +554,29 @@ def _make_output_dir(path: Path) -> None:
         raise UsageError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a library warning as one stderr line that names no source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"seed": args.seed, "models": args.models}
     for key in ("output_dir", *_PATH_FLAGS):
         value = getattr(args, key)
         overrides[key] = None if value is None else str(Path(value).resolve())
-    try:
-        config = load_config(args.config, overrides)
-        _make_output_dir(config.output_dir)
-        _COMMANDS[args.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except CrimecastError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            config = load_config(args.config, overrides)
+            _make_output_dir(config.output_dir)
+            _COMMANDS[args.command](config)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        except CrimecastError as exc:
+            print(f"model error: {exc}", file=sys.stderr)
+            return EXIT_MODEL_ERROR
     return EXIT_OK
 
 

@@ -170,11 +170,8 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, names: list[str]) -> tuple[np.ndarra
     bad = [j for j in range(k) if diag[j] <= tol]
     if bad:
         raise CollinearityError([names[j] for j in bad])
-    from scipy import linalg  # deferred: cold start
-
-    beta_scaled = linalg.solve_triangular(r, q.T @ y)
-    beta = beta_scaled / norms
-    r_inv = linalg.solve_triangular(r, np.eye(k))
+    beta = np.linalg.solve(r, q.T @ y) / norms
+    r_inv = np.linalg.inv(r)
     xtx_inv = (r_inv @ r_inv.T) / np.outer(norms, norms)
     return beta, xtx_inv
 

@@ -1,10 +1,10 @@
 """The one float writer for every report file, JSON and CSV.
 
 Report floats carry 10 significant digits. The last digits of a fitted
-statistic or a p-value depend on the numpy, scipy and BLAS build (a Hausman
-statistic moves by an ulp or two with the linear-algebra kernels, an F or t
-survival function by up to 5e-14 relative), so digits below 10 would make the
-reports differ between builds. At 10 digits reruns are byte-identical and the
+statistic depend on the numpy and BLAS build (a Hausman statistic moves by an
+ulp or two with the linear-algebra kernels), and so do those of its p-value.
+`stattests` computes p-values with `math`, so no scipy build enters them.
+Digits below 10 would make the reports differ between builds. At 10 digits reruns are byte-identical and the
 golden reports hold across builds. A float stays a float (`1.0` is written
 `1.0`), and ints, bools, strings and NaN are written as before. The one
 exception to 10 digits is a value within half a 10-digit step of the largest

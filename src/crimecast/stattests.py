@@ -1,16 +1,17 @@
 """Hypothesis tests and diagnostics: ADF, Ljung-Box, Durbin-Watson, Hausman,
 Levene, paired t, and Cohen's kappa.
 
-All functions are pure. The test statistics are computed here; the p-values
-come from the survival functions in `scipy.special` (`chdtrc`, `fdtrc`,
-`stdtr`), the ufuncs behind `scipy.stats`' `chi2`, `f` and `t`. scipy is
-imported inside the function that first calls it (cold start): importing
-this module loads numpy only, as do the `detect`, `signals`, `decompose` and
-`evaluate-detector` commands.
+All functions are pure. The test statistics and their p-values are computed
+here with numpy and `math`; no scipy is loaded. The chi-square tail of an
+integer degree of freedom is a finite sum (Abramowitz and Stegun 1964,
+26.4.4-5). The t and F(1, nu) tails are one regularized incomplete beta
+function, evaluated by its continued fraction (Press et al., Numerical
+Recipes, 6.4).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,114 @@ _ADF_TABLE = np.array(
         [-3.43, -3.12, -2.86, -2.57, -0.44, -0.07, 0.23, 0.60],
     ]
 )
+
+
+def _chi2_sf(k: int, x: float) -> float:
+    """P(chi2_k > x) for an integer k >= 1 (Abramowitz and Stegun 26.4.4-5).
+
+    With lam = x / 2 it is erfc(sqrt(lam)) for odd k, plus exp(-lam) times
+    the sum of lam^s / Gamma(s + 1) over s = k/2 - 1, k/2 - 2, ... >= 0.
+    Every term is positive, so the relative error stays at a few ulps. From
+    x = 2,800 on, exp(-x/4) underflows and each term is taken in logs, at
+    about x * 1e-16 relative; only a k near x leaves such a tail above 0.
+    """
+    if not x > 0.0:
+        return 1.0
+    lam = 0.5 * x
+    s = 0.5 * (k % 2)
+    p = math.erfc(math.sqrt(lam)) if s else 0.0
+    if lam < 1400.0:
+        # exp(-lam / 2) is a normal double, and so is each term times it.
+        half = math.exp(-0.5 * lam)
+        term, total = half * (2.0 * math.sqrt(lam / math.pi) if s else 1.0), 0.0
+        while s < 0.5 * k:
+            total += term
+            s += 1.0
+            term *= lam / s
+        return min(p + total * half, 1.0)
+    log_lam = math.log(lam)
+    while s < 0.5 * k:
+        p += math.exp(s * log_lam - lam - math.lgamma(s + 1.0))
+        s += 1.0
+    return min(p, 1.0)
+
+
+def _expansion_coefficients(b: float, n: int) -> tuple[float, ...]:
+    """p_0..p_{n-1} of the large-a expansion of I_x(a, b) (DiDonato and
+    Morris 1992, eq. 9.3)."""
+    p = [1.0]
+    for j in range(1, n):
+        s = sum((m * b - j) * p[j - m] / math.factorial(2 * m + 1) for m in range(1, j))
+        p.append(s / j + (b - 1.0) / math.factorial(2 * j + 1))
+    return tuple(p)
+
+
+_HALF_EXPANSION = _expansion_coefficients(0.5, 16)  # its domain below needs at most 10
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction cf of I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * cf,
+    by the modified Lentz method (Numerical Recipes 6.4). It converges fast
+    for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    h = d = 1.0 / d
+    for m in range(1, 10_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 3e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _t2_sf(nu: int, t2: float) -> float:
+    """P(T^2 > t2) for T ~ t(nu), which is also P(F(1, nu) > t2).
+
+    It is I_x(a, 1/2) with a = nu/2 and x = nu / (nu + t2), and log x is
+    -log1p(t2/nu). 1/B(a, 1/2) comes from the recurrence
+    1/B(a+1, 1/2) = 1/B(a, 1/2) (2a+1)/(2a), from 1/pi at a = 1/2 or 1/2 at
+    a = 1: a difference of lgamma values near nu = 6,000 would cost 1e-11
+    relative. When x is near 1 the continued fraction loses about nu/t2
+    ulps to cancellation, so for nu >= 30 and 1 - x <= 0.3 the tail comes
+    from the expansion in 1/a of DiDonato and Morris (1992, section 9),
+    which at b = 1/2 starts from erfc. For nu < 30 and a small t2 it is the
+    complement of I_{1-x}(1/2, a), which is then at least 0.08.
+    """
+    if not t2 > 0.0:
+        return 1.0
+    a = 0.5 * nu
+    inv_beta = 0.5 if nu % 2 == 0 else 1.0 / math.pi
+    for m in range(2 - nu % 2, nu, 2):
+        inv_beta *= (m + 1.0) / m
+    log_x = -math.log1p(t2 / nu)
+    y = 1.0 / (1.0 + nu / t2)  # 1 - x, also for a t2 of any size
+    if nu >= 30 and y <= 0.3:
+        # Sum p_n J_n with J_0 = Q(1/2, u) = erfc(sqrt(u)) and J_n from J_{n-1}
+        # (their eq. 9.6), each J_n scaled by u^(1/2) e^-u / Gamma(1/2).
+        a_eff = a - 0.25
+        u = -a_eff * log_x
+        h = math.sqrt(u / math.pi) * math.exp(-u)
+        j = math.erfc(math.sqrt(u))
+        total, lxp, b2n = j, 1.0, 0.5
+        for p_n in _HALF_EXPANSION[1:]:
+            j = (b2n * (b2n + 1.0) * j + (u + b2n + 1.0) * lxp * h) / (4.0 * a_eff * a_eff)
+            lxp *= 0.25 * log_x * log_x
+            b2n += 2.0
+            total += p_n * j
+            if abs(p_n * j) <= 1e-17 * total:
+                break
+        return min(math.sqrt(math.pi / a_eff) * inv_beta * total, 1.0)
+    front = math.exp(a * log_x) * math.sqrt(y) * inv_beta
+    if t2 * (nu + 2.0) > 3.0 * nu:  # x < (a + 1) / (a + 3/2): the tail itself
+        return min(front * _beta_cf(a, 0.5, nu / (nu + t2)) / a, 1.0)
+    return 1.0 - front * _beta_cf(0.5, a, y) / 0.5
 
 
 def _ols_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -159,10 +268,7 @@ def ljung_box(series: TimeSeries, lags: int) -> TestResult:
     for k in range(1, lags + 1):
         q += r[k] ** 2 / (n - k)
     q *= n * (n + 2)
-    from scipy import special  # deferred: cold start
-
-    p = float(special.chdtrc(lags, q))
-    return TestResult(statistic=float(q), p_value=p, dof_or_lags=lags, detail=f"chi2({lags})")
+    return TestResult(statistic=float(q), p_value=_chi2_sf(lags, q), dof_or_lags=lags, detail=f"chi2({lags})")
 
 
 def durbin_watson(residuals: Sequence[float]) -> float:
@@ -207,12 +313,9 @@ def hausman_test(
         rank = int(np.linalg.matrix_rank(v))
         h = float(d @ np.linalg.pinv(v) @ d)
         detail = f"chi2({k}); variance difference not positive definite, pseudo-inverse used (rank {rank})"
-    from scipy import special  # deferred: cold start
-
     # The pseudo-inverse can give a small negative H; its p-value is 1, as
-    # for any statistic at or below the chi-square support (chdtrc is NaN).
-    p = float(special.chdtrc(k, max(h, 0.0)))
-    return TestResult(statistic=h, p_value=p, dof_or_lags=k, detail=detail)
+    # for any statistic at or below the chi-square support.
+    return TestResult(statistic=h, p_value=_chi2_sf(k, h), dof_or_lags=k, detail=detail)
 
 
 def levene_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
@@ -232,11 +335,9 @@ def levene_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     den = float(np.sum((za - za.mean()) ** 2) + np.sum((zb - zb.mean()) ** 2))
     if den == 0.0:
         raise DegenerateInputError("zero within-group spread in both groups")
-    w = num / den
-    from scipy import special  # deferred: cold start
-
-    p = float(special.fdtrc(1, dof, w))
-    return TestResult(float(w), p, dof, detail=f"F(1,{dof}), mean-centered")
+    w = float(num / den)
+    # An F(1, nu) variable is the square of a t(nu) one.
+    return TestResult(w, _t2_sf(dof, w), dof, detail=f"F(1,{dof}), mean-centered")
 
 
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
@@ -253,10 +354,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     if sd == 0.0:
         raise DegenerateInputError("differences have zero variance")
     t = float(d.mean() / (sd / np.sqrt(n)))
-    from scipy import special  # deferred: cold start
-
-    p = float(2.0 * special.stdtr(n - 1, -abs(t)))
-    return TestResult(t, p, n - 1, detail=f"t({n - 1}), two-sided")
+    return TestResult(t, _t2_sf(n - 1, t * t), n - 1, detail=f"t({n - 1}), two-sided")
 
 
 def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> float:

@@ -856,23 +856,30 @@ def loaded():
     print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 import crimecast.cli
 loaded()
-config, out = sys.argv[1:]
-for command in ("detect", "signals", "evaluate-detector", "decompose"):
-    assert crimecast.cli.main([command, "--config", config, "--output-dir", out]) == 0
+out, *configs = sys.argv[1:]
+for config in configs:
+    for command in ("detect", "signals", "evaluate-detector", "decompose", "diagnose"):
+        assert crimecast.cli.main([command, "--config", config, "--output-dir", out]) == 0
+        loaded()
+    models = ["--models", "1,2,3,4,5,6,7"]
+    assert crimecast.cli.main(["fit-forecast", "--config", config, "--output-dir", out, *models]) == 0
     loaded()
-assert crimecast.cli.main(["fit-forecast", "--config", config, "--output-dir", out, "--models", "1,2,3,4,5,6,7"]) == 0
-loaded()
 """
 
 
 def test_commands_import_only_the_scipy_they_call(tmp_path):
-    """Importing the CLI loads no scipy, `detect`, `signals`,
-    `evaluate-detector` and `decompose` call none, and the fixture
-    `fit-forecast` of all seven models (drift: no MA term, so no CSS solver
-    and no MA filter) loads neither scipy.stats, scipy.signal nor scipy.optimize."""
+    """Importing the CLI loads no scipy, and neither does any of the six
+    commands on the fixture world, with Model 1 read as `drift` or as `ar1`:
+    only an MA term needs scipy (the banded solve of the MA filter), and the
+    p-values and least-squares solves use `math` and numpy."""
+    configs = []
+    for reading in ("drift", "ar1"):
+        path = tmp_path / f"{reading}.json"
+        path.write_text(json.dumps(absolute_config(arima_order=reading)))
+        configs.append(str(path))
     env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(CONFIG), str(tmp_path)],
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out"), *configs],
         capture_output=True,
         text=True,
         env=env,
@@ -880,9 +887,19 @@ def test_commands_import_only_the_scipy_they_call(tmp_path):
         timeout=120,
     )
     steps = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
-    *before_fit, after_fit = steps
-    assert before_fit == [[]] * 5
-    assert not {"scipy.stats", "scipy.signal", "scipy.optimize"} & set(after_fit)
+    assert steps == [[]] * 13
+
+
+def test_fit_forecast_stderr_names_no_source_line(tmp_path, capsys):
+    """A library warning reaches stderr as one `warning: ...` line; the
+    fixture panel's random-effects fit truncates sigma2_u."""
+    assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "1,2,3,4,5,6,7") == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "warning: negative sigma2_u estimate truncated at zero\n"
+    assert out == (
+        "fit-forecast: wrote report.json with 5 national model rows\n"
+        "fit-forecast: wrote panel_report.json with 2 panel model rows\n"
+    )
 
 
 # Runs `signals` in a fresh interpreter and prints its exit code and the

@@ -1,9 +1,13 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crimecast import stattests
 from crimecast.exceptions import DegenerateInputError, InvalidArgumentError
 from crimecast.series import acf
 from crimecast.stattests import (
@@ -201,50 +205,131 @@ class TestPairedT:
             paired_t_test([1.0, 2.0], [1.0])
 
 
-class TestPValueParity:
-    """Each p-value equals scipy.stats' survival function at the test's own
-    statistic, bit for bit, over statistics from 0 to very large."""
+_NUS = [*range(1, 61), 80, 199, 200, 999, 10_000]
+_T_GRID = [1e-8, 0.01, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0, 50.0, 1e3, 1e5, 1e8]
+
+
+def _bound(nu: int) -> float:
+    return 1e-13 if nu <= 1_000 else 5e-13
+
+
+def _assert_close(p: float, exact, bound: float = 1e-13) -> None:
+    """p is within `bound` relative of its exact value when that is at least
+    1e-300; below that p must be as small."""
+    exact = mpmath.mpf(exact)
+    if exact < 1e-300:
+        assert 0.0 <= p <= 1e-300
+    else:
+        assert abs(p - exact) <= bound * exact, (p, exact)
+
+
+def _chi2_oracle(k: int, x: float):
+    if x <= 0.0:
+        return mpmath.mpf(1)
+    return mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+
+
+def _t2_oracle(nu: int, t2):
+    """P(T^2 > t2) for T ~ t(nu), at the exact value of t2 (an mpf or float)."""
+    nu, t2 = mpmath.mpf(nu), mpmath.mpf(t2)
+    if t2 <= 0:
+        return mpmath.mpf(1)
+    return mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t2), regularized=True)
+
+
+class TestPValueAccuracy:
+    """Each p-value is its distribution's tail at the test's own statistic to
+    within 1e-13 relative (5e-13 above nu = 1,000), against mpmath at 50
+    digits or a closed form, over statistics from 0 to very large."""
+
+    @pytest.fixture(autouse=True)
+    def _fifty_digits(self):
+        with mpmath.workdps(50):
+            yield
 
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
     @pytest.mark.parametrize("h", [0.0, 1e-9, 0.5, 3.0, 40.0, 1e3, 1e12])
     def test_hausman(self, h, k):
         result = hausman_test(np.full(k, np.sqrt(h / k)), 2.0 * np.eye(k), np.zeros(k), np.eye(k))
-        assert result.p_value == scipy.stats.chi2.sf(result.statistic, k)
+        _assert_close(result.p_value, _chi2_oracle(k, result.statistic))
 
     def test_hausman_negative_statistic_has_p_one(self):
         result = hausman_test([1.0, 0.0], np.diag([1.0, 0.0]), [0.0, 0.0], np.diag([2.0, 0.0]))
         assert result.statistic == -1.0
-        assert result.p_value == 1.0 == scipy.stats.chi2.sf(-1.0, 2)
+        assert result.p_value == 1.0
+
+    def test_hausman_overflows_to_zero(self):
+        assert hausman_test([1e6], [[2.0]], [0.0], [[1.0]]).p_value == 0.0
 
     def test_ljung_box_zero_statistic(self):
         result = ljung_box(series([1.0, 0.0, -1.0, 0.0]), 1)
         assert result.statistic == 0.0
-        assert result.p_value == 1.0 == scipy.stats.chi2.sf(0.0, 1)
+        assert result.p_value == 1.0
 
     @pytest.mark.parametrize("lags", [1, 4, 10])
     @pytest.mark.parametrize("n", [12, 60, 400])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
     def test_ljung_box(self, alpha, n, lags):
         result = ljung_box(series(ar1(alpha, n, seed=n + lags)), lags)
-        assert result.p_value == scipy.stats.chi2.sf(result.statistic, lags)
+        _assert_close(result.p_value, _chi2_oracle(lags, result.statistic))
+
+    @pytest.mark.parametrize("k", [*range(1, 13), 20, 41])
+    def test_chi2_over_the_support(self, k):
+        for x in (1e-12, 0.1, 1.0, k - 1.0, k + 0.5, 3.0 * k, 100.0, 1e3, 1_399.0, 1_401.0, 2_900.0):
+            if x > 0.0:
+                _assert_close(stattests._chi2_sf(k, x), _chi2_oracle(k, x))
+
+    def test_chi2_two_closed_form(self):
+        for x in (1e-12, 0.3, 1.0, 2.0, 7.5, 60.0, 700.0, 1_300.0):
+            _assert_close(stattests._chi2_sf(2, x), mpmath.exp(-mpmath.mpf(x) / 2))
 
     @pytest.mark.parametrize("sizes", [(2, 3), (5, 9), (30, 30), (200, 150)])
     @pytest.mark.parametrize("scale", [1.0, 3.0, 1e6])
     def test_levene(self, rng, sizes, scale):
         result = levene_test(rng.normal(size=sizes[0]), scale * rng.normal(size=sizes[1]))
-        assert result.p_value == scipy.stats.f.sf(result.statistic, 1, result.dof_or_lags)
+        nu = result.dof_or_lags
+        _assert_close(result.p_value, _t2_oracle(nu, result.statistic), _bound(nu))
 
     def test_paired_t_zero_statistic(self):
         result = paired_t_test([1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0])
         assert result.statistic == 0.0
-        assert result.p_value == 1.0 == 2.0 * scipy.stats.t.sf(0.0, 3)
+        assert result.p_value == 1.0
 
     @pytest.mark.parametrize("n", [2, 5, 40, 1000])
     @pytest.mark.parametrize("shift", [0.1, 1.0, 1e6])
     def test_paired_t(self, rng, n, shift):
         b = rng.normal(size=n)
         result = paired_t_test(b + shift + rng.normal(size=n), b)
-        assert result.p_value == 2.0 * scipy.stats.t.sf(abs(result.statistic), n - 1)
+        _assert_close(result.p_value, _t2_oracle(n - 1, mpmath.mpf(result.statistic) ** 2), _bound(n - 1))
+
+    def test_paired_t_overflows_to_zero(self):
+        b = np.random.default_rng(3).normal(size=1000)
+        result = paired_t_test(b + 1e6 + np.random.default_rng(4).normal(size=1000), b)
+        assert result.p_value == 0.0
+
+    @pytest.mark.parametrize("nu", _NUS)
+    def test_t_tail_over_the_support(self, nu):
+        assert stattests._t2_sf(nu, 0.0) == 1.0
+        for t in _T_GRID:
+            _assert_close(stattests._t2_sf(nu, t * t), _t2_oracle(nu, mpmath.mpf(t * t)), _bound(nu))
+        # Either side of the switch to the large-nu expansion, at 1 - x = 0.3.
+        for t2 in (0.99 * 3 * nu / 7, 3 * nu / 7, 1.01 * 3 * nu / 7):
+            _assert_close(stattests._t2_sf(nu, t2), _t2_oracle(nu, t2), _bound(nu))
+
+    @pytest.mark.parametrize("nu", _NUS)
+    def test_t_tail_at_the_largest_statistics(self, nu):
+        # Below 1e-300 from nu = 3 on; t(1) and t(2) have tails of 1e-150 and 1e-300.
+        _assert_close(stattests._t2_sf(nu, 1e300), _t2_oracle(nu, 1e300), _bound(nu))
+        assert stattests._t2_sf(nu, math.inf) == 0.0
+
+    def test_t_one_and_two_closed_forms(self):
+        for t in (1e-8, 0.01, 0.5, 1.0, 3.0, 40.0, 1e4, 1e10, 1e150):
+            mt = mpmath.mpf(t * t) ** 0.5
+            # Two-sided: 1 - (2/pi) atan|t| for t(1), and for t(2)
+            # 1 - |t| / r = 2 / (r (r + |t|)) with r = sqrt(2 + t^2).
+            _assert_close(stattests._t2_sf(1, t * t), 2 / mpmath.pi * mpmath.atan(1 / mt))
+            r = mpmath.sqrt(2 + mt**2)
+            _assert_close(stattests._t2_sf(2, t * t), 2 / (r * (r + mt)))
 
 
 class TestKappa:

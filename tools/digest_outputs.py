@@ -14,11 +14,11 @@ and q 3) and [1, 1, 1], and `detector_source` baseline. `--fixture-only`
 runs the fixture configs alone.
 
 Every command runs in this process through `crimecast.cli.main`. The script
-prints one line per command, `<command key> exit <code> stdout <sha256>`,
-then one line per file under WORK, `<path relative to WORK> <sha256>`, the
-inputs it wrote included. Config files are left out, as they hold absolute
-paths, and so is stderr, where warnings name a source line. Run it at two
-commits with the same SEED and diff the printed lines.
+prints one line per command,
+`<command key> exit <code> stdout <sha256> stderr <sha256>`, then one line
+per file under WORK, `<path relative to WORK> <sha256>`, the inputs it wrote
+included. Config files are left out, as they hold absolute paths. Run it at
+two commits with the same SEED and diff the printed lines.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ def _sha256(data: bytes) -> str:
 
 
 def _run(main, key: str, argv: list[str]) -> None:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    print(f"{key} exit {code} stdout {_sha256(stdout.getvalue().encode())}")
+    print(f"{key} exit {code} stdout {_sha256(stdout.getvalue().encode())} stderr {_sha256(stderr.getvalue().encode())}")
 
 
 def _bench_worlds(main, run, work: Path, seed: int) -> None:
