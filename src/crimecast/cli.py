@@ -13,11 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from . import detector as detector_mod
 from . import evaluation, geo, signals as signals_mod, stattests
@@ -52,6 +55,9 @@ PANEL_DEPENDENT = "fbi_num"
 # searches (p, q) with d = 1.
 ARIMA_READINGS = {"drift": (0, 1, 0), "ar1": (1, 0, 0), "auto": None}
 DIAGNOSE_LAGS = 10
+# The fewest bytes of an article file that the corpus pass gives a forked
+# worker: below this, the fork and the merge cost more than the range saves.
+_MIN_RANGE_BYTES = 1 << 20
 
 
 class UsageError(CrimecastError):
@@ -198,14 +204,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
 # ------------------------------------------------------------------ stages
 
 
-def _load(loader, path: Path | None, what: str, **kwargs):
-    """`loader(path)` for a required input file; input problems exit 2."""
+def _input(path: Path | None, what: str) -> Path:
+    """`path` of a required input file; a missing one is an input error."""
     if path is None:
         raise UsageError(f"config is missing the {what} path")
     if not path.exists():
         raise UsageError(f"{what} file not found: {path}")
+    return path
+
+
+def _load(loader, path: Path | None, what: str, **kwargs):
+    """`loader(path)` for a required input file; input problems exit 2."""
     try:
-        return loader(path, **kwargs)
+        return loader(_input(path, what), **kwargs)
     except (CrimecastError, OSError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -230,14 +241,17 @@ def _articles(chunks: Iterator[signals_mod.Corpus]) -> Iterator[signals_mod.Corp
         raise UsageError(str(exc)) from exc
 
 
-def _labeled(config: PipelineConfig, resolve: bool = False) -> Iterator[signals_mod.Corpus]:
-    """The articles a chunk at a time, labeled from the configured source;
-    with `resolve`, missing states come from the gazetteer (by default the
-    bundled one). The baseline model is ready before the file is read; a
-    fault of this stage (missing labels, the gazetteer, a blank text, in
-    that order) is held until the file has been read without a fault."""
-    chunks = _articles(_load(signals_mod.read_articles, config.articles, "articles"))
-    model = _detector(config) if config.detector_source == "baseline" else None
+def _labeled(
+    config: PipelineConfig,
+    chunks: Iterator[signals_mod.Corpus],
+    model: detector_mod.BaselineModel | None,
+    resolve: bool,
+) -> Iterator[signals_mod.Corpus]:
+    """The article chunks labeled by `model`, or by their precomputed labels
+    without one; with `resolve`, missing states come from the gazetteer (by
+    default the bundled one). A fault of this stage (missing labels, the
+    gazetteer, a blank text, in that order) is held until the chunks have
+    been read without a fault."""
     missing, first, gaz, fault = 0, None, None, None
     for chunk in chunks:
         if model is None and None in chunk.predicted:
@@ -260,6 +274,123 @@ def _labeled(config: PipelineConfig, resolve: bool = False) -> Iterator[signals_
         raise UsageError(f"precomputed labels requested but {missing} records lack predicted_label (first: {first!r})")
     if fault:
         raise fault
+
+
+# A corpus pass folds the chunks of each range r of the article file into a
+# compact result: `fold(r, chunks)`.
+Fold = Callable[[int, Iterator[signals_mod.Corpus]], object]
+
+
+def _corpus_pass(config: PipelineConfig, fold: Fold, label: bool = True, resolve: bool = False) -> list:
+    """`fold(r, chunks)` of each line range r of the articles file, in file
+    order: the chunks `read_articles` reads from the range, labeled
+    (`_labeled`) unless `label` is false. The baseline model is ready before
+    the file is read. A small file is one range, folded here; a large one is
+    split (`_line_ranges`) and its ranges folded at once (`_split_pass`).
+    When a range faults, the whole file is folded here as one range, which
+    raises the fault as the serial pass does."""
+    path = _input(config.articles, "articles")
+    model = _detector(config) if label and config.detector_source == "baseline" else None
+
+    def chunks(start: int = 0, end: int | None = None) -> Iterator[signals_mod.Corpus]:
+        read = _articles(signals_mod.read_articles(path, start, end))
+        return _labeled(config, read, model, resolve) if label else read
+
+    ranges = _line_ranges(path)
+    if len(ranges) > 1 and (folds := _split_pass(ranges, fold, chunks)) is not None:
+        return folds
+    return [fold(0, chunks())]
+
+
+def _line_ranges(path: Path) -> list[tuple[int, int | None]]:
+    """The byte ranges of the corpus pass over `path`, each starting at a
+    line start: one per usable CPU when each holds at least
+    `_MIN_RANGE_BYTES` and processes can fork, else the whole file."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        size = path.stat().st_size
+        n = min(cpus, size // _MIN_RANGE_BYTES) if hasattr(os, "fork") else 1
+        if n < 2:
+            return [(0, None)]
+        starts = [0]
+        with path.open("rb") as fh:
+            for k in range(1, n):
+                fh.seek(size * k // n - 1)
+                fh.readline()
+                if starts[-1] < fh.tell() < size:
+                    starts.append(fh.tell())
+    except OSError:  # the serial pass reports it
+        return [(0, None)]
+    return list(zip(starts, [*starts[1:], None]))
+
+
+def _split_pass(ranges: list[tuple[int, int | None]], fold: Fold, chunks) -> list | None:
+    """The fold of each range, range 0 folded here and each other in a
+    forked worker at the same time; None when a range faults, a worker dies
+    or two ids share a hash (an id in two ranges, or a rare collision)."""
+    import multiprocessing
+
+    # Its fork start flushes stdout and stderr before each fork, so that no
+    # worker writes out what the command had buffered.
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for r, (start, end) in enumerate(ranges[1:], start=1):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_fold, args=(sender, fold, r, chunks(start, end)))
+            workers.append((worker, receiver))
+            with sender:  # the worker's end; the pipe reads EOF once the worker has closed it
+                worker.start()
+        folds = [_fold_range(fold, 0, chunks(*ranges[0]))]
+        for worker, receiver in workers:
+            if folds[-1] is None:
+                break
+            folds.append(_receive(worker, receiver))
+    except OSError:  # a worker could not be started, or its pipe broke
+        return None
+    finally:
+        for worker, receiver in workers:
+            if worker.pid is not None:  # started; a joined worker ignores the kill
+                worker.kill()
+                worker.join()
+            receiver.close()
+    if None in folds:
+        return None
+    hashes = np.sort(np.concatenate([h for _, h in folds]))  # np.unique can take 50 bytes an id
+    if np.any(hashes[1:] == hashes[:-1]):
+        return None
+    return [result for result, _ in folds]
+
+
+def _fold_range(fold: Fold, r: int, chunks: Iterator[signals_mod.Corpus]) -> tuple | None:
+    """`fold(r, chunks)` with the int64 `hash()` of each id of the chunks,
+    or None when the range faults."""
+    hashes = [np.zeros(0, np.int64)]
+
+    def hashed() -> Iterator[signals_mod.Corpus]:
+        for chunk in chunks:
+            hashes.append(np.fromiter(map(hash, chunk.ids), np.int64, len(chunk)))
+            yield chunk
+
+    try:
+        return fold(r, hashed()), np.concatenate(hashes)
+    except (CrimecastError, OSError):  # the serial pass raises it again, in its order
+        return None
+
+
+def _send_fold(sender, fold: Fold, r: int, chunks: Iterator[signals_mod.Corpus]) -> None:
+    """A forked worker: sends `_fold_range` of its range to the parent."""
+    sender.send(_fold_range(fold, r, chunks))
+
+
+def _receive(worker, receiver) -> tuple | None:
+    """What a worker sent, once it has exited normally; None otherwise."""
+    try:
+        folded = receiver.recv()
+    except EOFError:  # the worker died before it sent
+        return None
+    worker.join()
+    return folded if worker.exitcode == 0 else None
 
 
 def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:
@@ -421,15 +552,30 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
 
 def cmd_detect(config: PipelineConfig) -> None:
     partial = config.output_dir / f".articles_labeled.jsonl.{os.getpid()}.tmp"
-    total = positives = 0
-    try:
-        with partial.open("w") as fh:
-            for chunk in _labeled(config):
+
+    def part(r: int) -> Path:
+        """Where range r writes its lines; the parts follow range 0's in order."""
+        return partial if r == 0 else partial.with_name(f"{partial.name}.{r}")
+
+    def fold(r: int, chunks: Iterator[signals_mod.Corpus]) -> tuple[int, int]:
+        total = positives = 0
+        with part(r).open("w") as fh:
+            for chunk in chunks:
                 signals_mod.write_articles(chunk, fh)
                 total, positives = total + len(chunk), positives + chunk.predicted.count(signals_mod.LABEL_POSITIVE)
+        return total, positives
+
+    try:
+        counts = _corpus_pass(config, fold)
+        with partial.open("ab") as fh:
+            for r in range(1, len(counts)):
+                with part(r).open("rb") as src:
+                    shutil.copyfileobj(src, fh)
         os.replace(partial, config.output_dir / "articles_labeled.jsonl")
     finally:
-        partial.unlink(missing_ok=True)
+        for path in config.output_dir.glob(f"{partial.name}*"):
+            path.unlink(missing_ok=True)
+    total, positives = map(sum, zip(*counts))
     summary = {
         "source": config.detector_source,
         "total": total,
@@ -440,8 +586,14 @@ def cmd_detect(config: PipelineConfig) -> None:
     print(f"detect: labeled {total} articles ({positives} hate_crime)")
 
 
+def _tally(config: PipelineConfig, resolve: bool) -> signals_mod.Tally:
+    """The tally of the labeled articles; with `resolve`, each has a state."""
+    folds = _corpus_pass(config, lambda r, chunks: signals_mod.tally(chunks, resolve), resolve=resolve)
+    return signals_mod.merge_tallies(folds)
+
+
 def cmd_signals(config: PipelineConfig) -> None:
-    signals = signals_mod.aggregate_by_state(_labeled(config, resolve=True), _span(config))
+    signals = signals_mod.aggregate_by_state(_tally(config, resolve=True), _span(config))
     signals_mod.write_signals_csv(signals.national, config.output_dir / "signals_national.csv")
     signals_mod.write_state_signals_csv(signals, config.output_dir / "signals_by_state.csv")
     if not signals.national.unit_names:
@@ -486,11 +638,11 @@ def cmd_fit_forecast(config: PipelineConfig) -> None:
     # aggregated once, and the national signals of the event models are the
     # national part of the per-state aggregate when panel models run.
     event_models = any(m in EVENT_MODELS for m in national_ids)
-    labeled = _labeled(config, resolve=bool(panel_ids)) if panel_ids or event_models else None
-    state_signals = signals_mod.aggregate_by_state(labeled, _span(config)) if panel_ids else None
+    tally = _tally(config, resolve=bool(panel_ids)) if panel_ids or event_models else None
+    state_signals = signals_mod.aggregate_by_state(tally, _span(config)) if panel_ids else None
     national = None
     if event_models:
-        national = state_signals.national if state_signals else signals_mod.aggregate_quarterly(labeled, _span(config))
+        national = state_signals.national if state_signals else signals_mod.aggregate_quarterly(tally, _span(config))
     if national_ids:
         report = _national_report(config, national_ids, national)
         print(f"fit-forecast: wrote report.json with {len(report.rows)} national model rows")
@@ -501,11 +653,17 @@ def cmd_fit_forecast(config: PipelineConfig) -> None:
 
 def cmd_evaluate_detector(config: PipelineConfig) -> None:
     labels = (None, *signals_mod.LABELS)
-    gold, predicted, first = bytearray(), bytearray(), None
-    for chunk in _articles(_load(signals_mod.read_articles, config.articles, "articles")):
-        gold += bytes(map(labels.index, chunk.gold))
-        predicted += bytes(map(labels.index, chunk.predicted))
-        first = first or next((i for i, g, p in zip(chunk.ids, chunk.gold, chunk.predicted) if g and not p), None)
+
+    def fold(r: int, chunks: Iterator[signals_mod.Corpus]) -> tuple[bytearray, bytearray, str | None]:
+        gold, predicted, first = bytearray(), bytearray(), None
+        for chunk in chunks:
+            gold += bytes(map(labels.index, chunk.gold))
+            predicted += bytes(map(labels.index, chunk.predicted))
+            first = first or next((i for i, g, p in zip(chunk.ids, chunk.gold, chunk.predicted) if g and not p), None)
+        return gold, predicted, first
+
+    gold, predicted, firsts = zip(*_corpus_pass(config, fold, label=False))
+    gold, predicted, first = b"".join(gold), b"".join(predicted), next(filter(None, firsts), None)
     if not any(gold):
         raise UsageError("no records carry gold labels")
     if first is not None:

@@ -94,17 +94,24 @@ class Corpus:
     def __iter__(self) -> Iterator[ArticleRecord]:
         return map(ArticleRecord, *self.columns())
 
-def read_articles(path: str | Path) -> Iterator[Corpus]:
+def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> Iterator[Corpus]:
     """A JSON-lines UTF-8 corpus in file order, in chunks of at most
     `geo._CHUNK` articles. A duplicate id (of any chunk), a `state` not null,
-    a state code or UNKNOWN, or another bad line raises naming `path:line`."""
+    a state code or UNKNOWN, or another bad line raises naming `path:line`.
+    With `start` and `end`, only the lines that begin in that byte range are
+    read; `start` must be a line start, and lines count from it."""
     path = Path(path)
     columns: tuple[list, ...] = tuple([] for _ in fields(Corpus))
     ids, dates, titles, bodies, gold, predicted, states = columns
     seen: set[str] = set()
     decode = json.JSONDecoder().decode
     with path.open("rb") as fh:
+        fh.seek(start)
+        offset = start
         for lineno, data in enumerate(fh, start=1):
+            if end is not None and offset >= end:
+                break
+            offset += len(data)
             line = decode_utf8(data, path, lineno).strip()
             if not line:
                 continue
@@ -164,13 +171,21 @@ def write_articles(corpus: Corpus, path: str | Path | TextIO) -> None:
             fh.write(line + "}\n")
 
 
-def _count(articles: Corpus | Iterable[Corpus], span: tuple[Quarter, Quarter] | None, resolved: bool = False) -> tuple:
-    """The sorted states, the first quarter, the news and event counts
-    (states × quarters × 2) over the span (by default the quarters with
-    articles) and the UNKNOWN share, from one bincount of the int32 quarter
-    and state-code columns and positive flags each chunk is folded into; a
-    state outside the span keeps a row. Each article needs a predicted_label
-    and, when `resolved`, a state."""
+@dataclass(frozen=True)
+class Tally:
+    """The columns the signals count articles from, in article order: each
+    one's quarter (year * 4 + quarter - 1) and state code, int32, and
+    positive flag; `states[c]` is the state of code c."""
+
+    states: tuple[str | None, ...]
+    quarters: np.ndarray
+    codes: np.ndarray
+    positive: np.ndarray
+
+
+def tally(articles: Corpus | Iterable[Corpus], resolved: bool = False) -> Tally:
+    """The tally of a corpus or its chunks, each chunk folded in as it comes.
+    Each article needs a predicted_label and, when `resolved`, a state."""
     code: dict[str | None, int] = {}
     parts = [(np.zeros(0, np.int32),) * 2 + (np.zeros(0, bool),)]
     for chunk in [articles] if isinstance(articles, Corpus) else articles:
@@ -183,21 +198,50 @@ def _count(articles: Corpus | Iterable[Corpus], span: tuple[Quarter, Quarter] | 
             np.array([code.setdefault(state, len(code)) for state in chunk.states], dtype=np.int32),
             np.array([label == LABEL_POSITIVE for label in chunk.predicted], dtype=bool),
         ))
-    t, codes, positive = (np.concatenate(column) for column in zip(*parts))
+    return Tally(tuple(code), *(np.concatenate(column) for column in zip(*parts)))
+
+
+def merge_tallies(tallies: Sequence[Tally]) -> Tally:
+    """The tally of the articles of `tallies`, one after the other."""
+    code: dict[str | None, int] = {}
+    recoded = [np.array([code.setdefault(s, len(code)) for s in t.states], dtype=np.int32)[t.codes] for t in tallies]
+    return Tally(
+        tuple(code),
+        np.concatenate([t.quarters for t in tallies]),
+        np.concatenate(recoded),
+        np.concatenate([t.positive for t in tallies]),
+    )
+
+
+def _count(
+    articles: Corpus | Iterable[Corpus] | Tally, span: tuple[Quarter, Quarter] | None, resolved: bool = False
+) -> tuple:
+    """The sorted states, the first quarter, the news and event counts
+    (states × quarters × 2) over the span (by default the quarters with
+    articles) and the UNKNOWN share, from one bincount of a tally (made
+    here from a corpus or its chunks); a state outside the span keeps a
+    row. With `resolved`, every article needs a state."""
+    if not isinstance(articles, Tally):
+        articles = tally(articles, resolved)
+    elif resolved and None in articles.states:
+        raise InvalidArgumentError("a tallied article has no resolved state")
+    t, codes, positive = articles.quarters, articles.codes, articles.positive
     if span is not None:
         lo, hi = (q.year * 4 + q.quarter - 1 for q in span)
     elif len(t):
         lo, hi = int(t.min()), int(t.max())
     else:
         raise InvalidArgumentError("no records and no explicit span to aggregate over")
-    states = sorted(code, key=str)
-    rank = np.array([states.index(state) for state in code], dtype=np.intp)
+    states = sorted(articles.states, key=str)
+    rank = np.array([states.index(state) for state in articles.states], dtype=np.intp)
     width = max(hi - lo + 1, 0)
     kept = (t >= lo) & (t <= hi)
     cells = rank[codes[kept]] * width + (t[kept] - lo)
     size = len(states) * width
     counts = np.stack([np.bincount(cells, minlength=size), np.bincount(cells, positive[kept], minlength=size)], axis=1)
-    unknown = np.count_nonzero(codes == code[UNKNOWN_STATE]) / len(t) if UNKNOWN_STATE in code else 0.0
+    unknown = 0.0
+    if UNKNOWN_STATE in articles.states:
+        unknown = np.count_nonzero(codes == articles.states.index(UNKNOWN_STATE)) / len(t)
     return states, Quarter(lo // 4, lo % 4 + 1), counts.astype(float).reshape(len(states), width, 2), unknown
 
 
@@ -218,9 +262,12 @@ def _summed(states: Sequence[str | None], start: Quarter, counts: np.ndarray) ->
     return _frame((NATIONAL,), start, counts.sum(axis=0, keepdims=True))
 
 
-def aggregate_quarterly(corpus: Corpus | Iterable[Corpus], span: tuple[Quarter, Quarter] | None = None) -> PanelDataset:
+def aggregate_quarterly(
+    corpus: Corpus | Iterable[Corpus] | Tally, span: tuple[Quarter, Quarter] | None = None
+) -> PanelDataset:
     """The national signal frame (unit NATIONAL): articles, detected events
-    and their ratio per quarter over the span, from a corpus or its chunks.
+    and their ratio per quarter over the span, from a corpus, its chunks or
+    its tally.
 
     Every article must carry a predicted_label; quarters without articles
     show zero counts. Articles outside an explicit span are ignored.
@@ -239,8 +286,10 @@ class StateSignals:
     unknown_share: float
 
 
-def aggregate_by_state(corpus: Corpus | Iterable[Corpus], span: tuple[Quarter, Quarter] | None = None) -> StateSignals:
-    """Aggregate a corpus or its chunks per (state, quarter); articles must
+def aggregate_by_state(
+    corpus: Corpus | Iterable[Corpus] | Tally, span: tuple[Quarter, Quarter] | None = None
+) -> StateSignals:
+    """Aggregate a corpus, its chunks or its tally per (state, quarter); articles must
     carry a resolved state. The articles are counted once; the national
     frame sums the states."""
     states, start, counts, unknown_share = _count(corpus, span, resolved=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import crimecast
-from crimecast import arima, geo, regression
+from crimecast import arima, cli, geo, regression
 from crimecast.cli import EXIT_INPUT_ERROR, EXIT_MODEL_ERROR, EXIT_OK, PipelineConfig, UsageError, load_config, main
 from crimecast.signals import load_articles
 
@@ -621,6 +621,126 @@ class TestChunkedPass:
         assert (out / "articles_labeled.jsonl").read_bytes() == labeled
 
 
+@pytest.fixture
+def split_in_3(monkeypatch):
+    """The corpus pass splits every article file into three line ranges and
+    folds the last two in forked workers. The fixture holds what each split
+    came to: the number of folds, or None where it fell back to the serial
+    pass."""
+    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    outcomes = []
+    split_pass = cli._split_pass
+
+    def recorded(*args):
+        folds = split_pass(*args)
+        outcomes.append(None if folds is None else len(folds))
+        return folds
+
+    monkeypatch.setattr(cli, "_split_pass", recorded)
+    return outcomes
+
+
+def assert_no_child_process():
+    """Every process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split pass forks")
+@pytest.mark.usefixtures("split_in_3")
+class TestSplitPass(TestChunkedPass):
+    """Every test of the chunked pass again, with each article file read,
+    labeled and resolved in three line ranges; and the ways a split falls
+    back to the serial pass."""
+
+    COMMANDS = (("detect",), ("signals",), ("evaluate-detector",), ("fit-forecast", "--models", "1,2,3,4,5,6,7"))
+
+    def run_all(self, out):
+        for i, (command, *extra) in enumerate(self.COMMANDS):
+            assert run(command, "--output-dir", str(out / str(i)), *extra) == EXIT_OK
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def serial_outputs(self, out, monkeypatch):
+        with monkeypatch.context() as serial:
+            serial.setattr(cli, "_MIN_RANGE_BYTES", 1 << 62)
+            return self.run_all(out)
+
+    def test_each_command_folds_three_ranges(self, tmp_path, monkeypatch, split_in_3):
+        split = self.run_all(tmp_path / "split")
+        assert split_in_3 == [3] * 4
+        assert split == self.serial_outputs(tmp_path / "serial", monkeypatch)
+        assert_no_child_process()
+
+    def test_duplicate_id_across_two_worker_ranges_names_the_later_line(self, tmp_path, capsys, split_in_3):
+        # Nine lines of one length: ranges hold lines 1-3, 4-6 and 7-9.
+        ids = [f"a{i}" for i in range(1, 9)] + ["a5"]
+        articles = write_lines(tmp_path / "a.jsonl", [self.ARTICLE % i for i in ids])
+        assert run("detect", "--output-dir", str(tmp_path / "out"), "--articles", str(articles)) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {articles.resolve()}:9: duplicate article id 'a5'\n"
+        assert split_in_3 == [None]
+
+    def test_a_shared_id_hash_falls_back_to_the_serial_outputs(self, tmp_path, monkeypatch, split_in_3):
+        monkeypatch.setattr(cli, "hash", lambda value: 0, raising=False)
+        split = self.run_all(tmp_path / "split")
+        assert split_in_3 == [None] * 4
+        assert split == self.serial_outputs(tmp_path / "serial", monkeypatch)
+
+    @pytest.mark.parametrize("sent", [False, True], ids=["before-sending", "after-sending"])
+    def test_a_worker_that_dies_falls_back_to_the_serial_outputs(self, tmp_path, monkeypatch, split_in_3, sent):
+        send_fold = cli._send_fold
+
+        def die(*args):
+            if sent:
+                send_fold(*args)
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "_send_fold", die)
+        split = self.run_all(tmp_path / "split")
+        assert split_in_3 == [None] * 4
+        assert split == self.serial_outputs(tmp_path / "serial", monkeypatch)
+        assert_no_child_process()
+
+    def test_no_worker_outlives_its_command(self, tmp_path, monkeypatch):
+        assert run("signals", "--output-dir", str(tmp_path / "ok")) == EXIT_OK
+        assert_no_child_process()
+        with monkeypatch.context() as unconverged:
+            unconverged.setattr(regression, "_CO_MAX_ITER", 2)
+            assert run("fit-forecast", "--output-dir", str(tmp_path / "1"), "--models", "1,5") == EXIT_MODEL_ERROR
+        assert_no_child_process()
+        # The first range faults, so the workers are stopped before they are heard.
+        articles = write_lines(tmp_path / "a.jsonl", ["{"] + [self.ARTICLE % f"a{i}" for i in range(1, 9)])
+        assert run("signals", "--output-dir", str(tmp_path / "2"), "--articles", str(articles)) == EXIT_INPUT_ERROR
+        assert_no_child_process()
+
+
+# Runs detect and then signals in one fresh interpreter, whose stdout is a
+# pipe and so block-buffered, with every article file split in three.
+_STDOUT_PROBE = """
+import os, sys
+import crimecast.cli as cli
+cli._MIN_RANGE_BYTES = 1
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+out, config = sys.argv[1:]
+for command in ("detect", "signals"):
+    assert cli.main([command, "--config", config, "--output-dir", out]) == 0
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split pass forks")
+def test_split_pass_stdout_holds_each_command_line_once(tmp_path):
+    """A forked worker writes out, when it exits, the stdout buffer it
+    inherited: unless each fork follows a flush, detect's line, still
+    buffered when signals forks, is written twice."""
+    env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDOUT_PROBE, str(tmp_path), str(CONFIG)],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert proc.stdout == "detect: labeled 1893 articles (405 hate_crime)\nsignals: 20 states, unknown share 0.0259\n"
+    assert proc.stderr == ""
+
+
 def test_baseline_model_is_ready_before_the_articles_are_read(tmp_path, capsys):
     """The baseline model loads, or trains and is saved, before the article
     file is read: a missing model is written even when the file then fails,
@@ -902,13 +1022,33 @@ def test_fit_forecast_stderr_names_no_source_line(tmp_path, capsys):
     )
 
 
-# Runs `signals` in a fresh interpreter and prints its exit code and the
-# process's own peak RSS in kB. That is VmHWM, the high-water mark of the
-# memory map the interpreter runs in: `ru_maxrss` would also count the RSS
-# that the parent (here the test process) had when it started the child.
+def test_small_article_files_import_no_multiprocessing(tmp_path):
+    """The fixture's article file is one range: `signals` and
+    `fit-forecast` on it run without importing multiprocessing, which
+    would add to their cold start."""
+    probe = (
+        "import sys, crimecast.cli as cli\n"
+        "for argv in (['signals'], ['fit-forecast', '--models', '1,2,3,4,5,6,7']):\n"
+        "    assert cli.main([*argv, '--config', sys.argv[1], '--output-dir', sys.argv[2]]) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(CONFIG), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+# Runs `signals` on one line range in a fresh interpreter and prints its
+# exit code and the process's own peak RSS in kB. That is VmHWM, the
+# high-water mark of the memory map the interpreter runs in: `ru_maxrss`
+# would also count the RSS that the parent (here the test process) had when
+# it started the child. One range, so that the process reads every article.
 _RSS_PROBE = """
 import re, sys
 import crimecast.cli
+crimecast.cli._MIN_RANGE_BYTES = 1 << 62
 code = crimecast.cli.main(["signals", *sys.argv[1:]])
 with open("/proc/self/status") as fh:
     print(code, re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))

@@ -17,7 +17,9 @@ from crimecast.signals import (
     aggregate_by_state,
     aggregate_quarterly,
     load_articles,
+    merge_tallies,
     read_articles,
+    tally,
     write_articles,
 )
 
@@ -177,6 +179,8 @@ class TestAggregateByState:
     def test_unresolved_state_rejected(self):
         with pytest.raises(InvalidArgumentError, match="r1"):
             aggregate_by_state(Corpus.of([rec(0, state="CA"), rec(1)]))
+        with pytest.raises(InvalidArgumentError, match="no resolved state"):
+            aggregate_by_state(tally(Corpus.of([rec(0, state="CA"), rec(1)])))
 
     def test_reconciliation_invariant(self, rng):
         states = ["CA", "NY", "TX", "UNKNOWN"]
@@ -217,10 +221,11 @@ class TestAggregateByState:
         )
         out = aggregate_by_state(corpus, span)
         # The same articles as a stream of chunks of 3 give the same frames.
-        chunks = (Corpus(*(column[i : i + 3] for column in corpus.columns())) for i in range(0, len(corpus), 3))
-        chunked = aggregate_by_state(chunks, span)
-        assert same_frame(chunked.national, out.national) and same_frame(chunked.by_state, out.by_state)
-        assert chunked.unknown_share == out.unknown_share
+        chunks = [Corpus(*(column[i : i + 3] for column in corpus.columns())) for i in range(0, len(corpus), 3)]
+        # So do the tallies of the chunks, merged in order.
+        for chunked in aggregate_by_state(iter(chunks), span), aggregate_by_state(merge_tallies([*map(tally, chunks)]), span):
+            assert same_frame(chunked.national, out.national) and same_frame(chunked.by_state, out.by_state)
+            assert chunked.unknown_share == out.unknown_share
         cell = [(state, Quarter(d.year, (d.month - 1) // 3 + 1)) for d, _, state in rows]
         news = Counter(cell)
         events = Counter(c for c, (_, label, _) in zip(cell, rows) if label == "hate_crime")
@@ -327,6 +332,16 @@ class TestArticleIO:
         path.write_text(path.read_text().replace("\n", "\n\n", 2))  # blank lines do not count
         assert [chunk.ids for chunk in read_articles(path)] == [["r0", "r1", "r2"], ["r3", "r4", "r5"], ["r6"]]
         assert list(load_articles(path)) == records
+
+    def test_a_byte_range_reads_the_lines_that_begin_in_it(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_articles(Corpus.of([rec(i) for i in range(6)]), path)
+        data = path.read_bytes()
+        line_starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        middle = (line_starts[1], line_starts[3] + 1)  # ends inside line 4, which begins in the range
+        assert [chunk.ids for chunk in read_articles(path, *middle)] == [["r1", "r2", "r3"]]
+        assert [chunk.ids for chunk in read_articles(path, line_starts[4])] == [["r4", "r5"]]
+        assert list(read_articles(path, line_starts[2], line_starts[2])) == []
 
     def test_duplicate_id_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(geo, "_CHUNK", 3)
