@@ -5,7 +5,7 @@ evaluate-detector. Configuration comes from a single JSON file with a few
 flag overrides; every command is deterministic given the config and seed.
 Each command runs the stages it needs, in order: load → label → resolve →
 aggregate → fit → report. The statistics live in the library modules.
-Exit codes: 0 success, 1 model/estimation failure, 2 input/config error.
+Exit codes: 0 success, 1 model/estimation failure, 2 input/config/output error.
 """
 
 from __future__ import annotations
@@ -588,7 +588,7 @@ def cmd_detect(config: PipelineConfig) -> None:
 
 def _tally(config: PipelineConfig, resolve: bool) -> signals_mod.Tally:
     """The tally of the labeled articles; with `resolve`, each has a state."""
-    folds = _corpus_pass(config, lambda r, chunks: signals_mod.tally(chunks, resolve), resolve=resolve)
+    folds = _corpus_pass(config, lambda r, chunks: signals_mod.tally(chunks), resolve=resolve)
     return signals_mod.merge_tallies(folds)
 
 
@@ -735,6 +735,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except CrimecastError as exc:
             print(f"model error: {exc}", file=sys.stderr)
             return EXIT_MODEL_ERROR
+        except OSError as exc:  # the reads raise UsageError, so this is an output
+            path = exc.filename2 or exc.filename or "output"
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     return EXIT_OK
 
 

@@ -18,8 +18,8 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import InvalidArgumentError, decode_utf8
-from .geo import Gazetteer, _tokenize, corpus_tokens, tokenize_texts
-from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, ArticleRecord, Corpus
+from .geo import Gazetteer, corpus_tokens, tokenize_texts
+from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, Corpus
 
 # Training settings of the baseline, recorded in the model's metadata.
 _LEARNING_RATE = 0.1
@@ -68,9 +68,6 @@ class BaselineModel:
         for token in tokens:
             z += weight(token, 0.0)
         return z
-
-    def score(self, record: ArticleRecord) -> float:
-        return float(1.0 / (1.0 + np.exp(-self.logit(_tokenize(record.text())))))
 
     def to_json(self, path: str | Path) -> None:
         payload = {

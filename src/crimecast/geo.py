@@ -86,9 +86,6 @@ class Gazetteer:
     # names that start with it.
     lengths: Mapping[str, tuple[int, ...]]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class Resolution:

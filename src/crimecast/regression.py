@@ -103,9 +103,6 @@ class Dataset(PanelDataset):
         values = np.column_stack([ts.values[start - ts.start : end - ts.start + 1] for ts in items])
         return cls((NATIONAL,), start, names, values[None], np.ones((1, len(values)), dtype=bool))
 
-    def __getitem__(self, name: str) -> TimeSeries:
-        return TimeSeries(name, self.start, tuple(self._gather([(name, 0)], (self.start, self.end))[0, :, 0]))
-
     def window(self, start: Quarter, end: Quarter) -> "Dataset":
         """The quarters start..end, which must lie inside the frame."""
         if not self.start <= start <= end <= self.end:

@@ -29,6 +29,11 @@ _RECONSTRUCTION_TOL = 1e-6
 SEASONAL_PERIOD = 4  # quarters per year
 
 
+def quarter_index(year: int, quarter: int) -> int:
+    """The index `year*4 + quarter - 1` of a quarter, consecutive across years."""
+    return year * 4 + quarter - 1
+
+
 @dataclass(frozen=True, order=True)
 class Quarter:
     """A calendar quarter, totally ordered by (year, quarter)."""
@@ -55,11 +60,15 @@ class Quarter:
 
     @classmethod
     def from_index(cls, index: int) -> "Quarter":
-        """The quarter whose index `year*4 + quarter - 1` is `index`."""
+        """The quarter whose `index` is `index`."""
         return cls(int(index) // 4, int(index) % 4 + 1)
 
+    @property
+    def index(self) -> int:
+        return quarter_index(self.year, self.quarter)
+
     def __add__(self, n: int) -> "Quarter":
-        return Quarter.from_index(self.year * 4 + (self.quarter - 1) + n)
+        return Quarter.from_index(self.index + n)
 
     def __sub__(self, other: "Quarter | int"):
         if isinstance(other, Quarter):
@@ -298,7 +307,7 @@ def read_quarterly_csv(
             if not (1 <= year <= 9999 and 1 <= quarter <= 4):
                 raise InvalidArgumentError(f"{path}:{lineno}: malformed row")
             rows.append(row)
-            index.append(year * 4 + quarter - 1)
+            index.append(quarter_index(year, quarter))
             lines.append(lineno)
     if not rows:
         raise InvalidArgumentError(f"{path}: no data rows")
@@ -412,7 +421,7 @@ class PanelDataset:
             raise InvalidArgumentError("panel has no observations")
         names = sorted({name for _, _, values in rows for name in values})
         values = np.array([[values.get(name, np.nan) for name in names] for _, _, values in rows], dtype=float)
-        index = np.array([q.year * 4 + q.quarter - 1 for _, q, _ in rows])
+        index = np.array([q.index for _, q, _ in rows])
         return cls._scatter([str(unit) for unit, _, _ in rows], index, names, values)
 
     @classmethod

@@ -1,13 +1,13 @@
 """Read and write article corpora as columns, and aggregate dated,
 classified articles into quarterly predictor series, nationally and per
-state. A corpus is read, and can be aggregated, a chunk of at most
-`geo._CHUNK` articles at a time, so that no caller need hold its text."""
+state. A corpus is read a chunk of at most `geo._CHUNK` articles at a
+time and aggregated from the `Tally` of its chunks, so that no caller need
+hold its text."""
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -19,7 +19,7 @@ from . import geo
 from .exceptions import InvalidArgumentError, decode_utf8
 from .geo import UNKNOWN_STATE, US_STATE_CODES
 from .reporting import write_csv
-from .series import NATIONAL, PanelDataset, Quarter
+from .series import NATIONAL, PanelDataset, Quarter, quarter_index
 
 LABEL_POSITIVE = "hate_crime"
 LABEL_NEGATIVE = "not_hate_crime"
@@ -76,10 +76,6 @@ class Corpus:
     def __post_init__(self) -> None:
         if len({len(column) for column in self.columns()}) > 1:
             raise InvalidArgumentError("corpus columns must have equal lengths")
-
-    @classmethod
-    def of(cls, records: Sequence[ArticleRecord]) -> "Corpus":
-        return cls(*([getattr(r, f.name) for r in records] for f in fields(ArticleRecord)))
 
     def columns(self) -> tuple[list, ...]:
         return self.ids, self.dates, self.titles, self.bodies, self.gold, self.predicted, self.states
@@ -154,28 +150,27 @@ def load_articles(path: str | Path) -> Corpus:
     return Corpus(*(list(chain.from_iterable(parts)) for parts in zip(*chunks)))
 
 
-def write_articles(corpus: Corpus, path: str | Path | TextIO) -> None:
-    """One JSON object per line, as `json.dumps` writes it: the same string
-    encoder and separators, without building a dict per article. `path` may
-    be a text file open for writing, to which the lines are appended."""
+def write_articles(corpus: Corpus, fh: TextIO) -> None:
+    """Append one JSON object per article to the text file `fh`, as
+    `json.dumps` writes it: the same string encoder and separators, without
+    building a dict per article."""
     enc = json.encoder.encode_basestring_ascii
-    with Path(path).open("w") if isinstance(path, (str, Path)) else nullcontext(path) as fh:
-        for rid, date, title, body, gold, predicted, state in zip(*corpus.columns()):
-            line = f'{{"id": {enc(rid)}, "date": "{date.isoformat()}", "title": {enc(title)}, "body": {enc(body)}'
-            if gold is not None:
-                line += f', "gold_label": {enc(gold)}'
-            if predicted is not None:
-                line += f', "predicted_label": {enc(predicted)}'
-            if state is not None:
-                line += f', "state": {enc(state)}'
-            fh.write(line + "}\n")
+    for rid, date, title, body, gold, predicted, state in zip(*corpus.columns()):
+        line = f'{{"id": {enc(rid)}, "date": "{date.isoformat()}", "title": {enc(title)}, "body": {enc(body)}'
+        if gold is not None:
+            line += f', "gold_label": {enc(gold)}'
+        if predicted is not None:
+            line += f', "predicted_label": {enc(predicted)}'
+        if state is not None:
+            line += f', "state": {enc(state)}'
+        fh.write(line + "}\n")
 
 
 @dataclass(frozen=True)
 class Tally:
     """The columns the signals count articles from, in article order: each
-    one's quarter (year * 4 + quarter - 1) and state code, int32, and
-    positive flag; `states[c]` is the state of code c."""
+    one's quarter (`Quarter.index`) and state code, int32, and positive
+    flag; `states[c]` is the state of code c."""
 
     states: tuple[str | None, ...]
     quarters: np.ndarray
@@ -183,18 +178,16 @@ class Tally:
     positive: np.ndarray
 
 
-def tally(articles: Corpus | Iterable[Corpus], resolved: bool = False) -> Tally:
-    """The tally of a corpus or its chunks, each chunk folded in as it comes.
-    Each article needs a predicted_label and, when `resolved`, a state."""
+def tally(chunks: Iterable[Corpus]) -> Tally:
+    """The tally of a corpus's chunks, each folded in as it comes. Each
+    article needs a predicted_label."""
     code: dict[str | None, int] = {}
     parts = [(np.zeros(0, np.int32),) * 2 + (np.zeros(0, bool),)]
-    for chunk in [articles] if isinstance(articles, Corpus) else articles:
-        if resolved and None in chunk.states:
-            raise InvalidArgumentError(f"article {chunk.ids[chunk.states.index(None)]!r} has no resolved state")
+    for chunk in chunks:
         if None in chunk.predicted:
             raise InvalidArgumentError(f"article {chunk.ids[chunk.predicted.index(None)]!r} has no predicted_label")
         parts.append((
-            np.array([d.year * 4 + (d.month - 1) // 3 for d in chunk.dates], dtype=np.int32),
+            np.array([quarter_index(d.year, (d.month - 1) // 3 + 1) for d in chunk.dates], dtype=np.int32),
             np.array([code.setdefault(state, len(code)) for state in chunk.states], dtype=np.int32),
             np.array([label == LABEL_POSITIVE for label in chunk.predicted], dtype=bool),
         ))
@@ -213,25 +206,15 @@ def merge_tallies(tallies: Sequence[Tally]) -> Tally:
     )
 
 
-def _count(
-    articles: Corpus | Iterable[Corpus] | Tally, span: tuple[Quarter, Quarter] | None, resolved: bool = False
-) -> tuple:
+def _count(articles: Tally, span: tuple[Quarter, Quarter], resolved: bool = False) -> tuple:
     """The sorted states, the first quarter, the news and event counts
-    (states × quarters × 2) over the span (by default the quarters with
-    articles) and the UNKNOWN share, from one bincount of a tally (made
-    here from a corpus or its chunks); a state outside the span keeps a
-    row. With `resolved`, every article needs a state."""
-    if not isinstance(articles, Tally):
-        articles = tally(articles, resolved)
-    elif resolved and None in articles.states:
+    (states × quarters × 2) over the span and the UNKNOWN share, from one
+    bincount of a tally; a state outside the span keeps a row. With
+    `resolved`, every article needs a state."""
+    if resolved and None in articles.states:
         raise InvalidArgumentError("a tallied article has no resolved state")
     t, codes, positive = articles.quarters, articles.codes, articles.positive
-    if span is not None:
-        lo, hi = (q.year * 4 + q.quarter - 1 for q in span)
-    elif len(t):
-        lo, hi = int(t.min()), int(t.max())
-    else:
-        raise InvalidArgumentError("no records and no explicit span to aggregate over")
+    lo, hi = (q.index for q in span)
     states = sorted(articles.states, key=str)
     rank = np.array([states.index(state) for state in articles.states], dtype=np.intp)
     width = max(hi - lo + 1, 0)
@@ -242,7 +225,7 @@ def _count(
     unknown = 0.0
     if UNKNOWN_STATE in articles.states:
         unknown = np.count_nonzero(codes == articles.states.index(UNKNOWN_STATE)) / len(t)
-    return states, Quarter(lo // 4, lo % 4 + 1), counts.astype(float).reshape(len(states), width, 2), unknown
+    return states, span[0], counts.astype(float).reshape(len(states), width, 2), unknown
 
 
 def _frame(units: Sequence[str], start: Quarter, counts: np.ndarray) -> PanelDataset:
@@ -262,17 +245,12 @@ def _summed(states: Sequence[str | None], start: Quarter, counts: np.ndarray) ->
     return _frame((NATIONAL,), start, counts.sum(axis=0, keepdims=True))
 
 
-def aggregate_quarterly(
-    corpus: Corpus | Iterable[Corpus] | Tally, span: tuple[Quarter, Quarter] | None = None
-) -> PanelDataset:
+def aggregate_quarterly(articles: Tally, span: tuple[Quarter, Quarter]) -> PanelDataset:
     """The national signal frame (unit NATIONAL): articles, detected events
-    and their ratio per quarter over the span, from a corpus, its chunks or
-    its tally.
-
-    Every article must carry a predicted_label; quarters without articles
-    show zero counts. Articles outside an explicit span are ignored.
-    """
-    return _summed(*_count(corpus, span)[:3])
+    and their ratio per quarter over the span, from the articles' tally.
+    Quarters without articles show zero counts; articles outside the span
+    are ignored."""
+    return _summed(*_count(articles, span)[:3])
 
 
 @dataclass(frozen=True)
@@ -286,13 +264,11 @@ class StateSignals:
     unknown_share: float
 
 
-def aggregate_by_state(
-    corpus: Corpus | Iterable[Corpus] | Tally, span: tuple[Quarter, Quarter] | None = None
-) -> StateSignals:
-    """Aggregate a corpus, its chunks or its tally per (state, quarter); articles must
-    carry a resolved state. The articles are counted once; the national
-    frame sums the states."""
-    states, start, counts, unknown_share = _count(corpus, span, resolved=True)
+def aggregate_by_state(articles: Tally, span: tuple[Quarter, Quarter]) -> StateSignals:
+    """Aggregate the articles' tally per (state, quarter) over the span;
+    articles must carry a resolved state. The articles are counted once;
+    the national frame sums the states."""
+    states, start, counts, unknown_share = _count(articles, span, resolved=True)
     known = [i for i, state in enumerate(states) if state != UNKNOWN_STATE]
     by_state = _frame([states[i] for i in known], start, counts[known])
     return StateSignals(_summed(states, start, counts), by_state, unknown_share)

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from collections import Counter
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from crimecast import geo
 from crimecast.series import Quarter, TimeSeries
+from crimecast.signals import ArticleRecord, Corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -18,6 +20,17 @@ Q0 = Quarter(2007, 1)
 def cell(panel, unit: str, q: Quarter, name: str) -> float:
     """Variable `name` of `unit` at quarter `q`, read from the panel's values."""
     return float(panel.values[panel.unit_names.index(unit), q - panel.start, panel.names.index(name)])
+
+
+def corpus_of(records) -> Corpus:
+    """The columnar corpus of `ArticleRecord` rows, in their order."""
+    return Corpus(*([getattr(r, f.name) for r in records] for f in dataclasses.fields(ArticleRecord)))
+
+
+def score(model, text: str) -> float:
+    """The baseline model's score of one text, scalar: the reference that
+    `classify_corpus`'s batch scores are compared with."""
+    return float(1.0 / (1.0 + np.exp(-model.logit(geo._tokenize(text)))))
 
 
 def series(values, name="x", start=Q0) -> TimeSeries:

@@ -21,10 +21,10 @@ from crimecast.geo import load_gazetteer, resolve_state
 from crimecast.panel import fit_fixed_effects, fit_random_effects
 from crimecast.regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
 from crimecast.series import Quarter, TimeSeries, decompose_additive, difference
-from crimecast.signals import ArticleRecord, Corpus, aggregate_by_state, aggregate_quarterly, load_articles
+from crimecast.signals import ArticleRecord, aggregate_by_state, aggregate_quarterly, load_articles, tally
 from crimecast.stattests import adf_test, cohens_kappa, durbin_watson, hausman_test, ljung_box
 
-from conftest import FIXTURES, GAZETTEER, GOLDEN, Q0, series
+from conftest import FIXTURES, GAZETTEER, GOLDEN, Q0, corpus_of, series
 from test_panel import lsdv_oracle, simulate_panel
 from test_regression import dataset_from_matrix, gauss_solve
 
@@ -220,7 +220,7 @@ def test_criterion_09_event_factor_benefit():
             fit_end = data.end - horizon
             train = data.window(data.start, fit_end)
             holdout_span = (fit_end + 1, data.end)
-            actual = data["fbi_num_noseasonnal"].window(*holdout_span).to_array()
+            actual = data.predictors([("fbi_num_noseasonnal", 0)], holdout_span)[0, :, 0]
             scores = {}
             for model_id in (2, 4):
                 fit = fit_ols(train, build_model_spec(model_id))
@@ -272,7 +272,7 @@ def test_criterion_12_index_arithmetic_and_reconciliation():
                 for q, (events, news) in enumerate(counts)
                 for i in range(news)
             ]
-            frame = aggregate_quarterly(Corpus.of(records), (Quarter(2010, 1), Quarter(2010, len(counts))))
+            frame = aggregate_quarterly(tally([corpus_of(records)]), (Quarter(2010, 1), Quarter(2010, len(counts))))
             return frame.values[0, :, frame.names.index("hate_reported_index")].tolist()
 
         assert index([(50, 1000)]) == [0.05]
@@ -284,15 +284,15 @@ def test_criterion_12_index_arithmetic_and_reconciliation():
         for record in records:
             resolution = resolve_state(record.text(), gaz)
             resolved.append(replace(record, state=resolution.state))
-        out = aggregate_by_state(Corpus.of(resolved))
-        unknown = [r for r in resolved if r.state == "UNKNOWN"]
+        quarter = [Quarter(r.date.year, (r.date.month - 1) // 3 + 1) for r in resolved]
+        out = aggregate_by_state(tally([corpus_of(resolved)]), (min(quarter), max(quarter)))
+        unknown = [q for q, r in zip(quarter, resolved) if r.state == "UNKNOWN"]
         state_news = out.by_state.values[:, :, out.by_state.names.index("news_num")]
         state_index = out.by_state.values[:, :, out.by_state.names.index("hate_reported_index")]
         national_news = out.national.values[0, :, out.national.names.index("news_num")]
         for i in range(len(national_news)):
             q = out.national.start + i
             state_sum = sum(state_news[:, i])
-            unknown_count = sum(1 for r in unknown if Quarter(r.date.year, (r.date.month - 1) // 3 + 1) == q)
-            assert state_sum + unknown_count == national_news[i]
+            assert state_sum + unknown.count(q) == national_news[i]
             for index in state_index[:, i]:
                 assert 0.0 <= index <= 1.0

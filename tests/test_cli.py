@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crimecast
 from crimecast import arima, cli, geo, regression
@@ -476,6 +480,24 @@ class TestMalformedInput:
         assert f"error: cannot create output directory {occupied.resolve()}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, output",
+        [("signals", "signals_national.csv"), ("diagnose", "diagnostics.json"), ("detect", "articles_labeled.jsonl")],
+    )
+    def test_unwritable_output_exits_2_naming_it(self, tmp_path, capsys, command, output):
+        """An output that cannot be written (a directory holds its name; for
+        `detect`, the temporary file cannot replace it) exits 2 with one line
+        naming the output, and leaves no temporary file."""
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        code = run(command, "--output-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {(out / output).resolve()}: ")
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp") or ".tmp." in p.name] == []
+
 
 def test_corpus_commands_build_no_article_records(tmp_path, monkeypatch):
     """The corpus stages read and write columns: no command builds an
@@ -497,6 +519,70 @@ def test_corpus_commands_build_no_article_records(tmp_path, monkeypatch):
     ):
         assert main([command, "--config", str(config), "--output-dir", str(tmp_path / command), *extra]) == code
     assert built == []
+
+
+# One mutation of one line of the first 40 fixture articles: blank a field,
+# cut the line, duplicate it, insert a byte that is not UTF-8, give a field
+# another JSON type, or drop predicted_label.
+MUTATIONS = ("blank", "cut", "duplicate", "non-utf8", "retype", "drop-label")
+ARTICLE_FIELDS = ("id", "date", "title", "body", "gold_label", "predicted_label")
+OTHER_TYPES = (None, 0, 1.5, True, [], ["x"], {}, {"id": "x"})
+# Exit-2 messages of the label stage, which name no file.
+LABEL_ERRORS = (
+    r"precomputed labels requested but \d+ records lack predicted_label \(first: '[^']*'\)",
+    r"no records carry gold labels",
+    r"\d+ gold-labeled records lack predictions \(first: '[^']*'\)",
+)
+
+
+def mutated_articles(line: int, mutation: str, field: str, value, cut: int) -> bytes:
+    lines = (FIXTURES / "articles.jsonl").read_bytes().splitlines(keepends=True)[:40]
+    target = lines[line]
+    record = json.loads(target)
+    if mutation == "blank":
+        record[field] = ""
+    elif mutation == "retype":
+        record[field] = value
+    elif mutation == "drop-label":
+        del record["predicted_label"]
+    if mutation in ("blank", "retype", "drop-label"):
+        target = json.dumps(record).encode() + b"\n"
+    elif mutation == "cut":
+        target = target[: cut % len(target)] + b"\n"
+    elif mutation == "non-utf8":
+        at = cut % len(target)
+        target = target[:at] + bytes([0x80 + cut % 0x80]) + target[at:]
+    lines[line : line + 1] = [target, target] if mutation == "duplicate" else [target]
+    return b"".join(lines)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 39),
+    st.sampled_from(MUTATIONS),
+    st.sampled_from(ARTICLE_FIELDS),
+    st.sampled_from(OTHER_TYPES),
+    st.integers(0, 10**4),
+)
+def test_a_mutated_article_file_exits_0_or_2_naming_it(tmp_path_factory, line, mutation, field, value, cut):
+    """The corpus commands keep the exit-code contract on an article file
+    with one line mutated: each exits 0, or 2 with one `error:` line that
+    names the file or is a message of the label stage."""
+    work = tmp_path_factory.mktemp("mutated")
+    articles = work / "articles.jsonl"
+    articles.write_bytes(mutated_articles(line, mutation, field, value, cut))
+    for command in ("detect", "signals", "evaluate-detector"):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(command, "--output-dir", str(work / command), "--articles", str(articles))
+        errors = [text for text in stderr.getvalue().splitlines() if text.startswith("error:")]
+        assert code in (EXIT_OK, EXIT_INPUT_ERROR), (command, code, stderr.getvalue())
+        if code == EXIT_INPUT_ERROR:
+            assert stderr.getvalue().splitlines() == errors and len(errors) == 1, (command, stderr.getvalue())
+            message = errors[0].removeprefix("error: ")
+            assert str(articles) in message or any(re.fullmatch(e, message) for e in LABEL_ERRORS), (command, message)
+        else:
+            assert errors == [], (command, stderr.getvalue())
 
 
 class TestDetect:

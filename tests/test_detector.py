@@ -17,9 +17,9 @@ from crimecast.detector import (
 )
 from crimecast.exceptions import InvalidArgumentError
 from crimecast.geo import load_gazetteer, resolve_state
-from crimecast.signals import ArticleRecord, Corpus, load_articles
+from crimecast.signals import ArticleRecord, load_articles
 
-from conftest import FIXTURES, GAZETTEER
+from conftest import FIXTURES, GAZETTEER, corpus_of, score
 
 FILL = ["the", "a", "report", "city", "local", "community", "police", "street",
         "meeting", "group", "member", "public", "area", "years", "officials"]
@@ -46,7 +46,7 @@ def separable_corpus(n=200, seed=0):
         words += list(rng.choice(POS if positive else NEG, size=3))
         rng.shuffle(words)
         records.append(rec(i, " ".join(words), "hate_crime" if positive else "not_hate_crime"))
-    return Corpus.of(records)
+    return corpus_of(records)
 
 
 def shuffled_corpus(n=600, base_rate=0.8, seed=3):
@@ -54,7 +54,7 @@ def shuffled_corpus(n=600, base_rate=0.8, seed=3):
     n_pos = int(base_rate * n)
     labels = ["hate_crime"] * n_pos + ["not_hate_crime"] * (n - n_pos)
     rng.shuffle(labels)
-    return Corpus.of([rec(i, " ".join(rng.choice(FILL, size=12)), labels[i]) for i in range(n)])
+    return corpus_of([rec(i, " ".join(rng.choice(FILL, size=12)), labels[i]) for i in range(n)])
 
 
 class TestTraining:
@@ -84,7 +84,7 @@ class TestTraining:
         assert m1.threshold == m2.threshold
 
     def test_single_class_rejected(self):
-        corpus = Corpus.of([rec(i, "some text here", "hate_crime") for i in range(80)])
+        corpus = corpus_of([rec(i, "some text here", "hate_crime") for i in range(80)])
         with pytest.raises(InvalidArgumentError):
             train_baseline(corpus)
 
@@ -100,14 +100,14 @@ class TestTraining:
         train, validation, _ = _split(len(records), 0)
         for i, token in ((train[0], "zyzzyx"), (validation[0], "zyzzyx"), (train[1], "quux"), (train[2], "quux")):
             records[i] = rec(i, f"{token} {records[i].body}", records[i].gold_label)
-        model = train_baseline(Corpus.of(records), seed=0)
+        model = train_baseline(corpus_of(records), seed=0)
         assert "zyzzyx" not in model.vocabulary
         assert "quux" in model.vocabulary
 
 
     def test_each_labeled_text_is_tokenized_once(self, tokenized):
         unlabeled = [rec(500 + i, f"unlabeled text {i}") for i in range(5)]
-        corpus = Corpus.of([*separable_corpus(n=120, seed=11), *unlabeled])
+        corpus = corpus_of([*separable_corpus(n=120, seed=11), *unlabeled])
         train_baseline(corpus, seed=11)
         assert tokenized == Counter(text for text, label in zip(corpus.texts(), corpus.gold) if label is not None)
 
@@ -140,30 +140,30 @@ def test_threshold_scan_matches_brute_force(case):
 class TestClassification:
     def test_empty_corpus(self):
         model = train_baseline(separable_corpus(), seed=1)
-        labeled, scores = classify_corpus(model, Corpus.of([]))
-        assert labeled == Corpus.of([]) and scores.shape == (0,)
+        labeled, scores = classify_corpus(model, corpus_of([]))
+        assert labeled == corpus_of([]) and scores.shape == (0,)
 
     def test_training_positive_classified_positive(self):
         corpus = separable_corpus(seed=2)
         model = train_baseline(corpus, seed=2)
         train, _, _ = _split(len(corpus), 2)
         positive = list(corpus)[int(next(i for i in train if corpus.gold[i] == "hate_crime"))]
-        assert model.score(positive) >= model.threshold
+        assert score(model, positive.text()) >= model.threshold
 
     def test_batch_equals_record_by_record(self):
         corpus = separable_corpus(seed=4)
         model = train_baseline(corpus, seed=4)
         batch, batch_scores = classify_corpus(model, corpus)
         for i, (record, labeled) in enumerate(zip(corpus, batch)):
-            score = model.score(record)
-            assert labeled.predicted_label == ("hate_crime" if score >= model.threshold else "not_hate_crime")
-            assert batch_scores[i] == score
+            expected = score(model, record.text())
+            assert labeled.predicted_label == ("hate_crime" if expected >= model.threshold else "not_hate_crime")
+            assert batch_scores[i] == expected
 
     def test_order_invariance(self):
         corpus = separable_corpus(seed=6)
         model = train_baseline(corpus, seed=6)
         forward, _ = classify_corpus(model, corpus)
-        backward, _ = classify_corpus(model, Corpus.of(list(corpus)[::-1]))
+        backward, _ = classify_corpus(model, corpus_of(list(corpus)[::-1]))
         assert {r.id: r.predicted_label for r in forward} == {
             r.id: r.predicted_label for r in backward
         }
@@ -231,7 +231,7 @@ def fixture_model():
     """The baseline trained on the fixture, with its threshold moved to the
     median fixture score so that both labels occur."""
     model = train_baseline(load_articles(FIXTURES / "train_articles.jsonl"), seed=0)
-    scores = [model.score(r) for r in load_articles(FIXTURES / "articles.jsonl")]
+    scores = [score(model, r.text()) for r in load_articles(FIXTURES / "articles.jsonl")]
     return BaselineModel(model.vocabulary, model.bias, float(np.median(scores)), model.metadata)
 
 
@@ -241,12 +241,12 @@ MODEL = fixture_model()
 def assert_fused_pass_is_per_record(records):
     """classify_corpus with a gazetteer equals `score` and `resolve_state`
     applied to each record."""
-    labeled, scores = classify_corpus(MODEL, Corpus.of(records), BUNDLED)
+    labeled, scores = classify_corpus(MODEL, corpus_of(records), BUNDLED)
     assert labeled.ids == [r.id for r in records]
     for i, (record, out) in enumerate(zip(records, labeled)):
-        score = MODEL.score(record)
-        assert scores[i] == score
-        assert out.predicted_label == ("hate_crime" if score >= MODEL.threshold else "not_hate_crime")
+        expected = score(MODEL, record.text())
+        assert scores[i] == expected
+        assert out.predicted_label == ("hate_crime" if expected >= MODEL.threshold else "not_hate_crime")
         state = record.state if record.state is not None else resolve_state(record.text(), BUNDLED).state
         assert out == dataclasses.replace(record, predicted_label=out.predicted_label, state=state)
 
@@ -281,12 +281,12 @@ class TestFusedPass:
         assert_fused_pass_is_per_record(records)
 
     def test_blank_record_without_state_rejected_with_id(self):
-        records = Corpus.of([rec(0, "in Sacramento"), rec(1, " \t")])
+        records = corpus_of([rec(0, "in Sacramento"), rec(1, " \t")])
         with pytest.raises(InvalidArgumentError, match="^article 'a0001': text must be nonempty$"):
             classify_corpus(MODEL, records, BUNDLED)
         # Without a gazetteer, or with a state, a blank record is only scored.
         assert len(classify_corpus(MODEL, records)[0]) == 2
-        blank_in_ca = Corpus.of([dataclasses.replace(rec(1, " "), state="CA")])
+        blank_in_ca = corpus_of([dataclasses.replace(rec(1, " "), state="CA")])
         assert classify_corpus(MODEL, blank_in_ca, BUNDLED)[0].states == ["CA"]
 
 

@@ -30,12 +30,12 @@ def write_gazetteer(tmp_path, rows):
 class TestLoad:
     def test_three_valid_rows(self, tmp_path):
         path = write_gazetteer(tmp_path, [("Sacramento", "CA", 2), ("Texas", "TX", 3), ("Reno", "NV", 2)])
-        assert len(load_gazetteer(path)) == 3
+        assert len(load_gazetteer(path).entries) == 3
 
     def test_duplicate_keeps_higher_priority(self, tmp_path):
         path = write_gazetteer(tmp_path, [("Springfield", "MA", 1), ("Springfield", "IL", 3)])
         gaz = load_gazetteer(path)
-        assert len(gaz) == 1
+        assert len(gaz.entries) == 1
         assert resolve_state("an event in Springfield today", gaz).state == "IL"
 
     def test_unknown_state_code_rejected_with_line(self, tmp_path):
@@ -161,7 +161,7 @@ class TestResolve:
 class TestBundledGazetteer:
     def test_loads_with_state_names_and_cities(self):
         gaz = load_gazetteer(GAZETTEER)
-        assert len(gaz) > 250
+        assert len(gaz.entries) > 250
 
     def test_annotated_fixture_kappa(self):
         gaz = load_gazetteer(GAZETTEER)

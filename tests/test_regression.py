@@ -193,8 +193,8 @@ class TestAr1Errors:
         # the fitted rho must reproduce the fitted coefficients (fixed point).
         ds, spec = self.make_fixture(seed=31, n=80)
         fit = fit_ols(ds, spec)
-        y = ds["y"].to_array()
-        x = ds["x"].to_array()
+        y = ds.values[0, :, ds.names.index("y")]
+        x = ds.values[0, :, ds.names.index("x")]
         X = np.column_stack([np.ones(len(y)), x])
         rho = fit.rho
         ys = y[1:] - rho * y[:-1]
@@ -320,7 +320,7 @@ class TestDatasetIO:
         path.write_text("\n".join(lines) + "\n")
         back = Dataset.from_csv(path)
         assert back.names == ds.names
-        np.testing.assert_allclose(back["y"].to_array(), ds["y"].to_array())
+        np.testing.assert_allclose(back.values[0, :, back.names.index("y")], ds.values[0, :, ds.names.index("y")])
 
     def test_alignment_trims_to_intersection(self):
         a = TimeSeries("a", Q0, (1.0, 2.0, 3.0, 4.0))

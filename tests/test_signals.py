@@ -23,6 +23,10 @@ from crimecast.signals import (
     write_articles,
 )
 
+from conftest import corpus_of
+
+Q1, Q2, Q3, Q4 = (Quarter(2010, q) for q in range(1, 5))
+
 
 def column(frame, name, unit="national"):
     """One unit's values of a signal-frame variable over the frame's quarters."""
@@ -52,10 +56,23 @@ def rec(i, year=2010, month=2, label="not_hate_crime", state=None):
     )
 
 
+def national(records, span):
+    return aggregate_quarterly(tally([corpus_of(records)]), span)
+
+
+def by_state(records, span):
+    return aggregate_by_state(tally([corpus_of(records)]), span)
+
+
+def write(path, corpus):
+    with path.open("w") as fh:
+        write_articles(corpus, fh)
+
+
 def index_of_counts(events, news):
     """hate_reported_index of one quarter holding `news` records, `events` of them hate_crime."""
     records = [rec(i, label="hate_crime" if i < events else "not_hate_crime") for i in range(news)]
-    return column(aggregate_quarterly(Corpus.of(records)), "hate_reported_index")[0]
+    return column(national(records, (Q1, Q1)), "hate_reported_index")[0]
 
 
 class TestIndex:
@@ -64,7 +81,7 @@ class TestIndex:
 
     def test_quarter_without_news_is_zero(self):
         records = [rec(0, month=2), rec(1, month=8, label="hate_crime")]
-        signals = aggregate_quarterly(Corpus.of(records))
+        signals = national(records, (Q1, Q3))
         assert column(signals, "news_num") == (1, 0, 1)
         assert column(signals, "hate_reported_index") == (0.0, 0.0, 1.0)
 
@@ -81,14 +98,14 @@ class TestIndex:
 class TestAggregateQuarterly:
     def test_counting(self):
         records = [rec(i, label="hate_crime" if i < 3 else "not_hate_crime") for i in range(10)]
-        signals = aggregate_quarterly(Corpus.of(records))
+        signals = national(records, (Q1, Q1))
         assert column(signals, "news_num") == (10,)
         assert column(signals, "event_detected_num") == (3,)
         assert column(signals, "hate_reported_index") == (0.3,)
 
     def test_gap_fill(self):
         records = [rec(0, month=1), rec(1, month=7)]
-        signals = aggregate_quarterly(Corpus.of(records))
+        signals = national(records, (Q1, Q3))
         assert column(signals, "news_num") == (1, 0, 1)
         assert column(signals, "event_detected_num") == (0, 0, 0)
         assert column(signals, "hate_reported_index")[1] == 0.0
@@ -96,7 +113,7 @@ class TestAggregateQuarterly:
     def test_unlabeled_record_named(self):
         records = [rec(0), ArticleRecord(id="naked", date=dt.date(2010, 1, 1), title="", body="")]
         with pytest.raises(InvalidArgumentError, match="naked"):
-            aggregate_quarterly(Corpus.of(records))
+            tally([corpus_of(records)])
 
     def test_counts_match_tally_oracle(self, rng):
         records = []
@@ -108,7 +125,7 @@ class TestAggregateQuarterly:
                     id=f"x{i}", date=dt.date(2011, month, 3), title="", body="", predicted_label=label
                 )
             )
-        signals = aggregate_quarterly(Corpus.of(records))
+        signals = national(records, (Quarter(2011, 1), Quarter(2011, 4)))
         news_tally = Counter(Quarter(r.date.year, (r.date.month - 1) // 3 + 1) for r in records)
         event_tally = Counter(
             Quarter(r.date.year, (r.date.month - 1) // 3 + 1) for r in records if r.predicted_label == "hate_crime"
@@ -119,22 +136,17 @@ class TestAggregateQuarterly:
 
     def test_permutation_invariance(self, rng):
         records = [rec(i, month=int(rng.integers(1, 13)), label="hate_crime" if i % 3 == 0 else "not_hate_crime") for i in range(30)]
-        a = aggregate_quarterly(Corpus.of(records))
+        a = national(records, (Q1, Q4))
         shuffled = list(records)
         rng.shuffle(shuffled)
-        b = aggregate_quarterly(Corpus.of(shuffled))
+        b = national(shuffled, (Q1, Q4))
         assert same_frame(a, b)
 
     def test_explicit_span(self):
         records = [rec(0, month=5)]
-        span = (Quarter(2010, 1), Quarter(2010, 4))
-        signals = aggregate_quarterly(Corpus.of(records), span)
+        signals = national(records, (Q1, Q4))
         assert len(quarters(signals)) == 4
         assert column(signals, "news_num") == (0, 1, 0, 0)
-
-    def test_empty_without_span_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            aggregate_quarterly(Corpus.of([]))
 
 
 class TestAggregateByState:
@@ -144,7 +156,7 @@ class TestAggregateByState:
             rec(1, label="hate_crime", state="CA"),
             rec(2, label="not_hate_crime", state="NY"),
         ]
-        out = aggregate_by_state(Corpus.of(records))
+        out = by_state(records, (Q1, Q1))
         assert column(out.by_state, "news_num", "CA") == (2,)
         assert column(out.by_state, "event_detected_num", "CA") == (2,)
         assert column(out.by_state, "hate_reported_index", "CA") == (1.0,)
@@ -153,7 +165,7 @@ class TestAggregateByState:
 
     def test_all_unknown_corpus(self):
         records = [rec(i, state="UNKNOWN") for i in range(5)]
-        out = aggregate_by_state(Corpus.of(records))
+        out = by_state(records, (Q1, Q1))
         assert out.by_state.unit_names == ()
         assert column(out.national, "news_num") == (5,)
         assert out.unknown_share == 1.0
@@ -165,22 +177,20 @@ class TestAggregateByState:
             rec(2, year=2012, state="UNKNOWN"),
             rec(3, year=2012, state="NY"),
         ]
-        out = aggregate_by_state(Corpus.of(records), (Quarter(2010, 1), Quarter(2010, 4)))
+        out = by_state(records, (Q1, Q4))
         assert column(out.national, "news_num") == (2, 0, 0, 0)
         assert out.by_state.unit_names == ("CA", "NY")
         assert column(out.by_state, "news_num", "NY") == (0, 0, 0, 0)
         assert out.unknown_share == 0.5
 
     def test_empty_corpus_gives_frames_without_units(self):
-        out = aggregate_by_state(Corpus.of([]), (Quarter(2010, 1), Quarter(2010, 4)))
+        out = by_state([], (Q1, Q4))
         assert out.national.unit_names == out.by_state.unit_names == ()
         assert out.unknown_share == 0.0
 
     def test_unresolved_state_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="r1"):
-            aggregate_by_state(Corpus.of([rec(0, state="CA"), rec(1)]))
         with pytest.raises(InvalidArgumentError, match="no resolved state"):
-            aggregate_by_state(tally(Corpus.of([rec(0, state="CA"), rec(1)])))
+            by_state([rec(0, state="CA"), rec(1)], (Q1, Q1))
 
     def test_reconciliation_invariant(self, rng):
         states = ["CA", "NY", "TX", "UNKNOWN"]
@@ -194,7 +204,7 @@ class TestAggregateByState:
                     state=states[int(rng.integers(0, 4))],
                 )
             )
-        out = aggregate_by_state(Corpus.of(records))
+        out = by_state(records, (Q1, Q4))
         unknown = [r for r in records if r.state == "UNKNOWN"]
         for i, q in enumerate(quarters(out.national)):
             state_sum = sum(column(out.by_state, "news_num", state)[i] for state in out.by_state.unit_names)
@@ -216,17 +226,20 @@ class TestAggregateByState:
         st.sampled_from([None, (Quarter(2010, 1), Quarter(2011, 2))]),
     )
     def test_counts_equal_a_counter_recount(self, rows, span):
-        corpus = Corpus.of(
+        corpus = corpus_of(
             [ArticleRecord(f"r{i}", d, "t", "b", predicted_label=label, state=state) for i, (d, label, state) in enumerate(rows)]
         )
-        out = aggregate_by_state(corpus, span)
+        cell = [(state, Quarter(d.year, (d.month - 1) // 3 + 1)) for d, _, state in rows]
+        if span is None:  # the quarters with articles
+            span = (min(q for _, q in cell), max(q for _, q in cell))
+        out = aggregate_by_state(tally([corpus]), span)
         # The same articles as a stream of chunks of 3 give the same frames.
         chunks = [Corpus(*(column[i : i + 3] for column in corpus.columns())) for i in range(0, len(corpus), 3)]
         # So do the tallies of the chunks, merged in order.
-        for chunked in aggregate_by_state(iter(chunks), span), aggregate_by_state(merge_tallies([*map(tally, chunks)]), span):
+        merged = merge_tallies([tally([chunk]) for chunk in chunks])
+        for chunked in aggregate_by_state(tally(iter(chunks)), span), aggregate_by_state(merged, span):
             assert same_frame(chunked.national, out.national) and same_frame(chunked.by_state, out.by_state)
             assert chunked.unknown_share == out.unknown_share
-        cell = [(state, Quarter(d.year, (d.month - 1) // 3 + 1)) for d, _, state in rows]
         news = Counter(cell)
         events = Counter(c for c, (_, label, _) in zip(cell, rows) if label == "hate_crime")
         assert out.by_state.unit_names == tuple(sorted({state for state, _ in cell} - {"UNKNOWN"}))
@@ -237,8 +250,7 @@ class TestAggregateByState:
                 assert column(out.by_state, "event_detected_num", state)[i] == events[state, q]
             assert column(out.national, "news_num")[i] == sum(n for (_, cq), n in news.items() if cq == q)
             assert column(out.national, "event_detected_num")[i] == sum(n for (_, cq), n in events.items() if cq == q)
-        if span is None:
-            assert (quarters(out.national)[0], quarters(out.national)[-1]) == (min(q for _, q in cell), max(q for _, q in cell))
+        assert (quarters(out.national)[0], quarters(out.national)[-1]) == span
         assert out.unknown_share == sum(state == "UNKNOWN" for state, _ in cell) / len(rows)
 
     def test_groupby_oracle(self, rng):
@@ -252,7 +264,7 @@ class TestAggregateByState:
             )
             for i in range(500)
         ]
-        out = aggregate_by_state(Corpus.of(records))
+        out = by_state(records, (Q1, Q4))
         tally = Counter((r.state, Quarter(r.date.year, (r.date.month - 1) // 3 + 1)) for r in records)
         for state in out.by_state.unit_names:
             for i, q in enumerate(quarters(out.by_state)):
@@ -292,7 +304,7 @@ class TestArticleIO:
             )
         ]
         path = tmp_path / "a.jsonl"
-        write_articles(Corpus.of(records), path)
+        write(path, corpus_of(records))
         back = load_articles(path)
         assert list(back) == records
 
@@ -302,7 +314,7 @@ class TestArticleIO:
     def test_lines_equal_json_dumps(self, tmp_path_factory, rows):
         records = records_of(rows)
         path = tmp_path_factory.mktemp("articles") / "a.jsonl"
-        write_articles(Corpus.of(records), path)
+        write(path, corpus_of(records))
         expected = []
         for r in records:
             payload = {"id": r.id, "date": r.date.isoformat(), "title": r.title, "body": r.body}
@@ -316,9 +328,9 @@ class TestArticleIO:
     @settings(max_examples=100, deadline=None)
     @given(ROWS)
     def test_load_inverts_write_column_for_column(self, tmp_path_factory, rows):
-        corpus = Corpus.of(records_of(rows))
+        corpus = corpus_of(records_of(rows))
         path = tmp_path_factory.mktemp("articles") / "a.jsonl"
-        write_articles(corpus, path)
+        write(path, corpus)
         back = load_articles(path)
         for name in ("ids", "dates", "titles", "bodies", "gold", "predicted", "states"):
             assert getattr(back, name) == getattr(corpus, name), name
@@ -328,14 +340,14 @@ class TestArticleIO:
         monkeypatch.setattr(geo, "_CHUNK", 3)
         records = [rec(i) for i in range(7)]
         path = tmp_path / "a.jsonl"
-        write_articles(Corpus.of(records), path)
+        write(path, corpus_of(records))
         path.write_text(path.read_text().replace("\n", "\n\n", 2))  # blank lines do not count
         assert [chunk.ids for chunk in read_articles(path)] == [["r0", "r1", "r2"], ["r3", "r4", "r5"], ["r6"]]
         assert list(load_articles(path)) == records
 
     def test_a_byte_range_reads_the_lines_that_begin_in_it(self, tmp_path):
         path = tmp_path / "a.jsonl"
-        write_articles(Corpus.of([rec(i) for i in range(6)]), path)
+        write(path, corpus_of([rec(i) for i in range(6)]))
         data = path.read_bytes()
         line_starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
         middle = (line_starts[1], line_starts[3] + 1)  # ends inside line 4, which begins in the range
@@ -346,7 +358,7 @@ class TestArticleIO:
     def test_duplicate_id_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(geo, "_CHUNK", 3)
         path = tmp_path / "dup.jsonl"
-        write_articles(Corpus.of([rec(i) for i in range(4)] + [rec(1)]), path)
+        write(path, corpus_of([rec(i) for i in range(4)] + [rec(1)]))
         chunks = read_articles(path)
         assert next(chunks).ids == ["r0", "r1", "r2"]
         with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(path))}:5: duplicate article id 'r1'$"):
