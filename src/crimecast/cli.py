@@ -180,7 +180,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except InvalidArgumentError as exc:
         raise UsageError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # json's: a JSONDecodeError, too deep, an int too long
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")
@@ -659,17 +659,20 @@ def cmd_evaluate_detector(config: PipelineConfig) -> None:
         for chunk in chunks:
             gold += bytes(map(labels.index, chunk.gold))
             predicted += bytes(map(labels.index, chunk.predicted))
-            first = first or next((i for i, g, p in zip(chunk.ids, chunk.gold, chunk.predicted) if g and not p), None)
+            if first is None and None in chunk.predicted:
+                first = next((i for i, g, p in zip(chunk.ids, chunk.gold, chunk.predicted) if g and not p), None)
         return gold, predicted, first
 
     gold, predicted, firsts = zip(*_corpus_pass(config, fold, label=False))
-    gold, predicted, first = b"".join(gold), b"".join(predicted), next(filter(None, firsts), None)
-    if not any(gold):
+    gold, predicted = (np.frombuffer(b"".join(codes), np.uint8) for codes in (gold, predicted))
+    first, scored = next(filter(None, firsts), None), gold > 0  # scored: the gold-labeled articles
+    if not scored.any():
         raise UsageError("no records carry gold labels")
     if first is not None:
-        missing = sum(1 for g, p in zip(gold, predicted) if g and not p)
+        missing = np.count_nonzero(scored & (predicted == 0))
         raise UsageError(f"{missing} gold-labeled records lack predictions (first: {first!r})")
-    metrics = detector_mod.evaluate([labels[p] for g, p in zip(gold, predicted) if g], [labels[g] for g in gold if g])
+    names = np.array(labels)
+    metrics = detector_mod.evaluate(names[predicted[scored]], names[gold[scored]])
     payload = {"Precision": metrics.precision, "Recall": metrics.recall, "F1": metrics.f1, "counts": asdict(metrics.counts)}
     write_json(payload, config.output_dir / "detector_metrics.json")
     print(f"evaluate-detector: P={metrics.precision:.4f} R={metrics.recall:.4f} F1={metrics.f1:.4f}")

@@ -84,7 +84,9 @@ class BaselineModel:
         is an InvalidArgumentError naming it."""
         try:
             payload = json.loads(decode_utf8(Path(path).read_bytes(), path))
-        except (OSError, json.JSONDecodeError) as exc:
+        except InvalidArgumentError:  # not UTF-8, named by path:line
+            raise
+        except (OSError, ValueError, RecursionError) as exc:  # json's: a JSONDecodeError, too deep, an int too long
             raise InvalidArgumentError(f"cannot read model file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise InvalidArgumentError(f"model file {path} must hold a JSON object")
@@ -216,12 +218,13 @@ def classify_corpus(
 
 def evaluate(predicted: Sequence[str], gold: Sequence[str]) -> DetectionMetrics:
     """Precision, recall, and F1 of predicted labels against the gold labels
-    at the same positions. Zero-denominator metrics are reported as 0 with a
-    warning."""
+    at the same positions, each a sequence or an array of labels.
+    Zero-denominator metrics are reported as 0 with a warning."""
     if len(predicted) != len(gold):
         raise InvalidArgumentError(f"{len(predicted)} predicted labels for {len(gold)} gold labels")
-    pairs = Counter(zip((p == LABEL_POSITIVE for p in predicted), (g == LABEL_POSITIVE for g in gold)))
-    tp, fp, fn, tn = pairs[True, True], pairs[True, False], pairs[False, True], pairs[False, False]
+    p, g = np.asarray(predicted) == LABEL_POSITIVE, np.asarray(gold) == LABEL_POSITIVE
+    tp, fp, fn = (int(np.count_nonzero(cell)) for cell in (p & g, p & ~g, ~p & g))
+    tn = len(p) - tp - fp - fn
 
     def safe_ratio(num: int, den: int, name: str) -> float:
         if den == 0:

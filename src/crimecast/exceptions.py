@@ -39,5 +39,10 @@ def decode_utf8(data: bytes, path: str | Path, first_line: int = 1) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = first_line + data.count(b"\n", 0, exc.start)
-        raise InvalidArgumentError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        raise not_utf8(data, exc, path, first_line) from None
+
+
+def not_utf8(data: bytes, exc: UnicodeDecodeError, path: str | Path, first_line: int = 1) -> InvalidArgumentError:
+    """The error of `decode_utf8` for `data`, whose decoding raised `exc`."""
+    line = first_line + data.count(b"\n", 0, exc.start)
+    return InvalidArgumentError(f"{path}:{line}: not UTF-8 text ({exc.reason})")

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import geo
-from .exceptions import InvalidArgumentError, decode_utf8
+from .exceptions import InvalidArgumentError, not_utf8
 from .geo import UNKNOWN_STATE, US_STATE_CODES
 from .reporting import write_csv
 from .series import NATIONAL, PanelDataset, Quarter, quarter_index
@@ -90,17 +90,31 @@ class Corpus:
     def __iter__(self) -> Iterator[ArticleRecord]:
         return map(ArticleRecord, *self.columns())
 
+
+# The values a label field and a `state` may hold. A label is tested against
+# a tuple, which compares a value by equality, so that any other value,
+# unhashable ones too, gets `_check`'s message; the states are one set, whose
+# lookup rejects an unhashable value with its TypeError.
+_LABEL_VALUES = (None, *LABELS)
+_STATE_VALUES = frozenset({None, UNKNOWN_STATE, *US_STATE_CODES})
+
+
 def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> Iterator[Corpus]:
     """A JSON-lines UTF-8 corpus in file order, in chunks of at most
-    `geo._CHUNK` articles. A duplicate id (of any chunk), a `state` not null,
-    a state code or UNKNOWN, or another bad line raises naming `path:line`.
-    With `start` and `end`, only the lines that begin in that byte range are
-    read; `start` must be a line start, and lines count from it."""
+    `geo._CHUNK` articles. A duplicate id (of any chunk), an `id`, `title`
+    or `body` that is not a string, a `state` not null, a state code or
+    UNKNOWN, or another bad line raises naming `path:line`. With `start` and
+    `end`, only the lines that begin in that byte range are read; `start`
+    must be a line start, and lines count from it."""
     path = Path(path)
     columns: tuple[list, ...] = tuple([] for _ in fields(Corpus))
     ids, dates, titles, bodies, gold, predicted, states = columns
     seen: set[str] = set()
-    decode = json.JSONDecoder().decode
+    days: dict[str, dt.date] = {}
+    # The scan that `JSONDecoder.decode` runs. On a stripped line the
+    # whitespace `decode` skips around it is empty, so a scan that ends at
+    # the line's end is `decode`'s parse.
+    scan = json.scanner.make_scanner(json.JSONDecoder())
     with path.open("rb") as fh:
         fh.seek(start)
         offset = start
@@ -108,21 +122,33 @@ def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> I
             if end is not None and offset >= end:
                 break
             offset += len(data)
-            line = decode_utf8(data, path, lineno).strip()
+            try:
+                line = data.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise not_utf8(data, exc, path, lineno) from None
             if not line:
                 continue
             try:
-                raw = decode(line)
-            except json.JSONDecodeError as exc:
+                raw, stop = scan(line, 0)
+            except (StopIteration, ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
                 raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON") from exc
+            if stop != len(line):
+                raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON")
             try:
-                rid = str(raw["id"])
-                date = dt.date.fromisoformat(raw["date"])
-                title, body = str(raw.get("title", "")), str(raw.get("body", ""))
-                labels = raw.get("gold_label"), raw.get("predicted_label")
-                _check(rid, date, *labels)
+                rid, day = raw["id"], raw["date"]
+                date = days.get(day) if type(day) is str else None
+                if date is None:  # a date string new to this read, or not a string
+                    date = days[day] = dt.date.fromisoformat(day)
+                title, body = raw.get("title", ""), raw.get("body", "")
+                if type(rid) is not str or type(title) is not str or type(body) is not str:
+                    named = {"id": rid, "title": title, "body": body}
+                    name = next(name for name, value in named.items() if type(value) is not str)
+                    raise ValueError(f"{name} must be a string, got {named[name]!r}")
+                gold_label, predicted_label = raw.get("gold_label"), raw.get("predicted_label")
+                if not rid or gold_label not in _LABEL_VALUES or predicted_label not in _LABEL_VALUES:
+                    _check(rid, date, gold_label, predicted_label)
                 state = raw.get("state")
-                if state not in (None, UNKNOWN_STATE) and state not in US_STATE_CODES:
+                if state not in _STATE_VALUES:
                     raise ValueError(f"state must be a state code or {UNKNOWN_STATE!r}, got {state!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: bad record ({exc})") from exc
@@ -133,8 +159,8 @@ def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> I
             dates.append(date)
             titles.append(title)
             bodies.append(body)
-            gold.append(labels[0])
-            predicted.append(labels[1])
+            gold.append(gold_label)
+            predicted.append(predicted_label)
             states.append(state)
             if len(ids) == geo._CHUNK:
                 yield Corpus(*columns)
@@ -153,10 +179,11 @@ def load_articles(path: str | Path) -> Corpus:
 def write_articles(corpus: Corpus, fh: TextIO) -> None:
     """Append one JSON object per article to the text file `fh`, as
     `json.dumps` writes it: the same string encoder and separators, without
-    building a dict per article."""
+    building a dict per article, and each distinct date formatted once."""
     enc = json.encoder.encode_basestring_ascii
+    iso = {date: date.isoformat() for date in set(corpus.dates)}
     for rid, date, title, body, gold, predicted, state in zip(*corpus.columns()):
-        line = f'{{"id": {enc(rid)}, "date": "{date.isoformat()}", "title": {enc(title)}, "body": {enc(body)}'
+        line = f'{{"id": {enc(rid)}, "date": "{iso[date]}", "title": {enc(title)}, "body": {enc(body)}'
         if gold is not None:
             line += f', "gold_label": {enc(gold)}'
         if predicted is not None:

@@ -1,4 +1,6 @@
 import dataclasses
+import datetime as dt
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -7,8 +9,10 @@ import numpy as np
 import pytest
 
 from crimecast import geo
+from crimecast.exceptions import InvalidArgumentError
+from crimecast.geo import UNKNOWN_STATE, US_STATE_CODES
 from crimecast.series import Quarter, TimeSeries
-from crimecast.signals import ArticleRecord, Corpus
+from crimecast.signals import LABELS, ArticleRecord, Corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,6 +29,56 @@ def cell(panel, unit: str, q: Quarter, name: str) -> float:
 def corpus_of(records) -> Corpus:
     """The columnar corpus of `ArticleRecord` rows, in their order."""
     return Corpus(*([getattr(r, f.name) for r in records] for f in dataclasses.fields(ArticleRecord)))
+
+
+def read_articles_plainly(path: Path, start: int = 0, end: int | None = None) -> Corpus:
+    """The articles `signals.read_articles(path, start, end)` reads, joined,
+    written out plainly: each line that begins in the byte range decoded,
+    stripped and parsed by `json.loads`, then its fields checked one rule at
+    a time. The first bad line raises the reader's message, naming
+    `path:line` (lines count from `start`)."""
+    data = Path(path).read_bytes()
+    end = len(data) if end is None else end
+    pieces = data[start:].split(b"\n")
+    rows, seen, offset = [], set(), start
+    for lineno, piece in enumerate(pieces, start=1):
+        if offset >= end:
+            break
+        line = piece if lineno == len(pieces) else piece + b"\n"
+        offset += len(line)
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        if not text:
+            continue
+        try:
+            raw = json.loads(text)
+        except (ValueError, RecursionError):
+            raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON") from None
+        try:
+            rid = raw["id"]
+            date = dt.date.fromisoformat(raw["date"])
+            title, body = raw.get("title", ""), raw.get("body", "")
+            for name, value in (("id", rid), ("title", title), ("body", body)):
+                if not isinstance(value, str):
+                    raise ValueError(f"{name} must be a string, got {value!r}")
+            if not rid:
+                raise ValueError("article id must be nonempty")
+            labels = raw.get("gold_label"), raw.get("predicted_label")
+            for name, label in zip(("gold_label", "predicted_label"), labels):
+                if label is not None and label not in LABELS:
+                    raise ValueError(f"article {rid}: {name} must be one of {LABELS}")
+            state = raw.get("state")
+            if state is not None and state != UNKNOWN_STATE and state not in US_STATE_CODES:
+                raise ValueError(f"state must be a state code or {UNKNOWN_STATE!r}, got {state!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"{path}:{lineno}: bad record ({exc})") from None
+        if rid in seen:
+            raise InvalidArgumentError(f"{path}:{lineno}: duplicate article id {rid!r}")
+        seen.add(rid)
+        rows.append((rid, date, title, body, *labels, state))
+    return Corpus(*([list(column) for column in zip(*rows)] or [[] for _ in dataclasses.fields(Corpus)]))
 
 
 def score(model, text: str) -> float:

@@ -350,6 +350,22 @@ class TestMalformedInput:
                        "bad record (article x: gold_label must be one of ('hate_crime', 'not_hate_crime'))"),
         "no-date": (['{"id": "x"}'], 3, "bad record ('date')"),
         "empty-id": (['{"id": "", "date": "2010-01-01"}'], 3, "bad record (article id must be nonempty)"),
+        "id-int": (['{"id": 7, "date": "2010-01-01"}'], 3, "bad record (id must be a string, got 7)"),
+        "title-null": (['{"id": "x", "date": "2010-01-01", "title": null}'], 3,
+                       "bad record (title must be a string, got None)"),
+        "title-nan": (['{"id": "x", "date": "2010-01-01", "title": NaN}'], 3,
+                      "bad record (title must be a string, got nan)"),
+        "body-list": (['{"id": "x", "date": "2010-01-01", "body": ["b"]}'], 3,
+                      "bad record (body must be a string, got ['b'])"),
+        "gold-list": ([ARTICLE[:-1] % "x" + ', "gold_label": ["hate_crime"]}'], 3,
+                      "bad record (article x: gold_label must be one of ('hate_crime', 'not_hate_crime'))"),
+        "predicted-dict": (['{"id": "x", "date": "2010-01-01", "predicted_label": {}}'], 3,
+                           "bad record (article x: predicted_label must be one of ('hate_crime', 'not_hate_crime'))"),
+        "state-list": ([ARTICLE[:-1] % "x" + ', "state": ["CA"]}'], 3, "bad record (unhashable type: 'list')"),
+        "bare-int": (["1"], 3, "bad record ('int' object is not subscriptable)"),
+        "date-list": (['{"id": "x", "date": ["2010-01-01"]}'], 3, "bad record (fromisoformat: argument must be str)"),
+        "deep-nesting": (["[" * 100_000], 3, "invalid JSON"),
+        "long-int": (['{"id": "x", "date": "2010-01-01", "n": ' + "1" * 5000 + "}"], 3, "invalid JSON"),
     }
 
     @pytest.mark.parametrize("case", sorted(LOADER_FAULTS))
@@ -367,6 +383,41 @@ class TestMalformedInput:
         code = run("detect", "--output-dir", str(tmp_path / "out"), "--articles", str(articles))
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {articles.resolve()}:3: not UTF-8 text (invalid start byte)\n"
+
+    def test_article_between_unicode_spaces_reads(self, tmp_path, capsys):
+        """A line is stripped of Unicode whitespace, so "\\x1c" before an article
+        and "\\u2028" after it are read as spaces; `str.splitlines` would
+        split the line at either."""
+        articles = tmp_path / "articles.jsonl"
+        lines = [self.ARTICLE % "a1", "\x1c" + self.ARTICLE % "x" + "\u2028"]
+        articles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run("detect", "--output-dir", str(tmp_path / "out"), "--articles", str(articles))
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "detect: labeled 2 articles (2 hate_crime)\n"
+
+    # Nesting deeper than json's recursion limit is invalid JSON in the
+    # config and the model file, as in an article line (`LOADER_FAULTS`).
+    DEEP = "[" * 100_000
+
+    def test_deeply_nested_config_is_invalid_json(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(self.DEEP)
+        code = main(["detect", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert err.startswith(f"error: config {config} is not valid JSON: maximum recursion depth exceeded")
+        assert len(err.splitlines()) == 1
+
+    def test_deeply_nested_model_file_is_unreadable(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(self.DEEP)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(absolute_config(detector_source="baseline", detector_model=str(model))))
+        code = main(["detect", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert err.startswith(f"error: cannot read model file {model}: maximum recursion depth exceeded")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "span, models, name, covers",

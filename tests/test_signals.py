@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 import re
@@ -23,7 +24,7 @@ from crimecast.signals import (
     write_articles,
 )
 
-from conftest import corpus_of
+from conftest import corpus_of, read_articles_plainly
 
 Q1, Q2, Q3, Q4 = (Quarter(2010, q) for q in range(1, 5))
 
@@ -290,6 +291,68 @@ def records_of(rows):
     return [ArticleRecord(f"{i}{key}", *rest) for i, (key, *rest) in enumerate(rows)]
 
 
+# Lines of an article file for the differential test of `read_articles`:
+# articles, whose optional fields may be missing and any field dropped or
+# given another value or type, with ids that repeat; articles padded with
+# Unicode spaces or two on a line; values that are not objects; blank lines
+# and bytes that are not UTF-8. A good article is drawn 12 times as often
+# as each other kind of line.
+FIELD_VALUES = {
+    "id": st.sampled_from("abcdefghijkl"),
+    "date": st.sampled_from(["2010-01-01", "2011-06-30", "20100101"]),
+    "title": st.text(max_size=4),
+    "body": st.text(max_size=4),
+    "gold_label": st.sampled_from(["hate_crime", "not_hate_crime"]),
+    "predicted_label": st.sampled_from(["hate_crime", "not_hate_crime"]),
+    "state": st.sampled_from(["CA", "NY", "UNKNOWN"]),
+}
+OTHER_VALUES = st.sampled_from([None, 7, 1.5, float("nan"), True, [], ["CA"], {}, "", "2010-13-01", "maybe", "ZZ"])
+
+
+@st.composite
+def article_json(draw) -> str:
+    record = {key: draw(values) for key, values in FIELD_VALUES.items() if key in ("id", "date") or draw(st.booleans())}
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(sorted(FIELD_VALUES)))
+        if draw(st.booleans()):
+            record.pop(key, None)
+        else:
+            record[key] = draw(OTHER_VALUES)
+    return json.dumps(record, ensure_ascii=draw(st.booleans()))
+
+
+SPACES = st.text(st.sampled_from(" \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"), max_size=3)
+ARTICLE_LINE = article_json().map(str.encode)
+LINES = st.sampled_from([
+    *[ARTICLE_LINE] * 12,
+    st.tuples(SPACES, article_json(), SPACES).map(lambda parts: "".join(parts).encode()),
+    st.sampled_from([b"", b" ", b"\t"]),
+    st.tuples(article_json(), article_json()).map(lambda pair: " ".join(pair).encode()),
+    st.sampled_from([b"1", b"[1]", b'"x"', b"null", b"true", b"{", b'{"id": "a"', b"{}", b"1" * 5000]),
+    st.tuples(article_json(), st.sampled_from([b"\xff", b"\xc3", b"\xe2\x80"]), st.integers(0, 60)).map(
+        lambda t: t[0].encode()[: t[2]] + t[1] + t[0].encode()[t[2]:]
+    ),
+]).flatmap(lambda line: line)
+
+
+def read_joined(path, start=0, end=None) -> Corpus:
+    """The chunks of `read_articles(path, start, end)` joined into one corpus."""
+    columns = [[] for _ in dataclasses.fields(Corpus)]
+    for chunk in read_articles(path, start, end):
+        for column, part in zip(columns, chunk.columns()):
+            column.extend(part)
+    return Corpus(*columns)
+
+
+def read_outcome(read, *args) -> list | str:
+    """The columns of the corpus `read(*args)` gives, or the message of its
+    InvalidArgumentError."""
+    try:
+        return [list(column) for column in read(*args).columns()]
+    except InvalidArgumentError as exc:
+        return str(exc)
+
+
 class TestArticleIO:
     def test_roundtrip(self, tmp_path):
         records = [
@@ -354,6 +417,24 @@ class TestArticleIO:
         assert [chunk.ids for chunk in read_articles(path, *middle)] == [["r1", "r2", "r3"]]
         assert [chunk.ids for chunk in read_articles(path, line_starts[4])] == [["r4", "r5"]]
         assert list(read_articles(path, line_starts[2], line_starts[2])) == []
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(LINES, max_size=6), st.booleans(), st.data())
+    def test_reader_agrees_with_a_plain_reader(self, tmp_path_factory, lines, newline_at_end, data):
+        """Over the whole file and over a byte range, `read_articles` (in
+        chunks of 2) gives the columns of `read_articles_plainly`, or its
+        message."""
+        path = tmp_path_factory.mktemp("articles") / "a.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n" * newline_at_end)
+        size = path.stat().st_size
+        line_starts = [0] + [i + 1 for i, byte in enumerate(path.read_bytes()) if byte == ord("\n") and i + 1 < size]
+        start = data.draw(st.sampled_from(line_starts))
+        end = data.draw(st.none() | st.integers(start, size))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geo, "_CHUNK", 2)
+            for span in ((0, None), (start, end)):
+                assert read_outcome(read_joined, path, *span) == read_outcome(read_articles_plainly, path, *span), span
 
     def test_duplicate_id_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(geo, "_CHUNK", 3)
