@@ -109,7 +109,11 @@ def _int(value) -> int:
 
 
 def _quarter(value) -> Quarter:
-    return Quarter.parse(str(value))
+    """A quarter label whose year is in 1..9999, as in the quarterly CSVs."""
+    quarter = Quarter.parse(str(value))
+    if not 1 <= quarter.year <= 9999:
+        raise ValueError(f"year must be in 1..9999, got {quarter.year}")
+    return quarter
 
 
 def _models(value) -> tuple[int, ...]:
@@ -652,13 +656,11 @@ def cmd_fit_forecast(config: PipelineConfig) -> None:
 
 
 def cmd_evaluate_detector(config: PipelineConfig) -> None:
-    labels = (None, *signals_mod.LABELS)
-
     def fold(r: int, chunks: Iterator[signals_mod.Corpus]) -> tuple[bytearray, bytearray, str | None]:
         gold, predicted, first = bytearray(), bytearray(), None
         for chunk in chunks:
-            gold += bytes(map(labels.index, chunk.gold))
-            predicted += bytes(map(labels.index, chunk.predicted))
+            gold += bytes(map(signals_mod.LABEL_CODES.index, chunk.gold))
+            predicted += bytes(map(signals_mod.LABEL_CODES.index, chunk.predicted))
             if first is None and None in chunk.predicted:
                 first = next((i for i, g, p in zip(chunk.ids, chunk.gold, chunk.predicted) if g and not p), None)
         return gold, predicted, first
@@ -671,7 +673,7 @@ def cmd_evaluate_detector(config: PipelineConfig) -> None:
     if first is not None:
         missing = np.count_nonzero(scored & (predicted == 0))
         raise UsageError(f"{missing} gold-labeled records lack predictions (first: {first!r})")
-    names = np.array(labels)
+    names = np.array(signals_mod.LABEL_CODES)
     metrics = detector_mod.evaluate(names[predicted[scored]], names[gold[scored]])
     payload = {"Precision": metrics.precision, "Recall": metrics.recall, "F1": metrics.f1, "counts": asdict(metrics.counts)}
     write_json(payload, config.output_dir / "detector_metrics.json")
@@ -701,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to the JSON pipeline config")
         cmd.add_argument("--output-dir", default=None, help="override the output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--models", default=None, help="comma-separated model ids, e.g. 1,2,4")
         for key in _PATH_FLAGS:
             cmd.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
@@ -722,7 +723,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"seed": args.seed, "models": args.models}
+    overrides = {"models": args.models}
     for key in ("output_dir", *_PATH_FLAGS):
         value = getattr(args, key)
         overrides[key] = None if value is None else str(Path(value).resolve())

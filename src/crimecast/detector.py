@@ -58,6 +58,8 @@ class BaselineModel:
             raise InvalidArgumentError("vocabulary must be nonempty")
         if not 0.0 < self.threshold < 1.0:
             raise InvalidArgumentError("threshold must be in (0, 1)")
+        if not np.isfinite(self.bias):
+            raise InvalidArgumentError("bias must be finite")
         if not all(np.isfinite(w) for w in self.vocabulary.values()):
             raise InvalidArgumentError("vocabulary weights must be finite")
 
@@ -99,7 +101,7 @@ class BaselineModel:
             )
         except KeyError as exc:
             raise InvalidArgumentError(f"model file {path} lacks the key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
             raise InvalidArgumentError(f"model file {path}: {exc}") from exc
 
 

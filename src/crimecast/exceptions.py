@@ -33,13 +33,13 @@ class EmptyPanelError(CrimecastError, ValueError):
     """Balancing removed every unit from the panel."""
 
 
-def decode_utf8(data: bytes, path: str | Path, first_line: int = 1) -> str:
-    """`data`, read from `path` starting at line `first_line`, as UTF-8 text.
-    Bytes that are not UTF-8 raise InvalidArgumentError naming `path:line`."""
+def decode_utf8(data: bytes, path: str | Path) -> str:
+    """`data`, the bytes of the file `path`, as UTF-8 text. Bytes that are
+    not UTF-8 raise InvalidArgumentError naming `path:line`."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise not_utf8(data, exc, path, first_line) from None
+        raise not_utf8(data, exc, path) from None
 
 
 def not_utf8(data: bytes, exc: UnicodeDecodeError, path: str | Path, first_line: int = 1) -> InvalidArgumentError:

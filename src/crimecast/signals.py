@@ -91,12 +91,12 @@ class Corpus:
         return map(ArticleRecord, *self.columns())
 
 
-# The values a label field and a `state` may hold. A label is tested against
-# a tuple, which compares a value by equality, so that any other value,
-# unhashable ones too, gets `_check`'s message; the states are one set, whose
-# lookup rejects an unhashable value with its TypeError.
-_LABEL_VALUES = (None, *LABELS)
-_STATE_VALUES = frozenset({None, UNKNOWN_STATE, *US_STATE_CODES})
+# The one code of each value of the categorical columns of the corpus pass:
+# its place in the tuple. The states are None (unresolved), UNKNOWN and the
+# state codes in `str` order, the order of the signal rows.
+STATES = tuple(sorted({None, UNKNOWN_STATE, *US_STATE_CODES}, key=str))
+_STATE_CODE = {state: code for code, state in enumerate(STATES)}
+LABEL_CODES = (None, *LABELS)
 
 
 def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> Iterator[Corpus]:
@@ -145,10 +145,13 @@ def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> I
                     name = next(name for name, value in named.items() if type(value) is not str)
                     raise ValueError(f"{name} must be a string, got {named[name]!r}")
                 gold_label, predicted_label = raw.get("gold_label"), raw.get("predicted_label")
-                if not rid or gold_label not in _LABEL_VALUES or predicted_label not in _LABEL_VALUES:
+                # A tuple compares by equality, so any other label, unhashable
+                # ones too, gets `_check`'s message; the dict rejects an
+                # unhashable state with its TypeError.
+                if not rid or gold_label not in LABEL_CODES or predicted_label not in LABEL_CODES:
                     _check(rid, date, gold_label, predicted_label)
                 state = raw.get("state")
-                if state not in _STATE_VALUES:
+                if state not in _STATE_CODE:
                     raise ValueError(f"state must be a state code or {UNKNOWN_STATE!r}, got {state!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: bad record ({exc})") from exc
@@ -196,10 +199,9 @@ def write_articles(corpus: Corpus, fh: TextIO) -> None:
 @dataclass(frozen=True)
 class Tally:
     """The columns the signals count articles from, in article order: each
-    one's quarter (`Quarter.index`) and state code, int32, and positive
-    flag; `states[c]` is the state of code c."""
+    one's quarter (`Quarter.index`) and state code (its place in `STATES`),
+    int32, and positive flag."""
 
-    states: tuple[str | None, ...]
     quarters: np.ndarray
     codes: np.ndarray
     positive: np.ndarray
@@ -207,51 +209,40 @@ class Tally:
 
 def tally(chunks: Iterable[Corpus]) -> Tally:
     """The tally of a corpus's chunks, each folded in as it comes. Each
-    article needs a predicted_label."""
-    code: dict[str | None, int] = {}
-    parts = [(np.zeros(0, np.int32),) * 2 + (np.zeros(0, bool),)]
+    article needs a predicted_label and a state of `STATES`."""
+    parts = [Tally(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, bool))]
     for chunk in chunks:
         if None in chunk.predicted:
             raise InvalidArgumentError(f"article {chunk.ids[chunk.predicted.index(None)]!r} has no predicted_label")
-        parts.append((
+        parts.append(Tally(
             np.array([quarter_index(d.year, (d.month - 1) // 3 + 1) for d in chunk.dates], dtype=np.int32),
-            np.array([code.setdefault(state, len(code)) for state in chunk.states], dtype=np.int32),
+            np.array([_STATE_CODE[state] for state in chunk.states], dtype=np.int32),
             np.array([label == LABEL_POSITIVE for label in chunk.predicted], dtype=bool),
         ))
-    return Tally(tuple(code), *(np.concatenate(column) for column in zip(*parts)))
+    return merge_tallies(parts)
 
 
 def merge_tallies(tallies: Sequence[Tally]) -> Tally:
     """The tally of the articles of `tallies`, one after the other."""
-    code: dict[str | None, int] = {}
-    recoded = [np.array([code.setdefault(s, len(code)) for s in t.states], dtype=np.int32)[t.codes] for t in tallies]
-    return Tally(
-        tuple(code),
-        np.concatenate([t.quarters for t in tallies]),
-        np.concatenate(recoded),
-        np.concatenate([t.positive for t in tallies]),
-    )
+    return Tally(*(np.concatenate(column) for column in zip(*((t.quarters, t.codes, t.positive) for t in tallies))))
 
 
-def _count(articles: Tally, span: tuple[Quarter, Quarter], resolved: bool = False) -> tuple:
-    """The sorted states, the first quarter, the news and event counts
-    (states × quarters × 2) over the span and the UNKNOWN share, from one
-    bincount of a tally; a state outside the span keeps a row. With
-    `resolved`, every article needs a state."""
-    if resolved and None in articles.states:
-        raise InvalidArgumentError("a tallied article has no resolved state")
+def _count(articles: Tally, span: tuple[Quarter, Quarter]) -> tuple:
+    """The states present, in `STATES` order, the first quarter, the news and
+    event counts (states × quarters × 2) over the span and the UNKNOWN share,
+    from the bincounts of a tally; a state outside the span keeps a row."""
     t, codes, positive = articles.quarters, articles.codes, articles.positive
     lo, hi = (q.index for q in span)
-    states = sorted(articles.states, key=str)
-    rank = np.array([states.index(state) for state in articles.states], dtype=np.intp)
+    per_state = np.bincount(codes, minlength=len(STATES))
+    present = per_state > 0
+    states = [STATES[code] for code in np.flatnonzero(present)]
+    rank = np.cumsum(present) - 1
     width = max(hi - lo + 1, 0)
     kept = (t >= lo) & (t <= hi)
     cells = rank[codes[kept]] * width + (t[kept] - lo)
     size = len(states) * width
     counts = np.stack([np.bincount(cells, minlength=size), np.bincount(cells, positive[kept], minlength=size)], axis=1)
-    unknown = 0.0
-    if UNKNOWN_STATE in articles.states:
-        unknown = np.count_nonzero(codes == articles.states.index(UNKNOWN_STATE)) / len(t)
+    unknown = int(per_state[_STATE_CODE[UNKNOWN_STATE]]) / len(t) if len(t) else 0.0
     return states, span[0], counts.astype(float).reshape(len(states), width, 2), unknown
 
 
@@ -295,7 +286,9 @@ def aggregate_by_state(articles: Tally, span: tuple[Quarter, Quarter]) -> StateS
     """Aggregate the articles' tally per (state, quarter) over the span;
     articles must carry a resolved state. The articles are counted once;
     the national frame sums the states."""
-    states, start, counts, unknown_share = _count(articles, span, resolved=True)
+    states, start, counts, unknown_share = _count(articles, span)
+    if None in states:
+        raise InvalidArgumentError("a tallied article has no resolved state")
     known = [i for i, state in enumerate(states) if state != UNKNOWN_STATE]
     by_state = _frame([states[i] for i in known], start, counts[known])
     return StateSignals(_summed(states, start, counts), by_state, unknown_share)

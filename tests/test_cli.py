@@ -94,6 +94,29 @@ class TestConfig:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key, value, year",
+        [
+            ("fit_start", "-1000000000Q1", -1000000000),
+            ("fit_start", "-100000000000000000000Q1", -100000000000000000000),
+            ("fit_start", "0Q4", 0),
+            ("holdout_end", "10000Q1", 10000),
+        ],
+        ids=["int32-overflow", "c-long-overflow", "year-0", "year-10000"],
+    )
+    def test_quarter_year_outside_1_to_9999_exits_2_naming_key(self, tmp_path, capsys, key, value, year):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(absolute_config(**{key: value})))
+        code = main(["signals", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: config key {key!r}: year must be in 1..9999, got {year}\n"
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("detect", "--output-dir", str(tmp_path), "--seed", "1")
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", REMOVED_KEYS.items(), ids=list(REMOVED_KEYS))
     def test_removed_key_exits_2_as_unknown(self, tmp_path, capsys, key, value):
         path = tmp_path / "c.json"
@@ -251,18 +274,27 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "payload, problem",
-        [({"bias": 0.0, "threshold": 0.5}, "lacks the key 'vocabulary'"), ([1, 2], "must hold a JSON object")],
-        ids=["no-vocabulary", "json-array"],
+        [
+            ({"bias": 0.0, "threshold": 0.5}, " lacks the key 'vocabulary'"),
+            ([1, 2], " must hold a JSON object"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": 1%s, "threshold": 0.5}' % ("0" * 400), ": int too large to convert to float"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": 0.0, "threshold": 1%s}' % ("0" * 400), ": int too large to convert to float"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": NaN, "threshold": 0.5}', ": bias must be finite"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": Infinity, "threshold": 0.5}', ": bias must be finite"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": -Infinity, "threshold": 0.5}', ": bias must be finite"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": 1e999, "threshold": 0.5}', ": bias must be finite"),
+        ],
+        ids=["no-vocabulary", "json-array", "bias-401-digits", "threshold-401-digits", "bias-nan", "bias-inf", "bias-minus-inf", "bias-1e999"],
     )
     def test_malformed_detector_model_exits_2_naming_file(self, tmp_path, capsys, payload, problem):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(payload))
+        model.write_text(payload if isinstance(payload, str) else json.dumps(payload))  # a str is the file's text
         config = tmp_path / "c.json"
         config.write_text(json.dumps(absolute_config(detector_source="baseline", detector_model=str(model))))
         code = main(["detect", "--config", str(config), "--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_INPUT_ERROR
-        assert f"error: model file {model} {problem}" in err
+        assert f"error: model file {model}{problem}" in err
         assert "Traceback" not in err
 
     def test_article_without_text_exits_2_naming_file_and_id(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from crimecast import geo
 from crimecast.exceptions import InvalidArgumentError
 from crimecast.series import Quarter
 from crimecast.signals import (
+    STATES,
     ArticleRecord,
     Corpus,
     aggregate_by_state,
@@ -219,7 +220,7 @@ class TestAggregateByState:
             st.tuples(
                 st.dates(dt.date(2009, 1, 1), dt.date(2012, 12, 31)),
                 st.sampled_from(["hate_crime", "not_hate_crime"]),
-                st.sampled_from(["CA", "NY", "TX", "UNKNOWN"]),
+                st.sampled_from([state for state in STATES if state is not None]),
             ),
             min_size=1,
             max_size=40,
@@ -236,7 +237,8 @@ class TestAggregateByState:
         out = aggregate_by_state(tally([corpus]), span)
         # The same articles as a stream of chunks of 3 give the same frames.
         chunks = [Corpus(*(column[i : i + 3] for column in corpus.columns())) for i in range(0, len(corpus), 3)]
-        # So do the tallies of the chunks, merged in order.
+        # So do the tallies of the chunks, merged in order: the same rows in
+        # the same order as one tally of the whole corpus.
         merged = merge_tallies([tally([chunk]) for chunk in chunks])
         for chunked in aggregate_by_state(tally(iter(chunks)), span), aggregate_by_state(merged, span):
             assert same_frame(chunked.national, out.national) and same_frame(chunked.by_state, out.by_state)
@@ -253,6 +255,10 @@ class TestAggregateByState:
             assert column(out.national, "event_detected_num")[i] == sum(n for (_, cq), n in events.items() if cq == q)
         assert (quarters(out.national)[0], quarters(out.national)[-1]) == span
         assert out.unknown_share == sum(state == "UNKNOWN" for state, _ in cell) / len(rows)
+
+    def test_states_are_each_code_once_in_str_order(self):
+        assert sorted(STATES, key=str) == list(STATES)
+        assert Counter(STATES) == Counter([None, geo.UNKNOWN_STATE, *geo.US_STATE_CODES])
 
     def test_groupby_oracle(self, rng):
         states = ["CA", "NY", "TX"]
