@@ -27,7 +27,7 @@ from . import evaluation, geo, signals as signals_mod, stattests
 from .arima import MAX_GRID_ORDER, ArimaSpec, fit_arima, fit_summary, forecast_arima, select_orders, suggest_orders_acf
 from .evaluation import ForecastReport, compare_models, score_model
 from .exceptions import CrimecastError, EmptyPanelError, InvalidArgumentError, decode_utf8
-from .panel import PanelDataset, balance_panel, fit_fixed_effects, fit_random_effects, forecast_panel
+from .panel import PanelDataset, balance_panel, fit_fixed_effects, fit_random_effects, forecast_panel, within
 from .regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
 from .reporting import write_json
 from .series import (
@@ -526,9 +526,10 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
     hausman = {}
     for model_id, spec in specs.items():
         name = f"Model {model_id}"
-        fe = fit_fixed_effects(fit_panel, spec)
+        step = within(fit_panel, spec)
+        fe = fit_fixed_effects(step)
         try:
-            hausman[name] = evaluation.hausman_decision(fe, fit_random_effects(fit_panel, spec))
+            hausman[name] = evaluation.hausman_decision(fe, fit_random_effects(step))
         except CrimecastError as exc:
             hausman[name] = {"error": str(exc)}
         predicted = forecast_panel(fe, balanced, holdout).ravel().tolist()
@@ -698,14 +699,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crimecast",
         description="Quarterly crime-trend forecasting with news-derived event signals.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to the JSON pipeline config")
-        cmd.add_argument("--output-dir", default=None, help="override the output directory")
-        cmd.add_argument("--models", default=None, help="comma-separated model ids, e.g. 1,2,4")
-        for key in _PATH_FLAGS:
-            cmd.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="path to the JSON pipeline config")
+    parser.add_argument("--output-dir", default=None, help="override the output directory")
+    parser.add_argument("--models", default=None, help="comma-separated model ids, e.g. 1,2,4")
+    for key in _PATH_FLAGS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     return parser
 
 

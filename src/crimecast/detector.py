@@ -9,6 +9,7 @@ the predicted_label field of the article records.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -94,7 +95,7 @@ class BaselineModel:
             raise InvalidArgumentError(f"model file {path} must hold a JSON object")
         try:
             return cls(
-                vocabulary=dict(payload["vocabulary"]),
+                vocabulary={token: _weight(token, w) for token, w in dict(payload["vocabulary"]).items()},
                 bias=float(payload["bias"]),
                 threshold=float(payload["threshold"]),
                 metadata=dict(payload.get("metadata", {})),
@@ -103,6 +104,18 @@ class BaselineModel:
             raise InvalidArgumentError(f"model file {path} lacks the key {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
             raise InvalidArgumentError(f"model file {path}: {exc}") from exc
+
+
+def _weight(token: str, value: Any) -> float:
+    """A vocabulary weight read from JSON: a number, not a bool, that
+    `float()` takes to a finite value."""
+    try:
+        weight = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer too large for a float
+        weight = math.nan
+    if not math.isfinite(weight):
+        raise InvalidArgumentError(f"vocabulary weight of {token!r} must be a finite number")
+    return weight
 
 
 def _split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

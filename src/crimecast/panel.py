@@ -63,9 +63,13 @@ class PanelFit:
 
 
 @dataclass(frozen=True)
-class _Within:
-    """Usable rows stacked by unit, then time; the unit means; the demeaned design."""
+class Within:
+    """The within step of one panel and spec, which its fixed- and
+    random-effects fits share: the usable rows stacked by unit, then time;
+    the unit means; and the within slopes with (X'X)^-1 of the demeaned
+    design, their sum of squared residuals and sigma2_e."""
 
+    spec: RegressionSpec
     units: tuple[str, ...]
     names: list[str]
     first: np.ndarray  # each unit's first usable quarter index
@@ -74,19 +78,30 @@ class _Within:
     x: np.ndarray
     y_bar: np.ndarray
     x_bar: np.ndarray
-    y_dm: np.ndarray
-    x_dm: np.ndarray
     sst: float  # total sum of squares of y about its grand mean
+    beta: np.ndarray
+    xtx_inv: np.ndarray
+    ssr: float
+    sigma2_e: float  # on the within degrees of freedom, n - N - k
+
+    def __post_init__(self) -> None:
+        # Both fits read these arrays, so neither may write into them.
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
-def _within(panel: PanelDataset, spec: RegressionSpec) -> _Within:
-    """Stack the rows where the dependent and every lagged term are finite and
-    demean them by unit; each unit needs one gap-free run of k + 2 or more."""
+def within(panel: PanelDataset, spec: RegressionSpec) -> Within:
+    """Stack the rows where the dependent and every lagged term are finite,
+    demean them by unit and fit the within OLS; each unit needs one gap-free
+    run of k + 2 or more. A regressor constant within every unit is absorbed
+    by the effects and rejected."""
     units = panel.unit_names
     if len(units) < 2:
         raise InvalidArgumentError("panel estimation needs at least 2 units")
     yx, usable, first, counts = panel.usable_rows(spec.dependent, spec.terms)
-    k = len(spec.terms)
+    names = list(spec.term_names())
+    k = len(names)
     for unit, count in zip(units, counts):
         if count < k + 2:
             raise InvalidArgumentError(f"unit {unit!r} contributes {count} usable rows, need at least {k + 2}")
@@ -96,72 +111,60 @@ def _within(panel: PanelDataset, spec: RegressionSpec) -> _Within:
     x_bar = np.where(usable[:, :, None], yx[:, :, 1:], 0.0).sum(axis=1) / counts[:, None]
     y, x = yx[:, :, 0][usable], yx[:, :, 1:][usable]
     y_dm, x_dm = y - np.repeat(y_bar, counts), x - np.repeat(x_bar, counts, axis=0)
-    sst = float(np.sum((y - y.mean()) ** 2))
-    return _Within(units, list(spec.term_names()), first, counts, y, x, y_bar, x_bar, y_dm, x_dm, sst)
 
+    scale = np.abs(x).max(axis=0)
+    absorbed = [names[j] for j in range(k) if np.abs(x_dm[:, j]).max() <= 1e-12 * max(scale[j], 1.0)]
+    if absorbed:
+        raise CollinearityError(absorbed, "regressors constant within units: " + ", ".join(absorbed))
 
-def _within_slopes(w: _Within) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Within OLS: (slopes, (X'X)^-1, residuals, sigma2_e on n - N - k dof)."""
-    beta, xtx_inv = _qr_solve(w.x_dm, w.y_dm, w.names)
-    resid = w.y_dm - w.x_dm @ beta
-    dof = len(w.y) - len(w.units) - len(w.names)
+    beta, xtx_inv = _qr_solve(x_dm, y_dm, names)
+    resid = y_dm - x_dm @ beta
+    dof = len(y) - len(units) - k
     if dof <= 0:
         raise InvalidArgumentError("not enough observations for within degrees of freedom")
-    return beta, xtx_inv, resid, float(resid @ resid) / dof
+    ssr = float(resid @ resid)
+    sst = float(np.sum((y - y.mean()) ** 2))
+    return Within(spec, units, names, first, counts, y, x, y_bar, x_bar, sst, beta, xtx_inv, ssr, ssr / dof)
 
 
 def _r_squared(ssr: float, sst: float) -> float:
     return 1.0 - ssr / sst if sst > 0.0 else float("nan")
 
 
-def fit_fixed_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
-    """Within estimator: demean by unit, pooled OLS, per-unit intercepts.
+def fit_fixed_effects(w: Within) -> PanelFit:
+    """Within estimator: the within step's slopes, with per-unit intercepts.
 
     The slope covariance uses the within degrees of freedom (n - N - k).
     """
-    w = _within(panel, spec)
-    n, k = w.x.shape
-
-    # A regressor constant within every unit is absorbed by the effects.
-    scale = np.abs(w.x).max(axis=0)
-    absorbed = [w.names[j] for j in range(k) if np.abs(w.x_dm[:, j]).max() <= 1e-12 * max(scale[j], 1.0)]
-    if absorbed:
-        raise CollinearityError(absorbed, "regressors constant within units: " + ", ".join(absorbed))
-
-    beta, xtx_inv, resid, sigma2_e = _within_slopes(w)
-    ssr = float(resid @ resid)
     return PanelFit(
         method="fixed",
-        spec=spec,
+        spec=w.spec,
         slope_names=tuple(w.names),
-        slopes=tuple(float(b) for b in beta),
-        slope_cov=sigma2_e * xtx_inv,
-        unit_effects={u: float(yb - xb @ beta) for u, yb, xb in zip(w.units, w.y_bar, w.x_bar)},
+        slopes=tuple(float(b) for b in w.beta),
+        slope_cov=w.sigma2_e * w.xtx_inv,
+        unit_effects={u: float(yb - xb @ w.beta) for u, yb, xb in zip(w.units, w.y_bar, w.x_bar)},
         intercept=None,
-        sigma2_e=sigma2_e,
+        sigma2_e=w.sigma2_e,
         sigma2_u=None,
         theta=None,
-        overall_r_squared=_r_squared(ssr, w.sst),
-        log_likelihood=_gaussian_loglik(ssr, n)[1],
+        overall_r_squared=_r_squared(w.ssr, w.sst),
+        log_likelihood=_gaussian_loglik(w.ssr, len(w.y))[1],
     )
 
 
-def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
-    """Swamy-Arora random effects on a balanced panel.
+def fit_random_effects(w: Within) -> PanelFit:
+    """Swamy-Arora random effects on a balanced panel, from its within step.
 
     Variance components come from the within and between residual variances;
     negative sigma2_u estimates are truncated at zero with a warning. GLS is
     carried out by quasi-demeaning with theta = 1 - sqrt(s2e/(s2e + T*s2u)).
     """
-    w = _within(panel, spec)
     if len(set(w.counts.tolist())) != 1 or len(set(w.first.tolist())) != 1:
         raise InvalidArgumentError("random effects requires a balanced panel")
     t_len = int(w.counts[0])
     n_units = len(w.units)
     n, k = w.x.shape
-
-    # Within step for sigma2_e.
-    sigma2_e = _within_slopes(w)[3]
+    sigma2_e = w.sigma2_e
 
     # Between step for sigma2_u.
     if n_units < k + 2:
@@ -189,7 +192,7 @@ def fit_random_effects(panel: PanelDataset, spec: RegressionSpec) -> PanelFit:
     resid = w.y - intercept - w.x @ beta
     return PanelFit(
         method="random",
-        spec=spec,
+        spec=w.spec,
         slope_names=tuple(w.names),
         slopes=tuple(float(b) for b in beta),
         slope_cov=(ssr_star / (n - k - 1) * xtx_inv)[1:, 1:],

@@ -266,11 +266,22 @@ def deseasonalize(series: TimeSeries, decomp: DecompositionResult) -> TimeSeries
     return TimeSeries(series.name + "_noseasonnal", series.start, tuple(y - seasonal.to_array()))
 
 
-def _check_unique(codes: np.ndarray, message) -> None:
+def _check_unique(codes: Iterable, message) -> None:
     """Reject the first row whose code an earlier row has, with `message(row)`."""
-    repeated = np.setdiff1d(np.arange(len(codes)), np.unique(codes, return_index=True)[1])
-    if len(repeated):
-        raise InvalidArgumentError(message(int(repeated[0])))
+    seen = set()
+    for r, code in enumerate(codes):
+        if code in seen:
+            raise InvalidArgumentError(message(r))
+        seen.add(code)
+
+
+def _malformed(row: list[str], width: int, n_keys: int) -> bool:
+    """Whether a padded row is longer than the header, or lacks a year in
+    1..9999 or a quarter in 1..4."""
+    try:
+        return len(row) > width or not (1 <= int(row[n_keys - 2]) <= 9999 and 1 <= int(row[n_keys - 1]) <= 4)
+    except ValueError:
+        return True
 
 
 def read_quarterly_csv(
@@ -281,41 +292,57 @@ def read_quarterly_csv(
     the value column names, the cells of each key before year, the quarter
     indices (the year in 1..9999, the quarter in 1..4), the values (rows ×
     names; NaN where a cell is blank or a short row lacks it, any other cell
-    must be a finite number) and the line each row starts on. With
-    `consecutive`, rows must be sorted consecutive quarters, none repeated."""
+    must be a finite number) and the line each row starts on. A row longer
+    than the header is malformed, as is a bad year or quarter anywhere,
+    which wins over a bad value cell; a fault the CSV tokenizer raises comes
+    after those of earlier lines. With `consecutive`, rows must be sorted
+    consecutive quarters, none repeated."""
     path = Path(path)
     n_keys = len(keys)
     with io.StringIO(decode_utf8(path.read_bytes(), path), newline="") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        names = header[n_keys:]
+        try:
+            header = [h.strip() for h in next(reader, [])]
+        except csv.Error as exc:
+            raise InvalidArgumentError(f"{path}:1: {exc}") from None
+        width, names = len(header), header[n_keys:]
         if header[:n_keys] != list(keys) or not names:
             raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
-        rows, index, lines = [], [], []
         # A record starts on the line after the one the previous record
         # ended on; a quoted cell may hold a newline.
-        end = reader.line_num
-        for row in reader:
-            lineno, end = end + 1, reader.line_num
-            if not row:
-                continue
-            row += [""] * (len(header) - len(row))
-            try:
-                year, quarter = int(row[n_keys - 2]), int(row[n_keys - 1])
-            except ValueError:
-                year = quarter = 0
-            if not (1 <= year <= 9999 and 1 <= quarter <= 4):
-                raise InvalidArgumentError(f"{path}:{lineno}: malformed row")
-            rows.append(row)
-            index.append(quarter_index(year, quarter))
-            lines.append(lineno)
+        rows, lines, end, fault = [], [], reader.line_num, None
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(end + 1)
+                end = reader.line_num
+        except csv.Error as exc:  # the rows before it are checked first
+            fault = f"{path}:{end + 1}: {exc}"
     if not rows:
-        raise InvalidArgumentError(f"{path}: no data rows")
-    index = np.array(index)
+        raise InvalidArgumentError(fault or f"{path}: no data rows")
+    lengths = set(map(len, rows))
+    if min(lengths) < width:
+        for row in rows:
+            row += [""] * (width - len(row))
+    columns = list(zip(*rows))  # the first `width` cells of each row
     try:
-        values = np.array([[c if c.strip() else "nan" for c in row[n_keys : len(header)]] for row in rows], dtype=float)
-    except ValueError:  # a cell is not a number: the loop below names the first one
-        values = np.full((len(rows), len(names)), np.inf)
+        years, quarters = (np.fromiter(map(int, columns[j]), np.int64, len(rows)) for j in (n_keys - 2, n_keys - 1))
+        malformed = max(lengths) > width or ((years < 1) | (years > 9999) | (quarters < 1) | (quarters > 4)).any()
+    except (ValueError, OverflowError):  # a year or quarter that is not an int64
+        malformed = True
+    if malformed:
+        r = next(r for r, row in enumerate(rows) if _malformed(row, width, n_keys))
+        raise InvalidArgumentError(f"{path}:{lines[r]}: malformed row")
+    index = quarter_index(years, quarters)
+    cells = columns[n_keys:]
+    try:
+        values = np.array(cells, dtype=float).T
+    except ValueError:  # a blank cell, or one that is not a number
+        try:
+            values = np.array([[c if c.strip() else "nan" for c in column] for column in cells], dtype=float).T
+        except ValueError:  # the loop below names the first cell that is not a number
+            values = np.full((len(rows), len(names)), np.inf)
     for r, j in np.argwhere(~np.isfinite(values)).tolist():
         raw = rows[r][n_keys + j].strip()
         try:
@@ -324,13 +351,15 @@ def read_quarterly_csv(
             finite = False
         if not finite:
             raise InvalidArgumentError(f"{path}:{lines[r]}: not a finite number: {raw!r}")
+    if fault:
+        raise InvalidArgumentError(fault)
     if consecutive:
-        _check_unique(index, lambda r: f"{path}:{lines[r]}: duplicate observation for {Quarter.from_index(index[r])}")
         breaks = np.flatnonzero(np.diff(index) != 1)
         if len(breaks):
+            _check_unique(index.tolist(), lambda r: f"{path}:{lines[r]}: duplicate observation for {Quarter.from_index(index[r])}")
             a, b = (Quarter.from_index(i) for i in index[breaks[0] : breaks[0] + 2])
             raise InvalidArgumentError(f"{path}: rows must be sorted consecutive quarters ({a} -> {b})")
-    return names, [[row[k].strip() for row in rows] for k in range(n_keys - 2)], index, values, lines
+    return names, [list(map(str.strip, columns[k])) for k in range(n_keys - 2)], index, values, lines
 
 
 def load_series_csv(path: str | Path, name: str | None = None) -> TimeSeries:
@@ -398,20 +427,23 @@ class PanelDataset:
         (rows × names; of a repeated name the last column counts), the units
         and variables sorted. A repeated unit and quarter is an error that
         `where(r)` prefixes for row r."""
-        unit_names, unit = np.unique(np.asarray(units, dtype=str), return_inverse=True)
+        unit_names = sorted(set(units))
+        code = {name: i for i, name in enumerate(unit_names)}
+        unit = np.fromiter(map(code.__getitem__, units), np.intp, len(units))
         column = {name: j for j, name in enumerate(names)}
         names = sorted(column)
         t = index - index.min()
         shape = (len(unit_names), int(t.max()) + 1)
-        _check_unique(
-            unit * shape[1] + t,
-            lambda r: f"{where(r)}duplicate observation for {units[r]} {Quarter.from_index(index[r])}",
-        )
-        frame = np.full(shape + (len(names),), np.nan)
-        frame[unit, t] = values[:, [column[name] for name in names]]
         present = np.zeros(shape, dtype=bool)
         present[unit, t] = True
-        return cls(tuple(unit_names.tolist()), Quarter.from_index(index.min()), tuple(names), frame, present)
+        if np.count_nonzero(present) < len(t):
+            _check_unique(
+                zip(unit.tolist(), t.tolist()),
+                lambda r: f"{where(r)}duplicate observation for {units[r]} {Quarter.from_index(index[r])}",
+            )
+        frame = np.full(shape + (len(names),), np.nan)
+        frame[unit, t] = values[:, [column[name] for name in names]]
+        return cls(tuple(unit_names), Quarter.from_index(index.min()), tuple(names), frame, present)
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, Quarter, Mapping[str, float]]]) -> "PanelDataset":

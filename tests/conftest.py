@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import datetime as dt
+import io
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from crimecast import geo
-from crimecast.exceptions import InvalidArgumentError
+from crimecast.exceptions import InvalidArgumentError, decode_utf8
 from crimecast.geo import UNKNOWN_STATE, US_STATE_CODES
 from crimecast.series import Quarter, TimeSeries
 from crimecast.signals import LABELS, ArticleRecord, Corpus
@@ -79,6 +82,72 @@ def read_articles_plainly(path: Path, start: int = 0, end: int | None = None) ->
         seen.add(rid)
         rows.append((rid, date, title, body, *labels, state))
     return Corpus(*([list(column) for column in zip(*rows)] or [[] for _ in dataclasses.fields(Corpus)]))
+
+
+def read_quarterly_csv_plainly(path: Path, keys: tuple[str, ...], consecutive: bool = False):
+    """What `series.read_quarterly_csv` returns, written out plainly: one
+    record at a time from `csv.reader`, its year and quarter through `int()`,
+    then each value cell through `float()`. A malformed row (longer than the
+    header, or without a year in 1..9999 and a quarter in 1..4) raises as it
+    is met; value cells are checked after the last record; a tokenizer fault
+    is raised after the checks of the records before it."""
+    path = Path(path)
+    reader = csv.reader(io.StringIO(decode_utf8(path.read_bytes(), path), newline=""))
+    try:
+        header = [h.strip() for h in next(reader, [])]
+    except csv.Error as exc:
+        raise InvalidArgumentError(f"{path}:1: {exc}") from None
+    n_keys, width, names = len(keys), len(header), header[len(keys):]
+    if header[:n_keys] != list(keys) or not names:
+        raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
+    rows, index, lines, fault = [], [], [], None
+    while fault is None:
+        lineno = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            fault = f"{path}:{lineno}: {exc}"
+            break
+        if not row:
+            continue
+        row = row + [""] * (width - len(row))
+        try:
+            year, quarter = int(row[n_keys - 2]), int(row[n_keys - 1])
+        except ValueError:
+            year = quarter = 0
+        if len(row) > width or not (1 <= year <= 9999 and 1 <= quarter <= 4):
+            raise InvalidArgumentError(f"{path}:{lineno}: malformed row")
+        rows.append(row)
+        index.append(year * 4 + quarter - 1)
+        lines.append(lineno)
+    values = []
+    for row, lineno in zip(rows, lines):
+        values.append([])
+        for raw in (cell.strip() for cell in row[n_keys:]):
+            try:
+                value = float(raw) if raw else math.nan
+            except ValueError:
+                value = math.inf
+            if raw and not math.isfinite(value):
+                raise InvalidArgumentError(f"{path}:{lineno}: not a finite number: {raw!r}")
+            values[-1].append(value)
+    if fault is not None:
+        raise InvalidArgumentError(fault)
+    if not rows:
+        raise InvalidArgumentError(f"{path}: no data rows")
+    if consecutive:
+        for r in range(1, len(rows)):
+            if index[r] in index[:r]:
+                raise InvalidArgumentError(f"{path}:{lines[r]}: duplicate observation for {Quarter.from_index(index[r])}")
+        for a, b in zip(index, index[1:]):
+            if b != a + 1:
+                raise InvalidArgumentError(
+                    f"{path}: rows must be sorted consecutive quarters ({Quarter.from_index(a)} -> {Quarter.from_index(b)})"
+                )
+    keys_before_year = [[row[k].strip() for row in rows] for k in range(n_keys - 2)]
+    return names, keys_before_year, np.array(index), np.array(values).reshape(len(rows), len(names)), lines
 
 
 def score(model, text: str) -> float:

@@ -18,7 +18,7 @@ from crimecast.arima import ArimaSpec, fit_arima, select_orders
 from crimecast.cli import EXIT_OK, main
 from crimecast.evaluation import mape, rmse
 from crimecast.geo import load_gazetteer, resolve_state
-from crimecast.panel import fit_fixed_effects, fit_random_effects
+from crimecast.panel import fit_fixed_effects, fit_random_effects, within
 from crimecast.regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
 from crimecast.series import Quarter, TimeSeries, decompose_additive, difference
 from crimecast.signals import ArticleRecord, aggregate_by_state, aggregate_quarterly, load_articles, tally
@@ -72,7 +72,7 @@ def test_criterion_02_fixed_effects_equal_lsdv():
         for rep in range(20):
             n_units = int(rng.integers(3, 11))
             panel = simulate_panel(seed=int(rng.integers(0, 2**31)), n_units=n_units, periods=20, noise=1.0)
-            fit = fit_fixed_effects(panel, spec)
+            fit = fit_fixed_effects(within(panel, spec))
             oracle = lsdv_oracle(panel, spec)
             worst = max(worst, float(np.max(np.abs(np.asarray(fit.slopes) - oracle))))
         elapsed = time.perf_counter() - started
@@ -155,8 +155,8 @@ def test_criterion_07_hausman_discrimination():
                 warnings.simplefilter("ignore")
                 for seed in range(100):
                     panel = simulate_panel(seed=seed, n_units=10, periods=20, noise=1.0, endog=endog)
-                    fe = fit_fixed_effects(panel, spec)
-                    re = fit_random_effects(panel, spec)
+                    step = within(panel, spec)
+                    fe, re = fit_fixed_effects(step), fit_random_effects(step)
                     h = hausman_test(fe.slopes, fe.slope_cov, re.slopes, re.slope_cov)
                     rejections += h.p_value < 0.05
             return rejections

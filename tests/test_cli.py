@@ -172,6 +172,33 @@ class TestConfig:
         assert not (tmp_path / "report.json").exists()
 
 
+WEIGHT = ": vocabulary weight of 'hate' must be a finite number"
+
+
+def split_first_number(line: str) -> str:
+    """The line with its first decimal number split into two cells."""
+    return line.replace(".", ",", 1)
+
+
+def with_huge_last_cell(line: str) -> str:
+    """The line with 200,000 digits appended to its last cell."""
+    return line + "9" * 200_000
+
+
+def with_huge_quoted_state(line: str) -> str:
+    """The line with its state replaced by a quoted 200,000-character cell."""
+    return '"' + "x" * 200_000 + '"' + line[line.index(",") :]
+
+
+def with_quarter_9(line: str) -> str:
+    state, year, _, rest = line.split(",", 3)
+    return f"{state},{year},9,{rest}"
+
+
+def with_last_cell_abc(line: str) -> str:
+    return line.rsplit(",", 1)[0] + ",abc"
+
+
 class TestMalformedInput:
     """A malformed number or JSON line exits 2 and names `path:line`. `main`
     runs in process, so an exception escaping it fails the test."""
@@ -283,8 +310,18 @@ class TestMalformedInput:
             ('{"vocabulary": {"hate": 1.0}, "bias": Infinity, "threshold": 0.5}', ": bias must be finite"),
             ('{"vocabulary": {"hate": 1.0}, "bias": -Infinity, "threshold": 0.5}', ": bias must be finite"),
             ('{"vocabulary": {"hate": 1.0}, "bias": 1e999, "threshold": 0.5}', ": bias must be finite"),
+            ('{"vocabulary": {"hate": 1%s}, "bias": 0.0, "threshold": 0.5}' % ("0" * 400), WEIGHT),
+            ('{"vocabulary": {"hate": "x"}, "bias": 0.0, "threshold": 0.5}', WEIGHT),
+            ('{"vocabulary": {"hate": null}, "bias": 0.0, "threshold": 0.5}', WEIGHT),
+            ('{"vocabulary": {"hate": true}, "bias": 0.0, "threshold": 0.5}', WEIGHT),
+            ('{"vocabulary": {"hate": NaN}, "bias": 0.0, "threshold": 0.5}', WEIGHT),
+            ('{"vocabulary": {"hate": -1e999}, "bias": 0.0, "threshold": 0.5}', WEIGHT),
         ],
-        ids=["no-vocabulary", "json-array", "bias-401-digits", "threshold-401-digits", "bias-nan", "bias-inf", "bias-minus-inf", "bias-1e999"],
+        ids=[
+            "no-vocabulary", "json-array", "bias-401-digits", "threshold-401-digits", "bias-nan", "bias-inf",
+            "bias-minus-inf", "bias-1e999", "weight-401-digits", "weight-string", "weight-null", "weight-true",
+            "weight-nan", "weight-minus-1e999",
+        ],
     )
     def test_malformed_detector_model_exits_2_naming_file(self, tmp_path, capsys, payload, problem):
         model = tmp_path / "model.json"
@@ -336,6 +373,30 @@ class TestMalformedInput:
         assert code == EXIT_INPUT_ERROR
         assert f"error: {panel.resolve()}:4: malformed row" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edits, fault",
+        [
+            ({2: split_first_number}, "2: malformed row"),
+            ({4: with_huge_last_cell}, "4: field larger than field limit (131072)"),
+            ({4: with_huge_quoted_state}, "4: field larger than field limit (131072)"),
+            ({3: with_quarter_9, 4: with_huge_last_cell}, "3: malformed row"),
+            ({3: with_last_cell_abc, 4: with_huge_last_cell}, "3: not a finite number: 'abc'"),
+            ({4: with_huge_last_cell, 5: split_first_number}, "4: field larger than field limit (131072)"),
+        ],
+        ids=["long-row", "huge-cell", "huge-quoted-state", "malformed-before", "bad-value-before", "long-row-after"],
+    )
+    def test_panel_row_fault_exits_2_naming_path_line(self, tmp_path, capsys, edits, fault):
+        """A row wider than the header and a cell too large for the CSV
+        tokenizer are input errors; a fault on an earlier line wins."""
+        lines = (FIXTURES / "panel.csv").read_text().splitlines()
+        for lineno, edit in edits.items():
+            lines[lineno - 1] = edit(lines[lineno - 1])
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join(lines) + "\n")
+        code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "6,7", "--panel", str(panel))
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {panel.resolve()}:{fault}\n"
 
     def test_line_after_a_quoted_newline_is_named_by_its_physical_line(self, tmp_path, capsys):
         lines = (FIXTURES / "panel.csv").read_text().splitlines()
@@ -666,6 +727,76 @@ def test_a_mutated_article_file_exits_0_or_2_naming_it(tmp_path_factory, line, m
             assert str(articles) in message or any(re.fullmatch(e, message) for e in LABEL_ERRORS), (command, message)
         else:
             assert errors == [], (command, stderr.getvalue())
+
+
+# One mutation of one line (the header included) of a fixture CSV: blank,
+# drop or add a cell, cut the line, duplicate it, swap it with another,
+# insert a byte that is not UTF-8, open a quote, or make a cell too large
+# for the CSV tokenizer. Each file runs through the commands that read it.
+CSV_MUTATIONS = ("blank-cell", "drop-cell", "add-cell", "cut", "duplicate", "swap", "non-utf8", "open-quote", "huge-cell")
+CSV_READERS = {
+    "panel.csv": ("--panel", (("fit-forecast", "--models", "6,7"),)),
+    "covariates.csv": ("--covariates", (("fit-forecast", "--models", "2"),)),
+    "fbi.csv": ("--fbi-series", (("decompose",), ("fit-forecast", "--models", "1,2"))),
+}
+
+
+def mutated_csv(name: str, line: int, mutation: str, cut: int) -> bytes:
+    lines = (FIXTURES / name).read_bytes().splitlines(keepends=True)
+    line %= len(lines)
+    target = lines[line]
+    cells = target.rstrip(b"\n").split(b",")
+    j = cut % len(cells)
+    if mutation == "blank-cell":
+        cells[j] = b""
+    elif mutation == "drop-cell":
+        del cells[j]
+    elif mutation == "add-cell":
+        cells.insert(j, b"1.5")
+    elif mutation == "open-quote":
+        cells[j] = b'"' + cells[j]
+    elif mutation == "huge-cell":
+        cells[j] = b"9" * 200_000
+    target = b",".join(cells) + b"\n"
+    if mutation == "cut":
+        target = lines[line][: cut % len(lines[line])] + b"\n"
+    elif mutation == "non-utf8":
+        at = cut % len(lines[line])
+        target = lines[line][:at] + bytes([0x80 + cut % 0x80]) + lines[line][at:]
+    elif mutation == "swap":
+        other = cut % len(lines)
+        lines[other], target = target, lines[other]
+    lines[line : line + 1] = [target, target] if mutation == "duplicate" else [target]
+    return b"".join(lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(CSV_READERS)),
+    st.integers(0, 10**4),
+    st.sampled_from(CSV_MUTATIONS),
+    st.integers(0, 10**4),
+)
+def test_a_mutated_csv_exits_0_1_or_2_naming_it(tmp_path_factory, name, line, mutation, cut):
+    """The commands that read a fixture CSV keep the exit-code contract on a
+    copy with one line mutated: each exits 0, 1 with one `model error:`
+    line, or 2 with one `error:` line that names the file."""
+    work = tmp_path_factory.mktemp("mutated")
+    path = work / name
+    path.write_bytes(mutated_csv(name, line, mutation, cut))
+    flag, commands = CSV_READERS[name]
+    for command, *extra in commands:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(command, "--output-dir", str(work / command), *extra, flag, str(path))
+        errors = [text for text in stderr.getvalue().splitlines() if not text.startswith("warning:")]
+        assert code in (EXIT_OK, EXIT_MODEL_ERROR, EXIT_INPUT_ERROR), (command, code, stderr.getvalue())
+        if code == EXIT_OK:
+            assert errors == [], (command, stderr.getvalue())
+        elif code == EXIT_MODEL_ERROR:
+            assert len(errors) == 1 and errors[0].startswith("model error: "), (command, stderr.getvalue())
+        else:
+            assert len(errors) == 1 and errors[0].startswith(f"error: {path}"), (command, stderr.getvalue())
 
 
 class TestDetect:

@@ -10,6 +10,7 @@ from crimecast.panel import (
     fit_fixed_effects,
     fit_random_effects,
     forecast_panel,
+    within,
 )
 from crimecast.regression import RegressionSpec
 from crimecast.stattests import hausman_test
@@ -113,13 +114,13 @@ class TestBalance:
 class TestFixedEffects:
     def test_slope_recovery(self):
         panel = simulate_panel(seed=1, noise=0.1)
-        fit = fit_fixed_effects(panel, SPEC_X)
+        fit = fit_fixed_effects(within(panel, SPEC_X))
         assert abs(slope(fit, "x") - 2.0) < 0.05
 
     def test_equals_lsdv_oracle(self):
         for seed in range(5):
             panel = simulate_panel(seed=seed, n_units=6, periods=12, noise=1.0)
-            fit = fit_fixed_effects(panel, SPEC_X)
+            fit = fit_fixed_effects(within(panel, SPEC_X))
             oracle = lsdv_oracle(panel, SPEC_X)
             assert np.max(np.abs(np.asarray(fit.slopes) - oracle)) < 1e-6
 
@@ -132,7 +133,7 @@ class TestFixedEffects:
                 rows.append((f"U{u}", Q0 + t, {"y": rng.normal(), "x": const}))
         panel = PanelDataset.from_rows(rows)
         with pytest.raises(CollinearityError):
-            fit_fixed_effects(panel, SPEC_X)
+            fit_fixed_effects(within(panel, SPEC_X))
 
     def test_lag_trimming_per_unit(self):
         panel = simulate_panel(seed=3, n_units=3, periods=10)
@@ -145,7 +146,7 @@ class TestFixedEffects:
     def test_needs_two_units(self):
         rows = [("CA", Q0 + t, {"y": float(t), "x": float(t % 3)}) for t in range(10)]
         with pytest.raises(InvalidArgumentError):
-            fit_fixed_effects(PanelDataset.from_rows(rows), SPEC_X)
+            fit_fixed_effects(within(PanelDataset.from_rows(rows), SPEC_X))
 
 
 class TestRandomEffects:
@@ -153,7 +154,7 @@ class TestRandomEffects:
         panel = simulate_panel(seed=11, sigma_u=0.0, noise=1.0, n_units=12, periods=30)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fit = fit_random_effects(panel, SPEC_X)
+            fit = fit_random_effects(within(panel, SPEC_X))
         assert fit.theta < 0.35
         # pooled OLS oracle
         ys, xs = [], []
@@ -167,20 +168,20 @@ class TestRandomEffects:
 
     def test_theta_one_limit_matches_fixed_effects(self):
         panel = simulate_panel(seed=13, sigma_u=3.0, noise=1e-4, n_units=8, periods=25)
-        re = fit_random_effects(panel, SPEC_X)
-        fe = fit_fixed_effects(panel, SPEC_X)
+        re = fit_random_effects(within(panel, SPEC_X))
+        fe = fit_fixed_effects(within(panel, SPEC_X))
         assert re.theta >= 0.999
         assert abs(slope(re, "x") - slope(fe, "x")) < 1e-4
 
     def test_theta_in_unit_interval(self):
         panel = simulate_panel(seed=17, sigma_u=1.0, noise=1.0)
-        fit = fit_random_effects(panel, SPEC_X)
+        fit = fit_random_effects(within(panel, SPEC_X))
         assert 0.0 <= fit.theta <= 1.0
 
     def test_negative_sigma_u_truncated_with_warning(self):
         panel = simulate_panel(seed=23, sigma_u=0.0, noise=1.0, n_units=5, periods=8)
         with pytest.warns(UserWarning, match="sigma2_u"):
-            fit = fit_random_effects(panel, SPEC_X)
+            fit = fit_random_effects(within(panel, SPEC_X))
         assert fit.sigma2_u == 0.0
         assert fit.sigma2_u_truncated is True
 
@@ -193,14 +194,14 @@ class TestRandomEffects:
             if not (u == "U00" and q == Q0)
         ]
         with pytest.raises(InvalidArgumentError):
-            fit_random_effects(PanelDataset.from_rows(rows), SPEC_X)
+            fit_random_effects(within(PanelDataset.from_rows(rows), SPEC_X))
 
     def test_matches_explicit_gls(self):
         """GLS with Omega = s2e*I + s2u*J_T per unit, at the fit's own variance
         components, gives the quasi-demeaned slopes and intercept."""
         panel = simulate_panel(seed=31, n_units=9, periods=14, noise=1.0, sigma_u=1.5)
         spec = RegressionSpec("y", (("x", 0), ("x", 1)))
-        fit = fit_random_effects(panel, spec)
+        fit = fit_random_effects(within(panel, spec))
         assert fit.sigma2_u > 0.0
         assert fit.sigma2_u_truncated is False
         t_len = 13
@@ -222,11 +223,30 @@ class TestRandomEffects:
             warnings.simplefilter("ignore")
             for seed in range(40):
                 panel = simulate_panel(seed=seed, noise=1.0, endog=0.0)
-                fe = fit_fixed_effects(panel, SPEC_X)
-                re = fit_random_effects(panel, SPEC_X)
+                step = within(panel, SPEC_X)
+                fe, re = fit_fixed_effects(step), fit_random_effects(step)
                 h = hausman_test(fe.slopes, fe.slope_cov, re.slopes, re.slope_cov)
                 rejections += h.p_value < 0.05
         assert rejections <= 4
+
+
+class TestSharedWithinStep:
+    @pytest.mark.parametrize("seed, sigma_u", [(31, 1.5), (1, 0.0)], ids=["sigma2-u-positive", "sigma2-u-truncated"])
+    def test_fits_of_one_step_equal_fits_of_their_own_steps(self, seed, sigma_u):
+        """The fixed- and random-effects fits of one within step, in either
+        order, equal bit for bit the fits that each build their own step."""
+        panel = simulate_panel(seed=seed, n_units=9, periods=14, noise=1.0, sigma_u=sigma_u)
+        spec = RegressionSpec("y", (("x", 0), ("x", 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            separate = [fit_fixed_effects(within(panel, spec)), fit_random_effects(within(panel, spec))]
+            step = within(panel, spec)
+            re_first = fit_random_effects(step)
+            shared = [fit_fixed_effects(step), fit_random_effects(step), re_first]
+        for a, b in zip(shared, [*separate, separate[1]]):
+            assert a == b
+            np.testing.assert_array_equal(a.slope_cov, b.slope_cov)
+        assert separate[1].sigma2_u_truncated is (sigma_u == 0.0)
 
 
 class TestRowOrder:
@@ -241,7 +261,7 @@ class TestRowOrder:
         shuffled = PanelDataset.from_rows([rows[i] for i in order])
         spec = RegressionSpec("y", (("x", 0), ("x", 1)))
         for fit in (fit_fixed_effects, fit_random_effects):
-            a, b = fit(panel, spec), fit(shuffled, spec)
+            a, b = fit(within(panel, spec)), fit(within(shuffled, spec))
             assert a == b
             np.testing.assert_array_equal(a.slope_cov, b.slope_cov)
 
@@ -250,7 +270,7 @@ class TestForecastPanel:
     def test_noiseless_recovery(self):
         panel = simulate_panel(seed=5, noise=0.0, periods=24)
         train = panel.restricted(panel.unit_names, (Q0, Q0 + 19))
-        fit = fit_fixed_effects(train, SPEC_X)
+        fit = fit_fixed_effects(within(train, SPEC_X))
         forecasts = forecast_panel(fit, panel, (Q0 + 20, Q0 + 23))
         assert forecasts.shape == (len(panel.unit_names), 4)
         for unit, fc in zip(panel.unit_names, forecasts):
@@ -260,13 +280,13 @@ class TestForecastPanel:
     def test_unit_absent_from_the_fit_rejected(self):
         panel = simulate_panel(seed=6, n_units=4, periods=12)
         train = panel.restricted(panel.unit_names[:3], (Q0, Q0 + 11))
-        fit = fit_fixed_effects(train, SPEC_X)
+        fit = fit_fixed_effects(within(train, SPEC_X))
         with pytest.raises(InvalidArgumentError, match="unit 'U03' is absent"):
             forecast_panel(fit, panel, (Q0 + 4, Q0 + 5))
 
     def test_missing_predictor_names_unit_and_quarter(self):
         panel = simulate_panel(seed=9, n_units=3, periods=10)
-        fit = fit_fixed_effects(panel, SPEC_X)
+        fit = fit_fixed_effects(within(panel, SPEC_X))
         with pytest.raises(InvalidArgumentError, match="U00"):
             forecast_panel(fit, panel, (Q0 + 10, Q0 + 10))
 
@@ -274,7 +294,7 @@ class TestForecastPanel:
 class TestWithinAlgebra:
     def test_unit_effects_reconstruct_unit_means(self):
         panel = simulate_panel(seed=22, n_units=5, periods=12, noise=0.3)
-        fit = fit_fixed_effects(panel, SPEC_X)
+        fit = fit_fixed_effects(within(panel, SPEC_X))
         for unit in panel.unit_names:
             quarters = present_quarters(panel, unit)
             y_mean = float(np.mean([cell(panel, unit, q, "y") for q in quarters]))

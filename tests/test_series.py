@@ -1,10 +1,11 @@
 import csv
+import io
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from crimecast.exceptions import DegenerateInputError, InvalidArgumentError
@@ -19,10 +20,11 @@ from crimecast.series import (
     difference,
     load_series_csv,
     pacf,
+    read_quarterly_csv,
     write_series_csv,
 )
 
-from conftest import FIXTURES, Q0, ar1, cell, series
+from conftest import FIXTURES, Q0, ar1, cell, read_quarterly_csv_plainly, series
 
 
 class TestQuarter:
@@ -243,6 +245,8 @@ class TestReaderMessages:
             (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,2,inf\n", "{path}:3: not a finite number: 'inf'"),
             (load_series_csv, SERIES_HEAD + "2007,1,abc\n2007,2,2.0\n", "{path}:2: not a finite number: 'abc'"),
             (load_series_csv, SERIES_HEAD.encode() + b"2007,1,1.0\n2007,2,\xff\n", "{path}:3: not UTF-8 text (invalid start byte)"),
+            (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,2,2.0,3.0\n", "{path}:3: malformed row"),
+            (load_series_csv, SERIES_HEAD + "2007,1," + "9" * 140_000 + "\n", "{path}:2: field larger than field limit (131072)"),
             (load_series_csv, SERIES_HEAD + "\n\n", "{path}: no data rows"),
             (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,3,3.0\n", CONSECUTIVE),
             (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,2,2.0\n2007,1,1.0\n", "{path}:4: duplicate observation for 2007Q1"),
@@ -314,6 +318,72 @@ class TestReaderMessages:
             values[i, t] = [float(row[name]) if row[name].strip() else np.nan for name in names]
         np.testing.assert_array_equal(panel.present, present)
         np.testing.assert_array_equal(panel.values, values)
+
+
+# Cells for the differential test: odd spellings, quoted commas and newlines,
+# blank cells, and the faults (years and quarters that are not ints or out of
+# range, value cells that are not finite numbers).
+YEARS = [" 2009 ", "+2008", "2_007", "0", "10000", "-1", "x", "", "9" * 5000] + ["99999999999999999999"] * 3
+QUARTERS = [" 2", "0", "5", "x", ""]
+STATES = ["CA", "NY", " TX ", "a,b", "new\nline", 'say "hi"', ""]
+GOOD_CELLS = ["1.5", "-2", " 3 ", "7e2", "0", "4\n", "1_0", "１２", "", " "]
+BAD_CELLS = ["nan", "inf", "-Infinity", "1e400", "abc", "0x10"]
+
+
+@st.composite
+def quarterly_csv(draw) -> tuple[str, tuple[str, ...]]:
+    """The text of a quarterly CSV and its key columns. In half the files a
+    row may be malformed (a bad year or quarter, or cells dropped or added)
+    and a value cell may be bad; in a quarter, one cell is too large for the
+    CSV tokenizer."""
+    keys = draw(st.sampled_from([("state", "year", "quarter"), ("year", "quarter")]))
+    header = [*keys, *(f"v{j}" for j in range(draw(st.sampled_from([1, 2, 3] * 3 + [0]))))]  # 0: a bad header
+    faulty = draw(st.booleans())
+    cells = st.sampled_from(GOOD_CELLS * 4 + BAD_CELLS if faulty else GOOD_CELLS)
+    records, k, first_year = [header], 0, draw(st.sampled_from([2007, 9998]))
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            records.append(draw(st.sampled_from([[], [""] * len(header)])))  # a blank line, or a row of blank cells
+            continue
+        k = draw(st.sampled_from([k + 1] * 6 + [k, k + 2]))  # a repeat or a gap now and then
+        row = [draw(st.sampled_from(STATES))] if len(keys) == 3 else []
+        row += [str(first_year + k // 4), str(k % 4 + 1), *(draw(cells) for _ in header[len(keys) :])]
+        fault = draw(st.sampled_from(["year", "quarter", "width", None])) if faulty else None
+        if fault == "width":
+            extra = draw(st.sampled_from([-3, -1, 1, 2]))
+            row = row[:extra] if extra < 0 else row + ["9"] * extra
+        elif fault:
+            row[len(keys) - (2 if fault == "year" else 1)] = draw(st.sampled_from(YEARS if fault == "year" else QUARTERS))
+        records.append(row)
+    if draw(st.integers(0, 3)) == 0:
+        huge = draw(st.integers(0, len(records) - 1))
+        records[huge].append("9" * 140_000)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n", quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))).writerows(records)
+    return text.getvalue(), keys
+
+
+def read_outcome(reader, path, keys, consecutive):
+    """A reader's columns, NaN as None, or its message."""
+    try:
+        names, key_columns, index, values, lines = reader(path, keys, consecutive)
+    except InvalidArgumentError as exc:
+        return str(exc)
+    cells = [[None if math.isnan(v) else v for v in row] for row in values.tolist()]
+    return names, key_columns, index.tolist(), values.shape, cells, lines
+
+
+@seed(20261025)
+@settings(max_examples=300, deadline=None)
+@given(quarterly_csv(), st.booleans())
+def test_reader_agrees_with_a_plain_reader(tmp_path_factory, text_keys, consecutive):
+    """`read_quarterly_csv` gives the columns of `read_quarterly_csv_plainly`,
+    or its `path:line` message."""
+    text, keys = text_keys
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_text(text)
+    expected = read_outcome(read_quarterly_csv_plainly, path, keys, consecutive)
+    assert read_outcome(read_quarterly_csv, path, keys, consecutive) == expected
 
 
 class TestPanelJoin:
