@@ -17,6 +17,15 @@ recursion maps r to the coefficients of a stationary AR polynomial (Monahan
 AR coefficients are this transform of u_ar and the MA coefficients minus
 the transform of u_ma, so every iterate is stationary and invertible.
 
+One step solves the damped normal equations of the current Jacobian and
+computes the residuals at the trial point: its coefficients, without their
+derivative (`_pacf_coefficients`), and one MA filter pass. Only a taken
+step builds the next Jacobian, and only there is the derivative of the
+coefficients taken (`_pacf_transform`); a refused step reuses the normal
+matrix. Both transforms do the same floating-point operations, so the
+coefficients agree bit for bit. The fit's `_CssProblem` owns the MA band
+and the lagged views of the series and reuses them at every filter pass.
+
 A CSS optimum on the unit circle drives some |r_k| towards 1. Once one
 reaches 1 - 1e-4 the fit stops there, on the boundary. An MA boundary fit
 is reported as converged with `ma_boundary` set; an AR boundary fit, a unit
@@ -136,6 +145,16 @@ def _pacf_transform(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(phi), np.array(dphi).reshape(k, k)
 
 
+def _pacf_coefficients(u: np.ndarray) -> list[float]:
+    """The phi of `_pacf_transform(u)` alone, by the same operations in the
+    same order, so that the two agree bit for bit."""
+    phi: list[float] = []
+    for x in u:
+        r = math.tanh(x)
+        phi = [a - r * b for a, b in zip(phi, phi[::-1])] + [r]
+    return phi
+
+
 def _pacf_inverse(phi: np.ndarray) -> np.ndarray | None:
     """The u of `_pacf_transform` that gives phi, by the step-down recursion;
     None when a partial autocorrelation is not inside the boundary."""
@@ -152,25 +171,50 @@ def _pacf_inverse(phi: np.ndarray) -> np.ndarray | None:
 class _CssProblem:
     """The CSS residuals of x = (c, u_ar, u_ma), where the AR coefficients are
     `_pacf_transform(u_ar)` and the MA ones minus `_pacf_transform(u_ma)`, and
-    their Jacobian. The SSR sums the residuals from index `lo` (t = burn)."""
+    their Jacobian. The SSR sums the residuals from index `lo` (t = burn).
+
+    The problem owns its buffers: the AR-lag views of w, the Jacobian's
+    stacked rows and one Fortran-order MA band, which every filter call
+    refills and hands to LAPACK's banded solver without a copy."""
 
     def __init__(self, w: np.ndarray, spec: ArimaSpec, burn: int) -> None:
+        from scipy.linalg import lapack  # deferred: cold start; MA fits only
+
         p = spec.p
-        self.w, self.spec = w, spec
+        self.spec = spec
         self.lo = burn - p  # first residual inside the SSR
         m = len(w) - p
+        self.head = w[p:]
+        self.lags = [w[p - i : p - i + m] for i in range(1, p + 1)]
         # Rows 0..p are fixed per fit; row p + 1 receives -e at each call.
         self.rows = np.empty((p + 2, m))
         self.rows[0] = -1.0
-        for i in range(1, p + 1):
-            self.rows[i] = -w[p - i : p - i + m]
+        for i, lag in enumerate(self.lags, start=1):
+            self.rows[i] = -lag
+        # Row j holds theta_j; row 0, the unit diagonal, is unread. LAPACK reads
+        # only the first m - j entries of row j, so a refill may write whole rows.
+        self.band = np.zeros((spec.q + 1, m), order="F")
+        self.dtbtrs = lapack.dtbtrs
+
+    def _filter(self, theta: np.ndarray, b: np.ndarray, overwrite: bool) -> np.ndarray:
+        """theta(B)^-1 of each column of the Fortran-order b, as `_ma_filter`;
+        with `overwrite` LAPACK may write the result into b."""
+        self.band[1:] = theta[:, None]
+        e, _ = self.dtbtrs(self.band, b, uplo="L", diag="U", overwrite_b=overwrite)
+        return e
 
     def coefficients(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         p = self.spec.p
         return float(x[0]), _pacf_transform(x[1 : 1 + p])[0], -_pacf_transform(x[1 + p :])[0]
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        return _css_residuals(self.w, *self.coefficients(x))
+        """`_css_residuals` at the coefficients of x, with no derivative taken."""
+        p = self.spec.p
+        rhs = self.head - float(x[0])
+        for phi, lag in zip(_pacf_coefficients(x[1 : 1 + p]), self.lags):
+            rhs -= phi * lag
+        theta = -np.array(_pacf_coefficients(x[1 + p :]))
+        return self._filter(theta, rhs[:, None], True)[:, 0]
 
     def jacobian(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
         """d e[lo:] / dx as a (p + q + 1) x n_eff array, at x with residuals e.
@@ -182,10 +226,9 @@ class _CssProblem:
         `_pacf_transform` takes the phi and theta rows to u.
         """
         p, q = self.spec.p, self.spec.q
-        dar = _pacf_transform(x[1 : 1 + p])[1]
         ma, dma = _pacf_transform(x[1 + p :])
         self.rows[-1] = -e
-        filtered = _ma_filter(-ma, self.rows)
+        filtered = self._filter(-ma, self.rows.T, False).T
         m = len(e)
         n_eff = m - self.lo
         shifted = np.zeros((q, n_eff))
@@ -194,7 +237,8 @@ class _CssProblem:
             shifted[j - 1, start - self.lo :] = filtered[-1, start - j : m - j]
         jac = np.empty((1 + p + q, n_eff))
         jac[0] = filtered[0, self.lo :]
-        jac[1 : 1 + p] = dar.T @ filtered[1 : 1 + p, self.lo :]
+        if p:
+            jac[1 : 1 + p] = _pacf_transform(x[1 : 1 + p])[1].T @ filtered[1 : 1 + p, self.lo :]
         jac[1 + p :] = -dma.T @ shifted
         return jac
 
@@ -226,11 +270,11 @@ def _css_lm(w: np.ndarray, spec: ArimaSpec, burn: int) -> tuple[float, np.ndarra
     converged = False
     lam, nu = 1e-3, 2.0
     jac = problem.jacobian(x, e)
+    jtj, g = jac @ jac.T, jac @ e[lo:]  # kept through refused steps, where x does not move
     for _ in range(_MAX_ITER):
-        a = jac @ jac.T
-        g = jac @ e[lo:]
-        scale = np.diag(a).copy()
-        a += np.diag(lam * scale)
+        scale = jtj.diagonal()
+        a = jtj.copy()
+        a.flat[:: len(a) + 1] += lam * scale
         try:
             step = np.linalg.solve(a, -g)
         except np.linalg.LinAlgError:
@@ -251,10 +295,11 @@ def _css_lm(w: np.ndarray, spec: ArimaSpec, burn: int) -> tuple[float, np.ndarra
         nu = 2.0
         small = decrease < _SSR_RTOL * ssr
         x, e, ssr = trial, e_trial, ssr_trial
-        if small or np.any(np.abs(np.tanh(x[1:])) >= _BOUNDARY):
+        if small or (np.abs(np.tanh(x[1:])) >= _BOUNDARY).any():
             converged = True
             break
         jac = problem.jacobian(x, e)
+        jtj, g = jac @ jac.T, jac @ e[lo:]
     c, ar, ma = problem.coefficients(x)
     r = np.abs(np.tanh(x[1:]))
     ma_boundary = bool(np.any(r[p:] >= _BOUNDARY))

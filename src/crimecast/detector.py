@@ -96,14 +96,22 @@ class BaselineModel:
         try:
             return cls(
                 vocabulary={token: _weight(token, w) for token, w in dict(payload["vocabulary"]).items()},
-                bias=float(payload["bias"]),
-                threshold=float(payload["threshold"]),
+                bias=_number("bias", payload["bias"]),
+                threshold=_number("threshold", payload["threshold"]),
                 metadata=dict(payload.get("metadata", {})),
             )
         except KeyError as exc:
             raise InvalidArgumentError(f"model file {path} lacks the key {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
             raise InvalidArgumentError(f"model file {path}: {exc}") from exc
+
+
+def _number(key: str, value: Any) -> float:
+    """The model scalar `key` read from JSON: a number, not a bool. The model
+    checks its range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidArgumentError(f"{key} must be a JSON number")
+    return float(value)
 
 
 def _weight(token: str, value: Any) -> float:

@@ -17,6 +17,8 @@ from crimecast.arima import (
     ArimaSpec,
     _BOUNDARY,
     _CssProblem,
+    _css_residuals,
+    _pacf_coefficients,
     _pacf_inverse,
     _pacf_transform,
     fit_arima,
@@ -136,6 +138,34 @@ class TestCssJacobian:
         phi, _ = _pacf_transform(np.array(u))
         assert np.all(np.abs(np.roots(np.concatenate(([1.0], -phi)))) < 1.0)
         np.testing.assert_allclose(_pacf_transform(_pacf_inverse(phi))[0], phi, rtol=0.0, atol=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=MAX_GRID_ORDER))
+    def test_coefficients_equal_the_transform_exactly(self, u):
+        # The trial points of a fit take the coefficients without their
+        # derivative; the fits stay the same only if both agree bit for bit.
+        assert _pacf_coefficients(np.array(u)) == _pacf_transform(np.array(u))[0].tolist()
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(1, 4))
+    def test_reused_buffers_give_fresh_results(self, p, q):
+        # A problem refills its MA band and derivative rows at every call, so
+        # a call leaves nothing behind that changes the next one; its
+        # residuals are those of `_css_residuals` at the same coefficients.
+        rng = np.random.default_rng(10 * p + q)
+        w = 0.3 * np.cumsum(rng.normal(size=60)) + rng.normal(size=60)
+        spec, burn = ArimaSpec(p, 0, q), p + 2
+        x1, x2 = (np.concatenate(([rng.normal()], rng.uniform(-1.5, 1.5, p + q))) for _ in range(2))
+        e2 = _CssProblem(w, spec, burn).residuals(x2)
+        problem = _CssProblem(w, spec, burn)
+        first = problem.residuals(x1)
+        jac = problem.jacobian(x2, e2)
+        again = problem.residuals(x1)
+        assert first.tobytes() == again.tobytes()
+        assert first.tobytes() == _css_residuals(w, *problem.coefficients(x1)).tobytes()
+        fresh = _CssProblem(w, spec, burn).jacobian(x2, e2)
+        assert jac.tobytes() == fresh.tobytes()
+        assert problem.jacobian(x2, e2).tobytes() == fresh.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=MAX_GRID_ORDER))

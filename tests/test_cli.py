@@ -316,11 +316,18 @@ class TestMalformedInput:
             ('{"vocabulary": {"hate": true}, "bias": 0.0, "threshold": 0.5}', WEIGHT),
             ('{"vocabulary": {"hate": NaN}, "bias": 0.0, "threshold": 0.5}', WEIGHT),
             ('{"vocabulary": {"hate": -1e999}, "bias": 0.0, "threshold": 0.5}', WEIGHT),
+            ('{"vocabulary": {"hate": 1.0}, "bias": true, "threshold": 0.5}', ": bias must be a JSON number"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": "0.5", "threshold": 0.5}', ": bias must be a JSON number"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": null, "threshold": 0.5}', ": bias must be a JSON number"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": 0.0, "threshold": true}', ": threshold must be a JSON number"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": 0.0, "threshold": "0.5"}', ": threshold must be a JSON number"),
+            ('{"vocabulary": {"hate": 1.0}, "bias": 0.0, "threshold": null}', ": threshold must be a JSON number"),
         ],
         ids=[
             "no-vocabulary", "json-array", "bias-401-digits", "threshold-401-digits", "bias-nan", "bias-inf",
             "bias-minus-inf", "bias-1e999", "weight-401-digits", "weight-string", "weight-null", "weight-true",
-            "weight-nan", "weight-minus-1e999",
+            "weight-nan", "weight-minus-1e999", "bias-true", "bias-string", "bias-null", "threshold-true",
+            "threshold-string", "threshold-null",
         ],
     )
     def test_malformed_detector_model_exits_2_naming_file(self, tmp_path, capsys, payload, problem):
