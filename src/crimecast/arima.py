@@ -17,19 +17,19 @@ recursion maps r to the coefficients of a stationary AR polynomial (Monahan
 AR coefficients are this transform of u_ar and the MA coefficients minus
 the transform of u_ma, so every iterate is stationary and invertible.
 
-One step solves the damped normal equations of the current Jacobian and
-computes the residuals at the trial point: its coefficients, without their
-derivative (`_pacf_coefficients`), and one MA filter pass. Only a taken
-step builds the next Jacobian, and only there is the derivative of the
-coefficients taken (`_pacf_transform`); a refused step reuses the normal
-matrix. Both transforms do the same floating-point operations, so the
-coefficients agree bit for bit. The fit's `_CssProblem` owns the MA band
-and the lagged views of the series and reuses them at every filter pass.
+`_Css.residuals` is the one CSS residual routine: the AR part on lagged
+views of the series, then one MA filter pass. The solver calls it at each
+trial point, with the coefficients but not their derivative
+(`_pacf_coefficients`), and a fit keeps the residuals of its last point.
+Only a taken step builds the next Jacobian and takes that derivative
+(`_pacf_transform`); a refused step reuses the normal matrix. Both
+transforms do the same floating-point operations, so they agree bit for bit.
 
 A CSS optimum on the unit circle drives some |r_k| towards 1. Once one
 reaches 1 - 1e-4 the fit stops there, on the boundary. An MA boundary fit
 is reported as converged with `ma_boundary` set; an AR boundary fit, a unit
-root in a model fitted as stationary, has not converged. `select_orders`
+root in a model fitted as stationary, has not converged, and neither has a
+pure AR fit whose least-squares coefficients reach it. `select_orders`
 drops both kinds of candidates.
 """
 
@@ -94,34 +94,6 @@ class ArimaFit:
     ma_boundary: bool = False  # the MA polynomial stopped on the unit circle
 
 
-def _ma_filter(ma: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """theta(B)^-1 x along the last axis, with zero pre-sample values: forward
-    substitution in the unit lower-triangular banded system theta(B) e = x."""
-    from scipy.linalg import lapack  # deferred: cold start; MA fits only
-
-    m = x.shape[-1]
-    band = np.zeros((len(ma) + 1, m))  # row j holds theta_j; row 0 is unread
-    for j, theta in enumerate(ma, start=1):
-        band[j, : m - j] = theta
-    e, _ = lapack.dtbtrs(band, np.atleast_2d(x).T, uplo="L", diag="U")
-    return e.T.reshape(x.shape)
-
-
-def _css_residuals(w: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> np.ndarray:
-    """Innovations e_t for t = p..n-1 with zero pre-sample innovations."""
-    p = len(ar)
-    rhs = w[p:] - c
-    for i in range(1, p + 1):
-        rhs = rhs - ar[i - 1] * w[p - i : len(w) - i]
-    return _ma_filter(ma, rhs) if len(ma) else rhs
-
-
-def _unpack(theta: np.ndarray, spec: ArimaSpec) -> tuple[float, np.ndarray, np.ndarray]:
-    ar = np.asarray(theta[1 : 1 + spec.p], dtype=float)
-    ma = np.asarray(theta[1 + spec.p : 1 + spec.p + spec.q], dtype=float)
-    return float(theta[0]), ar, ma
-
-
 def _pacf_transform(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients phi of the stationary polynomial 1 - sum phi_k z^k
     whose partial autocorrelations are r = tanh(u), and d phi / d u.
@@ -168,24 +140,25 @@ def _pacf_inverse(phi: np.ndarray) -> np.ndarray | None:
     return np.arctanh(r)
 
 
-class _CssProblem:
-    """The CSS residuals of x = (c, u_ar, u_ma), where the AR coefficients are
-    `_pacf_transform(u_ar)` and the MA ones minus `_pacf_transform(u_ma)`, and
-    their Jacobian. The SSR sums the residuals from index `lo` (t = burn).
+class _Css:
+    """The CSS residuals e_t, t = p..n-1, of the series w at orders p and q,
+    with zero pre-sample innovations; with MA terms also their Jacobian from
+    index `lo` (t = burn) in the solver's coordinates x = (c, u_ar, u_ma): the
+    AR coefficients `_pacf_transform(u_ar)`, the MA ones minus that of u_ma.
 
-    The problem owns its buffers: the AR-lag views of w, the Jacobian's
+    It owns its buffers: the AR-lag views of w and, when q > 0, the Jacobian's
     stacked rows and one Fortran-order MA band, which every filter call
     refills and hands to LAPACK's banded solver without a copy."""
 
-    def __init__(self, w: np.ndarray, spec: ArimaSpec, burn: int) -> None:
-        from scipy.linalg import lapack  # deferred: cold start; MA fits only
-
-        p = spec.p
-        self.spec = spec
-        self.lo = burn - p  # first residual inside the SSR
+    def __init__(self, w: np.ndarray, p: int, q: int, lo: int = 0) -> None:
+        self.p, self.q, self.lo = p, q, lo
         m = len(w) - p
         self.head = w[p:]
         self.lags = [w[p - i : p - i + m] for i in range(1, p + 1)]
+        if not q:
+            return
+        from scipy.linalg import lapack  # deferred: cold start; MA fits only
+
         # Rows 0..p are fixed per fit; row p + 1 receives -e at each call.
         self.rows = np.empty((p + 2, m))
         self.rows[0] = -1.0
@@ -193,28 +166,23 @@ class _CssProblem:
             self.rows[i] = -lag
         # Row j holds theta_j; row 0, the unit diagonal, is unread. LAPACK reads
         # only the first m - j entries of row j, so a refill may write whole rows.
-        self.band = np.zeros((spec.q + 1, m), order="F")
+        self.band = np.zeros((q + 1, m), order="F")
         self.dtbtrs = lapack.dtbtrs
 
-    def _filter(self, theta: np.ndarray, b: np.ndarray, overwrite: bool) -> np.ndarray:
-        """theta(B)^-1 of each column of the Fortran-order b, as `_ma_filter`;
-        with `overwrite` LAPACK may write the result into b."""
-        self.band[1:] = theta[:, None]
+    def _filter(self, ma: np.ndarray, b: np.ndarray, overwrite: bool) -> np.ndarray:
+        """theta(B)^-1 of each column of the Fortran-order b, with zero
+        pre-sample values, by forward substitution in the banded system
+        theta(B) e = b; with `overwrite` LAPACK may write e into b."""
+        self.band[1:] = ma[:, None]
         e, _ = self.dtbtrs(self.band, b, uplo="L", diag="U", overwrite_b=overwrite)
         return e
 
-    def coefficients(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        p = self.spec.p
-        return float(x[0]), _pacf_transform(x[1 : 1 + p])[0], -_pacf_transform(x[1 + p :])[0]
-
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        """`_css_residuals` at the coefficients of x, with no derivative taken."""
-        p = self.spec.p
-        rhs = self.head - float(x[0])
-        for phi, lag in zip(_pacf_coefficients(x[1 : 1 + p]), self.lags):
+    def residuals(self, c: float, ar: np.ndarray, ma: np.ndarray) -> np.ndarray:
+        """e_t = w_t - c - sum phi_i w_{t-i} - sum theta_j e_{t-j}."""
+        rhs = self.head - c
+        for phi, lag in zip(ar, self.lags):
             rhs -= phi * lag
-        theta = -np.array(_pacf_coefficients(x[1 + p :]))
-        return self._filter(theta, rhs[:, None], True)[:, 0]
+        return self._filter(ma, rhs[:, None], True)[:, 0] if self.q else rhs
 
     def jacobian(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
         """d e[lo:] / dx as a (p + q + 1) x n_eff array, at x with residuals e.
@@ -225,7 +193,7 @@ class _CssProblem:
         filter call covers the p + 2 rows. The chain rule through
         `_pacf_transform` takes the phi and theta rows to u.
         """
-        p, q = self.spec.p, self.spec.q
+        p, q = self.p, self.q
         ma, dma = _pacf_transform(x[1 + p :])
         self.rows[-1] = -e
         filtered = self._filter(-ma, self.rows.T, False).T
@@ -243,9 +211,10 @@ class _CssProblem:
         return jac
 
 
-def _css_lm(w: np.ndarray, spec: ArimaSpec, burn: int) -> tuple[float, np.ndarray, np.ndarray, bool, bool]:
+def _css_lm(w: np.ndarray, p: int, q: int, burn: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, bool, bool]:
     """Minimize the CSS by Marquardt's damped Gauss-Newton method over
-    x = (c, u_ar, u_ma); returns (c, ar, ma, converged, ma_boundary).
+    x = (c, u_ar, u_ma); returns (c, ar, ma, e, converged, ma_boundary), e the
+    residuals at (c, ar, ma).
 
     Each step solves (J J' + lam diag(J J')) dx = -J e. A step that lowers
     the SSR is taken and lam shrinks by the gain ratio; one that does not is
@@ -255,21 +224,26 @@ def _css_lm(w: np.ndarray, spec: ArimaSpec, burn: int) -> tuple[float, np.ndarra
     step is left. It stops on the boundary when a partial autocorrelation
     reaches _BOUNDARY in size; an AR boundary fit has not converged.
     """
-    p = spec.p
     # Least-squares AR start values, projected to zero AR when they are not
     # stationary; the MA terms start at zero.
-    head = _ar_lstsq(w, spec, p) if p else np.array([w.mean()])
+    head = _ar_lstsq(w, p, p)
     u_ar = _pacf_inverse(head[1:])
     if u_ar is None:
         head, u_ar = np.array([w.mean()]), np.zeros(p)
-    problem = _CssProblem(w, spec, burn)
-    lo = problem.lo
-    x = np.concatenate([head[:1], u_ar, np.zeros(spec.q)])
-    e = problem.residuals(x)
+    lo = burn - p
+    css = _Css(w, p, q, lo)
+
+    def at(x: np.ndarray) -> tuple[tuple[float, np.ndarray, np.ndarray], np.ndarray]:
+        """The coefficients of x, without their derivative, and their residuals."""
+        coeffs = float(x[0]), np.array(_pacf_coefficients(x[1 : 1 + p])), -np.array(_pacf_coefficients(x[1 + p :]))
+        return coeffs, css.residuals(*coeffs)
+
+    x = np.concatenate([head[:1], u_ar, np.zeros(q)])
+    coeffs, e = at(x)
     ssr = float(e[lo:] @ e[lo:])
     converged = False
     lam, nu = 1e-3, 2.0
-    jac = problem.jacobian(x, e)
+    jac = css.jacobian(x, e)
     jtj, g = jac @ jac.T, jac @ e[lo:]  # kept through refused steps, where x does not move
     for _ in range(_MAX_ITER):
         scale = jtj.diagonal()
@@ -281,7 +255,7 @@ def _css_lm(w: np.ndarray, spec: ArimaSpec, burn: int) -> tuple[float, np.ndarra
             break
         predicted = float(lam * (step * scale) @ step - step @ g)
         trial = x + step
-        e_trial = problem.residuals(trial)
+        coeffs_trial, e_trial = at(trial)
         ssr_trial = float(e_trial[lo:] @ e_trial[lo:])
         if not ssr_trial < ssr:
             if predicted <= _SSR_RTOL * ssr:
@@ -294,29 +268,24 @@ def _css_lm(w: np.ndarray, spec: ArimaSpec, burn: int) -> tuple[float, np.ndarra
         lam *= max(1.0 / 3.0, 1.0 - (2.0 * decrease / predicted - 1.0) ** 3)
         nu = 2.0
         small = decrease < _SSR_RTOL * ssr
-        x, e, ssr = trial, e_trial, ssr_trial
+        x, coeffs, e, ssr = trial, coeffs_trial, e_trial, ssr_trial
         if small or (np.abs(np.tanh(x[1:])) >= _BOUNDARY).any():
             converged = True
             break
-        jac = problem.jacobian(x, e)
+        jac = css.jacobian(x, e)
         jtj, g = jac @ jac.T, jac @ e[lo:]
-    c, ar, ma = problem.coefficients(x)
     r = np.abs(np.tanh(x[1:]))
     ma_boundary = bool(np.any(r[p:] >= _BOUNDARY))
-    return c, ar, ma, converged and not np.any(r[:p] >= _BOUNDARY), ma_boundary
+    return *coeffs, e, converged and not np.any(r[:p] >= _BOUNDARY), ma_boundary
 
 
-def _ar_stationary(ar: np.ndarray) -> bool:
-    if len(ar) == 0:
-        return True
-    roots = np.roots(np.concatenate(([1.0], -ar))[::-1])
-    return bool(np.all(np.abs(roots) > 1.0))
-
-
-def _ar_lstsq(w: np.ndarray, spec: ArimaSpec, burn: int) -> np.ndarray:
-    """Least-squares constant and AR coefficients of w[burn:] on its p lags."""
+def _ar_lstsq(w: np.ndarray, p: int, burn: int) -> np.ndarray:
+    """Least-squares constant and AR coefficients of w[burn:] on its p lags;
+    the mean alone when p = 0."""
+    if not p:
+        return np.array([w[burn:].mean()])
     n = len(w)
-    cols = [np.ones(n - burn)] + [w[burn - i : n - i] for i in range(1, spec.p + 1)]
+    cols = [np.ones(n - burn)] + [w[burn - i : n - i] for i in range(1, p + 1)]
     beta, *_ = np.linalg.lstsq(np.column_stack(cols), w[burn:], rcond=None)
     return beta
 
@@ -353,27 +322,21 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
             f"need at least p + q + 5 = {spec.p + spec.q + 5} observations after differencing, got {n}"
         )
     burn = spec.p if _burn is None else max(_burn, spec.p)
-    n_eff = n - burn
 
-    converged, ma_boundary = True, False
-    if spec.p == 0 and spec.q == 0:
-        c = float(w[burn:].mean())
-        ar = np.empty(0)
-        ma = np.empty(0)
-    elif spec.q == 0:
-        # Pure AR: the conditional sum of squares is exactly linear least
-        # squares on the lagged values, so the LS solution is the optimum.
-        c, ar, ma = _unpack(_ar_lstsq(w, spec, burn), spec)
-        if not _ar_stationary(ar):
-            converged = False
+    if spec.q == 0:
+        # The CSS is exactly linear least squares on the lagged values, so the
+        # LS solution is the optimum; on the AR boundary it has not converged.
+        beta = _ar_lstsq(w, spec.p, burn)
+        c, ar, ma = float(beta[0]), beta[1:], np.empty(0)
+        converged, ma_boundary = _pacf_inverse(ar) is not None, False
+        e = _Css(w, spec.p, 0).residuals(c, ar, ma)
     else:
-        c, ar, ma, converged, ma_boundary = _css_lm(w, spec, burn)
-
-    e = _css_residuals(w, c, ar, ma)[burn - spec.p :]
+        c, ar, ma, e, converged, ma_boundary = _css_lm(w, spec.p, spec.q, burn)
+    e = e[burn - spec.p :]
     ssr = float(e @ e)
     if ssr <= 0.0:
         raise DegenerateInputError("residuals have zero variance")
-    sigma2, log_likelihood = _gaussian_loglik(ssr, n_eff)
+    sigma2, log_likelihood = _gaussian_loglik(ssr, len(e))
 
     # One-step fitted values on the level scale: y_hat_t = y_t - e_t, compared
     # against the lag-1 naive forecast y_{t-1} (needs t >= 1).
@@ -507,11 +470,9 @@ def forecast_arima(fit: ArimaFit, history: TimeSeries, horizon: int) -> np.ndarr
         raise InvalidArgumentError("history has missing values")
     if len(y) < spec.d + spec.p + 1:
         raise InvalidArgumentError("history too short to seed the forecast recursion")
-    ar = np.asarray(fit.ar_coeffs)
-    ma = np.asarray(fit.ma_coeffs)
-
+    ar, ma = np.asarray(fit.ar_coeffs), np.asarray(fit.ma_coeffs)
     w = np.diff(y, n=spec.d) if spec.d else y
-    e_hist = _css_residuals(w, fit.constant, ar, ma)
+    e_hist = _Css(w, spec.p, spec.q).residuals(fit.constant, ar, ma)
     w_ext = list(w)
     e_ext = [0.0] * spec.p + list(e_hist)
     tails = [float(np.diff(y, n=k)[-1]) for k in range(spec.d)]

@@ -95,10 +95,10 @@ class BaselineModel:
             raise InvalidArgumentError(f"model file {path} must hold a JSON object")
         try:
             return cls(
-                vocabulary={token: _weight(token, w) for token, w in dict(payload["vocabulary"]).items()},
+                vocabulary={token: _weight(token, w) for token, w in _object("vocabulary", payload["vocabulary"]).items()},
                 bias=_number("bias", payload["bias"]),
                 threshold=_number("threshold", payload["threshold"]),
-                metadata=dict(payload.get("metadata", {})),
+                metadata=_object("metadata", payload.get("metadata", {})),
             )
         except KeyError as exc:
             raise InvalidArgumentError(f"model file {path} lacks the key {exc}") from None
@@ -112,6 +112,13 @@ def _number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidArgumentError(f"{key} must be a JSON number")
     return float(value)
+
+
+def _object(key: str, value: Any) -> dict:
+    """The model entry `key` read from JSON: an object."""
+    if not isinstance(value, dict):
+        raise InvalidArgumentError(f"{key} must be a JSON object")
+    return value
 
 
 def _weight(token: str, value: Any) -> float:

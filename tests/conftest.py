@@ -170,6 +170,22 @@ def ar1(alpha: float, n: int, seed: int, c: float = 0.0, sigma: float = 1.0) -> 
     return y[200:]
 
 
+def css_residuals_plainly(w, c: float, ar, ma) -> list[float]:
+    """The CSS innovations of w at (c, ar, ma), written out plainly: for
+    t = p..n-1, e_t = w_t - c - sum phi_i w_{t-i} - sum theta_j e_{t-j}, with
+    zero pre-sample innovations."""
+    p, q = len(ar), len(ma)
+    e = [0.0] * q  # the pre-sample innovations, dropped at the end
+    for t in range(p, len(w)):
+        value = float(w[t]) - c
+        for i in range(1, p + 1):
+            value -= float(ar[i - 1]) * float(w[t - i])
+        for j in range(1, q + 1):
+            value -= float(ma[j - 1]) * e[-j]
+        e.append(value)
+    return e[q:]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

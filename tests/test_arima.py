@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import crimecast
@@ -16,8 +16,7 @@ from crimecast.arima import (
     ArimaFit,
     ArimaSpec,
     _BOUNDARY,
-    _CssProblem,
-    _css_residuals,
+    _Css,
     _pacf_coefficients,
     _pacf_inverse,
     _pacf_transform,
@@ -28,13 +27,18 @@ from crimecast.arima import (
 from crimecast.exceptions import InvalidArgumentError
 from crimecast.series import TimeSeries, difference
 
-from conftest import Q0, ar1, series
+from conftest import Q0, ar1, css_residuals_plainly, series
 
 
 def ma1(theta: float, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     e = rng.normal(0.0, 1.0, n + 1)
     return e[1:] + theta * e[:-1]
+
+
+def coefficients(x: np.ndarray, p: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The (c, ar, ma) of the solver's coordinates x = (c, u_ar, u_ma)."""
+    return float(x[0]), _pacf_transform(x[1 : 1 + p])[0], -_pacf_transform(x[1 + p :])[0]
 
 
 class TestSpecValidation:
@@ -104,6 +108,60 @@ class TestFit:
         assert fit.converged and not fit.ma_boundary
         assert abs(fit.ma_coeffs[0] - 0.4) < 0.1
 
+    def test_pure_ar_on_the_boundary_has_not_converged(self):
+        # phi = 0.99997 is a stationary root, but its partial autocorrelation
+        # lies past 1 - 1e-4, the boundary at which an MA fit's AR side has
+        # not converged either.
+        rng = np.random.default_rng(0)
+        w = 1000.0 * 0.99997 ** np.arange(120) + rng.normal(0.0, 1e-6, 120)
+        fit = fit_arima(series(w), ArimaSpec(1, 0, 0))
+        assert fit.ar_coeffs[0] == pytest.approx(0.99997, abs=1e-7)
+        assert _BOUNDARY <= fit.ar_coeffs[0] < 1.0
+        assert not fit.converged
+
+
+class TestCssResiduals:
+    @seed(20261027)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_agree_with_a_plain_recursion(self, data):
+        # Independent oracle: conftest's recursion, for p and q in 0..3, down
+        # to a single residual, as `forecast_arima` may ask of a short history.
+        p, q = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        w = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=p + 1, max_size=40)))
+        c = data.draw(st.floats(-1e3, 1e3))
+        ar = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p)))
+        # |theta_j| <= 0.2 keeps sum |theta_j| < 1, so the recursion is bounded
+        # by `scale`; near-zero residuals are compared to it, not to themselves.
+        ma = np.array(data.draw(st.lists(st.floats(-0.2, 0.2), min_size=q, max_size=q)))
+        scale = (abs(c) + (1.0 + np.abs(ar).sum()) * np.abs(w).max()) / (1.0 - np.abs(ma).sum())
+        got = _Css(w, p, q).residuals(c, ar, ma)
+        np.testing.assert_allclose(got, css_residuals_plainly(w, c, ar, ma), rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(1, 4))
+    def test_a_fit_keeps_the_residuals_of_its_coefficients(self, p, q):
+        # The fit reports the residuals of the solver's last point, with no
+        # second filter pass; a fresh object at the reported coefficients
+        # gives them byte for byte.
+        w = ar1(0.5, 90, seed=10 * p + q) + ma1(0.4, 90, seed=q)
+        fit = fit_arima(series(w), ArimaSpec(p, 0, q), _burn=3)
+        fresh = _Css(w, p, q).residuals(fit.constant, np.array(fit.ar_coeffs), np.array(fit.ma_coeffs))
+        assert fit.residuals.to_array().tobytes() == fresh[3 - p :].tobytes()
+
+    def test_a_forecast_starts_from_the_plain_residuals(self):
+        # The first two forecasts of an ARIMA(1,1,2) read the last two
+        # innovations of the history, here from conftest's recursion.
+        y = np.cumsum(ma1(0.6, 200, seed=9) + 0.3)
+        fit = fit_arima(series(y), ArimaSpec(1, 1, 2))
+        w = np.diff(y)
+        e = css_residuals_plainly(w, fit.constant, fit.ar_coeffs, fit.ma_coeffs)
+        c, (phi,), (t1, t2) = fit.constant, fit.ar_coeffs, fit.ma_coeffs
+        w1 = c + phi * w[-1] + t1 * e[-1] + t2 * e[-2]
+        w2 = c + phi * w1 + t2 * e[-1]
+        want = [y[-1] + w1, y[-1] + w1 + w2]
+        np.testing.assert_allclose(forecast_arima(fit, series(y), 2), want, rtol=1e-12)
+
 
 class TestCssJacobian:
     @pytest.mark.parametrize("p", range(4))
@@ -116,14 +174,14 @@ class TestCssJacobian:
         for _ in range(5):
             w = 0.3 * np.cumsum(rng.normal(size=60)) + rng.normal(size=60)
             burn = p + int(rng.integers(1, 4))
-            problem = _CssProblem(w, ArimaSpec(p, 0, q), burn)
+            problem = _Css(w, p, q, burn - p)
             x = np.concatenate(([rng.normal()], rng.uniform(-1.5, 1.5, p + q)))
-            jac = problem.jacobian(x, problem.residuals(x))
+            jac = problem.jacobian(x, problem.residuals(*coefficients(x, p)))
             numeric = np.empty_like(jac)
             for i in range(len(x)):
                 step = np.zeros_like(x)
                 step[i] = 1e-6 * max(1.0, abs(x[i]))
-                diff = problem.residuals(x + step) - problem.residuals(x - step)
+                diff = problem.residuals(*coefficients(x + step, p)) - problem.residuals(*coefficients(x - step, p))
                 numeric[i] = diff[problem.lo :] / (2 * step[i])
             scale = np.max(np.abs(numeric))
             assert np.max(np.abs(jac - numeric)) <= 1e-6 * scale
@@ -149,21 +207,19 @@ class TestCssJacobian:
     @pytest.mark.parametrize("p", range(4))
     @pytest.mark.parametrize("q", range(1, 4))
     def test_reused_buffers_give_fresh_results(self, p, q):
-        # A problem refills its MA band and derivative rows at every call, so
-        # a call leaves nothing behind that changes the next one; its
-        # residuals are those of `_css_residuals` at the same coefficients.
+        # An object refills its MA band and derivative rows at every call, so
+        # a call leaves nothing behind that changes the next one.
         rng = np.random.default_rng(10 * p + q)
         w = 0.3 * np.cumsum(rng.normal(size=60)) + rng.normal(size=60)
-        spec, burn = ArimaSpec(p, 0, q), p + 2
         x1, x2 = (np.concatenate(([rng.normal()], rng.uniform(-1.5, 1.5, p + q))) for _ in range(2))
-        e2 = _CssProblem(w, spec, burn).residuals(x2)
-        problem = _CssProblem(w, spec, burn)
-        first = problem.residuals(x1)
+        e2 = _Css(w, p, q, 2).residuals(*coefficients(x2, p))
+        problem = _Css(w, p, q, 2)
+        first = problem.residuals(*coefficients(x1, p))
         jac = problem.jacobian(x2, e2)
-        again = problem.residuals(x1)
+        again = problem.residuals(*coefficients(x1, p))
         assert first.tobytes() == again.tobytes()
-        assert first.tobytes() == _css_residuals(w, *problem.coefficients(x1)).tobytes()
-        fresh = _CssProblem(w, spec, burn).jacobian(x2, e2)
+        assert first.tobytes() == _Css(w, p, q, 2).residuals(*coefficients(x1, p)).tobytes()
+        fresh = _Css(w, p, q, 2).jacobian(x2, e2)
         assert jac.tobytes() == fresh.tobytes()
         assert problem.jacobian(x2, e2).tobytes() == fresh.tobytes()
 

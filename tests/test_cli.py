@@ -322,12 +322,19 @@ class TestMalformedInput:
             ('{"vocabulary": {"hate": 1.0}, "bias": 0.0, "threshold": true}', ": threshold must be a JSON number"),
             ('{"vocabulary": {"hate": 1.0}, "bias": 0.0, "threshold": "0.5"}', ": threshold must be a JSON number"),
             ('{"vocabulary": {"hate": 1.0}, "bias": 0.0, "threshold": null}', ": threshold must be a JSON number"),
+            ('{"vocabulary": [["hate", 1.0]], "bias": 0.0, "threshold": 0.5}', ": vocabulary must be a JSON object"),
+            ('{"vocabulary": "hate", "bias": 0.0, "threshold": 0.5}', ": vocabulary must be a JSON object"),
+            ('{"vocabulary": null, "bias": 0.0, "threshold": 0.5}', ": vocabulary must be a JSON object"),
+            ('{"vocabulary": {}, "bias": 0.0, "threshold": 0.5, "metadata": [["seed", 1]]}', ": metadata must be a JSON object"),
+            ('{"vocabulary": {}, "bias": 0.0, "threshold": 0.5, "metadata": "seed"}', ": metadata must be a JSON object"),
+            ('{"vocabulary": {}, "bias": 0.0, "threshold": 0.5, "metadata": null}', ": metadata must be a JSON object"),
         ],
         ids=[
             "no-vocabulary", "json-array", "bias-401-digits", "threshold-401-digits", "bias-nan", "bias-inf",
             "bias-minus-inf", "bias-1e999", "weight-401-digits", "weight-string", "weight-null", "weight-true",
             "weight-nan", "weight-minus-1e999", "bias-true", "bias-string", "bias-null", "threshold-true",
-            "threshold-string", "threshold-null",
+            "threshold-string", "threshold-null", "vocabulary-list", "vocabulary-string", "vocabulary-null",
+            "metadata-list", "metadata-string", "metadata-null",
         ],
     )
     def test_malformed_detector_model_exits_2_naming_file(self, tmp_path, capsys, payload, problem):
