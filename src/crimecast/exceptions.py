@@ -33,6 +33,10 @@ class EmptyPanelError(CrimecastError, ValueError):
     """Balancing removed every unit from the panel."""
 
 
+class UsageError(CrimecastError):
+    """Configuration or input problem; maps to exit code 2."""
+
+
 def decode_utf8(data: bytes, path: str | Path) -> str:
     """`data`, the bytes of the file `path`, as UTF-8 text. Bytes that are
     not UTF-8 raise InvalidArgumentError naming `path:line`."""

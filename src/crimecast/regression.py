@@ -3,12 +3,13 @@
 Model 2 regresses the deseasonalized national series on the accepted crime
 and labor covariates, Model 3 adds the raw news-event counts, Model 4 adds
 the hate_reported_index ratio, and Model 5 is Model 4 re-estimated with
-AR(1) errors (iterated Cochrane-Orcutt).
+AR(1) errors (iterated Cochrane-Orcutt). The panel Models 6 and 7 take the
+Model 2 and Model 4 terms on the state series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -23,6 +24,7 @@ _CO_TOL = 1e-8
 _CO_MAX_ITER = 50
 
 DEPENDENT_NAME = "fbi_num_noseasonnal"
+PANEL_DEPENDENT = "fbi_num"
 
 # Term order follows the model equations; population enters unlagged, every
 # other covariate at lag 1.
@@ -71,7 +73,10 @@ class RegressionSpec:
 
 
 def build_model_spec(model_id: int) -> RegressionSpec:
-    """Return the term list for Models 2-5; Model 5 adds AR(1) errors to Model 4."""
+    """Return the term list for Models 2-7; Model 5 adds AR(1) errors to Model 4,
+    and Models 6 and 7 are Models 2 and 4 on the panel dependent."""
+    if model_id in (6, 7):
+        return replace(build_model_spec(2 if model_id == 6 else 4), dependent=PANEL_DEPENDENT)
     if model_id == 2:
         terms = _MODEL2_TERMS
     elif model_id == 3:
@@ -79,7 +84,7 @@ def build_model_spec(model_id: int) -> RegressionSpec:
     elif model_id in (4, 5):
         terms = _MODEL2_TERMS + _EVENT_TERMS + _INDEX_TERM
     else:
-        raise InvalidArgumentError(f"unknown model id {model_id}; expected 2, 3, 4, or 5")
+        raise InvalidArgumentError(f"unknown model id {model_id}; expected 2..7")
     return RegressionSpec(dependent=DEPENDENT_NAME, terms=terms, ar_error_order=1 if model_id == 5 else 0)
 
 

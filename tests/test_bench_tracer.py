@@ -5,14 +5,19 @@ renames or moves one of them, or stops calling it, would break
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import crimecast
 from conftest import FIXTURES
 
 TRACER = Path(__file__).parents[1] / "bench" / "tracer.py"
+LAUNCH = TRACER.with_name("launch.py")
 
 
 def load_tracer():
@@ -75,3 +80,31 @@ def test_hooks_fill_the_layer_metrics_of_a_fixture_run(tmp_path):
     assert metrics["signals.records_loaded"] == articles("detector_train")
     assert metrics["detector.records_classified"] == articles("articles") > 0
     assert {name: value for name, value in metrics.items() if name.endswith(".errors") and value} == {}
+
+
+def test_a_fresh_traced_process_sees_every_layer(tmp_path):
+    """`bench/launch.py cli --trace` installs the tracer in a fresh process,
+    after `import crimecast.cli`, where it binds only into the crimecast
+    modules loaded by then. A fixture `signals` with the baseline detector
+    and a `fit-forecast` of all seven models record spans of every library
+    layer, and none in error; the in-process test above cannot see a stage
+    module that a command imports late, as pytest has loaded them all."""
+    raw = json.loads((FIXTURES / "config.json").read_text())
+    for key in ("articles", "gazetteer", "covariates", "fbi_series", "panel", "detector_train"):
+        raw[key] = str((FIXTURES / raw[key]).resolve())
+    precomputed, baseline = tmp_path / "precomputed.json", tmp_path / "baseline.json"
+    precomputed.write_text(json.dumps(raw))
+    baseline.write_text(json.dumps(raw | {"detector_source": "baseline", "detector_model": str(tmp_path / "model.json")}))
+    env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+    layers = set()
+    for command, config, *extra in (("signals", baseline), ("fit-forecast", precomputed, "--models", "1,2,3,4,5,6,7")):
+        report = tmp_path / f"{command}.json"
+        argv = [command, "--config", str(config), "--output-dir", str(tmp_path / command), *extra]
+        launch = [sys.executable, str(LAUNCH), "cli", "--report", str(report), "--trace", "--", *argv]
+        subprocess.run(launch, env=env, capture_output=True, check=True, timeout=120)
+        result = json.loads(report.read_text())
+        assert result["rc"] == 0
+        assert [span[0] for span in result["spans"] if span[5]] == []
+        layers |= {span[0].split(".")[0] for span in result["spans"]}
+    expected = {"signals", "geo", "detector", "series", "stattests", "arima", "regression", "panel", "evaluation"}
+    assert expected - layers == set()

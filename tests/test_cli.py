@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crimecast
-from crimecast import arima, cli, geo, regression
+from crimecast import arima, geo, pipeline, regression
 from crimecast.cli import EXIT_INPUT_ERROR, EXIT_MODEL_ERROR, EXIT_OK, PipelineConfig, UsageError, load_config, main
 from crimecast.signals import load_articles
 
@@ -72,6 +73,11 @@ class TestConfig:
             (absolute_config(arima_order=[1.7, 1, 0]), "'arima_order'"),
             (absolute_config(arima_order="auto", arima_max_q=1.5), "'arima_max_q'"),
             (absolute_config(seed=-1), "'seed'"),
+            (absolute_config(fbi_series=[str(FIXTURES / "fbi.csv")]), "config key 'fbi_series': must be a string"),
+            (absolute_config(gazetteer=True), "config key 'gazetteer': must be a string"),
+            (absolute_config(fit_start=2007), "config key 'fit_start': must be a string"),
+            (absolute_config(seed="5"), "config key 'seed': '5' is not an integer"),
+            (absolute_config(arima_order=["1", 1, 0]), "config key 'arima_order': '1' is not an integer"),
         ],
         ids=[
             "non-integer-order",
@@ -83,6 +89,11 @@ class TestConfig:
             "fractional-order",
             "fractional-grid-bound",
             "negative-seed",
+            "list-path",
+            "bool-path",
+            "number-quarter",
+            "string-seed",
+            "string-order",
         ],
     )
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, raw, named):
@@ -93,6 +104,13 @@ class TestConfig:
         assert code == EXIT_INPUT_ERROR
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [{"1": 1, "2": 0}, 3, True], ids=["object", "number", "bool"])
+    def test_models_must_be_a_list_or_a_string(self, tmp_path, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(absolute_config(models=value)))
+        with pytest.raises(UsageError, match="config key 'models': must be a list of model ids or a comma-separated string"):
+            load_config(path)
 
     @pytest.mark.parametrize(
         "key, value, year",
@@ -941,17 +959,17 @@ def split_in_3(monkeypatch):
     folds the last two in forked workers. The fixture holds what each split
     came to: the number of folds, or None where it fell back to the serial
     pass."""
-    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(pipeline, "_MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     outcomes = []
-    split_pass = cli._split_pass
+    split_pass = pipeline._split_pass
 
     def recorded(*args):
         folds = split_pass(*args)
         outcomes.append(None if folds is None else len(folds))
         return folds
 
-    monkeypatch.setattr(cli, "_split_pass", recorded)
+    monkeypatch.setattr(pipeline, "_split_pass", recorded)
     return outcomes
 
 
@@ -977,7 +995,7 @@ class TestSplitPass(TestChunkedPass):
 
     def serial_outputs(self, out, monkeypatch):
         with monkeypatch.context() as serial:
-            serial.setattr(cli, "_MIN_RANGE_BYTES", 1 << 62)
+            serial.setattr(pipeline, "_MIN_RANGE_BYTES", 1 << 62)
             return self.run_all(out)
 
     def test_each_command_folds_three_ranges(self, tmp_path, monkeypatch, split_in_3):
@@ -995,21 +1013,21 @@ class TestSplitPass(TestChunkedPass):
         assert split_in_3 == [None]
 
     def test_a_shared_id_hash_falls_back_to_the_serial_outputs(self, tmp_path, monkeypatch, split_in_3):
-        monkeypatch.setattr(cli, "hash", lambda value: 0, raising=False)
+        monkeypatch.setattr(pipeline, "hash", lambda value: 0, raising=False)
         split = self.run_all(tmp_path / "split")
         assert split_in_3 == [None] * 4
         assert split == self.serial_outputs(tmp_path / "serial", monkeypatch)
 
     @pytest.mark.parametrize("sent", [False, True], ids=["before-sending", "after-sending"])
     def test_a_worker_that_dies_falls_back_to_the_serial_outputs(self, tmp_path, monkeypatch, split_in_3, sent):
-        send_fold = cli._send_fold
+        send_fold = pipeline._send_fold
 
         def die(*args):
             if sent:
                 send_fold(*args)
             os._exit(1)
 
-        monkeypatch.setattr(cli, "_send_fold", die)
+        monkeypatch.setattr(pipeline, "_send_fold", die)
         split = self.run_all(tmp_path / "split")
         assert split_in_3 == [None] * 4
         assert split == self.serial_outputs(tmp_path / "serial", monkeypatch)
@@ -1032,8 +1050,8 @@ class TestSplitPass(TestChunkedPass):
 # pipe and so block-buffered, with every article file split in three.
 _STDOUT_PROBE = """
 import os, sys
-import crimecast.cli as cli
-cli._MIN_RANGE_BYTES = 1
+import crimecast.cli as cli, crimecast.pipeline as pipeline
+pipeline._MIN_RANGE_BYTES = 1
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 out, config = sys.argv[1:]
 for command in ("detect", "signals"):
@@ -1362,7 +1380,7 @@ def test_small_article_files_import_no_multiprocessing(tmp_path):
 _RSS_PROBE = """
 import re, sys
 import crimecast.cli
-crimecast.cli._MIN_RANGE_BYTES = 1 << 62
+crimecast.pipeline._MIN_RANGE_BYTES = 1 << 62
 code = crimecast.cli.main(["signals", *sys.argv[1:]])
 with open("/proc/self/status") as fh:
     print(code, re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
@@ -1399,3 +1417,29 @@ def test_signals_peak_memory_barely_grows_with_the_corpus(tmp_path):
         assert code == "0"
         peak_mb[n] = int(kb) / 1024
     assert (peak_mb[40_000] - peak_mb[4_000]) / 36 <= 0.25, peak_mb
+
+
+def imported(path: Path) -> set[str]:
+    """The top-level modules that `path` imports; a crimecast module, which
+    `src/` imports relatively, by its own name (`from . import geo` and
+    `from .geo import x` give `geo`)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names} if node.module is None else {node.module.split(".")[0]}
+    return names
+
+
+def test_cli_only_runs_the_stages():
+    """`cli` converts the config and maps errors to exit codes: it imports
+    no stage module nor what the stages use to compute and fork, and
+    defines no command; `pipeline`, which holds them, parses no argv."""
+    package = Path(crimecast.__file__).parent
+    stages = {"signals", "geo", "detector", "panel", "evaluation", "stattests", "regression"}
+    assert imported(package / "cli.py") & {"numpy", "os", "shutil", "multiprocessing", *stages} == set()
+    tree = ast.parse((package / "cli.py").read_text())
+    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")] == []
+    assert "argparse" not in imported(package / "pipeline.py")
+    assert {"numpy", "os", "multiprocessing", *stages} <= imported(package / "pipeline.py")

@@ -1,7 +1,8 @@
 """tools/measure_arima.py on a few criterion-4 seeds, without the
 models-50state world: the (0,0) count and one digest over every grid
-candidate."""
+candidate; and the binding swap that records a pass's order searches."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -19,3 +20,24 @@ def test_digests_the_criterion_4_candidates():
     assert lines[0] == "criterion 4: (0,0) in 3/3 seeds"
     assert re.fullmatch("27 candidates sha256 [0-9a-f]{64}", lines[1])  # 3 seeds x a 3 x 3 grid
     assert len(lines) == 2
+
+
+def test_the_search_recorder_swaps_and_restores_every_binding():
+    """The tool records the order searches by binding a recorder wherever a
+    loaded crimecast module binds `select_orders`: in `arima` and in the
+    module whose stages call it."""
+    from crimecast import arima, pipeline
+
+    spec = importlib.util.spec_from_file_location("measure_arima", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    select = arima.select_orders
+
+    def recorder(series, max_p, max_q):
+        return select(series, max_p, max_q)
+
+    with tool._swapped(arima, recorder):
+        assert arima.select_orders is recorder
+        assert pipeline.select_orders is recorder
+    assert arima.select_orders is select
+    assert pipeline.select_orders is select
