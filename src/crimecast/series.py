@@ -284,6 +284,89 @@ def _malformed(row: list[str], width: int, n_keys: int) -> bool:
         return True
 
 
+def _out_of_range(years: np.ndarray, quarters: np.ndarray) -> bool:
+    """Whether a year lies outside 1..9999 or a quarter outside 1..4."""
+    return bool(((years < 1) | (years > 9999) | (quarters < 1) | (quarters > 4)).any())
+
+
+def _plain_columns(text: str, width: int, n_keys: int):
+    """The rows after the header, as `_csv_columns` returns them, parsed by
+    numpy's C reader; None (the C path declines) unless the text is plain
+    and every row holds `width` cells, a year in 1..9999, a quarter in 1..4
+    and finite values. Plain text holds no quote, carriage return or NUL,
+    and no line longer than the CSV tokenizer's field limit, so splitting
+    at newlines and commas gives exactly `csv.reader`'s rows."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    rows = [line for line in lines[1:] if line]  # an empty line is no record
+    if not rows or text.count(",") != (len(rows) + 1) * (width - 1):
+        return None
+    dtype = np.dtype([("year", np.int64), ("quarter", np.int64), ("values", np.float64, (width - n_keys,))])
+    try:
+        table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, usecols=range(n_keys - 2, width), ndmin=1)
+    except ValueError:  # a cell that is not an int64 or a float, or a row that lacks a cell
+        return None
+    years, quarters, values = table["year"], table["quarter"], table["values"]
+    if len(table) != len(rows) or _out_of_range(years, quarters) or not np.isfinite(values).all():
+        return None
+    keys = [[row.split(",", k + 1)[k].strip() for row in rows] for k in range(n_keys - 2)]
+    return keys, years, quarters, values, [n for n, line in enumerate(lines[1:], 2) if line]
+
+
+def _csv_columns(reader, path: Path, width: int, n_keys: int):
+    """The rows after the header, read by `csv.reader`: the cells of each key
+    before year, the years, the quarters, the values and the line each row
+    starts on. The first fault raises its `path:line` message."""
+    # A record starts on the line after the one the previous record
+    # ended on; a quoted cell may hold a newline.
+    rows, lines, end, fault = [], [], reader.line_num, None
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(end + 1)
+            end = reader.line_num
+    except csv.Error as exc:  # the rows before it are checked first
+        fault = f"{path}:{end + 1}: {exc}"
+    if not rows:
+        raise InvalidArgumentError(fault or f"{path}: no data rows")
+    lengths = set(map(len, rows))
+    if min(lengths) < width:
+        for row in rows:
+            row += [""] * (width - len(row))
+    columns = list(zip(*rows))  # the first `width` cells of each row
+    try:
+        years, quarters = (np.fromiter(map(int, columns[j]), np.int64, len(rows)) for j in (n_keys - 2, n_keys - 1))
+        malformed = max(lengths) > width or _out_of_range(years, quarters)
+    except (ValueError, OverflowError):  # a year or quarter that is not an int64
+        malformed = True
+    if malformed:
+        r = next(r for r, row in enumerate(rows) if _malformed(row, width, n_keys))
+        raise InvalidArgumentError(f"{path}:{lines[r]}: malformed row")
+    cells = columns[n_keys:]
+    try:
+        values = np.array(cells, dtype=float).T
+    except ValueError:  # a blank cell, or one that is not a number
+        try:
+            values = np.array([[c if c.strip() else "nan" for c in column] for column in cells], dtype=float).T
+        except ValueError:  # the loop below names the first cell that is not a number
+            values = np.full((len(rows), width - n_keys), np.inf)
+    for r, j in np.argwhere(~np.isfinite(values)).tolist():
+        raw = rows[r][n_keys + j].strip()
+        try:
+            finite = not raw or math.isfinite(float(raw))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise InvalidArgumentError(f"{path}:{lines[r]}: not a finite number: {raw!r}")
+    if fault:
+        raise InvalidArgumentError(fault)
+    return [list(map(str.strip, columns[k])) for k in range(n_keys - 2)], years, quarters, values, lines
+
+
 def read_quarterly_csv(
     path: str | Path, keys: tuple[str, ...], consecutive: bool = False
 ) -> tuple[list[str], list[list[str]], np.ndarray, np.ndarray, list[int]]:
@@ -296,10 +379,14 @@ def read_quarterly_csv(
     than the header is malformed, as is a bad year or quarter anywhere,
     which wins over a bad value cell; a fault the CSV tokenizer raises comes
     after those of earlier lines. With `consecutive`, rows must be sorted
-    consecutive quarters, none repeated."""
+    consecutive quarters, none repeated.
+
+    A plain file is parsed by numpy's C reader (`_plain_columns`); any file
+    it declines, and so every message, goes through `csv.reader`."""
     path = Path(path)
     n_keys = len(keys)
-    with io.StringIO(decode_utf8(path.read_bytes(), path), newline="") as fh:
+    text = decode_utf8(path.read_bytes(), path)
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader, [])]
@@ -308,58 +395,17 @@ def read_quarterly_csv(
         width, names = len(header), header[n_keys:]
         if header[:n_keys] != list(keys) or not names:
             raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
-        # A record starts on the line after the one the previous record
-        # ended on; a quoted cell may hold a newline.
-        rows, lines, end, fault = [], [], reader.line_num, None
-        try:
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(end + 1)
-                end = reader.line_num
-        except csv.Error as exc:  # the rows before it are checked first
-            fault = f"{path}:{end + 1}: {exc}"
-    if not rows:
-        raise InvalidArgumentError(fault or f"{path}: no data rows")
-    lengths = set(map(len, rows))
-    if min(lengths) < width:
-        for row in rows:
-            row += [""] * (width - len(row))
-    columns = list(zip(*rows))  # the first `width` cells of each row
-    try:
-        years, quarters = (np.fromiter(map(int, columns[j]), np.int64, len(rows)) for j in (n_keys - 2, n_keys - 1))
-        malformed = max(lengths) > width or ((years < 1) | (years > 9999) | (quarters < 1) | (quarters > 4)).any()
-    except (ValueError, OverflowError):  # a year or quarter that is not an int64
-        malformed = True
-    if malformed:
-        r = next(r for r, row in enumerate(rows) if _malformed(row, width, n_keys))
-        raise InvalidArgumentError(f"{path}:{lines[r]}: malformed row")
+        key_cells, years, quarters, values, lines = _plain_columns(text, width, n_keys) or _csv_columns(
+            reader, path, width, n_keys
+        )
     index = quarter_index(years, quarters)
-    cells = columns[n_keys:]
-    try:
-        values = np.array(cells, dtype=float).T
-    except ValueError:  # a blank cell, or one that is not a number
-        try:
-            values = np.array([[c if c.strip() else "nan" for c in column] for column in cells], dtype=float).T
-        except ValueError:  # the loop below names the first cell that is not a number
-            values = np.full((len(rows), len(names)), np.inf)
-    for r, j in np.argwhere(~np.isfinite(values)).tolist():
-        raw = rows[r][n_keys + j].strip()
-        try:
-            finite = not raw or math.isfinite(float(raw))
-        except ValueError:
-            finite = False
-        if not finite:
-            raise InvalidArgumentError(f"{path}:{lines[r]}: not a finite number: {raw!r}")
-    if fault:
-        raise InvalidArgumentError(fault)
     if consecutive:
         breaks = np.flatnonzero(np.diff(index) != 1)
         if len(breaks):
             _check_unique(index.tolist(), lambda r: f"{path}:{lines[r]}: duplicate observation for {Quarter.from_index(index[r])}")
             a, b = (Quarter.from_index(i) for i in index[breaks[0] : breaks[0] + 2])
             raise InvalidArgumentError(f"{path}: rows must be sorted consecutive quarters ({a} -> {b})")
-    return names, [list(map(str.strip, columns[k])) for k in range(n_keys - 2)], index, values, lines
+    return names, key_cells, index, values, lines
 
 
 def load_series_csv(path: str | Path, name: str | None = None) -> TimeSeries:

@@ -1,13 +1,18 @@
 import csv
+import importlib
 import io
 import math
 import re
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from crimecast import series as series_module
 from crimecast.exceptions import DegenerateInputError, InvalidArgumentError
 from crimecast.regression import Dataset
 from crimecast.series import (
@@ -24,7 +29,9 @@ from crimecast.series import (
     write_series_csv,
 )
 
-from conftest import FIXTURES, Q0, ar1, cell, read_quarterly_csv_plainly, series
+from conftest import FIXTURES, GAZETTEER, Q0, ar1, cell, read_quarterly_csv_plainly, series
+
+BENCH = Path(__file__).parents[1] / "bench"
 
 
 class TestQuarter:
@@ -328,26 +335,39 @@ QUARTERS = [" 2", "0", "5", "x", ""]
 STATES = ["CA", "NY", " TX ", "a,b", "new\nline", 'say "hi"', ""]
 GOOD_CELLS = ["1.5", "-2", " 3 ", "7e2", "0", "4\n", "1_0", "１２", "", " "]
 BAD_CELLS = ["nan", "inf", "-Infinity", "1e400", "abc", "0x10"]
+# A plain file (no quote, carriage return or NUL) takes these, and finite
+# floats written out by `repr`.
+PLAIN_STATES = ["CA", "NY", " TX ", "", "new york", "a;b"]
+PLAIN_CELLS = ["1.5", "-2", " 3 ", "\t4", "7e2", "1E-5", "+0", ".5", "5.", "0"]
 
 
 @st.composite
-def quarterly_csv(draw) -> tuple[str, tuple[str, ...]]:
+def quarterly_csv(draw, plain: bool = False) -> tuple[str, tuple[str, ...]]:
     """The text of a quarterly CSV and its key columns. In half the files a
     row may be malformed (a bad year or quarter, or cells dropped or added)
     and a value cell may be bad; in a quarter, one cell is too large for the
-    CSV tokenizer."""
+    CSV tokenizer. A `plain` file has none of these: it is unquoted, its
+    lines end in LF, and every row has each cell, a year in 1..9999, a
+    quarter in 1..4 and finite values, so numpy's C reader answers it."""
     keys = draw(st.sampled_from([("state", "year", "quarter"), ("year", "quarter")]))
-    header = [*keys, *(f"v{j}" for j in range(draw(st.sampled_from([1, 2, 3] * 3 + [0]))))]  # 0: a bad header
-    faulty = draw(st.booleans())
-    cells = st.sampled_from(GOOD_CELLS * 4 + BAD_CELLS if faulty else GOOD_CELLS)
-    records, k, first_year = [header], 0, draw(st.sampled_from([2007, 9998]))
-    for _ in range(draw(st.integers(0, 8))):
-        if draw(st.integers(0, 9)) == 0:
-            records.append(draw(st.sampled_from([[], [""] * len(header)])))  # a blank line, or a row of blank cells
+    widths = st.integers(1, 6) if plain else st.sampled_from([1, 2, 3] * 3 + [0])  # 0: a bad header
+    header = [*keys, *(f"v{j}" for j in range(draw(widths)))]
+    faulty = not plain and draw(st.booleans())
+    if plain:
+        cells = st.one_of(st.sampled_from(PLAIN_CELLS), st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    else:
+        cells = st.sampled_from(GOOD_CELLS * 4 + BAD_CELLS if faulty else GOOD_CELLS)
+    records, k, first_year = [header], 0, draw(st.sampled_from([2007, 9990 if plain else 9998]))
+    for _ in range(draw(st.integers(1 if plain else 0, 8))):
+        if draw(st.integers(0, 9)) == 0 and (not plain or len(records) > 1):  # a plain file starts with a row
+            records.append([] if plain else draw(st.sampled_from([[], [""] * len(header)])))  # a blank line, or a row of blank cells
             continue
         k = draw(st.sampled_from([k + 1] * 6 + [k, k + 2]))  # a repeat or a gap now and then
-        row = [draw(st.sampled_from(STATES))] if len(keys) == 3 else []
-        row += [str(first_year + k // 4), str(k % 4 + 1), *(draw(cells) for _ in header[len(keys) :])]
+        row = [draw(st.sampled_from(PLAIN_STATES if plain else STATES))] if len(keys) == 3 else []
+        year = str(first_year + k // 4)
+        if plain:
+            year = draw(st.sampled_from([year, f" {year}", f"+{year}", f"0{year}"]))
+        row += [year, str(k % 4 + 1), *(draw(cells) for _ in header[len(keys) :])]
         fault = draw(st.sampled_from(["year", "quarter", "width", None])) if faulty else None
         if fault == "width":
             extra = draw(st.sampled_from([-3, -1, 1, 2]))
@@ -355,6 +375,8 @@ def quarterly_csv(draw) -> tuple[str, tuple[str, ...]]:
         elif fault:
             row[len(keys) - (2 if fault == "year" else 1)] = draw(st.sampled_from(YEARS if fault == "year" else QUARTERS))
         records.append(row)
+    if plain:
+        return "\n".join(map(",".join, records)) + draw(st.sampled_from(["\n", ""])), keys
     if draw(st.integers(0, 3)) == 0:
         huge = draw(st.integers(0, len(records) - 1))
         records[huge].append("9" * 140_000)
@@ -384,6 +406,78 @@ def test_reader_agrees_with_a_plain_reader(tmp_path_factory, text_keys, consecut
     path.write_text(text)
     expected = read_outcome(read_quarterly_csv_plainly, path, keys, consecutive)
     assert read_outcome(read_quarterly_csv, path, keys, consecutive) == expected
+
+
+@seed(20261029)
+@settings(max_examples=200, deadline=None)
+@given(quarterly_csv(plain=True), st.booleans())
+def test_the_c_path_answers_a_plain_file(tmp_path_factory, text_keys, consecutive):
+    """A plain file never reaches the `csv.reader` loop, and its columns or
+    message are still those of `read_quarterly_csv_plainly`."""
+    text, keys = text_keys
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_text(text)
+    expected = read_outcome(read_quarterly_csv_plainly, path, keys, consecutive)
+    with mock.patch.object(series_module, "_csv_columns", side_effect=AssertionError("the C path declined")):
+        assert read_outcome(read_quarterly_csv, path, keys, consecutive) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        LONG_HEAD + "CA,2007,1,1#2,2\n",  # loadtxt's default comments="#" would read 1.0
+        LONG_HEAD + "CA,2007,1,1,2\n  \nCA,2007,2,1,2\n",  # a whitespace-only line
+        LONG_HEAD.replace("\n", "\r\n") + "CA,2007,1,1,2\r\nCA,2007,2,1,2\r\n",
+        LONG_HEAD + "C\x00A,2007,1,1,2\n",  # a NUL, which csv.reader rejects before Python 3.11
+        LONG_HEAD + '"CA",2007,1,1,2\n',
+        LONG_HEAD + "CA,2007,1,,2\n",
+        LONG_HEAD + "CA,2007,1,nan,2\n",
+        LONG_HEAD + "CA,2007,1,2,inf\n",
+        LONG_HEAD + "CA,2007,1,1e400,2\n",
+        LONG_HEAD + "CA,1_0,1,1,2\n",
+        LONG_HEAD + "CA,１２,1,1,2\n",
+        LONG_HEAD + "CA,2019.0,1,1,2\n",
+        LONG_HEAD + "CA,2007,1,1,2,3\n",  # a row one cell wider
+        LONG_HEAD + "CA,2007,1,1\n",  # a row one cell narrower
+        LONG_HEAD + "CA,2007,1,1,2,3\nCA,2007,2,1\n",  # both: the comma count is that of a plain file
+        LONG_HEAD + "C" * 140_000 + ",2007,1,1,2\n",  # a state cell past the CSV tokenizer's field limit
+        SERIES_HEAD + "2007,1,1#2\n",
+        SERIES_HEAD + "1_0,1,1\n",
+        SERIES_HEAD + "2007,0,1\n",
+        SERIES_HEAD + "10000,1,1\n",
+    ],
+)
+def test_the_c_path_declines_what_it_cannot_answer_exactly(tmp_path, text):
+    """These files are not plain, or numpy's C reader would not read them as
+    `csv.reader` and `int` or `float` do: the `csv.reader` loop answers,
+    with the plain reader's columns or message."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    keys = ("state", "year", "quarter") if text.startswith("state") else ("year", "quarter")
+    with mock.patch.object(series_module, "_csv_columns", wraps=series_module._csv_columns) as csv_path:
+        outcome = read_outcome(read_quarterly_csv, path, keys, False)
+    assert csv_path.called
+    assert outcome == read_outcome(read_quarterly_csv_plainly, path, keys, False)
+
+
+def test_the_c_path_answers_the_fixtures_and_a_50_state_panel(tmp_path):
+    """The speed of reading the three CSV inputs rests on the C path: the
+    fixture world's files and the benchmark's 50-state, 120-quarter panel
+    never reach the `csv.reader` loop."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        worldgen = importlib.import_module("worldgen")
+    finally:
+        sys.path.remove(str(BENCH))
+    spec = worldgen.gazetteer_world(GAZETTEER, 50, start_year=1990, n_quarters=120, news_rate=0.8,
+                                    unknown_rate=2.0, article_states=True)
+    worldgen.write_world(spec, tmp_path)
+    with mock.patch.object(series_module, "_csv_columns", side_effect=AssertionError("the C path declined")):
+        for world in (FIXTURES, tmp_path):
+            panel = PanelDataset.from_csv(world / "panel.csv")
+            Dataset.from_csv(world / "covariates.csv")
+            load_series_csv(world / "fbi.csv")
+    assert panel.present.shape == (50, 120)
 
 
 class TestPanelJoin:
