@@ -434,18 +434,16 @@ def select_orders(series: TimeSeries, max_p: int, max_q: int) -> ArimaSpec:
     best_aic = min(a for a, _, _ in scored)
     tied = [(p + q, p, q) for a, p, q in scored if a <= best_aic + _AIC_TIE_TOL]
     _, p_sel, q_sel = min(tied)
-    if logger.isEnabledFor(logging.INFO):  # the suggestion only fills the log line
-        logger.info(
-            "order selection: AIC grid chose (%d,%d) after dropping %d MA boundary and %d unconverged "
-            "candidates; ACF/PACF cutoff heuristic suggests %s",
-            p_sel,
-            q_sel,
-            boundary,
-            unconverged,
-            suggest_orders_acf(series, max_p, max_q),
-        )
-    elif len(series) > max(max_p, max_q, 1):
-        acf(series, 1)  # a constant series raises here, as in the suggestion
+    heuristic = suggest_orders_acf(series, max_p, max_q)
+    logger.info(
+        "order selection: AIC grid chose (%d,%d) after dropping %d MA boundary and %d unconverged "
+        "candidates; ACF/PACF cutoff heuristic suggests %s",
+        p_sel,
+        q_sel,
+        boundary,
+        unconverged,
+        heuristic,
+    )
     return ArimaSpec(p_sel, 0, q_sel)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -306,8 +307,12 @@ def _plain_columns(text: str, width: int, n_keys: int):
         return None
     dtype = np.dtype([("year", np.int64), ("quarter", np.int64), ("values", np.float64, (width - n_keys,))])
     try:
-        table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, usecols=range(n_keys - 2, width), ndmin=1)
-    except ValueError:  # a cell that is not an int64 or a float, or a row that lacks a cell
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads an int64 cell such as "2019.5" as a float,
+            # truncates it and only warns; as an error, that cell declines too.
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, usecols=range(n_keys - 2, width), ndmin=1)
+    except (ValueError, DeprecationWarning):  # a cell that is not an int64 or a float, or a row that lacks a cell
         return None
     years, quarters, values = table["year"], table["quarter"], table["values"]
     if len(table) != len(rows) or _out_of_range(years, quarters) or not np.isfinite(values).all():

@@ -11,7 +11,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import crimecast
-from crimecast import arima
 from crimecast.arima import (
     MAX_GRID_ORDER,
     ArimaFit,
@@ -376,20 +375,6 @@ class TestSelectOrders:
             spec = select_orders(w, 2, 2)
         assert (spec.p, spec.q) == (0, 0)
         assert "after dropping 4 MA boundary and 0 unconverged candidates" in caplog.text
-
-    def test_the_suggestion_is_computed_only_for_the_info_line(self, caplog, monkeypatch):
-        ts = series(np.random.default_rng(1).normal(0, 1, 200))
-
-        def refuse(*args):
-            raise AssertionError("suggest_orders_acf called with INFO off")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(arima, "suggest_orders_acf", refuse)
-            spec = select_orders(ts, 2, 2)
-        with caplog.at_level(logging.INFO, logger="crimecast.arima"):
-            assert select_orders(ts, 2, 2) == spec
-        assert f"chose ({spec.p},{spec.q})" in caplog.text
-        assert f"heuristic suggests {arima.suggest_orders_acf(ts, 2, 2)}" in caplog.text
 
     @pytest.mark.parametrize("level", [logging.WARNING, logging.INFO])
     def test_a_constant_series_raises_at_any_log_level(self, caplog, level):

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -437,6 +438,9 @@ def test_the_c_path_answers_a_plain_file(tmp_path_factory, text_keys, consecutiv
         LONG_HEAD + "CA,1_0,1,1,2\n",
         LONG_HEAD + "CA,１２,1,1,2\n",
         LONG_HEAD + "CA,2019.0,1,1,2\n",
+        LONG_HEAD + "CA,2019.5,1,1,2\n",  # numpy before 2.0 truncates a float in an int64 cell, and only warns
+        LONG_HEAD + "CA,1.9e3,1,1,2\n",
+        SERIES_HEAD + "2007,2.7,1\n",
         LONG_HEAD + "CA,2007,1,1,2,3\n",  # a row one cell wider
         LONG_HEAD + "CA,2007,1,1\n",  # a row one cell narrower
         LONG_HEAD + "CA,2007,1,1,2,3\nCA,2007,2,1\n",  # both: the comma count is that of a plain file
@@ -458,6 +462,29 @@ def test_the_c_path_declines_what_it_cannot_answer_exactly(tmp_path, text):
         outcome = read_outcome(read_quarterly_csv, path, keys, False)
     assert csv_path.called
     assert outcome == read_outcome(read_quarterly_csv_plainly, path, keys, False)
+
+
+def test_a_float_read_into_an_int64_cell_declines(tmp_path):
+    """numpy 1.23 to 1.26 parse an int64 cell such as "2019.5" as a float,
+    truncate it and only issue a DeprecationWarning; the C path treats that
+    warning as a cell it cannot read, whatever the caller's warning filters."""
+    path = tmp_path / "in.csv"
+    path.write_text(LONG_HEAD + "CA,2019.5,1,1,2\n")
+    keys = ("state", "year", "quarter")
+    loadtxt = np.loadtxt
+
+    def loadtxt_that_warns(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
+        return loadtxt(["CA,2019,1,1,2"], *args[1:], **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with mock.patch.object(np, "loadtxt", loadtxt_that_warns), \
+                mock.patch.object(series_module, "_csv_columns", wraps=series_module._csv_columns) as csv_path:
+            outcome = read_outcome(read_quarterly_csv, path, keys, False)
+    assert csv_path.called
+    assert outcome == read_outcome(read_quarterly_csv_plainly, path, keys, False)
+    assert "malformed row" in str(outcome)
 
 
 def test_the_c_path_answers_the_fixtures_and_a_50_state_panel(tmp_path):
