@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DegenerateInputError, InvalidArgumentError
+from .record import Record
 from .series import TimeSeries, acf, pacf
 
 logger = logging.getLogger(__name__)
@@ -61,8 +61,7 @@ _AIC_TIE_TOL = 6.0
 MAX_GRID_ORDER = 5
 
 
-@dataclass(frozen=True)
-class ArimaSpec:
+class ArimaSpec(Record):
     """Model orders: AR(p), d-fold differencing, MA(q). The equation of the
     differenced series always has a constant (the drift when d = 1), so a
     model has p + q + 1 parameters."""
@@ -80,8 +79,7 @@ class ArimaSpec:
         return self.p + self.q + 1
 
 
-@dataclass(frozen=True)
-class ArimaFit:
+class ArimaFit(Record):
     spec: ArimaSpec
     constant: float
     ar_coeffs: tuple[float, ...]

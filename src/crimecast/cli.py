@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -21,6 +20,7 @@ from . import pipeline
 from .arima import MAX_GRID_ORDER, ArimaSpec
 from .exceptions import CrimecastError, InvalidArgumentError, UsageError, decode_utf8
 from .pipeline import ARIMA_READINGS, NATIONAL_MODELS, PANEL_MODELS
+from .record import Record
 from .series import Quarter
 
 EXIT_OK = 0
@@ -28,8 +28,7 @@ EXIT_MODEL_ERROR = 1
 EXIT_INPUT_ERROR = 2
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Record):
     """The pipeline settings; a default here is the value of an absent or
     null config key."""
 
@@ -168,15 +167,15 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if unknown:
         raise UsageError(f"config {path}: unknown key {', '.join(map(repr, unknown))}")
     values = {}
-    for field in fields(PipelineConfig):
-        value = field.default if raw.get(field.name) is None else raw[field.name]
-        convert = _CONVERTERS[field.name]
+    for name in PipelineConfig._fields:
+        value = PipelineConfig._defaults[name] if raw.get(name) is None else raw[name]
+        convert = _CONVERTERS[name]
         try:
             if value is not None:
                 value = (path.parent / _string(value)).resolve() if convert is Path else convert(value)
         except (TypeError, ValueError) as exc:
-            raise UsageError(f"config key {field.name!r}: {exc}") from exc
-        values[field.name] = value
+            raise UsageError(f"config key {name!r}: {exc}") from exc
+        values[name] = value
     return PipelineConfig(**values)
 
 

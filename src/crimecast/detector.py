@@ -12,7 +12,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -20,6 +20,7 @@ import numpy as np
 
 from .exceptions import InvalidArgumentError, decode_utf8
 from .geo import Gazetteer, corpus_tokens, tokenize_texts
+from .record import Record
 from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, Corpus
 
 # Training settings of the baseline, recorded in the model's metadata.
@@ -29,24 +30,21 @@ _SPLIT = (0.7, 0.1, 0.2)  # train, validation and test fractions of the labeled 
 _MIN_TOKEN_COUNT = 2  # occurrences in the training split that keep a token
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(Record):
     tp: int
     fp: int
     tn: int
     fn: int
 
 
-@dataclass(frozen=True)
-class DetectionMetrics:
+class DetectionMetrics(Record):
     precision: float
     recall: float
     f1: float
     counts: ConfusionCounts
 
 
-@dataclass(frozen=True)
-class BaselineModel:
+class BaselineModel(Record):
     """Logistic bag-of-words detector: score >= threshold <=> hate_crime."""
 
     vocabulary: Mapping[str, float]
@@ -143,13 +141,11 @@ def _split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _count_matrix(token_lists: Sequence[list[str]], index: Mapping[str, int]) -> np.ndarray:
-    X = np.zeros((len(token_lists), len(index)))
-    for row, tokens in enumerate(token_lists):
-        for token in tokens:
-            col = index.get(token)
-            if col is not None:
-                X[row, col] += 1.0
-    return X
+    """Texts × vocabulary token counts, from one `bincount` of flat cell indices."""
+    cols = [[col for col in map(index.get, tokens) if col is not None] for tokens in token_lists]
+    rows = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
+    flat = rows * len(index) + np.fromiter(chain.from_iterable(cols), np.intp)
+    return np.bincount(flat, minlength=len(cols) * len(index)).reshape(len(cols), len(index)).astype(float)
 
 
 def _best_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
@@ -243,7 +239,7 @@ def classify_corpus(
     scores = 1.0 / (1.0 + np.exp(-logits))
     threshold = model.threshold
     labels = [LABEL_POSITIVE if score >= threshold else LABEL_NEGATIVE for score in scores.tolist()]
-    return replace(corpus, predicted=labels, states=states), scores
+    return corpus._replace(predicted=labels, states=states), scores
 
 
 def evaluate(predicted: Sequence[str], gold: Sequence[str]) -> DetectionMetrics:

@@ -4,7 +4,6 @@ two models' stacked predictions."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -13,6 +12,7 @@ import numpy as np
 from . import reporting, stattests
 from .exceptions import InvalidArgumentError
 from .panel import PanelFit
+from .record import Record
 from .series import TimeSeries
 
 # The column spelling of every model row in report.json and panel_report.json.
@@ -41,8 +41,7 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return float(np.mean(np.abs((a - p) / a)) * 100.0)
 
 
-@dataclass(frozen=True)
-class ModelRow:
+class ModelRow(Record):
     """One model's report row: its fit statistics, holdout errors and predictions."""
 
     name: str
@@ -65,8 +64,7 @@ def score_model(
     return ModelRow(name, r_squared, log_likelihood, rmse(actual, predicted), mape(actual, predicted), predicted)
 
 
-@dataclass(frozen=True)
-class ForecastReport:
+class ForecastReport(Record):
     """Per-model metric rows over an identical holdout range."""
 
     rows: tuple[ModelRow, ...]
@@ -108,15 +106,15 @@ def hausman_decision(fe: PanelFit, re: PanelFit) -> dict:
     result = stattests.hausman_test(fe.slopes, fe.slope_cov, re.slopes, re.slope_cov)
     decision = "fixed" if result.p_value < HAUSMAN_LEVEL else "random"
     variance = {"sigma2_u": re.sigma2_u, "theta": re.theta, "sigma2_u_truncated": re.sigma2_u_truncated}
-    return asdict(result) | {"decision": decision} | variance
+    return result._asdict() | {"decision": decision} | variance
 
 
 def compare_predictions(a: ModelRow, b: ModelRow, actual: Sequence[float]) -> dict:
     """Levene and paired t tests between two models' stacked holdout
     predictions, and the mean of each stack and of the actual values."""
     return {
-        "levene": asdict(stattests.levene_test(a.predictions, b.predictions)),
-        "paired_t": asdict(stattests.paired_t_test(a.predictions, b.predictions)),
+        "levene": stattests.levene_test(a.predictions, b.predictions)._asdict(),
+        "paired_t": stattests.paired_t_test(a.predictions, b.predictions)._asdict(),
         "means": {
             "actual": sum(actual) / len(actual),
             a.name: sum(a.predictions) / len(a.predictions),

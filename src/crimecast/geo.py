@@ -16,13 +16,13 @@ share one tokenization per article without holding a whole corpus's tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .exceptions import InvalidArgumentError, decode_utf8
+from .record import Record
 
 if TYPE_CHECKING:
     from .signals import Corpus
@@ -70,15 +70,13 @@ def tokenize_texts(texts: Iterable[str]) -> Iterator[list[str]]:
             yield text.split()
 
 
-@dataclass(frozen=True)
-class GazetteerEntry:
+class GazetteerEntry(Record):
     name: str
     state: str
     priority: int
 
 
-@dataclass(frozen=True)
-class Gazetteer:
+class Gazetteer(Record):
     """Normalized place/institute names mapped to state codes."""
 
     entries: Mapping[tuple[str, ...], GazetteerEntry]
@@ -87,8 +85,7 @@ class Gazetteer:
     lengths: Mapping[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(Record):
     state: str
     matched_name: str
     score: float

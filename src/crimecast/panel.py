@@ -4,19 +4,18 @@ estimator, Swamy-Arora random effects, and per-unit forecasting."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .arima import _gaussian_loglik
 from .exceptions import CollinearityError, EmptyPanelError, InvalidArgumentError
+from .record import Record
 from .regression import RegressionSpec, _qr_solve
 from .series import PanelDataset, Quarter
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(Record):
     dropped: tuple[str, ...]
     retained: tuple[str, ...]
     retained_share: float
@@ -43,15 +42,15 @@ def balance_panel(
     return panel.restricted(report.retained, span), report
 
 
-@dataclass(frozen=True)
-class PanelFit:
+class PanelFit(Record):
     """Common slopes with covariance plus the unit-effect structure."""
 
+    _uncompared = ("slope_cov",)
     method: str  # "fixed" | "random"
     spec: RegressionSpec
     slope_names: tuple[str, ...]
     slopes: tuple[float, ...]
-    slope_cov: np.ndarray = field(compare=False)
+    slope_cov: np.ndarray
     unit_effects: Mapping[str, float]
     intercept: float | None
     sigma2_e: float
@@ -62,8 +61,7 @@ class PanelFit:
     sigma2_u_truncated: bool = False  # random effects: a negative sigma2_u estimate was set to 0
 
 
-@dataclass(frozen=True)
-class Within:
+class Within(Record):
     """The within step of one panel and spec, which its fixed- and
     random-effects fits share: the usable rows stacked by unit, then time;
     the unit means; and the within slopes with (X'X)^-1 of the demeaned

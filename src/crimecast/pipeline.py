@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -115,7 +114,7 @@ def _labeled(
             if model is not None:
                 chunk = detector_mod.classify_corpus(model, chunk, gaz)[0]
             elif gaz is not None:
-                chunk = replace(chunk, states=[state for _, state in geo.corpus_tokens(chunk, gaz)])
+                chunk = chunk._replace(states=[state for _, state in geo.corpus_tokens(chunk, gaz)])
         except CrimecastError as exc:  # the gazetteer's UsageError, or a blank text
             fault = exc if isinstance(exc, UsageError) else UsageError(f"{config.articles}: {exc}")
         else:
@@ -463,8 +462,8 @@ def cmd_diagnose(config: PipelineConfig) -> None:
     p, q = suggest_orders_acf(differenced, config.arima_max_p, config.arima_max_q)
     model1 = fit_arima(deseasonalized, _model1_spec(config, deseasonalized))
     payload = {
-        "adf": {s.name: asdict(stattests.adf_test(s, max_lag)) for s in (observed, deseasonalized, differenced)},
-        "ljung_box_irregular": asdict(stattests.ljung_box(irregular, min(DIAGNOSE_LAGS, len(irregular) - 2))),
+        "adf": {s.name: stattests.adf_test(s, max_lag)._asdict() for s in (observed, deseasonalized, differenced)},
+        "ljung_box_irregular": stattests.ljung_box(irregular, min(DIAGNOSE_LAGS, len(irregular) - 2))._asdict(),
         "acf_pacf_order_suggestion": {"p": p, "q": q},
         "model1_residual_durbin_watson": stattests.durbin_watson(model1.residuals.values),
         "model1_converged": model1.converged,
@@ -513,7 +512,7 @@ def cmd_evaluate_detector(config: PipelineConfig) -> None:
         raise UsageError(f"{missing} gold-labeled records lack predictions (first: {first!r})")
     names = np.array(signals_mod.LABEL_CODES)
     metrics = detector_mod.evaluate(names[predicted[scored]], names[gold[scored]])
-    payload = {"Precision": metrics.precision, "Recall": metrics.recall, "F1": metrics.f1, "counts": asdict(metrics.counts)}
+    payload = {"Precision": metrics.precision, "Recall": metrics.recall, "F1": metrics.f1, "counts": metrics.counts._asdict()}
     write_json(payload, config.output_dir / "detector_metrics.json")
     print(f"evaluate-detector: P={metrics.precision:.4f} R={metrics.recall:.4f} F1={metrics.f1:.4f}")
 

@@ -9,7 +9,6 @@ Model 2 and Model 4 terms on the state series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .arima import _adjusted_r2, _gaussian_loglik
 from .exceptions import CollinearityError, CrimecastError, DegenerateInputError, InvalidArgumentError
+from .record import Record
 from .series import NATIONAL, PanelDataset, Quarter, TimeSeries, read_quarterly_csv
 from .stattests import durbin_watson
 
@@ -48,8 +48,7 @@ _EVENT_TERMS: tuple[tuple[str, int], ...] = (
 _INDEX_TERM: tuple[tuple[str, int], ...] = (("hate_reported_index", 0),)
 
 
-@dataclass(frozen=True)
-class RegressionSpec:
+class RegressionSpec(Record):
     """Declarative regression: dependent, (variable, lag) terms and optional
     AR(1) error structure. The national fits add an intercept; the panel fits
     take the unit effects instead."""
@@ -76,7 +75,7 @@ def build_model_spec(model_id: int) -> RegressionSpec:
     """Return the term list for Models 2-7; Model 5 adds AR(1) errors to Model 4,
     and Models 6 and 7 are Models 2 and 4 on the panel dependent."""
     if model_id in (6, 7):
-        return replace(build_model_spec(2 if model_id == 6 else 4), dependent=PANEL_DEPENDENT)
+        return build_model_spec(2 if model_id == 6 else 4)._replace(dependent=PANEL_DEPENDENT)
     if model_id == 2:
         terms = _MODEL2_TERMS
     elif model_id == 3:
@@ -126,8 +125,7 @@ class Dataset(PanelDataset):
             raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(Record):
     spec: RegressionSpec
     coef_names: tuple[str, ...]
     coefficients: tuple[float, ...]
@@ -192,7 +190,8 @@ def _gaussian_fit_stats(y: np.ndarray, resid: np.ndarray, k_total: int) -> tuple
 
 
 def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
-    """Least-squares estimation via pivoted QR (no explicit normal equations).
+    """Least-squares estimation via an unpivoted Householder QR of the
+    column-scaled design (`_qr_solve`; no explicit normal equations).
 
     With ar_error_order=1, estimates regression with AR(1) errors by iterated
     feasible GLS (Cochrane-Orcutt), iterating rho to 1e-8; the stored

@@ -13,13 +13,13 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import DegenerateInputError, EmptyPanelError, InvalidArgumentError, decode_utf8
+from .record import Record
 from .reporting import write_csv
 
 MISSING = float("nan")
@@ -35,18 +35,32 @@ def quarter_index(year: int, quarter: int) -> int:
     return year * 4 + quarter - 1
 
 
-@dataclass(frozen=True, order=True)
-class Quarter:
-    """A calendar quarter, totally ordered by (year, quarter)."""
+class Quarter(Record):
+    """A calendar quarter, totally ordered by (year, quarter). A pass builds
+    thousands, so it has its own `__init__`, comparisons (`>` is `<` reflected) and hash."""
 
     year: int
     quarter: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.year, int) or not isinstance(self.quarter, int):
+    def __init__(self, year: int, quarter: int) -> None:
+        if not isinstance(year, int) or not isinstance(quarter, int):
             raise InvalidArgumentError("year and quarter must be integers")
-        if not 1 <= self.quarter <= 4:
-            raise InvalidArgumentError(f"quarter must be in 1..4, got {self.quarter}")
+        if not 1 <= quarter <= 4:
+            raise InvalidArgumentError(f"quarter must be in 1..4, got {quarter}")
+        state = self.__dict__
+        state["year"], state["quarter"] = year, quarter
+
+    def __eq__(self, other):
+        return (self.year, self.quarter) == (other.year, other.quarter) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.year, self.quarter))
+
+    def __lt__(self, other):
+        return (self.year, self.quarter) < (other.year, other.quarter) if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return (self.year, self.quarter) <= (other.year, other.quarter) if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def parse(cls, text: str) -> "Quarter":
@@ -80,8 +94,7 @@ class Quarter:
         return f"{self.year}Q{self.quarter}"
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(Record):
     """A named quarterly-indexed sequence of real values.
 
     Position i corresponds to ``start + i``. NaN marks a missing value and is
@@ -146,8 +159,7 @@ class TimeSeries:
         return TimeSeries(self.name, start, self.values[i : j + 1])
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """Additive decomposition into trend + seasonal + irregular."""
 
     trend: TimeSeries
@@ -290,17 +302,14 @@ def _out_of_range(years: np.ndarray, quarters: np.ndarray) -> bool:
     return bool(((years < 1) | (years > 9999) | (quarters < 1) | (quarters > 4)).any())
 
 
-def _plain_columns(text: str, width: int, n_keys: int):
+def _plain_columns(text: str, lines: list[str] | None, width: int, n_keys: int):
     """The rows after the header, as `_csv_columns` returns them, parsed by
     numpy's C reader; None (the C path declines) unless the text is plain
-    and every row holds `width` cells, a year in 1..9999, a quarter in 1..4
-    and finite values. Plain text holds no quote, carriage return or NUL,
-    and no line longer than the CSV tokenizer's field limit, so splitting
-    at newlines and commas gives exactly `csv.reader`'s rows."""
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    (then `lines` holds its lines) and every row holds `width` cells, a year
+    in 1..9999, a quarter in 1..4 and finite values. A plain text with no
+    line longer than the CSV tokenizer's field limit splits at newlines and
+    commas into exactly `csv.reader`'s rows."""
+    if lines is None or max(map(len, lines)) > csv.field_size_limit():
         return None
     rows = [line for line in lines[1:] if line]  # an empty line is no record
     if not rows or text.count(",") != (len(rows) + 1) * (width - 1):
@@ -391,18 +400,20 @@ def read_quarterly_csv(
     path = Path(path)
     n_keys = len(keys)
     text = decode_utf8(path.read_bytes(), path)
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader, [])]
-        except csv.Error as exc:
-            raise InvalidArgumentError(f"{path}:1: {exc}") from None
-        width, names = len(header), header[n_keys:]
-        if header[:n_keys] != list(keys) or not names:
-            raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
-        key_cells, years, quarters, values, lines = _plain_columns(text, width, n_keys) or _csv_columns(
-            reader, path, width, n_keys
-        )
+    # A plain text (no quote, carriage return or NUL) has `csv.reader`'s lines
+    # at its newlines, so the reader needs no copy of it in a buffer.
+    plain = None if '"' in text or "\r" in text or "\0" in text else text.split("\n")
+    reader = csv.reader(io.StringIO(text, newline="") if plain is None else plain)
+    try:
+        header = [h.strip() for h in next(reader, [])]
+    except csv.Error as exc:
+        raise InvalidArgumentError(f"{path}:1: {exc}") from None
+    width, names = len(header), header[n_keys:]
+    if header[:n_keys] != list(keys) or not names:
+        raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
+    key_cells, years, quarters, values, lines = _plain_columns(text, plain, width, n_keys) or _csv_columns(
+        reader, path, width, n_keys
+    )
     index = quarter_index(years, quarters)
     if consecutive:
         breaks = np.flatnonzero(np.diff(index) != 1)
@@ -450,8 +461,7 @@ def _window(arr: np.ndarray, lo: int, n: int, fill) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PanelDataset:
+class PanelDataset(Record):
     """Observations on a units × quarters × variables grid: `values[i, t, j]`
     is variable `names[j]` of unit `unit_names[i]` at quarter `start + t`, NaN
     when missing (all NaN in a row that does not exist), and `present[i, t]`
@@ -462,8 +472,11 @@ class PanelDataset:
     unit_names: tuple[str, ...]
     start: Quarter
     names: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-    present: np.ndarray = field(repr=False)
+    values: np.ndarray
+    present: np.ndarray
+
+    _unshown = ("values", "present")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a frame equals only itself
 
     def __post_init__(self) -> None:
         # Frames share arrays (a window is a view), so no frame writes into them.
@@ -588,7 +601,7 @@ class PanelDataset:
             if unit in other.unit_names:
                 values[i][:, cols] = columns[other.unit_names.index(unit)]
         values[~self.present] = np.nan
-        return replace(self, names=names, values=values)
+        return self._replace(names=names, values=values)
 
     def restricted(self, units: Iterable[str], span: tuple[Quarter, Quarter]) -> "PanelDataset":
         keep = set(units)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -18,6 +17,7 @@ import numpy as np
 from . import geo
 from .exceptions import InvalidArgumentError, not_utf8
 from .geo import UNKNOWN_STATE, US_STATE_CODES
+from .record import Record
 from .reporting import write_csv
 from .series import NATIONAL, PanelDataset, Quarter, quarter_index
 
@@ -40,8 +40,7 @@ def _check(id: str, date: dt.date, gold_label, predicted_label) -> None:
         raise InvalidArgumentError(f"article {id}: predicted_label must be one of {LABELS}")
 
 
-@dataclass(frozen=True)
-class ArticleRecord:
+class ArticleRecord(Record):
     """One news item with optional gold label, prediction, and state: a row
     of a `Corpus`."""
 
@@ -60,8 +59,7 @@ class ArticleRecord:
         return f"{self.title}\n{self.body}"
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record):
     """Articles as equal-length columns, one entry per article in file order;
     iteration gives `ArticleRecord` rows."""
 
@@ -107,7 +105,7 @@ def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> I
     `end`, only the lines that begin in that byte range are read; `start`
     must be a line start, and lines count from it."""
     path = Path(path)
-    columns: tuple[list, ...] = tuple([] for _ in fields(Corpus))
+    columns: tuple[list, ...] = tuple([] for _ in Corpus._fields)
     ids, dates, titles, bodies, gold, predicted, states = columns
     seen: set[str] = set()
     days: dict[str, dt.date] = {}
@@ -167,7 +165,7 @@ def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> I
             states.append(state)
             if len(ids) == geo._CHUNK:
                 yield Corpus(*columns)
-                columns = tuple([] for _ in fields(Corpus))
+                columns = tuple([] for _ in Corpus._fields)
                 ids, dates, titles, bodies, gold, predicted, states = columns
     if ids:
         yield Corpus(*columns)
@@ -175,7 +173,7 @@ def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> I
 
 def load_articles(path: str | Path) -> Corpus:
     """The whole corpus, the chunks of `read_articles` joined."""
-    chunks = [chunk.columns() for chunk in read_articles(path)] or [tuple([] for _ in fields(Corpus))]
+    chunks = [chunk.columns() for chunk in read_articles(path)] or [tuple([] for _ in Corpus._fields)]
     return Corpus(*(list(chain.from_iterable(parts)) for parts in zip(*chunks)))
 
 
@@ -196,8 +194,7 @@ def write_articles(corpus: Corpus, fh: TextIO) -> None:
         fh.write(line + "}\n")
 
 
-@dataclass(frozen=True)
-class Tally:
+class Tally(Record):
     """The columns the signals count articles from, in article order: each
     one's quarter (`Quarter.index`) and state code (its place in `STATES`),
     int32, and positive flag."""
@@ -271,8 +268,7 @@ def aggregate_quarterly(articles: Tally, span: tuple[Quarter, Quarter]) -> Panel
     return _summed(*_count(articles, span)[:3])
 
 
-@dataclass(frozen=True)
-class StateSignals:
+class StateSignals(Record):
     """The national and the per-state signal frame, over the same quarters.
     UNKNOWN-state records count toward the national totals and the unknown
     share only, records outside the span toward the share only."""

@@ -12,17 +12,16 @@ Recipes, 6.4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import DegenerateInputError, InvalidArgumentError
+from .record import Record
 from .series import TimeSeries, acf
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(Record):
     """A test statistic with its p-value, degrees of freedom (or lag count),
     and a short free-text detail such as the critical-value rows used."""
 
@@ -31,7 +30,7 @@ class TestResult:
     dof_or_lags: int
     detail: str = ""
 
-    __test__ = False  # keep pytest from collecting this dataclass
+    __test__ = False  # keep pytest from collecting this record
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.statistic):

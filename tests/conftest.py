@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import datetime as dt
 import io
 import json
@@ -31,7 +30,7 @@ def cell(panel, unit: str, q: Quarter, name: str) -> float:
 
 def corpus_of(records) -> Corpus:
     """The columnar corpus of `ArticleRecord` rows, in their order."""
-    return Corpus(*([getattr(r, f.name) for r in records] for f in dataclasses.fields(ArticleRecord)))
+    return Corpus(*([getattr(r, name) for r in records] for name in ArticleRecord._fields))
 
 
 def read_articles_plainly(path: Path, start: int = 0, end: int | None = None) -> Corpus:
@@ -81,7 +80,7 @@ def read_articles_plainly(path: Path, start: int = 0, end: int | None = None) ->
             raise InvalidArgumentError(f"{path}:{lineno}: duplicate article id {rid!r}")
         seen.add(rid)
         rows.append((rid, date, title, body, *labels, state))
-    return Corpus(*([list(column) for column in zip(*rows)] or [[] for _ in dataclasses.fields(Corpus)]))
+    return Corpus(*([list(column) for column in zip(*rows)] or [[] for _ in Corpus._fields]))
 
 
 def read_quarterly_csv_plainly(path: Path, keys: tuple[str, ...], consecutive: bool = False):

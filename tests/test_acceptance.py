@@ -10,7 +10,6 @@ import json
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -283,7 +282,7 @@ def test_criterion_12_index_arithmetic_and_reconciliation():
         resolved = []
         for record in records:
             resolution = resolve_state(record.text(), gaz)
-            resolved.append(replace(record, state=resolution.state))
+            resolved.append(record._replace(state=resolution.state))
         quarter = [Quarter(r.date.year, (r.date.month - 1) // 3 + 1) for r in resolved]
         out = aggregate_by_state(tally([corpus_of(resolved)]), (min(quarter), max(quarter)))
         unknown = [q for q, r in zip(quarter, resolved) if r.state == "UNKNOWN"]

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -160,7 +159,7 @@ class TestConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
         keys = re.findall(r'"(\w+)":', re.sub(r"//.*", "", block))
-        assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))
+        assert sorted(keys) == sorted(PipelineConfig._fields)
 
     def test_missing_file_exits_2(self, tmp_path):
         raw = json.loads(CONFIG.read_text())

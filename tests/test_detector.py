@@ -1,4 +1,3 @@
-import dataclasses
 import datetime as dt
 from collections import Counter
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from crimecast.detector import (
     BaselineModel,
     _best_threshold,
+    _count_matrix,
     _split,
     classify_corpus,
     evaluate,
@@ -137,6 +137,27 @@ def test_threshold_scan_matches_brute_force(case):
     assert _best_threshold(scores, gold) == brute_force_threshold(scores, gold)
 
 
+def loop_count_matrix(token_lists, index):
+    """Texts × vocabulary counts, one cell increment per known token."""
+    X = np.zeros((len(token_lists), len(index)))
+    for row, tokens in enumerate(token_lists):
+        for token in tokens:
+            if token in index:
+                X[row, index[token]] += 1.0
+    return X
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_count_matrix_matches_a_loop(case):
+    rng = np.random.default_rng(case)
+    words = [f"w{i}" for i in range(int(rng.integers(1, 12)))]
+    index = {w: j for j, w in enumerate(sorted(rng.choice(words, int(rng.integers(1, len(words) + 1)), replace=False)))}
+    token_lists = [list(rng.choice(words, int(rng.integers(0, 30)))) for _ in range(int(rng.integers(0, 8)))]
+    X = _count_matrix(token_lists, index)
+    assert X.dtype == np.float64 and X.shape == (len(token_lists), len(index))
+    assert np.array_equal(X, loop_count_matrix(token_lists, index))
+
+
 class TestClassification:
     def test_empty_corpus(self):
         model = train_baseline(separable_corpus(), seed=1)
@@ -248,7 +269,7 @@ def assert_fused_pass_is_per_record(records):
         assert scores[i] == expected
         assert out.predicted_label == ("hate_crime" if expected >= MODEL.threshold else "not_hate_crime")
         state = record.state if record.state is not None else resolve_state(record.text(), BUNDLED).state
-        assert out == dataclasses.replace(record, predicted_label=out.predicted_label, state=state)
+        assert out == record._replace(predicted_label=out.predicted_label, state=state)
 
 
 WORDS = st.sampled_from(
@@ -263,7 +284,7 @@ class TestFusedPass:
     @pytest.mark.parametrize("name", ["articles.jsonl", "articles_annotated_500.jsonl"])
     def test_fixture_articles(self, name):
         # The annotated articles carry states; dropped, they are resolved.
-        records = [dataclasses.replace(r, state=None) for r in load_articles(FIXTURES / name)]
+        records = [r._replace(state=None) for r in load_articles(FIXTURES / name)]
         assert_fused_pass_is_per_record(records)
 
     def test_fixture_model_gives_both_labels(self):
@@ -286,7 +307,7 @@ class TestFusedPass:
             classify_corpus(MODEL, records, BUNDLED)
         # Without a gazetteer, or with a state, a blank record is only scored.
         assert len(classify_corpus(MODEL, records)[0]) == 2
-        blank_in_ca = corpus_of([dataclasses.replace(rec(1, " "), state="CA")])
+        blank_in_ca = corpus_of([rec(1, " ")._replace(state="CA")])
         assert classify_corpus(MODEL, blank_in_ca, BUNDLED)[0].states == ["CA"]
 
 

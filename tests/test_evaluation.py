@@ -1,6 +1,5 @@
 import csv
 import math
-from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -138,8 +137,8 @@ class TestPanelStatistics:
         b = score_model("Model 7", 0.6, -9.0, actual, [10.5, 20.5, 29.0, 41.0])
         payload = compare_predictions(a, b, actual)
         assert list(payload) == ["levene", "paired_t", "means"]
-        assert payload["levene"] == asdict(levene_test(a.predictions, b.predictions))
-        assert payload["paired_t"] == asdict(paired_t_test(a.predictions, b.predictions))
+        assert payload["levene"] == levene_test(a.predictions, b.predictions)._asdict()
+        assert payload["paired_t"] == paired_t_test(a.predictions, b.predictions)._asdict()
         assert payload["means"] == {"actual": 25.0, "Model 6": 25.25, "Model 7": 25.25}
 
     @pytest.mark.parametrize("gap, decision", [(5.0, "fixed"), (0.1, "random")])

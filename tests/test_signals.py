@@ -1,4 +1,3 @@
-import dataclasses
 import datetime as dt
 import json
 import re
@@ -343,7 +342,7 @@ LINES = st.sampled_from([
 
 def read_joined(path, start=0, end=None) -> Corpus:
     """The chunks of `read_articles(path, start, end)` joined into one corpus."""
-    columns = [[] for _ in dataclasses.fields(Corpus)]
+    columns = [[] for _ in Corpus._fields]
     for chunk in read_articles(path, start, end):
         for column, part in zip(columns, chunk.columns()):
             column.extend(part)

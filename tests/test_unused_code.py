@@ -19,11 +19,16 @@ ALLOWED = {
 }
 
 # A dunder method is reached through syntax, not by its name: these are the
-# builtins and operators that reach it. Any other dunder is looked for by its
-# own name, so it needs a place in ALLOWED; `__iter__` is one, as a `for` can
-# run over any iterable. Construction hooks always run.
-PROTOCOL = {"__len__": "len", "__str__": "str", "__add__": "Add", "__sub__": "Sub"}
-HOOKS = {"__init__", "__post_init__"}
+# builtins, operators, comparisons and attribute stores that reach it (`>`
+# and `>=` reach `__lt__` and `__le__` reflected). Any other dunder is looked
+# for by its own name, so it needs a place in ALLOWED; `__iter__` is one, as a
+# `for` can run over any iterable. Construction hooks, of an instance or of a
+# subclass, always run.
+PROTOCOL = {
+    "__len__": "len", "__str__": "str", "__repr__": "repr", "__hash__": "hash", "__add__": "Add", "__sub__": "Sub",
+    "__eq__": "Eq", "__lt__": "Lt", "__le__": "LtE", "__setattr__": "Store",
+}
+HOOKS = {"__init__", "__post_init__", "__init_subclass__"}
 
 
 def definitions() -> list[tuple[str, str]]:
@@ -43,18 +48,21 @@ def definitions() -> list[tuple[str, str]]:
 
 
 def references() -> set[str]:
-    """Every name, attribute and operator that `src/` uses."""
+    """Every name, attribute, operator and comparison that `src/` uses, and
+    whether it stores an attribute."""
     used = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                used.update((node.attr, type(node.ctx).__name__))
             elif isinstance(node, ast.BinOp):
                 used.add(type(node.op).__name__)
+            elif isinstance(node, ast.Compare):
+                used.update(type(op).__name__ for op in node.ops)
             elif isinstance(node, ast.FormattedValue):
-                used.add("str")
+                used.add("repr" if node.conversion == ord("r") else "str")
     return used
 
 
