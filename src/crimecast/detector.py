@@ -141,11 +141,14 @@ def _split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _count_matrix(token_lists: Sequence[list[str]], index: Mapping[str, int]) -> np.ndarray:
-    """Texts × vocabulary token counts, from one `bincount` of flat cell indices."""
+    """Texts × vocabulary token counts, from one `bincount` of flat cell
+    indices, weighted by ones so that the counts come out as float64 with no copy."""
     cols = [[col for col in map(index.get, tokens) if col is not None] for tokens in token_lists]
     rows = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
     flat = rows * len(index) + np.fromiter(chain.from_iterable(cols), np.intp)
-    return np.bincount(flat, minlength=len(cols) * len(index)).reshape(len(cols), len(index)).astype(float)
+    counts = np.bincount(flat, weights=np.ones(flat.size), minlength=len(cols) * len(index))
+    # numpy gives int64 zeros for no tokens at all, weights or not.
+    return counts.astype(float, copy=False).reshape(len(cols), len(index))
 
 
 def _best_threshold(scores: np.ndarray, gold: np.ndarray) -> tuple[float, float]:

@@ -37,7 +37,7 @@ def quarter_index(year: int, quarter: int) -> int:
 
 class Quarter(Record):
     """A calendar quarter, totally ordered by (year, quarter). A pass builds
-    thousands, so it has its own `__init__`, comparisons (`>` is `<` reflected) and hash."""
+    thousands, so it has its own `__init__`; `>` is `<` reflected."""
 
     year: int
     quarter: int
@@ -49,12 +49,6 @@ class Quarter(Record):
             raise InvalidArgumentError(f"quarter must be in 1..4, got {quarter}")
         state = self.__dict__
         state["year"], state["quarter"] = year, quarter
-
-    def __eq__(self, other):
-        return (self.year, self.quarter) == (other.year, other.quarter) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.year, self.quarter))
 
     def __lt__(self, other):
         return (self.year, self.quarter) < (other.year, other.quarter) if other.__class__ is self.__class__ else NotImplemented

@@ -19,14 +19,14 @@ ALLOWED = {
 }
 
 # A dunder method is reached through syntax, not by its name: these are the
-# builtins, operators, comparisons and attribute stores that reach it (`>`
+# builtins, operators and comparisons that reach it (`>`
 # and `>=` reach `__lt__` and `__le__` reflected). Any other dunder is looked
 # for by its own name, so it needs a place in ALLOWED; `__iter__` is one, as a
 # `for` can run over any iterable. Construction hooks, of an instance or of a
 # subclass, always run.
 PROTOCOL = {
     "__len__": "len", "__str__": "str", "__repr__": "repr", "__hash__": "hash", "__add__": "Add", "__sub__": "Sub",
-    "__eq__": "Eq", "__lt__": "Lt", "__le__": "LtE", "__setattr__": "Store",
+    "__eq__": "Eq", "__lt__": "Lt", "__le__": "LtE",
 }
 HOOKS = {"__init__", "__post_init__", "__init_subclass__"}
 
@@ -48,15 +48,14 @@ def definitions() -> list[tuple[str, str]]:
 
 
 def references() -> set[str]:
-    """Every name, attribute, operator and comparison that `src/` uses, and
-    whether it stores an attribute."""
+    """Every name, attribute, operator and comparison that `src/` uses."""
     used = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.update((node.attr, type(node.ctx).__name__))
+                used.add(node.attr)
             elif isinstance(node, ast.BinOp):
                 used.add(type(node.op).__name__)
             elif isinstance(node, ast.Compare):
