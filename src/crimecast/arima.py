@@ -42,7 +42,7 @@ import numpy as np
 
 from .exceptions import DegenerateInputError, InvalidArgumentError
 from .record import Record
-from .series import TimeSeries, acf, pacf
+from .series import _defined_values, acf, pacf
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +87,7 @@ class ArimaFit(Record):
     sigma2: float
     log_likelihood: float
     adj_r_squared: float
-    residuals: TimeSeries
+    residuals: np.ndarray
     converged: bool
     ma_boundary: bool = False  # the MA polynomial stopped on the unit circle
 
@@ -301,7 +301,7 @@ def _adjusted_r2(r2: float, n: int, k_total: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k_total)
 
 
-def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> ArimaFit:
+def fit_arima(series: np.ndarray, spec: ArimaSpec, _burn: int | None = None) -> ArimaFit:
     """Estimate an ARIMA model by conditional sum of squares.
 
     Reports the Gaussian log-likelihood, sigma^2 = SSR/n_eff, and an adjusted
@@ -310,9 +310,7 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
     `converged` flag, never silently, and a fit that stopped with an MA root
     on the unit circle through `ma_boundary`.
     """
-    y = series.to_array()
-    if np.isnan(y).any():
-        raise InvalidArgumentError(f"series {series.name!r} has missing values")
+    y = _defined_values(series)
     w = np.diff(y, n=spec.d) if spec.d else y
     n = len(w)
     if n < spec.p + spec.q + 5:
@@ -349,7 +347,6 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
     else:
         adj_r2 = float("nan")
 
-    residuals = TimeSeries(series.name + "_residuals", series.start + offset, tuple(e))
     return ArimaFit(
         spec=spec,
         constant=c,
@@ -358,7 +355,7 @@ def fit_arima(series: TimeSeries, spec: ArimaSpec, _burn: int | None = None) -> 
         sigma2=sigma2,
         log_likelihood=log_likelihood,
         adj_r_squared=adj_r2,
-        residuals=residuals,
+        residuals=e,
         converged=converged,
         ma_boundary=ma_boundary,
     )
@@ -382,7 +379,7 @@ def fit_summary(fit: ArimaFit) -> dict:
     }
 
 
-def suggest_orders_acf(series: TimeSeries, max_p: int, max_q: int) -> tuple[int, int]:
+def suggest_orders_acf(series: np.ndarray, max_p: int, max_q: int) -> tuple[int, int]:
     """ACF/PACF cutoff heuristic: the last lag outside the 1.96/sqrt(n) band."""
     n = len(series)
     max_lag = max(max_p, max_q, 1)
@@ -396,7 +393,7 @@ def suggest_orders_acf(series: TimeSeries, max_p: int, max_q: int) -> tuple[int,
     return p_sugg, q_sugg
 
 
-def select_orders(series: TimeSeries, max_p: int, max_q: int) -> ArimaSpec:
+def select_orders(series: np.ndarray, max_p: int, max_q: int) -> ArimaSpec:
     """Grid-search (p, q) on a stationary series by AIC = -2 loglik + 2(p+q+1).
 
     All candidates are conditioned on the same initial max_p observations so
@@ -454,7 +451,7 @@ def _integrate_step(tails: list[float], w_value: float) -> float:
     return tails[0]
 
 
-def forecast_arima(fit: ArimaFit, history: TimeSeries, horizon: int) -> np.ndarray:
+def forecast_arima(fit: ArimaFit, history: np.ndarray, horizon: int) -> np.ndarray:
     """The `horizon` dynamic forecasts past the end of `history`.
 
     Predictions feed back as lagged values with future innovations at zero;
@@ -463,9 +460,7 @@ def forecast_arima(fit: ArimaFit, history: TimeSeries, horizon: int) -> np.ndarr
     if horizon < 1:
         raise InvalidArgumentError(f"horizon must be >= 1, got {horizon}")
     spec = fit.spec
-    y = history.to_array()
-    if np.isnan(y).any():
-        raise InvalidArgumentError("history has missing values")
+    y = _defined_values(history)
     if len(y) < spec.d + spec.p + 1:
         raise InvalidArgumentError("history too short to seed the forecast recursion")
     ar, ma = np.asarray(fit.ar_coeffs), np.asarray(fit.ma_coeffs)

@@ -13,7 +13,7 @@ from . import reporting, stattests
 from .exceptions import InvalidArgumentError
 from .panel import PanelFit
 from .record import Record
-from .series import TimeSeries
+from .series import Quarter
 
 # The column spelling of every model row in report.json and panel_report.json.
 REPORT_COLUMNS = ("Models", "R-Squared", "Log Likelihood", "RMSE", "MAPE")
@@ -65,17 +65,15 @@ def score_model(
 
 
 class ForecastReport(Record):
-    """Per-model metric rows over an identical holdout range."""
+    """Per-model metric rows over an identical holdout range: the quarters
+    from `start`, one per actual value."""
 
     rows: tuple[ModelRow, ...]
-    actual: TimeSeries
+    start: Quarter
+    actual: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        holdout = {
-            "start": str(self.actual.start),
-            "end": str(self.actual.end),
-            "actual": list(self.actual.values),
-        }
+        holdout = {"start": str(self.start), "end": str(self.start + (len(self.actual) - 1)), "actual": list(self.actual)}
         return {"holdout": holdout, "models": [row.to_dict() for row in self.rows]}
 
     def write_json(self, path: str | Path) -> None:
@@ -83,20 +81,21 @@ class ForecastReport(Record):
 
     def write_long_csv(self, path: str | Path) -> None:
         """Long-format `year,quarter,model,predicted,actual` rows for plotting."""
-        quarters = self.actual.quarters()
+        quarters = [self.start + h for h in range(len(self.actual))]
         rows = (
             (q.year, q.quarter, row.name, pred, act)
             for row in self.rows
-            for q, pred, act in zip(quarters, row.predictions, self.actual.values)
+            for q, pred, act in zip(quarters, row.predictions, self.actual)
         )
         reporting.write_csv(("year", "quarter", "model", "predicted", "actual"), rows, path)
 
 
-def compare_models(rows: Sequence[ModelRow], actual: TimeSeries) -> ForecastReport:
-    """The report of the models scored on the holdout `actual`, in input order."""
+def compare_models(rows: Sequence[ModelRow], start: Quarter, actual: Sequence[float]) -> ForecastReport:
+    """The report of the models scored on the holdout `actual` from quarter
+    `start`, in input order."""
     if not rows:
         raise InvalidArgumentError("need at least one model to compare")
-    return ForecastReport(rows=tuple(rows), actual=actual)
+    return ForecastReport(rows=tuple(rows), start=start, actual=tuple(map(float, actual)))
 
 
 def hausman_decision(fe: PanelFit, re: PanelFit) -> dict:

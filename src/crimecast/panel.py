@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .arima import _gaussian_loglik
-from .exceptions import CollinearityError, EmptyPanelError, InvalidArgumentError
+from .exceptions import CollinearityError, DegenerateInputError, EmptyPanelError, InvalidArgumentError
 from .record import Record
 from .regression import RegressionSpec, _qr_solve
 from .series import PanelDataset, Quarter
@@ -155,7 +155,8 @@ def fit_random_effects(w: Within) -> PanelFit:
 
     Variance components come from the within and between residual variances;
     negative sigma2_u estimates are truncated at zero with a warning. GLS is
-    carried out by quasi-demeaning with theta = 1 - sqrt(s2e/(s2e + T*s2u)).
+    carried out by quasi-demeaning with theta = 1 - sqrt(s2e/(s2e + T*s2u)),
+    which is undefined, a DegenerateInputError, when both components are zero.
     """
     if len(set(w.counts.tolist())) != 1 or len(set(w.first.tolist())) != 1:
         raise InvalidArgumentError("random effects requires a balanced panel")
@@ -176,6 +177,8 @@ def fit_random_effects(w: Within) -> PanelFit:
     if truncated:
         warnings.warn("negative sigma2_u estimate truncated at zero", stacklevel=2)
         sigma2_u = 0.0
+    if sigma2_e + t_len * sigma2_u == 0.0:
+        raise DegenerateInputError("both variance components are zero; theta is undefined")
     theta = 1.0 - np.sqrt(sigma2_e / (sigma2_e + t_len * sigma2_u))
 
     # Quasi-demeaned GLS.

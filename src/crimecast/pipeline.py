@@ -20,13 +20,11 @@ from .arima import ArimaSpec, fit_arima, fit_summary, forecast_arima, select_ord
 from .evaluation import ForecastReport, compare_models, score_model
 from .exceptions import CrimecastError, EmptyPanelError, InvalidArgumentError, UsageError
 from .panel import PanelDataset, balance_panel, fit_fixed_effects, fit_random_effects, forecast_panel, within
-from .regression import PANEL_DEPENDENT, Dataset, build_model_spec, fit_ols, forecast_regression
+from .regression import DEPENDENT_NAME, PANEL_DEPENDENT, Dataset, build_model_spec, fit_ols, forecast_regression
 from .reporting import write_json
 from .series import (
     SEASONAL_PERIOD,
-    DecompositionResult,
     Quarter,
-    TimeSeries,
     decompose_additive,
     deseasonalize,
     difference,
@@ -246,10 +244,10 @@ def _span(config: PipelineConfig) -> tuple[Quarter, Quarter]:
     return config.fit_start, config.holdout_end
 
 
-def _check_span(path: Path, covers: str, data, span: tuple[Quarter, Quarter]) -> None:
-    """Input data in `path` that does not cover the span is an input error."""
-    if data.start > span[0] or data.end < span[1]:
-        raise UsageError(f"{path}: {covers} {data.start}..{data.end}, need {span[0]}..{span[1]}")
+def _check_span(path: Path, covers: str, first: Quarter, last: Quarter, span: tuple[Quarter, Quarter]) -> None:
+    """Input data in `path` over first..last that does not cover the span is an input error."""
+    if first > span[0] or last < span[1]:
+        raise UsageError(f"{path}: {covers} {first}..{last}, need {span[0]}..{span[1]}")
 
 
 def _check_predictors(data: PanelDataset, terms, span, path: Path) -> None:
@@ -260,23 +258,27 @@ def _check_predictors(data: PanelDataset, terms, span, path: Path) -> None:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _national_series(config: PipelineConfig) -> tuple[TimeSeries, TimeSeries, DecompositionResult]:
-    """Load the national series and return (observed, deseasonalized,
-    decomposition). A gap or a short series in the file is an input error."""
-    observed = _load(load_series_csv, config.fbi_series, "fbi_series", name="fbi_num")
+def _national_series(config: PipelineConfig) -> tuple[Quarter, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Load the national series and return its first quarter, its observed
+    and deseasonalized values and its (trend, seasonal, irregular)
+    decomposition. A gap, a blank edge or a short series in the file is an
+    input error."""
+    start, observed = _load(load_series_csv, config.fbi_series, "fbi_series", name="fbi_num")
+    if np.isnan(observed).any():
+        raise UsageError(f"{config.fbi_series}: series 'fbi_num' has missing values")
     try:
-        decomp = decompose_additive(observed)
+        components = decompose_additive(observed)
     except InvalidArgumentError as exc:
         raise UsageError(f"{config.fbi_series}: {exc}") from exc
-    return observed, deseasonalize(observed, decomp), decomp
+    return start, observed, deseasonalize(observed, components[1]), components
 
 
-def _write_decomposition(config: PipelineConfig, observed: TimeSeries, decomp: DecompositionResult) -> None:
-    write_series_csv(observed, config.output_dir / "fbi_quarterly.csv")
-    write_decomposition_csv(observed, decomp, config.output_dir / "decomposition.csv")
+def _write_decomposition(config: PipelineConfig, start: Quarter, observed: np.ndarray, components: tuple) -> None:
+    write_series_csv(start, observed, config.output_dir / "fbi_quarterly.csv")
+    write_decomposition_csv(start, observed, components, config.output_dir / "decomposition.csv")
 
 
-def _model1_spec(config: PipelineConfig, fit_series: TimeSeries) -> ArimaSpec:
+def _model1_spec(config: PipelineConfig, fit_series: np.ndarray) -> ArimaSpec:
     order = ARIMA_READINGS.get(config.arima_order, config.arima_order)
     if order is None:  # "auto"
         selected = select_orders(difference(fit_series), config.arima_max_p, config.arima_max_q)
@@ -285,14 +287,15 @@ def _model1_spec(config: PipelineConfig, fit_series: TimeSeries) -> ArimaSpec:
 
 
 def _regression_data(
-    config: PipelineConfig, dependent: TimeSeries, national: PanelDataset | None
+    config: PipelineConfig, dependent: np.ndarray, national: PanelDataset | None
 ) -> tuple[Dataset, Dataset]:
-    """The span's dataset of the covariates, the dependent (which replaces a
-    covariate of its name) and the national signals, and its fit-range window."""
+    """The span's dataset of the covariates, the dependent over the span
+    (which replaces a covariate of its name) and the national signals, and
+    its fit-range window."""
     covariates = _load(Dataset.from_csv, config.covariates, "covariates")
     span = _span(config)
-    _check_span(config.covariates, "covariates cover", covariates, span)
-    full = covariates.window(*span).joined(Dataset.align([dependent]))
+    _check_span(config.covariates, "covariates cover", covariates.start, covariates.end, span)
+    full = covariates.window(*span).joined(Dataset.align(span[0], {DEPENDENT_NAME: dependent}))
     if national is not None:
         full = full.joined(national)
     return full.window(config.fit_start, config.fit_end), full
@@ -301,14 +304,14 @@ def _regression_data(
 def _national_report(
     config: PipelineConfig, model_ids: list[int], national: PanelDataset | None
 ) -> ForecastReport:
-    observed, deseasonalized, decomp = _national_series(config)
+    start, observed, deseasonalized, components = _national_series(config)
     span = _span(config)
-    _check_span(config.fbi_series, "fbi series covers", deseasonalized, span)
-    _write_decomposition(config, observed, decomp)
-    dependent = deseasonalized.window(*span)
-    fit_series = dependent.window(config.fit_start, config.fit_end)
+    _check_span(config.fbi_series, "fbi series covers", start, start + (len(observed) - 1), span)
+    _write_decomposition(config, start, observed, components)
+    dependent = deseasonalized[span[0] - start : span[1] - start + 1]
+    fit_series = dependent[: config.fit_end - span[0] + 1]
     holdout = (config.holdout_start, config.holdout_end)
-    actual = dependent.window(*holdout)
+    actual = dependent[config.holdout_start - span[0] :]
 
     regression_ids = [m for m in model_ids if m != 1]
     if regression_ids:
@@ -324,13 +327,13 @@ def _national_report(
             order = f"({fit.spec.p},{fit.spec.d},{fit.spec.q})"
             raise CrimecastError(f"the Model 1 ARIMA{order} fit did not converge; see arima_model1.json")
         predicted = forecast_arima(fit, fit_series, len(actual))
-        rows.append(score_model("Model 1", fit.adj_r_squared, fit.log_likelihood, actual.values, predicted))
+        rows.append(score_model("Model 1", fit.adj_r_squared, fit.log_likelihood, actual, predicted))
     for model_id in regression_ids:
         fit = fit_ols(fit_data, build_model_spec(model_id))
         predicted = forecast_regression(fit, forecast_data, holdout)
-        rows.append(score_model(f"Model {model_id}", fit.adj_r_squared, fit.log_likelihood, actual.values, predicted))
+        rows.append(score_model(f"Model {model_id}", fit.adj_r_squared, fit.log_likelihood, actual, predicted))
 
-    report = compare_models(rows, actual)
+    report = compare_models(rows, config.holdout_start, actual)
     report.write_json(config.output_dir / "report.json")
     report.write_long_csv(config.output_dir / "predictions_long.csv")
     return report
@@ -344,7 +347,7 @@ def _panel_report(config: PipelineConfig, model_ids: list[int], state_signals: s
         if name not in panel.names:
             raise UsageError(f"{config.panel} has no variable {name!r}")
     span = _span(config)
-    _check_span(config.panel, "panel covers", panel, span)
+    _check_span(config.panel, "panel covers", panel.start, panel.end, span)
     # Every retained state has the dependent at each quarter of the span.
     try:
         balanced, balance = balance_panel(panel, span, PANEL_DEPENDENT)
@@ -448,24 +451,27 @@ def cmd_signals(config: PipelineConfig) -> None:
 
 
 def cmd_decompose(config: PipelineConfig) -> None:
-    observed, deseasonalized, decomp = _national_series(config)
-    _write_decomposition(config, observed, decomp)
-    write_series_csv(deseasonalized, config.output_dir / "fbi_num_noseasonnal.csv")
+    start, observed, deseasonalized, components = _national_series(config)
+    _write_decomposition(config, start, observed, components)
+    write_series_csv(start, deseasonalized, config.output_dir / "fbi_num_noseasonnal.csv")
     print(f"decompose: period {SEASONAL_PERIOD}, {len(observed)} quarters")
 
 
 def cmd_diagnose(config: PipelineConfig) -> None:
-    observed, deseasonalized, decomp = _national_series(config)
+    _, observed, deseasonalized, (_, _, irregular) = _national_series(config)
     differenced = difference(deseasonalized)
-    irregular = decomp.irregular.window(decomp.irregular.defined_start, decomp.irregular.defined_end)
+    irregular = irregular[~np.isnan(irregular)]  # the decomposition leaves two quarters blank at each end
     max_lag = max(min(DIAGNOSE_LAGS, len(observed) - 12), 0)
     p, q = suggest_orders_acf(differenced, config.arima_max_p, config.arima_max_q)
     model1 = fit_arima(deseasonalized, _model1_spec(config, deseasonalized))
     payload = {
-        "adf": {s.name: stattests.adf_test(s, max_lag)._asdict() for s in (observed, deseasonalized, differenced)},
+        "adf": {
+            name: stattests.adf_test(s, max_lag)._asdict()
+            for name, s in (("fbi_num", observed), (DEPENDENT_NAME, deseasonalized), ("d_" + DEPENDENT_NAME, differenced))
+        },
         "ljung_box_irregular": stattests.ljung_box(irregular, min(DIAGNOSE_LAGS, len(irregular) - 2))._asdict(),
         "acf_pacf_order_suggestion": {"p": p, "q": q},
-        "model1_residual_durbin_watson": stattests.durbin_watson(model1.residuals.values),
+        "model1_residual_durbin_watson": stattests.durbin_watson(model1.residuals),
         "model1_converged": model1.converged,
         "model1_ma_boundary": model1.ma_boundary,
     }

@@ -10,14 +10,14 @@ Model 2 and Model 4 terms on the state series.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Mapping
 
 import numpy as np
 
 from .arima import _adjusted_r2, _gaussian_loglik
 from .exceptions import CollinearityError, CrimecastError, DegenerateInputError, InvalidArgumentError
 from .record import Record
-from .series import NATIONAL, PanelDataset, Quarter, TimeSeries, read_quarterly_csv
+from .series import NATIONAL, PanelDataset, Quarter, _check_gaps, read_quarterly_csv
 from .stattests import durbin_watson
 
 _CO_TOL = 1e-8
@@ -92,20 +92,12 @@ class Dataset(PanelDataset):
     PanelDataset, every quarter of the frame present."""
 
     @classmethod
-    def align(cls, series: Iterable[TimeSeries]) -> "Dataset":
-        """Trim all series to the intersection of their frames."""
-        items = list(series)
-        if not items:
-            raise InvalidArgumentError("dataset needs at least one series")
-        start, end = max(ts.start for ts in items), min(ts.end for ts in items)
-        if end < start:
-            raise InvalidArgumentError("series frames do not overlap")
-        names = tuple(ts.name for ts in items)
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise InvalidArgumentError(f"duplicate series name {repeated[0]!r}")
-        values = np.column_stack([ts.values[start - ts.start : end - ts.start + 1] for ts in items])
-        return cls((NATIONAL,), start, names, values[None], np.ones((1, len(values)), dtype=bool))
+    def align(cls, start: Quarter, columns: Mapping[str, np.ndarray]) -> "Dataset":
+        """The frame of named, equal-length columns from quarter `start`."""
+        if len({len(column) for column in columns.values()}) != 1:
+            raise InvalidArgumentError("dataset needs one or more columns of one length")
+        values = np.column_stack(list(columns.values())).astype(float, copy=False)
+        return cls((NATIONAL,), start, tuple(columns), values[None], np.ones((1, len(values)), dtype=bool))
 
     def window(self, start: Quarter, end: Quarter) -> "Dataset":
         """The quarters start..end, which must lie inside the frame."""
@@ -119,10 +111,8 @@ class Dataset(PanelDataset):
         """Load a wide `year,quarter,<variable>...` CSV of consecutive quarters;
         a column with an interior gap is rejected."""
         names, _, index, values, _ = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
-        try:
-            return cls.align(TimeSeries(n, Quarter.from_index(index[0]), tuple(c)) for n, c in zip(names, values.T))
-        except InvalidArgumentError as exc:
-            raise InvalidArgumentError(f"{path}: {exc}") from exc
+        _check_gaps(path, names, values)
+        return cls.align(Quarter.from_index(index[0]), dict(zip(names, values.T)))
 
 
 class RegressionFit(Record):
@@ -130,7 +120,8 @@ class RegressionFit(Record):
     coef_names: tuple[str, ...]
     coefficients: tuple[float, ...]
     std_errors: tuple[float, ...]
-    residuals: TimeSeries
+    residuals: np.ndarray
+    end: Quarter  # the quarter of the last residual
     sigma2: float
     log_likelihood: float
     adj_r_squared: float
@@ -140,14 +131,14 @@ class RegressionFit(Record):
 
 
 def _build_design(dataset: Dataset, spec: RegressionSpec) -> tuple[np.ndarray, np.ndarray, list[str], Quarter]:
-    """Assemble (y, X, column names, first used quarter) from the one
+    """Assemble (y, X, column names, last used quarter) from the one
     gap-free run of rows where the dependent and every lagged term are finite;
     X starts with the intercept column."""
     yx, _, first, counts = dataset.usable_rows(spec.dependent, spec.terms)
     mat = yx[0, first[0] : first[0] + counts[0]]
     y = mat[:, 0]
     X = np.column_stack([np.ones(len(y)), mat[:, 1:]])
-    return y, X, ["intercept", *spec.term_names()], dataset.start + int(first[0])
+    return y, X, ["intercept", *spec.term_names()], dataset.start + int(first[0] + counts[0] - 1)
 
 
 def _qr_solve(X: np.ndarray, y: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +189,7 @@ def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
     residuals are then the AR(1) innovations. A rho still moving after 50
     rounds, or one with |rho| >= 1, is a CrimecastError.
     """
-    y, X, names, start_used = _build_design(dataset, spec)
+    y, X, names, end = _build_design(dataset, spec)
     n, k = X.shape
     if n <= k + 2:
         raise InvalidArgumentError(f"need more than {k + 2} usable rows, got {n}")
@@ -232,9 +223,9 @@ def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
     # With AR(1) errors the statistics are those of the innovations, which
     # start one quarter later, and rho counts as one more parameter.
     if rho is None:
-        e, y_e, k_total, first, name = resid, y, k, start_used, "_residuals"
+        e, y_e, k_total = resid, y, k
     else:
-        e, y_e, k_total, first, name = resid[1:] - rho * resid[:-1], y[1:], k + 1, start_used + 1, "_innovations"
+        e, y_e, k_total = resid[1:] - rho * resid[:-1], y[1:], k + 1
     ssr = float(e @ e)
     s2 = ssr / (len(e) - k)
     sigma2, loglik, adj_r2 = _gaussian_fit_stats(y_e, e, k_total)
@@ -243,7 +234,8 @@ def fit_ols(dataset: Dataset, spec: RegressionSpec) -> RegressionFit:
         coef_names=tuple(names),
         coefficients=tuple(float(b) for b in beta),
         std_errors=tuple(float(v) for v in np.sqrt(np.clip(s2 * np.diag(xtx_inv), 0.0, None))),
-        residuals=TimeSeries(spec.dependent + name, first, tuple(e)),
+        residuals=e,
+        end=end,
         sigma2=sigma2,
         log_likelihood=loglik,
         adj_r_squared=adj_r2,
@@ -268,7 +260,7 @@ def forecast_regression(fit: RegressionFit, dataset: Dataset, span: tuple[Quarte
     if fit.rho is None:
         return dataset.predict(spec.terms, fit.coefficients, span, intercept=True)[0]
 
-    last = fit.residuals.end
+    last = fit.end
     if start <= last:
         raise InvalidArgumentError(f"an AR(1)-error forecast must start after the fit's last quarter {last}, not {start}")
     cores = dataset.predict(spec.terms, fit.coefficients, (last, end), intercept=True)[0].tolist()

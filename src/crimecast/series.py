@@ -1,10 +1,13 @@
-"""Quarterly time series: index arithmetic, differencing, autocorrelation
-functions, classical additive decomposition, the one quarterly CSV reader,
-which returns columns, and the columnar units × quarters × variables frame
-that the national regressions and the state panel share.
+"""Quarterly series: quarter arithmetic; differencing, autocorrelation
+functions and classical additive decomposition of plain 1-d float arrays;
+the one quarterly CSV reader, which returns columns; and the columnar
+units × quarters × variables frame that the national regressions and the
+state panel share. A series knows no quarter: its first quarter travels
+with it in a frame or beside it.
 
-Missing values are NaN. In a TimeSeries they may only appear as leading or
-trailing runs; interior gaps are rejected when a series is constructed.
+Missing values are NaN. A statistic takes a series without them. A series
+file may leave its first and last cells of a column blank, but not a cell
+between two numbers; its loader rejects such a column.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ MISSING = float("nan")
 # The one unit of a national frame; a national signal frame joins onto it.
 NATIONAL = "national"
 
-_RECONSTRUCTION_TOL = 1e-6
 SEASONAL_PERIOD = 4  # quarters per year
 
 
@@ -88,94 +90,22 @@ class Quarter(Record):
         return f"{self.year}Q{self.quarter}"
 
 
-class TimeSeries(Record):
-    """A named quarterly-indexed sequence of real values.
-
-    Position i corresponds to ``start + i``. NaN marks a missing value and is
-    permitted only in leading or trailing runs.
-    """
-
-    name: str
-    start: Quarter
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals:
-            raise InvalidArgumentError(f"series {self.name!r} must have length >= 1")
-        defined = [i for i, v in enumerate(vals) if not math.isnan(v)]
-        if not defined:
-            raise InvalidArgumentError(f"series {self.name!r} has no defined values")
-        first, last = defined[0], defined[-1]
-        if any(math.isnan(vals[i]) for i in range(first, last + 1)):
-            raise InvalidArgumentError(f"series {self.name!r} has interior missing values")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def end(self) -> Quarter:
-        return self.start + (len(self.values) - 1)
-
-    def quarters(self) -> list[Quarter]:
-        return [self.start + i for i in range(len(self.values))]
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-    def index_of(self, q: Quarter) -> int:
-        pos = q - self.start
-        if not 0 <= pos < len(self.values):
-            raise InvalidArgumentError(f"{q} is outside the frame of series {self.name!r}")
-        return pos
-
-    @property
-    def defined_start(self) -> Quarter:
-        for i, v in enumerate(self.values):
-            if not math.isnan(v):
-                return self.start + i
-        raise AssertionError("unreachable: constructor requires a defined value")
-
-    @property
-    def defined_end(self) -> Quarter:
-        for i in range(len(self.values) - 1, -1, -1):
-            if not math.isnan(self.values[i]):
-                return self.start + i
-        raise AssertionError("unreachable")
-
-    def window(self, start: Quarter, end: Quarter) -> "TimeSeries":
-        """Slice to the inclusive range [start, end], which must lie inside the frame."""
-        i = self.index_of(start)
-        j = self.index_of(end)
-        if j < i:
-            raise InvalidArgumentError(f"empty window {start}..{end}")
-        return TimeSeries(self.name, start, self.values[i : j + 1])
-
-
-class DecompositionResult(Record):
-    """Additive decomposition into trend + seasonal + irregular."""
-
-    trend: TimeSeries
-    seasonal: TimeSeries
-    irregular: TimeSeries
-
-
-def difference(series: TimeSeries) -> TimeSeries:
-    """The first difference: one position shorter, starting one quarter later."""
+def difference(series: np.ndarray) -> np.ndarray:
+    """The first difference: one value shorter, starting one quarter later."""
     if len(series) < 2:
         raise InvalidArgumentError(f"series length {len(series)} must exceed 1 to difference")
-    return TimeSeries("d_" + series.name, series.start + 1, tuple(np.diff(series.to_array())))
+    return np.diff(series)
 
 
-def _defined_values(series: TimeSeries) -> np.ndarray:
-    arr = series.to_array()
+def _defined_values(series: np.ndarray) -> np.ndarray:
+    """The series as a float array, which must have no missing value."""
+    arr = np.asarray(series, dtype=float)
     if np.isnan(arr).any():
-        raise InvalidArgumentError(f"series {series.name!r} has missing values")
+        raise InvalidArgumentError("series has missing values")
     return arr
 
 
-def acf(series: TimeSeries, max_lag: int) -> np.ndarray:
+def acf(series: np.ndarray, max_lag: int) -> np.ndarray:
     """Sample autocorrelations for lags 0..max_lag (biased 1/n covariances)."""
     if max_lag < 1:
         raise InvalidArgumentError(f"max_lag must be >= 1, got {max_lag}")
@@ -186,7 +116,7 @@ def acf(series: TimeSeries, max_lag: int) -> np.ndarray:
     dev = y - y.mean()
     denom = float(dev @ dev)
     if denom == 0.0:
-        raise DegenerateInputError(f"series {series.name!r} is constant")
+        raise DegenerateInputError("series is constant")
     out = np.empty(max_lag + 1)
     out[0] = 1.0
     for k in range(1, max_lag + 1):
@@ -194,7 +124,7 @@ def acf(series: TimeSeries, max_lag: int) -> np.ndarray:
     return out
 
 
-def pacf(series: TimeSeries, max_lag: int) -> np.ndarray:
+def pacf(series: np.ndarray, max_lag: int) -> np.ndarray:
     """Partial autocorrelations for lags 0..max_lag via Durbin-Levinson."""
     r = acf(series, max_lag)
     out = np.empty(max_lag + 1)
@@ -217,9 +147,9 @@ def pacf(series: TimeSeries, max_lag: int) -> np.ndarray:
     return out
 
 
-def decompose_additive(series: TimeSeries) -> DecompositionResult:
-    """Classical moving-average decomposition into trend, seasonal, irregular
-    over the year of SEASONAL_PERIOD quarters.
+def decompose_additive(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classical moving-average decomposition into (trend, seasonal,
+    irregular) over the year of SEASONAL_PERIOD quarters.
 
     The trend is the centred 2x4 moving average (half weights at the window
     ends), missing at the first and last two positions, as is the irregular
@@ -247,30 +177,13 @@ def decompose_additive(series: TimeSeries) -> DecompositionResult:
         pattern[phase] = float(np.nanmean(vals))
     pattern -= pattern.mean()
     seasonal = np.tile(pattern, n // period + 1)[:n]
-
-    irregular = y - trend - seasonal
-    return DecompositionResult(
-        trend=TimeSeries(series.name + "_trend", series.start, tuple(trend)),
-        seasonal=TimeSeries(series.name + "_seasonal", series.start, tuple(seasonal)),
-        irregular=TimeSeries(series.name + "_irregular", series.start, tuple(irregular)),
-    )
+    return trend, seasonal, y - trend - seasonal
 
 
-def deseasonalize(series: TimeSeries, decomp: DecompositionResult) -> TimeSeries:
-    """Subtract the seasonal component at every index.
-
-    Where trend and irregular are both defined this equals trend + irregular;
-    elsewhere it is simply series - seasonal, so the result has no gaps.
-    """
-    seasonal = decomp.seasonal
-    if seasonal.start != series.start or len(seasonal) != len(series):
-        raise InvalidArgumentError("decomposition frame does not match the series")
-    y = series.to_array()
-    recon = decomp.trend.to_array() + seasonal.to_array() + decomp.irregular.to_array()
-    defined = ~np.isnan(recon)
-    if not np.allclose(recon[defined], y[defined], atol=_RECONSTRUCTION_TOL, rtol=0.0):
-        raise InvalidArgumentError("decomposition was not produced from this series")
-    return TimeSeries(series.name + "_noseasonnal", series.start, tuple(y - seasonal.to_array()))
+def deseasonalize(series: np.ndarray, seasonal: np.ndarray) -> np.ndarray:
+    """The series less its seasonal component. Where trend and irregular are
+    both defined this is trend + irregular; unlike that sum it has no gaps."""
+    return series - seasonal
 
 
 def _check_unique(codes: Iterable, message) -> None:
@@ -386,7 +299,7 @@ def read_quarterly_csv(
     must be a finite number) and the line each row starts on. A row longer
     than the header is malformed, as is a bad year or quarter anywhere,
     which wins over a bad value cell; a fault the CSV tokenizer raises comes
-    after those of earlier lines. With `consecutive`, rows must be sorted
+    after those of earlier lines. A header may not repeat a column. With `consecutive`, rows must be sorted
     consecutive quarters, none repeated.
 
     A plain file is parsed by numpy's C reader (`_plain_columns`); any file
@@ -405,6 +318,9 @@ def read_quarterly_csv(
     width, names = len(header), header[n_keys:]
     if header[:n_keys] != list(keys) or not names:
         raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
+    repeated = next((name for j, name in enumerate(header) if name in header[:j]), None)
+    if repeated is not None:
+        raise InvalidArgumentError(f"{path}:1: duplicate column {repeated!r}")
     key_cells, years, quarters, values, lines = _plain_columns(text, plain, width, n_keys) or _csv_columns(
         reader, path, width, n_keys
     )
@@ -418,32 +334,47 @@ def read_quarterly_csv(
     return names, key_cells, index, values, lines
 
 
-def load_series_csv(path: str | Path, name: str | None = None) -> TimeSeries:
-    """Load a `year,quarter,value` CSV; empty value fields mark missing edges.
+def _check_gaps(path: Path, names: Sequence[str], values: np.ndarray) -> None:
+    """A column of series values (rows × names) that is blank throughout, or
+    blank between two numbers, is an error naming `path` and the series."""
+    defined = ~np.isnan(values)
+    counts = defined.sum(axis=0)
+    spans = len(values) - defined[::-1].argmax(axis=0) - defined.argmax(axis=0)
+    for name, count, span in zip(names, counts.tolist(), spans.tolist()):
+        if not count:
+            raise InvalidArgumentError(f"{path}: series {name!r} has no defined values")
+        if count != span:
+            raise InvalidArgumentError(f"{path}: series {name!r} has interior missing values")
 
-    Rows must be sorted and cover consecutive quarters.
-    """
+
+def load_series_csv(path: str | Path, name: str | None = None) -> tuple[Quarter, np.ndarray]:
+    """The first quarter and the values of a `year,quarter,value` CSV of
+    sorted consecutive quarters; blank cells may only lead or trail. A
+    message calls the series `name` (by default the file's stem)."""
     path = Path(path)
     names, _, index, values, _ = read_quarterly_csv(path, ("year", "quarter"), consecutive=True)
     if names[0] != "value":
         raise InvalidArgumentError(f"{path}: expected header 'year,quarter,value'")
-    series_name = name if name is not None else path.stem
-    try:
-        return TimeSeries(series_name, Quarter.from_index(index[0]), tuple(values[:, 0]))
-    except InvalidArgumentError as exc:
-        raise InvalidArgumentError(f"{path}: {exc}") from exc
+    _check_gaps(path, [name if name is not None else path.stem], values[:, :1])
+    return Quarter.from_index(index[0]), values[:, 0]
 
 
-def write_series_csv(series: TimeSeries, path: str | Path) -> None:
-    rows = ((q.year, q.quarter, v) for q, v in zip(series.quarters(), series.values))
-    write_csv(("year", "quarter", "value"), rows, path, nan="")
+def write_series_csv(start: Quarter, values: np.ndarray, path: str | Path) -> None:
+    """Export `year,quarter,value` rows from quarter `start`."""
+    _write_quarterly(("value",), start, (values,), path)
 
 
-def write_decomposition_csv(series: TimeSeries, decomp: DecompositionResult, path: str | Path) -> None:
-    """Export `year,quarter,observed,trend,seasonal,irregular` rows."""
-    columns = (series.values, decomp.trend.values, decomp.seasonal.values, decomp.irregular.values)
-    rows = ((q.year, q.quarter, *values) for q, *values in zip(series.quarters(), *columns))
-    write_csv(("year", "quarter", "observed", "trend", "seasonal", "irregular"), rows, path, nan="")
+def write_decomposition_csv(
+    start: Quarter, observed: np.ndarray, components: tuple[np.ndarray, ...], path: str | Path
+) -> None:
+    """Export `year,quarter,observed,trend,seasonal,irregular` rows from quarter `start`."""
+    _write_quarterly(("observed", "trend", "seasonal", "irregular"), start, (observed, *components), path)
+
+
+def _write_quarterly(names: tuple[str, ...], start: Quarter, columns: tuple[np.ndarray, ...], path: str | Path) -> None:
+    quarters = (start + i for i in range(len(columns[0])))
+    rows = ((q.year, q.quarter, *values) for q, *values in zip(quarters, *columns))
+    write_csv(("year", "quarter", *names), rows, path, nan="")
 
 
 def _window(arr: np.ndarray, lo: int, n: int, fill) -> np.ndarray:
@@ -482,14 +413,12 @@ class PanelDataset(Record):
         cls, units: Sequence[str], index: np.ndarray, names: Sequence[str], values: np.ndarray, where=lambda r: ""
     ) -> "PanelDataset":
         """The frame of rows given as columns: units, quarter indices and values
-        (rows × names; of a repeated name the last column counts), the units
-        and variables sorted. A repeated unit and quarter is an error that
-        `where(r)` prefixes for row r."""
+        (rows × names, each name once), the units and variables sorted. A
+        repeated unit and quarter is an error that `where(r)` prefixes for row r."""
         unit_names = sorted(set(units))
         code = {name: i for i, name in enumerate(unit_names)}
         unit = np.fromiter(map(code.__getitem__, units), np.intp, len(units))
-        column = {name: j for j, name in enumerate(names)}
-        names = sorted(column)
+        order = sorted(range(len(names)), key=names.__getitem__)
         t = index - index.min()
         shape = (len(unit_names), int(t.max()) + 1)
         present = np.zeros(shape, dtype=bool)
@@ -500,8 +429,8 @@ class PanelDataset(Record):
                 lambda r: f"{where(r)}duplicate observation for {units[r]} {Quarter.from_index(index[r])}",
             )
         frame = np.full(shape + (len(names),), np.nan)
-        frame[unit, t] = values[:, [column[name] for name in names]]
-        return cls(tuple(unit_names), Quarter.from_index(index.min()), tuple(names), frame, present)
+        frame[unit, t] = values[:, order]
+        return cls(tuple(unit_names), Quarter.from_index(index.min()), tuple(names[j] for j in order), frame, present)
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, Quarter, Mapping[str, float]]]) -> "PanelDataset":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import DegenerateInputError, InvalidArgumentError
 from .record import Record
-from .series import TimeSeries, acf
+from .series import _defined_values, acf
 
 
 class TestResult(Record):
@@ -196,7 +196,7 @@ def _adf_pvalue(stat: float, nobs: int) -> tuple[float, str]:
     return p, rows
 
 
-def adf_test(series: TimeSeries, max_lag: int) -> TestResult:
+def adf_test(series: np.ndarray, max_lag: int) -> TestResult:
     """Augmented Dickey-Fuller unit-root test with a constant.
 
     Regresses the first difference on a constant, the lagged level and
@@ -206,15 +206,13 @@ def adf_test(series: TimeSeries, max_lag: int) -> TestResult:
     """
     if max_lag < 0:
         raise InvalidArgumentError("max_lag must be >= 0")
-    y = series.to_array()
-    if np.isnan(y).any():
-        raise InvalidArgumentError(f"series {series.name!r} has missing values")
+    y = _defined_values(series)
     if len(y) < max_lag + 10:
         raise InvalidArgumentError(
             f"series length {len(y)} below required max_lag + 10 = {max_lag + 10}"
         )
     if np.ptp(y) == 0.0:
-        raise DegenerateInputError(f"series {series.name!r} is constant")
+        raise DegenerateInputError("series is constant")
 
     dy = np.diff(y)
 
@@ -255,7 +253,7 @@ def adf_test(series: TimeSeries, max_lag: int) -> TestResult:
     return TestResult(statistic=stat, p_value=p, dof_or_lags=best_j, detail=detail)
 
 
-def ljung_box(series: TimeSeries, lags: int) -> TestResult:
+def ljung_box(series: np.ndarray, lags: int) -> TestResult:
     """Ljung-Box portmanteau test: Q = n(n+2) sum_k acf(k)^2/(n-k)."""
     if lags < 1:
         raise InvalidArgumentError(f"lags must be >= 1, got {lags}")

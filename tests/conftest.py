@@ -13,7 +13,7 @@ import pytest
 from crimecast import geo
 from crimecast.exceptions import InvalidArgumentError, decode_utf8
 from crimecast.geo import UNKNOWN_STATE, US_STATE_CODES
-from crimecast.series import Quarter, TimeSeries
+from crimecast.series import Quarter
 from crimecast.signals import LABELS, ArticleRecord, Corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -86,7 +86,8 @@ def read_articles_plainly(path: Path, start: int = 0, end: int | None = None) ->
 def read_quarterly_csv_plainly(path: Path, keys: tuple[str, ...], consecutive: bool = False):
     """What `series.read_quarterly_csv` returns, written out plainly: one
     record at a time from `csv.reader`, its year and quarter through `int()`,
-    then each value cell through `float()`. A malformed row (longer than the
+    then each value cell through `float()`. A repeated header cell is an
+    error at line 1. A malformed row (longer than the
     header, or without a year in 1..9999 and a quarter in 1..4) raises as it
     is met; value cells are checked after the last record; a tokenizer fault
     is raised after the checks of the records before it."""
@@ -99,6 +100,9 @@ def read_quarterly_csv_plainly(path: Path, keys: tuple[str, ...], consecutive: b
     n_keys, width, names = len(keys), len(header), header[len(keys):]
     if header[:n_keys] != list(keys) or not names:
         raise InvalidArgumentError(f"{path}: expected header '{','.join(keys)},<variables>'")
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise InvalidArgumentError(f"{path}:1: duplicate column {name!r}")
     rows, index, lines, fault = [], [], [], None
     while fault is None:
         lineno = reader.line_num + 1
@@ -155,8 +159,9 @@ def score(model, text: str) -> float:
     return float(1.0 / (1.0 + np.exp(-model.logit(geo._tokenize(text)))))
 
 
-def series(values, name="x", start=Q0) -> TimeSeries:
-    return TimeSeries(name, start, tuple(float(v) for v in values))
+def series(values) -> np.ndarray:
+    """The quarterly series of `values`, as the statistics take it."""
+    return np.array(values, dtype=float)
 
 
 def ar1(alpha: float, n: int, seed: int, c: float = 0.0, sigma: float = 1.0) -> np.ndarray:

@@ -19,7 +19,7 @@ from crimecast.evaluation import mape, rmse
 from crimecast.geo import load_gazetteer, resolve_state
 from crimecast.panel import fit_fixed_effects, fit_random_effects, within
 from crimecast.regression import Dataset, RegressionSpec, build_model_spec, fit_ols, forecast_regression
-from crimecast.series import Quarter, TimeSeries, decompose_additive, difference
+from crimecast.series import Quarter, decompose_additive, difference
 from crimecast.signals import ArticleRecord, aggregate_by_state, aggregate_quarterly, load_articles, tally
 from crimecast.stattests import adf_test, cohens_kappa, durbin_watson, hausman_test, ljung_box
 
@@ -120,14 +120,13 @@ def test_criterion_05_decomposition_recovery():
         ramp = np.arange(1.0, 49.0)
         pattern = np.tile([2.0, 0.0, -1.0, -1.0], 12)
         ts = series(ramp + pattern)
-        dec = decompose_additive(ts)
-        trend = dec.trend.to_array()
+        trend, seasonal, irregular = decompose_additive(ts)
         defined = ~np.isnan(trend)
         assert np.max(np.abs(trend[defined] - ramp[defined])) < 1e-9
-        assert np.max(np.abs(dec.seasonal.to_array()[:4] - pattern[:4])) < 1e-9
-        assert np.max(np.abs(dec.irregular.to_array()[defined])) < 1e-9
-        recon = trend + dec.seasonal.to_array() + dec.irregular.to_array()
-        assert np.max(np.abs(recon[defined] - ts.to_array()[defined])) < 1e-9
+        assert np.max(np.abs(seasonal[:4] - pattern[:4])) < 1e-9
+        assert np.max(np.abs(irregular[defined])) < 1e-9
+        recon = trend + seasonal + irregular
+        assert np.max(np.abs(recon[defined] - ts[defined])) < 1e-9
 
 
 def test_criterion_06_diagnostics_sanity():
@@ -202,12 +201,8 @@ def _simulate_event_world(seed: int, n: int = 140):
         agg_lag = cov["aggravated_assault_rate"][max(t - 1, 0)]
         uner_lag = cov["uner_quar"][max(t - 1, 0)]
         y[t] = 10.0 + 0.3 * agg_lag - 2.0 * uner_lag + 0.5 * cov["population"][t] + 80.0 * realized[t] + rng.normal(0.0, 3.0)
-    members = [TimeSeries("fbi_num_noseasonnal", Q0, tuple(y))]
-    members += [TimeSeries(name, Q0, tuple(path)) for name, path in cov.items()]
-    members.append(TimeSeries("news_num", Q0, tuple(float(v) for v in news)))
-    members.append(TimeSeries("event_detected_num", Q0, tuple(float(v) for v in events)))
-    members.append(TimeSeries("hate_reported_index", Q0, tuple(realized)))
-    return Dataset.align(members)
+    signals = {"news_num": news, "event_detected_num": events, "hate_reported_index": realized}
+    return Dataset.align(Q0, {"fbi_num_noseasonnal": y, **cov, **signals})
 
 
 def test_criterion_09_event_factor_benefit():

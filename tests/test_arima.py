@@ -25,9 +25,9 @@ from crimecast.arima import (
     select_orders,
 )
 from crimecast.exceptions import DegenerateInputError, InvalidArgumentError
-from crimecast.series import TimeSeries, difference
+from crimecast.series import difference
 
-from conftest import Q0, ar1, css_residuals_plainly, series
+from conftest import ar1, css_residuals_plainly, series
 
 
 def ma1(theta: float, n: int, seed: int) -> np.ndarray:
@@ -80,15 +80,17 @@ class TestFit:
         fit = fit_arima(series(y), ArimaSpec(1, 0, 1))
         ll = sum(
             -0.5 * (math.log(2 * math.pi * fit.sigma2) + r * r / fit.sigma2)
-            for r in fit.residuals.values
+            for r in fit.residuals
         )
         assert fit.log_likelihood == pytest.approx(ll, abs=1e-6)
 
     def test_residual_frame(self):
         y = ar1(0.5, 100, seed=3)
         fit = fit_arima(series(np.cumsum(y)), ArimaSpec(1, 1, 0))
-        # d=1 and p=1 consume the first two level positions.
-        assert fit.residuals.start == Q0 + 2
+        # d=1 and p=1 consume the first two level positions: the first
+        # residual is that of level position 2, the difference w[1].
+        w = np.diff(np.cumsum(y))
+        assert fit.residuals[0] == pytest.approx(w[1] - fit.constant - fit.ar_coeffs[0] * w[0], abs=1e-12)
         assert len(fit.residuals) == 98
 
     def test_too_short(self):
@@ -96,7 +98,7 @@ class TestFit:
             fit_arima(series([1.0, 2.0, 3.0, 4.0]), ArimaSpec(1, 0, 1))
 
     def test_missing_values_rejected(self):
-        ts = TimeSeries("x", Q0, (float("nan"), 1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        ts = series([float("nan"), 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         with pytest.raises(InvalidArgumentError):
             fit_arima(ts, ArimaSpec(0, 0, 0))
 
@@ -147,7 +149,7 @@ class TestCssResiduals:
         w = ar1(0.5, 90, seed=10 * p + q) + ma1(0.4, 90, seed=q)
         fit = fit_arima(series(w), ArimaSpec(p, 0, q), _burn=3)
         fresh = _Css(w, p, q).residuals(fit.constant, np.array(fit.ar_coeffs), np.array(fit.ma_coeffs))
-        assert fit.residuals.to_array().tobytes() == fresh[3 - p :].tobytes()
+        assert fit.residuals.tobytes() == fresh[3 - p :].tobytes()
 
     def test_a_forecast_starts_from_the_plain_residuals(self):
         # The first two forecasts of an ARIMA(1,1,2) read the last two
@@ -252,7 +254,7 @@ class TestCssJacobian:
         y = y[200:]
         fit = fit_arima(series(y), ArimaSpec(p, 0, q))
         assert fit.converged and not fit.ma_boundary
-        ssr_fit = float(np.square(fit.residuals.to_array()).sum())
+        ssr_fit = float(np.square(fit.residuals).sum())
 
         def inside(coeffs):
             roots = np.roots(np.concatenate(([1.0], coeffs))[::-1]) if len(coeffs) else []
@@ -282,9 +284,8 @@ class TestCssJacobian:
         code = (
             "import sys; import numpy as np\n"
             "from crimecast.arima import select_orders\n"
-            "from crimecast.series import Quarter, TimeSeries\n"
             "w = np.random.default_rng(0).normal(8.0, 60.0, 48)\n"
-            "select_orders(TimeSeries('d', Quarter(2007, 1), tuple(w)), 2, 2)\n"
+            "select_orders(w, 2, 2)\n"
             "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.signal') if m in sys.modules))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(src)}
@@ -297,7 +298,7 @@ class TestForecast:
     def test_drift_forecast(self):
         fit = ArimaFit(
             ArimaSpec(0, 1, 0), 2.0, (), (), 1.0, 0.0, 0.0,
-            TimeSeries("r", Q0, (0.0, 0.0)), True,
+            np.zeros(2), True,
         )
         history = series([96.0, 98.0, 100.0])
         assert forecast_arima(fit, history, 3).tolist() == [102.0, 104.0, 106.0]
@@ -305,7 +306,7 @@ class TestForecast:
     def test_ar1_hand_recursion(self):
         fit = ArimaFit(
             ArimaSpec(1, 0, 0), 0.0, (0.5,), (), 1.0, 0.0, 0.0,
-            TimeSeries("r", Q0, (0.0, 0.0)), True,
+            np.zeros(2), True,
         )
         assert forecast_arima(fit, series([1.0, 2.0, 8.0]), 3).tolist() == [4.0, 2.0, 1.0]
 
@@ -315,12 +316,11 @@ class TestForecast:
         fit = fit_arima(ts, ArimaSpec(1, 1, 1))
         # One-step forecasts from each growing prefix; the shortest prefix
         # that seeds the recursion (d + p + 1 = 3 values) predicts the second
-        # residual's quarter.
-        first = fit.residuals.start + 1
-        preds = [forecast_arima(fit, ts.window(ts.start, q - 1), 1)[0]
-                 for q in (first + h for h in range(ts.end - first + 1))]
-        errors = ts.to_array()[first - ts.start :] - np.asarray(preds)
-        np.testing.assert_allclose(errors, fit.residuals.to_array()[1:], atol=1e-9)
+        # residual's position.
+        first = len(ts) - len(fit.residuals) + 1
+        preds = [forecast_arima(fit, ts[:t], 1)[0] for t in range(first, len(ts))]
+        errors = ts[first:] - np.asarray(preds)
+        np.testing.assert_allclose(errors, fit.residuals[1:], atol=1e-9)
 
     def test_dynamic_converges_to_process_mean(self):
         y = ar1(0.7, 3000, seed=44, c=1.5)
@@ -334,7 +334,7 @@ class TestForecast:
     def test_zero_horizon_rejected(self):
         fit = ArimaFit(
             ArimaSpec(0, 1, 0), 2.0, (), (), 1.0, 0.0, 0.0,
-            TimeSeries("r", Q0, (0.0, 0.0)), True,
+            np.zeros(2), True,
         )
         with pytest.raises(InvalidArgumentError):
             forecast_arima(fit, series([1.0, 2.0]), 0)

@@ -1207,6 +1207,24 @@ class TestFitForecast:
         assert "Traceback" not in err
         assert not (out / "report.json").exists()
 
+    def test_all_zero_panel_dependent_exits_1(self, tmp_path, capsys):
+        # Both random-effects variance components are zero, so theta is
+        # undefined: the fit fails as a model error, and the zero actual
+        # values then stop the scoring.
+        with (FIXTURES / "panel.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        j = rows[0].index("fbi_num")
+        for row in rows[1:]:
+            row[j] = "0"
+        zeros = tmp_path / "panel.csv"
+        with zeros.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "6", "--panel", str(zeros))
+        err = capsys.readouterr().err
+        assert code == EXIT_MODEL_ERROR
+        assert err.splitlines() == ["model error: actual value at index 0 is zero"]
+        assert "Traceback" not in err
+
 
 class TestModel1Readings:
     @pytest.mark.parametrize("reading,order", [("drift", [0, 1, 0]), ("ar1", [1, 0, 0])])

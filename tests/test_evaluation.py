@@ -16,7 +16,7 @@ from crimecast.evaluation import (
     score_model,
 )
 from crimecast.exceptions import InvalidArgumentError
-from crimecast.series import Quarter, TimeSeries
+from crimecast.series import Quarter
 from crimecast.stattests import levene_test, paired_t_test
 
 
@@ -65,45 +65,47 @@ class TestMape:
         assert mape(a, p) != pytest.approx(mape(a + 100.0, p + 100.0))
 
 
+Q1 = Quarter(2019, 1)  # the first holdout quarter
+
+
 def entry(name, values, actual, r2=0.5, ll=-100.0):
-    return score_model(name, r2, ll, actual.values, values)
+    return score_model(name, r2, ll, actual, values)
 
 
 class TestCompareModels:
     def test_single_perfect_model(self):
-        actual = TimeSeries("y", Quarter(2019, 1), (10.0, 11.0, 12.0, 13.0))
-        report = compare_models([entry("Model 1", [10.0, 11.0, 12.0, 13.0], actual)], actual)
+        actual = (10.0, 11.0, 12.0, 13.0)
+        report = compare_models([entry("Model 1", [10.0, 11.0, 12.0, 13.0], actual)], Q1, actual)
         assert report.rows[0].rmse == 0.0
         assert report.rows[0].mape == 0.0
 
     def test_noisier_model_has_higher_rmse(self, rng):
-        actual_values = rng.uniform(50, 60, 4)
-        actual = TimeSeries("y", Quarter(2019, 1), tuple(actual_values))
-        base = actual_values + rng.normal(0, 0.5, 4)
+        actual = rng.uniform(50, 60, 4)
+        base = actual + rng.normal(0, 0.5, 4)
         noisy = base + rng.normal(0, 5.0, 4)
         report = compare_models(
-            [entry("clean", base, actual), entry("noisy", noisy, actual)], actual
+            [entry("clean", base, actual), entry("noisy", noisy, actual)], Q1, actual
         )
         assert report.rows[1].rmse >= report.rows[0].rmse
 
     def test_row_count_and_column_order(self, tmp_path):
-        actual = TimeSeries("y", Quarter(2019, 1), (10.0, 11.0))
+        actual = (10.0, 11.0)
         entries = [entry(f"Model {k}", [10.0, 11.0], actual) for k in (1, 2, 3)]
-        report = compare_models(entries, actual)
+        report = compare_models(entries, Q1, actual)
         payload = report.to_dict()
         assert len(payload["models"]) == 3
         assert list(payload["models"][0]) == ["Models", "R-Squared", "Log Likelihood", "RMSE", "MAPE"]
 
     def test_misaligned_holdout_rejected(self):
         # Predictions for three quarters against a two-quarter holdout.
-        actual = TimeSeries("y", Quarter(2019, 1), (10.0, 11.0))
+        actual = (10.0, 11.0)
         with pytest.raises(InvalidArgumentError):
-            compare_models([entry("m", [10.0, 11.0, 12.0], actual)], actual)
+            compare_models([entry("m", [10.0, 11.0, 12.0], actual)], Q1, actual)
 
     def test_long_csv_shape(self, tmp_path):
-        actual = TimeSeries("y", Quarter(2019, 1), (10.0, 11.0))
+        actual = (10.0, 11.0)
         report = compare_models(
-            [entry("Model 1", [9.0, 12.0], actual), entry("Model 2", [10.5, 10.5], actual)], actual
+            [entry("Model 1", [9.0, 12.0], actual), entry("Model 2", [10.5, 10.5], actual)], Q1, actual
         )
         path = tmp_path / "long.csv"
         report.write_long_csv(path)
@@ -114,9 +116,9 @@ class TestCompareModels:
         assert rows[1][:3] == ["2019", "1", "Model 1"]
 
     def test_empty_rejected(self):
-        actual = TimeSeries("y", Quarter(2019, 1), (10.0,))
+        actual = (10.0,)
         with pytest.raises(InvalidArgumentError):
-            compare_models([], actual)
+            compare_models([], Q1, actual)
 
 
 class TestPanelStatistics:

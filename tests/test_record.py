@@ -19,7 +19,7 @@ from crimecast.exceptions import InvalidArgumentError
 from crimecast.panel import PanelFit
 from crimecast.record import Record
 from crimecast.regression import Dataset, RegressionSpec
-from crimecast.series import PanelDataset, Quarter, TimeSeries
+from crimecast.series import PanelDataset, Quarter
 from crimecast.signals import ArticleRecord, Corpus, Tally
 from crimecast.stattests import TestResult
 
@@ -48,7 +48,7 @@ RECORDS = [
     Quarter(2007, 1),
     ArimaSpec(1, 1, 0),
     RegressionSpec("y", (("x", 1),), 1),
-    TimeSeries("y", Quarter(2007, 1), (1.0, 2.5)),
+    RegressionSpec("y", [("x", 0), ("z", "1")]),  # normalized in __post_init__
     TestResult(1.5, 0.2, 3),
     ArticleRecord("a1", dt.date(2019, 1, 2), "t", "b", gold_label="hate_crime"),
 ]
@@ -112,13 +112,13 @@ def test_a_panel_fit_compares_without_its_slope_covariance():
 
 
 def test_fields_cannot_be_assigned_or_deleted():
-    series = TimeSeries("y", Quarter(2007, 1), (1.0,))
-    for record, name in [(series, "values"), (series, "other"), (Quarter(2007, 1), "year")]:
+    spec = RegressionSpec("y", (("x", 1),))
+    for record, name in [(spec, "terms"), (spec, "other"), (Quarter(2007, 1), "year")]:
         with pytest.raises(AttributeError, match="frozen"):
             setattr(record, name, 1)
         with pytest.raises(AttributeError, match="frozen"):
             delattr(record, name)
-    assert series.values == (1.0,)
+    assert spec.terms == (("x", 1),)
 
 
 def test_replace_runs_the_checks_again():
@@ -128,7 +128,7 @@ def test_replace_runs_the_checks_again():
         corpus._replace(ids=["a", "b"])
     with pytest.raises(InvalidArgumentError):
         Quarter(2007, 1)._replace(quarter=5)
-    assert TimeSeries("y", Quarter(2007, 1), (1,))._replace(values=[2]).values == (2.0,)  # normalized again
+    assert RegressionSpec("y", ())._replace(terms=[("x", "1")]).terms == (("x", 1),)  # normalized again
     with pytest.raises(TypeError):
         corpus._replace(labels=[None])
 

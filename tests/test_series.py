@@ -19,7 +19,6 @@ from crimecast.regression import Dataset
 from crimecast.series import (
     PanelDataset,
     Quarter,
-    TimeSeries,
     acf,
     decompose_additive,
     deseasonalize,
@@ -60,11 +59,10 @@ class TestQuarter:
 class TestDifferenceLag:
     def test_difference_order_1(self):
         out = difference(series([1, 3, 6, 10]))
-        assert out.values == (2.0, 3.0, 4.0)
-        assert (out.name, out.start) == ("d_x", Q0 + 1)
+        assert out.tolist() == [2.0, 3.0, 4.0]
 
     def test_difference_constant(self):
-        assert difference(series([5, 5, 5])).values == (0.0, 0.0)
+        assert difference(series([5, 5, 5])).tolist() == [0.0, 0.0]
 
     def test_difference_too_short(self):
         with pytest.raises(InvalidArgumentError):
@@ -72,14 +70,22 @@ class TestDifferenceLag:
 
 
 class TestMissingDiscipline:
-    def test_interior_gap_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            TimeSeries("x", Q0, (1.0, float("nan"), 3.0))
+    """A series file may leave the first and last cells of a column blank,
+    but not a cell between two numbers."""
 
-    def test_edge_missing_allowed(self):
-        ts = TimeSeries("x", Q0, (float("nan"), 1.0, 2.0, float("nan")))
-        assert ts.defined_start == Q0 + 1
-        assert ts.defined_end == Q0 + 2
+    def test_interior_gap_rejected(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("year,quarter,a,b\n2007,1,1.0,1.0\n2007,2,2.0,\n2007,3,3.0,3.0\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: series 'b' has interior missing values")):
+            Dataset.from_csv(path)
+
+    def test_edge_missing_allowed(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("year,quarter,value\n2007,1,\n2007,2,1.0\n2007,3,2.0\n2007,4,\n")
+        start, values = load_series_csv(path)
+        defined = np.flatnonzero(~np.isnan(values))
+        assert start + int(defined[0]) == Q0 + 1
+        assert start + int(defined[-1]) == Q0 + 2
 
 
 class TestAcfPacf:
@@ -122,20 +128,16 @@ class TestDecomposition:
     def test_pure_seasonal(self):
         pattern = [1.0, -1.0, 2.0, -2.0]
         ts = series(np.tile(pattern, 5))
-        dec = decompose_additive(ts)
-        s = dec.seasonal.to_array()
+        t, s, irr = decompose_additive(ts)
         np.testing.assert_allclose(s[:4], pattern, atol=1e-9)
-        t = dec.trend.to_array()
-        irr = dec.irregular.to_array()
         defined = ~np.isnan(t)
         np.testing.assert_allclose(t[defined], 0.0, atol=1e-9)
         np.testing.assert_allclose(irr[defined], 0.0, atol=1e-9)
 
     def test_linear_ramp_no_seasonality(self):
         ts = series(np.arange(1.0, 21.0))
-        dec = decompose_additive(ts)
-        np.testing.assert_allclose(dec.seasonal.to_array(), 0.0, atol=1e-9)
-        t = dec.trend.to_array()
+        t, seasonal, _ = decompose_additive(ts)
+        np.testing.assert_allclose(seasonal, 0.0, atol=1e-9)
         defined = ~np.isnan(t)
         np.testing.assert_allclose(t[defined], np.arange(1.0, 21.0)[defined], atol=1e-9)
         # edges: first and last period//2 positions missing
@@ -145,23 +147,22 @@ class TestDecomposition:
         ramp = np.arange(1.0, 41.0)
         pattern = np.tile([2.0, 0.0, -1.0, -1.0], 10)
         ts = series(ramp + pattern)
-        dec = decompose_additive(ts)
-        defined = ~np.isnan(dec.trend.to_array())
-        np.testing.assert_allclose(dec.trend.to_array()[defined], ramp[defined], atol=1e-9)
-        np.testing.assert_allclose(dec.seasonal.to_array()[:4], [2, 0, -1, -1], atol=1e-9)
-        np.testing.assert_allclose(dec.irregular.to_array()[defined], 0.0, atol=1e-9)
+        trend, seasonal, irregular = decompose_additive(ts)
+        defined = ~np.isnan(trend)
+        np.testing.assert_allclose(trend[defined], ramp[defined], atol=1e-9)
+        np.testing.assert_allclose(seasonal[:4], [2, 0, -1, -1], atol=1e-9)
+        np.testing.assert_allclose(irregular[defined], 0.0, atol=1e-9)
 
     def test_reconstruction_identity(self, rng):
         ts = series(rng.normal(10, 3, size=37))
-        dec = decompose_additive(ts)
-        recon = dec.trend.to_array() + dec.seasonal.to_array() + dec.irregular.to_array()
+        recon = sum(decompose_additive(ts))
         defined = ~np.isnan(recon)
-        np.testing.assert_allclose(recon[defined], ts.to_array()[defined], atol=1e-9)
+        np.testing.assert_allclose(recon[defined], ts[defined], atol=1e-9)
 
     def test_seasonal_zero_sum(self, rng):
         ts = series(rng.normal(0, 5, size=31))
-        dec = decompose_additive(ts)
-        assert abs(sum(dec.seasonal.values[:4])) < 1e-9
+        _, seasonal, _ = decompose_additive(ts)
+        assert abs(sum(seasonal[:4])) < 1e-9
 
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
@@ -171,48 +172,39 @@ class TestDecomposition:
 class TestDeseasonalize:
     def test_zero_seasonal_identity(self, rng):
         ts = series(np.arange(1.0, 21.0))
-        dec = decompose_additive(ts)
-        out = deseasonalize(ts, dec)
-        np.testing.assert_allclose(out.to_array(), ts.to_array(), atol=1e-9)
-        assert out.name == "x_noseasonnal"
+        out = deseasonalize(ts, decompose_additive(ts)[1])
+        np.testing.assert_allclose(out, ts, atol=1e-9)
 
     def test_ramp_plus_seasonal(self):
         ramp = np.arange(1.0, 41.0)
         ts = series(ramp + np.tile([2.0, 0.0, -1.0, -1.0], 10))
-        out = deseasonalize(ts, decompose_additive(ts))
-        np.testing.assert_allclose(out.to_array(), ramp, atol=1e-9)
+        out = deseasonalize(ts, decompose_additive(ts)[1])
+        np.testing.assert_allclose(out, ramp, atol=1e-9)
 
     def test_idempotence_at_tolerance(self, rng):
         values = np.arange(40.0) + np.tile([3.0, -1.0, 0.5, -2.5], 10) + rng.normal(0, 0.2, 40)
         ts = series(values)
-        out = deseasonalize(ts, decompose_additive(ts))
-        dec2 = decompose_additive(out)
-        assert np.nanmax(np.abs(dec2.seasonal.to_array())) < 1e-6
+        out = deseasonalize(ts, decompose_additive(ts)[1])
+        _, seasonal, _ = decompose_additive(out)
+        assert np.nanmax(np.abs(seasonal)) < 1e-6
 
     def test_noiseless_idempotence(self):
         values = np.arange(40.0) + np.tile([3.0, -1.0, 0.5, -2.5], 10)
         ts = series(values)
-        out = deseasonalize(ts, decompose_additive(ts))
-        dec2 = decompose_additive(out)
-        assert np.nanmax(np.abs(dec2.seasonal.to_array())) < 1e-6
-
-    def test_misaligned_rejected(self, rng):
-        ts = series(rng.normal(size=20))
-        other = series(rng.normal(size=20), name="y")
-        dec = decompose_additive(other)
-        with pytest.raises(InvalidArgumentError):
-            deseasonalize(ts, dec)
+        out = deseasonalize(ts, decompose_additive(ts)[1])
+        _, seasonal, _ = decompose_additive(out)
+        assert np.nanmax(np.abs(seasonal)) < 1e-6
 
 
 class TestCsv:
     def test_roundtrip_with_missing_edges(self, tmp_path):
-        ts = TimeSeries("fbi_num", Q0, (float("nan"), 2.0, 3.5, float("nan")))
+        values = series([float("nan"), 2.0, 3.5, float("nan")])
         path = tmp_path / "s.csv"
-        write_series_csv(ts, path)
-        back = load_series_csv(path, name="fbi_num")
-        assert back.start == ts.start
-        assert back.values[1:3] == (2.0, 3.5)
-        assert math.isnan(back.values[0]) and math.isnan(back.values[3])
+        write_series_csv(Q0, values, path)
+        start, back = load_series_csv(path, name="fbi_num")
+        assert start == Q0
+        assert back[1:3].tolist() == [2.0, 3.5]
+        assert math.isnan(back[0]) and math.isnan(back[3])
 
     def test_interior_gap_rejected_at_load(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -260,6 +252,9 @@ class TestReaderMessages:
             (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,2,2.0\n2007,1,1.0\n", "{path}:4: duplicate observation for 2007Q1"),
             # A copy of the last row moved up: the rows stop being consecutive before the repeat.
             (load_series_csv, SERIES_HEAD + "2007,1,1\n2007,3,3\n2007,2,2\n2007,3,3\n", "{path}:5: duplicate observation for 2007Q3"),
+            (load_series_csv, "year,quarter,value,value\n2007,1,1.0,2.0\n", "{path}:1: duplicate column 'value'"),
+            (load_series_csv, SERIES_HEAD + "2007,1,\n2007,2,\n", "{path}: series 'in' has no defined values"),
+            (load_series_csv, SERIES_HEAD + "2007,1,1.0\n2007,2,\n2007,3,3.0\n", "{path}: series 'in' has interior missing values"),
             (Dataset.from_csv, "year,quarter\n2007,1\n", "{path}: expected header 'year,quarter,<variables>'"),
             (Dataset.from_csv, WIDE_HEAD + "2007,1,1.0,2.0\n2007,2,2.0\n2007,x,1,1\n", "{path}:4: malformed row"),
             (Dataset.from_csv, WIDE_HEAD + "2007,1,1.0,2.0\n2007,2,2.0,nan\n", "{path}:3: not a finite number: 'nan'"),
@@ -268,6 +263,7 @@ class TestReaderMessages:
             (Dataset.from_csv, WIDE_HEAD, "{path}: no data rows"),
             (Dataset.from_csv, WIDE_HEAD + "2007,1,1,2\n2007,3,1,2\n", CONSECUTIVE),
             (Dataset.from_csv, WIDE_HEAD + "2007,1,1,2\n2007,1,1,2\n2007,2,1,2\n", "{path}:3: duplicate observation for 2007Q1"),
+            (Dataset.from_csv, "year,quarter,a,b,a\n2007,1,1,2,3\n", "{path}:1: duplicate column 'a'"),
             (PanelDataset.from_csv, "state,year,a\nCA,2007,1\n", "{path}: expected header 'state,year,quarter,<variables>'"),
             (PanelDataset.from_csv, LONG_HEAD + "CA,2007,1,1,2\nCA,2007,0,1,2\n", "{path}:3: malformed row"),
             (PanelDataset.from_csv, LONG_HEAD + "CA,2007,1,1,2\nNY,,1,1,2\n", "{path}:3: malformed row"),
@@ -275,6 +271,7 @@ class TestReaderMessages:
             (PanelDataset.from_csv, LONG_HEAD.encode() + b"CA,2007,1,1,2\nN\xffY,2007,1,1,2\n", "{path}:3: not UTF-8 text (invalid start byte)"),
             (PanelDataset.from_csv, LONG_HEAD + "\n", "{path}: no data rows"),
             (PanelDataset.from_csv, LONG_HEAD + "CA,2007,1,1,2\nNY,2007,1,1,2\nCA,2007,1,1,2\n", "{path}:4: duplicate observation for CA 2007Q1"),
+            (PanelDataset.from_csv, "state,year,quarter,a,b,a\nCA,2007,1,1,2,0\n", "{path}:1: duplicate column 'a'"),
         ],
     )
     def test_one_fault_message(self, tmp_path, loader, text, message):
@@ -534,7 +531,7 @@ class TestPanelJoin:
 
 def test_frame_arrays_are_read_only():
     # A window is a view of its frame's arrays, so no frame may write into them.
-    frame = Dataset.align([TimeSeries("y", Q0, (1.0, 2.0, 3.0))])
+    frame = Dataset.align(Q0, {"y": [1.0, 2.0, 3.0]})
     panel = PanelDataset.from_rows([("CA", Q0, {"y": 1.0})])
     for data in (frame, frame.window(Q0 + 1, Q0 + 2), panel, panel.joined(panel)):
         with pytest.raises(ValueError, match="read-only"):

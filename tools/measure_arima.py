@@ -12,15 +12,19 @@ the series and grid bounds of each `select_orders` call: 8 searches, one per
 `diagnose` and one per `fit-forecast` at each of the 4 origins. It then
 times those 8 searches in this process, `--repeats` times over, and prints
 the median and quartiles of their summed wall time, then the log line of
-each search: the orders it chose and the candidates it dropped.
+each search: the orders it chose and the candidates it dropped. A search
+takes a plain array; the first quarter of that series comes from the
+command's config (the first quarter of `fbi_series` for `diagnose`,
+`fit_start` for `fit-forecast`, one later once differenced).
 
 Last it fits every grid candidate of those searches, and of the differenced
 drift walks of acceptance criterion 4 (seeds 0..`--seeds`-1, grid 2 x 2), as
 `select_orders` fits them, and prints one SHA-256 over every field of every
 fit: `float.hex` of each float (residuals included), the flags, and the
-exception of a candidate that raised. Two checkouts whose fits are bit for
-bit the same print the same digest. `--no-world` skips the world and the
-timing and digests only the criterion-4 candidates.
+exception of a candidate that raised, after the quarter of its first
+residual: the series' first quarter plus the grid's `max_p`. Two checkouts
+whose fits are bit for bit the same print the same digest. `--no-world`
+skips the world and the timing and digests only the criterion-4 candidates.
 """
 
 from __future__ import annotations
@@ -56,19 +60,25 @@ def _swapped(arima, replacement):
             module.select_orders = select
 
 
-def _searches(run, arima, cli, work: Path) -> list[tuple[str, object, int, int]]:
-    """(command key, series, max_p, max_q) of each order search of one pass."""
+def _searches(run, arima, cli, load_series_csv, work: Path) -> list[tuple[str, object, object, int, int]]:
+    """(command key, first quarter, series, max_p, max_q) of each order
+    search of one pass."""
     prepared = run.prepare_models(1, work)
     searches = []
     select = arima.select_orders
 
     def record(series, max_p, max_q):
-        searches.append((key, series, max_p, max_q))
+        searches.append((key, start, series, max_p, max_q))
         return select(series, max_p, max_q)
 
     with _swapped(arima, record):
         for command in prepared.commands:
             key = command.key
+            config = cli.load_config(command.argv[2])
+            # diagnose searches the whole national series, fit-forecast its fit
+            # range; differenced, each starts one quarter later.
+            first = config.fit_start if command.name == "fit-forecast" else load_series_csv(config.fbi_series)[0]
+            start = first + 1
             argv = [arg.replace("{pass}", str(work / "pass")) for arg in command.argv]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
@@ -88,14 +98,15 @@ class _Messages(logging.Handler):
         self.lines.append(record.getMessage())
 
 
-def _fit_fields(arima, series, p: int, q: int, burn: int) -> str:
+def _fit_fields(arima, start, series, p: int, q: int, burn: int) -> str:
     try:
         fit = arima.fit_arima(series, arima.ArimaSpec(p, 0, q), _burn=burn)
     except (arima.InvalidArgumentError, arima.DegenerateInputError) as exc:  # skipped by `select_orders`
         return f"{p} {q} {type(exc).__name__} {exc}"
     floats = (fit.constant, *fit.ar_coeffs, *fit.ma_coeffs, fit.sigma2, fit.log_likelihood,
-              fit.adj_r_squared, *fit.residuals.values)
-    return f"{p} {q} {fit.residuals.start} {fit.converged} {fit.ma_boundary} " + " ".join(map(float.hex, floats))
+              fit.adj_r_squared, *fit.residuals)
+    first = start + burn  # the quarter of the first residual: `burn` >= p conditions every candidate
+    return f"{p} {q} {first} {fit.converged} {fit.ma_boundary} " + " ".join(map(float.hex, floats))
 
 
 def main() -> int:
@@ -111,16 +122,16 @@ def main() -> int:
 
     import numpy as np
     from crimecast import arima, cli
-    from crimecast.series import Quarter, TimeSeries, difference
+    from crimecast.series import Quarter, difference, load_series_csv
 
     grids = []
     if not args.no_world:
         with tempfile.TemporaryDirectory() as tmp:
-            searches = _searches(run, arima, cli, Path(tmp))
+            searches = _searches(run, arima, cli, load_series_csv, Path(tmp))
         times = []
         for _ in range(args.repeats):
             start = time.perf_counter()
-            for _, series, max_p, max_q in searches:
+            for _, _, series, max_p, max_q in searches:
                 arima.select_orders(series, max_p, max_q)
             times.append(time.perf_counter() - start)
         if len(times) > 1:
@@ -130,25 +141,25 @@ def main() -> int:
         messages = _Messages()
         arima.logger.addHandler(messages)
         arima.logger.setLevel(logging.INFO)
-        for key, series, max_p, max_q in searches:
+        for key, start, series, max_p, max_q in searches:
             arima.select_orders(series, max_p, max_q)
             print(f"{key}, {len(series)} quarters: {messages.lines.pop()}")
-            grids.append((series, max_p, max_q))
+            grids.append((start, series, max_p, max_q))
         arima.logger.removeHandler(messages)
     zero = 0
     for seed in range(args.seeds):
         y = 1400.0 + np.cumsum(np.random.default_rng(seed).normal(8.0, 60.0, 48))
-        series = difference(TimeSeries("x", Quarter(2007, 1), tuple(float(v) for v in y)))
+        series = difference(y)
         spec = arima.select_orders(series, 2, 2)
         zero += (spec.p, spec.q) == (0, 0)
-        grids.append((series, 2, 2))
+        grids.append((Quarter(2007, 2), series, 2, 2))  # the walk starts in 2007Q1
     print(f"criterion 4: (0,0) in {zero}/{args.seeds} seeds")
     digest = hashlib.sha256()
     n = 0
-    for series, max_p, max_q in grids:
+    for start, series, max_p, max_q in grids:
         for p in range(max_p + 1):
             for q in range(max_q + 1):
-                digest.update((_fit_fields(arima, series, p, q, max_p) + "\n").encode())
+                digest.update((_fit_fields(arima, start, series, p, q, max_p) + "\n").encode())
                 n += 1
     print(f"{n} candidates sha256 {digest.hexdigest()}")
     return 0
