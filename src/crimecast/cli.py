@@ -5,16 +5,19 @@ evaluate-detector; `pipeline` holds the stages each one runs. Configuration
 comes from a single JSON file with a few flag overrides; every command is
 deterministic given the config and seed.
 Exit codes: 0 success, 1 model/estimation failure, 2 input/config/output error.
+`main` runs one command and returns its code; `console` is the entry of a
+command process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import warnings
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import pipeline
 from .arima import MAX_GRID_ORDER, ArimaSpec
@@ -235,5 +238,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     return EXIT_OK
 
 
+def console() -> NoReturn:
+    """Run `main` on the process's argv and exit with its code.
+
+    Before it exits, the process freezes every object the collector tracks,
+    so the interpreter's final collections skip them rather than walk all
+    that numpy and crimecast imported. The exit is otherwise the normal one:
+    atexit handlers run, stdout and stderr are flushed, and modules are torn
+    down. Only a process that ends here may freeze: `main` in a longer-lived
+    process keeps its collector, so the cyclic garbage of each call is
+    freed."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

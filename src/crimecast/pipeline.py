@@ -326,7 +326,9 @@ def _national_report(
         if not fit.converged:
             order = f"({fit.spec.p},{fit.spec.d},{fit.spec.q})"
             raise CrimecastError(f"the Model 1 ARIMA{order} fit did not converge; see arima_model1.json")
-        predicted = forecast_arima(fit, fit_series, len(actual))
+        # The forecast runs on from fit_end, so a holdout that starts later drops the first steps.
+        ahead = forecast_arima(fit, fit_series, config.holdout_end - config.fit_end)
+        predicted = ahead[config.holdout_start - config.fit_end - 1 :]
         rows.append(score_model("Model 1", fit.adj_r_squared, fit.log_likelihood, actual, predicted))
     for model_id in regression_ids:
         fit = fit_ols(fit_data, build_model_spec(model_id))

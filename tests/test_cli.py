@@ -1,12 +1,14 @@
 import ast
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -1156,6 +1158,18 @@ class TestSignals:
         assert {text: tokenized[text] for text in texts} == texts
 
 
+def zero_panel_dependent(path: Path) -> Path:
+    """The fixture panel, with fbi_num 0 in every row, written to `path`."""
+    with (FIXTURES / "panel.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index("fbi_num")
+    for row in rows[1:]:
+        row[j] = "0"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
 class TestFitForecast:
     def test_national_report_golden(self, tmp_path):
         assert run("fit-forecast", "--output-dir", str(tmp_path), "--models", "1,2,3,4,5") == EXIT_OK
@@ -1211,19 +1225,29 @@ class TestFitForecast:
         # Both random-effects variance components are zero, so theta is
         # undefined: the fit fails as a model error, and the zero actual
         # values then stop the scoring.
-        with (FIXTURES / "panel.csv").open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        j = rows[0].index("fbi_num")
-        for row in rows[1:]:
-            row[j] = "0"
-        zeros = tmp_path / "panel.csv"
-        with zeros.open("w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        zeros = zero_panel_dependent(tmp_path / "panel.csv")
         code = run("fit-forecast", "--output-dir", str(tmp_path / "out"), "--models", "6", "--panel", str(zeros))
         err = capsys.readouterr().err
         assert code == EXIT_MODEL_ERROR
         assert err.splitlines() == ["model error: actual value at index 0 is zero"]
         assert "Traceback" not in err
+
+    def test_model1_forecasts_a_holdout_that_starts_later(self, tmp_path):
+        # Fit to 2017Q4, holdout 2019Q1..2019Q4: the drift forecast of 2019Qk
+        # is the deseasonalized 2017Q4 plus 4 + k drift steps.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(absolute_config(fit_end="2017Q4")))
+        out = tmp_path / "out"
+        assert main(["decompose", "--config", str(config), "--output-dir", str(out)]) == EXIT_OK
+        with (out / "fbi_num_noseasonnal.csv").open() as fh:
+            last = next(float(r["value"]) for r in csv.DictReader(fh) if (r["year"], r["quarter"]) == ("2017", "4"))
+        argv = ["fit-forecast", "--config", str(config), "--output-dir", str(out), "--models", "1,2"]
+        assert main(argv) == EXIT_OK
+        drift = json.loads((out / "arima_model1.json").read_text())["constant"]
+        with (out / "predictions_long.csv").open() as fh:
+            model1 = [(r["year"], r["quarter"], float(r["predicted"])) for r in csv.DictReader(fh) if r["model"] == "Model 1"]
+        expected = [("2019", str(k), pytest.approx(last + (4 + k) * drift, rel=1e-9)) for k in range(1, 5)]
+        assert model1 == expected
 
 
 class TestModel1Readings:
@@ -1460,3 +1484,109 @@ def test_cli_only_runs_the_stages():
     assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")] == []
     assert "argparse" not in imported(package / "pipeline.py")
     assert {"numpy", "os", "multiprocessing", *stages} <= imported(package / "pipeline.py")
+
+
+# ------------------------------------------------------ the process entry
+# `python -m crimecast.cli` runs `cli.console`, which freezes the collector's
+# objects before the interpreter's final collections; `main` never does.
+
+
+def run_process(*argv: str, probe: str | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter running `python -m crimecast.cli ARGV`, or the
+    code `probe` with ARGV as its arguments."""
+    env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
+    entry = ["-m", "crimecast.cli"] if probe is None else ["-c", probe]
+    return subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+FIXTURE_COMMANDS = (
+    ("detect",), ("signals",), ("decompose",), ("diagnose",), ("fit-forecast", "--models", "1,2,3,4,5,6,7"),
+    ("evaluate-detector",),
+)
+
+
+@pytest.mark.parametrize("case", ["exit-0", "exit-1-all-zero-panel-dependent", "exit-2-bad-config"])
+def test_a_command_process_exits_as_main_returns(tmp_path, capsys, case):
+    out = str(tmp_path / "out")
+    if case == "exit-0":
+        expected, argv = EXIT_OK, ["decompose", "--config", str(CONFIG), "--output-dir", out]
+    elif case == "exit-1-all-zero-panel-dependent":
+        zeros = zero_panel_dependent(tmp_path / "panel.csv")
+        expected = EXIT_MODEL_ERROR
+        argv = ["fit-forecast", "--config", str(CONFIG), "--output-dir", out, "--models", "6", "--panel", str(zeros)]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(absolute_config(seed=-1)))
+        expected, argv = EXIT_INPUT_ERROR, ["decompose", "--config", str(config), "--output-dir", out]
+    code = main(argv)
+    in_process = capsys.readouterr()
+    assert code == expected
+    proc = run_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, in_process.out, in_process.err)
+
+
+# Writes to stdout's block buffer, registers an atexit handler and runs the
+# process entry on its arguments.
+_EXIT_PROBE = """
+import atexit, gc, sys
+import crimecast.cli as cli
+atexit.register(lambda: print("atexit: frozen", gc.get_freeze_count() > 0))
+sys.stdout.write("buffered, ")
+cli.console()
+"""
+
+
+def test_the_process_entry_freezes_and_then_exits_normally(tmp_path):
+    """After the freeze, atexit handlers still run and stdout's buffer is
+    flushed."""
+    proc = run_process("decompose", "--config", str(CONFIG), "--output-dir", str(tmp_path), probe=_EXIT_PROBE)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == "buffered, decompose: period 4, 52 quarters\natexit: frozen True\n"
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    for i, (command, *extra) in enumerate(FIXTURE_COMMANDS):
+        assert run(command, "--output-dir", str(tmp_path / str(i)), *extra) == EXIT_OK
+    assert gc.get_freeze_count() == 0
+
+
+def test_only_the_process_entry_freezes():
+    """`gc.freeze` is named once in `src/`, by `cli.console`."""
+    package = Path(crimecast.__file__).parent
+    callers = [
+        (path.stem, node.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "freeze" for n in ast.walk(node))
+    ]
+    assert callers == [("cli", "console")]
+
+
+def unclosed(commands, out: Path, capsys) -> list[str]:
+    """Runs each command in process with every ResourceWarning shown, then a
+    collection: the warnings, and the output lines, that tell of a resource
+    left unclosed."""
+    gc.collect()  # the garbage of earlier tests
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for i, (command, *extra) in enumerate(commands):
+            assert run(command, "--output-dir", str(out / str(i)), *extra) == EXIT_OK
+        gc.collect()
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    return [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] + [
+        line for line in lines if "ResourceWarning" in line or "unclosed" in line
+    ]
+
+
+def test_no_command_leaves_a_file_to_the_collector(tmp_path, capsys):
+    """A command process skips the final collections, so no output may
+    depend on them: every file is closed, and flushed, by its command."""
+    assert unclosed(FIXTURE_COMMANDS, tmp_path, capsys) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split pass forks")
+def test_the_split_pass_leaves_no_file_to_the_collector(tmp_path, capsys, split_in_3):
+    assert unclosed(TestSplitPass.COMMANDS, tmp_path, capsys) == []
+    assert split_in_3 == [3] * 4

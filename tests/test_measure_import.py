@@ -1,6 +1,6 @@
-"""tools/measure_import.py at two repeats: the warm and cold import lines
-and a breakdown by module that holds crimecast's modules and no
-`dataclasses`."""
+"""tools/measure_import.py at two repeats: the warm and cold import lines,
+a breakdown by module that holds crimecast's modules and no `dataclasses`,
+and the wall time of a whole fresh `decompose` process."""
 
 import re
 import subprocess
@@ -16,7 +16,7 @@ def test_times_the_warm_and_cold_import_and_breaks_it_down():
     src = Path(crimecast.__file__).parents[1]
     argv = [sys.executable, str(TOOL), str(src), "--repeats", "2"]
     lines = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True).stdout.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     number = r"\d+\.\d\d"
     timing = f": median {number} ms \\[{number}, {number}\\] over 2 fresh processes"
     assert re.fullmatch("warm import crimecast.cli after numpy" + timing, lines[0]), lines[0]
@@ -25,3 +25,5 @@ def test_times_the_warm_and_cold_import_and_breaks_it_down():
     modules = dict(item.rsplit(" ", 2)[:2] for item in lines[2].split(": ", 1)[1].split(", "))
     assert {"crimecast.cli", "crimecast.record", "crimecast.series"} <= set(modules)
     assert "dataclasses" not in modules
+    command = "fresh process python -m crimecast.cli decompose \\(fixture config\\)"
+    assert re.fullmatch(command + timing, lines[3]), lines[3]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time `import crimecast.cli` after numpy, in fresh processes.
+"""Time `import crimecast.cli` after numpy, and a whole command, in fresh processes.
 
     python3 tools/measure_import.py SRC [--repeats 12]
 
@@ -12,7 +12,11 @@ removed before each run, as the benchmark's `setup_s` does, so every
 crimecast module is compiled again. The script prints, for warm and then
 cold, the median and quartiles of the import's wall time, then the median
 self time of each module that the warm import loaded, largest first
-(`importtime`'s own overhead is in every figure).
+(`importtime`'s own overhead is in every figure). Its last line is the
+median and quartiles of the wall time of `--repeats` whole fresh processes
+of `python -m crimecast.cli decompose` on the checkout's fixture config
+(`tests/fixtures/config.json` beside SRC), from start to exit, writing to a
+temporary directory, with the bytecode cached and `-X importtime` off.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -50,6 +55,14 @@ def _run(env: dict[str, str]) -> tuple[float, dict[str, float]]:
     return float(done.stdout), selves
 
 
+def _command(env: dict[str, str], config: Path, out: str) -> float:
+    """The wall seconds of one fresh `decompose` process, start to exit."""
+    argv = [sys.executable, "-m", "crimecast.cli", "decompose", "--config", str(config), "--output-dir", out]
+    start = time.perf_counter()
+    subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+    return time.perf_counter() - start
+
+
 def _summary(label: str, times: list[float]) -> str:
     q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
     return (f"{label}: median {1e3 * median:.2f} ms [{1e3 * q1:.2f}, {1e3 * q3:.2f}] "
@@ -72,6 +85,10 @@ def main() -> int:
         for _ in range(args.repeats):
             shutil.rmtree(own_cache, ignore_errors=True)
             cold.append(_run(env)[0])
+        config = src.parent / "tests" / "fixtures" / "config.json"
+        out = os.path.join(cache, "out")
+        _command(env, config, out)  # compile crimecast's bytecode again
+        command = [_command(env, config, out) for _ in range(args.repeats)]
     print(_summary("warm import crimecast.cli after numpy", [wall for wall, _ in warm]))
     print(_summary("cold import crimecast.cli after numpy (crimecast's bytecode removed)", cold))
     selves = defaultdict(list)
@@ -80,6 +97,7 @@ def main() -> int:
             selves[name].append(seconds)
     medians = sorted(((statistics.median(s), name) for name, s in selves.items()), reverse=True)
     print("warm self time by module: " + ", ".join(f"{name} {1e3 * s:.2f} ms" for s, name in medians))
+    print(_summary("fresh process python -m crimecast.cli decompose (fixture config)", command))
     return 0
 
 
