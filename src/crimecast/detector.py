@@ -14,12 +14,12 @@ import warnings
 from collections import Counter
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import InvalidArgumentError, decode_utf8
-from .geo import Gazetteer, corpus_tokens, tokenize_texts
+from .geo import Gazetteer, TokenIndex, token_batches, token_index, tokenize_texts
 from .record import Record
 from .signals import LABEL_NEGATIVE, LABEL_POSITIVE, Corpus
 
@@ -61,14 +61,6 @@ class BaselineModel(Record):
             raise InvalidArgumentError("bias must be finite")
         if not all(np.isfinite(w) for w in self.vocabulary.values()):
             raise InvalidArgumentError("vocabulary weights must be finite")
-
-    def logit(self, tokens: Iterable[str]) -> float:
-        """The bias plus each token's weight, added left to right."""
-        z = self.bias
-        weight = self.vocabulary.get
-        for token in tokens:
-            z += weight(token, 0.0)
-        return z
 
     def to_json(self, path: str | Path) -> None:
         payload = {
@@ -224,22 +216,38 @@ def train_baseline(corpus: Corpus, seed: int = 0) -> BaselineModel:
     )
 
 
+def _logits(bias: float, weights: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`bias + w1 + w2 + ...` over the weights `weights[starts[i] :
+    starts[i] + lengths[i]]` of each text i, added left to right: step j
+    adds the j-th weight of each text longer than j, the texts sorted
+    longest first. A sum, `reduceat` or `bincount` would add in another
+    order and change the last bits."""
+    order = np.argsort(-lengths, kind="stable")
+    places, z = starts[order], np.full(len(order), bias)
+    longer = len(order) - np.searchsorted(np.sort(lengths), np.arange(lengths.max(initial=0)), "right")
+    for k in longer.tolist():  # the texts longer than j are the first k
+        z[:k] += weights[places[:k]]
+        places += 1
+    return z[np.argsort(order)]
+
+
 def classify_corpus(
-    model: BaselineModel, corpus: Corpus, gazetteer: Gazetteer | None = None
+    model: BaselineModel, corpus: Corpus, gazetteer: Gazetteer | None = None, index: TokenIndex | None = None
 ) -> tuple[Corpus, np.ndarray]:
     """The corpus with every article labeled, and the scores (aligned with
     the corpus) for threshold audits.
 
-    With a gazetteer, each article without a state also gets the state
-    resolved from the tokens it is scored on (`geo.corpus_tokens`). Each text
-    is tokenized once.
+    The texts are scored a batch at a time from their ids in `index`, the
+    token index of the model and the gazetteer, built here if not given.
+    With a gazetteer, an article without a state gets the state resolved
+    from the same token ids (`geo.token_batches`).
     """
-    logits = np.empty(len(corpus))
-    states = []
-    for i, (tokens, state) in enumerate(corpus_tokens(corpus, gazetteer)):
-        logits[i] = model.logit(tokens)
-        states.append(state)
-    scores = 1.0 / (1.0 + np.exp(-logits))
+    index = index or token_index(model.vocabulary, gazetteer)
+    logits, states = [np.zeros(0)], []
+    for ids, starts, lengths, batch_states in token_batches(corpus, index, gazetteer is not None):
+        logits.append(_logits(model.bias, index.weights[ids], starts, lengths))
+        states += batch_states
+    scores = 1.0 / (1.0 + np.exp(-np.concatenate(logits)))
     threshold = model.threshold
     labels = [LABEL_POSITIVE if score >= threshold else LABEL_NEGATIVE for score in scores.tolist()]
     return corpus._replace(predicted=labels, states=states), scores

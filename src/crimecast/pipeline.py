@@ -100,6 +100,8 @@ def _labeled(
     gazetteer, a blank text, in that order) is held until the chunks have
     been read without a fault."""
     missing, first, gaz, fault = 0, None, None, None
+    vocabulary = model.vocabulary if model is not None else {}
+    index = geo.token_index(vocabulary, None)  # the pass's token ids, built again with the gazetteer
     for chunk in chunks:
         if model is None and None in chunk.predicted:
             missing += chunk.predicted.count(None)
@@ -109,10 +111,11 @@ def _labeled(
         try:
             if resolve and gaz is None and None in chunk.states:
                 gaz = _load(geo.load_gazetteer, config.gazetteer or geo.bundled_gazetteer_path(), "gazetteer")
+                index = geo.token_index(vocabulary, gaz)
             if model is not None:
-                chunk = detector_mod.classify_corpus(model, chunk, gaz)[0]
+                chunk = detector_mod.classify_corpus(model, chunk, gaz, index)[0]
             elif gaz is not None:
-                chunk = chunk._replace(states=[state for _, state in geo.corpus_tokens(chunk, gaz)])
+                chunk = chunk._replace(states=[s for *_, states in geo.token_batches(chunk, index, True) for s in states])
         except CrimecastError as exc:  # the gazetteer's UsageError, or a blank text
             fault = exc if isinstance(exc, UsageError) else UsageError(f"{config.articles}: {exc}")
         else:

@@ -3,7 +3,6 @@ import datetime as dt
 import io
 import json
 import math
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -153,10 +152,46 @@ def read_quarterly_csv_plainly(path: Path, keys: tuple[str, ...], consecutive: b
     return names, keys_before_year, np.array(index), np.array(values).reshape(len(rows), len(names)), lines
 
 
+def logit(model, text: str) -> float:
+    """The baseline model's logit of one text: the bias plus each token's
+    weight, added left to right in Python."""
+    z = model.bias
+    for token in geo._tokenize(text):
+        z += model.vocabulary.get(token, 0.0)
+    return z
+
+
 def score(model, text: str) -> float:
     """The baseline model's score of one text, scalar: the reference that
     `classify_corpus`'s batch scores are compared with."""
-    return float(1.0 / (1.0 + np.exp(-model.logit(geo._tokenize(text)))))
+    return float(1.0 / (1.0 + np.exp(-logit(model, text))))
+
+
+def resolve_plainly(text: str, gazetteer) -> geo.Resolution:
+    """The reference resolver, written out plainly: every n-gram of the
+    text's tokens up to the longest name is looked up; a match inside a
+    longer overlapping match is dropped (the longer, then the higher
+    priority, then the earlier wins); the survivors rank by priority, then
+    token count, then name length, then position."""
+    if not text or not text.strip():
+        raise InvalidArgumentError("text must be nonempty")
+    tokens = geo._tokenize(text)
+    longest = max(len(name) for name in gazetteer.entries)
+    matches = []
+    for start in range(len(tokens)):
+        for length in range(1, min(longest, len(tokens) - start) + 1):
+            entry = gazetteer.entries.get(tuple(tokens[start : start + length]))
+            if entry is not None:
+                matches.append((start, start + length, entry))
+    kept = []
+    for match in sorted(matches, key=lambda m: (m[0] - m[1], -m[2].priority, m[0])):
+        if all(match[1] <= other[0] or other[1] <= match[0] for other in kept):
+            kept.append(match)
+    if not kept:
+        return geo.Resolution(UNKNOWN_STATE, "", 0.0)
+    kept.sort(key=lambda m: (-m[2].priority, m[0] - m[1], -len(m[2].name), m[0]))
+    entry = kept[0][2]
+    return geo.Resolution(entry.state, entry.name, float(entry.priority))
 
 
 def series(values) -> np.ndarray:
@@ -197,20 +232,15 @@ def rng():
 
 @pytest.fixture
 def tokenized(monkeypatch) -> Counter:
-    """How often each text is fed to `geo.tokenize_texts`, wherever a
-    crimecast module binds it; `geo._tokenize` goes through it too."""
+    """How often each text is fed to `geo._folded`, the one entry of the
+    tokenizer: the corpus pass and `tokenize_texts` both fold their texts
+    through it."""
     seen = Counter()
-    tokenize_texts = geo.tokenize_texts
+    folded = geo._folded
 
-    def counted(texts):
-        def feed():
-            for text in texts:
-                seen[text] += 1
-                yield text
+    def counted(batch):
+        seen.update(batch)
+        return folded(batch)
 
-        return tokenize_texts(feed())
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("crimecast.") and getattr(module, "tokenize_texts", None) is tokenize_texts:
-            monkeypatch.setattr(module, "tokenize_texts", counted)
+    monkeypatch.setattr(geo, "_folded", counted)
     return seen

@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,20 +7,22 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from crimecast import geo
 from crimecast.detector import (
     BaselineModel,
     _best_threshold,
     _count_matrix,
+    _logits,
     _split,
     classify_corpus,
     evaluate,
     train_baseline,
 )
 from crimecast.exceptions import InvalidArgumentError
-from crimecast.geo import load_gazetteer, resolve_state
+from crimecast.geo import Gazetteer, GazetteerEntry, load_gazetteer, resolve_state
 from crimecast.signals import ArticleRecord, load_articles
 
-from conftest import FIXTURES, GAZETTEER, corpus_of, score
+from conftest import FIXTURES, GAZETTEER, corpus_of, logit, resolve_plainly, score
 
 FILL = ["the", "a", "report", "city", "local", "community", "police", "street",
         "meeting", "group", "member", "public", "area", "years", "officials"]
@@ -309,6 +312,87 @@ class TestFusedPass:
         assert len(classify_corpus(MODEL, records)[0]) == 2
         blank_in_ca = corpus_of([rec(1, " ")._replace(state="CA")])
         assert classify_corpus(MODEL, blank_in_ca, BUNDLED)[0].states == ["CA"]
+
+
+# Names that overlap, share first tokens, tie on priority and token count,
+# and run up to 6 tokens; "kappa" is written with U+212A in some texts.
+SYNTHETIC = Gazetteer(
+    entries={
+        tuple(name.split()): GazetteerEntry(name, state, priority)
+        for name, state, priority in [
+            ("alpha", "AL", 3), ("alpha beta", "AK", 2), ("alpha beta gamma", "AZ", 2), ("beta gamma", "AR", 2),
+            ("gamma", "CA", 1), ("beta gamma delta epsilon zeta eta", "CO", 1), ("delta", "CT", 2),
+            ("delta epsilon", "DE", 2), ("epsilon zeta", "FL", 2), ("zeta eta theta", "GA", 3),
+            ("eta theta", "HI", 3), ("kappa", "ID", 2), ("i ota", "IL", 2), ("alpha alpha", "IN", 1),
+        ]
+    }
+)
+# Weights whose sum depends on the order of the additions; the last five
+# keys can never be a token of a text.
+ORACLE_MODEL = BaselineModel(
+    vocabulary={"alpha": 0.1, "beta": 0.2, "gamma": 1 / 3, "delta": -0.7, "eta": 1e-16, "kappa": 3.0, "i": -2.5,
+                "filler": 0.3, "Alpha": 9.0, "\u00e9t\u00e9": 9.0, "": 9.0, "alpha beta": 9.0, "\0": 9.0},
+    bias=0.1, threshold=0.5, metadata={},
+)
+ORACLE_WORDS = st.sampled_from(
+    ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "kappa", "\u212aappa", "\u0130ota",
+     "filler", "Alpha", "\u00e9t\u00e9", ",", "\0", "\n", "", "  "]
+)
+ORACLE_TEXTS = st.lists(ORACLE_WORDS, max_size=14).map(" ".join)
+
+
+class TestBatchOracle:
+    """The batch path against one text at a time in plain Python: the
+    states of `conftest.resolve_plainly`, the logits added left to right,
+    in batches of at most 3 texts or 40 characters."""
+
+    @seed(20261020)
+    @settings(max_examples=250, deadline=None)
+    @given(st.lists(st.tuples(ORACLE_TEXTS, ORACLE_TEXTS, st.sampled_from([None, None, "CA"])), max_size=9))
+    def test_matches_the_plain_resolver_and_sum(self, rows):
+        corpus = corpus_of([ArticleRecord(f"g{i}", dt.date(2010, 1, 1), t, b, state=s) for i, (t, b, s) in enumerate(rows)])
+        texts = list(corpus.texts())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geo, "_BATCH", 3)
+            patch.setattr(geo, "_BATCH_CHARS", 40)
+            blank = next((i for i, text in enumerate(texts) if corpus.states[i] is None and not text.strip()), None)
+            if blank is not None:
+                with pytest.raises(InvalidArgumentError, match=f"^article 'g{blank}': text must be nonempty$"):
+                    classify_corpus(ORACLE_MODEL, corpus, SYNTHETIC)
+                return
+            labeled, scores = classify_corpus(ORACLE_MODEL, corpus, SYNTHETIC)
+            index = geo.token_index(ORACLE_MODEL.vocabulary, None)
+            logits = [_logits(ORACLE_MODEL.bias, index.weights[ids], starts, lengths).tolist()
+                      for ids, starts, lengths, _ in geo.token_batches(corpus, index, False)]
+        expected = [logit(ORACLE_MODEL, text) for text in texts]
+        assert sum(logits, []) == expected
+        assert scores.tolist() == [float(1.0 / (1.0 + np.exp(-z))) for z in expected]
+        for text, state, out in zip(texts, corpus.states, labeled.states):
+            assert out == (state or resolve_plainly(text, SYNTHETIC).state)
+            if text.strip():
+                assert resolve_state(text, SYNTHETIC) == resolve_plainly(text, SYNTHETIC)
+
+
+class TestBatchMemory:
+    def test_a_chunk_of_long_texts_is_labeled_a_batch_at_a_time(self):
+        """Labeling one chunk of 4,096 texts of 2,000 tokens stays under
+        24 MB at its peak. The whole chunk's 8.2M token ids alone would take
+        65 MB, and as many pointers in the list of its tokens another 65 MB.
+        The tokens are single letters, which Python does not allocate anew,
+        so that tracing stays fast."""
+        n = geo._CHUNK
+        body = " ".join("abcdefghij"[i % 10] for i in range(1999)) + " Texas"
+        corpus = corpus_of([rec(i, body) for i in range(n)])
+        model = BaselineModel({"a": 0.25, "b": -0.5, "texas": 1.0}, -0.5, 0.5, {})
+        tracemalloc.start()
+        try:
+            labeled, scores = classify_corpus(model, corpus, BUNDLED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labeled.states == ["TX"] * n
+        assert scores.tolist() == [score(model, corpus.bodies[0])] * n
+        assert peak < 24 * 2**20, peak
 
 
 class TestModelFile:

@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 from crimecast import geo
 from crimecast.exceptions import InvalidArgumentError
 from crimecast.geo import (
-    UNKNOWN_STATE,
-    Resolution,
     _tokenize,
     load_gazetteer,
     resolve_state,
-    resolve_tokens,
+    token_batches,
+    token_index,
     tokenize_texts,
 )
 from crimecast.signals import load_articles
 from crimecast.stattests import cohens_kappa
 
-from conftest import FIXTURES, GAZETTEER
+from conftest import FIXTURES, GAZETTEER, resolve_plainly
 
 
 def write_gazetteer(tmp_path, rows):
@@ -79,7 +78,9 @@ class TestLoad:
         gaz = load_gazetteer(
             write_gazetteer(tmp_path, [("Kansas City", "MO", 2), ("Kansas", "KS", 3), ("New York City", "NY", 2)])
         )
-        assert gaz.lengths == {"kansas": (1, 2), "new": (3,)}
+        index = token_index({}, gaz)
+        assert {token for token, i in index.ids.items() if index.roots[i]} == {"kansas", "new"}
+        assert sorted(index.names[index.names >= 0]) == [0, 1, 2]
 
 
 class TestResolve:
@@ -172,32 +173,6 @@ class TestBundledGazetteer:
         assert cohens_kappa(gold, predicted) >= 0.75
 
 
-def scan_all_positions(text, gazetteer):
-    """The reference resolver: probes every token position at every length
-    up to the longest name, then ranks as resolve_state does."""
-    if not text or not text.strip():
-        raise InvalidArgumentError("text must be nonempty")
-    tokens = _tokenize(text)
-    longest = max(len(name) for name in gazetteer.entries)
-    candidates = []
-    for start in range(len(tokens)):
-        for length in range(1, min(longest, len(tokens) - start) + 1):
-            entry = gazetteer.entries.get(tuple(tokens[start : start + length]))
-            if entry is not None:
-                candidates.append((start, start + length, entry))
-    if not candidates:
-        return Resolution(UNKNOWN_STATE, "", 0.0)
-    candidates.sort(key=lambda c: (-(c[1] - c[0]), -c[2].priority, c[0]))
-    kept = []
-    for cand in candidates:
-        if any(cand[0] < other[1] and other[0] < cand[1] for other in kept):
-            continue
-        kept.append(cand)
-    kept.sort(key=lambda c: (-c[2].priority, -(c[1] - c[0]), -len(c[2].name), c[0]))
-    entry = kept[0][2]
-    return Resolution(entry.state, entry.name, float(entry.priority))
-
-
 BUNDLED = load_gazetteer(GAZETTEER)
 NAMES = sorted(entry.name for entry in BUNDLED.entries.values())
 # First tokens of multi-token names ("kansas" of "Kansas City"), which end a
@@ -209,13 +184,13 @@ WORDS = st.sampled_from(NAMES + PREFIXES + FILLER + PUNCTUATION)
 
 
 class TestFirstTokenIndex:
-    """resolve_state probes only the positions and lengths the first-token
-    index names; the reference probes them all."""
+    """resolve_state walks the trie only from the places whose token starts
+    a name; the reference probes every n-gram."""
 
     @pytest.mark.parametrize("name", ["articles.jsonl", "articles_annotated_500.jsonl"])
     def test_matches_reference_on_fixture_articles(self, name):
         for record in load_articles(FIXTURES / name):
-            assert resolve_state(record.text(), BUNDLED) == scan_all_positions(record.text(), BUNDLED)
+            assert resolve_state(record.text(), BUNDLED) == resolve_plainly(record.text(), BUNDLED)
 
     @seed(20261018)
     @settings(max_examples=400, deadline=None)
@@ -224,7 +199,7 @@ class TestFirstTokenIndex:
     @example(["a", "rally", "in"], "kansas")
     def test_matches_reference_on_generated_texts(self, words, last):
         for text in (" ".join(words), " ".join([*words, last])):
-            assert resolve_state(text, BUNDLED) == scan_all_positions(text, BUNDLED)
+            assert resolve_state(text, BUNDLED) == resolve_plainly(text, BUNDLED)
 
 
 def regex_tokens(text):
@@ -254,14 +229,22 @@ class TestTokenizer:
         expected = [regex_tokens(text) for text in texts]
         assert list(tokenize_texts(texts)) == expected
         assert [_tokenize(text) for text in texts] == expected
+        if texts:  # the token ids of one batch, each text's read back
+            index = token_index(dict.fromkeys(sum(expected, []), 0.0), None)
+            tokens = [*index.ids]
+            ids, starts, lengths = geo._token_ids(texts, index)
+            assert [[tokens[i] for i in ids[s : s + n]] for s, n in zip(starts, lengths)] == expected
 
-    def test_chunk_boundaries(self):
-        n = 2 * geo._CHUNK + 3
+    def test_batch_boundaries(self):
+        n = 2 * geo._BATCH + 3
         texts = [f"Text {i}: Kansas City\x00{i % 7}" if i % 5 else "" for i in range(n)]
         tokens = list(tokenize_texts(iter(texts)))
         assert tokens == [regex_tokens(text) for text in texts]
 
-    def test_resolve_tokens_is_resolve_state(self):
-        for record in load_articles(FIXTURES / "articles.jsonl"):
-            text = record.text()
-            assert resolve_tokens(_tokenize(text), BUNDLED) == resolve_state(text, BUNDLED).state
+    def test_resolve_tokens_is_resolve_state(self, monkeypatch):
+        """The batch resolver of the corpus pass, in batches of 7 texts,
+        gives each fixture article the state of `resolve_state`."""
+        monkeypatch.setattr(geo, "_BATCH", 7)
+        corpus = load_articles(FIXTURES / "articles.jsonl")
+        states = [s for *_, batch in token_batches(corpus, token_index({}, BUNDLED), True) for s in batch]
+        assert states == [resolve_state(text, BUNDLED).state for text in corpus.texts()]

@@ -1,34 +1,44 @@
 #!/usr/bin/env python3
 """Wall time, CPU time and peak RSS of the corpus commands on a world of
-about 10⁶ articles, one fresh process per command.
+about 10⁶ articles, one fresh process per command, and the seconds of each
+stage of one labeling pass over the world, in process.
 
-    python3 tools/measure_corpus.py SRC WORK [--seed 1]
+    python3 tools/measure_corpus.py SRC WORK [--seed 1] [--news-rate 380]
 
 SRC is the `src/` directory of the checkout under test; crimecast is
 imported from there. The world is the benchmark's corpus-50state world
 (`bench/run.py`, `prepare_corpus`) with ten times its news rate
 (`worldgen.gazetteer_world(..., news_rate=380)`): 50 states, 52 quarters,
 about 992k articles without a state or a label, and the baseline detector.
-It is built in WORK/world unless it is there already, so that two checkouts
-can be measured on the same files; after building it, the script starts
-again in a fresh process. A one-article `detect` trains the
-detector model first, as the benchmark's set-up does.
+`--news-rate` scales it (38 is the benchmark's world). It is built in
+WORK/world unless it is there already, so that two checkouts can be
+measured on the same files; after building it, the script starts again in
+a fresh process. A one-article `detect` trains the detector model first, as
+the benchmark's set-up does.
 
 Then `detect`, `signals` and `evaluate-detector` (on the labels `detect`
 wrote) each run as `python -c ... crimecast.cli.main(argv)` with one BLAS
 thread. The script prints one line per command: its name, exit code, wall
-seconds, CPU seconds (user plus system) and peak RSS in MB, then the SHA-256
-of every file the commands wrote under WORK/out. CPU time and RSS come from
-the `wait4` rusage of the command's process, which covers the workers it
-forked and reaped: the CPU seconds are their sum, the RSS the largest peak
-of any one of them (at least the size of this script's process, from which
-each command starts).
+seconds, CPU seconds (user plus system) and peak RSS in MB. CPU time and RSS
+come from the `wait4` rusage of the command's process, which covers the
+workers it forked and reaped: the CPU seconds are their sum, the RSS the
+largest peak of any one of them (at least the size of this script's
+process, from which each command starts).
+
+After the commands, the script labels the world's articles once in its own
+process, serially, as `signals` does with the trained model and the
+config's gazetteer, and prints the seconds of each stage: `read_articles`,
+the token ids of each batch, the scoring and the state resolution. A
+checkout without the batch token path (`geo.token_batches`) prints that it
+has none. Last come the SHA-256 of every file the commands wrote under
+WORK/out.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -52,11 +62,40 @@ def _spawn(argv: list[str], env: dict[str, str]) -> tuple[int, float, float, flo
     return proc.returncode, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
+def _stages(world: Path, gazetteer_path: str) -> str:
+    """The seconds of each stage of one serial labeling pass over the
+    world's articles, with its model and gazetteer, as one line."""
+    from crimecast import detector, geo, signals
+
+    if not hasattr(geo, "token_batches"):
+        return "stages: this checkout has no batch token path"
+    model = detector.BaselineModel.from_json(world / "model.json")
+    index = geo.token_index(model.vocabulary, geo.load_gazetteer(gazetteer_path))
+    seconds = dict.fromkeys(("read", "token_ids", "scoring", "resolution"), 0.0)
+    clock = time.perf_counter()
+    for chunk in signals.read_articles(world / "articles.jsonl"):
+        seconds["read"] += time.perf_counter() - clock
+        for batch in geo._batches(chunk.texts()):
+            start = time.perf_counter()
+            ids, starts, lengths = geo._token_ids(batch, index)
+            scored = time.perf_counter()
+            detector._logits(model.bias, index.weights[ids], starts, lengths)
+            resolved = time.perf_counter()
+            geo._resolve(index, ids, starts)
+            done = time.perf_counter()
+            seconds["token_ids"] += scored - start
+            seconds["scoring"] += resolved - scored
+            seconds["resolution"] += done - resolved
+        clock = time.perf_counter()
+    return "stages " + " ".join(f"{name}_s {value:.3f}" for name, value in seconds.items())
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="the src/ directory to import crimecast from")
     parser.add_argument("work", type=Path, help="directory for the world and the outputs")
     parser.add_argument("--seed", type=int, default=1, help="world seed")
+    parser.add_argument("--news-rate", type=float, default=NEWS_RATE, help="news rate of the world it builds")
     args = parser.parse_args()
     work = args.work.resolve()
     world = work / "world"
@@ -67,7 +106,7 @@ def main() -> int:
 
     config = world / "config.json"
     if not config.exists():
-        spec = worldgen.gazetteer_world(run.GAZETTEER, 50, seed=args.seed, news_rate=NEWS_RATE,
+        spec = worldgen.gazetteer_world(run.GAZETTEER, 50, seed=args.seed, news_rate=args.news_rate,
                                         unknown_rate=10.0, predicted_labels=False, n_train=2000)
         n_articles = worldgen.write_world(spec, world, work / "truth.csv")
         run._write_config(config, run._world_config(
@@ -99,7 +138,11 @@ def main() -> int:
     for name, extra in commands.items():
         argv = [name, "--config", str(config), "--output-dir", str(out / name), *extra]
         code, wall, cpu, rss = _spawn(argv, env)
-        print(f"{name} exit {code} wall_s {wall:.2f} cpu_s {cpu:.2f} peak_rss_mb {rss:.1f}")
+        print(f"{name} exit {code} wall_s {wall:.2f} cpu_s {cpu:.2f} peak_rss_mb {rss:.1f}", flush=True)
+    # After the commands: importing crimecast here would raise the RSS that
+    # each command starts from.
+    sys.path.insert(0, str(args.src.resolve()))
+    print(_stages(world, json.loads(config.read_text())["gazetteer"]))
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         with path.open("rb") as fh:
             print(f"{path.relative_to(out)} {hashlib.file_digest(fh, 'sha256').hexdigest()}")
