@@ -50,7 +50,6 @@ PRIORITY_INSTITUTE = 1
 # batch. Lowercasing first keeps the two non-ASCII letters that lowercase to
 # ASCII: U+212A (Kelvin sign) becomes "k", U+0130 "i" plus a combining dot.
 _TOKEN_BYTES = bytes(b if b == 0 or 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
-_CHUNK = 4096  # articles per `signals.read_articles` chunk
 # A token batch holds at most _BATCH texts and ends at the text reaching
 # _BATCH_CHARS characters, so that long texts hold few tokens at once.
 _BATCH = 1024

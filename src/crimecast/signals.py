@@ -1,6 +1,6 @@
 """Read and write article corpora as columns, and aggregate dated,
 classified articles into quarterly predictor series, nationally and per
-state. A corpus is read a chunk of at most `geo._CHUNK` articles at a
+state. A corpus is read a chunk of at most `_CHUNK` articles at a
 time and aggregated from the `Tally` of its chunks, so that no caller need
 hold its text."""
 
@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import geo
 from .exceptions import InvalidArgumentError, not_utf8
 from .geo import UNKNOWN_STATE, US_STATE_CODES
 from .record import Record
@@ -97,13 +97,47 @@ _STATE_CODE = {state: code for code, state in enumerate(STATES)}
 LABEL_CODES = (None, *LABELS)
 
 
+_CHUNK = 4096  # articles per `read_articles` chunk
+# An article file of at least this many bytes is parsed with orjson: below
+# it, a cold `import orjson` (3-9 ms, with the `uuid` and `zoneinfo` it
+# loads) costs more than orjson saves, about 0.7 us a line.
+_ORJSON_BYTES = 2 << 20
+# orjson 3.8 converts its parse to Python objects recursively, without a
+# depth limit, and overflows the C stack on a line nested about 150,000 deep
+# (8 MiB stack). A line of at most this many bytes nests at most 4,096 deep;
+# a longer one goes to the scanner, which refuses what it cannot nest.
+_ORJSON_LINE_BYTES = 1 << 13
+_RECORD_KEYS = frozenset(ArticleRecord._fields)  # the keys of an article line
+
+
+def _nests(raw: dict) -> bool:
+    """Whether a key of `raw` beyond the record's holds an object or array."""
+    return any(type(raw[key]) in (dict, list) for key in raw.keys() - _RECORD_KEYS)
+
+
 def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> Iterator[Corpus]:
     """A JSON-lines UTF-8 corpus in file order, in chunks of at most
-    `geo._CHUNK` articles. A duplicate id (of any chunk), an `id`, `title`
-    or `body` that is not a string, a `state` not null, a state code or
-    UNKNOWN, or another bad line raises naming `path:line`. With `start` and
-    `end`, only the lines that begin in that byte range are read; `start`
-    must be a line start, and lines count from it."""
+    `_CHUNK` articles. A duplicate id (of any chunk), an `id`, `title` or
+    `body` that is not a string, a `date` not `YYYY-MM-DD`, a `state` not
+    null, a state code or UNKNOWN, or another bad line raises naming
+    `path:line`. With `start` and `end`, only the lines that begin in that
+    byte range are read; `start` must be a line start, and lines count from
+    it.
+
+    Each line is decoded, stripped and parsed by the C scanner that
+    `json.JSONDecoder.decode` calls, which must end at the line's end. In a
+    file of at least `_ORJSON_BYTES` (the whole file's size decides, so that
+    every range takes the same path), `orjson.loads` parses each raw line of
+    at most `_ORJSON_LINE_BYTES` first, and the line keeps that value when
+    it is an object whose keys beyond the record's hold no object or array,
+    and it passes the checks. Every other line, and so every message, takes
+    the scanner path. The two
+    paths keep the same lines with the same values: orjson refuses NaN,
+    infinities, lone surrogates, bytes that are not UTF-8 and whitespace
+    that is not JSON's; the integers beyond 64 bits that it reads as floats
+    pass no check; and a field that nests fails a check, while the rule on
+    the other keys sends any other nesting, which the scanner may refuse, to
+    the scanner."""
     path = Path(path)
     columns: tuple[list, ...] = tuple([] for _ in Corpus._fields)
     ids, dates, titles, bodies, gold, predicted, states = columns
@@ -113,60 +147,90 @@ def read_articles(path: str | Path, start: int = 0, end: int | None = None) -> I
     # whitespace `decode` skips around it is empty, so a scan that ends at
     # the line's end is `decode`'s parse.
     scan = json.scanner.make_scanner(json.JSONDecoder())
+    flat = _RECORD_KEYS.issuperset
     with path.open("rb") as fh:
+        loads = None
+        if os.fstat(fh.fileno()).st_size >= _ORJSON_BYTES:
+            import orjson
+
+            loads = orjson.loads
         fh.seek(start)
         offset = start
         for lineno, data in enumerate(fh, start=1):
             if end is not None and offset >= end:
                 break
             offset += len(data)
-            try:
-                line = data.decode().strip()
-            except UnicodeDecodeError as exc:
-                raise not_utf8(data, exc, path, lineno) from None
-            if not line:
-                continue
-            try:
-                raw, stop = scan(line, 0)
-            except (StopIteration, ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
-                raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON") from exc
-            if stop != len(line):
-                raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON")
-            try:
-                rid, day = raw["id"], raw["date"]
-                date = days.get(day) if type(day) is str else None
-                if date is None:  # a date string new to this read, or not a string
-                    date = days[day] = dt.date.fromisoformat(day)
-                title, body = raw.get("title", ""), raw.get("body", "")
-                if type(rid) is not str or type(title) is not str or type(body) is not str:
-                    named = {"id": rid, "title": title, "body": body}
-                    name = next(name for name, value in named.items() if type(value) is not str)
-                    raise ValueError(f"{name} must be a string, got {named[name]!r}")
-                gold_label, predicted_label = raw.get("gold_label"), raw.get("predicted_label")
-                # A tuple compares by equality, so any other label, unhashable
-                # ones too, gets `_check`'s message; the dict rejects an
-                # unhashable state with its TypeError.
-                if not rid or gold_label not in LABEL_CODES or predicted_label not in LABEL_CODES:
-                    _check(rid, date, gold_label, predicted_label)
-                state = raw.get("state")
-                if state not in _STATE_CODE:
-                    raise ValueError(f"state must be a state code or {UNKNOWN_STATE!r}, got {state!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InvalidArgumentError(f"{path}:{lineno}: bad record ({exc})") from exc
-            if rid in seen:
-                raise InvalidArgumentError(f"{path}:{lineno}: duplicate article id {rid!r}")
-            seen.add(rid)
-            ids.append(rid)
-            dates.append(date)
-            titles.append(title)
-            bodies.append(body)
-            gold.append(gold_label)
-            predicted.append(predicted_label)
-            states.append(state)
-            if len(ids) == geo._CHUNK:
-                yield Corpus(*columns)
-                columns = tuple([] for _ in Corpus._fields)
-                ids, dates, titles, bodies, gold, predicted, states = columns
+            # A line is parsed by orjson, and again by the scanner when
+            # orjson refuses it or its value fails a check; the scanner's
+            # parse is final.
+            fast = loads is not None and len(data) <= _ORJSON_LINE_BYTES
+            while True:
+                if fast:
+                    try:
+                        raw = loads(data)
+                    except ValueError:  # an orjson.JSONDecodeError
+                        raw = None
+                    if type(raw) is not dict or not flat(raw) and _nests(raw):
+                        fast = False
+                        continue
+                else:
+                    try:
+                        line = data.decode().strip()
+                    except UnicodeDecodeError as exc:
+                        raise not_utf8(data, exc, path, lineno) from None
+                    if not line:
+                        break
+                    try:
+                        raw, stop = scan(line, 0)
+                    except (StopIteration, ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+                        raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON") from exc
+                    if stop != len(line):
+                        raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON")
+                try:
+                    rid, day = raw["id"], raw["date"]
+                    date = days.get(day) if type(day) is str else None
+                    if date is None:  # a date string new to this read, or not a string
+                        # From Python 3.11 `fromisoformat` also reads 20190105
+                        # and week dates; they get its message for a bad string.
+                        if type(day) is str and not (len(day) == 10 and day[4] == day[7] == "-"):
+                            raise ValueError(f"Invalid isoformat string: {day!r}")
+                        date = days[day] = dt.date.fromisoformat(day)
+                    title, body = raw.get("title", ""), raw.get("body", "")
+                    if type(rid) is not str or type(title) is not str or type(body) is not str:
+                        named = {"id": rid, "title": title, "body": body}
+                        name = next(name for name, value in named.items() if type(value) is not str)
+                        raise ValueError(f"{name} must be a string, got {named[name]!r}")
+                    gold_label, predicted_label = raw.get("gold_label"), raw.get("predicted_label")
+                    # A tuple compares by equality, so any other label,
+                    # unhashable ones too, gets `_check`'s message; the dict
+                    # rejects an unhashable state with its TypeError.
+                    if not rid or gold_label not in LABEL_CODES or predicted_label not in LABEL_CODES:
+                        _check(rid, date, gold_label, predicted_label)
+                    state = raw.get("state")
+                    if state not in _STATE_CODE:
+                        raise ValueError(f"state must be a state code or {UNKNOWN_STATE!r}, got {state!r}")
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:  # a message's repr can recurse
+                    if fast:
+                        fast = False
+                        continue
+                    if isinstance(exc, RecursionError):
+                        raise
+                    raise InvalidArgumentError(f"{path}:{lineno}: bad record ({exc})") from exc
+                if rid in seen:
+                    raise InvalidArgumentError(f"{path}:{lineno}: duplicate article id {rid!r}")
+                seen.add(rid)
+                ids.append(rid)
+                dates.append(date)
+                titles.append(title)
+                bodies.append(body)
+                gold.append(gold_label)
+                predicted.append(predicted_label)
+                states.append(state)
+                if len(ids) == _CHUNK:
+                    yield Corpus(*columns)
+                    columns = tuple([] for _ in Corpus._fields)
+                    ids, dates, titles, bodies, gold, predicted, states = columns
+                break
     if ids:
         yield Corpus(*columns)
 

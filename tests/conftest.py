@@ -3,13 +3,14 @@ import datetime as dt
 import io
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crimecast import geo
+from crimecast import geo, signals
 from crimecast.exceptions import InvalidArgumentError, decode_utf8
 from crimecast.geo import UNKNOWN_STATE, US_STATE_CODES
 from crimecast.series import Quarter
@@ -36,8 +37,8 @@ def read_articles_plainly(path: Path, start: int = 0, end: int | None = None) ->
     """The articles `signals.read_articles(path, start, end)` reads, joined,
     written out plainly: each line that begins in the byte range decoded,
     stripped and parsed by `json.loads`, then its fields checked one rule at
-    a time. The first bad line raises the reader's message, naming
-    `path:line` (lines count from `start`)."""
+    a time; a date string must be `YYYY-MM-DD`. The first bad line raises
+    the reader's message, naming `path:line` (lines count from `start`)."""
     data = Path(path).read_bytes()
     end = len(data) if end is None else end
     pieces = data[start:].split(b"\n")
@@ -58,8 +59,10 @@ def read_articles_plainly(path: Path, start: int = 0, end: int | None = None) ->
         except (ValueError, RecursionError):
             raise InvalidArgumentError(f"{path}:{lineno}: invalid JSON") from None
         try:
-            rid = raw["id"]
-            date = dt.date.fromisoformat(raw["date"])
+            rid, day = raw["id"], raw["date"]
+            if isinstance(day, str) and not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", day):
+                raise ValueError(f"Invalid isoformat string: {day!r}")
+            date = dt.date.fromisoformat(day)
             title, body = raw.get("title", ""), raw.get("body", "")
             for name, value in (("id", rid), ("title", title), ("body", body)):
                 if not isinstance(value, str):
@@ -223,6 +226,19 @@ def css_residuals_plainly(w, c: float, ar, ma) -> list[float]:
             value -= float(ma[j - 1]) * e[-j]
         e.append(value)
     return e[q:]
+
+
+# The settings of `signals._ORJSON_BYTES` that send every article file to
+# one parse path: orjson first, or the json scanner alone.
+PARSE_PATHS = {"orjson": 0, "scanner": 1 << 62}
+
+
+@pytest.fixture(params=sorted(PARSE_PATHS))
+def parse_path(request, monkeypatch) -> str:
+    """The test runs once with each article file parsed by orjson first and
+    once by the json scanner alone."""
+    monkeypatch.setattr(signals, "_ORJSON_BYTES", PARSE_PATHS[request.param])
+    return request.param
 
 
 @pytest.fixture

@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crimecast
-from crimecast import arima, geo, pipeline, regression
+from crimecast import arima, geo, pipeline, regression, signals
 from crimecast.cli import EXIT_INPUT_ERROR, EXIT_MODEL_ERROR, EXIT_OK, PipelineConfig, UsageError, load_config, main
 from crimecast.signals import load_articles
 
-from conftest import FIXTURES, GAZETTEER, GOLDEN
+from conftest import FIXTURES, GAZETTEER, GOLDEN, PARSE_PATHS
 
 CONFIG = FIXTURES / "config.json"
 
@@ -445,6 +445,7 @@ class TestMalformedInput:
         assert code == EXIT_INPUT_ERROR
         assert f"error: {panel.resolve()}:7: not a finite number: 'abc'" in err
 
+    @pytest.mark.usefixtures("parse_path")
     @pytest.mark.parametrize("state", ["ZZ", 5, "ca"])
     def test_article_with_bad_state_exits_2_naming_path_line(self, tmp_path, capsys, state):
         lines = (FIXTURES / "articles.jsonl").read_text().splitlines()
@@ -490,10 +491,13 @@ class TestMalformedInput:
         "state-list": ([ARTICLE[:-1] % "x" + ', "state": ["CA"]}'], 3, "bad record (unhashable type: 'list')"),
         "bare-int": (["1"], 3, "bad record ('int' object is not subscriptable)"),
         "date-list": (['{"id": "x", "date": ["2010-01-01"]}'], 3, "bad record (fromisoformat: argument must be str)"),
+        "date-basic": (['{"id": "x", "date": "20100101"}'], 3, "bad record (Invalid isoformat string: '20100101')"),
+        "date-week": (['{"id": "x", "date": "2010-W01-5"}'], 3, "bad record (Invalid isoformat string: '2010-W01-5')"),
         "deep-nesting": (["[" * 100_000], 3, "invalid JSON"),
         "long-int": (['{"id": "x", "date": "2010-01-01", "n": ' + "1" * 5000 + "}"], 3, "invalid JSON"),
     }
 
+    @pytest.mark.usefixtures("parse_path")
     @pytest.mark.parametrize("case", sorted(LOADER_FAULTS))
     def test_article_loader_message_is_exact(self, tmp_path, capsys, case):
         lines, lineno, message = self.LOADER_FAULTS[case]
@@ -503,6 +507,7 @@ class TestMalformedInput:
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {articles.resolve()}:{lineno}: {message}\n"
 
+    @pytest.mark.usefixtures("parse_path")
     def test_article_loader_non_utf8_message_is_exact(self, tmp_path, capsys):
         articles = tmp_path / "articles.jsonl"
         articles.write_bytes(b"\n".join([(self.ARTICLE % "a1").encode(), b"", b'{"id": "\xff"}']) + b"\n")
@@ -510,6 +515,7 @@ class TestMalformedInput:
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {articles.resolve()}:3: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.usefixtures("parse_path")
     def test_article_between_unicode_spaces_reads(self, tmp_path, capsys):
         """A line is stripped of Unicode whitespace, so "\\x1c" before an article
         and "\\u2028" after it are read as spaces; `str.splitlines` would
@@ -733,6 +739,7 @@ def mutated_articles(line: int, mutation: str, field: str, value, cut: int) -> b
     return b"".join(lines)
 
 
+@pytest.mark.parametrize("parse", sorted(PARSE_PATHS))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.integers(0, 39),
@@ -741,25 +748,27 @@ def mutated_articles(line: int, mutation: str, field: str, value, cut: int) -> b
     st.sampled_from(OTHER_TYPES),
     st.integers(0, 10**4),
 )
-def test_a_mutated_article_file_exits_0_or_2_naming_it(tmp_path_factory, line, mutation, field, value, cut):
+def test_a_mutated_article_file_exits_0_or_2_naming_it(tmp_path_factory, parse, line, mutation, field, value, cut):
     """The corpus commands keep the exit-code contract on an article file
-    with one line mutated: each exits 0, or 2 with one `error:` line that
-    names the file or is a message of the label stage."""
+    with one line mutated, on either parse path: each exits 0, or 2 with one
+    `error:` line that names the file or is a message of the label stage."""
     work = tmp_path_factory.mktemp("mutated")
     articles = work / "articles.jsonl"
     articles.write_bytes(mutated_articles(line, mutation, field, value, cut))
-    for command in ("detect", "signals", "evaluate-detector"):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = run(command, "--output-dir", str(work / command), "--articles", str(articles))
-        errors = [text for text in stderr.getvalue().splitlines() if text.startswith("error:")]
-        assert code in (EXIT_OK, EXIT_INPUT_ERROR), (command, code, stderr.getvalue())
-        if code == EXIT_INPUT_ERROR:
-            assert stderr.getvalue().splitlines() == errors and len(errors) == 1, (command, stderr.getvalue())
-            message = errors[0].removeprefix("error: ")
-            assert str(articles) in message or any(re.fullmatch(e, message) for e in LABEL_ERRORS), (command, message)
-        else:
-            assert errors == [], (command, stderr.getvalue())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signals, "_ORJSON_BYTES", PARSE_PATHS[parse])
+        for command in ("detect", "signals", "evaluate-detector"):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(command, "--output-dir", str(work / command), "--articles", str(articles))
+            errors = [text for text in stderr.getvalue().splitlines() if text.startswith("error:")]
+            assert code in (EXIT_OK, EXIT_INPUT_ERROR), (command, code, stderr.getvalue())
+            if code == EXIT_INPUT_ERROR:
+                assert stderr.getvalue().splitlines() == errors and len(errors) == 1, (command, stderr.getvalue())
+                message = errors[0].removeprefix("error: ")
+                assert str(articles) in message or any(re.fullmatch(e, message) for e in LABEL_ERRORS), (command, message)
+            else:
+                assert errors == [], (command, stderr.getvalue())
 
 
 # One mutation of one line (the header included) of a fixture CSV: blank,
@@ -875,7 +884,7 @@ class TestDetect:
 def chunks_of_3(monkeypatch):
     """Articles are read, labeled and counted three at a time, so the
     fixture corpus crosses 631 chunk boundaries."""
-    monkeypatch.setattr(geo, "_CHUNK", 3)
+    monkeypatch.setattr(signals, "_CHUNK", 3)
 
 
 def write_lines(path, lines):
@@ -905,7 +914,7 @@ class TestChunkedPass:
         config = tmp_path / "c.json"
         config.write_text(json.dumps(absolute_config(detector_source="baseline", detector_model=str(tmp_path / "m.json"))))
         assert main(["detect", "--config", str(config), "--output-dir", str(tmp_path / "3")]) == EXIT_OK
-        monkeypatch.setattr(geo, "_CHUNK", 4096)
+        monkeypatch.setattr(signals, "_CHUNK", 4096)
         assert main(["detect", "--config", str(config), "--output-dir", str(tmp_path / "4096")]) == EXIT_OK
         for name in ("articles_labeled.jsonl", "detection_summary.json"):
             assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "4096" / name).read_bytes()
@@ -1411,6 +1420,37 @@ def test_small_article_files_import_no_multiprocessing(tmp_path):
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# Runs the six commands on the fixture world in a fresh interpreter and
+# prints whether orjson is loaded; then reads an article file of exactly
+# `signals._ORJSON_BYTES` and prints it again.
+_ORJSON_PROBE = """
+import sys, crimecast.cli as cli
+config, out, big = sys.argv[1:]
+for argv in (["detect"], ["signals"], ["evaluate-detector"], ["decompose"], ["diagnose"],
+             ["fit-forecast", "--models", "1,2,3,4,5,6,7"]):
+    assert cli.main([*argv, "--config", config, "--output-dir", out]) == 0
+print("orjson" in sys.modules)
+from crimecast import signals
+line = b'{"id": "a", "date": "2010-01-01", "body": "%s"}\\n'
+with open(big, "wb") as fh:
+    fh.write(line % (b"b" * (signals._ORJSON_BYTES - len(line % b""))))
+assert [len(chunk) for chunk in signals.read_articles(big)] == [1]
+print("orjson" in sys.modules)
+"""
+
+
+def test_only_an_article_file_at_the_gate_loads_orjson(tmp_path):
+    """The fixture's article files are under `signals._ORJSON_BYTES`, so the
+    six commands on it never import orjson (3-9 ms of cold start); a file
+    of that size loads it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORJSON_PROBE, str(CONFIG), str(tmp_path / "out"), str(tmp_path / "big.jsonl")],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
 
 
 # Runs `signals` on one line range in a fresh interpreter and prints its

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from crimecast import geo
+from crimecast import geo, signals
 from crimecast.detector import (
     BaselineModel,
     _best_threshold,
@@ -380,7 +380,7 @@ class TestBatchMemory:
         65 MB, and as many pointers in the list of its tokens another 65 MB.
         The tokens are single letters, which Python does not allocate anew,
         so that tracing stays fast."""
-        n = geo._CHUNK
+        n = signals._CHUNK
         body = " ".join("abcdefghij"[i % 10] for i in range(1999)) + " Texas"
         corpus = corpus_of([rec(i, body) for i in range(n)])
         model = BaselineModel({"a": 0.25, "b": -0.5, "texas": 1.0}, -0.5, 0.5, {})

@@ -1,14 +1,18 @@
 import datetime as dt
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from crimecast import geo
+from crimecast import geo, signals
 from crimecast.exceptions import InvalidArgumentError
 from crimecast.series import Quarter
 from crimecast.signals import (
@@ -24,7 +28,7 @@ from crimecast.signals import (
     write_articles,
 )
 
-from conftest import corpus_of, read_articles_plainly
+from conftest import PARSE_PATHS, corpus_of, read_articles_plainly
 
 Q1, Q2, Q3, Q4 = (Quarter(2010, q) for q in range(1, 5))
 
@@ -404,8 +408,9 @@ class TestArticleIO:
             assert getattr(back, name) == getattr(corpus, name), name
         assert list(back) == list(corpus)
 
+    @pytest.mark.usefixtures("parse_path")
     def test_chunks_of_at_most_chunk_articles(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(geo, "_CHUNK", 3)
+        monkeypatch.setattr(signals, "_CHUNK", 3)
         records = [rec(i) for i in range(7)]
         path = tmp_path / "a.jsonl"
         write(path, corpus_of(records))
@@ -413,6 +418,7 @@ class TestArticleIO:
         assert [chunk.ids for chunk in read_articles(path)] == [["r0", "r1", "r2"], ["r3", "r4", "r5"], ["r6"]]
         assert list(load_articles(path)) == records
 
+    @pytest.mark.usefixtures("parse_path")
     def test_a_byte_range_reads_the_lines_that_begin_in_it(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write(path, corpus_of([rec(i) for i in range(6)]))
@@ -423,13 +429,14 @@ class TestArticleIO:
         assert [chunk.ids for chunk in read_articles(path, line_starts[4])] == [["r4", "r5"]]
         assert list(read_articles(path, line_starts[2], line_starts[2])) == []
 
+    @pytest.mark.parametrize("parse", sorted(PARSE_PATHS))
     @seed(20261019)
     @settings(max_examples=150, deadline=None)
     @given(st.lists(LINES, max_size=6), st.booleans(), st.data())
-    def test_reader_agrees_with_a_plain_reader(self, tmp_path_factory, lines, newline_at_end, data):
+    def test_reader_agrees_with_a_plain_reader(self, tmp_path_factory, parse, lines, newline_at_end, data):
         """Over the whole file and over a byte range, `read_articles` (in
-        chunks of 2) gives the columns of `read_articles_plainly`, or its
-        message."""
+        chunks of 2, on either parse path) gives the columns of
+        `read_articles_plainly`, or its message."""
         path = tmp_path_factory.mktemp("articles") / "a.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n" * newline_at_end)
         size = path.stat().st_size
@@ -437,12 +444,14 @@ class TestArticleIO:
         start = data.draw(st.sampled_from(line_starts))
         end = data.draw(st.none() | st.integers(start, size))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geo, "_CHUNK", 2)
+            patch.setattr(signals, "_CHUNK", 2)
+            patch.setattr(signals, "_ORJSON_BYTES", PARSE_PATHS[parse])
             for span in ((0, None), (start, end)):
                 assert read_outcome(read_joined, path, *span) == read_outcome(read_articles_plainly, path, *span), span
 
+    @pytest.mark.usefixtures("parse_path")
     def test_duplicate_id_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(geo, "_CHUNK", 3)
+        monkeypatch.setattr(signals, "_CHUNK", 3)
         path = tmp_path / "dup.jsonl"
         write(path, corpus_of([rec(i) for i in range(4)] + [rec(1)]))
         chunks = read_articles(path)
@@ -450,6 +459,7 @@ class TestArticleIO:
         with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(path))}:5: duplicate article id 'r1'$"):
             next(chunks)
 
+    @pytest.mark.usefixtures("parse_path")
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         line = '{"id": "a1", "date": "2012-03-04", "title": "", "body": ""}\n'
@@ -461,3 +471,126 @@ class TestArticleIO:
         with pytest.raises(InvalidArgumentError):
             ArticleRecord(id="a", date=dt.date(2010, 1, 1), title="", body="", gold_label="maybe")
 
+
+# Lines for the differential test of the two parse paths: a valid record
+# with fields dropped or given other JSON values (as text, so that NaN,
+# numbers beyond a double or 64 bits, lone surrogates and deep nesting can
+# be written), extra keys, repeated keys and ids, then bytes cut or
+# inserted; and hand cases where orjson and the json scanner differ.
+RECORD = {
+    "id": '"a"', "date": '"2010-01-01"', "title": '"t"', "body": '"b"',
+    "gold_label": '"hate_crime"', "predicted_label": '"not_hate_crime"', "state": '"CA"',
+}
+# Nesting that orjson reads and the scanner refuses, also under the
+# recursion limit that Hypothesis raises while it runs a test (the caller's
+# depth plus 2,000), in a line short enough for orjson.
+DEEP = "[" * 3000 + "]" * 3000
+ODD_NUMBERS = ["NaN", "Infinity", "1e400", str(2**64), str(-(2**63) - 1), "1" * 5000]
+VALUE_TEXTS = [
+    '"b"', '""', '"hate_crime"', '"UNKNOWN"', '"2010-06-30"', '"20100101"', '"2010-W01-1"', '"\\ud800"',
+    '"\\u00e9\\ud83d\\ude00"', '"é"', "null", "true", "7", "1.5", "-0", "[]", "{}", '["CA"]', '{"id": "x"}',
+    *ODD_NUMBERS, DEEP,
+]
+
+
+@st.composite
+def record_line(draw) -> bytes:
+    fields = dict(RECORD, id=draw(st.sampled_from(['"a"', '"b"', '"c"'])))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from([*RECORD, "extra", "more"]))
+        if draw(st.integers(0, 3)) == 0:
+            fields.pop(key, None)
+        else:
+            fields[key] = draw(st.sampled_from(VALUE_TEXTS))
+    items = [f'"{key}": {value}' for key, value in fields.items()]
+    if items and draw(st.integers(0, 5)) == 0:
+        items.append(draw(st.sampled_from(items)))  # a repeated key, whose last value counts
+    line = ("{" + ", ".join(items) + "}").encode()
+    at = draw(st.integers(0, len(line)))
+    edit = draw(st.sampled_from([b"", b"", b"", b"\xff", b"\xc3", b" ", b"\t", b"\r", b"\x0c", b"\xc2\xa0", b"\x00"]))
+    if draw(st.integers(0, 5)) == 0:
+        return line[:at]
+    return line[:at] + edit + line[at:] if draw(st.booleans()) else line
+
+
+HAND_LINES = {
+    **{f"title-{n[:9]}": b'{"id": "n%d", "date": "2010-01-01", "title": %s}' % (i, n.encode())
+       for i, n in enumerate(ODD_NUMBERS)},
+    **{f"extra-{n[:9]}": b'{"id": "x%d", "date": "2010-01-01", "n": %s}' % (i, n.encode())
+       for i, n in enumerate(ODD_NUMBERS)},
+    "lone-surrogate": b'{"id": "s", "date": "2010-01-01", "title": "\\ud800"}',
+    "not-utf8": b'{"id": "u", "date": "2010-01-01", "title": "\xff"}',
+    "bom": b'\xef\xbb\xbf{"id": "bom", "date": "2010-01-01"}',
+    "nbsp-only": b"\xc2\xa0",
+    "crlf": b'{"id": "crlf", "date": "2010-01-01"}\r',
+    "repeated-key": b'{"id": "d1", "date": "2010-01-01", "id": "d2"}',
+    "not-an-object": b'[{"id": "l", "date": "2010-01-01"}]',
+    "extra-nested-990": b'{"id": "deep990", "date": "2010-01-01", "n": %s}' % (b"[" * 990 + b"]" * 990),
+    "extra-nested-3000": b'{"id": "deep", "date": "2010-01-01", "n": %s}' % DEEP.encode(),
+    "title-nested-3000": b'{"id": "deep-title", "date": "2010-01-01", "title": %s}' % DEEP.encode(),
+    "extra-string-and-int": b'{"id": "e", "date": "2010-01-01", "n": "s", "m": 5}',
+    "longer-than-orjson-takes": b'{"id": "long", "date": "2010-01-01", "body": "%s"}' % (b"b" * signals._ORJSON_LINE_BYTES),
+}
+PATH_LINES = st.one_of(record_line(), st.sampled_from(list(HAND_LINES.values())))
+
+
+def chunks_or_message(path) -> list | str:
+    """The columns of each chunk `read_articles` gives, or the message of its
+    InvalidArgumentError."""
+    try:
+        return [[list(column) for column in chunk.columns()] for chunk in read_articles(path)]
+    except InvalidArgumentError as exc:
+        return str(exc)
+
+
+def on_each_parse_path(path) -> list:
+    """`chunks_or_message(path)` in chunks of 2, with orjson first and with
+    the json scanner alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signals, "_CHUNK", 2)
+        outcomes = []
+        for gate in PARSE_PATHS.values():
+            patch.setattr(signals, "_ORJSON_BYTES", gate)
+            outcomes.append(chunks_or_message(path))
+        return outcomes
+
+
+class TestParsePaths:
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(PATH_LINES, min_size=1, max_size=4))
+    def test_orjson_and_the_scanner_read_a_file_alike(self, tmp_path_factory, lines):
+        """A file read with orjson first and by the json scanner alone gives
+        the same chunks, or the same message."""
+        path = tmp_path_factory.mktemp("articles") / "a.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        orjson_first, scanner = on_each_parse_path(path)
+        assert orjson_first == scanner
+
+    @pytest.mark.parametrize("case", sorted(HAND_LINES))
+    def test_each_hand_case_reads_alike(self, tmp_path, case):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"id": "first", "date": "2010-01-01"}\n' + HAND_LINES[case] + b"\n")
+        orjson_first, scanner = on_each_parse_path(path)
+        assert orjson_first == scanner
+
+    def test_nesting_too_deep_for_orjson_is_invalid_json(self, tmp_path):
+        """orjson 3.8 overflows the C stack on a line nested 150,000 deep; such
+        a line is longer than `_ORJSON_LINE_BYTES`, so the scanner reads it
+        and refuses it. The read runs in a fresh interpreter, so that a crash
+        fails the test instead of ending the test process."""
+        depth = 200_000
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"id": "deep", "date": "2010-01-01", "n": %s}\n' % (b"[" * depth + b"]" * depth))
+        probe = (
+            "import sys\n"
+            "from crimecast import signals\n"
+            "signals._ORJSON_BYTES = 0\n"
+            "try:\n"
+            "    list(signals.read_articles(sys.argv[1]))\n"
+            "except signals.InvalidArgumentError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(signals.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, f"{path}:1: invalid JSON\n")
