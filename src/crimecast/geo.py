@@ -15,6 +15,7 @@ batch with array operations over the one tokenization.
 
 from __future__ import annotations
 
+from functools import cached_property
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
@@ -95,9 +96,13 @@ class GazetteerEntry(Record):
 
 
 class Gazetteer(Record):
-    """Normalized place/institute names mapped to state codes."""
+    """Normalized place/institute names mapped to state codes; `index`, their token index, is built once."""
 
     entries: Mapping[tuple[str, ...], GazetteerEntry]
+
+    @cached_property
+    def index(self) -> TokenIndex:
+        return token_index({}, self)
 
 
 class Resolution(Record):
@@ -265,7 +270,7 @@ def resolve_state(text: str, gazetteer: Gazetteer) -> Resolution:
     """Resolve the state for an article text, or UNKNOWN when nothing matches."""
     if not text or not text.strip():
         raise InvalidArgumentError("text must be nonempty")
-    index = token_index({}, gazetteer)
+    index = gazetteer.index
     winner = _resolve(index, *_token_ids([text], index)[:2])[0]
     entry = index.entries[winner] if winner >= 0 else GazetteerEntry("", UNKNOWN_STATE, 0)
     return Resolution(entry.state, entry.name, float(entry.priority))

@@ -195,27 +195,14 @@ def _check_unique(codes: Iterable, message) -> None:
         seen.add(code)
 
 
-def _malformed(row: list[str], width: int, n_keys: int) -> bool:
-    """Whether a padded row is longer than the header, or lacks a year in
-    1..9999 or a quarter in 1..4."""
-    try:
-        return len(row) > width or not (1 <= int(row[n_keys - 2]) <= 9999 and 1 <= int(row[n_keys - 1]) <= 4)
-    except ValueError:
-        return True
-
-
-def _out_of_range(years: np.ndarray, quarters: np.ndarray) -> bool:
-    """Whether a year lies outside 1..9999 or a quarter outside 1..4."""
-    return bool(((years < 1) | (years > 9999) | (quarters < 1) | (quarters > 4)).any())
-
-
 def _plain_columns(text: str, lines: list[str] | None, width: int, n_keys: int):
-    """The rows after the header, as `_csv_columns` returns them, parsed by
-    numpy's C reader; None (the C path declines) unless the text is plain
-    (then `lines` holds its lines) and every row holds `width` cells, a year
-    in 1..9999, a quarter in 1..4 and finite values. A plain text with no
-    line longer than the CSV tokenizer's field limit splits at newlines and
-    commas into exactly `csv.reader`'s rows."""
+    """The rows after the header, parsed by numpy's C reader: the cells of
+    each key before year, the years, the quarters, the values (rows × the
+    cells after quarter) and the line each row is on. None (the C path
+    declines) unless the text is plain (then `lines` holds its lines) and
+    every row holds `width` cells, a year in 1..9999, a quarter in 1..4 and
+    finite values. A plain text with no line longer than the CSV tokenizer's
+    field limit splits at newlines and commas into exactly `csv.reader`'s rows."""
     if lines is None or max(map(len, lines)) > csv.field_size_limit():
         return None
     rows = [line for line in lines[1:] if line]  # an empty line is no record
@@ -231,61 +218,54 @@ def _plain_columns(text: str, lines: list[str] | None, width: int, n_keys: int):
     except (ValueError, DeprecationWarning):  # a cell that is not an int64 or a float, or a row that lacks a cell
         return None
     years, quarters, values = table["year"], table["quarter"], table["values"]
-    if len(table) != len(rows) or _out_of_range(years, quarters) or not np.isfinite(values).all():
+    out_of_range = (years < 1) | (years > 9999) | (quarters < 1) | (quarters > 4)
+    if len(table) != len(rows) or out_of_range.any() or not np.isfinite(values).all():
         return None
     keys = [[row.split(",", k + 1)[k].strip() for row in rows] for k in range(n_keys - 2)]
     return keys, years, quarters, values, [n for n, line in enumerate(lines[1:], 2) if line]
 
 
 def _csv_columns(reader, path: Path, width: int, n_keys: int):
-    """The rows after the header, read by `csv.reader`: the cells of each key
-    before year, the years, the quarters, the values and the line each row
-    starts on. The first fault raises its `path:line` message."""
+    """The rows after the header, read one record at a time by `csv.reader`,
+    as `_plain_columns` returns them. A malformed row raises its `path:line`
+    message as it is met; then the first value cell that is not blank or a
+    finite number raises, and a tokenizer fault last."""
     # A record starts on the line after the one the previous record
     # ended on; a quoted cell may hold a newline.
-    rows, lines, end, fault = [], [], reader.line_num, None
+    rows, years, quarters, lines, end, fault = [], [], [], [], reader.line_num, None
     try:
         for row in reader:
             if row:
+                row += [""] * (width - len(row))
+                try:
+                    year, quarter = int(row[n_keys - 2]), int(row[n_keys - 1])
+                except ValueError:
+                    year = quarter = 0
+                if len(row) > width or not (1 <= year <= 9999 and 1 <= quarter <= 4):
+                    raise InvalidArgumentError(f"{path}:{end + 1}: malformed row")
                 rows.append(row)
+                years.append(year)
+                quarters.append(quarter)
                 lines.append(end + 1)
             end = reader.line_num
     except csv.Error as exc:  # the rows before it are checked first
         fault = f"{path}:{end + 1}: {exc}"
     if not rows:
         raise InvalidArgumentError(fault or f"{path}: no data rows")
-    lengths = set(map(len, rows))
-    if min(lengths) < width:
-        for row in rows:
-            row += [""] * (width - len(row))
-    columns = list(zip(*rows))  # the first `width` cells of each row
-    try:
-        years, quarters = (np.fromiter(map(int, columns[j]), np.int64, len(rows)) for j in (n_keys - 2, n_keys - 1))
-        malformed = max(lengths) > width or _out_of_range(years, quarters)
-    except (ValueError, OverflowError):  # a year or quarter that is not an int64
-        malformed = True
-    if malformed:
-        r = next(r for r, row in enumerate(rows) if _malformed(row, width, n_keys))
-        raise InvalidArgumentError(f"{path}:{lines[r]}: malformed row")
-    cells = columns[n_keys:]
-    try:
-        values = np.array(cells, dtype=float).T
-    except ValueError:  # a blank cell, or one that is not a number
-        try:
-            values = np.array([[c if c.strip() else "nan" for c in column] for column in cells], dtype=float).T
-        except ValueError:  # the loop below names the first cell that is not a number
-            values = np.full((len(rows), width - n_keys), np.inf)
-    for r, j in np.argwhere(~np.isfinite(values)).tolist():
-        raw = rows[r][n_keys + j].strip()
-        try:
-            finite = not raw or math.isfinite(float(raw))
-        except ValueError:
-            finite = False
-        if not finite:
-            raise InvalidArgumentError(f"{path}:{lines[r]}: not a finite number: {raw!r}")
+    values = []
+    for row, line in zip(rows, lines):
+        for raw in map(str.strip, row[n_keys:]):
+            try:
+                value = float(raw) if raw else MISSING
+            except ValueError:
+                value = math.inf
+            if raw and not math.isfinite(value):
+                raise InvalidArgumentError(f"{path}:{line}: not a finite number: {raw!r}")
+            values.append(value)
     if fault:
         raise InvalidArgumentError(fault)
-    return [list(map(str.strip, columns[k])) for k in range(n_keys - 2)], years, quarters, values, lines
+    keys = [[row[k].strip() for row in rows] for k in range(n_keys - 2)]
+    return keys, np.array(years, np.int64), np.array(quarters, np.int64), np.array(values).reshape(len(rows), -1), lines
 
 
 def read_quarterly_csv(

@@ -39,6 +39,15 @@ def absolute_config(**changes):
     return raw
 
 
+# The command and flags of most config cases, and the inputs a case may
+# name by a path relative to its config: an article without a gold label,
+# and the covariates without their last column, uner_quar.
+MODEL_1 = ("fit-forecast", "--models", "1")
+BESIDE_CONFIG = {
+    "unlabeled.jsonl": json.dumps({"id": "u1", "date": "2010-01-01", "title": "t", "body": "b"}) + "\n",
+    "no_uner_quar.csv": "".join(line.rsplit(",", 1)[0] + "\n" for line in (FIXTURES / "covariates.csv").read_text().splitlines()),
+}
+
 # Keys of earlier configs, each with a value it used to accept.
 REMOVED_KEYS = {
     "decomposition_period": 4,
@@ -63,8 +72,8 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "raw, named",
-        [
+        "raw, named, argv",
+        [(*case, MODEL_1) for case in [
             (absolute_config(arima_order=[1, "a", 0]), "'arima_order'"),
             ([absolute_config()], "must be a JSON object"),
             (absolute_config(arima_order=[-1, 1, 0]), "'arima_order'"),
@@ -79,6 +88,19 @@ class TestConfig:
             (absolute_config(fit_start=2007), "config key 'fit_start': must be a string"),
             (absolute_config(seed="5"), "config key 'seed': '5' is not an integer"),
             (absolute_config(arima_order=["1", 1, 0]), "config key 'arima_order': '1' is not an integer"),
+        ]] + [
+            (None, "error: cannot read config {dir}/c.json: [Errno 2] No such file or directory: '{dir}/c.json'", MODEL_1),
+            (absolute_config(articles=None), "error: config is missing the articles path", ("signals",)),
+            (absolute_config(models=[]), "error: no models requested", ("fit-forecast",)),
+            (absolute_config(), "error: no models requested", ("fit-forecast", "--models", ",")),
+            (absolute_config(arima_order="bogus"),
+             "error: config key 'arima_order': must be 'drift', 'ar1', 'auto' or [p, d, q]", MODEL_1),
+            (absolute_config(detector_source="x"),
+             "error: config key 'detector_source': must be 'precomputed' or 'baseline'", MODEL_1),
+            (absolute_config(fit_start="2019Q1", fit_end="2018Q4"), "error: fit and holdout ranges must be nonempty", MODEL_1),
+            (absolute_config(covariates="no_uner_quar.csv"),
+             "error: {dir}/no_uner_quar.csv: dataset has no variable 'uner_quar'", ("fit-forecast", "--models", "2")),
+            (absolute_config(articles="unlabeled.jsonl"), "error: no records carry gold labels", ("evaluate-detector",)),
         ],
         ids=[
             "non-integer-order",
@@ -95,15 +117,31 @@ class TestConfig:
             "number-quarter",
             "string-seed",
             "string-order",
+            "no-config-file",
+            "no-articles-path",
+            "no-models",
+            "no-models-flag",
+            "unknown-order-reading",
+            "unknown-detector-source",
+            "empty-fit-range",
+            "covariates-without-uner-quar",
+            "no-gold-labels",
         ],
     )
-    def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, raw, named):
+    def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, raw, named, argv):
+        """A bad config, or one whose command cannot run on its inputs, exits
+        2 with a message naming the key or the fault; `{dir}` in it is the
+        config's directory. A config of None is a file that does not exist."""
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(raw))
-        code = main(["fit-forecast", "--config", str(path), "--output-dir", str(tmp_path / "out"), "--models", "1"])
+        if raw is not None:
+            path.write_text(json.dumps(raw))
+        for name, text in BESIDE_CONFIG.items():
+            (tmp_path / name).write_text(text)
+        command, *extra = argv
+        code = main([command, "--config", str(path), "--output-dir", str(tmp_path / "out"), *extra])
         err = capsys.readouterr().err
         assert code == EXIT_INPUT_ERROR
-        assert named in err
+        assert named.replace("{dir}", str(tmp_path)) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [{"1": 1, "2": 0}, 3, True], ids=["object", "number", "bool"])
@@ -839,6 +877,137 @@ def test_a_mutated_csv_exits_0_1_or_2_naming_it(tmp_path_factory, name, line, mu
             assert len(errors) == 1 and errors[0].startswith("model error: "), (command, stderr.getvalue())
         else:
             assert len(errors) == 1 and errors[0].startswith(f"error: {path}"), (command, stderr.getvalue())
+
+
+# One mutation of a settings file, run through commands that read it. The
+# config: drop a key, give a key a value of another type, a quarter or an
+# ARIMA order out of range, or a path to a missing file or a directory. The
+# gazetteer: blank a cell of one line, drop a column of every line, add a
+# line with an unknown state or a repeated name, give a line a bad priority,
+# or insert a byte that is not UTF-8. The detector's model file: drop a key,
+# retype a field, or cut the file.
+SETTINGS_MUTATIONS = (
+    *(("config", m) for m in ("drop-key", "retype", "bad-quarter", "bad-order", "bad-path")),
+    *(("gazetteer", m) for m in ("blank-cell", "drop-column", "unknown-state", "bad-priority", "duplicate-name",
+                                 "non-utf8")),
+    *(("model", m) for m in ("drop-key", "retype", "cut")),
+)
+SETTINGS_COMMANDS = {
+    "config": (("signals",), ("fit-forecast", "--models", "1,2")),
+    "gazetteer": (("signals",),),
+    "model": (("detect",),),
+}
+MODEL = {"vocabulary": {"hate": 2.0, "bias": 1.5, "attack": 1.0}, "bias": -2.0, "threshold": 0.5, "metadata": {"seed": 1}}
+PATH_KEYS = ("articles", "gazetteer", "covariates", "fbi_series", "panel", "detector_model", "detector_train")
+QUARTER_KEYS = ("fit_start", "fit_end", "holdout_start", "holdout_end")
+BAD_QUARTERS = ("2007Q5", "2007Q0", "0Q1", "10000Q1", "2007", "Q1", "2030Q1", "1990Q1")
+BAD_ORDERS = ({"arima_order": [-1, 1, 0]}, {"arima_order": [1, 1]}, {"arima_order": [0, 3, 0]},
+              {"arima_order": "auto", "arima_max_p": 9}, {"arima_order": "auto", "arima_max_q": -1},
+              {"arima_order": [6, 1, 6]})
+# Exit-2 messages of a config that name neither it nor a key: a relation
+# between keys, or an input that does not cover the config's span.
+SETTINGS_ERRORS = (
+    r"holdout range must start after the fit range ends",
+    r"fit and holdout ranges must be nonempty",
+    r"\S+: (fbi series covers|covariates cover|panel covers) \d+Q\d\.\.\d+Q\d, need \d+Q\d\.\.\d+Q\d",
+)
+# Exit-1 messages that a config's span or ARIMA order may bring about.
+SETTINGS_MODEL_ERRORS = (
+    r"the Model 1 ARIMA\(\d+,\d+,\d+\) fit did not converge; see arima_model1.json",
+    r"the AR\(1\)-error fit did not converge in \d+ Cochrane-Orcutt rounds \(rho \S+\)",
+    r"actual value at index \d+ is zero",
+    r"no candidate order could be estimated",
+)
+
+
+def mutated_settings(work: Path, target: str, mutation: str, pick: int, cut: int) -> tuple[Path, list[str], list[str]]:
+    """The mutated file, the arguments that point a command at it, and the
+    words an exit-2 message may name it by besides its path."""
+    model = work / "model.json"
+    model.write_text(json.dumps(MODEL))
+    config = work / "c.json"
+    raw = absolute_config(detector_source="baseline", detector_model=str(model))
+    if target == "config":
+        key, folder = sorted(raw)[pick % len(raw)], work / "folder"
+        folder.mkdir()
+        if mutation == "drop-key":
+            del raw[key]
+        elif mutation == "retype":
+            raw[key] = OTHER_TYPES[cut % len(OTHER_TYPES)]
+        elif mutation == "bad-quarter":
+            key = QUARTER_KEYS[pick % len(QUARTER_KEYS)]
+            raw[key] = BAD_QUARTERS[cut % len(BAD_QUARTERS)]
+        elif mutation == "bad-order":
+            raw.update(BAD_ORDERS[cut % len(BAD_ORDERS)])
+            key = "arima"  # of arima_order, arima_max_p or arima_max_q
+        else:  # a directory, or a file that does not exist
+            key = PATH_KEYS[pick % len(PATH_KEYS)]
+            raw[key] = str(folder if cut % 2 else folder / "absent")
+        config.write_text(json.dumps(raw))
+        return config, ["--config", str(config)], [key, key.replace("_", " "), str(folder)]
+    config.write_text(json.dumps(raw))
+    if target == "model":
+        text, payload = json.dumps(MODEL), json.loads(json.dumps(MODEL))
+        field = ("vocabulary", "bias", "threshold", "metadata", "hate")[pick % 5]
+        holder = payload["vocabulary"] if field == "hate" else payload
+        if mutation == "drop-key":
+            del holder[field]
+        elif mutation == "retype":
+            holder[field] = OTHER_TYPES[cut % len(OTHER_TYPES)]
+        text = json.dumps(payload) if mutation != "cut" else text[: cut % len(text)]
+        model.write_text(text)
+        return model, ["--config", str(config)], []
+    lines = GAZETTEER.read_bytes().splitlines(keepends=True)
+    line = pick % len(lines)
+    cells = lines[line].rstrip(b"\n").split(b"\t")
+    j = cut % len(cells)
+    if mutation == "blank-cell":
+        cells[j] = b""
+        lines[line] = b"\t".join(cells) + b"\n"
+    elif mutation == "drop-column":
+        lines = [b"\t".join(c for k, c in enumerate(text.rstrip(b"\n").split(b"\t")) if k != j) + b"\n" for text in lines]
+    elif mutation == "unknown-state":
+        lines.insert(line, b"Atlantis\tZZ\t2\n")
+    elif mutation == "bad-priority":
+        lines[line] = b"\t".join(cells[:2] + [(b"0", b"4", b"high", b"2.5", b"")[cut % 5]]) + b"\n"
+    elif mutation == "duplicate-name":
+        lines.insert(line, cells[0] + b"\tTX\t" + b"123"[cut % 3 : cut % 3 + 1] + b"\n")
+    else:
+        at = cut % len(lines[line])
+        lines[line] = lines[line][:at] + bytes([0x80 + cut % 0x80]) + lines[line][at:]
+    gazetteer = work / "gazetteer.tsv"
+    gazetteer.write_bytes(b"".join(lines))
+    return gazetteer, ["--config", str(config), "--gazetteer", str(gazetteer)], []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(SETTINGS_MUTATIONS), st.integers(0, 10**4), st.integers(0, 10**4))
+def test_a_mutated_config_gazetteer_or_model_exits_0_1_or_2_naming_it(tmp_path_factory, target_mutation, pick, cut):
+    """The commands that read the config, the gazetteer or the detector's
+    model file keep the exit-code contract on a copy with one mutation: each
+    exits 0, 1 with one listed `model error:` line, or 2 with one `error:`
+    line that names the file or the config key, or is a listed message of
+    the config's span."""
+    target, mutation = target_mutation
+    work = tmp_path_factory.mktemp("mutated")
+    path, argv, words = mutated_settings(work, target, mutation, pick, cut)
+    for command, *extra in SETTINGS_COMMANDS[target]:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, *argv, "--output-dir", str(work / command), *extra])
+        errors = [text for text in stderr.getvalue().splitlines() if not text.startswith("warning:")]
+        assert code in (EXIT_OK, EXIT_MODEL_ERROR, EXIT_INPUT_ERROR), (command, code, stderr.getvalue())
+        if code == EXIT_OK:
+            assert errors == [], (command, stderr.getvalue())
+        elif code == EXIT_MODEL_ERROR:
+            assert len(errors) == 1 and errors[0].startswith("model error: "), (command, stderr.getvalue())
+            message = errors[0].removeprefix("model error: ")
+            assert any(re.fullmatch(e, message) for e in SETTINGS_MODEL_ERRORS), (command, message)
+        else:
+            assert len(errors) == 1 and errors[0].startswith("error: "), (command, stderr.getvalue())
+            message = errors[0].removeprefix("error: ")
+            named = str(path) in message or any(word in message for word in words)
+            assert named or any(re.fullmatch(e, message) for e in SETTINGS_ERRORS), (command, message)
 
 
 class TestDetect:

@@ -158,6 +158,14 @@ class TestResolve:
         with pytest.raises(InvalidArgumentError):
             resolve_state("   ", gaz)
 
+    def test_one_gazetteer_builds_one_index(self, gaz, monkeypatch):
+        """Calls with one gazetteer share the index it builds on first use."""
+        built = []
+        monkeypatch.setattr(geo, "token_index", lambda *args: built.append(args) or token_index(*args))
+        assert resolve_state("a rally in Sacramento", gaz).state == "CA"
+        assert resolve_state("an event in Kansas City", gaz).state == "MO"
+        assert built == [({}, gaz)]
+
 
 class TestBundledGazetteer:
     def test_loads_with_state_names_and_cities(self):

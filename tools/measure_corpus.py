@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Wall time, CPU time and peak RSS of the corpus commands on a world of
 about 10⁶ articles, one fresh process per command, and the seconds of each
-stage of one labeling pass over the world, in process.
+stage of a labeling pass over the world, in process.
 
     python3 tools/measure_corpus.py SRC WORK [--seed 1] [--news-rate 380]
 
@@ -25,9 +25,10 @@ workers it forked and reaped: the CPU seconds are their sum, the RSS the
 largest peak of any one of them (at least the size of this script's
 process, from which each command starts).
 
-After the commands, the script labels the world's articles once in its own
+After the commands, the script labels the world's articles in its own
 process, serially, as `signals` does with the trained model and the
-config's gazetteer, and prints the seconds of each stage: `read_articles`,
+config's gazetteer, in 5 passes that share one model and one token index,
+and prints each stage's median seconds over the passes: `read_articles`,
 the token ids of each batch, the scoring and the state resolution. A
 checkout without the batch token path (`geo.token_batches`) prints that it
 has none. Last come the SHA-256 of every file the commands wrote under
@@ -41,6 +42,7 @@ import hashlib
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -49,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 NEWS_RATE = 380.0
 CHILD = "import sys; from crimecast.cli import main; sys.exit(main(sys.argv[1:]))"
+PASSES = 5  # labeling passes; one pass alone is not comparable between checkouts on a host whose speed shifts
 
 
 def _spawn(argv: list[str], env: dict[str, str]) -> tuple[int, float, float, float]:
@@ -63,31 +66,35 @@ def _spawn(argv: list[str], env: dict[str, str]) -> tuple[int, float, float, flo
 
 
 def _stages(world: Path, gazetteer_path: str) -> str:
-    """The seconds of each stage of one serial labeling pass over the
-    world's articles, with its model and gazetteer, as one line."""
+    """The median seconds of each stage over PASSES serial labeling passes
+    over the world's articles, with its model and gazetteer, as one line."""
     from crimecast import detector, geo, signals
 
     if not hasattr(geo, "token_batches"):
         return "stages: this checkout has no batch token path"
     model = detector.BaselineModel.from_json(world / "model.json")
     index = geo.token_index(model.vocabulary, geo.load_gazetteer(gazetteer_path))
-    seconds = dict.fromkeys(("read", "token_ids", "scoring", "resolution"), 0.0)
-    clock = time.perf_counter()
-    for chunk in signals.read_articles(world / "articles.jsonl"):
-        seconds["read"] += time.perf_counter() - clock
-        for batch in geo._batches(chunk.texts()):
-            start = time.perf_counter()
-            ids, starts, lengths = geo._token_ids(batch, index)
-            scored = time.perf_counter()
-            detector._logits(model.bias, index.weights[ids], starts, lengths)
-            resolved = time.perf_counter()
-            geo._resolve(index, ids, starts)
-            done = time.perf_counter()
-            seconds["token_ids"] += scored - start
-            seconds["scoring"] += resolved - scored
-            seconds["resolution"] += done - resolved
+    passes = []
+    for _ in range(PASSES):
+        seconds = dict.fromkeys(("read", "token_ids", "scoring", "resolution"), 0.0)
         clock = time.perf_counter()
-    return "stages " + " ".join(f"{name}_s {value:.3f}" for name, value in seconds.items())
+        for chunk in signals.read_articles(world / "articles.jsonl"):
+            seconds["read"] += time.perf_counter() - clock
+            for batch in geo._batches(chunk.texts()):
+                start = time.perf_counter()
+                ids, starts, lengths = geo._token_ids(batch, index)
+                scored = time.perf_counter()
+                detector._logits(model.bias, index.weights[ids], starts, lengths)
+                resolved = time.perf_counter()
+                geo._resolve(index, ids, starts)
+                done = time.perf_counter()
+                seconds["token_ids"] += scored - start
+                seconds["scoring"] += resolved - scored
+                seconds["resolution"] += done - resolved
+            clock = time.perf_counter()
+        passes.append(seconds)
+    medians = {name: statistics.median(p[name] for p in passes) for name in passes[0]}
+    return "stages " + " ".join(f"{name}_s {value:.3f}" for name, value in medians.items())
 
 
 def main() -> int:
