@@ -35,8 +35,13 @@ drops both kinds of candidates.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -138,6 +143,28 @@ def _pacf_inverse(phi: np.ndarray) -> np.ndarray | None:
     return np.arctanh(r)
 
 
+@functools.cache
+def _dtbtrs():
+    """LAPACK's banded triangular solve, loaded once per process: from scipy's
+    extension file `scipy/linalg/_flapack*` alone, registered under its module
+    name so that a later `import scipy.linalg` reuses it; or from
+    `scipy.linalg.lapack` (all of scipy.linalg, 26 MB more) when scipy.linalg
+    is loaded already or no such file exists, as it is scipy's private layout."""
+    import scipy  # deferred: cold start; MA fits only
+
+    if "scipy.linalg" not in sys.modules:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+                sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module.dtbtrs
+    from scipy.linalg import lapack
+
+    return lapack.dtbtrs
+
+
 class _Css:
     """The CSS residuals e_t, t = p..n-1, of the series w at orders p and q,
     with zero pre-sample innovations; with MA terms also their Jacobian from
@@ -146,7 +173,7 @@ class _Css:
 
     It owns its buffers: the AR-lag views of w and, when q > 0, the Jacobian's
     stacked rows and one Fortran-order MA band, which every filter call
-    refills and hands to LAPACK's banded solver without a copy."""
+    refills and hands to LAPACK's banded solver (`_dtbtrs`) without a copy."""
 
     def __init__(self, w: np.ndarray, p: int, q: int, lo: int = 0) -> None:
         self.p, self.q, self.lo = p, q, lo
@@ -155,8 +182,6 @@ class _Css:
         self.lags = [w[p - i : p - i + m] for i in range(1, p + 1)]
         if not q:
             return
-        from scipy.linalg import lapack  # deferred: cold start; MA fits only
-
         # Rows 0..p are fixed per fit; row p + 1 receives -e at each call.
         self.rows = np.empty((p + 2, m))
         self.rows[0] = -1.0
@@ -165,7 +190,7 @@ class _Css:
         # Row j holds theta_j; row 0, the unit diagonal, is unread. LAPACK reads
         # only the first m - j entries of row j, so a refill may write whole rows.
         self.band = np.zeros((q + 1, m), order="F")
-        self.dtbtrs = lapack.dtbtrs
+        self.dtbtrs = _dtbtrs()
 
     def _filter(self, ma: np.ndarray, b: np.ndarray, overwrite: bool) -> np.ndarray:
         """theta(B)^-1 of each column of the Fortran-order b, with zero

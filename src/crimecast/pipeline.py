@@ -64,8 +64,10 @@ def _load(loader, path: Path | None, what: str, **kwargs):
     """`loader(path)` for a required input file; input problems exit 2."""
     try:
         return loader(_input(path, what), **kwargs)
-    except (CrimecastError, OSError) as exc:
+    except CrimecastError as exc:
         raise UsageError(str(exc)) from exc
+    except OSError as exc:  # a directory, say
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _detector(config: PipelineConfig) -> detector_mod.BaselineModel:
@@ -73,19 +75,21 @@ def _detector(config: PipelineConfig) -> detector_mod.BaselineModel:
     missing and a training corpus is configured."""
     path = config.detector_model
     if path is not None and not path.exists() and config.detector_train is not None:
-        corpus = _load(signals_mod.load_articles, config.detector_train, "detector training corpus")
+        corpus = _load(signals_mod.load_articles, config.detector_train, "detector_train")
         model = detector_mod.train_baseline(corpus, seed=config.seed)
         model.to_json(path)
         return model
-    return _load(detector_mod.BaselineModel.from_json, path, "detector model")
+    return _load(detector_mod.BaselineModel.from_json, path, "detector_model")
 
 
-def _articles(chunks: Iterator[signals_mod.Corpus]) -> Iterator[signals_mod.Corpus]:
+def _articles(path: Path, start: int, end: int | None) -> Iterator[signals_mod.Corpus]:
     """`read_articles` chunks; a fault in the file is a UsageError when its chunk is read."""
     try:
-        yield from chunks
-    except (CrimecastError, OSError) as exc:
+        yield from signals_mod.read_articles(path, start, end)
+    except CrimecastError as exc:
         raise UsageError(str(exc)) from exc
+    except OSError as exc:  # a directory, say
+        raise UsageError(f"cannot read articles {path}: {exc}") from exc
 
 
 def _labeled(
@@ -143,7 +147,7 @@ def _corpus_pass(config: PipelineConfig, fold: Fold, label: bool = True, resolve
     model = _detector(config) if label and config.detector_source == "baseline" else None
 
     def chunks(start: int = 0, end: int | None = None) -> Iterator[signals_mod.Corpus]:
-        read = _articles(signals_mod.read_articles(path, start, end))
+        read = _articles(path, start, end)
         return _labeled(config, read, model, resolve) if label else read
 
     ranges = _line_ranges(path)

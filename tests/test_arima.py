@@ -41,6 +41,14 @@ def coefficients(x: np.ndarray, p: int) -> tuple[float, np.ndarray, np.ndarray]:
     return float(x[0]), _pacf_transform(x[1 : 1 + p])[0], -_pacf_transform(x[1 + p :])[0]
 
 
+def fresh(code: str, *argv: str) -> list[str]:
+    """The stdout lines of `code` run in a fresh interpreter on this crimecast."""
+    env = {**os.environ, "PYTHONPATH": str(Path(crimecast.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env,
+                          check=True, timeout=120)
+    return done.stdout.splitlines()
+
+
 class TestSpecValidation:
     def test_negative_order_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -280,7 +288,6 @@ class TestCssJacobian:
             assert res.fun >= ssr_fit * (1.0 - 1e-8), (res.fun, ssr_fit)
 
     def test_order_search_leaves_scipy_optimize_unloaded(self):
-        src = Path(crimecast.__file__).parents[1]
         code = (
             "import sys; import numpy as np\n"
             "from crimecast.arima import select_orders\n"
@@ -288,10 +295,73 @@ class TestCssJacobian:
             "select_orders(w, 2, 2)\n"
             "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.signal') if m in sys.modules))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                              check=True, timeout=120)
-        assert done.stdout.splitlines() == ["['scipy.linalg']"]
+        assert fresh(code) == ["[]"]
+
+
+# Solves a few hundred random banded systems theta(B) e = b with the MA
+# filter's `dtbtrs` and runs the order search on criterion 4's 100 seeds, in
+# a fresh interpreter; with argv[1] == "fallback" no `_flapack` file is found.
+# Prints whether scipy.linalg got loaded, a digest of the solutions' bits and
+# the selected orders.
+_ROUTE_PROBE = """
+import hashlib, importlib.machinery, sys
+import numpy as np
+from crimecast import arima
+from crimecast.series import difference
+if sys.argv[1] == "fallback":
+    importlib.machinery.EXTENSION_SUFFIXES = [".absent"]
+dtbtrs = arima._dtbtrs()
+print("scipy.linalg" in sys.modules)
+rng = np.random.default_rng(7)
+digest = hashlib.sha256()
+for _ in range(300):
+    q, m, k = int(rng.integers(1, 6)), int(rng.integers(1, 80)), int(rng.integers(1, 4))
+    band = np.asfortranarray(np.vstack([np.ones(m), rng.uniform(-0.9, 0.9, (q, m))]))
+    e, info = dtbtrs(band, np.asfortranarray(rng.normal(0.0, 50.0, (m, k))), uplo="L", diag="U")
+    digest.update(e.tobytes() + bytes([info]))
+print(digest.hexdigest())
+for seed in range(100):
+    y = 1400.0 + np.cumsum(np.random.default_rng(seed).normal(8.0, 60.0, 48))
+    print(arima.select_orders(difference(y), 2, 2))
+"""
+
+
+class TestLapackLoader:
+    """`_dtbtrs` loads scipy's `_flapack` extension alone, or, when scipy.linalg
+    is loaded or no such file exists, takes it from `scipy.linalg.lapack`."""
+
+    def test_both_routes_give_the_same_bits(self):
+        own, fallback = fresh(_ROUTE_PROBE, "own"), fresh(_ROUTE_PROBE, "fallback")
+        assert (own[0], fallback[0]) == ("False", "True")
+        assert len(own) == 102 and own[1:] == fallback[1:]
+
+    def test_scipy_linalg_reuses_the_loaded_module(self):
+        code = (
+            "import sys; import numpy as np\n"
+            "from crimecast import arima\n"
+            "arima.fit_arima(np.random.default_rng(0).normal(8.0, 60.0, 48), arima.ArimaSpec(1, 0, 1))\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "import scipy.linalg.lapack\n"
+            "print(scipy.linalg.lapack._flapack is sys.modules['scipy.linalg._flapack'],\n"
+            "      scipy.linalg.lapack.dtbtrs is arima._dtbtrs())\n"
+            "print(scipy.linalg.solve(np.diag([2.0, 4.0]), np.ones(2)))\n"
+        )
+        assert fresh(code) == ["False", "True True", "[0.5  0.25]"]
+
+    def test_a_loaded_scipy_linalg_is_used_and_nothing_more_loaded(self):
+        # CPython hands a second load of a single-phase extension module the
+        # module already in sys.modules, so the spy shows whether one was tried.
+        code = (
+            "import importlib.util, sys; import numpy as np; import scipy.linalg\n"
+            "from crimecast import arima\n"
+            "files, spec = [], importlib.util.spec_from_file_location\n"
+            "importlib.util.spec_from_file_location = lambda *args: files.append(args) or spec(*args)\n"
+            "before = dict(sys.modules)\n"
+            "arima.fit_arima(np.random.default_rng(0).normal(8.0, 60.0, 48), arima.ArimaSpec(1, 0, 1))\n"
+            "print(files, sorted(m for m, module in sys.modules.items() if module is not before.get(m)),\n"
+            "      arima._dtbtrs() is scipy.linalg.lapack.dtbtrs)\n"
+        )
+        assert fresh(code) == ["[] [] True"]
 
 
 class TestForecast:

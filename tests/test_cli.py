@@ -101,6 +101,16 @@ class TestConfig:
             (absolute_config(covariates="no_uner_quar.csv"),
              "error: {dir}/no_uner_quar.csv: dataset has no variable 'uner_quar'", ("fit-forecast", "--models", "2")),
             (absolute_config(articles="unlabeled.jsonl"), "error: no records carry gold labels", ("evaluate-detector",)),
+            (absolute_config(articles="."), "error: cannot read articles {dir}: ", ("signals",)),
+            (absolute_config(covariates="."), "error: cannot read covariates {dir}: ", ("fit-forecast", "--models", "1,2")),
+            (absolute_config(fbi_series="."), "error: cannot read fbi_series {dir}: ", ("fit-forecast", "--models", "1,2")),
+            (absolute_config(panel="."), "error: cannot read panel {dir}: ", ("fit-forecast", "--models", "6,7")),
+            (absolute_config(detector_source="baseline", detector_model="absent.json", detector_train="."),
+             "error: cannot read detector_train {dir}: ", ("signals",)),
+            (absolute_config(detector_source="baseline", detector_model=None),
+             "error: config is missing the detector_model path", ("detect",)),
+            (absolute_config(detector_source="baseline", detector_model="absent.json", detector_train="absent.jsonl"),
+             "error: detector_train file not found: {dir}/absent.jsonl", ("detect",)),
         ],
         ids=[
             "non-integer-order",
@@ -126,6 +136,13 @@ class TestConfig:
             "empty-fit-range",
             "covariates-without-uner-quar",
             "no-gold-labels",
+            "articles-directory",
+            "covariates-directory",
+            "fbi-series-directory",
+            "panel-directory",
+            "detector-train-directory",
+            "no-detector-model-path",
+            "no-detector-train-file",
         ],
     )
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, raw, named, argv):
@@ -944,7 +961,7 @@ def mutated_settings(work: Path, target: str, mutation: str, pick: int, cut: int
             key = PATH_KEYS[pick % len(PATH_KEYS)]
             raw[key] = str(folder if cut % 2 else folder / "absent")
         config.write_text(json.dumps(raw))
-        return config, ["--config", str(config)], [key, key.replace("_", " "), str(folder)]
+        return config, ["--config", str(config)], [key, str(folder)]
     config.write_text(json.dumps(raw))
     if target == "model":
         text, payload = json.dumps(MODEL), json.loads(json.dumps(MODEL))
@@ -1087,6 +1104,20 @@ class TestChunkedPass:
         assert main(["detect", "--config", str(config), "--output-dir", str(tmp_path / "4096")]) == EXIT_OK
         for name in ("articles_labeled.jsonl", "detection_summary.json"):
             assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "4096" / name).read_bytes()
+
+    def test_a_read_fault_names_the_articles_key_and_file(self, tmp_path, capsys, monkeypatch):
+        # Each range's read fails after its first chunk, as a disk fault would.
+        articles = write_lines(tmp_path / "a.jsonl", [self.ARTICLE % f"a{i}" for i in range(1, 10)])
+        read_articles = signals.read_articles
+
+        def failing(*args):
+            for chunk in read_articles(*args):
+                yield chunk
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(signals, "read_articles", failing)
+        assert run("signals", "--output-dir", str(tmp_path / "out"), "--articles", str(articles)) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: cannot read articles {articles.resolve()}: [Errno 5] Input/output error\n"
 
     def test_duplicate_id_across_a_chunk_boundary_names_the_later_line(self, tmp_path, capsys):
         articles = write_lines(tmp_path / "a.jsonl", [self.ARTICLE % f"a{i}" for i in range(1, 5)] + [self.ARTICLE % "a2"])
@@ -1542,9 +1573,12 @@ def test_commands_import_only_the_scipy_they_call(tmp_path):
     """Importing the CLI loads no scipy, and neither does any of the six
     commands on the fixture world, with Model 1 read as `drift` or as `ar1`:
     only an MA term needs scipy (the banded solve of the MA filter), and the
-    p-values and least-squares solves use `math` and numpy."""
+    p-values and least-squares solves use `math` and numpy. With `auto`, the
+    order search's MA fits (`diagnose`, then `fit-forecast`) load the
+    top-level `scipy` package and its `scipy.linalg._flapack` extension
+    alone, not the scipy.linalg package."""
     configs = []
-    for reading in ("drift", "ar1"):
+    for reading in ("drift", "ar1", "auto"):
         path = tmp_path / f"{reading}.json"
         path.write_text(json.dumps(absolute_config(arima_order=reading)))
         configs.append(str(path))
@@ -1558,7 +1592,12 @@ def test_commands_import_only_the_scipy_they_call(tmp_path):
         timeout=120,
     )
     steps = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
-    assert steps == [[]] * 13
+    top = json.loads(subprocess.run(
+        [sys.executable, "-c", "import json, sys, scipy; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    ).stdout)
+    assert "scipy.linalg" not in top
+    assert steps == [[]] * 17 + [sorted([*top, "scipy.linalg._flapack"])] * 2
 
 
 def test_fit_forecast_stderr_names_no_source_line(tmp_path, capsys):

@@ -12,16 +12,20 @@ removed before each run, as the benchmark's `setup_s` does, so every
 crimecast module is compiled again. The script prints, for warm and then
 cold, the median and quartiles of the import's wall time, then the median
 self time of each module that the warm import loaded, largest first
-(`importtime`'s own overhead is in every figure). Its last line is the
-median and quartiles of the wall time of `--repeats` whole fresh processes
-of `python -m crimecast.cli decompose` on the checkout's fixture config
+(`importtime`'s own overhead is in every figure). Then come the median and
+quartiles of the wall time of `--repeats` whole fresh processes of
+`python -m crimecast.cli decompose` on the checkout's fixture config
 (`tests/fixtures/config.json` beside SRC), from start to exit, writing to a
-temporary directory, with the bytecode cached and `-X importtime` off.
+temporary directory, with the bytecode cached and `-X importtime` off. The
+last line times `fit-forecast --models 1` the same way, on a copy of that
+config in the temporary directory with `arima_order` "auto" (max p and q 3):
+a cold order search, whose MA fits load scipy's LAPACK.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import statistics
@@ -55,9 +59,9 @@ def _run(env: dict[str, str]) -> tuple[float, dict[str, float]]:
     return float(done.stdout), selves
 
 
-def _command(env: dict[str, str], config: Path, out: str) -> float:
-    """The wall seconds of one fresh `decompose` process, start to exit."""
-    argv = [sys.executable, "-m", "crimecast.cli", "decompose", "--config", str(config), "--output-dir", out]
+def _command(env: dict[str, str], config: Path, out: str, *command: str) -> float:
+    """The wall seconds of one fresh crimecast process, start to exit."""
+    argv = [sys.executable, "-m", "crimecast.cli", *command, "--config", str(config), "--output-dir", out]
     start = time.perf_counter()
     subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
     return time.perf_counter() - start
@@ -87,8 +91,16 @@ def main() -> int:
             cold.append(_run(env)[0])
         config = src.parent / "tests" / "fixtures" / "config.json"
         out = os.path.join(cache, "out")
-        _command(env, config, out)  # compile crimecast's bytecode again
-        command = [_command(env, config, out) for _ in range(args.repeats)]
+        _command(env, config, out, "decompose")  # compile crimecast's bytecode again
+        command = [_command(env, config, out, "decompose") for _ in range(args.repeats)]
+        raw = json.loads(config.read_text())
+        for key in ("articles", "gazetteer", "covariates", "fbi_series", "panel", "detector_model", "detector_train"):
+            raw[key] = str((config.parent / raw[key]).resolve())
+        auto = Path(cache, "auto.json")
+        auto.write_text(json.dumps({**raw, "arima_order": "auto", "arima_max_p": 3, "arima_max_q": 3}))
+        fit = ["fit-forecast", "--models", "1"]
+        _command(env, auto, out, *fit)  # compile the bytecode of the modules it adds
+        search = [_command(env, auto, out, *fit) for _ in range(args.repeats)]
     print(_summary("warm import crimecast.cli after numpy", [wall for wall, _ in warm]))
     print(_summary("cold import crimecast.cli after numpy (crimecast's bytecode removed)", cold))
     selves = defaultdict(list)
@@ -98,6 +110,8 @@ def main() -> int:
     medians = sorted(((statistics.median(s), name) for name, s in selves.items()), reverse=True)
     print("warm self time by module: " + ", ".join(f"{name} {1e3 * s:.2f} ms" for s, name in medians))
     print(_summary("fresh process python -m crimecast.cli decompose (fixture config)", command))
+    print(_summary("fresh process python -m crimecast.cli fit-forecast --models 1 (fixture config, arima_order auto, "
+                   "max p and q 3)", search))
     return 0
 
 
